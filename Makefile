@@ -81,10 +81,11 @@ obs-smoke:
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
-# fuzz smoke-runs the wire-protocol frame decoder and YAML spec builder
-# fuzzers.
+# fuzz smoke-runs the wire-protocol frame decoder, the streaming frame
+# reader against it, and the YAML spec builder fuzzers.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzStreamReader -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzSpecParse -fuzztime 10s ./internal/spec
 
 # telemetry runs the probe workload and dumps the runtime snapshot.

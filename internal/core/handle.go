@@ -261,6 +261,19 @@ func (a *SegArena) Acquire(node, n int) (BufHandle, error) {
 	return BufHandle{h: h, gen: h.gen.Load(), off: 0, ln: n, own: false}, nil
 }
 
+// Outstanding returns how many of the arena's slots are acquired and not
+// yet released. Leak checks compare it against zero once every holder is
+// gone.
+func (a *SegArena) Outstanding() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	n := a.slots
+	for _, list := range a.free {
+		n -= len(list)
+	}
+	return n
+}
+
 func (a *SegArena) recycle(h *bufHeader) {
 	a.mu.Lock()
 	a.free[int(h.class)] = append(a.free[int(h.class)], h)

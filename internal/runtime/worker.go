@@ -155,7 +155,8 @@ func (w *Worker) assigned() []*QP { return *w.queues.Load() }
 //
 // Host timers on this platform have ~1ms granularity, so the hot path never
 // touches a timer: parking uses the wake channel, with a coarse timer only
-// as a lost-wakeup backstop.
+// as a lost-wakeup backstop. The worker re-arms one timer for that; a
+// time.After per park allocated a timer and its channel every time.
 func (w *Worker) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	if w.folder != nil {
@@ -165,6 +166,11 @@ func (w *Worker) run(wg *sync.WaitGroup) {
 		defer w.folder.Flush()
 	}
 	defer w.rt.flightOnPanic(fmt.Sprintf("worker %d", w.id))
+	backstop := time.NewTimer(parkBackstop)
+	defer backstop.Stop()
+	if !backstop.Stop() {
+		<-backstop.C
+	}
 	idleRounds := 0
 	for {
 		select {
@@ -175,11 +181,8 @@ func (w *Worker) run(wg *sync.WaitGroup) {
 		if !w.isActive() || !w.rt.Running() {
 			// Parked, decommissioned, or Runtime crashed: block until woken
 			// or stopped.
-			select {
-			case <-w.quit:
+			if !w.park(backstop) {
 				return
-			case <-w.wake:
-			case <-time.After(2 * time.Millisecond):
 			}
 			continue
 		}
@@ -193,14 +196,32 @@ func (w *Worker) run(wg *sync.WaitGroup) {
 			continue
 		}
 		w.parks.Add(1)
-		select {
-		case <-w.quit:
+		if !w.park(backstop) {
 			return
-		case <-w.wake:
-		case <-time.After(2 * time.Millisecond):
 		}
 		idleRounds = 0
 	}
+}
+
+// parkBackstop bounds a park: a wake-up lost to a race costs at most this.
+const parkBackstop = 2 * time.Millisecond
+
+// park blocks until the worker is woken, the backstop fires or the worker
+// is stopped, and reports whether the worker keeps running. t is stopped and
+// drained on entry and whenever park returns true (go.mod's go 1.22 timers:
+// Reset is only safe on such a timer).
+func (w *Worker) park(t *time.Timer) bool {
+	t.Reset(parkBackstop)
+	select {
+	case <-w.quit:
+		return false
+	case <-w.wake:
+		if !t.Stop() {
+			<-t.C
+		}
+	case <-t.C:
+	}
+	return true
 }
 
 // pollOnce scans assigned queues once, draining up to Options.Batch

@@ -15,8 +15,8 @@ import (
 var ErrConnClosed = errors.New("serve: connection closed")
 
 // Result is one request's outcome at the client: either a response frame
-// (Value copied out of the read buffer, safe to retain) or a busy
-// rejection with the server's retry hint.
+// (Value is the result's own slice, read into straight off the connection
+// and safe to retain) or a busy rejection with the server's retry hint.
 type Result struct {
 	Resp    RespFrame
 	Busy    bool
@@ -46,12 +46,16 @@ type Conn struct {
 
 	wmu sync.Mutex
 	bw  *bufio.Writer
-	enc []byte // reusable encode scratch, guarded by wmu
+	enc []byte // reusable head-encode scratch, guarded by wmu
 
 	mu      sync.Mutex
 	pending map[uint64]chan Result
-	err     error // set once the reader dies
-	readWG  sync.WaitGroup
+	// idle holds result channels Do and Pipeline are finished with, for the
+	// next submit: each is empty and open. A channel handed out by Submit
+	// belongs to the caller and never comes back.
+	idle   []chan Result
+	err    error // set once the reader dies
+	readWG sync.WaitGroup
 }
 
 // Dial connects, performs the Hello handshake and starts the reader.
@@ -68,14 +72,9 @@ func Dial(addr, tenant string) (*Conn, error) {
 		nc.Close()
 		return nil, err
 	}
-	br := bufio.NewReaderSize(nc, 64<<10)
+	fr := newFrameReader(bufio.NewReaderSize(nc, 64<<10), DefaultMaxPayload)
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	typ, payload, _, err := ReadFrame(br, nil, DefaultMaxPayload)
-	if err != nil || typ != FrameHello {
-		nc.Close()
-		return nil, fmt.Errorf("serve: handshake failed: %v", err)
-	}
-	if _, err := DecodeHello(payload); err != nil {
+	if _, err := fr.hello(); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("serve: handshake failed: %v", err)
 	}
@@ -88,7 +87,7 @@ func Dial(addr, tenant string) (*Conn, error) {
 		pending: make(map[uint64]chan Result),
 	}
 	c.readWG.Add(1)
-	go c.readLoop(br)
+	go c.readLoop(fr)
 	return c, nil
 }
 
@@ -100,51 +99,14 @@ func (c *Conn) Close() error {
 	return err
 }
 
-func (c *Conn) readLoop(br *bufio.Reader) {
+func (c *Conn) readLoop(fr *frameReader) {
 	defer c.readWG.Done()
-	var buf []byte
-	var failErr error
+	var rf RespFrame // outside the loop: head takes it as an interface, so it lives on the heap
 	for {
-		typ, payload, nbuf, err := ReadFrame(br, buf, DefaultMaxPayload)
+		id, res, err := readResult(fr, &rf)
 		if err != nil {
-			failErr = err
-			break
-		}
-		buf = nbuf
-		var id uint64
-		var res Result
-		switch typ {
-		case FrameResp:
-			var rf RespFrame
-			if err := DecodeResp(payload, &rf); err != nil {
-				failErr = err
-				break
-			}
-			// The decode buffer is reused next iteration; the value must be
-			// copied out before delivery.
-			if len(rf.Value) > 0 {
-				rf.Value = append([]byte(nil), rf.Value...)
-			}
-			id, res = rf.ID, Result{Resp: rf}
-		case FrameBusy:
-			bf, err := DecodeBusy(payload)
-			if err != nil {
-				failErr = err
-				break
-			}
-			id, res = bf.ID, Result{Busy: true, Reason: bf.Reason, RetryNs: bf.RetryNs}
-		case FramePong:
-			pid, err := DecodePing(payload)
-			if err != nil {
-				failErr = err
-				break
-			}
-			id, res = pid, Result{Resp: RespFrame{ID: pid, OK: true}}
-		default:
-			failErr = ErrTornFrame
-		}
-		if failErr != nil {
-			break
+			c.fail(err)
+			return
 		}
 		c.mu.Lock()
 		ch := c.pending[id]
@@ -154,12 +116,51 @@ func (c *Conn) readLoop(br *bufio.Reader) {
 			ch <- res
 		}
 	}
-	if failErr == nil {
-		failErr = ErrConnClosed
+}
+
+// readResult reads the next frame and turns it into the Result for request
+// id. rf is scratch.
+func readResult(fr *frameReader, rf *RespFrame) (id uint64, res Result, err error) {
+	typ, _, err := fr.next()
+	if err != nil {
+		return 0, res, err
 	}
+	switch typ {
+	case FrameResp:
+		n, err := fr.head(rf)
+		if err != nil {
+			return 0, res, err
+		}
+		// The value's one landing: off the connection into the slice the
+		// caller gets.
+		if n > 0 {
+			rf.Value = make([]byte, n)
+		}
+		res.Resp = *rf
+		return rf.ID, res, fr.bulk(rf.Value)
+	case FrameBusy:
+		p, err := fr.payload()
+		if err != nil {
+			return 0, res, err
+		}
+		bf, err := DecodeBusy(p)
+		return bf.ID, Result{Busy: true, Reason: bf.Reason, RetryNs: bf.RetryNs}, err
+	case FramePong:
+		p, err := fr.payload()
+		if err != nil {
+			return 0, res, err
+		}
+		id, err = DecodePing(p)
+		return id, Result{Resp: RespFrame{ID: id, OK: true}}, err
+	}
+	return 0, res, ErrTornFrame
+}
+
+// fail records why the reader stopped and fails every outstanding request.
+func (c *Conn) fail(err error) {
 	c.mu.Lock()
 	if c.err == nil {
-		c.err = failErr
+		c.err = err
 	}
 	for id, ch := range c.pending {
 		delete(c.pending, id)
@@ -173,22 +174,37 @@ func (c *Conn) readLoop(br *bufio.Reader) {
 // rf.ID is assigned; rf.Tenant defaults to the connection tenant on the
 // server side.
 func (c *Conn) Submit(rf *ReqFrame) (<-chan Result, error) {
+	return c.submit(rf)
+}
+
+// register assigns ch — an idle channel when there is one — to id.
+func (c *Conn) register(id uint64) (chan Result, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err != nil {
+		return nil, c.err
+	}
+	var ch chan Result
+	if n := len(c.idle); n > 0 {
+		ch, c.idle = c.idle[n-1], c.idle[:n-1]
+	} else {
+		ch = make(chan Result, 1)
+	}
+	c.pending[id] = ch
+	return ch, nil
+}
+
+func (c *Conn) submit(rf *ReqFrame) (chan Result, error) {
 	if rf.ID == 0 {
 		rf.ID = c.nextID.Add(1)
 	}
-	ch := make(chan Result, 1)
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
+	ch, err := c.register(rf.ID)
+	if err != nil {
 		return nil, err
 	}
-	c.pending[rf.ID] = ch
-	c.mu.Unlock()
 
 	c.wmu.Lock()
-	c.enc = AppendReq(c.enc[:0], rf)
-	_, err := c.bw.Write(c.enc)
+	c.enc, err = writeReq(c.bw, c.enc, rf)
 	c.wmu.Unlock()
 	if err != nil {
 		c.mu.Lock()
@@ -215,16 +231,27 @@ func wait(ch <-chan Result) (Result, error) {
 	return res, nil
 }
 
+// recycle takes back channels whose one Result has been received.
+func (c *Conn) recycle(chans ...chan Result) {
+	c.mu.Lock()
+	c.idle = append(c.idle, chans...)
+	c.mu.Unlock()
+}
+
 // Do submits one request, flushes and waits for its result.
 func (c *Conn) Do(rf *ReqFrame) (Result, error) {
-	ch, err := c.Submit(rf)
+	ch, err := c.submit(rf)
 	if err != nil {
 		return Result{}, err
 	}
 	if err := c.Flush(); err != nil {
 		return Result{}, err
 	}
-	return wait(ch)
+	res, err := wait(ch)
+	if err == nil {
+		c.recycle(ch)
+	}
+	return res, err
 }
 
 // DoRetry is Do with busy-backoff: on a BUSY result it sleeps the server's
@@ -259,43 +286,47 @@ func (c *Conn) DoRetry(rf *ReqFrame, tries int) (Result, error) {
 // for every result, in order. This is the wire analogue of
 // Client.SubmitBatch/WaitAll and what the load generator drives.
 func (c *Conn) Pipeline(rfs []ReqFrame) ([]Result, error) {
-	chans := make([]<-chan Result, len(rfs))
+	chans := windowPool.Get().(*[]chan Result)
+	defer func() {
+		clear(*chans)
+		*chans = (*chans)[:0]
+		windowPool.Put(chans)
+	}()
 	for i := range rfs {
-		ch, err := c.Submit(&rfs[i])
+		ch, err := c.submit(&rfs[i])
 		if err != nil {
 			return nil, err
 		}
-		chans[i] = ch
+		*chans = append(*chans, ch)
 	}
 	if err := c.Flush(); err != nil {
 		return nil, err
 	}
 	out := make([]Result, len(rfs))
-	for i, ch := range chans {
+	for i, ch := range *chans {
 		res, err := wait(ch)
 		if err != nil {
 			return nil, err
 		}
 		out[i] = res
 	}
+	c.recycle(*chans...)
 	return out, nil
 }
+
+// windowPool recycles the slice Pipeline keeps its window's channels in.
+var windowPool = sync.Pool{New: func() any { return new([]chan Result) }}
 
 // Ping round-trips a liveness probe.
 func (c *Conn) Ping() error {
 	id := c.nextID.Add(1)
-	ch := make(chan Result, 1)
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
+	ch, err := c.register(id)
+	if err != nil {
 		return err
 	}
-	c.pending[id] = ch
-	c.mu.Unlock()
 	c.wmu.Lock()
 	c.enc = AppendPing(c.enc[:0], FramePing, id)
-	_, err := c.bw.Write(c.enc)
+	_, err = c.bw.Write(c.enc)
 	if err == nil {
 		err = c.bw.Flush()
 	}
@@ -303,7 +334,9 @@ func (c *Conn) Ping() error {
 	if err != nil {
 		return err
 	}
-	_, err = wait(ch)
+	if _, err = wait(ch); err == nil {
+		c.recycle(ch)
+	}
 	return err
 }
 

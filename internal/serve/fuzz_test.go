@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
+	"io"
+	"strings"
 	"testing"
 
 	"labstor/internal/core"
@@ -70,7 +73,7 @@ func FuzzFrameDecode(f *testing.F) {
 					if r2.ID != r.ID || r2.Tenant != r.Tenant || r2.Mount != r.Mount ||
 						r2.Op != r.Op || r2.Path != r.Path || r2.Key != r.Key ||
 						r2.Offset != r.Offset || r2.Size != r.Size || r2.Prog != r.Prog ||
-							!bytes.Equal(r2.Payload, r.Payload) {
+						!bytes.Equal(r2.Payload, r.Payload) {
 						t.Fatalf("req round trip: %+v != %+v", r2, r)
 					}
 				}
@@ -105,6 +108,173 @@ func FuzzFrameDecode(f *testing.F) {
 			case FramePing, FramePong:
 				_, _ = DecodePing(payload)
 			}
+		}
+	})
+}
+
+// chunkReader hands out at most chunk bytes per Read, so frames reach the
+// stream reader split at arbitrary points.
+type chunkReader struct {
+	b     []byte
+	chunk int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.b) == 0 {
+		return 0, io.EOF
+	}
+	n := min(len(p), len(r.b), r.chunk)
+	copy(p, r.b[:n])
+	r.b = r.b[n:]
+	return n, nil
+}
+
+// wireFrame is one decoded frame of any type, bulk field included.
+type wireFrame struct {
+	typ   byte
+	hello HelloFrame
+	req   ReqFrame
+	resp  RespFrame
+	busy  BusyFrame
+	ping  uint64
+}
+
+func (a *wireFrame) equal(b *wireFrame) bool {
+	q, r := &a.req, &b.req
+	x, y := &a.resp, &b.resp
+	return a.typ == b.typ && a.hello == b.hello && a.busy == b.busy && a.ping == b.ping &&
+		q.ID == r.ID && q.Tenant == r.Tenant && q.Mount == r.Mount && q.Op == r.Op && q.Path == r.Path &&
+		q.Key == r.Key && q.Offset == r.Offset && q.Size == r.Size && q.Prog == r.Prog && bytes.Equal(q.Payload, r.Payload) &&
+		x.ID == y.ID && x.OK == y.OK && x.Result == y.Result && x.Err == y.Err && bytes.Equal(x.Value, y.Value)
+}
+
+// decodeWhole is the reference: DecodeFrame, then the type's payload decoder.
+func decodeWhole(b []byte, maxPayload int) (f wireFrame, rest []byte, err error) {
+	typ, payload, rest, err := DecodeFrame(b, maxPayload)
+	if err != nil {
+		return f, rest, err
+	}
+	f.typ = typ
+	switch typ {
+	case FrameHello:
+		f.hello, err = DecodeHello(payload)
+	case FrameReq:
+		err = DecodeReq(payload, &f.req)
+	case FrameResp:
+		err = DecodeResp(payload, &f.resp)
+	case FrameBusy:
+		f.busy, err = DecodeBusy(payload)
+	default:
+		f.ping, err = DecodePing(payload)
+	}
+	return f, rest, err
+}
+
+// readStreamed is the same frame taken off a stream: head then bulk for
+// requests and responses, payload for the rest.
+func readStreamed(fr *frameReader) (f wireFrame, err error) {
+	if f.typ, _, err = fr.next(); err != nil {
+		return f, err
+	}
+	var p []byte
+	switch f.typ {
+	case FrameReq:
+		var n int
+		if n, err = fr.head(&f.req); err == nil {
+			f.req.Payload = make([]byte, n)
+			err = fr.bulk(f.req.Payload)
+		}
+	case FrameResp:
+		var n int
+		if n, err = fr.head(&f.resp); err == nil {
+			f.resp.Value = make([]byte, n)
+			err = fr.bulk(f.resp.Value)
+		}
+	case FrameHello:
+		if p, err = fr.payload(); err == nil {
+			f.hello, err = DecodeHello(p)
+		}
+	case FrameBusy:
+		if p, err = fr.payload(); err == nil {
+			f.busy, err = DecodeBusy(p)
+		}
+	default:
+		if p, err = fr.payload(); err == nil {
+			f.ping, err = DecodePing(p)
+		}
+	}
+	return f, err
+}
+
+// FuzzStreamReader checks the two codec paths against each other.
+//
+// In: for any byte string, frameReader over a reader that returns the bytes
+// in chunks of any size, behind a bufio.Reader of any size, accepts exactly
+// the frames DecodeFrame plus the payload decoder accept, with equal fields,
+// and rejects where they reject.
+//
+// Out: for any response, what frameGather writes is byte for byte what
+// AppendResp appends. The response is cut from the same input (error string,
+// then value), so both fields take any length, zero included.
+func FuzzStreamReader(f *testing.F) {
+	long := strings.Repeat("k", headWindow+40) // a head that outgrows the window at any buffer size
+	var many []byte
+	many = AppendReq(many, &ReqFrame{ID: 1, Mount: "kv::/b", Op: core.OpPut, Key: "k", Payload: bytes.Repeat([]byte{7}, 64)})
+	many = AppendReq(many, &ReqFrame{ID: 2, Mount: "kv::/b", Op: core.OpGet, Key: "k"}) // zero-length bulk
+	many = AppendResp(many, &RespFrame{ID: 1, OK: true, Result: 64, Value: bytes.Repeat([]byte{9}, 64)})
+	many = AppendResp(many, &RespFrame{ID: 2, OK: true})
+	many = AppendBusy(many, &BusyFrame{ID: 3, Reason: BusyRate, RetryNs: 1})
+	many = AppendPing(many, FramePing, 4)
+	f.Add(many, uint16(1), uint16(0), uint16(0))
+	f.Add(many, uint16(4096), uint16(1<<15), uint16(5))
+	f.Add(AppendReq(nil, &ReqFrame{ID: 5, Mount: "fs::/x", Op: core.OpWrite, Path: long, Key: long, Payload: []byte("tail")}), uint16(7), uint16(100), uint16(1))
+	f.Add(AppendReq(nil, &ReqFrame{ID: 6, Mount: "fs::/x", Op: core.OpRead, Path: long}), uint16(3), uint16(0), uint16(0))
+	f.Add(AppendResp(nil, &RespFrame{ID: 7, Err: long}), uint16(513), uint16(600), uint16(headWindow+40))
+	f.Add(AppendResp(nil, &RespFrame{ID: 8, Err: long, Value: []byte(long)}), uint16(64), uint16(16), uint16(headWindow))
+	f.Add(AppendHello(nil, &HelloFrame{Version: ProtoVersion, Tenant: "seed"}), uint16(2), uint16(0), uint16(4))
+	f.Add([]byte{frameMagic, FrameResp, 4, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0}, uint16(1), uint16(0), uint16(2))
+
+	f.Fuzz(func(t *testing.T, data []byte, chunk, bufSize, errLen uint16) {
+		const maxPayload = 1 << 16
+		fr := newFrameReader(bufio.NewReaderSize(&chunkReader{b: data, chunk: int(chunk) + 1}, int(bufSize)), maxPayload)
+		rest := data
+		for i := 0; i < 16; i++ {
+			want, nrest, wantErr := decodeWhole(rest, maxPayload)
+			got, gotErr := readStreamed(fr)
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("frame %d: whole-buffer decode says %v, stream reader says %v", i, wantErr, gotErr)
+			}
+			if wantErr != nil {
+				break
+			}
+			if !want.equal(&got) {
+				t.Fatalf("frame %d: stream reader decoded %+v, whole-buffer decode %+v", i, got, want)
+			}
+			rest = nrest
+		}
+
+		cut := min(int(errLen), len(data))
+		resps := []RespFrame{
+			{ID: uint64(chunk)<<16 | uint64(bufSize), OK: cut == 0, Result: int64(len(data)) - int64(errLen), Err: string(data[:cut]), Value: data[cut:]},
+			{ID: uint64(errLen)},                  // no bulk: shares an element of the vector
+			{ID: 1, OK: true, Value: data[:cut]},  // bulk again
+			{ID: 1<<64 - 1, Result: -1, Err: "e"}, // trailing head-only frame
+		}
+		var g frameGather
+		var want []byte
+		for i := range resps {
+			g.resp(&resps[i])
+			want = AppendResp(want, &resps[i])
+		}
+		if g.size() != len(want) || g.frames != len(resps) {
+			t.Fatalf("gather counts %d bytes in %d frames, AppendResp made %d in %d", g.size(), g.frames, len(want), len(resps))
+		}
+		var got bytes.Buffer
+		if err := g.writeTo(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("gather wrote %x, AppendResp made %x", got.Bytes(), want)
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -204,17 +205,83 @@ func (r *Router) acceptLoop() {
 	}
 }
 
-// clientConn is one proxied client connection's write side.
+// clientConn is one proxied client connection's write side. Unlike the
+// server's connections it keeps a writer goroutine: an upstream's reader is
+// shared by every client of that shard, so it must hand a frame to a queue
+// and move on — a client socket that is slow to drain may delay that
+// client's frames, never another's.
 type clientConn struct {
+	// writeCh queues whole encoded frames for the writer. 256 is how many
+	// responses a client may leave undrained before the shared upstream
+	// readers start to wait for it.
 	writeCh chan []byte
-	done    chan struct{}
+	// free carries written-out buffers back to whoever encodes this
+	// client's next frame; as many as writeCh can hold are worth keeping.
+	free chan []byte
+	done chan struct{}
 }
 
-// send delivers a client-bound frame unless the connection is gone.
+func newClientConn() *clientConn {
+	return &clientConn{writeCh: make(chan []byte, 256), free: make(chan []byte, 256), done: make(chan struct{})}
+}
+
+// buffer returns an empty buffer to encode a frame for this client into: one
+// the writer has handed back, or nil.
+func (cc *clientConn) buffer() []byte {
+	select {
+	case b := <-cc.free:
+		return b[:0]
+	default:
+		return nil
+	}
+}
+
+// send delivers a client-bound frame unless the connection is gone. The
+// writer owns b from here on.
 func (cc *clientConn) send(b []byte) {
 	select {
 	case cc.writeCh <- b:
 	case <-cc.done:
+	}
+}
+
+// writeLoop writes queued frames to the client until done closes: everything
+// queued at the moment goes out in one vectored write, and the buffers go
+// back to free. After a write error it keeps draining (discarding) so
+// senders never block on a dead peer.
+func (cc *clientConn) writeLoop(conn net.Conn) {
+	var held, vec [][]byte // the frames of one write: to hand back, and as the vector
+	var out net.Buffers    // WriteTo's receiver: it consumes the vector it is given
+	dead := false
+	for {
+		select {
+		case b := <-cc.writeCh:
+			held = append(held[:0], b)
+		case <-cc.done:
+			return
+		}
+	drain:
+		for {
+			select {
+			case b := <-cc.writeCh:
+				held = append(held, b)
+			default:
+				break drain
+			}
+		}
+		if !dead {
+			vec = append(vec[:0], held...)
+			out = vec
+			_, err := out.WriteTo(conn)
+			dead = err != nil
+		}
+		for i, b := range held {
+			select {
+			case cc.free <- b:
+			default:
+			}
+			held[i] = nil
+		}
 	}
 }
 
@@ -232,12 +299,9 @@ func (r *Router) handleConn(conn net.Conn) {
 	}
 
 	br := bufio.NewReaderSize(conn, 64<<10)
+	fr := newFrameReader(br, DefaultMaxPayload)
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	typ, payload, buf, err := ReadFrame(br, nil, DefaultMaxPayload)
-	if err != nil || typ != FrameHello {
-		return
-	}
-	hello, err := DecodeHello(payload)
+	hello, err := fr.hello()
 	if err != nil || hello.Version != ProtoVersion {
 		return
 	}
@@ -246,36 +310,12 @@ func (r *Router) handleConn(conn net.Conn) {
 		return
 	}
 
-	cc := &clientConn{writeCh: make(chan []byte, 256), done: make(chan struct{})}
-
+	cc := newClientConn()
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
 	go func() {
 		defer writerWG.Done()
-		bw := bufio.NewWriterSize(conn, 64<<10)
-		dead := false
-		for {
-			select {
-			case out := <-cc.writeCh:
-				if dead {
-					continue
-				}
-				if _, err := bw.Write(out); err != nil {
-					dead = true
-					continue
-				}
-				if len(cc.writeCh) == 0 {
-					if err := bw.Flush(); err != nil {
-						dead = true
-					}
-				}
-			case <-cc.done:
-				if !dead {
-					bw.Flush()
-				}
-				return
-			}
-		}
+		cc.writeLoop(conn)
 	}()
 	// Stop the writer before waiting on it (defers run LIFO after this one).
 	defer func() {
@@ -283,44 +323,76 @@ func (r *Router) handleConn(conn net.Conn) {
 		writerWG.Wait()
 	}()
 
+	// ups caches mount -> upstream for this connection, as the server
+	// caches mount -> stack: the route key, the ring search and the
+	// router-wide upstream table are consulted once per mount instead of
+	// once per frame. An entry goes when a forward through it fails, and is
+	// resolved again once its upstream is known to have closed. Any string
+	// a client sends as a mount becomes a key, so the map is emptied at
+	// maxRouteCache entries rather than left to grow with them.
+	const maxRouteCache = 1024
+	ups := make(map[string]*upstream)
+	fail := func(id uint64, format string, args ...any) {
+		r.mUpErrors.Inc()
+		cc.send(AppendResp(cc.buffer(), &RespFrame{ID: id, Err: fmt.Sprintf(format, args...)}))
+	}
+
 	var rf ReqFrame
+	var payload []byte // staging for one request's payload, reused
 	for {
-		typ, payload, nbuf, err := ReadFrame(br, buf, DefaultMaxPayload)
+		typ, _, err := fr.next()
 		if err != nil {
 			return
 		}
-		buf = nbuf
-		switch typ {
-		case FramePing:
-			id, err := DecodePing(payload)
+		if typ == FramePing {
+			p, err := fr.payload()
 			if err != nil {
 				return
 			}
-			cc.send(AppendPing(nil, FramePong, id))
+			id, err := DecodePing(p)
+			if err != nil {
+				return
+			}
+			cc.send(AppendPing(cc.buffer(), FramePong, id))
 			continue
-		case FrameReq:
-		default:
+		}
+		if typ != FrameReq {
 			return
 		}
-		if err := DecodeReq(payload, &rf); err != nil {
+		// The frame goes upstream with another id and tenant, so with
+		// another CRC — which precedes the payload on the wire. The payload
+		// therefore waits here until forward has sealed the new head.
+		n, err := fr.head(&rf)
+		if err != nil {
 			return
 		}
+		payload = slices.Grow(payload[:0], n)[:n]
+		if err := fr.bulk(payload); err != nil {
+			return
+		}
+		rf.Payload = payload
 		// Tenant travels per-frame across the mux; fill the connection
 		// default in so backend admission attributes the right tenant.
 		if rf.Tenant == "" {
 			rf.Tenant = hello.Tenant
 		}
-		backend := r.ring.Lookup(RouteKey(rf.Mount))
-		u, err := r.upstream(backend)
-		if err != nil {
-			r.mUpErrors.Inc()
-			cc.send(AppendResp(nil, &RespFrame{ID: rf.ID, Err: fmt.Sprintf("shard %s unreachable: %v", backend, err)}))
-			continue
+		u := ups[rf.Mount]
+		if u == nil || u.closed.Load() {
+			backend := r.ring.Lookup(RouteKey(rf.Mount))
+			if u, err = r.upstream(backend); err != nil {
+				delete(ups, rf.Mount)
+				fail(rf.ID, "shard %s unreachable: %v", backend, err)
+				continue
+			}
+			if len(ups) >= maxRouteCache {
+				clear(ups)
+			}
+			ups[rf.Mount] = u
 		}
 		if err := u.forward(&rf, cc, br.Buffered() == 0); err != nil {
-			r.mUpErrors.Inc()
-			r.dropUpstream(backend, u)
-			cc.send(AppendResp(nil, &RespFrame{ID: rf.ID, Err: fmt.Sprintf("shard %s write failed: %v", backend, err)}))
+			delete(ups, rf.Mount)
+			r.dropUpstream(u.backend, u)
+			fail(rf.ID, "shard %s write failed: %v", u.backend, err)
 		}
 	}
 }
@@ -371,7 +443,10 @@ type upstream struct {
 
 	pmu     sync.Mutex
 	pending map[uint64]pendingRoute
-	closed  bool
+	// closed is set under pmu (forward's check-and-insert must not interleave
+	// with the reader failing everything pending) and read without it by
+	// handleConn's route cache.
+	closed atomic.Bool
 
 	mOps *telemetry.Counter
 }
@@ -394,14 +469,9 @@ func (r *Router) dialUpstream(backend string) (*upstream, error) {
 		nc.Close()
 		return nil, err
 	}
-	br := bufio.NewReaderSize(nc, 64<<10)
+	fr := newFrameReader(bufio.NewReaderSize(nc, 64<<10), DefaultMaxPayload)
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	typ, payload, _, err := ReadFrame(br, nil, DefaultMaxPayload)
-	if err != nil || typ != FrameHello {
-		nc.Close()
-		return nil, fmt.Errorf("handshake: %v", err)
-	}
-	if _, err := DecodeHello(payload); err != nil {
+	if _, err := fr.hello(); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("handshake: %v", err)
 	}
@@ -416,7 +486,7 @@ func (r *Router) dialUpstream(backend string) (*upstream, error) {
 		mOps:    r.metrics.Counter("router.backend_ops;backend=" + backend),
 	}
 	r.wg.Add(1)
-	go u.readLoop(br)
+	go u.readLoop(fr)
 	return u, nil
 }
 
@@ -425,7 +495,7 @@ func (r *Router) dialUpstream(backend string) (*upstream, error) {
 func (u *upstream) forward(rf *ReqFrame, cc *clientConn, flush bool) error {
 	gid := u.r.nextGID.Add(1)
 	u.pmu.Lock()
-	if u.closed {
+	if u.closed.Load() {
 		u.pmu.Unlock()
 		return ErrConnClosed
 	}
@@ -435,17 +505,15 @@ func (u *upstream) forward(rf *ReqFrame, cc *clientConn, flush bool) error {
 	orig := rf.ID
 	rf.ID = gid
 	u.wmu.Lock()
-	u.enc = AppendReq(u.enc[:0], rf)
-	_, err := u.bw.Write(u.enc)
+	var err error
+	u.enc, err = writeReq(u.bw, u.enc, rf)
 	if err == nil && flush {
 		err = u.bw.Flush()
 	}
 	u.wmu.Unlock()
 	rf.ID = orig
 	if err != nil {
-		u.pmu.Lock()
-		delete(u.pending, gid)
-		u.pmu.Unlock()
+		u.take(gid)
 		return err
 	}
 	u.r.mForwarded.Inc()
@@ -453,56 +521,28 @@ func (u *upstream) forward(rf *ReqFrame, cc *clientConn, flush bool) error {
 	return nil
 }
 
+// take removes and returns the route of a rewritten id.
+func (u *upstream) take(gid uint64) (pendingRoute, bool) {
+	u.pmu.Lock()
+	route, ok := u.pending[gid]
+	delete(u.pending, gid)
+	u.pmu.Unlock()
+	return route, ok
+}
+
 // readLoop demuxes backend completions to their client connections,
-// rewriting ids back.
-func (u *upstream) readLoop(br *bufio.Reader) {
+// rewriting ids back. A response is re-encoded — new id, so new CRC — into
+// a buffer its client's writer has handed back, and the value is read off
+// the upstream connection straight into its place in that frame.
+func (u *upstream) readLoop(fr *frameReader) {
 	defer u.r.wg.Done()
-	var buf []byte
-	for {
-		typ, payload, nbuf, err := ReadFrame(br, buf, DefaultMaxPayload)
-		if err != nil {
-			break
-		}
-		buf = nbuf
-		var gid uint64
-		var out func(origID uint64) []byte
-		switch typ {
-		case FrameResp:
-			var rf RespFrame
-			if err := DecodeResp(payload, &rf); err != nil {
-				goto done
-			}
-			gid = rf.ID
-			out = func(origID uint64) []byte {
-				rf.ID = origID
-				return AppendResp(nil, &rf)
-			}
-		case FrameBusy:
-			bf, err := DecodeBusy(payload)
-			if err != nil {
-				goto done
-			}
-			gid = bf.ID
-			out = func(origID uint64) []byte {
-				bf.ID = origID
-				return AppendBusy(nil, &bf)
-			}
-		default:
-			continue // pongs etc. have no route
-		}
-		u.pmu.Lock()
-		route, ok := u.pending[gid]
-		delete(u.pending, gid)
-		u.pmu.Unlock()
-		if ok {
-			route.cc.send(out(route.id))
-		}
+	var rf RespFrame
+	for u.relay(fr, &rf) == nil {
 	}
-done:
 	// Upstream died: every outstanding request gets an explicit error so
 	// clients never hang on a vanished shard.
 	u.pmu.Lock()
-	u.closed = true
+	u.closed.Store(true)
 	routes := make([]pendingRoute, 0, len(u.pending))
 	for _, rt := range u.pending {
 		routes = append(routes, rt)
@@ -510,14 +550,70 @@ done:
 	u.pending = map[uint64]pendingRoute{}
 	u.pmu.Unlock()
 	for _, rt := range routes {
-		rt.cc.send(AppendResp(nil, &RespFrame{ID: rt.id, Err: "shard connection lost: " + u.backend}))
+		u.lost(rt)
 	}
 	u.r.dropUpstream(u.backend, u)
 }
 
+// lost answers a request whose response the upstream will not deliver.
+func (u *upstream) lost(rt pendingRoute) {
+	rt.cc.send(AppendResp(rt.cc.buffer(), &RespFrame{ID: rt.id, Err: "shard connection lost: " + u.backend}))
+}
+
+// relay passes one frame from the backend on to the client that waits for
+// it. rf is scratch.
+func (u *upstream) relay(fr *frameReader, rf *RespFrame) error {
+	typ, _, err := fr.next()
+	if err != nil {
+		return err
+	}
+	switch typ {
+	case FrameResp:
+		n, err := fr.head(rf)
+		if err != nil {
+			return err
+		}
+		route, ok := u.take(rf.ID)
+		var b []byte
+		if ok {
+			b = route.cc.buffer()
+		}
+		rf.ID = route.id
+		b = appendRespHead(b, rf, n)
+		value := len(b)
+		b = slices.Grow(b, n)[:value+n]
+		err = fr.bulk(b[value:])
+		switch {
+		case !ok:
+		case err != nil:
+			u.lost(route) // no longer pending, so readLoop's sweep would miss it
+		default:
+			sealFrame(b[:value], 0, b[value:])
+			route.cc.send(b)
+		}
+		return err
+	case FrameBusy:
+		p, err := fr.payload()
+		if err != nil {
+			return err
+		}
+		bf, err := DecodeBusy(p)
+		if err != nil {
+			return err
+		}
+		if route, ok := u.take(bf.ID); ok {
+			bf.ID = route.id
+			route.cc.send(AppendBusy(route.cc.buffer(), &bf))
+		}
+	default: // pongs etc. have no route
+		_, err = fr.payload()
+	}
+	return err
+}
+
 func (u *upstream) close() {
 	u.pmu.Lock()
-	u.closed = true
+	u.closed.Store(true)
 	u.pmu.Unlock()
 	u.conn.Close()
 }

@@ -45,18 +45,22 @@ type Config struct {
 // Server is the TCP serving front end: it multiplexes many client
 // connections onto the Runtime's queue-pair fast path. Each connection gets
 // one runtime.Client (one queue pair, placed by the orchestrator like any
-// local client) and three goroutines:
+// local client) and two goroutines:
 //
-//	reader    — decodes frames, runs admission, coalesces admitted
-//	            requests into vectored SubmitBatch calls
-//	completer — reaps each submitted batch with WaitAll and encodes
-//	            response frames
-//	writer    — owns the socket write side; busy/pong frames from the
-//	            reader and response frames from the completer interleave
+//	reader    — parses frame heads, lands payloads in registered buffers,
+//	            runs admission, coalesces admitted requests into vectored
+//	            SubmitBatch calls
+//	completer — reaps each submitted batch with WaitAll and writes its
+//	            responses itself: heads from a scratch, values from where
+//	            the stack left them, one writev per batch (connWriter)
+//
+// There is no writer goroutine. The reader's own frames (BUSY, pong, error
+// responses) go out through the same connWriter under its lock.
 //
 // Backpressure is explicit end to end: admission rejections are BUSY
-// frames, a full submission ring blocks the reader (TCP pushback), and the
-// completer channel bounds how many submitted-but-unwritten batches exist.
+// frames, a full submission ring blocks the reader (TCP pushback), a peer
+// that does not read blocks the completer in its write, and the completer
+// channel bounds how many submitted-but-unwritten batches exist.
 type Server struct {
 	rt        *runtime.Runtime
 	cfg       Config
@@ -68,6 +72,10 @@ type Server struct {
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
+
+	// batches recycles *submittedBatch between a connection's completer and
+	// its reader, so the per-batch slices are allocated once.
+	batches sync.Pool
 
 	mAccepted  *telemetry.Counter
 	mFramesIn  *telemetry.Counter
@@ -207,9 +215,9 @@ func (s *Server) demandLoop() {
 	}
 }
 
-// pendingReq is one admitted request between submission and response.
+// pendingReq is what the completer needs of one admitted request besides
+// the request itself.
 type pendingReq struct {
-	req     *core.Request
 	id      uint64         // wire request id
 	payload core.BufHandle // registered payload buffer to release (may be zero)
 	ts      *tenantState
@@ -217,10 +225,67 @@ type pendingReq struct {
 
 // submittedBatch is one SubmitBatch's worth of requests handed to the
 // completer, plus the submit error (if any) that already doomed them.
+// entries[i] belongs to reqs[i].
 type submittedBatch struct {
 	entries []pendingReq
 	reqs    []*core.Request
 	subErr  error
+}
+
+func (s *Server) getBatch() *submittedBatch {
+	if b, ok := s.batches.Get().(*submittedBatch); ok {
+		return b
+	}
+	return &submittedBatch{
+		entries: make([]pendingReq, 0, s.cfg.Batch),
+		reqs:    make([]*core.Request, 0, s.cfg.Batch),
+	}
+}
+
+func (s *Server) putBatch(b *submittedBatch) {
+	clear(b.entries)
+	clear(b.reqs)
+	b.entries, b.reqs, b.subErr = b.entries[:0], b.reqs[:0], nil
+	s.batches.Put(b)
+}
+
+// connWriter is a connection's write side. Whoever has frames for the peer
+// gathers them and writes them itself, under mu: the completer a batch of
+// responses, the reader a BUSY, pong or error response.
+type connWriter struct {
+	s    *Server
+	conn net.Conn
+
+	mu sync.Mutex
+	g  frameGather
+	// dead is set by the first failed write. Later frames are counted and
+	// dropped, so the completer keeps draining — releasing requests, buffers
+	// and admission slots — and never blocks on a peer that is gone. The
+	// reader finds out from its own read error.
+	dead bool
+}
+
+// flush writes what g holds in one vectored write. Every frame the server
+// sends after the handshake passes through here, which is where
+// serve.frames_out and serve.bytes_out count. The caller holds mu.
+func (cw *connWriter) flush() {
+	cw.s.mFramesOut.Add(int64(cw.g.frames))
+	cw.s.mBytesOut.Add(int64(cw.g.size()))
+	if cw.dead {
+		cw.g.reset()
+		return
+	}
+	if err := cw.g.writeTo(cw.conn); err != nil {
+		cw.dead = true
+	}
+}
+
+// frame writes one encoded frame (copied before frame returns).
+func (cw *connWriter) frame(b []byte) {
+	cw.mu.Lock()
+	cw.g.whole(b)
+	cw.flush()
+	cw.mu.Unlock()
 }
 
 func (s *Server) handleConn(conn net.Conn) {
@@ -237,16 +302,11 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 
 	br := bufio.NewReaderSize(conn, 64<<10)
-	bw := bufio.NewWriterSize(conn, 64<<10)
+	fr := newFrameReader(br, s.cfg.MaxPayload)
 
 	// Handshake: Hello in, Hello (ack) out, bounded by a deadline.
 	conn.SetReadDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
-	typ, payload, buf, err := ReadFrame(br, nil, s.cfg.MaxPayload)
-	if err != nil || typ != FrameHello {
-		s.mProtoErrs.Inc()
-		return
-	}
-	hello, err := DecodeHello(payload)
+	hello, err := fr.hello()
 	if err != nil || hello.Version != ProtoVersion {
 		s.mProtoErrs.Inc()
 		return
@@ -261,31 +321,26 @@ func (s *Server) handleConn(conn net.Conn) {
 	defer cli.Disconnect()
 	defTenant := s.adm.Tenant(hello.Tenant)
 
-	compCh := make(chan submittedBatch, 64)
-	writeCh := make(chan []byte, 256)
-
-	var pipeWG sync.WaitGroup
-	pipeWG.Add(2)
+	cw := &connWriter{s: s, conn: conn}
+	// 64 submitted-but-unanswered batches is the most a connection may have
+	// in flight before its reader stops reading (TCP pushback).
+	compCh := make(chan *submittedBatch, 64)
+	done := make(chan struct{})
 	go func() { // completer
-		defer pipeWG.Done()
-		defer close(writeCh)
-		s.completeLoop(cli, compCh, writeCh)
-	}()
-	go func() { // writer
-		defer pipeWG.Done()
-		s.writeLoop(bw, writeCh)
+		defer close(done)
+		s.completeLoop(cli, cw, compCh)
 	}()
 
-	s.readLoop(conn, br, buf, cli, defTenant, compCh, writeCh)
+	s.readLoop(fr, br, cli, defTenant, cw, compCh)
 	close(compCh)
-	pipeWG.Wait()
+	<-done
 }
 
-// readLoop decodes frames, admits, and coalesces runs of same-stack
-// requests into vectored submissions. It returns when the connection dies
-// or the server shuts down.
-func (s *Server) readLoop(conn net.Conn, br *bufio.Reader, buf []byte, cli *runtime.Client,
-	defTenant *tenantState, compCh chan<- submittedBatch, writeCh chan<- []byte) {
+// readLoop reads frames, admits, and coalesces runs of same-stack requests
+// into vectored submissions. It returns when the connection dies or the
+// server shuts down.
+func (s *Server) readLoop(fr *frameReader, br *bufio.Reader, cli *runtime.Client,
+	defTenant *tenantState, cw *connWriter, compCh chan<- *submittedBatch) {
 
 	// Per-connection mount cache: resolution is a namespace prefix walk;
 	// connections hammer a handful of mounts.
@@ -295,62 +350,101 @@ func (s *Server) readLoop(conn net.Conn, br *bufio.Reader, buf []byte, cli *runt
 	}
 	mounts := make(map[string]resolved)
 
-	var batch []pendingReq
+	batch := s.getBatch()
 	var batchStack *core.Stack
 
 	flush := func() {
-		if len(batch) == 0 {
+		if len(batch.reqs) == 0 {
 			return
 		}
-		s.hBatch(float64(len(batch)))
-		reqs := make([]*core.Request, len(batch))
-		for i := range batch {
-			reqs[i] = batch[i].req
-		}
-		err := cli.SubmitBatch(batchStack, reqs)
-		compCh <- submittedBatch{entries: batch, reqs: reqs, subErr: err}
-		batch = nil
+		s.hBatch(float64(len(batch.reqs)))
+		batch.subErr = cli.SubmitBatch(batchStack, batch.reqs)
+		compCh <- batch
+		batch = s.getBatch()
 		batchStack = nil
+	}
+	// Whatever ends the loop, requests already admitted are submitted and
+	// answered (or failed) by the completer.
+	defer func() {
+		flush()
+		s.putBatch(batch)
+	}()
+
+	// protoErr counts a read error when it is the peer breaking the
+	// protocol rather than the connection ending.
+	protoErr := func(err error) {
+		if errors.Is(err, ErrTornFrame) || errors.Is(err, ErrFrameSize) || errors.Is(err, ErrBadPayload) {
+			s.mProtoErrs.Inc()
+		}
+	}
+	// counted records a frame read whole and intact.
+	counted := func(plen int) {
+		s.mFramesIn.Inc()
+		s.mBytesIn.Add(int64(frameHeader + plen))
+	}
+	// reject answers a request that will not reach the stack.
+	var enc []byte
+	reject := func(ts *tenantState, payload core.BufHandle, id uint64, msg string) {
+		s.adm.Done(ts)
+		payload.Release()
+		s.mReqErrs.Inc()
+		flush()
+		enc = AppendResp(enc[:0], &RespFrame{ID: id, Err: msg})
+		cw.frame(enc)
 	}
 
 	var rf ReqFrame
 	for {
-		typ, payload, nbuf, err := ReadFrame(br, buf, s.cfg.MaxPayload)
+		typ, plen, err := fr.next()
 		if err != nil {
-			if errors.Is(err, ErrTornFrame) || errors.Is(err, ErrFrameSize) {
-				s.mProtoErrs.Inc()
-			}
-			flush()
+			protoErr(err)
 			return
 		}
-		buf = nbuf
-		s.mFramesIn.Inc()
-		s.mBytesIn.Add(int64(frameHeader + len(payload)))
-
-		switch typ {
-		case FramePing:
-			id, err := DecodePing(payload)
+		if typ == FramePing {
+			var id uint64
+			p, err := fr.payload()
+			if err == nil {
+				id, err = DecodePing(p)
+			}
 			if err != nil {
-				s.mProtoErrs.Inc()
-				flush()
+				protoErr(err)
 				return
 			}
+			counted(plen)
 			flush()
-			writeCh <- AppendPing(nil, FramePong, id)
+			enc = AppendPing(enc[:0], FramePong, id)
+			cw.frame(enc)
 			continue
-		case FrameReq:
-			// fallthrough to the request path below
-		default:
+		}
+		if typ != FrameReq {
 			s.mProtoErrs.Inc()
-			flush()
 			return
 		}
 
-		if err := DecodeReq(payload, &rf); err != nil {
-			s.mProtoErrs.Inc()
-			flush()
+		// Zero-copy hand-off: the payload goes from the stream straight into
+		// a registered arena buffer — its one landing — and the stack
+		// operates on it in place. Oversized payloads land in plain heap
+		// memory. Nothing acts on the frame until bulk has checked its CRC.
+		n, err := fr.head(&rf)
+		if err != nil {
+			protoErr(err)
 			return
 		}
+		var ph core.BufHandle
+		var data []byte
+		if n > 0 {
+			if h, err := cli.AcquireBuffer(n); err == nil {
+				ph, data = h, h.Bytes()
+			} else {
+				data = make([]byte, n)
+			}
+		}
+		if err := fr.bulk(data); err != nil {
+			ph.Release()
+			protoErr(err)
+			return
+		}
+		counted(plen)
 
 		// Admission: per-request tenant (router-forwarded frames carry their
 		// own), defaulting to the connection's Hello tenant.
@@ -359,9 +453,11 @@ func (s *Server) readLoop(conn net.Conn, br *bufio.Reader, buf []byte, cli *runt
 			ts = s.adm.Tenant(rf.Tenant)
 		}
 		if ok, reason, retry := s.adm.Admit(ts); !ok {
+			ph.Release()
 			s.mBusy.Inc()
 			flush() // keep response ordering sane under overload
-			writeCh <- AppendBusy(nil, &BusyFrame{ID: rf.ID, Reason: reason, RetryNs: retry})
+			enc = AppendBusy(enc[:0], &BusyFrame{ID: rf.ID, Reason: reason, RetryNs: retry})
+			cw.frame(enc)
 			continue
 		}
 
@@ -373,10 +469,7 @@ func (s *Server) readLoop(conn net.Conn, br *bufio.Reader, buf []byte, cli *runt
 			} else if st, rem, found := s.rt.Namespace.Resolve(rf.Mount); found {
 				res = resolved{stack: st, rem: rem}
 			} else {
-				s.adm.Done(ts)
-				s.mReqErrs.Inc()
-				flush()
-				writeCh <- AppendResp(nil, &RespFrame{ID: rf.ID, Err: fmt.Sprintf("no stack serving %q", rf.Mount)})
+				reject(ts, ph, rf.ID, fmt.Sprintf("no stack serving %q", rf.Mount))
 				continue
 			}
 			mounts[rf.Mount] = res
@@ -397,11 +490,8 @@ func (s *Server) readLoop(conn net.Conn, br *bufio.Reader, buf []byte, cli *runt
 				progRef = p.Ref
 			}
 			if admitErr != nil {
-				s.adm.Done(ts)
 				s.mPdDenied.Inc()
-				s.mReqErrs.Inc()
-				flush()
-				writeCh <- AppendResp(nil, &RespFrame{ID: rf.ID, Err: admitErr.Error()})
+				reject(ts, ph, rf.ID, admitErr.Error())
 				continue
 			}
 		}
@@ -418,57 +508,48 @@ func (s *Server) readLoop(conn net.Conn, br *bufio.Reader, buf []byte, cli *runt
 			req.Prog = progRef
 			s.cfg.Pushdown.Clamp(ts.policy.Name, req)
 		}
-
-		// Zero-copy hand-off: the wire payload lands in a registered arena
-		// buffer (the one socket->memory copy), and the stack operates on it
-		// in place. Oversized payloads fall back to a plain heap copy.
-		var ph core.BufHandle
-		if len(rf.Payload) > 0 {
-			if h, err := cli.AcquireBuffer(len(rf.Payload)); err == nil {
-				copy(h.Bytes(), rf.Payload)
-				req.SetPayload(h)
-				ph = h
+		if n > 0 {
+			if ph.Valid() {
+				req.SetPayload(ph)
 			} else {
-				req.Data = append([]byte(nil), rf.Payload...)
+				req.Data = data
 			}
 			if req.Size == 0 {
-				req.Size = len(rf.Payload)
+				req.Size = n
 			}
 		}
 
 		// Coalesce: same-stack runs batch into one vectored submission.
-		if batchStack != nil && (batchStack != res.stack || len(batch) >= s.cfg.Batch) {
+		if batchStack != nil && (batchStack != res.stack || len(batch.reqs) >= s.cfg.Batch) {
 			flush()
 		}
 		batchStack = res.stack
-		batch = append(batch, pendingReq{req: req, id: rf.ID, payload: ph, ts: ts})
+		batch.reqs = append(batch.reqs, req)
+		batch.entries = append(batch.entries, pendingReq{id: rf.ID, payload: ph, ts: ts})
 
 		// Flush when the wire has nothing more buffered (the batch window
 		// closes with the burst) or the batch is full.
-		if len(batch) >= s.cfg.Batch || br.Buffered() == 0 {
+		if len(batch.reqs) >= s.cfg.Batch || br.Buffered() == 0 {
 			flush()
 		}
 	}
 }
 
-// completeLoop reaps submitted batches in order, encodes responses and
-// releases request/payload resources.
-func (s *Server) completeLoop(cli *runtime.Client, compCh <-chan submittedBatch, writeCh chan<- []byte) {
+// completeLoop reaps submitted batches in order and answers them. A batch's
+// responses go out in one vectored write whose elements point at the result
+// views themselves (req.Value: a cache page, a stack-owned buffer), so the
+// requests, their ValueH views and the payload handles are released only
+// after that write has returned — DESIGN.md §13.
+func (s *Server) completeLoop(cli *runtime.Client, cw *connWriter, compCh <-chan *submittedBatch) {
 	for b := range compCh {
-		waitErr := b.subErr
-		if waitErr == nil {
-			waitErr = cli.WaitAll(b.reqs)
-		} else {
-			// Submission failed partway (runtime stopped): WaitAll whatever
-			// did get queued so CQ slots are recycled; already-done requests
-			// return immediately.
-			_ = cli.WaitAll(b.reqs)
-		}
-		out := make([]byte, 0, 64*len(b.entries))
-		for i := range b.entries {
-			e := &b.entries[i]
-			req := e.req
-			resp := RespFrame{ID: e.id}
+		// WaitAll also when submission failed partway (runtime stopped):
+		// whatever did get queued must be reaped so CQ slots are recycled;
+		// already-done requests return immediately.
+		_ = cli.WaitAll(b.reqs) // each request carries its own error
+
+		cw.mu.Lock()
+		for i, req := range b.reqs {
+			resp := RespFrame{ID: b.entries[i].id}
 			switch {
 			case req.Err != nil:
 				resp.Err = req.Err.Error()
@@ -481,41 +562,17 @@ func (s *Server) completeLoop(cli *runtime.Client, compCh <-chan submittedBatch,
 				resp.Result = req.Result
 				resp.Value = req.Value
 			}
-			out = AppendResp(out, &resp)
-			s.mFramesOut.Inc()
-			// The response bytes are encoded; the request's result buffer
-			// and the registered payload can recycle now.
-			if e.payload.Valid() {
-				e.payload.Release()
-			}
+			cw.g.resp(&resp)
+		}
+		cw.flush()
+		cw.mu.Unlock()
+
+		for i, req := range b.reqs {
+			e := &b.entries[i]
+			e.payload.Release()
 			req.Release()
 			s.adm.Done(e.ts)
 		}
-		s.mBytesOut.Add(int64(len(out)))
-		writeCh <- out
-	}
-}
-
-// writeLoop owns the socket write side: it drains encoded frames and
-// flushes when the queue goes momentarily empty. On a write error it keeps
-// draining (discarding) so the completer never blocks on a dead peer.
-func (s *Server) writeLoop(bw *bufio.Writer, writeCh <-chan []byte) {
-	dead := false
-	for out := range writeCh {
-		if dead {
-			continue
-		}
-		if _, err := bw.Write(out); err != nil {
-			dead = true
-			continue
-		}
-		if len(writeCh) == 0 {
-			if err := bw.Flush(); err != nil {
-				dead = true
-			}
-		}
-	}
-	if !dead {
-		bw.Flush()
+		s.putBatch(b)
 	}
 }

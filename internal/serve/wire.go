@@ -14,6 +14,14 @@
 // mismatch, oversized length, unknown frame type or malformed payload is a
 // protocol error: the peer that detects it closes the connection (a TCP
 // stream that has lost framing cannot be resynchronized).
+//
+// A request's Payload and a response's Value — the bulk field — are always
+// the last field of their frame, so a frame is a small head (frame header,
+// fixed fields, bulk length) followed by the bulk bytes. Both directions use
+// that: frameGather sends heads from a scratch and bulk fields from where
+// they lie in one vectored write, and frameReader parses the head and then
+// reads the bulk straight into memory its caller picks. The CRC chains over
+// head then bulk, so neither side needs the frame in one piece.
 package serve
 
 import (
@@ -23,6 +31,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
 
 	"labstor/internal/core"
 )
@@ -115,9 +124,9 @@ type ReqFrame struct {
 	// result-sized. Subject to the server's pushdown policy (per-tenant
 	// allow-lists + budget caps); empty means no program.
 	Prog string
-	// Payload is the write-side data. Decoded frames alias the decode
-	// buffer; the server copies it into a registered arena buffer before the
-	// decode buffer is reused.
+	// Payload is the write-side data and the frame's last field. DecodeReq
+	// aliases the decode buffer; a frameReader leaves it nil and reads the
+	// bytes into memory its caller picks.
 	Payload []byte
 }
 
@@ -127,7 +136,8 @@ type RespFrame struct {
 	OK     bool
 	Result int64
 	Err    string // empty when OK
-	// Value is the read-side data (aliases the decode buffer on decode).
+	// Value is the read-side data and the frame's last field (DecodeResp
+	// aliases the decode buffer; a frameReader leaves it nil, as for Payload).
 	Value []byte
 }
 
@@ -143,16 +153,20 @@ type BusyFrame struct {
 // future op added without bumping this is rejected loudly, not executed).
 const maxWireOp = core.OpScan
 
-// appendFrame wraps payload (already appended at dst[start+frameHeader:])
-// with the frame header. Callers reserve the header with reserveFrame.
+// reserveFrame starts a frame: the header with length and CRC still zero.
+// sealFrame fills them in once the payload is known.
 func reserveFrame(dst []byte, typ byte) []byte {
 	return append(dst, frameMagic, typ, 0, 0, 0, 0, 0, 0, 0, 0)
 }
 
-func sealFrame(dst []byte, start int) []byte {
-	payload := dst[start+frameHeader:]
-	binary.LittleEndian.PutUint32(dst[start+2:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+6:], crc32.ChecksumIEEE(payload))
+// sealFrame completes the header of the frame that starts at dst[start]. Its
+// payload is dst[start+frameHeader:] followed by bulk, which need not be in
+// dst: the length covers both and the CRC chains over one, then the other.
+func sealFrame(dst []byte, start int, bulk []byte) []byte {
+	head := dst[start+frameHeader:]
+	binary.LittleEndian.PutUint32(dst[start+2:], uint32(len(head)+len(bulk)))
+	crc := crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, bulk)
+	binary.LittleEndian.PutUint32(dst[start+6:], crc)
 	return dst
 }
 
@@ -161,23 +175,19 @@ func appendStr(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-func appendBytes(dst []byte, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
 // AppendHello encodes a Hello frame.
 func AppendHello(dst []byte, h *HelloFrame) []byte {
 	start := len(dst)
 	dst = reserveFrame(dst, FrameHello)
 	dst = binary.AppendUvarint(dst, h.Version)
 	dst = appendStr(dst, h.Tenant)
-	return sealFrame(dst, start)
+	return sealFrame(dst, start, nil)
 }
 
-// AppendReq encodes a request frame.
-func AppendReq(dst []byte, r *ReqFrame) []byte {
-	start := len(dst)
+// appendReqHead appends the head of a request frame whose payload is n
+// bytes: everything of the frame but the payload itself. The header stays
+// open until sealFrame is given the payload.
+func appendReqHead(dst []byte, r *ReqFrame, n int) []byte {
 	dst = reserveFrame(dst, FrameReq)
 	dst = binary.AppendUvarint(dst, r.ID)
 	dst = appendStr(dst, r.Tenant)
@@ -188,13 +198,11 @@ func AppendReq(dst []byte, r *ReqFrame) []byte {
 	dst = binary.AppendVarint(dst, r.Offset)
 	dst = binary.AppendVarint(dst, r.Size)
 	dst = appendStr(dst, r.Prog)
-	dst = appendBytes(dst, r.Payload)
-	return sealFrame(dst, start)
+	return binary.AppendUvarint(dst, uint64(n))
 }
 
-// AppendResp encodes a response frame.
-func AppendResp(dst []byte, r *RespFrame) []byte {
-	start := len(dst)
+// appendRespHead is appendReqHead for a response frame with an n-byte value.
+func appendRespHead(dst []byte, r *RespFrame, n int) []byte {
 	dst = reserveFrame(dst, FrameResp)
 	dst = binary.AppendUvarint(dst, r.ID)
 	ok := byte(0)
@@ -204,8 +212,34 @@ func AppendResp(dst []byte, r *RespFrame) []byte {
 	dst = append(dst, ok)
 	dst = binary.AppendVarint(dst, r.Result)
 	dst = appendStr(dst, r.Err)
-	dst = appendBytes(dst, r.Value)
-	return sealFrame(dst, start)
+	return binary.AppendUvarint(dst, uint64(n))
+}
+
+// AppendReq encodes a request frame.
+func AppendReq(dst []byte, r *ReqFrame) []byte {
+	start := len(dst)
+	dst = sealFrame(appendReqHead(dst, r, len(r.Payload)), start, r.Payload)
+	return append(dst, r.Payload...)
+}
+
+// AppendResp encodes a response frame.
+func AppendResp(dst []byte, r *RespFrame) []byte {
+	start := len(dst)
+	dst = sealFrame(appendRespHead(dst, r, len(r.Value)), start, r.Value)
+	return append(dst, r.Value...)
+}
+
+// writeReq writes a request frame into w: the head, encoded into scratch
+// (returned for reuse), then the payload from where it lies — so the payload
+// is copied once, into w's buffer, and not at all when it is larger than
+// that buffer.
+func writeReq(w *bufio.Writer, scratch []byte, r *ReqFrame) ([]byte, error) {
+	scratch = sealFrame(appendReqHead(scratch[:0], r, len(r.Payload)), 0, r.Payload)
+	_, err := w.Write(scratch)
+	if err == nil {
+		_, err = w.Write(r.Payload)
+	}
+	return scratch, err
 }
 
 // AppendBusy encodes a busy frame.
@@ -215,7 +249,7 @@ func AppendBusy(dst []byte, b *BusyFrame) []byte {
 	dst = binary.AppendUvarint(dst, b.ID)
 	dst = append(dst, b.Reason)
 	dst = binary.AppendVarint(dst, b.RetryNs)
-	return sealFrame(dst, start)
+	return sealFrame(dst, start, nil)
 }
 
 // AppendPing encodes a ping (or pong, by type) frame.
@@ -223,7 +257,93 @@ func AppendPing(dst []byte, typ byte, id uint64) []byte {
 	start := len(dst)
 	dst = reserveFrame(dst, typ)
 	dst = binary.AppendUvarint(dst, id)
-	return sealFrame(dst, start)
+	return sealFrame(dst, start, nil)
+}
+
+// frameGather collects frames for one vectored write. Heads are encoded
+// back to back into one reused scratch; a bulk field is not copied but
+// referenced where it lies, so it must stay unchanged until writeTo returns.
+// The vector alternates runs of head bytes with bulk fields — head₀, value₀,
+// head₁, value₁, … — and frames without a bulk field extend the run they
+// follow instead of adding an element.
+type frameGather struct {
+	head   []byte
+	cuts   []gatherCut
+	vec    net.Buffers // the vector's backing array, kept between writes
+	out    net.Buffers // what WriteTo is handed: it consumes its receiver
+	frames int
+	bulk   int // bytes in the bulk fields referenced
+}
+
+// gatherCut is a bulk field and where it goes: after head[:at].
+type gatherCut struct {
+	at   int
+	bulk []byte
+}
+
+// resp adds a response frame; r.Value is referenced, not copied.
+func (g *frameGather) resp(r *RespFrame) {
+	start := len(g.head)
+	g.head = sealFrame(appendRespHead(g.head, r, len(r.Value)), start, r.Value)
+	g.frames++
+	if len(r.Value) > 0 {
+		g.cuts = append(g.cuts, gatherCut{at: len(g.head), bulk: r.Value})
+		g.bulk += len(r.Value)
+	}
+}
+
+// whole adds one already-encoded frame, copying it.
+func (g *frameGather) whole(frame []byte) {
+	g.head = append(g.head, frame...)
+	g.frames++
+}
+
+// size is the number of bytes writeTo would write.
+func (g *frameGather) size() int { return len(g.head) + g.bulk }
+
+// writeTo writes every gathered frame to w — one writev when w is a TCP
+// connection — and empties the gather.
+func (g *frameGather) writeTo(w io.Writer) error {
+	vec, at := g.vec[:0], 0
+	for _, c := range g.cuts {
+		vec = append(vec, g.head[at:c.at], c.bulk)
+		at = c.at
+	}
+	if at < len(g.head) {
+		vec = append(vec, g.head[at:])
+	}
+	g.vec, g.out = vec, vec
+	_, err := g.out.WriteTo(w)
+	g.reset()
+	return err
+}
+
+// reset empties the gather, dropping its references to bulk fields.
+func (g *frameGather) reset() {
+	clear(g.cuts)
+	clear(g.vec)
+	g.head, g.cuts, g.out = g.head[:0], g.cuts[:0], nil
+	g.frames, g.bulk = 0, 0
+}
+
+// parseHeader checks a frame header — magic, type, payload length against
+// maxPayload — and returns the payload's length and CRC.
+func parseHeader(hdr []byte, maxPayload int) (typ byte, plen int, crc uint32, err error) {
+	if maxPayload <= 0 {
+		maxPayload = DefaultMaxPayload
+	}
+	if hdr[0] != frameMagic {
+		return 0, 0, 0, ErrTornFrame
+	}
+	typ = hdr[1]
+	if typ == 0 || typ > FramePong {
+		return 0, 0, 0, ErrTornFrame
+	}
+	plen = int(binary.LittleEndian.Uint32(hdr[2:6]))
+	if plen < 0 || plen > maxPayload {
+		return 0, 0, 0, ErrFrameSize
+	}
+	return typ, plen, binary.LittleEndian.Uint32(hdr[6:10]), nil
 }
 
 // DecodeFrame splits the first frame off b: type, payload (aliasing b) and
@@ -231,66 +351,185 @@ func AppendPing(dst []byte, typ byte, id uint64) []byte {
 // labfs record codec: bad magic, short header/body, oversized length or CRC
 // mismatch is ErrTornFrame / ErrFrameSize.
 func DecodeFrame(b []byte, maxPayload int) (typ byte, payload, rest []byte, err error) {
-	if maxPayload <= 0 {
-		maxPayload = DefaultMaxPayload
-	}
 	if len(b) < frameHeader {
 		return 0, nil, b, ErrTornFrame
 	}
-	if b[0] != frameMagic {
-		return 0, nil, b, ErrTornFrame
-	}
-	typ = b[1]
-	if typ == 0 || typ > FramePong {
-		return 0, nil, b, ErrTornFrame
-	}
-	plen := int(binary.LittleEndian.Uint32(b[2:6]))
-	if plen < 0 || plen > maxPayload {
-		return 0, nil, b, ErrFrameSize
+	typ, plen, crc, err := parseHeader(b, maxPayload)
+	if err != nil {
+		return 0, nil, b, err
 	}
 	if frameHeader+plen > len(b) {
 		return 0, nil, b, ErrTornFrame
 	}
 	payload = b[frameHeader : frameHeader+plen]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[6:10]) {
+	if crc32.ChecksumIEEE(payload) != crc {
 		return 0, nil, b, ErrTornFrame
 	}
 	return typ, payload, b[frameHeader+plen:], nil
+}
+
+// headWindow is how much of a payload frameReader looks at to find the end
+// of the head. Heads are tens of bytes; one that does not fit (a very long
+// key, path or error string) takes the staged path instead.
+const headWindow = 512
+
+// frameReader reads frames off a stream. After next, a frame that carries no
+// bulk field is taken whole with payload; a request or response is taken in
+// two steps, head then bulk, so that the bulk field goes from the stream
+// straight into memory the caller picks once it knows the length. The
+// accept/reject rules are those of DecodeFrame followed by the payload
+// decoder: a frame is good only if its fields parse, they account for
+// exactly the payload length, and the CRC over the whole payload matches.
+type frameReader struct {
+	br  *bufio.Reader
+	max int
+	buf []byte // staging for whole payloads, reused
+
+	left   int          // payload bytes of the current frame still on the stream
+	want   uint32       // the header's CRC of the whole payload
+	sum    uint32       // CRC of the head, set by head for bulk to continue
+	staged []byte       // the bulk field, non-nil when head had to stage the frame
+	dec    fieldDecoder // head's decoder: here, not on its stack, because an interface call takes its address
+}
+
+func newFrameReader(br *bufio.Reader, maxPayload int) *frameReader {
+	return &frameReader{br: br, max: maxPayload}
+}
+
+// midFrame turns an end of stream inside a frame into io.ErrUnexpectedEOF;
+// io.EOF is kept for a stream that ends between frames.
+func midFrame(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// next reads a frame header and returns the frame's type and payload length.
+func (fr *frameReader) next() (typ byte, plen int, err error) {
+	hdr, err := fr.br.Peek(frameHeader)
+	if err != nil {
+		if len(hdr) > 0 {
+			err = midFrame(err)
+		}
+		return 0, 0, err
+	}
+	typ, plen, crc, err := parseHeader(hdr, fr.max)
+	if err != nil {
+		return 0, 0, err
+	}
+	fr.br.Discard(frameHeader) // cannot fail: the bytes were just peeked
+	fr.left, fr.want, fr.staged = plen, crc, nil
+	return typ, plen, nil
+}
+
+// payload reads the current frame's whole payload into the staging buffer
+// and checks the CRC. The slice is good until the next call.
+func (fr *frameReader) payload() ([]byte, error) {
+	if cap(fr.buf) < fr.left {
+		fr.buf = make([]byte, fr.left)
+	}
+	p := fr.buf[:fr.left]
+	if _, err := io.ReadFull(fr.br, p); err != nil {
+		return nil, midFrame(err)
+	}
+	fr.left = 0
+	if crc32.ChecksumIEEE(p) != fr.want {
+		return nil, ErrTornFrame
+	}
+	return p, nil
+}
+
+// hello reads one frame, which must be a Hello.
+func (fr *frameReader) hello() (HelloFrame, error) {
+	typ, _, err := fr.next()
+	if err != nil {
+		return HelloFrame{}, err
+	}
+	if typ != FrameHello {
+		return HelloFrame{}, fmt.Errorf("serve: frame type %d where a hello was expected", typ)
+	}
+	p, err := fr.payload()
+	if err != nil {
+		return HelloFrame{}, err
+	}
+	return DecodeHello(p)
+}
+
+// bulkFrame is a frame type whose last field is bulk data: decodeHead
+// decodes every field before it, leaves the bulk field nil and returns the
+// length the payload claims for it. d.off is then where the bulk starts.
+type bulkFrame interface {
+	decodeHead(d *fieldDecoder) uint64
+}
+
+// head decodes the current frame's fields into f and returns the length of
+// its bulk field, which the caller must then collect with bulk — also when
+// the length is 0, because that is where the CRC is checked.
+func (fr *frameReader) head(f bulkFrame) (n int, err error) {
+	w := min(fr.left, headWindow, fr.br.Size())
+	win, err := fr.br.Peek(w)
+	if err != nil {
+		return 0, midFrame(err)
+	}
+	d := &fr.dec
+	*d = fieldDecoder{b: win}
+	n64 := f.decodeHead(d)
+	switch {
+	case !d.bad:
+		if n64 != uint64(fr.left-d.off) {
+			return 0, ErrBadPayload
+		}
+		fr.sum = crc32.ChecksumIEEE(win[:d.off])
+		fr.br.Discard(d.off)
+		fr.left -= d.off
+		return int(n64), nil
+	case w == fr.left:
+		return 0, ErrBadPayload // the whole payload was in view
+	}
+	// The head runs past the window: stage the payload whole and decode it
+	// there. bulk then copies the field out of the staging buffer.
+	p, err := fr.payload()
+	if err != nil {
+		return 0, err
+	}
+	*d = fieldDecoder{b: p}
+	if fr.staged, err = d.bulk(f.decodeHead(d)); err != nil {
+		return 0, err
+	}
+	return len(fr.staged), nil
+}
+
+// bulk moves the current frame's bulk field into dst, whose length head
+// returned, and checks the frame's CRC.
+func (fr *frameReader) bulk(dst []byte) error {
+	if fr.staged != nil {
+		copy(dst, fr.staged)
+		fr.staged = nil
+		return nil
+	}
+	if _, err := io.ReadFull(fr.br, dst); err != nil {
+		return midFrame(err)
+	}
+	fr.left = 0
+	if crc32.Update(fr.sum, crc32.IEEETable, dst) != fr.want {
+		return ErrTornFrame
+	}
+	return nil
 }
 
 // ReadFrame reads one whole frame from r into buf (growing it as needed)
 // and returns the type, the payload (aliasing buf) and the possibly-grown
 // buffer. Streaming counterpart of DecodeFrame.
 func ReadFrame(r *bufio.Reader, buf []byte, maxPayload int) (typ byte, payload, nbuf []byte, err error) {
-	if maxPayload <= 0 {
-		maxPayload = DefaultMaxPayload
-	}
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	fr := frameReader{br: r, max: maxPayload, buf: buf}
+	if typ, _, err = fr.next(); err != nil {
 		return 0, nil, buf, err
 	}
-	if hdr[0] != frameMagic {
-		return 0, nil, buf, ErrTornFrame
+	if payload, err = fr.payload(); err != nil {
+		return 0, nil, fr.buf, err
 	}
-	typ = hdr[1]
-	if typ == 0 || typ > FramePong {
-		return 0, nil, buf, ErrTornFrame
-	}
-	plen := int(binary.LittleEndian.Uint32(hdr[2:6]))
-	if plen < 0 || plen > maxPayload {
-		return 0, nil, buf, ErrFrameSize
-	}
-	if cap(buf) < plen {
-		buf = make([]byte, plen)
-	}
-	buf = buf[:plen]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, buf, err
-	}
-	if crc32.ChecksumIEEE(buf) != binary.LittleEndian.Uint32(hdr[6:10]) {
-		return 0, nil, buf, ErrTornFrame
-	}
-	return typ, buf, buf, nil
+	return typ, payload, fr.buf, nil
 }
 
 // fieldDecoder walks a payload's fixed field sequence, latching any
@@ -331,26 +570,30 @@ func (d *fieldDecoder) byte() byte {
 	return v
 }
 
-func (d *fieldDecoder) str() string {
+// str decodes a string field. last is what the field held in the frame
+// decoded before, into the same struct: connections repeat their mount and
+// tenant frame after frame, and an equal string is kept, not allocated anew.
+func (d *fieldDecoder) str(last string) string {
 	ln := d.uvarint()
 	if d.bad || ln > uint64(len(d.b)-d.off) {
 		d.bad = true
 		return ""
 	}
-	s := string(d.b[d.off : d.off+int(ln)])
+	b := d.b[d.off : d.off+int(ln)]
 	d.off += int(ln)
-	return s
+	if string(b) == last {
+		return last
+	}
+	return string(b)
 }
 
-func (d *fieldDecoder) bytes() []byte {
-	ln := d.uvarint()
-	if d.bad || ln > uint64(len(d.b)-d.off) {
-		d.bad = true
-		return nil
+// bulk returns the bulk field, given the length n decoded for it: it must
+// be exactly the rest of the payload.
+func (d *fieldDecoder) bulk(n uint64) ([]byte, error) {
+	if d.bad || n != uint64(len(d.b)-d.off) {
+		return nil, ErrBadPayload
 	}
-	b := d.b[d.off : d.off+int(ln) : d.off+int(ln)]
-	d.off += int(ln)
-	return b
+	return d.b[d.off:len(d.b):len(d.b)], nil
 }
 
 func (d *fieldDecoder) done() bool { return !d.bad && d.off == len(d.b) }
@@ -360,49 +603,60 @@ func DecodeHello(payload []byte) (HelloFrame, error) {
 	var h HelloFrame
 	d := fieldDecoder{b: payload}
 	h.Version = d.uvarint()
-	h.Tenant = d.str()
+	h.Tenant = d.str("")
 	if !d.done() {
 		return HelloFrame{}, ErrBadPayload
 	}
 	return h, nil
 }
 
-// DecodeReq decodes a request payload into r. The Payload field aliases the
-// input buffer.
-func DecodeReq(payload []byte, r *ReqFrame) error {
-	d := fieldDecoder{b: payload}
+func (r *ReqFrame) decodeHead(d *fieldDecoder) uint64 {
 	r.ID = d.uvarint()
-	r.Tenant = d.str()
-	r.Mount = d.str()
-	op := core.Op(d.byte())
-	r.Op = op
-	r.Path = d.str()
-	r.Key = d.str()
+	r.Tenant = d.str(r.Tenant)
+	r.Mount = d.str(r.Mount)
+	r.Op = core.Op(d.byte())
+	r.Path = d.str(r.Path)
+	r.Key = d.str(r.Key)
 	r.Offset = d.varint()
 	r.Size = d.varint()
-	r.Prog = d.str()
-	r.Payload = d.bytes()
-	if !d.done() || op > maxWireOp {
-		*r = ReqFrame{}
-		return ErrBadPayload
+	r.Prog = d.str(r.Prog)
+	r.Payload = nil
+	if r.Op > maxWireOp {
+		d.bad = true
 	}
-	return nil
+	return d.uvarint()
+}
+
+func (r *RespFrame) decodeHead(d *fieldDecoder) uint64 {
+	r.ID = d.uvarint()
+	ok := d.byte()
+	r.OK = ok == 1
+	r.Result = d.varint()
+	r.Err = d.str(r.Err)
+	r.Value = nil
+	if ok > 1 {
+		d.bad = true
+	}
+	return d.uvarint()
+}
+
+// DecodeReq decodes a request payload into r. The Payload field aliases the
+// input buffer.
+func DecodeReq(payload []byte, r *ReqFrame) (err error) {
+	d := fieldDecoder{b: payload}
+	if r.Payload, err = d.bulk(r.decodeHead(&d)); err != nil {
+		*r = ReqFrame{}
+	}
+	return err
 }
 
 // DecodeResp decodes a response payload into r. Value aliases the input.
-func DecodeResp(payload []byte, r *RespFrame) error {
+func DecodeResp(payload []byte, r *RespFrame) (err error) {
 	d := fieldDecoder{b: payload}
-	r.ID = d.uvarint()
-	ok := d.byte()
-	r.Result = d.varint()
-	r.Err = d.str()
-	r.Value = d.bytes()
-	if !d.done() || ok > 1 {
+	if r.Value, err = d.bulk(r.decodeHead(&d)); err != nil {
 		*r = RespFrame{}
-		return ErrBadPayload
 	}
-	r.OK = ok == 1
-	return nil
+	return err
 }
 
 // DecodeBusy decodes a busy payload.

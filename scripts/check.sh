@@ -6,14 +6,18 @@
 #   4. hot-path soak: the lock-free ring and worker/client hot path, twice
 #      under the race detector with shuffled test order, to surface
 #      ordering-dependent races the single straight-line pass can miss.
-#   5. fuzz smoke: short native-fuzzing runs of the wire-protocol frame
-#      decoder (serve.* RPC framing) and the YAML spec/stack builder to
-#      catch parser regressions early.
-#   6. observe smoke: boot labstor-runtime with the observability server on
+#   5. debug handles: core and serve again with -tags labstor_debug, so
+#      released buffers are poisoned and a stale or twice-released
+#      BufHandle panics — the serve plane writes result views in place and
+#      releases them only after the socket write.
+#   6. fuzz smoke: short native-fuzzing runs of the wire-protocol frame
+#      decoder, its streaming reader against it (serve.* RPC framing) and
+#      the YAML spec/stack builder to catch parser regressions early.
+#   7. observe smoke: boot labstor-runtime with the observability server on
 #      an ephemeral port and assert /metrics and /snapshot serve payloads.
-#   7. serve smoke: boot labstor-runtime with the network front end on an
+#   8. serve smoke: boot labstor-runtime with the network front end on an
 #      ephemeral port, drive RPCs via labctl, assert serve.* on /metrics.
-#   8. bench gate (warn-only): fresh benches vs the committed BENCH_*.json
+#   9. bench gate (warn-only): fresh benches vs the committed BENCH_*.json
 #      baselines; >10% regression warns, never fails.
 # Run from the repository root (or via `make check`).
 set -eu
@@ -34,11 +38,17 @@ go test -race ./...
 echo "== go test -race -count=2 -shuffle=on ./internal/ipc/... ./internal/runtime/... ./internal/device/... ./internal/telemetry/... ./internal/obs/... ./internal/serve/... ./internal/mods/pushdown/... =="
 go test -race -count=2 -shuffle=on ./internal/ipc/... ./internal/runtime/... ./internal/device/... ./internal/telemetry/... ./internal/obs/... ./internal/serve/... ./internal/mods/pushdown/...
 
+echo "== debug handles: go test -tags labstor_debug ./internal/core/... ./internal/serve/... =="
+go test -tags labstor_debug ./internal/core/... ./internal/serve/...
+
 echo "== bench smoke: go test -bench=. -benchtime=1x -run '^$' ./... =="
 go test -bench=. -benchtime=1x -run '^$' ./...
 
 echo "== fuzz smoke: FuzzFrameDecode -fuzztime 5s =="
 go test -run '^$' -fuzz FuzzFrameDecode -fuzztime 5s ./internal/serve
+
+echo "== fuzz smoke: FuzzStreamReader -fuzztime 5s =="
+go test -run '^$' -fuzz FuzzStreamReader -fuzztime 5s ./internal/serve
 
 echo "== fuzz smoke: FuzzSpecParse -fuzztime 5s =="
 go test -run '^$' -fuzz FuzzSpecParse -fuzztime 5s ./internal/spec
