@@ -73,15 +73,78 @@ func TestRequestChildAbsorb(t *testing.T) {
 	}
 }
 
-func TestRequestDoneChannel(t *testing.T) {
+func TestRequestDoneWord(t *testing.T) {
 	r := NewRequest(OpNop)
-	select {
-	case <-r.DoneCh():
+	if r.Done() {
 		t.Fatal("done before MarkDone")
-	default:
 	}
 	r.MarkDone()
-	r.Wait() // must not block
+	if !r.Done() {
+		t.Fatal("not done after MarkDone")
+	}
+}
+
+// TestHandshakeCompletionWord walks the completion word's transitions: the
+// completer signals the waker only when the waiter had parked, never blocks
+// on a full wake channel, and Park refuses once the word reads done.
+func TestHandshakeCompletionWord(t *testing.T) {
+	wake := make(chan struct{}, 1)
+
+	r := NewRequest(OpNop)
+	r.SetWaker(wake)
+	r.MarkDone()
+	if len(wake) != 0 {
+		t.Fatal("MarkDone signaled a waiter that never parked")
+	}
+	if r.Park() {
+		t.Fatal("Park succeeded on a completed request")
+	}
+
+	r = NewRequest(OpNop)
+	r.SetWaker(wake)
+	if !r.Park() || !r.Park() {
+		t.Fatal("Park failed on a pending request (it must also hold when re-parking)")
+	}
+	if r.Done() {
+		t.Fatal("parked request reads done")
+	}
+	r.MarkDone()
+	if len(wake) != 1 || !r.Done() {
+		t.Fatalf("MarkDone on a parked request: %d tokens, done=%v", len(wake), r.Done())
+	}
+
+	// The token above is still in the channel: a second parked completion
+	// must not block on it.
+	r = NewRequest(OpNop)
+	r.SetWaker(wake)
+	r.Park()
+	r.MarkDone()
+	if !r.Done() {
+		t.Fatal("MarkDone with a full wake channel did not complete")
+	}
+	<-wake
+
+	// Waiter and completer racing: whichever side wins, the waiter ends up
+	// seeing done, and it blocks only when a token is coming.
+	for i := 0; i < 2000; i++ {
+		r := AcquireRequest(OpNop)
+		r.SetWaker(wake)
+		go func() {
+			r.Result = int64(r.ID)
+			r.MarkDone()
+		}()
+		for r.Park() {
+			<-wake
+		}
+		if !r.Done() || r.Result != int64(r.ID) {
+			t.Fatalf("iteration %d: done=%v result=%d id=%d", i, r.Done(), r.Result, r.ID)
+		}
+		select {
+		case <-wake: // stale token from a completion that raced Park
+		default:
+		}
+		r.Release()
+	}
 }
 
 func TestOpClassification(t *testing.T) {
@@ -397,17 +460,34 @@ func TestNamespaceRootMount(t *testing.T) {
 }
 
 func TestCleanMount(t *testing.T) {
-	cases := map[string]string{
-		"fs::/a/":     "fs::/a",
-		"fs::/a//b":   "fs::/a/b",
-		"/x/":         "/x",
-		"/":           "/",
-		"fs::":        "fs::/",
-		"kv::/k//v//": "kv::/k/v",
+	cases := []struct {
+		in, want string
+		clean    bool // already clean: returned as is, no allocation
+	}{
+		{"kv::/a", "kv::/a", true},
+		{"/", "/", true},
+		{"/x/y", "/x/y", true},
+		{"a", "a", true},
+		{"kv::/a//b/", "kv::/a/b", false},
+		{"fs::", "fs::/", false},
+		{"", "/", false},
+		{"a/", "a", false},
+		{"fs::/a/", "fs::/a", false},
+		{"fs::/a//b", "fs::/a/b", false},
+		{"/x/", "/x", false},
+		{"kv::/k//v//", "kv::/k/v", false},
+		{"//", "/", false},
 	}
-	for in, want := range cases {
-		if got := CleanMount(in); got != want {
-			t.Errorf("CleanMount(%q) = %q, want %q", in, got, want)
+	for _, c := range cases {
+		if got := CleanMount(c.in); got != c.want {
+			t.Errorf("CleanMount(%q) = %q, want %q", c.in, got, c.want)
+		}
+		if !c.clean {
+			continue
+		}
+		in := c.in
+		if n := testing.AllocsPerRun(100, func() { _ = CleanMount(in) }); n != 0 {
+			t.Errorf("CleanMount(%q) allocates %v per call on a clean path", in, n)
 		}
 	}
 }

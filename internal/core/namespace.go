@@ -124,11 +124,16 @@ func (n *Namespace) Stacks() []*Stack {
 
 // CleanMount normalizes a mount path: ensures a leading slash for
 // slash-rooted paths, strips trailing slashes, collapses doubles. Scheme
-// prefixes like "fs::/b" are preserved.
-func CleanMount(p string) string {
-	scheme := ""
-	if i := strings.Index(p, "::"); i >= 0 {
-		scheme, p = p[:i+2], p[i+2:]
+// prefixes like "fs::/b" are preserved. A path that is already clean — the
+// case on every Resolve/Lookup of the hot path — is returned as is, without
+// allocating.
+func CleanMount(mount string) string {
+	scheme, p := "", mount
+	if i := strings.Index(mount, "::"); i >= 0 {
+		scheme, p = mount[:i+2], mount[i+2:]
+	}
+	if p != "" && (len(p) == 1 || p[len(p)-1] != '/') && !strings.Contains(p, "//") {
+		return mount
 	}
 	for strings.Contains(p, "//") {
 		p = strings.ReplaceAll(p, "//", "/")

@@ -30,8 +30,8 @@ var (
 	poolPuts   atomic.Int64 // Release calls
 )
 
-// AcquireRequest returns a reset Request with a fresh ID and completion
-// channel, drawn from the request pool when possible.
+// AcquireRequest returns a reset Request with a fresh ID, drawn from the
+// request pool when possible.
 func AcquireRequest(op Op) *Request {
 	poolGets.Add(1)
 	r := reqPool.Get().(*Request)
@@ -61,15 +61,15 @@ func (r *Request) Release() {
 }
 
 // reset rewrites every field for reuse, keeping only the Stages backing
-// array (trace capacity) across generations. The completion channel must be
-// fresh: the previous generation's channel is closed.
+// array (trace capacity) across generations. The completion word returns to
+// pending; the previous generation's completer finished with the request
+// before its word read done (MarkDone).
 func (r *Request) reset(op Op) {
 	stages := r.Stages[:0]
 	*r = Request{
 		ID:     reqID.Add(1),
 		Op:     op,
 		Stages: stages,
-		done:   make(chan struct{}),
 	}
 }
 

@@ -3,7 +3,7 @@ package core
 import "testing"
 
 // TestAcquireReleaseReset checks that a recycled request comes back clean: a
-// fresh ID, a fresh done channel, zeroed fields, and an empty (but reusable)
+// fresh ID, a pending completion word, zeroed fields, and an empty (but reusable)
 // stage slice.
 func TestAcquireReleaseReset(t *testing.T) {
 	r := AcquireRequest(OpWrite)
@@ -11,7 +11,6 @@ func TestAcquireReleaseReset(t *testing.T) {
 		t.Fatalf("op = %v", r.Op)
 	}
 	firstID := r.ID
-	firstDone := r.DoneCh()
 	// Dirty every recycled-sensitive field.
 	r.Path = "/x"
 	r.Data = []byte("payload")
@@ -33,13 +32,8 @@ func TestAcquireReleaseReset(t *testing.T) {
 		r2.Result != 0 || r2.Trace || len(r2.Stages) != 0 || r2.Clock != 0 {
 		t.Fatalf("recycled request not reset: %+v", r2)
 	}
-	if r2.DoneCh() == firstDone {
-		t.Fatal("recycled request kept its completed done channel")
-	}
-	select {
-	case <-r2.DoneCh():
-		t.Fatal("recycled request is already done")
-	default:
+	if r2.Done() {
+		t.Fatal("recycled request kept its completed completion word")
 	}
 	r2.Release()
 }

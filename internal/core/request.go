@@ -170,8 +170,23 @@ type Request struct {
 	// worker's own node.
 	HomeNode int
 
-	done chan struct{}
+	// Completion handshake (DESIGN.md §9). state is the completion word:
+	// the submitter polls it and the completer writes done into it exactly
+	// once. It stays a plain uint32 driven through sync/atomic so that
+	// reset can rewrite the whole struct. waker is the submitting client's
+	// wake channel, stamped before the request is queued.
+	state uint32
+	waker chan<- struct{}
 }
+
+// Completion-word states. pending → parked is written by the waiter (Park),
+// anything → done by the completer (MarkDone); nothing leaves done until the
+// request is recycled.
+const (
+	reqPending uint32 = iota
+	reqParked
+	reqDone
+)
 
 // Open flags carried in Request.Flags (a subset of POSIX open semantics).
 const (
@@ -193,9 +208,9 @@ type Cred struct {
 
 var reqID atomic.Uint64
 
-// NewRequest allocates a request with a fresh ID and completion channel.
+// NewRequest allocates a request with a fresh ID.
 func NewRequest(op Op) *Request {
-	return &Request{ID: reqID.Add(1), Op: op, done: make(chan struct{})}
+	return &Request{ID: reqID.Add(1), Op: op}
 }
 
 // Charge advances the request clock by d and, when tracing, records the
@@ -235,15 +250,36 @@ func (r *Request) AdvanceTo(t vtime.Time) {
 // Latency returns the request's modeled end-to-end latency.
 func (r *Request) Latency() vtime.Duration { return r.Clock.Sub(r.Arrival) }
 
-// MarkDone signals completion to a waiting submitter. Safe to call once.
-func (r *Request) MarkDone() { close(r.done) }
+// MarkDone publishes completion: every write the completer made to the
+// request happens before a Done that reports true. It is the completer's
+// last touch of the request — a pooled request may be reset the instant the
+// word reads done, so the waker is read before the swap and nothing of r
+// after it. The send never blocks: a token already in the channel wakes the
+// waiter just as well, and the waiter re-checks the word on every wake.
+func (r *Request) MarkDone() {
+	w := r.waker
+	if atomic.SwapUint32(&r.state, reqDone) == reqParked {
+		select {
+		case w <- struct{}{}:
+		default:
+		}
+	}
+}
 
-// Wait blocks until MarkDone is called. The runtime's client library wraps
-// this with crash detection (see runtime.Client.Wait).
-func (r *Request) Wait() { <-r.done }
+// Done reports whether MarkDone has been called.
+func (r *Request) Done() bool { return atomic.LoadUint32(&r.state) == reqDone }
 
-// DoneCh exposes the completion channel for select-based waiting.
-func (r *Request) DoneCh() <-chan struct{} { return r.done }
+// SetWaker stamps the channel MarkDone signals if the waiter has parked.
+// The submitter calls it before the request becomes visible to a completer.
+func (r *Request) SetWaker(w chan<- struct{}) { r.waker = w }
+
+// Park announces that the waiter is about to block on its wake channel. It
+// reports false when the request has already completed, in which case no
+// wake-up will be sent.
+func (r *Request) Park() bool {
+	return atomic.CompareAndSwapUint32(&r.state, reqPending, reqParked) ||
+		atomic.LoadUint32(&r.state) == reqParked
+}
 
 // Child creates a follow-on request (e.g. a block I/O spawned by a
 // filesystem op) that inherits the parent's routing and clock.

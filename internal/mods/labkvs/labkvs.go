@@ -10,11 +10,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"labstor/internal/core"
 	"labstor/internal/mods/pushdown"
@@ -76,27 +76,15 @@ type LabKVS struct {
 	needReplay bool
 	replayMu   sync.Mutex
 
-	puts atomic64
-	gets atomic64
-	dels atomic64
+	puts atomic.Int64
+	gets atomic.Int64
+	dels atomic.Int64
 
 	// opCount maps each handled op to its runtime metrics counter
 	// ("labkvs.<uuid>.<op>"); built in Configure, read-only after.
 	opCount map[core.Op]*telemetry.Counter
 	// pdStats are the shared pushdown.* counters (scan-with-predicate).
 	pdStats pushdown.Stats
-}
-
-type atomic64 struct {
-	mu sync.Mutex
-	v  int64
-}
-
-func (a *atomic64) inc() { a.mu.Lock(); a.v++; a.mu.Unlock() }
-func (a *atomic64) get() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.v
 }
 
 // Info describes the module.
@@ -165,10 +153,19 @@ func (k *LabKVS) Configure(cfg core.Config, env *core.Env) error {
 	return nil
 }
 
+// shard places key by 32-bit FNV-1a, computed inline over the string: the
+// same function as hash/fnv's New32a (placement and log replay depend on
+// it) without the hasher and the []byte(key) per call.
 func (k *LabKVS) shard(key string) *kvShard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return &k.shards[int(h.Sum32())%len(k.shards)]
+	return &k.shards[int(fnv32a(key))%len(k.shards)]
+}
+
+func fnv32a(s string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 16777619
+	}
+	return h
 }
 
 func (k *LabKVS) allocBlocks(n int) ([]int64, error) {
@@ -218,16 +215,19 @@ func (k *LabKVS) Process(e *core.Exec, req *core.Request) error {
 	}
 }
 
-func (k *LabKVS) chargeMeta(e *core.Exec, req *core.Request, key string) {
+// chargeMeta charges the metadata cost of an op on the shard its key hashes
+// to; callers hash once and use sh for the index access too.
+func chargeMeta(e *core.Exec, req *core.Request, sh *kvShard) {
 	m := e.Model
 	hold := m.LabFSShardLockHold
-	release := k.shard(key).vlock.Acquire(req.Clock, hold)
+	release := sh.vlock.Acquire(req.Clock, hold)
 	req.AdvanceTo(release.Add(-hold))
 	req.Charge("kv_meta", m.FSMetadata+hold)
 }
 
 func (k *LabKVS) put(e *core.Exec, req *core.Request) error {
-	k.chargeMeta(e, req, req.Key)
+	sh := k.shard(req.Key)
+	chargeMeta(e, req, sh)
 	data := req.Data
 	nBlocks := (len(data) + k.blockSize - 1) / k.blockSize
 	if nBlocks == 0 {
@@ -278,7 +278,6 @@ func (k *LabKVS) put(e *core.Exec, req *core.Request) error {
 		req.Absorb(child)
 	}
 
-	sh := k.shard(req.Key)
 	sh.mu.Lock()
 	old := sh.recs[req.Key]
 	rec := &record{Key: req.Key, Size: len(data), Blocks: blocks, Owner: req.Cred.UID}
@@ -290,14 +289,14 @@ func (k *LabKVS) put(e *core.Exec, req *core.Request) error {
 	if err := k.logAppend(e, req, rec); err != nil {
 		return err
 	}
-	k.puts.inc()
+	k.puts.Add(1)
 	req.Result = int64(len(data))
 	return nil
 }
 
 func (k *LabKVS) get(e *core.Exec, req *core.Request) error {
-	k.chargeMeta(e, req, req.Key)
 	sh := k.shard(req.Key)
+	chargeMeta(e, req, sh)
 	sh.mu.RLock()
 	rec, ok := sh.recs[req.Key]
 	sh.mu.RUnlock()
@@ -356,13 +355,13 @@ func (k *LabKVS) get(e *core.Exec, req *core.Request) error {
 		core.ReleaseBuf(scratch)
 	}
 	req.Result = int64(rec.Size)
-	k.gets.inc()
+	k.gets.Add(1)
 	return nil
 }
 
 func (k *LabKVS) del(e *core.Exec, req *core.Request) error {
-	k.chargeMeta(e, req, req.Key)
 	sh := k.shard(req.Key)
+	chargeMeta(e, req, sh)
 	sh.mu.Lock()
 	rec, ok := sh.recs[req.Key]
 	if ok {
@@ -374,7 +373,7 @@ func (k *LabKVS) del(e *core.Exec, req *core.Request) error {
 		return req.Err
 	}
 	k.freeBlocks(rec.Blocks)
-	k.dels.inc()
+	k.dels.Add(1)
 	return k.logAppend(e, req, &record{Key: req.Key, Dead: true})
 }
 
@@ -431,7 +430,7 @@ func (k *LabKVS) scanExec(e *core.Exec, req *core.Request) error {
 	if prefix == "" {
 		prefix = req.Path
 	}
-	k.chargeMeta(e, req, prefix)
+	chargeMeta(e, req, k.shard(prefix))
 	// Snapshot matching records under the shard locks; block reads happen
 	// outside them (records are immutable once installed — puts replace
 	// the *record pointer, and freed blocks of replaced records are only
@@ -644,7 +643,7 @@ func (k *LabKVS) Keys() int {
 
 // Stats returns op counters.
 func (k *LabKVS) Stats() (puts, gets, dels int64) {
-	return k.puts.get(), k.gets.get(), k.dels.get()
+	return k.puts.Load(), k.gets.Load(), k.dels.Load()
 }
 
 // StateUpdate adopts the previous instance's index, free list and log.

@@ -1,0 +1,58 @@
+//go:build !race
+
+package runtime
+
+import (
+	"testing"
+
+	"labstor/internal/core"
+	"labstor/internal/ipc"
+)
+
+// Allocation contracts of the client round trip, so the handshake's gain
+// cannot erode unnoticed. AllocsPerRun counts process-wide, so these also
+// pin the worker's side of an unsampled request at zero. Not built under
+// the race detector, which makes sync.Pool drop a share of its Puts.
+
+func TestClientRoundTripAllocContracts(t *testing.T) {
+	for _, mode := range []core.ExecMode{core.ExecAsync, core.ExecSync} {
+		rt, stack, _, _ := handshakeRig(t, 1, mode)
+		cli := rt.Connect(ipc.Credentials{PID: 1})
+		roundTrip := func() {
+			req := core.AcquireRequest(core.OpMessage)
+			req.Offset = 3
+			if err := cli.SubmitStack(stack, req); err != nil || req.Result != gateAnswer(3) {
+				t.Fatalf("SubmitStack: %v, result %d", err, req.Result)
+			}
+			req.Release()
+		}
+		for i := 0; i < 64; i++ {
+			roundTrip() // prime the pool and the stack's stats entries
+		}
+		if n := testing.AllocsPerRun(2000, roundTrip); n != 0 {
+			t.Errorf("%s stack: pooled SubmitStack+Wait allocates %v objects per round trip, want 0", mode, n)
+		}
+	}
+}
+
+func TestWaitAllCompletedAllocContract(t *testing.T) {
+	rt, stack, _, _ := handshakeRig(t, 1, core.ExecAsync)
+	cli := rt.Connect(ipc.Credentials{PID: 1})
+	reqs := make([]*core.Request, 16)
+	for i := range reqs {
+		reqs[i] = core.NewRequest(core.OpMessage)
+	}
+	if err := cli.SubmitBatch(stack, reqs); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.WaitAll(reqs); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := cli.WaitAll(reqs); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("WaitAll over 16 completed requests allocates %v objects, want 0", n)
+	}
+}

@@ -133,9 +133,7 @@ func TestWaitAllDrainsAllOnError(t *testing.T) {
 		t.Fatalf("WaitAll error %v, want the failing request's error %v", err, reqs[2].Err)
 	}
 	for i, req := range reqs {
-		select {
-		case <-req.DoneCh():
-		default:
+		if !req.Done() {
 			t.Fatalf("req %d not reaped after WaitAll", i)
 		}
 		if i != 2 && req.Err != nil {

@@ -56,7 +56,27 @@ type Client struct {
 	// slot. A Client serves a single application thread (the paper's
 	// per-thread client library instance), so the buffer is not locked.
 	cqBuf []*core.Request
+
+	// wake is the doorbell every request this client submits carries
+	// (core.Request.SetWaker): a completer signals it only when the waiter
+	// has parked on the request's completion word. One token is enough — a
+	// wake means "re-check the word", never "this request is done" — so the
+	// completer's send never blocks.
+	wake chan struct{}
+	// backstop bounds a park (parkBackstop, as the worker's does) so a
+	// crashed or stopped Runtime is noticed. It is stopped and drained
+	// whenever Wait is not blocked on it (go.mod's go 1.22 timers: Reset is
+	// only safe on such a timer).
+	backstop *time.Timer
 }
+
+// waitPollBudget is how many times Wait yields and re-checks the completion
+// word before it parks. A worker that is already polling completes a cached
+// request within a few yields, and a hit here saves the park/unpark round
+// trip through the Go scheduler; past a few dozen the waiter only takes the
+// processor from the worker it waits for (measured in EXPERIMENTS.md "Polled
+// completions").
+const waitPollBudget = 24
 
 // Connect registers a new client with the Runtime and allocates its primary
 // queue pair.
@@ -76,6 +96,11 @@ func (rt *Runtime) Connect(cred ipc.Credentials) *Client {
 		localRegistry:   rt.Registry, // shared until a decentralized upgrade clones it
 		RestartPatience: 5 * time.Second,
 		OriginCore:      id,
+		wake:            make(chan struct{}, 1),
+		backstop:        time.NewTimer(parkBackstop),
+	}
+	if !c.backstop.Stop() {
+		<-c.backstop.C
 	}
 	c.syncExec = core.NewExec(rt.Registry, rt.Namespace, rt.opts.Model, -1)
 	cqBuf := rt.opts.QueueDepth
@@ -200,6 +225,7 @@ func (c *Client) SubmitStack(s *core.Stack, req *core.Request) error {
 
 	// Centralized: enqueue on the primary queue pair and poll for the
 	// completion.
+	req.SetWaker(c.wake)
 	req.Charge("queue", c.rt.opts.Model.QueueOp)
 	for {
 		if err := c.checkAlive(); err != nil {
@@ -235,6 +261,7 @@ func (c *Client) SubmitStackAsync(s *core.Stack, req *core.Request) error {
 	now := c.clock.Now()
 	req.Arrival = now
 	req.Clock = now
+	req.SetWaker(c.wake)
 	req.Charge("queue", c.rt.opts.Model.QueueOp)
 	for {
 		if err := c.checkAlive(); err != nil {
@@ -281,6 +308,7 @@ func (c *Client) SubmitBatch(s *core.Stack, reqs []*core.Request) error {
 		req.HomeNode = home
 		req.Arrival = now
 		req.Clock = now
+		req.SetWaker(c.wake)
 		req.Charge("queue", queueOp)
 	}
 	sent := 0
@@ -341,55 +369,60 @@ func (c *Client) Call(mount string, op core.Op, build func(*core.Request)) (*cor
 // is outstanding, Wait blocks until an administrator restarts it (up to
 // RestartPatience), triggers StateRepair through the client library, and
 // resubmits the request (paper §III-C3).
+//
+// The wait is poll-then-park, like the worker's: reap the CQ, check the
+// completion word, yield-poll it for waitPollBudget rounds, and only then
+// park on the client's wake channel. Nothing is allocated on any path.
 func (c *Client) Wait(req *core.Request) error {
-	// One timer for the whole wait, created only if we actually block: the
-	// old per-iteration time.After allocated a timer (and its channel) every
-	// 2ms spin, and reaping an already-completed request needs none at all.
-	var timer *time.Timer
-	var deadline time.Time
-	defer func() {
-		if timer != nil {
-			timer.Stop()
+	c.reapCQ()
+	if req.Done() {
+		return nil
+	}
+	// Gosched between checks hands the processor to the worker, so the
+	// poll makes progress at GOMAXPROCS=1 too.
+	for i := 0; i < waitPollBudget; i++ {
+		gort.Gosched()
+		if req.Done() {
+			return nil
 		}
-	}()
-	for {
-		// Drain the completion queue: completions are signaled per-request
-		// via MarkDone, but the CQ ring slots must be recycled. One vectored
-		// reservation reaps a whole run of slots.
-		for {
-			if n := c.qp.PollCQBatch(c.cqBuf); n == 0 {
-				break
+	}
+	deadline := time.Now().Add(c.RestartPatience)
+	// Park reports false once the word reads done; a completer that finds
+	// the word parked signals c.wake.
+	for req.Park() {
+		c.backstop.Reset(parkBackstop)
+		select {
+		case <-c.wake:
+			// Possibly a stale token, left by a completion that raced an
+			// earlier backstop wake-up: the loop re-checks the word.
+			if !c.backstop.Stop() {
+				<-c.backstop.C
+			}
+		case <-c.backstop.C:
+			// Periodic wake-up to detect a crashed/stopped Runtime.
+			if c.rt.Crashed() {
+				if err := c.awaitRestart(deadline); err != nil {
+					return err
+				}
+				// The Runtime is back: repair module state, then keep
+				// waiting — the frozen queues are intact, so workers resume
+				// draining the outstanding request.
+				c.repairAfterCrash()
+			}
+			if c.rt.state.Load() == stateStopped {
+				return ErrStopped
 			}
 		}
-		select {
-		case <-req.DoneCh():
-			return nil
-		default:
-		}
-		if timer == nil {
-			deadline = time.Now().Add(c.RestartPatience)
-			timer = time.NewTimer(2 * time.Millisecond)
-		}
-		select {
-		case <-req.DoneCh():
-			return nil
-		case <-timer.C:
-			// Periodic wakeup to detect a crashed/stopped Runtime. The timer
-			// has fired, so Reset is race-free here.
-			timer.Reset(2 * time.Millisecond)
-		}
-		if c.rt.Crashed() {
-			if err := c.awaitRestart(deadline); err != nil {
-				return err
-			}
-			// The Runtime is back: repair module state, then keep waiting —
-			// the frozen queues are intact, so workers resume draining the
-			// outstanding request.
-			c.repairAfterCrash()
-		}
-		if c.rt.state.Load() == stateStopped {
-			return ErrStopped
-		}
+		c.reapCQ()
+	}
+	return nil
+}
+
+// reapCQ recycles the completion queue's ring slots: completions are
+// signaled per request through the completion word, but the slots must be
+// drained. One vectored reservation reaps a whole run of them.
+func (c *Client) reapCQ() {
+	for c.qp.PollCQBatch(c.cqBuf) > 0 {
 	}
 }
 

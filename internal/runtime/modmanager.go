@@ -143,7 +143,8 @@ func (mm *ModManager) TotalUpgradeTime() vtime.Duration {
 //  1. mark every primary queue UPDATE_PENDING;
 //  2. wait until workers acknowledge (UPDATE_ACKED) — paused queues stop
 //     draining;
-//  3. wait for intermediate requests to complete (all queue pairs idle);
+//  3. wait for intermediate and in-flight requests to complete (all queue
+//     pairs idle, no worker mid-request);
 //  4. swap each module via Registry.Swap → StateUpdate(old);
 //  5. unmark the queues; requests flow again.
 //
@@ -187,10 +188,13 @@ func (mm *ModManager) ProcessUpgrades() {
 		time.Sleep(20 * time.Microsecond)
 	}
 	pauseWall := time.Since(phaseStart)
-	// Phase 3: drain intermediate queues.
+	// Phase 3: drain intermediate queues, and the requests workers took off
+	// a primary queue before it paused — an empty SQ passes phase 2 while its
+	// last request is still inside the module about to be swapped, and a
+	// swap under it would lose that request's state change.
 	phaseStart = time.Now()
 	for time.Now().Before(deadline) {
-		busy := false
+		busy := mm.rt.workersBusy()
 		for _, q := range queues {
 			if q.Kind == ipc.Intermediate && q.Inflight() > 0 {
 				busy = true

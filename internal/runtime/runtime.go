@@ -376,17 +376,7 @@ func (rt *Runtime) Restart() error {
 		return fmt.Errorf("runtime: not crashed")
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for {
-		busy := false
-		for _, w := range rt.workers {
-			if w.inProcess.Load() {
-				busy = true
-				break
-			}
-		}
-		if !busy {
-			break
-		}
+	for rt.workersBusy() {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("runtime: in-flight requests did not drain before restart")
 		}
@@ -399,6 +389,16 @@ func (rt *Runtime) Restart() error {
 	rt.state.Store(stateRunning)
 	rt.events.Recordf(telemetry.EvRuntime, rt.vnow(), "runtime restarted after crash")
 	return nil
+}
+
+// workersBusy reports whether any worker is mid-request.
+func (rt *Runtime) workersBusy() bool {
+	for _, w := range rt.workers {
+		if w.inProcess.Load() {
+			return true
+		}
+	}
+	return false
 }
 
 // Running reports whether the Runtime is processing requests.

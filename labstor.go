@@ -136,20 +136,39 @@ func (s *Session) Clock() vtime.Time { return s.cli.Clock() }
 // Client exposes the underlying runtime client.
 func (s *Session) Client() *runtime.Client { return s.cli }
 
-func (s *Session) do(path string, op core.Op, build func(*core.Request)) (*core.Request, error) {
+// reply is what a facade call keeps of a request once the request itself
+// has gone back to the pool.
+type reply struct {
+	Result int64
+	Value  []byte
+	Names  []string
+}
+
+func (s *Session) do(path string, op core.Op, build func(*core.Request)) (reply, error) {
 	stack, rem, ok := s.cli.Resolve(path)
 	if !ok {
-		return nil, fmt.Errorf("labstor: no stack serving %q", path)
+		return reply{}, fmt.Errorf("labstor: no stack serving %q", path)
 	}
-	req := core.NewRequest(op)
+	req := core.AcquireRequest(op)
 	req.Path = rem
 	if build != nil {
 		build(req)
 	}
-	if err := s.cli.SubmitStack(stack, req); err != nil {
-		return req, err
+	err := s.cli.SubmitStack(stack, req)
+	if !req.Done() {
+		// Stopped or timed out with the request possibly still queued: a
+		// worker may yet touch it, so it is left to the GC, not recycled.
+		return reply{}, err
 	}
-	return req, req.Err
+	out := reply{Result: req.Result, Value: req.Value, Names: req.Names}
+	// The caller keeps the result bytes for good, so they must never
+	// re-enter an arena: the handle behind them is taken and dropped, and a
+	// Value without a handle (a mod's own slice) is detached, before Release
+	// recycles whatever the request still holds.
+	req.TakeValue()
+	req.Value = nil
+	req.Release()
+	return out, err
 }
 
 // --- POSIX-style file API ------------------------------------------------------

@@ -2,6 +2,7 @@ package labstor_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"labstor"
@@ -215,5 +216,70 @@ mods:
 	user := p.ConnectAs(1001, 1001)
 	if _, err := user.Open("fs::/sec/x"); err == nil {
 		t.Fatal("unprivileged open succeeded")
+	}
+}
+
+// TestFacadePooledRequests: every facade call recycles its request, and what
+// the caller was handed stays the caller's — a Get result is never recycled
+// under them by later calls (run with -tags labstor_debug, a recycled buffer
+// is also poisoned), and a caller's ReadAt buffer never enters an arena.
+func TestFacadePooledRequests(t *testing.T) {
+	p := newPlatform(t)
+	s := p.Connect()
+	defer s.Close()
+	kv := s.KV("kv::/t")
+
+	value := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 4096) }
+	const keys = 32
+	for i := 0; i < keys; i++ {
+		if err := kv.Put(fmt.Sprint("k", i), value(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := p.Snapshot().Metrics.Gauges["reqpool.hits"]
+	kept := make([][]byte, keys)
+	for round := 0; round < 8; round++ {
+		for i := 0; i < keys; i++ {
+			v, err := kv.Get(fmt.Sprint("k", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if round == 0 {
+				kept[i] = v
+			}
+		}
+	}
+	for i, v := range kept {
+		if !bytes.Equal(v, value(i)) {
+			t.Fatalf("result of the first Get of k%d changed under its holder", i)
+		}
+	}
+	// Half, not all: under the race detector sync.Pool drops a share of Puts.
+	if hits := p.Snapshot().Metrics.Gauges["reqpool.hits"] - before; hits < 4*keys {
+		t.Fatalf("request pool served %v of %d facade calls", hits, 8*keys)
+	}
+
+	f, err := s.Create("fs::/t/pooled.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat([]byte("labstor!"), 1024)
+	if _, err := f.WriteAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(want))
+	if n, err := f.ReadAt(got, 0); err != nil || n != len(want) {
+		t.Fatalf("ReadAt: %d %v", n, err)
+	}
+	for i := 0; i < 64; i++ {
+		if _, err := kv.Get("k0"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("caller's ReadAt buffer was rewritten by later calls")
+	}
+	if _, err := s.Stat("fs::/t/missing"); err == nil {
+		t.Fatal("Stat of a missing file succeeded")
 	}
 }

@@ -6,18 +6,25 @@
 #   4. hot-path soak: the lock-free ring and worker/client hot path, twice
 #      under the race detector with shuffled test order, to surface
 #      ordering-dependent races the single straight-line pass can miss.
-#   5. debug handles: core and serve again with -tags labstor_debug, so
+#   5. handshake: the submit → complete → reap handshake tests (completion
+#      word, wake channel, poll-then-park Wait) three times under the race
+#      detector at -cpu 1,2,8; the -cpu 1 leg is the guard against a poll
+#      loop that forgets to yield.
+#   6. debug handles: core and serve again with -tags labstor_debug, so
 #      released buffers are poisoned and a stale or twice-released
 #      BufHandle panics — the serve plane writes result views in place and
 #      releases them only after the socket write.
-#   6. fuzz smoke: short native-fuzzing runs of the wire-protocol frame
+#   7. bench smoke: every benchmark once, then BenchmarkClientCallNop with
+#      -benchmem so the client round trip's ns/op and allocs/op are in the
+#      log.
+#   8. fuzz smoke: short native-fuzzing runs of the wire-protocol frame
 #      decoder, its streaming reader against it (serve.* RPC framing) and
 #      the YAML spec/stack builder to catch parser regressions early.
-#   7. observe smoke: boot labstor-runtime with the observability server on
+#   9. observe smoke: boot labstor-runtime with the observability server on
 #      an ephemeral port and assert /metrics and /snapshot serve payloads.
-#   8. serve smoke: boot labstor-runtime with the network front end on an
+#  10. serve smoke: boot labstor-runtime with the network front end on an
 #      ephemeral port, drive RPCs via labctl, assert serve.* on /metrics.
-#   9. bench gate (warn-only): fresh benches vs the committed BENCH_*.json
+#  11. bench gate (warn-only): fresh benches vs the committed BENCH_*.json
 #      baselines; >10% regression warns, never fails.
 # Run from the repository root (or via `make check`).
 set -eu
@@ -38,11 +45,17 @@ go test -race ./...
 echo "== go test -race -count=2 -shuffle=on ./internal/ipc/... ./internal/runtime/... ./internal/device/... ./internal/telemetry/... ./internal/obs/... ./internal/serve/... ./internal/mods/pushdown/... =="
 go test -race -count=2 -shuffle=on ./internal/ipc/... ./internal/runtime/... ./internal/device/... ./internal/telemetry/... ./internal/obs/... ./internal/serve/... ./internal/mods/pushdown/...
 
+echo "== handshake: go test -race -count=3 -cpu 1,2,8 -run 'Handshake|Wait' ./internal/core/... ./internal/runtime/... =="
+go test -race -count=3 -cpu 1,2,8 -run 'Handshake|Wait' ./internal/core/... ./internal/runtime/...
+
 echo "== debug handles: go test -tags labstor_debug ./internal/core/... ./internal/serve/... =="
 go test -tags labstor_debug ./internal/core/... ./internal/serve/...
 
 echo "== bench smoke: go test -bench=. -benchtime=1x -run '^$' ./... =="
 go test -bench=. -benchtime=1x -run '^$' ./...
+
+echo "== bench smoke: go test -bench ClientCallNop -benchmem -run '^$' ./internal/runtime =="
+go test -bench ClientCallNop -benchmem -run '^$' ./internal/runtime
 
 echo "== fuzz smoke: FuzzFrameDecode -fuzztime 5s =="
 go test -run '^$' -fuzz FuzzFrameDecode -fuzztime 5s ./internal/serve
