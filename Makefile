@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check bench bench-hotpath bench-contention bench-zerocopy bench-observe bench-attribution bench-serve bench-pushdown bench-gate telemetry obs-smoke serve-smoke fuzz
+.PHONY: build test vet race check bench bench-contention bench-zerocopy bench-observe bench-attribution bench-serve bench-pushdown bench-gate telemetry obs-smoke serve-smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -19,13 +19,8 @@ race:
 check:
 	sh scripts/check.sh
 
-bench: bench-hotpath
+bench:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' .
-
-# bench-hotpath measures the batched/pooled hot path against the legacy
-# per-request path and records the scalar results in BENCH_hotpath.json.
-bench-hotpath:
-	$(GO) run ./cmd/labbench -exp hotpath -json BENCH_hotpath.json
 
 # bench-contention measures multi-writer device-store scaling, striped vs
 # global lock, and records the scalar results in BENCH_contention.json.
@@ -65,8 +60,8 @@ bench-serve:
 bench-pushdown:
 	$(GO) run ./cmd/labbench -exp pushdown -json BENCH_pushdown.json
 
-# bench-gate reruns the hotpath bench and warns (never fails) when batched
-# throughput regressed >10% vs the committed BENCH_hotpath.json.
+# bench-gate reruns each bench with a committed BENCH_*.json baseline and
+# warns (never fails) when its headline scalar regressed >10%.
 bench-gate:
 	sh scripts/bench_gate.sh
 

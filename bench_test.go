@@ -255,14 +255,13 @@ func BenchmarkCreateEmptyFiles(b *testing.B) {
 }
 
 // benchHotpath drives b.N requests through a one-vertex dummy stack in
-// windows of 64 outstanding requests. batch selects the worker drain batch
-// (1 = the legacy single-request poll path); pooled recycles requests
-// through core.AcquireRequest/Release and submits with SubmitBatch instead
-// of per-request SubmitStackAsync. Run with -benchmem: the
-// unbatched-vs-batched delta is ns/op, the heap-vs-pooled delta allocs/op.
-func benchHotpath(b *testing.B, batch int, pooled bool) {
+// windows of 64 outstanding requests, submitted with SubmitBatch and drained
+// eight at a time. pooled recycles requests through
+// core.AcquireRequest/Release instead of core.NewRequest. Run with
+// -benchmem: the heap-vs-pooled delta is allocs/op.
+func benchHotpath(b *testing.B, pooled bool) {
 	b.Helper()
-	rt := runtime.New(runtime.Options{MaxWorkers: 1, QueueDepth: 4096, Batch: batch})
+	rt := runtime.New(runtime.Options{MaxWorkers: 1, QueueDepth: 4096, Batch: 8})
 	b.Cleanup(rt.Shutdown)
 	rt.AddDevice(device.New("dev0", device.NVMe, 32<<20))
 	stack, err := rt.Mount(core.NewStack("msg::/bench", core.Rules{}, []core.Vertex{
@@ -290,16 +289,8 @@ func benchHotpath(b *testing.B, batch int, pooled bool) {
 				reqs[i] = core.NewRequest(core.OpMessage)
 			}
 		}
-		if pooled {
-			if err := cli.SubmitBatch(stack, reqs[:n]); err != nil {
-				b.Fatal(err)
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				if err := cli.SubmitStackAsync(stack, reqs[i]); err != nil {
-					b.Fatal(err)
-				}
-			}
+		if err := cli.SubmitBatch(stack, reqs[:n]); err != nil {
+			b.Fatal(err)
 		}
 		if err := cli.WaitAll(reqs[:n]); err != nil {
 			b.Fatal(err)
@@ -313,9 +304,8 @@ func benchHotpath(b *testing.B, batch int, pooled bool) {
 	}
 }
 
-func BenchmarkHotpathUnbatchedHeap(b *testing.B) { benchHotpath(b, 1, false) }
-func BenchmarkHotpathBatchedHeap(b *testing.B)   { benchHotpath(b, 8, false) }
-func BenchmarkHotpathBatchedPooled(b *testing.B) { benchHotpath(b, 8, true) }
+func BenchmarkHotpathBatchedHeap(b *testing.B)   { benchHotpath(b, false) }
+func BenchmarkHotpathBatchedPooled(b *testing.B) { benchHotpath(b, true) }
 
 // BenchmarkRequestLifecycleHeap / Pooled isolate the request object's
 // create-trace-complete-dispose cycle (the allocation the pool removes).

@@ -97,13 +97,6 @@ var catalog = []experiment{
 		}
 		return experiments.Filebench(iters, devs)
 	}},
-	{"hotpath", "Hot-path overhead: batched vs unbatched, pooled vs heap", func(quick bool) (*experiments.Result, error) {
-		ops := 200000
-		if quick {
-			ops = 40000
-		}
-		return experiments.Hotpath(ops, 8)
-	}},
 	{"contention", "Device-store lock striping vs global mutex (wall clock)", func(quick bool) (*experiments.Result, error) {
 		ops := 300000
 		if quick {

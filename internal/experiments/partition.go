@@ -131,7 +131,7 @@ func runPartitionTrial(workers int, policy string, lFiles, cReqs, cBytes int) (l
 					req.Offset = int64((i*cReqs+j)%16) * int64(cBytes)
 					req.Size = len(data)
 					req.Data = data
-					if err := cli.SubmitStackAsync(cStack, req); err != nil {
+					if err := cli.SubmitBatch(cStack, []*core.Request{req}); err != nil {
 						errs[threads+t] = err
 						return
 					}

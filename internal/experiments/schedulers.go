@@ -201,7 +201,7 @@ func runSchedulerTrial(system string, colocated bool, lOps, tOps int) (avg, p99 
 					req.Offset = rng.Int63n(maxOff) * (64 << 10)
 					req.Size = len(buf)
 					req.Data = buf
-					if e := cli.SubmitStackAsync(stack, req); e != nil {
+					if e := cli.SubmitBatch(stack, []*core.Request{req}); e != nil {
 						errs[i] = e
 						return false
 					}

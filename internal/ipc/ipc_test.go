@@ -1,164 +1,67 @@
 package ipc
 
 import (
-	"sync"
+	"slices"
 	"testing"
-	"testing/quick"
 )
 
-func TestRingFIFO(t *testing.T) {
-	r := NewRing[int](8)
-	for i := 0; i < 5; i++ {
-		if err := r.Enqueue(i); err != nil {
-			t.Fatalf("enqueue %d: %v", i, err)
-		}
-	}
-	if r.Len() != 5 {
-		t.Fatalf("Len = %d", r.Len())
-	}
-	for i := 0; i < 5; i++ {
-		v, err := r.Dequeue()
-		if err != nil {
-			t.Fatalf("dequeue %d: %v", i, err)
-		}
-		if v != i {
-			t.Fatalf("got %d, want %d (FIFO violated)", v, i)
-		}
-	}
-	if _, err := r.Dequeue(); err != ErrEmpty {
-		t.Fatalf("expected ErrEmpty, got %v", err)
-	}
-}
-
-func TestRingFull(t *testing.T) {
-	r := NewRing[int](4)
-	for i := 0; i < r.Cap(); i++ {
-		if err := r.Enqueue(i); err != nil {
-			t.Fatalf("enqueue: %v", err)
-		}
-	}
-	if err := r.Enqueue(99); err != ErrFull {
-		t.Fatalf("expected ErrFull, got %v", err)
-	}
-	// Draining one frees one slot.
-	if _, err := r.Dequeue(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Enqueue(99); err != nil {
-		t.Fatalf("enqueue after drain: %v", err)
-	}
-}
-
-func TestRingCapacityRounding(t *testing.T) {
-	if NewRing[int](3).Cap() != 4 {
-		t.Fatal("capacity must round up to a power of two")
-	}
-	if NewRing[int](0).Cap() != 2 {
-		t.Fatal("minimum capacity is 2")
-	}
-}
-
-func TestRingConcurrentNoLoss(t *testing.T) {
-	r := NewRing[int](1024)
-	const producers, perProducer = 4, 5000
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < perProducer; i++ {
-				for r.Enqueue(p*perProducer+i) != nil {
-				}
-			}
-		}(p)
-	}
-	seen := make(map[int]bool, producers*perProducer)
-	var mu sync.Mutex
-	var cg sync.WaitGroup
-	done := make(chan struct{})
-	for c := 0; c < 4; c++ {
-		cg.Add(1)
-		go func() {
-			defer cg.Done()
-			for {
-				v, err := r.Dequeue()
-				if err != nil {
-					select {
-					case <-done:
-						// Final drain.
-						for {
-							v, err := r.Dequeue()
-							if err != nil {
-								return
-							}
-							mu.Lock()
-							seen[v] = true
-							mu.Unlock()
-						}
-					default:
-						continue
-					}
-				}
-				mu.Lock()
-				seen[v] = true
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	close(done)
-	cg.Wait()
-	if len(seen) != producers*perProducer {
-		t.Fatalf("lost items: got %d, want %d", len(seen), producers*perProducer)
-	}
-}
-
-func TestRingQuickFIFOSingleStream(t *testing.T) {
-	// Property: a single producer/consumer sees exactly its input sequence.
-	f := func(vals []uint8) bool {
-		r := NewRing[uint8](len(vals) + 1)
-		for _, v := range vals {
-			if r.Enqueue(v) != nil {
-				return false
-			}
-		}
-		for _, want := range vals {
-			got, err := r.Dequeue()
-			if err != nil || got != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestQueuePairProtocol walks submit → poll → complete → reap at each
+// width: a lone request is a batch of one.
 func TestQueuePairProtocol(t *testing.T) {
-	qp := NewQueuePair[string](7, Primary, true, 16)
-	if qp.ID != 7 || qp.Kind != Primary || !qp.Ordered {
-		t.Fatal("metadata")
+	const depth = 16
+	for _, w := range ringWidths(depth) {
+		qp := NewQueuePair[int](7, Primary, true, depth)
+		if qp.ID != 7 || qp.Kind != Primary || !qp.Ordered {
+			t.Fatal("metadata")
+		}
+		in := seq(0, w)
+		if n := qp.SubmitBatch(in); n != w {
+			t.Fatalf("width %d: SubmitBatch = %d", w, n)
+		}
+		if qp.Inflight() != w || qp.SQLen() != w {
+			t.Fatalf("width %d: inflight=%d sqlen=%d", w, qp.Inflight(), qp.SQLen())
+		}
+		got := make([]int, w)
+		if n := qp.PollSQBatch(got); n != w || !slices.Equal(got, in) {
+			t.Fatalf("width %d: PollSQBatch: %d %v", w, n, got)
+		}
+		if qp.Inflight() != w || qp.SQLen() != 0 {
+			t.Fatalf("width %d: polled requests must stay in flight: inflight=%d sqlen=%d", w, qp.Inflight(), qp.SQLen())
+		}
+		if n := qp.CompleteBatch(got); n != w {
+			t.Fatalf("width %d: CompleteBatch = %d", w, n)
+		}
+		if qp.Inflight() != 0 {
+			t.Fatalf("width %d: inflight after complete: %d", w, qp.Inflight())
+		}
+		reaped := make([]int, w)
+		if n := qp.PollCQBatch(reaped); n != w || !slices.Equal(reaped, in) {
+			t.Fatalf("width %d: PollCQBatch: %d %v", w, n, reaped)
+		}
+		if n := qp.PollCQBatch(reaped); n != 0 {
+			t.Fatalf("width %d: PollCQBatch on a reaped queue = %d", w, n)
+		}
 	}
-	if err := qp.Submit("a"); err != nil {
-		t.Fatal(err)
-	}
-	if qp.Inflight() != 1 || qp.SQLen() != 1 {
-		t.Fatalf("inflight=%d sqlen=%d", qp.Inflight(), qp.SQLen())
-	}
-	v, err := qp.PollSQ()
-	if err != nil || v != "a" {
-		t.Fatalf("PollSQ: %v %v", v, err)
-	}
-	if err := qp.Complete("a"); err != nil {
-		t.Fatal(err)
-	}
-	if qp.Inflight() != 0 {
-		t.Fatalf("inflight after complete: %d", qp.Inflight())
-	}
-	got, err := qp.PollCQ()
-	if err != nil || got != "a" {
-		t.Fatalf("PollCQ: %v %v", got, err)
+}
+
+// TestQueuePairCompleteOverflow: completions that do not fit in the CQ are
+// signalled directly by the caller and are no longer in flight either.
+func TestQueuePairCompleteOverflow(t *testing.T) {
+	qp := NewQueuePair[int](1, Primary, true, 4)
+	buf := make([]int, 4)
+	for round, wantQueued := range []int{4, 0} { // the unreaped CQ is full in round 1
+		if n := qp.SubmitBatch(seq(0, 4)); n != 4 {
+			t.Fatalf("round %d: SubmitBatch = %d", round, n)
+		}
+		if n := qp.PollSQBatch(buf); n != 4 {
+			t.Fatalf("round %d: PollSQBatch = %d", round, n)
+		}
+		if n := qp.CompleteBatch(buf); n != wantQueued {
+			t.Fatalf("round %d: CompleteBatch queued %d, want %d", round, n, wantQueued)
+		}
+		if qp.Inflight() != 0 {
+			t.Fatalf("round %d: inflight = %d after completing every request", round, qp.Inflight())
+		}
 	}
 }
 

@@ -94,15 +94,6 @@ func NewQueuePair[T any](id int, kind QueueKind, ordered bool, depth int) *Queue
 	}
 }
 
-// Submit places a request on the submission queue.
-func (q *QueuePair[T]) Submit(v T) error {
-	if err := q.sq.Enqueue(v); err != nil {
-		return err
-	}
-	q.inflight.Add(1)
-	return nil
-}
-
 // SubmitBatch places up to len(vals) requests on the submission queue with
 // a single ring reservation, returning how many were enqueued (a partial
 // count when the ring fills mid-batch).
@@ -114,34 +105,18 @@ func (q *QueuePair[T]) SubmitBatch(vals []T) int {
 	return n
 }
 
-// PollSQ removes the oldest submitted request (worker side).
-func (q *QueuePair[T]) PollSQ() (T, error) { return q.sq.Dequeue() }
-
 // PollSQBatch removes up to len(dst) submitted requests with a single ring
 // reservation (worker side), returning how many were dequeued.
 func (q *QueuePair[T]) PollSQBatch(dst []T) int { return q.sq.DequeueBatch(dst) }
 
-// Complete places a finished request on the completion queue.
-func (q *QueuePair[T]) Complete(v T) error {
-	if err := q.cq.Enqueue(v); err != nil {
-		return err
-	}
-	q.inflight.Add(-1)
-	return nil
-}
-
-// CompleteBatch places up to len(vals) finished requests on the completion
-// queue with a single ring reservation, returning how many were enqueued.
+// CompleteBatch finishes every request in vals: as many as fit go on the
+// completion queue with a single ring reservation (the count is returned),
+// and the caller signals the rest directly. All of them stop counting as
+// in flight, whichever way their completion is delivered.
 func (q *QueuePair[T]) CompleteBatch(vals []T) int {
-	n := q.cq.EnqueueBatch(vals)
-	if n > 0 {
-		q.inflight.Add(-int64(n))
-	}
-	return n
+	q.inflight.Add(-int64(len(vals)))
+	return q.cq.EnqueueBatch(vals)
 }
-
-// PollCQ removes the oldest completion (client side).
-func (q *QueuePair[T]) PollCQ() (T, error) { return q.cq.Dequeue() }
 
 // PollCQBatch removes up to len(dst) completions with a single ring
 // reservation (client side), returning how many were dequeued.

@@ -12,7 +12,6 @@
 package ipc
 
 import (
-	"errors"
 	"runtime"
 	"sync/atomic"
 )
@@ -22,12 +21,6 @@ import (
 // fill/release in a handful of instructions unless descheduled — in which
 // case yielding the processor is exactly what lets it finish.
 func spinYield() { runtime.Gosched() }
-
-// ErrFull is returned by Enqueue when the ring has no free slots.
-var ErrFull = errors.New("ipc: ring full")
-
-// ErrEmpty is returned by Dequeue when the ring has no pending items.
-var ErrEmpty = errors.New("ipc: ring empty")
 
 type slot[T any] struct {
 	seq atomic.Uint64
@@ -48,7 +41,7 @@ type Ring[T any] struct {
 	_       [56]byte
 	dequeue atomic.Uint64
 	_       [56]byte
-	// rejects counts Enqueue calls that failed with ErrFull (telemetry:
+	// rejects counts EnqueueBatch calls that found the ring full (telemetry:
 	// backpressure events; producers spin-retry on this).
 	rejects atomic.Int64
 }
@@ -104,29 +97,6 @@ func (r *Ring[T]) Len() int {
 		n = len(r.slots)
 	}
 	return n
-}
-
-// Enqueue adds v to the ring; it returns ErrFull if no slot is free.
-func (r *Ring[T]) Enqueue(v T) error {
-	pos := r.enqueue.Load()
-	for {
-		s := &r.slots[pos&r.mask]
-		seq := s.seq.Load()
-		switch {
-		case seq == pos:
-			if r.enqueue.CompareAndSwap(pos, pos+1) {
-				s.val = v
-				s.seq.Store(pos + 1)
-				return nil
-			}
-			pos = r.enqueue.Load()
-		case seq < pos:
-			r.rejects.Add(1)
-			return ErrFull
-		default:
-			pos = r.enqueue.Load()
-		}
-	}
 }
 
 // EnqueueBatch adds as many of vals as fit, in order, and returns how many
@@ -218,29 +188,4 @@ func (r *Ring[T]) DequeueBatch(dst []T) int {
 		s.seq.Store(p + r.mask + 1)
 	}
 	return int(n)
-}
-
-// Dequeue removes and returns the oldest item; it returns ErrEmpty if the
-// ring is empty.
-func (r *Ring[T]) Dequeue() (T, error) {
-	var zero T
-	pos := r.dequeue.Load()
-	for {
-		s := &r.slots[pos&r.mask]
-		seq := s.seq.Load()
-		switch {
-		case seq == pos+1:
-			if r.dequeue.CompareAndSwap(pos, pos+1) {
-				v := s.val
-				s.val = zero
-				s.seq.Store(pos + r.mask + 1)
-				return v, nil
-			}
-			pos = r.dequeue.Load()
-		case seq < pos+1:
-			return zero, ErrEmpty
-		default:
-			pos = r.dequeue.Load()
-		}
-	}
 }

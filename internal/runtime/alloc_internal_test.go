@@ -18,19 +18,37 @@ func TestClientRoundTripAllocContracts(t *testing.T) {
 	for _, mode := range []core.ExecMode{core.ExecAsync, core.ExecSync} {
 		rt, stack, _, _ := handshakeRig(t, 1, mode)
 		cli := rt.Connect(ipc.Credentials{PID: 1})
-		roundTrip := func() {
-			req := core.AcquireRequest(core.OpMessage)
-			req.Offset = 3
-			if err := cli.SubmitStack(stack, req); err != nil || req.Result != gateAnswer(3) {
-				t.Fatalf("SubmitStack: %v, result %d", err, req.Result)
+		one := make([]*core.Request, 1)
+		for _, submit := range []struct {
+			name string
+			do   func(*core.Request) error
+		}{
+			// SubmitStack hands the ring a one-element slice of its own,
+			// which must not escape to the heap.
+			{"SubmitStack+Wait", func(req *core.Request) error { return cli.SubmitStack(stack, req) }},
+			// The same request as a caller's batch of one.
+			{"SubmitBatch of one+WaitAll", func(req *core.Request) error {
+				one[0] = req
+				if err := cli.SubmitBatch(stack, one); err != nil {
+					return err
+				}
+				return cli.WaitAll(one)
+			}},
+		} {
+			roundTrip := func() {
+				req := core.AcquireRequest(core.OpMessage)
+				req.Offset = 3
+				if err := submit.do(req); err != nil || req.Result != gateAnswer(3) {
+					t.Fatalf("%s: %v, result %d", submit.name, err, req.Result)
+				}
+				req.Release()
 			}
-			req.Release()
-		}
-		for i := 0; i < 64; i++ {
-			roundTrip() // prime the pool and the stack's stats entries
-		}
-		if n := testing.AllocsPerRun(2000, roundTrip); n != 0 {
-			t.Errorf("%s stack: pooled SubmitStack+Wait allocates %v objects per round trip, want 0", mode, n)
+			for i := 0; i < 64; i++ {
+				roundTrip() // prime the pool and the stack's stats entries
+			}
+			if n := testing.AllocsPerRun(2000, roundTrip); n != 0 {
+				t.Errorf("%s stack: pooled %s allocates %v objects per round trip, want 0", mode, submit.name, n)
+			}
 		}
 	}
 }

@@ -16,7 +16,14 @@ import (
 // batch so modeled results are deterministic (one worker, FIFO ring).
 func newBatchRig(t *testing.T, batch int) (*runtime.Runtime, *runtime.Client) {
 	t.Helper()
-	rt := runtime.New(runtime.Options{MaxWorkers: 1, QueueDepth: 256, Batch: batch})
+	return newDepthRig(t, 256, batch)
+}
+
+// newDepthRig is newBatchRig with the queue depth configurable too, for
+// tests that overflow the rings.
+func newDepthRig(t *testing.T, depth, batch int) (*runtime.Runtime, *runtime.Client) {
+	t.Helper()
+	rt := runtime.New(runtime.Options{MaxWorkers: 1, QueueDepth: depth, Batch: batch})
 	rt.AddDevice(device.New("dev0", device.NVMe, 32<<20))
 	if _, err := rt.Mount(core.NewStack("msg::/d", core.Rules{}, []core.Vertex{
 		{UUID: "dum", Type: dummy.Type},
@@ -29,8 +36,8 @@ func newBatchRig(t *testing.T, batch int) (*runtime.Runtime, *runtime.Client) {
 }
 
 // runBurst submits n async requests in one batch, reaps them, and returns
-// the per-request completion clocks plus the final client clock.
-func runBurst(t *testing.T, cli *runtime.Client, rt *runtime.Runtime, n int) ([]vtime.Time, vtime.Time) {
+// them completed, plus the final client clock.
+func runBurst(t *testing.T, cli *runtime.Client, rt *runtime.Runtime, n int) ([]*core.Request, vtime.Time) {
 	t.Helper()
 	stack, ok := rt.Namespace.Lookup("msg::/d")
 	if !ok {
@@ -46,55 +53,88 @@ func runBurst(t *testing.T, cli *runtime.Client, rt *runtime.Runtime, n int) ([]
 	if err := cli.WaitAll(reqs); err != nil {
 		t.Fatal(err)
 	}
-	clocks := make([]vtime.Time, n)
 	for i, req := range reqs {
 		if req.Err != nil {
 			t.Fatalf("req %d: %v", i, req.Err)
 		}
-		clocks[i] = req.Clock
 	}
-	return clocks, cli.Clock()
+	return reqs, cli.Clock()
 }
 
-// TestBatchEquivalence checks the tentpole's semantic invariant: batching
-// amortizes host-side overhead only — modeled (virtual-time) results are
-// identical at any batch size. The same 64-request burst on a single worker
-// must produce identical per-request completion clocks at batch 1 (the
-// original single-request poll path) and batch 8 (vectored drain).
+// TestBatchEquivalence checks that the drain width is not a semantic knob:
+// it amortizes host-side overhead only, so modeled (virtual-time) results
+// are identical at any width. The same 64-request burst on a single worker
+// must produce identical per-request completion clocks and CPU charges, in
+// the same (submission) order, whether the worker drains one request per
+// scan, a few, or the whole queue.
 func TestBatchEquivalence(t *testing.T) {
 	const n = 64
-	rt1, cli1 := newBatchRig(t, 1)
-	c1, final1 := runBurst(t, cli1, rt1, n)
-	rt8, cli8 := newBatchRig(t, 8)
-	c8, final8 := runBurst(t, cli8, rt8, n)
-	for i := range c1 {
-		if c1[i] != c8[i] {
-			t.Fatalf("req %d completion clock differs: batch1=%v batch8=%v", i, c1[i], c8[i])
+	var ref []*core.Request
+	var refFinal vtime.Time
+	for _, width := range []int{1, 2, 16, 256} { // 256 = newBatchRig's queue depth
+		rt, cli := newBatchRig(t, width)
+		if got := rt.Options().Batch; got != width {
+			t.Fatalf("width %d: runtime drains %d per scan", width, got)
 		}
-	}
-	if final1 != final8 {
-		t.Fatalf("final client clock differs: batch1=%v batch8=%v", final1, final8)
-	}
-	if final1 <= 0 {
-		t.Fatal("client clock did not advance")
-	}
-	// The batched runtime must actually have processed all requests.
-	if got := rt8.Stats()[0].Processed; got != n {
-		t.Fatalf("batch8 worker processed %d, want %d", got, n)
+		reqs, final := runBurst(t, cli, rt, n)
+		if got := rt.Stats()[0].Processed; got != n {
+			t.Fatalf("width %d: worker processed %d, want %d", width, got, n)
+		}
+		for i := 1; i < n; i++ {
+			if reqs[i].Clock <= reqs[i-1].Clock {
+				t.Fatalf("width %d: req %d completed at %v, not after req %d at %v", width, i, reqs[i].Clock, i-1, reqs[i-1].Clock)
+			}
+		}
+		if ref == nil {
+			if final <= 0 {
+				t.Fatal("client clock did not advance")
+			}
+			ref, refFinal = reqs, final
+			continue
+		}
+		for i := range reqs {
+			if reqs[i].Clock != ref[i].Clock || reqs[i].CPUTime != ref[i].CPUTime {
+				t.Fatalf("req %d differs at width %d: clock %v cpu %v, width 1: clock %v cpu %v",
+					i, width, reqs[i].Clock, reqs[i].CPUTime, ref[i].Clock, ref[i].CPUTime)
+			}
+		}
+		if final != refFinal {
+			t.Fatalf("final client clock differs at width %d: %v, width 1: %v", width, final, refFinal)
+		}
 	}
 }
 
-// TestBatchDefaultsToSingle checks the knob's defaults: zero/negative batch
-// selects the single-request path, and batch is clamped to the queue depth.
+// TestBatchDefaultsToSingle checks the knob's defaults: a zero or negative
+// batch means a drain width of one, and the width is clamped to the queue
+// depth. The batch-size histogram shows the width in use.
 func TestBatchDefaultsToSingle(t *testing.T) {
-	rt0, cli0 := newBatchRig(t, 0)
-	c0, _ := runBurst(t, cli0, rt0, 16)
-	rtBig, cliBig := newBatchRig(t, 1<<20) // clamped to QueueDepth
-	cBig, _ := runBurst(t, cliBig, rtBig, 16)
-	for i := range c0 {
-		if c0[i] != cBig[i] {
-			t.Fatalf("req %d completion clock differs under clamping: %v vs %v", i, c0[i], cBig[i])
+	for _, tc := range []struct{ batch, width int }{
+		{0, 1}, {-3, 1}, {1 << 20, 256}, // 256 = newBatchRig's queue depth
+	} {
+		rt, cli := newBatchRig(t, tc.batch)
+		if got := rt.Options().Batch; got != tc.width {
+			t.Fatalf("Batch %d: drain width %d, want %d", tc.batch, got, tc.width)
 		}
+		runBurst(t, cli, rt, 16)
+		h := rt.Metrics().Snapshot().Histograms["worker.batch_size"]
+		if h.Count == 0 || h.Max > float64(tc.width) {
+			t.Fatalf("Batch %d: worker.batch_size %+v, want drains of at most %d", tc.batch, h, tc.width)
+		}
+		if tc.width == 1 && h.Count != 16 {
+			t.Fatalf("Batch %d: %d drains for 16 requests at width 1", tc.batch, h.Count)
+		}
+	}
+}
+
+// TestInflightDrainsPastCompletionRing: a window several times the queue
+// depth overflows the completion ring, so most completions are signalled
+// directly; every one of them must still leave the in-flight count, or the
+// dynamic orchestrator never sees the queue idle.
+func TestInflightDrainsPastCompletionRing(t *testing.T) {
+	rt, cli := newDepthRig(t, 8, 1)
+	runBurst(t, cli, rt, 64)
+	if qp := cli.QueuePair(); qp.Inflight() != 0 || qp.SQLen() != 0 {
+		t.Fatalf("after WaitAll: inflight=%d sqlen=%d, want 0 and 0", qp.Inflight(), qp.SQLen())
 	}
 }
 
@@ -121,7 +161,7 @@ func TestWaitAllDrainsAllOnError(t *testing.T) {
 			reqs[i].Path = "f" + string(rune('a'+i)) + ".txt"
 			reqs[i].Mode = 0644
 		}
-		if err := cli.SubmitStackAsync(stack, reqs[i]); err != nil {
+		if err := cli.SubmitBatch(stack, reqs[i:i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,16 +227,7 @@ func TestSubmitBatchPooledRoundTrip(t *testing.T) {
 // client.sq_full_retries) rather than drop or error, and every request must
 // still complete.
 func TestSubmitBatchQueueFull(t *testing.T) {
-	rt := runtime.New(runtime.Options{MaxWorkers: 1, QueueDepth: 8, Batch: 4})
-	rt.AddDevice(device.New("dev0", device.NVMe, 32<<20))
-	if _, err := rt.Mount(core.NewStack("msg::/d", core.Rules{}, []core.Vertex{
-		{UUID: "dum", Type: dummy.Type},
-	})); err != nil {
-		t.Fatal(err)
-	}
-	rt.Start()
-	t.Cleanup(rt.Shutdown)
-	cli := rt.Connect(ipc.Credentials{PID: 1, UID: 0, GID: 0})
+	rt, cli := newDepthRig(t, 8, 4)
 	stack, _ := rt.Namespace.Lookup("msg::/d")
 
 	const n = 512 // 64x the ring depth

@@ -56,6 +56,9 @@ type Client struct {
 	// slot. A Client serves a single application thread (the paper's
 	// per-thread client library instance), so the buffer is not locked.
 	cqBuf []*core.Request
+	// one is SubmitStack's batch of one: the slice handed to enqueue, kept
+	// here so a lone request costs no allocation.
+	one [1]*core.Request
 
 	// wake is the doorbell every request this client submits carries
 	// (core.Request.SetWaker): a completer signals it only when the waiter
@@ -198,19 +201,13 @@ func (c *Client) Submit(mount string, req *core.Request) error {
 	return c.SubmitStack(s, req)
 }
 
-// SubmitStack routes req to an already-resolved stack.
+// SubmitStack routes req to an already-resolved stack and returns once it
+// is finished: a batch of one, waited for.
 func (c *Client) SubmitStack(s *core.Stack, req *core.Request) error {
-	req.StackID = s.ID
-	req.Cred = core.Cred{UID: c.cred.UID, GID: c.cred.GID}
-	req.OriginCore = c.OriginCore
-	req.HomeNode = c.rt.numaNode(c.OriginCore)
-	now := c.clock.Now()
-	req.Arrival = now
-	req.Clock = now
-
 	if s.Rules.ExecMode == core.ExecSync {
 		// Decentralized: walk the DAG in the client thread against the
 		// client's registry view. No queue, no IPC charge.
+		c.stamp(s, req, c.clock.Now())
 		c.mSyncRuns.Inc()
 		exec := c.syncExec
 		exec.Registry = c.localRegistry
@@ -225,21 +222,12 @@ func (c *Client) SubmitStack(s *core.Stack, req *core.Request) error {
 
 	// Centralized: enqueue on the primary queue pair and poll for the
 	// completion.
-	req.SetWaker(c.wake)
-	req.Charge("queue", c.rt.opts.Model.QueueOp)
-	for {
-		if err := c.checkAlive(); err != nil {
-			return err
-		}
-		if err := c.qp.Submit(req); err == nil {
-			break
-		}
-		// Ring full: yield until a worker drains it.
-		c.mRingFull.Inc()
-		gort.Gosched()
+	c.one[0] = req
+	err := c.enqueue(s, c.one[:])
+	c.one[0] = nil // the ring has it now; do not keep it from the collector
+	if err != nil {
+		return err
 	}
-	c.mSubmitted.Inc()
-	c.rt.pokeWorkers()
 	if err := c.Wait(req); err != nil {
 		return err
 	}
@@ -247,49 +235,16 @@ func (c *Client) SubmitStack(s *core.Stack, req *core.Request) error {
 	return req.Err
 }
 
-// SubmitStackAsync enqueues req on the client's queue pair without waiting
-// for completion (async-mode stacks only) — the queue-depth>1 submission
-// path. Use Wait/WaitAll to reap.
-func (c *Client) SubmitStackAsync(s *core.Stack, req *core.Request) error {
-	if s.Rules.ExecMode == core.ExecSync {
-		return c.SubmitStack(s, req)
-	}
-	req.StackID = s.ID
-	req.Cred = core.Cred{UID: c.cred.UID, GID: c.cred.GID}
-	req.OriginCore = c.OriginCore
-	req.HomeNode = c.rt.numaNode(c.OriginCore)
-	now := c.clock.Now()
-	req.Arrival = now
-	req.Clock = now
-	req.SetWaker(c.wake)
-	req.Charge("queue", c.rt.opts.Model.QueueOp)
-	for {
-		if err := c.checkAlive(); err != nil {
-			return err
-		}
-		if err := c.qp.Submit(req); err == nil {
-			c.mSubmitted.Inc()
-			c.rt.pokeWorkers()
-			return nil
-		}
-		c.mRingFull.Inc()
-		gort.Gosched()
-	}
-}
-
 // SubmitBatch stamps and enqueues a run of requests on the client's queue
 // pair with as few ring reservations as possible (one when the ring has
-// room) and returns without waiting — the vectored counterpart of
-// SubmitStackAsync. Reap with WaitAll. All requests share one submission
-// timestamp, exactly as if the application thread had queued them
-// back-to-back without observing completions in between.
+// room) and returns without waiting — the queue-depth>1 submission path.
+// Reap with Wait/WaitAll. All requests share one submission timestamp,
+// exactly as if the application thread had queued them back-to-back without
+// observing completions in between.
 //
 // Sync-mode stacks have no queue to batch into; they fall back to
 // sequential inline execution.
 func (c *Client) SubmitBatch(s *core.Stack, reqs []*core.Request) error {
-	if len(reqs) == 0 {
-		return nil
-	}
 	if s.Rules.ExecMode == core.ExecSync {
 		for _, req := range reqs {
 			if err := c.SubmitStack(s, req); err != nil {
@@ -298,21 +253,33 @@ func (c *Client) SubmitBatch(s *core.Stack, reqs []*core.Request) error {
 		}
 		return nil
 	}
+	return c.enqueue(s, reqs)
+}
+
+// stamp records on req what the Runtime needs to know about a submission:
+// the stack it is for, who sent it and from where, and the client's virtual
+// time as both its arrival and its starting clock.
+func (c *Client) stamp(s *core.Stack, req *core.Request, now vtime.Time) {
+	req.StackID = s.ID
+	req.Cred = core.Cred{UID: c.cred.UID, GID: c.cred.GID}
+	req.OriginCore = c.OriginCore
+	req.HomeNode = c.rt.numaNode(c.OriginCore)
+	req.Arrival = now
+	req.Clock = now
+}
+
+// enqueue is the one way onto the submission queue: it stamps reqs, charges
+// each the queue operation, and places them on the ring, yielding to the
+// workers while the ring is full.
+func (c *Client) enqueue(s *core.Stack, reqs []*core.Request) error {
 	now := c.clock.Now()
 	queueOp := c.rt.opts.Model.QueueOp
-	home := c.rt.numaNode(c.OriginCore)
 	for _, req := range reqs {
-		req.StackID = s.ID
-		req.Cred = core.Cred{UID: c.cred.UID, GID: c.cred.GID}
-		req.OriginCore = c.OriginCore
-		req.HomeNode = home
-		req.Arrival = now
-		req.Clock = now
+		c.stamp(s, req, now)
 		req.SetWaker(c.wake)
 		req.Charge("queue", queueOp)
 	}
-	sent := 0
-	for sent < len(reqs) {
+	for sent := 0; sent < len(reqs); {
 		if err := c.checkAlive(); err != nil {
 			// Reqs before sent are already queued; the caller must still
 			// WaitAll them if the Runtime comes back.

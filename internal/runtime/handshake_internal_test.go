@@ -200,7 +200,7 @@ func TestHandshakeStaleWakeToken(t *testing.T) {
 		req := core.NewRequest(core.OpMessage)
 		req.Flags = gated
 		req.Offset = off
-		if err := cli.SubmitStackAsync(stack, req); err != nil {
+		if err := cli.SubmitBatch(stack, []*core.Request{req}); err != nil {
 			t.Fatal(err)
 		}
 		<-gate.entered
@@ -353,8 +353,8 @@ func TestWaitAcrossCrash(t *testing.T) {
 		queued := core.NewRequest(core.OpMessage)
 		queued.Offset = 22
 		reqs := []*core.Request{held, queued}
-		for _, r := range reqs {
-			if err := cli.SubmitStackAsync(stack, r); err != nil {
+		for i := range reqs {
+			if err := cli.SubmitBatch(stack, reqs[i:i+1]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -400,7 +400,7 @@ func TestWaitReturnsErrStopped(t *testing.T) {
 	cli := rt.Connect(ipc.Credentials{PID: 1})
 	rt.Crash() // freeze the queue so the request stays outstanding
 	req := core.NewRequest(core.OpMessage)
-	if err := cli.SubmitStackAsync(stack, req); err != nil {
+	if err := cli.SubmitBatch(stack, []*core.Request{req}); err != nil {
 		t.Fatal(err)
 	}
 	waited := make(chan error, 1)

@@ -260,7 +260,7 @@ func TestAsyncBatchSubmission(t *testing.T) {
 	reqs := make([]*core.Request, 16)
 	for i := range reqs {
 		reqs[i] = core.NewRequest(core.OpMessage)
-		if err := cli.SubmitStackAsync(stack, reqs[i]); err != nil {
+		if err := cli.SubmitBatch(stack, reqs[i:i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}

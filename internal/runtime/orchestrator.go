@@ -119,17 +119,10 @@ func (o *Orchestrator) Queues() []*QP {
 	return out
 }
 
-// ObserveRequest feeds the classifier: workers report each processed
-// request's CPU cost and completion virtual time.
-func (o *Orchestrator) ObserveRequest(qpID int, cpu vtime.Duration, completion vtime.Time) {
-	o.ObserveBatch(qpID, 1, cpu, completion)
-}
-
-// ObserveBatch folds a whole worker drain into the per-queue demand stats
-// under a single mutex acquisition — the batched hot path's amortization of
-// the per-request ObserveRequest lock. The EWMA cost estimate is advanced
-// once per request using the batch's mean cost, so a batch of one is
-// identical to ObserveRequest.
+// ObserveBatch feeds the classifier: a worker reports each drain's request
+// count, summed CPU cost and latest completion virtual time, folded into
+// the per-queue demand stats under a single mutex acquisition. The EWMA
+// cost estimate is advanced once per request using the batch's mean cost.
 func (o *Orchestrator) ObserveBatch(qpID int, n int, cpu vtime.Duration, completion vtime.Time) {
 	if n <= 0 {
 		return

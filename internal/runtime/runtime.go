@@ -60,13 +60,12 @@ type Options struct {
 	InitialWorkers int
 	// QueueDepth is the per-queue-pair ring depth.
 	QueueDepth int
-	// Batch is the maximum number of requests a worker drains from one
-	// queue per poll scan (and the size of its vectored SQ/CQ operations).
-	// 1 (the default) preserves the original one-request-per-scan
-	// semantics; larger values amortize ring reservations, telemetry and
-	// orchestrator observation across the batch. Requests are still
-	// executed and serialized on the worker clock one at a time, so
-	// modeled virtual time is identical at any batch size.
+	// Batch is the worker's drain width: the most requests it takes from
+	// one queue per poll scan with one SQ and one CQ reservation (default
+	// 1, clamped to QueueDepth). Wider drains amortize ring reservations,
+	// telemetry and orchestrator observation. Requests are still executed
+	// and serialized on the worker clock one at a time, so modeled virtual
+	// time is identical at any width.
 	Batch int
 	// Policy selects the orchestration policy ("round_robin" or "dynamic").
 	Policy string
@@ -254,8 +253,7 @@ type Runtime struct {
 	hLatencyUS *stats.Histogram
 	hWaitUS    *stats.Histogram
 	hCPUUS     *stats.Histogram
-	// hBatch observes the size of each multi-request worker drain (only
-	// touched when Options.Batch > 1, so batch=1 runs pay nothing).
+	// hBatch observes the size of each worker drain (1..Options.Batch).
 	hBatch *stats.Histogram
 	// NUMA locality accounting (only touched when the cost model carries a
 	// multi-node NUMA topology).

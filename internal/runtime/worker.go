@@ -46,9 +46,9 @@ type Worker struct {
 	// queues assigned by the orchestrator (copy-on-write).
 	queues atomic.Pointer[[]*QP]
 
-	// batchBuf is the reusable drain buffer: up to len(batchBuf) requests
-	// are taken from a queue per scan with one vectored ring reservation.
-	// len == 1 selects the original single-request poll path.
+	// batchBuf is the reusable drain buffer: up to len(batchBuf)
+	// (Options.Batch) requests are taken from a queue per scan with one
+	// vectored ring reservation.
 	batchBuf []*Request
 
 	// folder is this worker's latency-attribution delta accumulator (nil
@@ -239,17 +239,7 @@ func (w *Worker) pollOnce() bool {
 		case ipc.UpdateAcked:
 			continue
 		}
-		if len(w.batchBuf) == 1 {
-			// Batch=1: the original single-request path, unchanged.
-			req, err := qp.PollSQ()
-			if err != nil {
-				continue
-			}
-			any = true
-			w.processRequest(qp, req)
-			continue
-		}
-		// Vectored drain: one ring reservation for the whole run.
+		// One ring reservation for the whole run, whatever its length.
 		n := qp.PollSQBatch(w.batchBuf)
 		if n == 0 {
 			continue
@@ -269,35 +259,13 @@ func (w *Worker) pollOnce() bool {
 	return any
 }
 
-// processRequest walks one request through its stack and completes it.
-func (w *Worker) processRequest(qp *QP, req *Request) {
-	w.inProcess.Store(true)
-	defer w.inProcess.Store(false)
-
-	cpuUsed, _, sampled := w.executeOne(qp, req, w.processed.Load())
-
-	w.busy.Add(int64(cpuUsed))
-	w.processed.Add(1)
-	w.rt.orch.ObserveRequest(qp.ID, cpuUsed, req.Clock)
-	if sampled {
-		req.Trace = false
-	}
-
-	if err := qp.Complete(req); err != nil {
-		// Completion ring full: fall back to direct completion.
-		req.MarkDone()
-		return
-	}
-	req.MarkDone()
-}
-
 // processBatch walks a drained run of requests through their stacks and
 // publishes the completions in bulk. Requests still execute one at a time
 // and serialize individually on the worker's virtual clock — the batch
 // only amortizes the host-side costs around them: the SQ reservation
 // (already taken by the caller), worker counters, the orchestrator
-// observation (one mutex acquisition per batch instead of per request),
-// the batch-size histogram, and the CQ reservation.
+// observation (one mutex acquisition per batch), the batch-size histogram,
+// and the CQ reservation.
 func (w *Worker) processBatch(qp *QP, reqs []*Request) {
 	w.inProcess.Store(true)
 	defer w.inProcess.Store(false)
@@ -306,7 +274,7 @@ func (w *Worker) processBatch(qp *QP, reqs []*Request) {
 	var totalCPU vtime.Duration
 	var lastClock vtime.Time
 	for i, req := range reqs {
-		cpuUsed, _, sampled := w.executeOne(qp, req, base+int64(i))
+		cpuUsed, sampled := w.executeOne(qp, req, base+int64(i))
 		totalCPU += cpuUsed
 		if req.Clock > lastClock {
 			lastClock = req.Clock
@@ -333,9 +301,9 @@ func (w *Worker) processBatch(qp *QP, reqs []*Request) {
 // decision, IPC charge, FCFS serialization on the worker clock, the stack
 // walk, and trace capture. seq is the request's position in the worker's
 // processed sequence (feeding the 1-in-N sampler). It returns the charged
-// CPU time, whether the stack lookup succeeded, and whether the request
-// was sampled (caller clears req.Trace after completion bookkeeping).
-func (w *Worker) executeOne(qp *QP, req *Request, seq int64) (cpuUsed vtime.Duration, ok bool, sampled bool) {
+// CPU time and whether the request was sampled (caller clears req.Trace
+// after completion bookkeeping).
+func (w *Worker) executeOne(qp *QP, req *Request, seq int64) (cpuUsed vtime.Duration, sampled bool) {
 	model := w.rt.opts.Model
 
 	// Sample a fraction of requests with tracing on to feed the Runtime's
@@ -371,9 +339,10 @@ func (w *Worker) executeOne(qp *QP, req *Request, seq int64) (cpuUsed vtime.Dura
 	begin := vtime.MaxTime(req.Clock, w.clock.Now())
 	req.AdvanceTo(begin)
 
-	cpuBefore := cpuOf(req)
-	var stack *core.Stack
-	stack, ok = w.rt.Namespace.ByID(req.StackID)
+	// CPU cost is tracked on the request; device stages only advance its
+	// clock.
+	cpuBefore := req.CPUTime
+	stack, ok := w.rt.Namespace.ByID(req.StackID)
 	if ok {
 		if err := w.exec.Submit(stack, req); err != nil && req.Err == nil {
 			req.Err = err
@@ -381,7 +350,7 @@ func (w *Worker) executeOne(qp *QP, req *Request, seq int64) (cpuUsed vtime.Dura
 	} else if req.Err == nil {
 		req.Err = errNoStack(req.StackID)
 	}
-	cpuUsed = cpuOf(req) - cpuBefore
+	cpuUsed = req.CPUTime - cpuBefore
 
 	// The worker was busy for the software portion of the walk; device
 	// service overlaps with the worker polling other queues.
@@ -434,16 +403,11 @@ func (w *Worker) executeOne(qp *QP, req *Request, seq int64) (cpuUsed vtime.Dura
 			w.rt.recordTailTrace(w.id, qp.ID, mount, req, begin)
 		}
 	}
-	return cpuUsed, ok, sampled
+	return cpuUsed, sampled
 }
-
-// cpuOf sums a request's charged (CPU) stage costs. Device stages advance
-// the request clock via AdvanceTo and are charged as "io"/"device" stages
-// only when tracing; CPU cost is tracked explicitly on the request.
-func cpuOf(req *Request) vtime.Duration { return req.CPUTime }
 
 type errNoStackT int
 
 func errNoStack(id int) error { return errNoStackT(id) }
 
-func (e errNoStackT) Error() string { return "runtime: unknown stack id" }
+func (e errNoStackT) Error() string { return fmt.Sprintf("runtime: unknown stack id %d", int(e)) }

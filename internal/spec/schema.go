@@ -316,10 +316,9 @@ type RuntimeConfig struct {
 	QueueDepth      int
 	UpgradePollMs   int
 	MaxReposPerUser int
-	// Batch is the worker drain batch size: up to Batch requests are taken
-	// from a queue per scan with one vectored ring reservation. 1 (the
-	// default) selects the single-request poll path, byte-for-byte identical
-	// to the unbatched runtime.
+	// Batch is the worker drain width: up to Batch requests are taken from
+	// a queue per scan with one vectored ring reservation (default 1).
+	// Modeled virtual time is identical at any width.
 	Batch int
 	// PerfSampleEvery is the telemetry sampling period: one request in N is
 	// traced (0 = runtime default of 64, negative disables sampling).

@@ -53,9 +53,9 @@ type Config struct {
 	Policy string
 	// QueueDepth is the per-client queue-pair depth (default 1024).
 	QueueDepth int
-	// Batch is the worker drain batch size: up to Batch requests are taken
-	// from a queue per scan with one vectored ring reservation (default 1 =
-	// the single-request poll path; clamped to QueueDepth).
+	// Batch is the worker drain width: up to Batch requests are taken from
+	// a queue per scan with one vectored ring reservation (default 1;
+	// clamped to QueueDepth).
 	Batch int
 	// RebalanceEvery enables the periodic orchestrator rebalance loop.
 	RebalanceEvery time.Duration

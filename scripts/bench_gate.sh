@@ -1,10 +1,9 @@
 #!/bin/sh
 # bench_gate.sh — warn-only performance gate for the committed benches.
 #
-# Reruns each bench whose baseline JSON is committed (hotpath, contention,
-# zerocopy, serve, pushdown) and compares its headline scalar against the
-# committed value. A
-# regression worse than 10% prints a loud warning but never fails the build:
+# Reruns each bench whose baseline JSON is committed (contention, zerocopy,
+# serve, pushdown) and compares its headline scalar against the committed
+# value. A regression worse than 10% prints a loud warning but never fails the build:
 # shared CI hosts are noisy enough that a hard gate on wall-clock throughput
 # would flake, and a human looking at the warning is the right escalation.
 # Run from the repository root (or via `make bench-gate` / `make check`).
@@ -45,7 +44,6 @@ gate() {
     }'
 }
 
-gate BENCH_hotpath.json hotpath batched_mops
 gate BENCH_contention.json contention striped_c8_mops
 gate BENCH_zerocopy.json zerocopy mapped_c8_mops
 gate BENCH_serve.json serve direct_c1000_ops_per_s
