@@ -1,13 +1,14 @@
-// Command labbench regenerates the paper's tables and figures from the
-// simulated reproduction. Run `labbench -list` to see experiment names,
+// Command labbench regenerates the paper's tables and figures (§IV,
+// Figs. 4-9, Tables I-II) from the simulated reproduction in virtual time,
+// and nothing else: wall-clock performance of this repository is measured
+// by `bash bench/run.sh`. Run `labbench -list` to see experiment names,
 // `labbench -exp anatomy` for one experiment, or `labbench -exp all`
 // (default) for everything. `-quick` shrinks workload sizes for fast smoke
-// runs; `-full` uses the paper-faithful scaled sizes. `-telemetry` runs the
-// probe workload and dumps the runtime's full telemetry snapshot instead.
+// runs. `-telemetry` runs the probe workload and dumps the runtime's full
+// telemetry snapshot instead.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -97,56 +98,17 @@ var catalog = []experiment{
 		}
 		return experiments.Filebench(iters, devs)
 	}},
-	{"contention", "Device-store lock striping vs global mutex (wall clock)", func(quick bool) (*experiments.Result, error) {
-		ops := 300000
-		if quick {
-			ops = 20000
-		}
-		return experiments.Contention([]int{1, 2, 4, 8}, ops, 4096)
-	}},
-	{"zerocopy", "Zero-copy data path ladder + NUMA-local placement", func(quick bool) (*experiments.Result, error) {
-		ops := 300000
-		if quick {
-			ops = 20000
-		}
-		return experiments.Zerocopy([]int{1, 4, 8}, ops, 4096)
-	}},
-	{"observe", "Observability plane overhead vs telemetry-only baseline", func(quick bool) (*experiments.Result, error) {
-		ops := 2000000
-		if quick {
-			ops = 200000
-		}
-		return experiments.Observe(ops)
-	}},
-	{"attribution", "Always-on latency attribution overhead vs profiling-off baseline", func(quick bool) (*experiments.Result, error) {
-		ops := 2000000
-		if quick {
-			ops = 200000
-		}
-		return experiments.Attribution(ops)
-	}},
-	{"serve", "Network front end: connection ladder, tenant rate limits, shard routing", func(quick bool) (*experiments.Result, error) {
-		conns, ops := []int{100, 1000, 4000}, 50
-		if quick {
-			conns, ops = []int{100, 1000}, 20
-		}
-		return experiments.Serve(conns, ops)
-	}},
-	{"pushdown", "Computation pushdown: selectivity ladder, bytes moved vs client-side filtering", func(quick bool) (*experiments.Result, error) {
-		recs := 512
-		if quick {
-			recs = 200
-		}
-		return experiments.Pushdown(recs, 4096, 8)
-	}},
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main's body; it returns the exit status instead of calling
+// os.Exit so the deferred profile writers fire on failure paths too.
+func run() int {
 	exp := flag.String("exp", "all", "experiment name or 'all'")
 	quick := flag.Bool("quick", false, "shrink workload sizes for a fast smoke run")
 	list := flag.Bool("list", false, "list experiments and exit")
 	telem := flag.Bool("telemetry", false, "run the probe workload and dump the telemetry snapshot")
-	jsonOut := flag.String("json", "", "write the Values of the experiments run to FILE as JSON")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to FILE")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to FILE")
 	flag.Parse()
@@ -155,11 +117,11 @@ func main() {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -189,21 +151,20 @@ func main() {
 		snap, err := experiments.TelemetryProbe(nil, ops)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "telemetry probe failed: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Print(snap.String())
-		return
+		return 0
 	}
 
 	if *list {
 		for _, e := range catalog {
 			fmt.Printf("%-12s %s\n", e.name, e.desc)
 		}
-		return
+		return 0
 	}
 
 	ran := 0
-	values := make(map[string]map[string]float64)
 	for _, e := range catalog {
 		if *exp != "all" && *exp != e.name {
 			continue
@@ -213,29 +174,14 @@ func main() {
 		res, err := e.run(*quick)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", e.name, err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Println(res.String())
 		fmt.Printf("(%s completed in %s wall time)\n\n", e.name, time.Since(start).Round(time.Millisecond))
-		if len(res.Values) > 0 {
-			values[e.name] = res.Values
-		}
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *exp)
-		os.Exit(1)
+		return 1
 	}
-	if *jsonOut != "" {
-		data, err := json.MarshalIndent(values, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "marshal values: %v\n", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*jsonOut, data, 0644); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", *jsonOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote values of %d experiment(s) to %s\n", len(values), *jsonOut)
-	}
+	return 0
 }

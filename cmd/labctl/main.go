@@ -110,7 +110,7 @@ func cmdConfig(args []string) {
 		fmt.Printf("slo: %s p99_us=%g max_err_rate=%g\n", s.Stack, s.P99Us, s.MaxErrRate)
 	}
 	for _, d := range cfg.Devices {
-		fmt.Printf("device: %s class=%s capacity=%dMiB stripes=%d\n", d.Name, d.Class, d.Capacity>>20, d.Stripes)
+		fmt.Printf("device: %s class=%s capacity=%dMiB\n", d.Name, d.Class, d.Capacity>>20)
 	}
 }
 

@@ -67,7 +67,7 @@ func main() {
 
 	rt := runtime.New(runtime.FromConfig(cfg))
 	for _, ds := range cfg.Devices {
-		dev := device.NewStriped(ds.Name, ds.Class, ds.Capacity, ds.Stripes)
+		dev := device.New(ds.Name, ds.Class, ds.Capacity)
 		rt.AddDevice(dev)
 		fmt.Printf("device %-8s %-5s %6d MiB  %d stripes\n", ds.Name, ds.Class, ds.Capacity>>20, dev.Stripes())
 	}

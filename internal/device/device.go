@@ -163,20 +163,8 @@ func New(name string, class Class, capacity int64) *Device {
 	return NewWithProfile(name, ProfileFor(class), capacity)
 }
 
-// NewStriped creates a device with an explicit sparse-store stripe count
-// (0 = DefaultStripes, 1 = single global lock).
-func NewStriped(name string, class Class, capacity int64, stripes int) *Device {
-	return NewWithProfileStriped(name, ProfileFor(class), capacity, stripes)
-}
-
 // NewWithProfile creates a device with an explicit profile.
 func NewWithProfile(name string, p Profile, capacity int64) *Device {
-	return NewWithProfileStriped(name, p, capacity, 0)
-}
-
-// NewWithProfileStriped creates a device with an explicit profile and
-// sparse-store stripe count.
-func NewWithProfileStriped(name string, p Profile, capacity int64, stripes int) *Device {
 	if p.Parallelism < 1 {
 		p.Parallelism = 1
 	}
@@ -186,7 +174,7 @@ func NewWithProfileStriped(name string, p Profile, capacity int64, stripes int) 
 	d := &Device{
 		Name:    name,
 		Profile: p,
-		store:   NewSparseStoreStriped(capacity, stripes),
+		store:   NewSparseStore(capacity),
 		server:  vtime.NewServer(p.Parallelism),
 		hctx:    make([]*vtime.Lock, p.HardwareQueues),
 	}

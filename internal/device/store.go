@@ -86,20 +86,17 @@ func nextPow2(n int) int {
 	return p
 }
 
-// NewSparseStore returns a store with the given logical capacity in bytes
-// and the default stripe count.
+// NewSparseStore returns a store with the given logical capacity in bytes,
+// striped DefaultStripes() ways.
 func NewSparseStore(capacity int64) *SparseStore {
-	return NewSparseStoreStriped(capacity, 0)
+	return newSparseStore(capacity, DefaultStripes())
 }
 
-// NewSparseStoreStriped returns a store with an explicit stripe count,
-// rounded up to a power of two. stripes <= 0 selects DefaultStripes();
-// stripes == 1 degenerates to a single global lock (the pre-striping
-// behavior, kept as the contention-experiment baseline).
-func NewSparseStoreStriped(capacity int64, stripes int) *SparseStore {
-	if stripes <= 0 {
-		stripes = DefaultStripes()
-	}
+// newSparseStore builds a store with an explicit stripe count, rounded up
+// to a power of two. Only the in-package tests pass anything but
+// DefaultStripes(): one stripe (a single global lock) is their reference
+// for N.
+func newSparseStore(capacity int64, stripes int) *SparseStore {
 	stripes = nextPow2(stripes)
 	s := &SparseStore{
 		capacity: capacity,

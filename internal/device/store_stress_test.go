@@ -13,14 +13,14 @@ func TestSparseStoreStripeDefaults(t *testing.T) {
 	if n < 8 || n&(n-1) != 0 {
 		t.Fatalf("default stripes = %d, want power of two >= 8", n)
 	}
-	if got := NewSparseStoreStriped(1<<20, 1).Stripes(); got != 1 {
+	if got := newSparseStore(1<<20, 1).Stripes(); got != 1 {
 		t.Fatalf("stripes=1 gave %d", got)
 	}
-	if got := NewSparseStoreStriped(1<<20, 3).Stripes(); got != 4 {
+	if got := newSparseStore(1<<20, 3).Stripes(); got != 4 {
 		t.Fatalf("stripes=3 should round up to 4, got %d", got)
 	}
-	if got := NewSparseStoreStriped(1<<20, 0).Stripes(); got != DefaultStripes() {
-		t.Fatalf("stripes=0 gave %d, want default %d", got, DefaultStripes())
+	if n != DefaultStripes() {
+		t.Fatalf("default store has %d stripes, want DefaultStripes() = %d", n, DefaultStripes())
 	}
 }
 
@@ -32,7 +32,7 @@ func TestSparseStoreStripedDisjointWriters(t *testing.T) {
 		writers = 8
 		region  = int64(4 * chunkSize)
 	)
-	s := NewSparseStoreStriped(writers*region, 8)
+	s := newSparseStore(writers*region, 8)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -68,7 +68,7 @@ func TestSparseStoreStripedDisjointWriters(t *testing.T) {
 func TestSparseStoreConcurrentStress(t *testing.T) {
 	const capacity = int64(8 << 20)
 	for _, stripes := range []int{1, 8} {
-		s := NewSparseStoreStriped(capacity, stripes)
+		s := newSparseStore(capacity, stripes)
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)

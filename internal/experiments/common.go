@@ -208,11 +208,3 @@ func (p *Pacer) Pace(v vtime.Time) {
 		time.Sleep(d)
 	}
 }
-
-// hotpathMops is a wall-clock rate in millions of operations per second.
-func hotpathMops(ops int, d time.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return float64(ops) / d.Seconds() / 1e6
-}

@@ -72,15 +72,7 @@ func TestPushdownScanCopyContract(t *testing.T) {
 		if result != nRecs {
 			t.Fatalf("scan count = %d, want %d", result, nRecs)
 		}
-		after := telemetry.CopySiteStats()
-
-		deltas := map[string]int64{}
-		for i, s := range after {
-			if d := s.Count - before[i].Count; d != 0 {
-				deltas[s.Site] = d
-			}
-		}
-		return deltas
+		return copyDeltas(before)
 	}
 
 	// Cached: the LRU holds handle-backed pages from the write inserts and
@@ -98,5 +90,83 @@ func TestPushdownScanCopyContract(t *testing.T) {
 	delete(deltas, "device.dma_read")
 	if len(deltas) != 0 {
 		t.Errorf("uncached scan made extra copies beyond the DMA fill: %v", deltas)
+	}
+}
+
+// copyDeltas returns, by CopySite name, the copies made since before; sites
+// that did not move are omitted.
+func copyDeltas(before []telemetry.CopySiteStat) map[string]int64 {
+	at := make(map[string]int64, len(before))
+	for _, s := range before {
+		at[s.Site] = s.Count
+	}
+	deltas := map[string]int64{}
+	for _, s := range telemetry.CopySiteStats() {
+		if d := s.Count - at[s.Site]; d != 0 {
+			deltas[s.Site] = d
+		}
+	}
+	return deltas
+}
+
+// TestKVSCopyContract is the copies/op contract of plain KVS traffic over a
+// kvs -> lru -> noop -> kernel_driver stack, by CopySite name:
+//
+//   - N cached 4 KiB gets make exactly N copies, all lru.hit_copy_out (the
+//     one copy into the result);
+//   - N 4 KiB puts make one lru.write_insert and one device.dma_write each,
+//     and on top only the metadata log: one labkvs.log_stage per filled log
+//     block, whose block write is itself one more insert and one more DMA.
+//
+// Any other site moving fails by name.
+func TestKVSCopyContract(t *testing.T) {
+	const n, valSize = 128, 4096
+	rt := runtime.New(runtime.Options{MaxWorkers: 2, QueueDepth: 1024})
+	rt.AddDevice(device.New("dev0", device.NVMe, 128<<20))
+	defer rt.Shutdown()
+	stack, err := MountLab(rt, "kv::/kc", "dev0", LabCfg{KV: true, Cache: true, Sched: "noop", Driver: "kernel_driver"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	cli := rt.Connect(ipc.Credentials{PID: 1, UID: 0, GID: 0})
+	val := make([]byte, valSize)
+	pass := func(op core.Op) map[string]int64 {
+		before := telemetry.CopySiteStats()
+		for i := 0; i < n; i++ {
+			req := core.AcquireRequest(op)
+			req.Key = fmt.Sprintf("k/%03d", i)
+			if op == core.OpPut {
+				req.Size, req.Data = valSize, val
+			}
+			err := cli.SubmitStack(stack, req)
+			reqErr, result := req.Err, req.Result
+			req.Release()
+			if err != nil || reqErr != nil || result != valSize {
+				t.Fatalf("%s %d: %v / %v, result %d", op, i, err, reqErr, result)
+			}
+		}
+		return copyDeltas(before)
+	}
+
+	puts := pass(core.OpPut)
+	logBlocks := puts["labkvs.log_stage"]
+	if logBlocks > n/16 {
+		t.Errorf("%d puts filled %d log blocks, want at most %d", n, logBlocks, n/16)
+	}
+	for _, site := range []string{"lru.write_insert", "device.dma_write"} {
+		if puts[site] != n+logBlocks {
+			t.Errorf("%d puts: %s = %d, want %d (one per put + one per log block)", n, site, puts[site], n+logBlocks)
+		}
+		delete(puts, site)
+	}
+	delete(puts, "labkvs.log_stage")
+	if len(puts) != 0 {
+		t.Errorf("puts copied at sites outside the contract: %v", puts)
+	}
+
+	gets := pass(core.OpGet)
+	if gets["lru.hit_copy_out"] != n || len(gets) != 1 {
+		t.Errorf("%d cached gets copied %v, want exactly %d at lru.hit_copy_out", n, gets, n)
 	}
 }

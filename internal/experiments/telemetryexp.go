@@ -31,7 +31,7 @@ func TelemetryProbe(cfg *spec.RuntimeConfig, ops int) (*runtime.Snapshot, error)
 		devs = []spec.DeviceSpec{{Name: "nvme0", Class: device.NVMe, Capacity: 256 << 20}}
 	}
 	for _, d := range devs {
-		rt.AddDevice(device.NewStriped(d.Name, d.Class, d.Capacity, d.Stripes))
+		rt.AddDevice(device.New(d.Name, d.Class, d.Capacity))
 	}
 
 	fsDev := devs[0].Name

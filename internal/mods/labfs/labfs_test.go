@@ -570,6 +570,11 @@ func TestGrepOffload(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("grep matched %d lines, want %d", len(got), len(want))
 	}
+	// Bytes moved: the 1-in-10 grep returns at least 3x fewer bytes than
+	// reading the whole file to grep it client-side.
+	if 3*len(r.Value) > len(data) {
+		t.Fatalf("grep returned %d bytes of a %d-byte file, want >= 3x fewer", len(r.Value), len(data))
+	}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("line %d: %q != %q", i, got[i], want[i])

@@ -294,6 +294,38 @@ func TestScanPushdownFilter(t *testing.T) {
 			t.Fatalf("missing match %q", k)
 		}
 	}
+
+	// Bytes moved: a filter matching 1 record in 100 must return at least
+	// 3x fewer payload bytes than fetching every value to filter client-side.
+	fetched := 0
+	for i := 0; i < 100; i++ {
+		val := make([]byte, 256)
+		binary.LittleEndian.PutUint32(val, uint32(i))
+		key := fmt.Sprintf("s/%03d", i)
+		if err := put(t, h, s, key, val); err != nil {
+			t.Fatal(err)
+		}
+		v, err := get(t, h, s, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fetched += len(v)
+	}
+	sel1, err := pushdown.Default.Register("sel1", "filter where u32@0 < 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r = scanReq("s/", sel1.Ref)
+	if err := h.Run(t, s, r); err != nil {
+		t.Fatal(err)
+	}
+	matches := 0
+	if err := pushdown.DecodeKV(r.Value, func(string, []byte) error { matches++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if matches != 1 || 3*len(r.Value) > fetched {
+		t.Fatalf("1%% filter returned %d records in %d bytes; fetching all moves %d bytes, want 1 record and >= 3x fewer", matches, len(r.Value), fetched)
+	}
 }
 
 func TestScanPushdownAggregate(t *testing.T) {

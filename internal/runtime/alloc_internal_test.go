@@ -4,8 +4,10 @@ package runtime
 
 import (
 	"testing"
+	"time"
 
 	"labstor/internal/core"
+	"labstor/internal/device"
 	"labstor/internal/ipc"
 )
 
@@ -72,5 +74,38 @@ func TestWaitAllCompletedAllocContract(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("WaitAll over 16 completed requests allocates %v objects, want 0", n)
+	}
+}
+
+// The SLO watchdog's steady-state pass renders from registries the runtime
+// already keeps: once a first evaluation has registered its gauges, a pass
+// over populated latency histograms allocates nothing.
+func TestEvaluateSLOsAllocContract(t *testing.T) {
+	rt := New(Options{
+		MaxWorkers: 1, QueueDepth: 256,
+		SLOCheckEvery: time.Hour, // only this test evaluates
+		SLOs:          []SLOTarget{{Stack: "msg::/gate", P99US: 1e9, MaxErrRate: 0.5}},
+	})
+	rt.AddDevice(device.New("dev0", device.NVMe, 1<<20))
+	stack, err := rt.Mount(core.NewStack("msg::/gate", core.Rules{}, []core.Vertex{{UUID: "gate", Type: gateType}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	t.Cleanup(rt.Shutdown)
+	cli := rt.Connect(ipc.Credentials{PID: 1})
+	for i := 0; i < 256; i++ {
+		req := core.AcquireRequest(core.OpMessage)
+		if err := cli.SubmitStack(stack, req); err != nil {
+			t.Fatal(err)
+		}
+		req.Release()
+	}
+	rt.EvaluateSLOs()
+	if st := rt.SLOStatus(); len(st) != 1 {
+		t.Fatalf("SLO status %+v, want one evaluated target", st)
+	}
+	if n := testing.AllocsPerRun(200, rt.EvaluateSLOs); n != 0 {
+		t.Errorf("steady-state EvaluateSLOs allocates %v objects, want 0", n)
 	}
 }

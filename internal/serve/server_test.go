@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"strings"
@@ -351,9 +352,13 @@ func TestServePushdownScanAndPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := pushdown.NewPolicy(nil, []string{"tag7"}, pushdown.Caps{MaxBytes: 1 << 20})
+	if _, err := pushdown.Default.Register("wire-sel1", "filter where u32@0 < 1"); err != nil {
+		t.Fatal(err)
+	}
+	pol := pushdown.NewPolicy(nil, []string{"tag7", "wire-sel1"}, pushdown.Caps{MaxBytes: 1 << 20})
 	pol.SetTenant("locked", pushdown.TenantRule{}) // empty allow = deny all
-	_, _, addr := newTestServer(t, Config{
+	pol.SetTenant("tiny", pushdown.TenantRule{Allow: []string{"*"}, Caps: pushdown.Caps{MaxBytes: 4096}})
+	rt, _, addr := newTestServer(t, Config{
 		Pushdown: pol,
 		Tenants:  []TenantPolicy{{Name: "locked", RatePerSec: 1000, Burst: 100}},
 	})
@@ -402,6 +407,49 @@ func TestServePushdownScanAndPolicy(t *testing.T) {
 	// Plain ops from the locked tenant still flow.
 	if res, err := cl.Do(&ReqFrame{Op: core.OpGet, Mount: "kv::/bench", Key: "p/0"}); err != nil || res.Err() != nil {
 		t.Fatalf("locked tenant get: %v / %v", err, res.Err())
+	}
+
+	// Bytes on the wire: a filter matching 1 record in 100 must send at
+	// least 3x fewer bytes than fetching every value to filter client-side.
+	bytesOut := rt.Metrics().Counter("serve.bytes_out")
+	rec := make([]byte, 256)
+	for i := 0; i < 100; i++ {
+		binary.LittleEndian.PutUint32(rec, uint32(i))
+		key := fmt.Sprintf("q/%03d", i)
+		if res, err := c.Do(&ReqFrame{Op: core.OpPut, Mount: "kv::/bench", Key: key, Payload: rec}); err != nil || res.Err() != nil {
+			t.Fatalf("put: %v / %v", err, res.Err())
+		}
+	}
+	b0 := bytesOut.Value()
+	for i := 0; i < 100; i++ {
+		if res, err := c.Do(&ReqFrame{Op: core.OpGet, Mount: "kv::/bench", Key: fmt.Sprintf("q/%03d", i)}); err != nil || res.Err() != nil {
+			t.Fatalf("get: %v / %v", err, res.Err())
+		}
+	}
+	fetched := bytesOut.Value() - b0
+	b0 = bytesOut.Value()
+	res, err = c.Do(&ReqFrame{Op: core.OpScan, Mount: "kv::/bench", Key: "q/", Prog: "wire-sel1"})
+	if err != nil || res.Err() != nil {
+		t.Fatalf("filter scan: %v / %v", err, res.Err())
+	}
+	scanned := bytesOut.Value() - b0
+	matches := 0
+	if err := pushdown.DecodeKV(res.Resp.Value, func(string, []byte) error { matches++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if matches != 1 || 3*scanned > fetched {
+		t.Fatalf("1%% filter sent %d records in %d wire bytes; fetching all sends %d, want 1 record and >= 3x fewer", matches, scanned, fetched)
+	}
+
+	// A tenant's byte cap, far below the 25 KiB the scan touches, trips over
+	// the wire as an explicit budget error.
+	ct, err := Dial(addr, "tiny")
+	if err != nil {
+		t.Fatalf("dial tiny: %v", err)
+	}
+	defer ct.Close()
+	if res, _ := ct.Do(&ReqFrame{Op: core.OpScan, Mount: "kv::/bench", Key: "q/", Prog: "wire-sel1"}); res.Err() == nil || !strings.Contains(res.Err().Error(), "budget") {
+		t.Fatalf("capped tenant's scan: %v, want a budget error", res.Err())
 	}
 }
 

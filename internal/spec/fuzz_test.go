@@ -50,6 +50,7 @@ pushdown:
 `)
 	f.Add("mount: kv::/b\nstack:\n  - uuid: a\n    type: t\n")
 	f.Add("slo:\n  - op: read\n    p99_us: 500\n")
+	f.Add("devices:\n  - name: d\n    capacity_mb: -1\n")
 	f.Add(":\n:\n  -\n- x\n")
 	f.Add("a:\n\tb: tab-indent\n")
 	f.Add(strings.Repeat("deep:\n ", 30) + "x: y\n")
@@ -88,6 +89,11 @@ pushdown:
 			}
 			if cfg.Pushdown.MaxScanMB < 0 || cfg.Pushdown.MaxSteps < 0 {
 				t.Fatalf("built config with negative pushdown budgets: %+v", cfg.Pushdown)
+			}
+			for _, d := range cfg.Devices {
+				if d.Capacity <= 0 {
+					t.Fatalf("built device with capacity %d: %+v", d.Capacity, d)
+				}
 			}
 			for _, ts := range cfg.Pushdown.Tenants {
 				if ts.Name == "" {

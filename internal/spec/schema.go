@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"labstor/internal/core"
@@ -115,10 +116,6 @@ type DeviceSpec struct {
 	Name     string
 	Class    device.Class
 	Capacity int64
-	// Stripes is the sparse-store lock-stripe count (rounded up to a power
-	// of two). 0 selects the default (≥ 2× host parallelism); 1 degenerates
-	// to a single global lock (the contention-experiment baseline).
-	Stripes int
 }
 
 // OrchestratorSpec configures the Work Orchestrator.
@@ -499,11 +496,14 @@ func ParseRuntimeConfig(src string) (*RuntimeConfig, error) {
 				return nil, err
 			}
 			ds.Class = cls
-			ds.Capacity = dn.Int64("capacity_mb", 1024) << 20
-			if gb := dn.Int64("capacity_gb", 0); gb > 0 {
-				ds.Capacity = gb << 30
+			n, shift, unit := dn.Int64("capacity_mb", 1024), uint(20), "MiB"
+			if gb := dn.Int64("capacity_gb", 0); gb != 0 {
+				n, shift, unit = gb, 30, "GiB"
 			}
-			ds.Stripes = dn.Int("stripes", 0)
+			if n <= 0 || n > math.MaxInt64>>shift {
+				return nil, fmt.Errorf("spec: devices[%d] capacity %d %s is not a positive byte count that fits in 63 bits", i, n, unit)
+			}
+			ds.Capacity = n << shift
 			cfg.Devices = append(cfg.Devices, ds)
 		}
 	}

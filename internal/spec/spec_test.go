@@ -283,6 +283,42 @@ func TestParseRuntimeConfig(t *testing.T) {
 	}
 }
 
+// A config written before the stripes: device key was retired must keep
+// loading, and the key must change nothing.
+func TestParseRuntimeConfigIgnoresRetiredStripesKey(t *testing.T) {
+	const dev = "devices:\n  - name: nvme0\n    class: nvme\n    capacity_mb: 512\n"
+	with, err := ParseRuntimeConfig(dev + "    stripes: 4\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	without, err := ParseRuntimeConfig(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(with.Devices) != 1 || with.Devices[0] != without.Devices[0] {
+		t.Fatalf("with stripes: %+v, without: %+v", with.Devices, without.Devices)
+	}
+}
+
+func TestParseRuntimeConfigRejectsBadCapacity(t *testing.T) {
+	for _, capacity := range []string{
+		"capacity_mb: -1",
+		"capacity_mb: 0",
+		"capacity_mb: 8796093022208", // 2^43 MiB = 2^63 bytes
+		"capacity_gb: -1",
+		"capacity_gb: 8589934592", // 2^33 GiB = 2^63 bytes
+	} {
+		_, err := ParseRuntimeConfig("devices:\n  - name: nvme0\n    " + capacity + "\n")
+		if err == nil || !strings.Contains(err.Error(), "spec: devices[0] capacity") {
+			t.Errorf("%s: err = %v, want a devices[0] capacity error", capacity, err)
+		}
+	}
+	cfg, err := ParseRuntimeConfig("devices:\n  - name: nvme0\n    capacity_mb: 8796093022207\n")
+	if err != nil || cfg.Devices[0].Capacity != 8796093022207<<20 {
+		t.Errorf("largest capacity that fits: %v, %+v", err, cfg)
+	}
+}
+
 func TestParseRuntimeConfigDefaults(t *testing.T) {
 	cfg, err := ParseRuntimeConfig("")
 	if err != nil {

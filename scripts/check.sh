@@ -2,7 +2,9 @@
 # check.sh — the repo's full verification gate:
 #   1. tier-1: go build ./... && go test ./...
 #   2. static analysis: go vet ./...
-#   3. concurrency: go test -race ./...
+#   3. concurrency: go test -race -timeout 1800s ./... (on a 2-core host
+#      internal/experiments alone needs ~12.5 min under the race detector,
+#      past Go's default 10 min)
 #   4. hot-path soak: the lock-free ring and worker/client hot path, twice
 #      under the race detector with shuffled test order, to surface
 #      ordering-dependent races the single straight-line pass can miss.
@@ -25,8 +27,6 @@
 #      an ephemeral port and assert /metrics and /snapshot serve payloads.
 #  10. serve smoke: boot labstor-runtime with the network front end on an
 #      ephemeral port, drive RPCs via labctl, assert serve.* on /metrics.
-#  11. bench gate (warn-only): fresh benches vs the committed BENCH_*.json
-#      baselines; >10% regression warns, never fails.
 # Run from the repository root (or via `make check`).
 set -eu
 cd "$(dirname "$0")/.."
@@ -40,8 +40,8 @@ go test ./...
 echo "== go vet ./... =="
 go vet ./...
 
-echo "== go test -race ./... =="
-go test -race ./...
+echo "== go test -race -timeout 1800s ./... =="
+go test -race -timeout 1800s ./...
 
 echo "== go test -race -count=2 -shuffle=on ./internal/ipc/... ./internal/runtime/... ./internal/device/... ./internal/telemetry/... ./internal/obs/... ./internal/serve/... ./internal/mods/pushdown/... =="
 go test -race -count=2 -shuffle=on ./internal/ipc/... ./internal/runtime/... ./internal/device/... ./internal/telemetry/... ./internal/obs/... ./internal/serve/... ./internal/mods/pushdown/...
@@ -72,8 +72,5 @@ sh scripts/obs_smoke.sh
 
 echo "== serve smoke: scripts/serve_smoke.sh =="
 sh scripts/serve_smoke.sh
-
-echo "== bench gate (warn-only): scripts/bench_gate.sh =="
-sh scripts/bench_gate.sh
 
 echo "== check: OK =="
