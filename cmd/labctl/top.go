@@ -140,14 +140,14 @@ func renderTop(snap *runtime.Snapshot, addr string, processed int64, rate float6
 	fmt.Println()
 
 	fmt.Println("\nWORKERS")
-	fmt.Printf("  %-4s %-7s %-10s %-12s %-8s %s\n", "id", "active", "processed", "busy", "idle%", "queues")
+	fmt.Printf("  %-4s %-7s %-10s %-12s %-8s %-8s %s\n", "id", "active", "processed", "busy", "empty%", "spin", "queues")
 	for _, w := range snap.Workers {
 		qs := make([]string, len(w.Queues))
 		for i, q := range w.Queues {
 			qs[i] = fmt.Sprint(q)
 		}
-		fmt.Printf("  %-4d %-7v %-10d %-12v %-8.1f %s\n",
-			w.ID, w.Active, w.Processed, w.BusyVirt, 100*w.IdleRatio(), strings.Join(qs, ","))
+		fmt.Printf("  %-4d %-7v %-10d %-12v %-8.1f %-8v %s\n",
+			w.ID, w.Active, w.Processed, w.BusyVirt, 100*w.IdleRatio(), w.SpinWindow, strings.Join(qs, ","))
 	}
 
 	if len(snap.Queues) > 0 {

@@ -123,7 +123,7 @@ type Request struct {
 	Mode     uint32
 	Cred     Cred // caller credentials for permission checking
 	Hctx     int  // hardware dispatch queue selected by an I/O scheduler
-	DirectIO bool
+	DirectIO bool // write without allocating a cache page (O_DIRECT); a cached block is still updated
 
 	// Prog references a registered pushdown program (OpScan): either a
 	// content-hash ref or a registered name resolved to one by the policy

@@ -104,6 +104,13 @@ func runPartitionTrial(workers int, policy string, lFiles, cReqs, cBytes int) (l
 		lClis[t].OriginCore = t
 	}
 
+	// The L-App starts once every C thread has completed a write, so its
+	// measurement always overlaps the C stream. Without this a fast
+	// hand-off let the L-App finish before the first C write was even
+	// submitted: no interference, and no C bandwidth to report.
+	var cRunning sync.WaitGroup
+	cRunning.Add(threads)
+
 	// C-App: each thread streams large writes continuously (batches of
 	// cReqs outstanding) until the L-App finishes its measurement — the
 	// paper's C-App writes 125GB/thread, far outlasting the L-App.
@@ -111,6 +118,12 @@ func runPartitionTrial(workers int, policy string, lFiles, cReqs, cBytes int) (l
 		wg.Add(1)
 		go func(t int) {
 			defer wg.Done()
+			running := false
+			defer func() {
+				if !running {
+					cRunning.Done() // failed before its first write
+				}
+			}()
 			cli := cClis[t]
 			rng := rand.New(rand.NewSource(int64(t) * 7))
 			data := make([]byte, cBytes)
@@ -142,6 +155,10 @@ func runPartitionTrial(workers int, policy string, lFiles, cReqs, cBytes int) (l
 					return
 				}
 				written += int64(cBytes) * int64(cReqs)
+				if !running {
+					running = true
+					cRunning.Done()
+				}
 			}
 			cElapsed[t] = cli.Clock().Sub(start)
 			cMu.Lock()
@@ -156,6 +173,7 @@ func runPartitionTrial(workers int, policy string, lFiles, cReqs, cBytes int) (l
 		go func(t int) {
 			defer wg.Done()
 			defer lDone.Add(1)
+			cRunning.Wait()
 			cli := lClis[t]
 			warm := lFiles / 4
 			for i := 0; i < lFiles+warm; i++ {

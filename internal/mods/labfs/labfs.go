@@ -49,6 +49,9 @@ var (
 	ErrIsDir    = errors.New("labfs: is a directory")
 	ErrNotDir   = errors.New("labfs: not a directory")
 	ErrNotEmpty = errors.New("labfs: directory not empty")
+	// ErrLostWrite is fsync's report that a crash discarded metadata of the
+	// file that had not reached the log: the data must be written again.
+	ErrLostWrite = errors.New("labfs: write lost in a crash")
 )
 
 // LabFS is the filesystem module instance.
@@ -66,6 +69,10 @@ type LabFS struct {
 
 	replayMu   sync.Mutex
 	needReplay bool
+	// lost holds the files whose in-memory state a replay could not rebuild
+	// from the log; the next fsync of each reports ErrLostWrite once.
+	// Guarded by replayMu.
+	lost map[string]bool
 
 	statsMu sync.Mutex
 	creates int64
@@ -224,8 +231,12 @@ func (f *LabFS) maybeReplay(e *core.Exec, req *core.Request) error {
 }
 
 // applyEntries rebuilds the inode table and allocator free lists from a
-// decoded log.
+// decoded log. A file whose size or extents differ from its state before
+// the replay had writes that never reached the log: it is marked lost.
+// Callers hold replayMu.
 func (f *LabFS) applyEntries(entries []logEntry) {
+	before := make(map[string]*inode)
+	f.table.ForEach(func(ino *inode) { before[ino.Path] = ino })
 	f.table.Clear()
 	used := make(map[int64]bool)
 	for _, ent := range entries {
@@ -282,6 +293,29 @@ func (f *LabFS) applyEntries(entries []logEntry) {
 		}
 	}
 	f.alloc = fresh
+
+	for path, old := range before {
+		if ino, ok := f.table.Get(path); ok && !sameExtents(old, ino) {
+			if f.lost == nil {
+				f.lost = make(map[string]bool)
+			}
+			f.lost[path] = true
+		}
+	}
+}
+
+// sameExtents reports whether two versions of a file agree on its size and
+// its block map.
+func sameExtents(a, b *inode) bool {
+	if a.Size != b.Size || len(a.Blocks) != len(b.Blocks) {
+		return false
+	}
+	for idx, phys := range a.Blocks {
+		if p, ok := b.Blocks[idx]; !ok || p != phys {
+			return false
+		}
+	}
+	return true
 }
 
 // logAppend appends an entry, checkpointing the log first if it is nearly
@@ -533,12 +567,21 @@ func (f *LabFS) truncateTo(e *core.Exec, req *core.Request, ino *inode, size int
 
 func (f *LabFS) fsync(e *core.Exec, req *core.Request) error {
 	// fsync guarantees the named file is durable — if a crash replay
-	// dropped it (its create never reached the log), the caller must learn
-	// that now rather than receive a hollow success. Close is exempt:
-	// closing an unlinked file is legal.
+	// dropped it (its create never reached the log) or dropped writes to it
+	// (their extents or size never did), the caller must learn that now
+	// rather than receive a hollow success. Close is exempt: closing an
+	// unlinked file is legal.
 	if req.Op == core.OpFsync && req.Path != "" {
 		if _, ok := f.table.Get(req.Path); !ok {
 			req.Err = fmt.Errorf("%w: %q", ErrNotFound, req.Path)
+			return req.Err
+		}
+		f.replayMu.Lock()
+		lost := f.lost[req.Path]
+		delete(f.lost, req.Path)
+		f.replayMu.Unlock()
+		if lost {
+			req.Err = fmt.Errorf("%w: %q", ErrLostWrite, req.Path)
 			return req.Err
 		}
 	}
@@ -888,6 +931,9 @@ func (f *LabFS) StateUpdate(prev core.Module) error {
 	f.dataFirst = old.dataFirst
 	f.dataBlocks = old.dataBlocks
 	f.needReplay = false
+	old.replayMu.Lock()
+	f.lost = old.lost
+	old.replayMu.Unlock()
 	return nil
 }
 

@@ -277,6 +277,45 @@ func TestRenameOverExistingReclaimsBlocks(t *testing.T) {
 	}
 }
 
+// TestFsyncReportsWriteLostInCrash: an extension whose extents were still
+// in the unflushed log buffer when the runtime crashed is gone after the
+// replay. The next fsync must say so, once, instead of acknowledging it.
+func TestFsyncReportsWriteLostInCrash(t *testing.T) {
+	h := modtest.New(t, device.NVMe, 128<<20)
+	s := mountFS(t, h, "fs", nil)
+	fsync := func() error {
+		fy := core.NewRequest(core.OpFsync)
+		fy.Path = "f"
+		return h.Run(t, s, fy)
+	}
+	if err := h.Run(t, s, modtest.WriteReq("f", 0, bytes.Repeat([]byte{1}, 4096))); err != nil {
+		t.Fatal(err)
+	}
+	if err := fsync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Run(t, s, modtest.WriteReq("f", 4096, bytes.Repeat([]byte{2}, 9000))); err != nil {
+		t.Fatal(err)
+	}
+
+	// Crash: the runtime repairs the module, which replays its on-device
+	// log on the next request.
+	if err := fsInstance(t, h, "fs").StateRepair(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fsync(); !errors.Is(err, labfs.ErrLostWrite) {
+		t.Fatalf("fsync after losing the extension returned %v, want ErrLostWrite", err)
+	}
+	st := core.NewRequest(core.OpStat)
+	st.Path = "f"
+	if err := h.Run(t, s, st); err != nil || st.Result != 4096 {
+		t.Fatalf("replayed size %d (%v), want the fsynced 4096", st.Result, err)
+	}
+	if err := fsync(); err != nil {
+		t.Fatalf("second fsync: %v, want the loss reported once", err)
+	}
+}
+
 func TestLogReplayRebuildsEverything(t *testing.T) {
 	h := modtest.New(t, device.NVMe, 128<<20)
 	s := mountFS(t, h, "fs", nil)

@@ -542,6 +542,7 @@ func (k *LabKVS) logAppend(e *core.Exec, req *core.Request, rec *record) error {
 		child.Offset = at * int64(k.blockSize)
 		child.Size = len(full)
 		child.Data = full
+		child.DirectIO = true // written once, read back only by replay
 		return e.SpawnNext(req, child)
 	}
 	return nil
@@ -557,6 +558,7 @@ func (k *LabKVS) flushLog(e *core.Exec, req *core.Request) error {
 	child.Offset = at * int64(k.blockSize)
 	child.Size = len(blk)
 	child.Data = blk
+	child.DirectIO = true
 	return e.SpawnNext(req, child)
 }
 

@@ -202,11 +202,17 @@ func (c *Cache) insertFill(e *core.Exec, req *core.Request) {
 }
 
 func (c *Cache) processWrite(e *core.Exec, req *core.Request) error {
+	aligned := req.Size == c.pageSize && req.Offset%int64(c.pageSize) == 0
+	if aligned && req.DirectIO && !c.resident(req.Offset) {
+		// No page is allocated for a direct write, so nothing is copied. A
+		// resident page is updated below instead, keeping it coherent.
+		req.Charge("cache", e.Model.LRUCacheOp)
+		return e.Next(req)
+	}
 	// Page allocation + copy into the cache: the write payload is borrowed
 	// from the client's registered buffer, so the cache must take its own
 	// copy (DESIGN.md §13 — write payloads may never be retained).
 	req.Charge("cache", e.Model.LRUCacheOp+e.Model.Copy(req.Size))
-	aligned := req.Size == c.pageSize && req.Offset%int64(c.pageSize) == 0
 	if aligned {
 		copyWriteInsert.Add(req.Size)
 		// Handle-backed insert: the copied page can be handed out as a
@@ -307,6 +313,14 @@ func (c *Cache) insertPage(np *page) {
 	for _, p := range evicted {
 		p.release()
 	}
+}
+
+// resident reports whether the block at off is cached.
+func (c *Cache) resident(off int64) bool {
+	c.mu.Lock()
+	_, ok := c.pages[off]
+	c.mu.Unlock()
+	return ok
 }
 
 // Stats returns hit/miss counters and the resident page count.

@@ -188,6 +188,48 @@ func TestUnalignedBypass(t *testing.T) {
 	}
 }
 
+// TestDirectWriteAllocatesNoPage: a DirectIO write of an uncached block
+// reaches the device without taking a page, and one of a cached block
+// updates that page, so a later read never sees the old bytes.
+func TestDirectWriteAllocatesNoPage(t *testing.T) {
+	h := modtest.New(t, device.NVMe, 64<<20)
+	s := mountCache(t, h, nil)
+	c := cacheInstance(t, h)
+	direct := func(off int64, b byte) {
+		t.Helper()
+		req := modtest.BlockWriteReq(off, bytes.Repeat([]byte{b}, 4096))
+		req.DirectIO = true
+		if err := h.Run(t, s, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	direct(0, 1)
+	devBuf := make([]byte, 4096)
+	h.Dev.ReadAt(devBuf, 0)
+	if devBuf[0] != 1 {
+		t.Fatal("direct write did not reach the device")
+	}
+	if _, _, resident := c.Stats(); resident != 0 {
+		t.Fatalf("direct write of an uncached block left %d resident pages", resident)
+	}
+
+	if err := h.Run(t, s, modtest.BlockWriteReq(4096, bytes.Repeat([]byte{2}, 4096))); err != nil {
+		t.Fatal(err)
+	}
+	direct(4096, 3)
+	if _, _, resident := c.Stats(); resident != 1 {
+		t.Fatalf("resident pages %d, want the one cached block", resident)
+	}
+	r := modtest.BlockReadReq(4096, 4096)
+	if err := h.Run(t, s, r); err != nil {
+		t.Fatal(err)
+	}
+	if r.Data[0] != 3 {
+		t.Fatalf("read of a cached block after a direct write returned %d, want 3", r.Data[0])
+	}
+}
+
 func TestStateUpdateKeepsCacheWarm(t *testing.T) {
 	h := modtest.New(t, device.NVMe, 64<<20)
 	s := mountCache(t, h, nil)

@@ -140,14 +140,14 @@ func (s *Snapshot) String() string {
 	var b strings.Builder
 
 	b.WriteString("== workers ==\n")
-	wt := &stats.Table{Header: []string{"id", "active", "processed", "busy", "clock", "polls", "idle%", "parks", "queues"}}
+	wt := &stats.Table{Header: []string{"id", "active", "processed", "busy", "clock", "polls", "empty%", "parks", "spin", "queues"}}
 	for _, w := range s.Workers {
 		ids := make([]string, len(w.Queues))
 		for i, q := range w.Queues {
 			ids[i] = fmt.Sprint(q)
 		}
 		wt.AddRowf(w.ID, w.Active, w.Processed, w.BusyVirt.String(), fmt.Sprint(w.Clock),
-			w.Polls, 100*w.IdleRatio(), w.Parks, strings.Join(ids, ","))
+			w.Polls, 100*w.IdleRatio(), w.Parks, w.SpinWindow.String(), strings.Join(ids, ","))
 	}
 	b.WriteString(wt.String())
 

@@ -71,7 +71,10 @@ func TestSnapshotStructure(t *testing.T) {
 			t.Fatalf("worker %d has no polls: %+v", w.ID, w)
 		}
 		if r := w.IdleRatio(); r < 0 || r > 1 {
-			t.Fatalf("worker %d idle ratio %v out of [0,1]", w.ID, r)
+			t.Fatalf("worker %d empty-scan ratio %v out of [0,1]", w.ID, r)
+		}
+		if w.SpinWindow < 0 || w.SpinWindow > runtime.SpinMax {
+			t.Fatalf("worker %d spin window %v out of [0, %v]", w.ID, w.SpinWindow, runtime.SpinMax)
 		}
 	}
 	if processed != 50 {

@@ -36,6 +36,10 @@ type Worker struct {
 	emptyPolls atomic.Int64 // scans that found no work
 	parks      atomic.Int64 // transitions from busy-polling to parked
 
+	// spin is the idle spin window in wall ns (nextSpin). Only run writes
+	// it; it is atomic so Stats can read it.
+	spin atomic.Int64
+
 	active atomic.Bool
 	// inProcess is true while the worker is mid-request (crash recovery
 	// drains on it before repairing module state).
@@ -148,10 +152,12 @@ func (w *Worker) assign(qs []*QP) {
 func (w *Worker) assigned() []*QP { return *w.queues.Load() }
 
 // run is the worker's polling loop. Workers busy-poll their queues (the
-// paper's polling workers), yielding the processor between empty scans; a
-// worker that stays idle past a threshold parks on its wake channel (the
-// paper's parking: it stops busy-waiting for the rest of the epoch) and is
-// poked by clients on submit or by the orchestrator on assignment.
+// paper's polling workers), yielding the processor between empty scans, but
+// only while the wall time since the worker went idle is inside its spin
+// window (nextSpin); past it the worker parks on its wake channel (the
+// paper's parking) and is poked by clients on submit or by the orchestrator
+// on assignment. Once parked, a wake that finds no work parks again at
+// once: an idle runtime does not spin after every backstop.
 //
 // Host timers on this platform have ~1ms granularity, so the hot path never
 // touches a timer: parking uses the wake channel, with a coarse timer only
@@ -171,7 +177,8 @@ func (w *Worker) run(wg *sync.WaitGroup) {
 	if !backstop.Stop() {
 		<-backstop.C
 	}
-	idleRounds := 0
+	var idleSince time.Time // zero while the last scan found work
+	parked := false         // the current idle period has parked
 	for {
 		select {
 		case <-w.quit:
@@ -187,19 +194,61 @@ func (w *Worker) run(wg *sync.WaitGroup) {
 			continue
 		}
 		if w.pollOnce() {
-			idleRounds = 0
+			if !idleSince.IsZero() {
+				win := nextSpin(time.Duration(w.spin.Load()), time.Since(idleSince), parked)
+				w.spin.Store(int64(win))
+				idleSince, parked = time.Time{}, false
+			}
 			continue
 		}
-		idleRounds++
-		if idleRounds < 256 {
-			gort.Gosched()
-			continue
+		if !parked {
+			now := time.Now()
+			if idleSince.IsZero() {
+				idleSince = now
+			}
+			if now.Sub(idleSince) < time.Duration(w.spin.Load()) {
+				gort.Gosched()
+				continue
+			}
 		}
 		w.parks.Add(1)
+		parked = true
 		if !w.park(backstop) {
 			return
 		}
-		idleRounds = 0
+	}
+}
+
+// The idle spin window's bounds. Constants, not options: a spinMax of 8 or
+// 16 µs measured alike on every benchmark workload; 32 µs lost kv_routed
+// 15%, whose idle periods then fall inside the window (EXPERIMENTS.md
+// "Adaptive worker spin").
+const (
+	spinMax   = 16 * time.Microsecond
+	spinStart = 2 * time.Microsecond
+)
+
+// nextSpin is KVM halt-polling's grow/shrink rule (halt_poll_ns) applied to
+// the worker's idle spin: given the window win and an idle period of length
+// idle that found work during the spin (!parked) or after a park, it returns
+// the next window. A hit in the spin leaves the window as it is. A park
+// ended by work within spinMax is one a longer spin would have caught, so
+// the window doubles (from 0 it opens at spinStart), up to spinMax. An idle
+// period longer than spinMax no permitted spin could catch, so the window
+// halves, and closes below spinStart: the next request is not coming soon,
+// and spinning only takes the processor from the goroutines bringing it.
+func nextSpin(win, idle time.Duration, parked bool) time.Duration {
+	switch {
+	case !parked:
+		return win
+	case idle > spinMax && win/2 < spinStart:
+		return 0
+	case idle > spinMax:
+		return win / 2
+	case win < spinStart:
+		return spinStart
+	default:
+		return min(2*win, spinMax)
 	}
 }
 

@@ -8,11 +8,12 @@
 #   4. hot-path soak: the lock-free ring and worker/client hot path, twice
 #      under the race detector with shuffled test order, to surface
 #      ordering-dependent races the single straight-line pass can miss.
-#   5. handshake: the vectored ring and queue pair (the only ring there is)
-#      and the submit → complete → reap handshake tests (completion word,
-#      wake channel, poll-then-park Wait) three times under the race
-#      detector at -cpu 1,2,8; the -cpu 1 leg is the guard against a spin or
-#      poll loop that forgets to yield.
+#   5. handshake: the vectored ring and queue pair (the only ring there is),
+#      the submit → complete → reap handshake tests (completion word,
+#      wake channel, poll-then-park Wait) and the worker's idle spin tests
+#      (window rule, park on sparse arrivals, no re-spin after a backstop
+#      wake) three times under the race detector at -cpu 1,2,8; the -cpu 1
+#      leg is the guard against a spin or poll loop that forgets to yield.
 #   6. debug handles: core and serve again with -tags labstor_debug, so
 #      released buffers are poisoned and a stale or twice-released
 #      BufHandle panics — the serve plane writes result views in place and
@@ -46,8 +47,8 @@ go test -race -timeout 1800s ./...
 echo "== go test -race -count=2 -shuffle=on ./internal/ipc/... ./internal/runtime/... ./internal/device/... ./internal/telemetry/... ./internal/obs/... ./internal/serve/... ./internal/mods/pushdown/... =="
 go test -race -count=2 -shuffle=on ./internal/ipc/... ./internal/runtime/... ./internal/device/... ./internal/telemetry/... ./internal/obs/... ./internal/serve/... ./internal/mods/pushdown/...
 
-echo "== handshake: go test -race -count=3 -cpu 1,2,8 -run 'Ring|QueuePair|Handshake|Wait' ./internal/ipc/... ./internal/core/... ./internal/runtime/... =="
-go test -race -count=3 -cpu 1,2,8 -run 'Ring|QueuePair|Handshake|Wait' ./internal/ipc/... ./internal/core/... ./internal/runtime/...
+echo "== handshake: go test -race -count=3 -cpu 1,2,8 -run 'Ring|QueuePair|Handshake|Wait|Spin|Park|Idle' ./internal/ipc/... ./internal/core/... ./internal/runtime/... =="
+go test -race -count=3 -cpu 1,2,8 -run 'Ring|QueuePair|Handshake|Wait|Spin|Park|Idle' ./internal/ipc/... ./internal/core/... ./internal/runtime/...
 
 echo "== debug handles: go test -tags labstor_debug ./internal/core/... ./internal/serve/... =="
 go test -tags labstor_debug ./internal/core/... ./internal/serve/...
