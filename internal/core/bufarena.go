@@ -129,9 +129,9 @@ func BufArenaStats() ArenaStats {
 // CompleteValue allocates the request's result buffer (r.Value) from the
 // arena and returns it. Drivers and stores use it for read completions whose
 // payload the caller did not supply a buffer for. The buffer is a
-// stack-owned BufHandle (r.ValueH) homed on the request's origin node:
-// Release drops the request's reference, and clients that want to keep
-// the result zero-copy call TakeValue first (handle.go).
+// stack-owned BufHandle (r.ValueH): Release drops the request's
+// reference, and clients that want to keep the result zero-copy call
+// TakeValue first (handle.go).
 func (r *Request) CompleteValue(n int) []byte {
 	return r.completeHandle(n)
 }

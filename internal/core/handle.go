@@ -18,8 +18,7 @@ import (
 //
 // Two backing sources share one header type:
 //   - SegArena buffers carved from registered ipc.Segments — the client
-//     data path; the segment's NUMA node labels the handle so vtime can
-//     charge cross-node access.
+//     data path.
 //   - anonymous buffers from the size-class arena (bufarena.go) — results
 //     allocated inside the stack (Request.CompleteValue).
 //
@@ -34,7 +33,6 @@ import (
 type bufHeader struct {
 	refs  atomic.Int32
 	gen   atomic.Uint32
-	node  int32
 	data  []byte // full-capacity backing slice
 	seg   *ipc.Segment
 	arena *SegArena // owner freelist; nil = anonymous (bufarena-backed)
@@ -57,15 +55,6 @@ func (b BufHandle) Valid() bool { return b.h != nil }
 
 // Len returns the view length.
 func (b BufHandle) Len() int { return b.ln }
-
-// Node returns the NUMA node the buffer is homed on, or -1 for an invalid
-// handle.
-func (b BufHandle) Node() int {
-	if b.h == nil {
-		return -1
-	}
-	return int(b.h.node)
-}
 
 // Owned reports whether the view is stack-owned: allocated by the stack
 // (CompleteValue / SegArena results) rather than borrowed from a client's
@@ -122,7 +111,7 @@ func (b BufHandle) Release() {
 		b.h.refs.Add(1) // restore; the buffer was already recycled
 		handleDoubleReleases.Add(1)
 		if debugChecks.Load() {
-			panic(fmt.Sprintf("core: BufHandle double release (node %d, len %d)", b.h.node, len(b.h.data)))
+			panic(fmt.Sprintf("core: BufHandle double release (len %d)", len(b.h.data)))
 		}
 		return
 	}
@@ -164,13 +153,12 @@ var (
 func HandleDoubleReleases() int64 { return handleDoubleReleases.Load() }
 
 // AcquireHandle returns a stack-owned handle of length n backed by an
-// anonymous arena buffer homed on the given node. Contents are
-// unspecified. The caller owns the single reference.
-func AcquireHandle(node, n int) BufHandle {
+// anonymous arena buffer. Contents are unspecified. The caller owns the
+// single reference.
+func AcquireHandle(n int) BufHandle {
 	handleAcquires.Add(1)
 	h := headerPool.Get().(*bufHeader)
 	h.data = AcquireBuf(n)
-	h.node = int32(node)
 	h.seg = nil
 	h.arena = nil
 	h.refs.Store(1)
@@ -179,81 +167,69 @@ func AcquireHandle(node, n int) BufHandle {
 
 // SegArena carves fixed-size slots out of registered ipc.Segments and
 // hands them to clients as BufHandles — the io_uring registered-buffer
-// analogue. Slots are pow2 size classes; each (node, class) keeps its own
-// segment list and freelist so concurrent clients on different nodes do
-// not contend and payload memory stays node-local.
+// analogue. Slots are pow2 size classes; each class keeps its own segment
+// list and freelist.
 type SegArena struct {
-	sm    *ipc.SegmentManager
-	nodes int
-	name  string
-	cred  ipc.Credentials
+	sm   *ipc.SegmentManager
+	name string
+	cred ipc.Credentials
 
 	mu    sync.Mutex
-	free  map[int][]*bufHeader // (node*arenaClasses + class) -> freelist
+	free  map[int][]*bufHeader // class -> freelist
 	segs  int                  // segments allocated (naming)
 	slots int                  // live slots handed out at least once
 }
 
-// NewSegArena returns an arena carving from sm. nodes clamps node labels
-// (nodes <= 1 means everything is node 0). Segments are allocated under
-// "<name>/…" and granted to cred.
-func NewSegArena(sm *ipc.SegmentManager, nodes int, name string, cred ipc.Credentials) *SegArena {
-	if nodes < 1 {
-		nodes = 1
-	}
+// NewSegArena returns an arena carving from sm. Segments are allocated
+// under "<name>/…" and granted to cred.
+func NewSegArena(sm *ipc.SegmentManager, name string, cred ipc.Credentials) *SegArena {
 	if name == "" {
 		name = "bufarena"
 	}
-	return &SegArena{sm: sm, nodes: nodes, name: name, cred: cred, free: make(map[int][]*bufHeader)}
+	return &SegArena{sm: sm, name: name, cred: cred, free: make(map[int][]*bufHeader)}
 }
 
 // segArenaSlab is how much segment memory one allocation registers; small
 // classes share a slab, classes above it get one slot per segment.
 const segArenaSlab = 256 << 10
 
-// Acquire returns a stack-visible, client-owned handle of length n homed
-// on node. The buffer lives inside a registered segment; the handle is
-// NOT stack-owned (Owned() == false) — it is the client's registered
-// memory, so caches must copy rather than retain it.
-func (a *SegArena) Acquire(node, n int) (BufHandle, error) {
+// Acquire returns a stack-visible, client-owned handle of length n. The
+// buffer lives inside a registered segment; the handle is NOT stack-owned
+// (Owned() == false) — it is the client's registered memory, so caches
+// must copy rather than retain it.
+func (a *SegArena) Acquire(n int) (BufHandle, error) {
 	if n <= 0 {
 		return BufHandle{}, fmt.Errorf("core: SegArena.Acquire(%d)", n)
-	}
-	if node < 0 || node >= a.nodes {
-		node = 0
 	}
 	cls := arenaClass(n)
 	if cls < 0 {
 		return BufHandle{}, fmt.Errorf("core: SegArena.Acquire(%d) exceeds max class %d", n, 1<<arenaMaxBits)
 	}
 	slot := 1 << (arenaMinBits + cls)
-	key := node*arenaClasses + cls
 
 	a.mu.Lock()
-	list := a.free[key]
+	list := a.free[cls]
 	if len(list) == 0 {
-		// Register a fresh segment for this (node, class) and carve it.
+		// Register a fresh segment for this class and carve it.
 		per := segArenaSlab / slot
 		if per < 1 {
 			per = 1
 		}
 		a.segs++
-		segName := fmt.Sprintf("%s/n%d/c%d/%d", a.name, node, cls, a.segs)
-		seg := a.sm.AllocateNode(segName, per*slot, node, a.cred)
+		segName := fmt.Sprintf("%s/c%d/%d", a.name, cls, a.segs)
+		seg := a.sm.Allocate(segName, per*slot, a.cred)
 		for i := 0; i < per; i++ {
 			view, err := seg.View(i*slot, slot)
 			if err != nil {
 				a.mu.Unlock()
 				return BufHandle{}, err
 			}
-			list = append(list, &bufHeader{
-				node: int32(node), data: view, seg: seg, arena: a, class: int16(key),
-			})
+			list = append(list, &bufHeader{data: view, seg: seg, arena: a, class: int16(cls)})
 		}
 		a.slots += per
 	}
 	h := list[len(list)-1]
-	a.free[key] = list[:len(list)-1]
+	a.free[cls] = list[:len(list)-1]
 	a.mu.Unlock()
 
 	handleAcquires.Add(1)
@@ -290,14 +266,13 @@ func (r *Request) SetPayload(b BufHandle) {
 	r.Data = b.Bytes()
 }
 
-// completeHandle allocates the request's result as a stack-owned handle
-// homed on the request's origin node and points Value (and the returned
-// slice) at it. Used by CompleteValue.
+// completeHandle allocates the request's result as a stack-owned handle and
+// points Value (and the returned slice) at it. Used by CompleteValue.
 func (r *Request) completeHandle(n int) []byte {
 	if r.ValueH.Valid() {
 		r.ValueH.Release()
 	}
-	r.ValueH = AcquireHandle(r.HomeNode, n)
+	r.ValueH = AcquireHandle(n)
 	// Expose the class-capacity backing (cap > n) like the pre-handle
 	// arena contract did; in-place consumers rely on the slack.
 	r.Value = r.ValueH.h.data[:n]

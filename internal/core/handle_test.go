@@ -8,16 +8,16 @@ import (
 )
 
 func TestBufHandleLifecycle(t *testing.T) {
-	h := AcquireHandle(1, 4096)
-	if !h.Valid() || h.Len() != 4096 || h.Node() != 1 || !h.Owned() {
-		t.Fatalf("bad handle: valid=%v len=%d node=%d owned=%v", h.Valid(), h.Len(), h.Node(), h.Owned())
+	h := AcquireHandle(4096)
+	if !h.Valid() || h.Len() != 4096 || !h.Owned() {
+		t.Fatalf("bad handle: valid=%v len=%d owned=%v", h.Valid(), h.Len(), h.Owned())
 	}
 	b := h.Bytes()
 	b[0], b[4095] = 0xAA, 0xBB
 
 	s := h.Slice(100, 200)
-	if s.Len() != 100 || s.Node() != 1 {
-		t.Fatalf("slice: len=%d node=%d", s.Len(), s.Node())
+	if s.Len() != 100 {
+		t.Fatalf("slice: len=%d", s.Len())
 	}
 	s.Bytes()[0] = 0xCC
 	if b[100] != 0xCC {
@@ -36,7 +36,7 @@ func TestBufHandleUseAfterReleasePanicsInDebug(t *testing.T) {
 	prev := SetDebugChecks(true)
 	defer SetDebugChecks(prev)
 
-	h := AcquireHandle(0, 512)
+	h := AcquireHandle(512)
 	h.Bytes()[0] = 1
 	h.Release()
 	defer func() {
@@ -55,7 +55,7 @@ func TestBufHandleDoubleReleasePanicsInDebug(t *testing.T) {
 	prev := SetDebugChecks(true)
 	defer SetDebugChecks(prev)
 
-	h := AcquireHandle(0, 512)
+	h := AcquireHandle(512)
 	h.Release()
 	defer func() {
 		if recover() == nil {
@@ -70,7 +70,7 @@ func TestBufHandleDoubleReleaseCountedWhenChecksOff(t *testing.T) {
 	defer SetDebugChecks(prev)
 
 	before := HandleDoubleReleases()
-	h := AcquireHandle(0, 512)
+	h := AcquireHandle(512)
 	h.Release()
 	h.Release()
 	if got := HandleDoubleReleases(); got != before+1 {
@@ -98,14 +98,14 @@ func TestReleaseBufDoubleReleasePanicsInDebug(t *testing.T) {
 
 func TestSegArenaHandles(t *testing.T) {
 	sm := ipc.NewSegmentManager()
-	a := NewSegArena(sm, 2, "test-arena", ipc.Credentials{PID: 42})
+	a := NewSegArena(sm, "test-arena", ipc.Credentials{PID: 42})
 
-	h, err := a.Acquire(1, 4096)
+	h, err := a.Acquire(4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Node() != 1 || h.Len() != 4096 || h.Owned() {
-		t.Fatalf("seg handle: node=%d len=%d owned=%v (client buffers are not stack-owned)", h.Node(), h.Len(), h.Owned())
+	if h.Len() != 4096 || h.Owned() {
+		t.Fatalf("seg handle: len=%d owned=%v (client buffers are not stack-owned)", h.Len(), h.Owned())
 	}
 	// The bytes really live inside a registered, granted segment.
 	names := sm.Names()
@@ -118,9 +118,6 @@ func TestSegArenaHandles(t *testing.T) {
 	}
 	if !seg.Granted(42) {
 		t.Fatal("creator pid not granted on arena segment")
-	}
-	if seg.Node != 1 {
-		t.Fatalf("segment node = %d, want 1", seg.Node)
 	}
 	h.Bytes()[0] = 0xEE
 	mapped, err := seg.Map(42)
@@ -141,7 +138,7 @@ func TestSegArenaHandles(t *testing.T) {
 	// Release/reacquire must recycle the slot, not register more memory.
 	st := sm.Stats()
 	h.Release()
-	h2, err := a.Acquire(1, 4096)
+	h2, err := a.Acquire(4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,12 +150,8 @@ func TestSegArenaHandles(t *testing.T) {
 
 func TestRequestValueHandleTransfer(t *testing.T) {
 	r := AcquireRequest(OpGet)
-	r.HomeNode = 1
 	out := r.CompleteValue(4096)
 	copy(out, []byte("payload"))
-	if r.ValueH.Node() != 1 {
-		t.Fatalf("result homed on node %d, want the request's HomeNode", r.ValueH.Node())
-	}
 	h := r.TakeValue()
 	r.MarkDone()
 	before := BufArenaStats().Releases

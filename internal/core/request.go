@@ -163,12 +163,6 @@ type Request struct {
 	// OriginCore is the CPU core the request originated from (used by the
 	// NoOp scheduler's core-keyed queue mapping).
 	OriginCore int
-	// HomeNode is the NUMA node the request's payload memory is homed on
-	// (derived from the client's core by the connector; 0 on single-node
-	// topologies). CompleteValue allocates results on this node and the
-	// worker charges a vtime cross-node penalty when it differs from the
-	// worker's own node.
-	HomeNode int
 
 	// Completion handshake (DESIGN.md §9). state is the completion word:
 	// the submitter polls it and the completer writes done into it exactly
@@ -293,7 +287,6 @@ func (r *Request) Child(op Op) *Request {
 	c.Cred = r.Cred
 	c.Trace = r.Trace
 	c.OriginCore = r.OriginCore
-	c.HomeNode = r.HomeNode
 	c.Hctx = r.Hctx
 	return c
 }

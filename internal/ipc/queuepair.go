@@ -71,10 +71,6 @@ type QueuePair[T any] struct {
 	Ordered bool
 	// OwnerClient is the client identifier for primary queues (0 if none).
 	OwnerClient int
-	// Node is the NUMA node the owning client's registered buffers are homed
-	// on (0 when NUMA modeling is off). The orchestrator's locality-aware
-	// placement uses it to prefer node-local workers.
-	Node int
 
 	sq *Ring[T]
 	cq *Ring[T]

@@ -36,15 +36,8 @@ func (c Credentials) String() string {
 // a byte region plus an access-control list of processes allowed to map it.
 // Memory can only be mapped by processes that have been granted access by
 // the Runtime, even among processes launched by the same user.
-//
-// Segments carry a NUMA node label: the registered-buffer data path hands
-// out payload handles backed by segment regions, and the vtime NUMA model
-// charges workers that touch a payload homed on another node.
 type Segment struct {
 	Name string
-	// Node is the NUMA node the segment's pages are homed on (0 when the
-	// topology is a single node).
-	Node int
 
 	mu    sync.RWMutex
 	data  []byte
@@ -179,12 +172,6 @@ func NewSegmentManager() *SegmentManager {
 // Allocate creates (or returns the existing) segment with the given name and
 // size and grants the creating pid access. Size is only applied on creation.
 func (m *SegmentManager) Allocate(name string, size int, creator Credentials) *Segment {
-	return m.AllocateNode(name, size, 0, creator)
-}
-
-// AllocateNode is Allocate with an explicit NUMA node label for the new
-// segment's pages. The label only applies on creation.
-func (m *SegmentManager) AllocateNode(name string, size, node int, creator Credentials) *Segment {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if s, ok := m.segments[name]; ok {
@@ -196,7 +183,6 @@ func (m *SegmentManager) AllocateNode(name string, size, node int, creator Crede
 	}
 	s := &Segment{
 		Name:  name,
-		Node:  node,
 		data:  make([]byte, size),
 		acl:   map[int]bool{creator.PID: true},
 		stats: &m.counters,

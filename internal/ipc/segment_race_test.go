@@ -34,9 +34,9 @@ func TestSegmentGrantRevokeMapRace(t *testing.T) {
 				pid := 100 + rng.Intn(pids)
 				switch rng.Intn(10) {
 				case 0, 1, 2:
-					s := m.AllocateNode(name, 4096, rng.Intn(2), Credentials{PID: pid})
+					s := m.Allocate(name, 4096, Credentials{PID: pid})
 					if s == nil {
-						t.Error("AllocateNode returned nil")
+						t.Error("Allocate returned nil")
 						return
 					}
 				case 3, 4:
@@ -105,10 +105,7 @@ func TestSegmentGrantRevokeMapRace(t *testing.T) {
 func TestSegmentFreeOrdering(t *testing.T) {
 	m := NewSegmentManager()
 	cred := Credentials{PID: 1}
-	s := m.AllocateNode("zc", 1024, 1, cred)
-	if s.Node != 1 {
-		t.Fatalf("node label = %d, want 1", s.Node)
-	}
+	s := m.Allocate("zc", 1024, cred)
 	if err := s.Grant(2); err != nil {
 		t.Fatalf("Grant(2): %v", err)
 	}

@@ -218,7 +218,7 @@ func (c *Cache) processWrite(e *core.Exec, req *core.Request) error {
 		// Handle-backed insert: the copied page can be handed out as a
 		// retained view on later Data==nil reads (get-after-put and
 		// pushdown scans over warm data are then zero-copy).
-		h := core.AcquireHandle(req.HomeNode, len(req.Data))
+		h := core.AcquireHandle(len(req.Data))
 		copy(h.Bytes(), req.Data)
 		c.insertPage(&page{off: req.Offset, data: h.Bytes(), h: h, dirty: c.policy == "writeback"})
 		if c.policy == "writeback" {

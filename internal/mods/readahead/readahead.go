@@ -167,7 +167,7 @@ func (p *Prefetcher) Process(e *core.Exec, req *core.Request) error {
 			child.Clock = base
 			child.Offset = off
 			child.Size = p.blockSize
-			h := core.AcquireHandle(req.HomeNode, p.blockSize)
+			h := core.AcquireHandle(p.blockSize)
 			child.Data = h.Bytes()
 			child.Buf = h
 			if err := e.Next(child); err != nil {

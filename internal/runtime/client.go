@@ -117,23 +117,21 @@ func (rt *Runtime) Connect(cred ipc.Credentials) *Client {
 	rt.clients[id] = c
 	rt.mu.Unlock()
 
-	// Grant the client its shared segment, label the queue with the client's
-	// NUMA node (locality-aware placement key), and hand it to the
+	// Grant the client its shared segment and hand the queue to the
 	// orchestrator for assignment.
 	seg := rt.Env.Segments.Allocate(fmt.Sprintf("qp-%d", qp.ID), 1<<16, cred)
 	_ = seg.Grant(cred.PID)
-	qp.Node = rt.numaNode(c.OriginCore)
 	rt.orch.AddQueue(qp)
 	return c
 }
 
-// AcquireBuffer returns a registered payload buffer of length n homed on the
-// client's NUMA node — the io_uring register-buffers analogue. Attach it to
-// a request with req.SetPayload; the client owns the handle and must Release
-// it once the request (and any use of the bytes) is finished. The stack
-// reads/writes the buffer in place: no copy at the IPC boundary.
+// AcquireBuffer returns a registered payload buffer of length n — the
+// io_uring register-buffers analogue. Attach it to a request with
+// req.SetPayload; the client owns the handle and must Release it once the
+// request (and any use of the bytes) is finished. The stack reads/writes
+// the buffer in place: no copy at the IPC boundary.
 func (c *Client) AcquireBuffer(n int) (core.BufHandle, error) {
-	return c.rt.BufArena().Acquire(c.rt.numaNode(c.OriginCore), n)
+	return c.rt.BufArena().Acquire(n)
 }
 
 // ReleaseBuffer returns an AcquireBuffer handle to the arena.
@@ -263,7 +261,6 @@ func (c *Client) stamp(s *core.Stack, req *core.Request, now vtime.Time) {
 	req.StackID = s.ID
 	req.Cred = core.Cred{UID: c.cred.UID, GID: c.cred.GID}
 	req.OriginCore = c.OriginCore
-	req.HomeNode = c.rt.numaNode(c.OriginCore)
 	req.Arrival = now
 	req.Clock = now
 }

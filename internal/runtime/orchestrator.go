@@ -48,11 +48,6 @@ type RebalanceDecision struct {
 	CQWorkers int     `json:"cq_workers"`
 	LQLoad    float64 `json:"lq_load"`
 	CQLoad    float64 `json:"cq_load"`
-	// LocalPlaced / RemotePlaced count queues whose worker landed on the
-	// queue's NUMA node vs. off it at the last dynamic rebalance (both zero
-	// when locality-aware placement is off).
-	LocalPlaced  int `json:"local_placed"`
-	RemotePlaced int `json:"remote_placed"`
 }
 
 // queueStats is the orchestrator's view of one queue's demand.
@@ -209,47 +204,13 @@ func (o *Orchestrator) Rebalance() {
 	o.rt.metrics.Gauge("orchestrator.active_workers").Set(int64(o.rt.ActiveWorkers()))
 }
 
-// localityBias returns the configured locality weight when the cost model
-// carries a multi-node NUMA topology, else 0 (placement stays pure
-// load-balancing and is byte-for-byte identical to the pre-NUMA behavior).
-func (o *Orchestrator) localityBias() float64 {
-	if numa := o.rt.opts.Model.NUMA; numa == nil || numa.Nodes <= 1 {
-		return 0
-	}
-	return o.rt.opts.LocalityWeight
-}
-
-// rebalanceRR spreads queues evenly across every worker in the pool. With
-// locality-aware placement on, each queue instead goes to the least-loaded
-// worker on its own NUMA node (falling back to any worker when the node has
-// none) — round-robin within node partitions.
+// rebalanceRR spreads queues evenly across every worker in the pool.
 func (o *Orchestrator) rebalanceRR(queues []*QP) {
 	workers := o.rt.workers
 	n := len(workers)
 	buckets := make([][]*QP, n)
-	if o.localityBias() > 0 {
-		counts := make([]int, n)
-		for _, q := range queues {
-			best := -1
-			for i, w := range workers {
-				if w.node == q.Node && (best < 0 || counts[i] < counts[best]) {
-					best = i
-				}
-			}
-			if best < 0 {
-				for i := range workers {
-					if best < 0 || counts[i] < counts[best] {
-						best = i
-					}
-				}
-			}
-			buckets[best] = append(buckets[best], q)
-			counts[best]++
-		}
-	} else {
-		for i, q := range queues {
-			buckets[i%n] = append(buckets[i%n], q)
-		}
+	for i, q := range queues {
+		buckets[i%n] = append(buckets[i%n], q)
 	}
 	for i, w := range workers {
 		w.setActive(true)
@@ -391,26 +352,15 @@ func (o *Orchestrator) rebalanceDynamic(queues []*QP) {
 	for _, q := range cqs {
 		cTot += loads[q.ID]
 	}
-	// 3. Pack queues onto the chosen worker subsets. With locality on, a
-	//    queue pays `bias` extra effective load on a node-mismatched sack —
-	//    the locality-vs-load axis of the knapsack.
-	bias := o.localityBias()
-	nodes := make([]int, maxW)
-	for i, w := range workers {
-		nodes[i] = w.node
-	}
+	// 3. Pack queues onto the chosen worker subsets.
 	assignment := make([][]*QP, maxW)
-	lLoc, lRem := packLPT(lqs, loads, assignment[:nLQ], nodes[:nLQ], bias)
-	cLoc, cRem := packLPT(cqs, loads, assignment[nLQ:nLQ+nCQ], nodes[nLQ:nLQ+nCQ], bias)
+	packLPT(lqs, loads, assignment[:nLQ])
+	packLPT(cqs, loads, assignment[nLQ:nLQ+nCQ])
 
 	dec := RebalanceDecision{
 		LQs: len(lqs), CQs: len(cqs),
 		LQWorkers: nLQ, CQWorkers: nCQ,
 		LQLoad: lTot, CQLoad: cTot,
-	}
-	if bias > 0 {
-		dec.LocalPlaced = lLoc + cLoc
-		dec.RemotePlaced = lRem + cRem
 	}
 	o.mu.Lock()
 	partitionChanged := dec.LQs != o.last.LQs || dec.CQs != o.last.CQs ||
@@ -440,41 +390,24 @@ func (o *Orchestrator) rebalanceDynamic(queues []*QP) {
 }
 
 // packLPT distributes queues across sacks with longest-processing-time
-// first greedy balancing (each queue goes to the cheapest sack). nodes maps
-// each sack to the NUMA node of the worker it lands on; with bias > 0 a
-// node-mismatched sack costs `bias` extra effective load, so small biases
-// break placement ties toward node-local workers while large biases force
-// locality even at some load imbalance. bias == 0 reduces to pure
-// least-loaded. Returns how many queues landed node-local vs remote.
-func packLPT(queues []*QP, loads map[int]float64, sacks [][]*QP, nodes []int, bias float64) (local, remote int) {
+// first greedy balancing: heaviest queue first, each to the least-loaded
+// sack (ties go to the lowest index).
+func packLPT(queues []*QP, loads map[int]float64, sacks [][]*QP) {
 	if len(sacks) == 0 {
-		return 0, 0
+		return
 	}
 	sorted := make([]*QP, len(queues))
 	copy(sorted, queues)
 	sort.Slice(sorted, func(i, j int) bool { return loads[sorted[i].ID] > loads[sorted[j].ID] })
 	weight := make([]float64, len(sacks))
-	cost := func(i int, q *QP) float64 {
-		c := weight[i]
-		if bias > 0 && nodes[i] != q.Node {
-			c += bias
-		}
-		return c
-	}
 	for _, q := range sorted {
 		best := 0
 		for i := 1; i < len(weight); i++ {
-			if cost(i, q) < cost(best, q) {
+			if weight[i] < weight[best] {
 				best = i
 			}
 		}
 		sacks[best] = append(sacks[best], q)
 		weight[best] += loads[q.ID]
-		if nodes[best] == q.Node {
-			local++
-		} else {
-			remote++
-		}
 	}
-	return local, remote
 }

@@ -81,11 +81,6 @@ type Options struct {
 	LatencyCutoff vtime.Duration
 	// LossThreshold is the dynamic policy's tolerated per-worker overload.
 	LossThreshold float64
-	// LocalityWeight is the orchestrator's locality-vs-load bias: the extra
-	// effective load a queue pays when packed onto a worker off its NUMA
-	// node. 0 (the default) disables locality-aware placement; it only takes
-	// effect when Model.NUMA describes more than one node.
-	LocalityWeight float64
 	// MaxReposPerUser bounds mount.repo per UID (0 = unlimited).
 	MaxReposPerUser int
 	// PerfSampleEvery traces one request in N for per-stage performance
@@ -173,7 +168,6 @@ func FromConfig(cfg *spec.RuntimeConfig) Options {
 		UpgradePoll:     time.Duration(cfg.UpgradePollMs) * time.Millisecond,
 		LatencyCutoff:   vtime.Duration(cfg.Orchestrator.LatencyCutoffUs) * vtime.Microsecond,
 		LossThreshold:   cfg.Orchestrator.LossThreshold,
-		LocalityWeight:  cfg.Orchestrator.LocalityWeight,
 		MaxReposPerUser: cfg.MaxReposPerUser,
 		PerfSampleEvery: cfg.PerfSampleEvery,
 		TraceRing:       cfg.TraceRing,
@@ -184,14 +178,6 @@ func FromConfig(cfg *spec.RuntimeConfig) Options {
 	}
 	for _, s := range cfg.SLOs {
 		opts.SLOs = append(opts.SLOs, SLOTarget{Stack: s.Stack, P99US: s.P99Us, MaxErrRate: s.MaxErrRate})
-	}
-	if cfg.NUMA.Nodes > 1 {
-		model := vtime.Default()
-		model.NUMA = vtime.DefaultNUMA(cfg.NUMA.Nodes)
-		if cfg.NUMA.CrossNsPerByte > 0 {
-			model.NUMA.CrossPerByte = cfg.NUMA.CrossNsPerByte
-		}
-		opts.Model = model
 	}
 	return opts
 }
@@ -255,11 +241,6 @@ type Runtime struct {
 	hCPUUS     *stats.Histogram
 	// hBatch observes the size of each worker drain (1..Options.Batch).
 	hBatch *stats.Histogram
-	// NUMA locality accounting (only touched when the cost model carries a
-	// multi-node NUMA topology).
-	mNUMACrossBytes *telemetry.Counter
-	mNUMACrossNS    *telemetry.Counter
-	mNUMALocalBytes *telemetry.Counter
 
 	// bufArena is the runtime-owned registered-buffer arena (the io_uring
 	// registered-buffer analogue): clients acquire payload handles from it
@@ -308,9 +289,6 @@ func New(opts Options) *Runtime {
 	rt.hWaitUS = rt.metrics.Histogram("request.queue_wait_us")
 	rt.hCPUUS = rt.metrics.Histogram("request.cpu_us")
 	rt.hBatch = rt.metrics.Histogram("worker.batch_size")
-	rt.mNUMACrossBytes = rt.metrics.Counter("numa.cross_bytes")
-	rt.mNUMACrossNS = rt.metrics.Counter("numa.cross_ns")
-	rt.mNUMALocalBytes = rt.metrics.Counter("numa.local_bytes")
 	rt.modMgr = newModManager(rt)
 	rt.orch = newOrchestrator(rt)
 	rt.repoMgr = core.NewRepoManager(opts.MaxReposPerUser, 0)
@@ -841,22 +819,11 @@ func (rt *Runtime) Stats() []WorkerStats {
 	return out
 }
 
-// numaNode maps a client core index onto the cost model's NUMA node
-// (0 when NUMA modeling is off).
-func (rt *Runtime) numaNode(coreID int) int {
-	return rt.opts.Model.NUMA.WorkerNode(coreID)
-}
-
 // BufArena returns the runtime-owned registered-buffer arena, creating it
-// on first use. Buffers carved from it live in registered ipc.Segments and
-// carry the NUMA node they are homed on.
+// on first use. Buffers carved from it live in registered ipc.Segments.
 func (rt *Runtime) BufArena() *core.SegArena {
 	rt.bufArenaOnce.Do(func() {
-		nodes := 1
-		if numa := rt.opts.Model.NUMA; numa != nil && numa.Nodes > 1 {
-			nodes = numa.Nodes
-		}
-		rt.bufArena = core.NewSegArena(rt.Env.Segments, nodes, "payload", ipc.Credentials{})
+		rt.bufArena = core.NewSegArena(rt.Env.Segments, "payload", ipc.Credentials{})
 	})
 	return rt.bufArena
 }

@@ -20,10 +20,6 @@ import (
 type Worker struct {
 	rt *Runtime
 	id int
-	// node is the NUMA node this worker is pinned to under the cost model's
-	// NUMA topology (0 when NUMA modeling is off). Cached at construction so
-	// the hot path never recomputes it.
-	node int
 
 	exec *core.Exec
 
@@ -75,7 +71,6 @@ func newWorker(rt *Runtime, id int) *Worker {
 	w := &Worker{
 		rt:       rt,
 		id:       id,
-		node:     rt.opts.Model.NUMA.WorkerNode(id),
 		exec:     core.NewExec(rt.Registry, rt.Namespace, rt.opts.Model, id),
 		quit:     make(chan struct{}),
 		wake:     make(chan struct{}, 1),
@@ -365,24 +360,6 @@ func (w *Worker) executeOne(qp *QP, req *Request, seq int64) (cpuUsed vtime.Dura
 	// The request's cacheline must be transferred from the submitting
 	// core's cache (or DRAM) — the paper's measured IPC cost.
 	req.Charge("ipc", model.IPCRoundTrip)
-
-	// NUMA locality: a worker touching a payload homed on another node pays
-	// the cross-socket surcharge on every payload byte it moves. The payload
-	// node comes from the registered buffer handle when the client used one,
-	// else from the client's origin node.
-	if numa := model.NUMA; numa != nil && numa.Nodes > 1 && req.Size > 0 {
-		bn := req.Buf.Node()
-		if bn < 0 {
-			bn = req.HomeNode
-		}
-		if d := numa.Cross(bn, w.node, req.Size); d > 0 {
-			req.Charge("numa", d)
-			w.rt.mNUMACrossBytes.Add(int64(req.Size))
-			w.rt.mNUMACrossNS.Add(int64(d))
-		} else {
-			w.rt.mNUMALocalBytes.Add(int64(req.Size))
-		}
-	}
 
 	// FCFS serialization on this worker's virtual clock.
 	begin := vtime.MaxTime(req.Clock, w.clock.Now())

@@ -122,26 +122,8 @@ type DeviceSpec struct {
 type OrchestratorSpec struct {
 	Policy          string // "round_robin" | "dynamic"
 	RebalanceMs     int    // epoch length
-	IdleParkUs      int    // worker parking threshold
 	LatencyCutoffUs int    // EstProcessingTime cutoff for LQ vs CQ
 	LossThreshold   float64
-	// LocalityWeight biases queue placement toward workers on the queue's
-	// NUMA node (0 = pure load balancing). Only meaningful with a numa:
-	// section declaring more than one node.
-	LocalityWeight float64
-}
-
-// NUMASpec configures the modeled NUMA topology:
-//
-//	numa:
-//	  nodes: 2
-//	  cross_ns_per_byte: 0.03
-type NUMASpec struct {
-	// Nodes is the socket count (0 or 1 = single node: NUMA modeling off).
-	Nodes int
-	// CrossNsPerByte is the additive charge for a worker touching payload
-	// bytes homed on another node (0 = the vtime default).
-	CrossNsPerByte float64
 }
 
 // ObserveSpec configures the live observability plane (the HTTP
@@ -323,7 +305,6 @@ type RuntimeConfig struct {
 	// TraceRing is the capacity of the recent-trace ring (0 = default).
 	TraceRing    int
 	Orchestrator OrchestratorSpec
-	NUMA         NUMASpec
 	Observe      ObserveSpec
 	Serve        ServeSpec
 	Pushdown     PushdownSpec
@@ -344,7 +325,6 @@ func DefaultRuntimeConfig() *RuntimeConfig {
 		Orchestrator: OrchestratorSpec{
 			Policy:          "dynamic",
 			RebalanceMs:     10,
-			IdleParkUs:      200,
 			LatencyCutoffUs: 100,
 			LossThreshold:   0.1,
 		},
@@ -371,17 +351,8 @@ func ParseRuntimeConfig(src string) (*RuntimeConfig, error) {
 	if or := root.Get("orchestrator"); or != nil {
 		cfg.Orchestrator.Policy = or.Str("policy", cfg.Orchestrator.Policy)
 		cfg.Orchestrator.RebalanceMs = or.Int("rebalance_ms", cfg.Orchestrator.RebalanceMs)
-		cfg.Orchestrator.IdleParkUs = or.Int("idle_park_us", cfg.Orchestrator.IdleParkUs)
 		cfg.Orchestrator.LatencyCutoffUs = or.Int("latency_cutoff_us", cfg.Orchestrator.LatencyCutoffUs)
 		cfg.Orchestrator.LossThreshold = or.Float("loss_threshold", cfg.Orchestrator.LossThreshold)
-		cfg.Orchestrator.LocalityWeight = or.Float("locality_weight", cfg.Orchestrator.LocalityWeight)
-	}
-	if nu := root.Get("numa"); nu != nil {
-		cfg.NUMA.Nodes = nu.Int("nodes", cfg.NUMA.Nodes)
-		cfg.NUMA.CrossNsPerByte = nu.Float("cross_ns_per_byte", cfg.NUMA.CrossNsPerByte)
-		if cfg.NUMA.Nodes < 0 {
-			return nil, fmt.Errorf("spec: numa.nodes must be >= 0 (got %d)", cfg.NUMA.Nodes)
-		}
 	}
 	if ob := root.Get("observe"); ob != nil {
 		cfg.Observe.Addr = ob.Str("addr", cfg.Observe.Addr)

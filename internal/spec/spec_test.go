@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -283,20 +284,34 @@ func TestParseRuntimeConfig(t *testing.T) {
 	}
 }
 
-// A config written before the stripes: device key was retired must keep
-// loading, and the key must change nothing.
-func TestParseRuntimeConfigIgnoresRetiredStripesKey(t *testing.T) {
-	const dev = "devices:\n  - name: nvme0\n    class: nvme\n    capacity_mb: 512\n"
-	with, err := ParseRuntimeConfig(dev + "    stripes: 4\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := ParseRuntimeConfig(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(with.Devices) != 1 || with.Devices[0] != without.Devices[0] {
-		t.Fatalf("with stripes: %+v, without: %+v", with.Devices, without.Devices)
+// A config written before a key was retired must keep loading, and the key
+// must change nothing: each row parses to the same config as its base
+// document without the key.
+func TestParseRuntimeConfigIgnoresRetiredKeys(t *testing.T) {
+	const (
+		dev  = "devices:\n  - name: nvme0\n    class: nvme\n    capacity_mb: 512\n"
+		rt   = "runtime:\n  workers: 2\n"
+		orch = "orchestrator:\n  policy: dynamic\n"
+	)
+	for _, tc := range []struct{ name, base, key string }{
+		{"devices[].stripes", dev, "    stripes: 4\n"},
+		{"numa", rt, "numa:\n  nodes: 2\n  cross_ns_per_byte: 0.5\n"},
+		{"negative numa.nodes", rt, "numa:\n  nodes: -2\n"},
+		{"orchestrator.locality_weight", orch, "  locality_weight: 2.5\n"},
+		{"orchestrator.idle_park_us", orch, "  idle_park_us: 50\n"},
+	} {
+		with, err := ParseRuntimeConfig(tc.base + tc.key)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		without, err := ParseRuntimeConfig(tc.base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(with, without) {
+			t.Errorf("%s: with the key %+v, without %+v", tc.name, with, without)
+		}
 	}
 }
 
@@ -495,37 +510,6 @@ func TestParseSingleQuotes(t *testing.T) {
 	}
 	if n.Str("k", "") != "single # quoted" {
 		t.Fatalf("%q", n.Str("k", ""))
-	}
-}
-
-func TestParseNUMAAndLocality(t *testing.T) {
-	cfg, err := ParseRuntimeConfig(`
-orchestrator:
-  policy: dynamic
-  locality_weight: 2.5
-numa:
-  nodes: 4
-  cross_ns_per_byte: 0.125
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Orchestrator.LocalityWeight != 2.5 {
-		t.Fatalf("locality_weight %v", cfg.Orchestrator.LocalityWeight)
-	}
-	if cfg.NUMA.Nodes != 4 || cfg.NUMA.CrossNsPerByte != 0.125 {
-		t.Fatalf("numa %+v", cfg.NUMA)
-	}
-	// Omitted sections stay off: single-node, no bias.
-	cfg, err = ParseRuntimeConfig("runtime:\n  workers: 2\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.NUMA.Nodes != 0 || cfg.Orchestrator.LocalityWeight != 0 {
-		t.Fatalf("defaults %+v / %v", cfg.NUMA, cfg.Orchestrator.LocalityWeight)
-	}
-	if _, err := ParseRuntimeConfig("numa:\n  nodes: -2\n"); err == nil {
-		t.Fatal("negative numa.nodes accepted")
 	}
 }
 

@@ -107,67 +107,6 @@ type CostModel struct {
 	// LabFSShardLockHold is the per-shard serialization quantum of LabFS's
 	// inode hashmap (small; many shards).
 	LabFSShardLockHold Duration
-
-	// --- NUMA topology ---------------------------------------------------------
-
-	// NUMA models cross-socket payload transfer charges. nil (the default)
-	// means a single node: no request ever pays a locality penalty, which
-	// keeps the calibrated single-socket experiments byte-for-byte stable.
-	NUMA *NUMAModel
-}
-
-// NUMAModel charges requests whose payload segment lives on a different
-// NUMA node than the worker touching it. Remote DRAM access over the
-// socket interconnect (QPI/UPI) costs extra latency and roughly halves
-// streaming bandwidth versus local access; the model expresses that as an
-// additive ns/byte surcharge on top of CopyPerByte.
-type NUMAModel struct {
-	// Nodes is the number of NUMA nodes (sockets). Workers map to nodes
-	// as id % Nodes; clients as origin core % Nodes.
-	Nodes int
-	// CrossPerByte is the additive ns/byte charge when the payload node
-	// differs from the worker node and no Matrix entry overrides it.
-	CrossPerByte float64
-	// Matrix, when non-nil, is a Nodes×Nodes ns/byte table indexed
-	// [payloadNode][workerNode]; the diagonal should be 0. It lets specs
-	// express asymmetric topologies (e.g. 4-socket rings where some pairs
-	// are two hops apart).
-	Matrix [][]float64
-}
-
-// DefaultNUMA returns a symmetric nodes-node model with a cross-node
-// surcharge of 0.03 ns/byte — remote streaming at ~60% of the local
-// 20 GB/s memcpy rate, the usual 2-socket penalty.
-func DefaultNUMA(nodes int) *NUMAModel {
-	return &NUMAModel{Nodes: nodes, CrossPerByte: 0.03}
-}
-
-// WorkerNode maps a worker (or core) index onto a node.
-func (m *NUMAModel) WorkerNode(id int) int {
-	if m == nil || m.Nodes <= 1 {
-		return 0
-	}
-	if id < 0 {
-		id = -id
-	}
-	return id % m.Nodes
-}
-
-// Cross returns the modeled surcharge for a worker on node `to` touching
-// n payload bytes homed on node `from`. Zero when the nodes match, the
-// model is nil, or there is effectively one node.
-func (m *NUMAModel) Cross(from, to, n int) Duration {
-	if m == nil || m.Nodes <= 1 || n <= 0 || from == to || from < 0 || to < 0 {
-		return 0
-	}
-	per := m.CrossPerByte
-	if m.Matrix != nil && from < len(m.Matrix) && to < len(m.Matrix[from]) {
-		per = m.Matrix[from][to]
-	}
-	if per <= 0 {
-		return 0
-	}
-	return Duration(float64(n) * per)
 }
 
 // Default returns the calibrated cost model used by all experiments.

@@ -14,19 +14,24 @@
 #      (window rule, park on sparse arrivals, no re-spin after a backstop
 #      wake) three times under the race detector at -cpu 1,2,8; the -cpu 1
 #      leg is the guard against a spin or poll loop that forgets to yield.
-#   6. debug handles: core and serve again with -tags labstor_debug, so
+#   6. chaos: TestChaosMixedLoadWithUpgradesAndCrash 200 times (concurrent
+#      LabFS writers across live upgrades, a stack insert/remove and a
+#      crash/restart; every fsync-acknowledged file must read back intact).
+#      Its failures are rare per run, so the single pass in step 1 misses
+#      them. 200 runs take ~4 s on a 2-core host.
+#   7. debug handles: core and serve again with -tags labstor_debug, so
 #      released buffers are poisoned and a stale or twice-released
 #      BufHandle panics — the serve plane writes result views in place and
 #      releases them only after the socket write.
-#   7. bench smoke: every benchmark once, then BenchmarkClientCallNop with
+#   8. bench smoke: every benchmark once, then BenchmarkClientCallNop with
 #      -benchmem so the client round trip's ns/op and allocs/op are in the
 #      log.
-#   8. fuzz smoke: short native-fuzzing runs of the wire-protocol frame
+#   9. fuzz smoke: short native-fuzzing runs of the wire-protocol frame
 #      decoder, its streaming reader against it (serve.* RPC framing) and
 #      the YAML spec/stack builder to catch parser regressions early.
-#   9. observe smoke: boot labstor-runtime with the observability server on
+#  10. observe smoke: boot labstor-runtime with the observability server on
 #      an ephemeral port and assert /metrics and /snapshot serve payloads.
-#  10. serve smoke: boot labstor-runtime with the network front end on an
+#  11. serve smoke: boot labstor-runtime with the network front end on an
 #      ephemeral port, drive RPCs via labctl, assert serve.* on /metrics.
 # Run from the repository root (or via `make check`).
 set -eu
@@ -49,6 +54,9 @@ go test -race -count=2 -shuffle=on ./internal/ipc/... ./internal/runtime/... ./i
 
 echo "== handshake: go test -race -count=3 -cpu 1,2,8 -run 'Ring|QueuePair|Handshake|Wait|Spin|Park|Idle' ./internal/ipc/... ./internal/core/... ./internal/runtime/... =="
 go test -race -count=3 -cpu 1,2,8 -run 'Ring|QueuePair|Handshake|Wait|Spin|Park|Idle' ./internal/ipc/... ./internal/core/... ./internal/runtime/...
+
+echo "== chaos: go test -count=200 -run TestChaosMixedLoadWithUpgradesAndCrash ./internal/runtime =="
+go test -count=200 -run TestChaosMixedLoadWithUpgradesAndCrash ./internal/runtime
 
 echo "== debug handles: go test -tags labstor_debug ./internal/core/... ./internal/serve/... =="
 go test -tags labstor_debug ./internal/core/... ./internal/serve/...
