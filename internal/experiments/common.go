@@ -9,6 +9,9 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"sync"
 	"time"
 
 	"labstor/internal/core"
@@ -207,4 +210,48 @@ func (p *Pacer) Pace(v vtime.Time) {
 	if d := time.Until(target); d > 0 {
 		time.Sleep(d)
 	}
+}
+
+// Lockstep orders closed-loop actors by virtual time instead of wall time:
+// an actor may submit only while its clock is the lowest among the actors
+// still running. A worker serializes requests in real arrival order, so
+// without it an actor that the Go scheduler happens to run ahead drags a
+// shared worker's clock forward, and every actor behind it pays the gap as
+// queueing that never happened in the modeled timeline. How far ahead an
+// actor runs depends on the host's core count, so results without the gate
+// do too.
+type Lockstep struct {
+	mu     sync.Mutex
+	cond   *sync.Cond
+	clocks []vtime.Time
+}
+
+// lockstepDone is the clock of an actor that has finished.
+const lockstepDone = vtime.Time(math.MaxInt64)
+
+// NewLockstep gates n actors, all starting at virtual time zero.
+func NewLockstep(n int) *Lockstep {
+	l := &Lockstep{clocks: make([]vtime.Time, n)}
+	l.cond = sync.NewCond(&l.mu)
+	return l
+}
+
+// Wait publishes actor i's clock and blocks until no running actor is
+// behind it.
+func (l *Lockstep) Wait(i int, now vtime.Time) {
+	l.mu.Lock()
+	l.clocks[i] = now
+	l.cond.Broadcast()
+	for now > slices.Min(l.clocks) {
+		l.cond.Wait()
+	}
+	l.mu.Unlock()
+}
+
+// Done retires actor i so it no longer holds the others back.
+func (l *Lockstep) Done(i int) {
+	l.mu.Lock()
+	l.clocks[i] = lockstepDone
+	l.cond.Broadcast()
+	l.mu.Unlock()
 }

@@ -101,16 +101,21 @@ func runDynamicTrial(workers int, policy string, nClients int, bytesPerClient in
 		}
 	}()
 
+	// Clients sharing a worker must reach it in virtual-time order, or the
+	// measured IOPS depends on how many host cores run them (Lockstep).
+	gate := NewLockstep(nClients)
 	for c := 0; c < nClients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
+			defer gate.Done(c)
 			cli := rt.Connect(ipc.Credentials{PID: 100 + c, UID: 1000, GID: 1000})
 			cli.OriginCore = c
 			rng := rand.New(rand.NewSource(int64(c)*31 + 7))
 			buf := make([]byte, 4096)
 			start := cli.Clock()
 			for i := int64(0); i < nOps; i++ {
+				gate.Wait(c, cli.Clock())
 				req := core.NewRequest(core.OpBlockWrite)
 				req.Offset = rng.Int63n(maxOff) * 4096
 				req.Size = len(buf)
