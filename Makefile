@@ -35,11 +35,13 @@ serve-smoke:
 	sh scripts/serve_smoke.sh
 
 # fuzz smoke-runs the wire-protocol frame decoder, the streaming frame
-# reader against it, and the YAML spec builder fuzzers.
+# reader against it, the YAML spec builder and the write-ahead log replay
+# fuzzers.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzStreamReader -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzSpecParse -fuzztime 10s ./internal/spec
+	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal
 
 # telemetry runs the probe workload and dumps the runtime snapshot.
 telemetry:

@@ -2,63 +2,55 @@ package labfs
 
 import (
 	"encoding/binary"
-	"hash/crc32"
+	"errors"
+
+	"labstor/internal/wal"
 )
 
-// Binary metadata log record format. Each record is framed as
+// logOp is a log entry's kind, one uvarint byte on the device.
+type logOp byte
+
+const (
+	logCreate logOp = iota + 1
+	logMkdir
+	logUnlink
+	logRmdir
+	logRename
+	logTruncate
+	logExtent
+	logSetSize
+)
+
+// logEntry is one record of LabFS's metadata log. LabFS stores only the log
+// on the device and reconstructs all inodes in memory by traversing it
+// (paper §III-E). The log itself (framing, blocks, checkpoint, replay) is
+// internal/wal; this file is the payload:
 //
-//	[magic 0xA7][payload length, 4B LE][payload CRC32 (IEEE), 4B LE][payload]
-//
-// and the payload is a fixed sequence of varint fields:
-//
-//	seq (uvarint) · op code (1 byte) · path (uvarint len + bytes) ·
+//	seq (uvarint) · op (uvarint) · path (uvarint len + bytes) ·
 //	path2 (uvarint len + bytes) · mode (uvarint) · uid (varint) ·
 //	gid (varint) · block_idx (varint) · phys (varint) · size (varint)
-//
-// Replay semantics mirror the old JSON-lines format exactly: a block whose
-// first byte is zero holds no entries (zero padding never begins a record
-// because the magic byte is nonzero); within a block, a zero byte where a
-// record should start is the padding terminator; a failed magic, short
-// frame, CRC mismatch, unknown op code or malformed varint is a torn tail
-// and stops the scan. The per-record CRC is what makes torn (partially
-// persisted) records detectable now that entries are no longer
-// self-describing text lines.
-const (
-	recMagic  = 0xA7
-	recHeader = 9 // magic + length + crc
-)
-
-// Op kinds map to single-byte codes on the device; the string constants in
-// log.go stay the in-memory representation so replay logic and tests are
-// untouched.
-var opToCode = map[string]byte{
-	logCreate:   1,
-	logMkdir:    2,
-	logUnlink:   3,
-	logRmdir:    4,
-	logRename:   5,
-	logTruncate: 6,
-	logExtent:   7,
-	logSetSize:  8,
+type logEntry struct {
+	Seq   uint64
+	Op    logOp
+	Path  string
+	Path2 string
+	Mode  uint32
+	UID   int
+	GID   int
+	// Extent fields: file block index -> physical block.
+	BlockIdx int64
+	Phys     int64
+	Size     int64
 }
 
-var codeToOp = func() map[byte]string {
-	m := make(map[byte]string, len(opToCode))
-	for s, c := range opToCode {
-		m[c] = s
-	}
-	return m
-}()
+// errBadEntry rejects a checksummed payload that does not decode: a codec
+// mismatch rather than a torn write, but replay stops there all the same.
+var errBadEntry = errors.New("labfs: malformed log entry")
 
-// appendRecord encodes ent as one framed record appended to dst and returns
-// the extended slice. Unknown op kinds encode as code 0 and are rejected at
-// decode — they cannot occur through the Append API.
-func appendRecord(dst []byte, ent *logEntry) []byte {
-	start := len(dst)
-	// Reserve the frame header; the payload is encoded in place after it.
-	dst = append(dst, recMagic, 0, 0, 0, 0, 0, 0, 0, 0)
+// appendEntry encodes ent's payload onto dst.
+func appendEntry(dst []byte, ent *logEntry) []byte {
 	dst = binary.AppendUvarint(dst, ent.Seq)
-	dst = append(dst, opToCode[ent.Op])
+	dst = binary.AppendUvarint(dst, uint64(ent.Op))
 	dst = binary.AppendUvarint(dst, uint64(len(ent.Path)))
 	dst = append(dst, ent.Path...)
 	dst = binary.AppendUvarint(dst, uint64(len(ent.Path2)))
@@ -68,106 +60,20 @@ func appendRecord(dst []byte, ent *logEntry) []byte {
 	dst = binary.AppendVarint(dst, int64(ent.GID))
 	dst = binary.AppendVarint(dst, ent.BlockIdx)
 	dst = binary.AppendVarint(dst, ent.Phys)
-	dst = binary.AppendVarint(dst, ent.Size)
-	payload := dst[start+recHeader:]
-	binary.LittleEndian.PutUint32(dst[start+1:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+5:], crc32.ChecksumIEEE(payload))
-	return dst
+	return binary.AppendVarint(dst, ent.Size)
 }
 
-// decodeRecord decodes the record at the start of b. It returns the entry,
-// the number of bytes consumed, and what the scan should do next: recMore
-// (entry valid, keep scanning), recEnd (zero padding — clean end of the
-// block's records) or recTorn (corruption — stop replay here).
-type recStatus int
-
-const (
-	recMore recStatus = iota
-	recEnd
-	recTorn
-)
-
-func decodeRecord(b []byte) (ent logEntry, n int, st recStatus) {
-	if len(b) == 0 || b[0] == 0 {
-		return ent, 0, recEnd
+// decodeEntry decodes one payload written by appendEntry.
+func decodeEntry(rec []byte) (logEntry, error) {
+	d := wal.NewDecoder(rec)
+	seq, op := d.Uvarint(), d.Uvarint()
+	ent := logEntry{
+		Seq: seq, Op: logOp(op), Path: d.Str(), Path2: d.Str(),
+		Mode: uint32(d.Uvarint()), UID: int(d.Varint()), GID: int(d.Varint()),
+		BlockIdx: d.Varint(), Phys: d.Varint(), Size: d.Varint(),
 	}
-	if b[0] != recMagic || len(b) < recHeader {
-		return ent, 0, recTorn
+	if op < uint64(logCreate) || op > uint64(logSetSize) || !d.Done() {
+		return logEntry{}, errBadEntry
 	}
-	plen := int(binary.LittleEndian.Uint32(b[1:5]))
-	if plen <= 0 || recHeader+plen > len(b) {
-		return ent, 0, recTorn
-	}
-	payload := b[recHeader : recHeader+plen]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[5:recHeader]) {
-		return ent, 0, recTorn
-	}
-	d := varintDecoder{b: payload}
-	ent.Seq = d.uvarint()
-	op, okOp := codeToOp[d.byte()]
-	ent.Op = op
-	ent.Path = d.str()
-	ent.Path2 = d.str()
-	ent.Mode = uint32(d.uvarint())
-	ent.UID = int(d.varint())
-	ent.GID = int(d.varint())
-	ent.BlockIdx = d.varint()
-	ent.Phys = d.varint()
-	ent.Size = d.varint()
-	if d.bad || !okOp || d.off != len(payload) {
-		// A checksummed payload that fails structural decode means a codec
-		// mismatch, not a torn write, but the safe recovery action is the
-		// same: stop at the last good record.
-		return logEntry{}, 0, recTorn
-	}
-	return ent, recHeader + plen, recMore
-}
-
-// varintDecoder walks a payload's fixed field sequence, latching any
-// malformation into bad instead of returning errors field-by-field.
-type varintDecoder struct {
-	b   []byte
-	off int
-	bad bool
-}
-
-func (d *varintDecoder) uvarint() uint64 {
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.bad = true
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *varintDecoder) varint() int64 {
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.bad = true
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *varintDecoder) byte() byte {
-	if d.off >= len(d.b) {
-		d.bad = true
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *varintDecoder) str() string {
-	ln := d.uvarint()
-	if d.bad || ln > uint64(len(d.b)-d.off) {
-		d.bad = true
-		return ""
-	}
-	s := string(d.b[d.off : d.off+int(ln)])
-	d.off += int(ln)
-	return s
+	return ent, nil
 }

@@ -19,11 +19,13 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"labstor/internal/core"
 	"labstor/internal/mods/pushdown"
 	"labstor/internal/telemetry"
 	"labstor/internal/vtime"
+	"labstor/internal/wal"
 )
 
 // Type is the registered module type name.
@@ -59,13 +61,13 @@ type LabFS struct {
 	core.Base
 
 	blockSize  int
-	logBlocks  int64
-	dataFirst  int64 // first data block
+	dataFirst  int64 // first data block; the log takes [0, dataFirst)
 	dataBlocks int64
 
 	table *inodeTable
 	alloc *allocator
-	log   *metaLog
+	log   *wal.Log
+	seq   *atomic.Uint64 // last log sequence number handed out; shared across upgrades like log
 
 	replayMu   sync.Mutex
 	needReplay bool
@@ -73,11 +75,6 @@ type LabFS struct {
 	// from the log; the next fsync of each reports ErrLostWrite once.
 	// Guarded by replayMu.
 	lost map[string]bool
-
-	statsMu sync.Mutex
-	creates int64
-	writes  int64
-	reads   int64
 
 	// opCount maps each handled op to its runtime metrics counter
 	// ("labfs.<uuid>.<op>"). Built once in Configure, read-only after —
@@ -121,19 +118,20 @@ func (f *LabFS) Configure(cfg core.Config, env *core.Env) error {
 	if logMB < 1 {
 		logMB = 16
 	}
-	f.logBlocks = int64(logMB<<20) / int64(f.blockSize)
+	logBlocks := int64(logMB<<20) / int64(f.blockSize)
 	total := dev.Capacity() / int64(f.blockSize)
-	if total <= f.logBlocks {
-		return fmt.Errorf("labfs: device %q too small (%d blocks) for a %d-block log", devName, total, f.logBlocks)
+	if total <= logBlocks {
+		return fmt.Errorf("labfs: device %q too small (%d blocks) for a %d-block log", devName, total, logBlocks)
 	}
-	f.dataFirst = f.logBlocks
-	f.dataBlocks = total - f.logBlocks
+	f.dataFirst = logBlocks
+	f.dataBlocks = total - logBlocks
 
 	shards, _ := strconv.Atoi(cfg.Attr("shards", "64"))
 	pools, _ := strconv.Atoi(cfg.Attr("pools", "16"))
 	f.table = newInodeTable(shards)
 	f.alloc = newAllocator(pools, f.dataFirst, f.dataBlocks)
-	f.log = newMetaLog(f.blockSize, f.logBlocks)
+	f.log = wal.New(f.blockSize, logBlocks, copyLogPad)
+	f.seq = new(atomic.Uint64)
 	f.needReplay = cfg.Attr("replay", "false") == "true"
 
 	if env.Metrics != nil {
@@ -222,7 +220,14 @@ func (f *LabFS) maybeReplay(e *core.Exec, req *core.Request) error {
 		return nil
 	}
 	f.needReplay = false
-	entries, err := f.log.Replay(e, req)
+	var entries []logEntry
+	err := f.log.Replay(e, req, func(rec []byte) error {
+		ent, err := decodeEntry(rec)
+		if err == nil {
+			entries = append(entries, ent)
+		}
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("labfs: replay: %w", err)
 	}
@@ -240,6 +245,9 @@ func (f *LabFS) applyEntries(entries []logEntry) {
 	f.table.Clear()
 	used := make(map[int64]bool)
 	for _, ent := range entries {
+		if ent.Seq > f.seq.Load() {
+			f.seq.Store(ent.Seq)
+		}
 		switch ent.Op {
 		case logCreate, logMkdir:
 			f.table.Put(&inode{
@@ -318,48 +326,38 @@ func sameExtents(a, b *inode) bool {
 	return true
 }
 
-// logAppend appends an entry, checkpointing the log first if it is nearly
-// full.
+// logAppend appends ent under the next sequence number. The log
+// checkpoints from f.snapshot when its region is nearly full.
 func (f *LabFS) logAppend(e *core.Exec, req *core.Request, ent logEntry) error {
-	f.log.mu.Lock()
-	nearFull := f.log.head >= f.log.logBlocks-2
-	f.log.mu.Unlock()
-	if nearFull {
-		if err := f.checkpoint(e, req); err != nil {
-			return err
-		}
-	}
-	return f.log.Append(e, req, ent)
+	var scratch [128]byte
+	ent.Seq = f.seq.Add(1)
+	return f.log.Append(e, req, appendEntry(scratch[:0], &ent), f.snapshot)
 }
 
-// checkpoint rewrites the log from scratch as the current state (create +
-// extent + size entries per inode), reclaiming log space.
-func (f *LabFS) checkpoint(e *core.Exec, req *core.Request) error {
-	f.log.Reset()
+// snapshot emits the current state as create + extent + size entries per
+// inode: a checkpoint's image of the filesystem.
+func (f *LabFS) snapshot(emit func(rec []byte) error) error {
+	var buf []byte
 	var err error
-	f.table.ForEach(func(ino *inode) {
-		if err != nil {
-			return
+	put := func(ent logEntry) {
+		if err == nil {
+			ent.Seq = f.seq.Add(1)
+			buf = appendEntry(buf[:0], &ent)
+			err = emit(buf)
 		}
+	}
+	f.table.ForEach(func(ino *inode) {
 		op := logCreate
 		if ino.IsDir {
 			op = logMkdir
 		}
-		err = f.log.Append(e, req, logEntry{Op: op, Path: ino.Path, Mode: ino.Mode, UID: ino.UID, GID: ino.GID})
+		put(logEntry{Op: op, Path: ino.Path, Mode: ino.Mode, UID: ino.UID, GID: ino.GID})
 		for idx, phys := range ino.Blocks {
-			if err != nil {
-				return
-			}
-			err = f.log.Append(e, req, logEntry{Op: logExtent, Path: ino.Path, BlockIdx: idx, Phys: phys})
+			put(logEntry{Op: logExtent, Path: ino.Path, BlockIdx: idx, Phys: phys})
 		}
-		if err == nil {
-			err = f.log.Append(e, req, logEntry{Op: logSetSize, Path: ino.Path, Size: ino.Size})
-		}
+		put(logEntry{Op: logSetSize, Path: ino.Path, Size: ino.Size})
 	})
-	if err != nil {
-		return err
-	}
-	return f.log.Flush(e, req)
+	return err
 }
 
 // --- metadata ops -------------------------------------------------------------
@@ -384,9 +382,6 @@ func (f *LabFS) create(e *core.Exec, req *core.Request, dir bool) error {
 		}
 		return nil
 	}
-	f.statsMu.Lock()
-	f.creates++
-	f.statsMu.Unlock()
 	op := logCreate
 	if dir {
 		op = logMkdir
@@ -701,9 +696,6 @@ func (f *LabFS) write(e *core.Exec, req *core.Request) error {
 		}
 	}
 	ino.LastWriter = req.Cred.UID
-	f.statsMu.Lock()
-	f.writes++
-	f.statsMu.Unlock()
 	req.Result = int64(len(data))
 	return nil
 }
@@ -796,9 +788,6 @@ func (f *LabFS) read(e *core.Exec, req *core.Request) error {
 	if blockBuf != nil {
 		core.ReleaseBuf(blockBuf)
 	}
-	f.statsMu.Lock()
-	f.reads++
-	f.statsMu.Unlock()
 	req.Result = read
 	return nil
 }
@@ -926,8 +915,8 @@ func (f *LabFS) StateUpdate(prev core.Module) error {
 	f.table = old.table
 	f.alloc = old.alloc
 	f.log = old.log
+	f.seq = old.seq
 	f.blockSize = old.blockSize
-	f.logBlocks = old.logBlocks
 	f.dataFirst = old.dataFirst
 	f.dataBlocks = old.dataBlocks
 	f.needReplay = false
@@ -966,11 +955,4 @@ func (f *LabFS) Provenance(path string) (createdBy int, createdSeq uint64, lastW
 		return 0, 0, 0, false
 	}
 	return ino.CreatedBy, ino.CreatedSeq, ino.LastWriter, true
-}
-
-// Stats returns op counters.
-func (f *LabFS) Stats() (creates, writes, reads int64) {
-	f.statsMu.Lock()
-	defer f.statsMu.Unlock()
-	return f.creates, f.writes, f.reads
 }

@@ -1,286 +1,173 @@
 package labfs
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"labstor/internal/core"
 	"labstor/internal/device"
-	"labstor/internal/vtime"
+	"labstor/internal/mods/driver"
+	"labstor/internal/mods/modtest"
 )
 
-// sinkMod is a terminal block module writing straight to a device (log
-// tests need a downstream without pulling in the driver package, which
-// would create an import cycle in white-box tests).
-type sinkMod struct {
-	core.Base
-	dev *device.Device
-}
-
-func (s *sinkMod) Info() core.ModuleInfo {
-	return core.ModuleInfo{Type: "test.sink", Consumes: core.APIBlock, Produces: core.APIDriver}
-}
-
-func (s *sinkMod) Process(e *core.Exec, req *core.Request) error {
-	switch req.Op {
-	case core.OpBlockWrite:
-		_, err := s.dev.WriteAt(req.Data, req.Offset)
-		return err
-	case core.OpBlockRead:
-		_, err := s.dev.ReadAt(req.Data, req.Offset)
-		return err
-	}
-	return nil
-}
-
-func (s *sinkMod) EstProcessingTime(core.Op, int) vtime.Duration { return 0 }
-
-// headMod invokes a test callback with the module's executor context — the
-// position LabFS itself occupies when it drives its metadata log.
-type headMod struct {
-	core.Base
-	fn func(e *core.Exec, req *core.Request) error
-}
-
-func (h *headMod) Info() core.ModuleInfo {
-	return core.ModuleInfo{Type: "test.head", Consumes: core.APIAny, Produces: core.APIBlock}
-}
-
-func (h *headMod) Process(e *core.Exec, req *core.Request) error { return h.fn(e, req) }
-
-func (h *headMod) EstProcessingTime(core.Op, int) vtime.Duration { return 0 }
-
-// driveLog runs fn in a module context above a device-backed sink.
-func driveLog(t *testing.T, dev *device.Device, fn func(e *core.Exec, req *core.Request) error) {
+// mountLog mounts LabFS with a logMB-MiB log over a kernel driver and
+// returns the harness, the stack and the instance.
+func mountLog(t *testing.T, logMB string) (*modtest.Harness, *core.Stack, *LabFS) {
 	t.Helper()
-	reg := core.NewRegistry()
-	reg.Register("head", &headMod{fn: fn})
-	reg.Register("sink", &sinkMod{dev: dev})
-	st := core.NewStack("m", core.Rules{}, []core.Vertex{
-		{UUID: "head", Outputs: []string{"sink"}},
-		{UUID: "sink"},
-	})
-	e := core.NewExec(reg, nil, nil, 0)
-	req := core.NewRequest(core.OpNop)
-	if err := e.Submit(st, req); err != nil {
+	h := modtest.New(t, device.NVMe, 64<<20)
+	s := h.Mount(t, "fs::/fs",
+		modtest.ChainVertex{UUID: "fs", Type: Type, Attrs: map[string]string{"device": "dev0", "log_mb": logMB}},
+		modtest.ChainVertex{UUID: "drv", Type: driver.KernelDriverType, Attrs: map[string]string{"device": "dev0"}},
+	)
+	m, err := h.Registry.Get("fs")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if req.Err != nil {
-		t.Fatal(req.Err)
-	}
+	return h, s, m.(*LabFS)
 }
 
+// deviceLap returns the lap stamped on the log's block 0: a checkpoint
+// starts a new one there.
+func deviceLap(h *modtest.Harness) uint32 {
+	var b [4]byte
+	h.Dev.ReadAt(b[:], 0)
+	return binary.LittleEndian.Uint32(b[:])
+}
+
+func run(t *testing.T, h *modtest.Harness, s *core.Stack, op core.Op, path, path2 string) error {
+	t.Helper()
+	r := core.NewRequest(op)
+	r.Path, r.Path2 = path, path2
+	return h.Run(t, s, r)
+}
+
+// TestMetaLogAppendFlushReplay: a cold restart rebuilds every logged file,
+// and log sequence numbers (creation provenance) resume after the last one
+// replayed.
 func TestMetaLogAppendFlushReplay(t *testing.T) {
-	dev := device.New("d", device.NVMe, 16<<20)
-	l := newMetaLog(4096, 64)
-	driveLog(t, dev, func(e *core.Exec, req *core.Request) error {
-		for i := 0; i < 300; i++ {
-			if err := l.Append(e, req, logEntry{Op: logCreate, Path: "f", Mode: 0644}); err != nil {
-				return err
-			}
+	h, s, _ := mountLog(t, "4")
+	for i := 0; i < 300; i++ {
+		if err := run(t, h, s, core.OpCreate, fmt.Sprintf("f-%03d", i), ""); err != nil {
+			t.Fatal(err)
 		}
-		return l.Flush(e, req)
-	})
-	if l.Entries() != 300 {
-		t.Fatalf("seq %d", l.Entries())
+	}
+	if err := run(t, h, s, core.OpFsync, "", ""); err != nil {
+		t.Fatal(err)
 	}
 
-	// Replay from the same device recovers every entry in order.
-	l2 := newMetaLog(4096, 64)
-	var entries []logEntry
-	driveLog(t, dev, func(e *core.Exec, req *core.Request) error {
-		var err error
-		entries, err = l2.Replay(e, req)
-		return err
-	})
-	if len(entries) != 300 {
-		t.Fatalf("replayed %d entries", len(entries))
+	fresh := &LabFS{}
+	if err := fresh.Configure(core.Config{UUID: "fs", Attrs: map[string]string{
+		"device": "dev0", "log_mb": "4", "replay": "true",
+	}}, h.Env); err != nil {
+		t.Fatal(err)
 	}
-	for i, ent := range entries {
-		if ent.Seq != uint64(i+1) || ent.Op != logCreate {
-			t.Fatalf("entry %d: %+v", i, ent)
+	h.Registry.Register("fs", fresh)
+	if err := run(t, h, s, core.OpCreate, "next", ""); err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Files() != 301 {
+		t.Fatalf("replayed %d files, want 300 + 1", fresh.Files()-1)
+	}
+	for _, row := range []struct {
+		path string
+		seq  uint64
+	}{{"f-000", 1}, {"f-299", 300}} {
+		if _, seq, _, ok := fresh.Provenance(row.path); !ok || seq != row.seq {
+			t.Fatalf("%s: created at seq %d (%v), want %d", row.path, seq, ok, row.seq)
 		}
 	}
-	// Appends resume with increasing sequence numbers.
-	driveLog(t, dev, func(e *core.Exec, req *core.Request) error {
-		return l2.Append(e, req, logEntry{Op: logUnlink, Path: "f"})
-	})
-	if l2.Entries() != 301 {
-		t.Fatalf("resumed seq %d", l2.Entries())
+	if seq := fresh.seq.Load(); seq != 301 {
+		t.Fatalf("the create after replay took seq %d, want 301", seq)
 	}
 }
 
-func TestMetaLogOverflowDetected(t *testing.T) {
-	dev := device.New("d", device.NVMe, 16<<20)
-	l := newMetaLog(4096, 2) // two-block log
-	failed := false
-	driveLog(t, dev, func(e *core.Exec, req *core.Request) error {
-		for i := 0; i < 500; i++ {
-			if err := l.Append(e, req, logEntry{Op: logCreate, Path: "some/long/path/name"}); err != nil {
-				failed = true
-				return nil
-			}
-		}
-		return nil
-	})
-	if !failed {
-		t.Fatal("log overflow undetected")
-	}
-}
-
+// TestMetaLogOversizedEntryRejected: an entry that cannot fit one log block
+// fails its operation instead of corrupting the log.
 func TestMetaLogOversizedEntryRejected(t *testing.T) {
-	dev := device.New("d", device.NVMe, 16<<20)
-	l := newMetaLog(256, 8)
-	big := make([]byte, 300)
-	for i := range big {
-		big[i] = 'x'
-	}
-	rejected := false
-	driveLog(t, dev, func(e *core.Exec, req *core.Request) error {
-		if err := l.Append(e, req, logEntry{Op: logCreate, Path: string(big)}); err != nil {
-			rejected = true
-		}
-		return nil
-	})
-	if !rejected {
+	h, s, _ := mountLog(t, "4")
+	if err := run(t, h, s, core.OpCreate, strings.Repeat("x", 5000), ""); err == nil {
 		t.Fatal("oversized entry accepted")
 	}
-}
-
-// gateSink is a terminal block module whose FIRST OpBlockWrite parks until
-// released, simulating a slow device write. It lets the test below prove
-// that an in-flight downstream log write no longer blocks other appenders.
-type gateSink struct {
-	core.Base
-	dev     *device.Device
-	entered chan struct{}
-	release chan struct{}
-	once    sync.Once
-}
-
-func (s *gateSink) Info() core.ModuleInfo {
-	return core.ModuleInfo{Type: "test.gatesink", Consumes: core.APIBlock, Produces: core.APIDriver}
-}
-
-func (s *gateSink) Process(e *core.Exec, req *core.Request) error {
-	if req.Op == core.OpBlockWrite {
-		first := false
-		s.once.Do(func() { first = true })
-		if first {
-			close(s.entered)
-			<-s.release
-		}
-		_, err := s.dev.WriteAt(req.Data, req.Offset)
-		return err
-	}
-	if req.Op == core.OpBlockRead {
-		_, err := s.dev.ReadAt(req.Data, req.Offset)
-		return err
-	}
-	return nil
-}
-
-func (s *gateSink) EstProcessingTime(core.Op, int) vtime.Duration { return 0 }
-
-// TestMetaLogConcurrentAppendNotSerialized: worker A fills a log block and
-// stalls inside the downstream device write; worker B's Append of a
-// buffered entry must complete while A is still stalled. Before the
-// critical-section shrink, Append held metaLog.mu across the encode and the
-// SpawnNext, so B would block behind A's device write.
-func TestMetaLogConcurrentAppendNotSerialized(t *testing.T) {
-	dev := device.New("d", device.NVMe, 16<<20)
-	gate := &gateSink{dev: dev, entered: make(chan struct{}), release: make(chan struct{})}
-	l := newMetaLog(4096, 64)
-
-	filler := logEntry{Op: logCreate, Path: strings.Repeat("x", 100)}
-	reg := core.NewRegistry()
-	reg.Register("head", &headMod{fn: func(e *core.Exec, req *core.Request) error {
-		if req.Path == "fill" {
-			// Enough appends to fill a block and trigger the gated write.
-			for i := 0; i < 60; i++ {
-				if err := l.Append(e, req, filler); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		return l.Append(e, req, logEntry{Op: logUnlink, Path: "quick"})
-	}})
-	reg.Register("sink", gate)
-	st := core.NewStack("m", core.Rules{}, []core.Vertex{
-		{UUID: "head", Outputs: []string{"sink"}},
-		{UUID: "sink"},
-	})
-
-	fillDone := make(chan error, 1)
-	go func() {
-		req := core.NewRequest(core.OpNop)
-		req.Path = "fill"
-		err := core.NewExec(reg, nil, nil, 0).Submit(st, req)
-		if err == nil {
-			err = req.Err
-		}
-		fillDone <- err
-	}()
-
-	select {
-	case <-gate.entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("filler never reached the device write")
-	}
-
-	// A is parked inside the downstream write. B's buffered append must not
-	// serialize behind it.
-	quickDone := make(chan error, 1)
-	go func() {
-		req := core.NewRequest(core.OpNop)
-		req.Path = "quick"
-		err := core.NewExec(reg, nil, nil, 1).Submit(st, req)
-		if err == nil {
-			err = req.Err
-		}
-		quickDone <- err
-	}()
-
-	select {
-	case err := <-quickDone:
-		if err != nil {
-			t.Fatalf("concurrent append failed: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("append serialized behind the in-flight log block write")
-	}
-
-	close(gate.release)
-	if err := <-fillDone; err != nil {
-		t.Fatalf("filler: %v", err)
+	if err := run(t, h, s, core.OpCreate, "short", ""); err != nil {
+		t.Fatalf("log unusable after a rejected entry: %v", err)
 	}
 }
 
+// TestMetaLogTornTailStopsCleanly: a torn write in the middle of the log
+// block leaves the files logged before it and none after.
 func TestMetaLogTornTailStopsCleanly(t *testing.T) {
-	dev := device.New("torn", device.NVMe, 1<<20)
-	l := newMetaLog(4096, 16)
-	driveLog(t, dev, func(e *core.Exec, req *core.Request) error {
-		for i := 0; i < 10; i++ {
-			if err := l.Append(e, req, logEntry{Op: logCreate, Path: "ok"}); err != nil {
-				return err
-			}
+	h, s, f := mountLog(t, "4")
+	for i := 0; i < 10; i++ {
+		run(t, h, s, core.OpCreate, fmt.Sprintf("ok-%d", i), "")
+	}
+	if err := run(t, h, s, core.OpFsync, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	h.Dev.WriteAt([]byte(`{"broken`), 200)
+	f.StateRepair()
+	run(t, h, s, core.OpStat, "ok-0", "")
+	n := f.Files()
+	if n == 0 || n >= 10 {
+		t.Fatalf("torn-tail replay kept %d files", n)
+	}
+	for i := 0; i < n; i++ {
+		if err := run(t, h, s, core.OpStat, fmt.Sprintf("ok-%d", i), ""); err != nil {
+			t.Fatalf("file %d of the %d before the tear: %v", i, n, err)
 		}
-		return l.Flush(e, req)
-	})
-	// Corrupt the middle of the flushed block (torn write).
-	dev.WriteAt([]byte(`{"broken`), 200)
-	l2 := newMetaLog(4096, 16)
-	var entries []logEntry
-	driveLog(t, dev, func(e *core.Exec, req *core.Request) error {
-		var err error
-		entries, err = l2.Replay(e, req)
-		return err
-	})
-	// Entries before the tear survive; the scan stops at the corruption.
-	if len(entries) == 0 || len(entries) >= 10 {
-		t.Fatalf("torn-tail replay returned %d entries", len(entries))
+	}
+}
+
+// TestReplayStopsAtPreviousLap: after two checkpoints, the current lap is
+// shorter than the one before it, and the older lap's records still sit on
+// the device past the new lap's end. Replay must stop at the lap boundary:
+// an old "unlink g" read after the new records would delete a file whose
+// data was written and fsynced since.
+func TestReplayStopsAtPreviousLap(t *testing.T) {
+	h, s, f := mountLog(t, "1")
+	// Renames with long names fill the log quickly.
+	a, b := strings.Repeat("a", 150), strings.Repeat("b", 150)
+	if err := run(t, h, s, core.OpCreate, a, ""); err != nil {
+		t.Fatal(err)
+	}
+	rename := func() {
+		if err := run(t, h, s, core.OpRename, a, b); err != nil {
+			t.Fatal(err)
+		}
+		a, b = b, a
+	}
+	perLap := 0
+	for deviceLap(h) < 2 {
+		rename()
+		perLap++
+	}
+	for i := 0; i < perLap*3/4; i++ {
+		rename()
+	}
+	if lap := deviceLap(h); lap != 2 {
+		t.Fatalf("lap %d late in the second lap", lap)
+	}
+	run(t, h, s, core.OpCreate, "g", "")
+	run(t, h, s, core.OpUnlink, "g", "")
+	for deviceLap(h) < 3 {
+		rename()
+	}
+	data := bytes.Repeat([]byte{7}, 8192)
+	if err := h.Run(t, s, modtest.WriteReq("g", 0, data)); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(t, h, s, core.OpFsync, "g", ""); err != nil {
+		t.Fatal(err)
+	}
+
+	f.StateRepair()
+	r := modtest.ReadReq("g", 0, len(data))
+	if err := h.Run(t, s, r); err != nil {
+		t.Fatalf("read g after replay: %v", err)
+	}
+	if r.Result != int64(len(data)) || !bytes.Equal(r.Data, data) {
+		t.Fatalf("g after replay: %d bytes", r.Result)
 	}
 }

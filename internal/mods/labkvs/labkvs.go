@@ -7,7 +7,7 @@
 package labkvs
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -20,6 +20,7 @@ import (
 	"labstor/internal/mods/pushdown"
 	"labstor/internal/telemetry"
 	"labstor/internal/vtime"
+	"labstor/internal/wal"
 )
 
 // Type is the registered module type name.
@@ -41,13 +42,13 @@ func init() {
 // ErrNoKey is returned for lookups of absent keys.
 var ErrNoKey = errors.New("labkvs: no such key")
 
-// record is the in-memory index entry for one key.
+// record is the in-memory index entry for one key, and one log record.
 type record struct {
-	Key    string  `json:"k"`
-	Size   int     `json:"z"`
-	Blocks []int64 `json:"b"`
-	Owner  int     `json:"u,omitempty"`
-	Dead   bool    `json:"d,omitempty"` // tombstone (log only)
+	Key    string
+	Size   int
+	Blocks []int64
+	Owner  int
+	Dead   bool // tombstone (log only)
 }
 
 type kvShard struct {
@@ -61,17 +62,15 @@ type LabKVS struct {
 	core.Base
 
 	blockSize int
-	logBlocks int64
-	dataFirst int64
+	dataFirst int64 // data region: blocks [dataFirst, dataEnd); the log takes [0, dataFirst)
+	dataEnd   int64
 
 	shards []kvShard
 
 	allocMu sync.Mutex
 	free    []int64
 
-	logMu   sync.Mutex
-	logBuf  []byte
-	logHead int64
+	log *wal.Log
 
 	needReplay bool
 	replayMu   sync.Mutex
@@ -116,12 +115,13 @@ func (k *LabKVS) Configure(cfg core.Config, env *core.Env) error {
 	if logMB < 1 {
 		logMB = 8
 	}
-	k.logBlocks = int64(logMB<<20) / int64(k.blockSize)
+	logBlocks := int64(logMB<<20) / int64(k.blockSize)
 	total := dev.Capacity() / int64(k.blockSize)
-	if total <= k.logBlocks {
+	if total <= logBlocks {
 		return fmt.Errorf("labkvs: device %q too small", devName)
 	}
-	k.dataFirst = k.logBlocks
+	k.dataFirst = logBlocks
+	k.dataEnd = total
 	nShards, _ := strconv.Atoi(cfg.Attr("shards", "64"))
 	if nShards < 1 {
 		nShards = 1
@@ -130,10 +130,9 @@ func (k *LabKVS) Configure(cfg core.Config, env *core.Env) error {
 	for i := range k.shards {
 		k.shards[i].recs = make(map[string]*record)
 	}
-	k.free = make([]int64, 0, total-k.logBlocks)
-	for b := total - 1; b >= k.dataFirst; b-- {
-		k.free = append(k.free, b)
-	}
+	k.free = make([]int64, 0, total-logBlocks)
+	k.rebuildFree(nil)
+	k.log = wal.New(k.blockSize, logBlocks, copyLogStage)
 	k.needReplay = cfg.Attr("replay", "false") == "true"
 
 	if env.Metrics != nil {
@@ -181,6 +180,18 @@ func (k *LabKVS) allocBlocks(n int) ([]int64, error) {
 	return blocks, nil
 }
 
+// rebuildFree makes every data block not in used free.
+func (k *LabKVS) rebuildFree(used map[int64]bool) {
+	k.allocMu.Lock()
+	defer k.allocMu.Unlock()
+	k.free = k.free[:0]
+	for b := k.dataEnd - 1; b >= k.dataFirst; b-- {
+		if !used[b] {
+			k.free = append(k.free, b)
+		}
+	}
+}
+
 func (k *LabKVS) freeBlocks(bs []int64) {
 	k.allocMu.Lock()
 	k.free = append(k.free, bs...)
@@ -209,7 +220,7 @@ func (k *LabKVS) Process(e *core.Exec, req *core.Request) error {
 	case core.OpScan: // scan-with-predicate: run a pushdown program in place
 		return k.scanExec(e, req)
 	case core.OpFsync:
-		return k.flushLog(e, req)
+		return k.log.Flush(e, req)
 	default:
 		return fmt.Errorf("labkvs: %w: %s", core.ErrNotSupported, req.Op)
 	}
@@ -388,17 +399,28 @@ func (k *LabKVS) has(req *core.Request) error {
 	return nil
 }
 
-func (k *LabKVS) scan(req *core.Request) error {
-	var keys []string
+// records returns the live records whose key starts with prefix. Records
+// are immutable once installed (a put replaces the pointer), so callers use
+// them outside the shard locks.
+func (k *LabKVS) records(prefix string) []*record {
+	var recs []*record
 	for i := range k.shards {
 		sh := &k.shards[i]
 		sh.mu.RLock()
-		for key := range sh.recs {
-			if req.Path == "" || strings.HasPrefix(key, req.Path) {
-				keys = append(keys, key)
+		for key, rec := range sh.recs {
+			if strings.HasPrefix(key, prefix) {
+				recs = append(recs, rec)
 			}
 		}
 		sh.mu.RUnlock()
+	}
+	return recs
+}
+
+func (k *LabKVS) scan(req *core.Request) error {
+	var keys []string
+	for _, rec := range k.records(req.Path) {
+		keys = append(keys, rec.Key)
 	}
 	sort.Strings(keys)
 	req.Names = keys
@@ -431,22 +453,10 @@ func (k *LabKVS) scanExec(e *core.Exec, req *core.Request) error {
 		prefix = req.Path
 	}
 	chargeMeta(e, req, k.shard(prefix))
-	// Snapshot matching records under the shard locks; block reads happen
-	// outside them (records are immutable once installed — puts replace
-	// the *record pointer, and freed blocks of replaced records are only
-	// rewritten by later puts, which this scan is unordered against
-	// anyway).
-	var recs []*record
-	for i := range k.shards {
-		sh := &k.shards[i]
-		sh.mu.RLock()
-		for key, rec := range sh.recs {
-			if prefix == "" || strings.HasPrefix(key, prefix) {
-				recs = append(recs, rec)
-			}
-		}
-		sh.mu.RUnlock()
-	}
+	// Block reads happen outside the shard locks: freed blocks of replaced
+	// records are only rewritten by later puts, which this scan is
+	// unordered against anyway.
+	recs := k.records(prefix)
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })
 
 	ev := pushdown.NewEval(prog, pushdown.EmitKV, req.ProgMaxBytes, req.ProgMaxSteps)
@@ -516,52 +526,66 @@ func (k *LabKVS) finishScan(e *core.Exec, req *core.Request, ev *pushdown.Eval) 
 
 // --- log ----------------------------------------------------------------------
 
+// logAppend appends rec to the log. The log checkpoints from k.snapshot
+// when its region is nearly full.
 func (k *LabKVS) logAppend(e *core.Exec, req *core.Request, rec *record) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	line = append(line, '\n')
-	k.logMu.Lock()
-	var full []byte
-	var at int64 = -1
-	if len(k.logBuf)+len(line) > k.blockSize {
-		full = make([]byte, k.blockSize)
-		copyLogStage.Add(copy(full, k.logBuf))
-		at = k.logHead
-		k.logHead++
-		if k.logHead >= k.logBlocks {
-			k.logHead = 0 // wrap: index rebuild tests keep logs small
+	var scratch [64]byte
+	return k.log.Append(e, req, appendRecord(scratch[:0], rec), k.snapshot)
+}
+
+// snapshot emits every live key as a put record: a checkpoint's image of
+// the index.
+func (k *LabKVS) snapshot(emit func(rec []byte) error) error {
+	var buf []byte
+	for _, rec := range k.records("") {
+		buf = appendRecord(buf[:0], rec)
+		if err := emit(buf); err != nil {
+			return err
 		}
-		k.logBuf = nil
-	}
-	k.logBuf = append(k.logBuf, line...)
-	k.logMu.Unlock()
-	if full != nil {
-		child := req.Child(core.OpBlockWrite)
-		child.Offset = at * int64(k.blockSize)
-		child.Size = len(full)
-		child.Data = full
-		child.DirectIO = true // written once, read back only by replay
-		return e.SpawnNext(req, child)
 	}
 	return nil
 }
 
-func (k *LabKVS) flushLog(e *core.Exec, req *core.Request) error {
-	k.logMu.Lock()
-	blk := make([]byte, k.blockSize)
-	copyLogStage.Add(copy(blk, k.logBuf))
-	at := k.logHead
-	k.logMu.Unlock()
-	child := req.Child(core.OpBlockWrite)
-	child.Offset = at * int64(k.blockSize)
-	child.Size = len(blk)
-	child.Data = blk
-	child.DirectIO = true
-	return e.SpawnNext(req, child)
+// appendRecord encodes rec's log payload onto dst: key (uvarint length +
+// bytes), size, block count and blocks (uvarints), owner (varint), dead
+// (uvarint 0 or 1).
+func appendRecord(dst []byte, rec *record) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(rec.Key)))
+	dst = append(dst, rec.Key...)
+	dst = binary.AppendUvarint(dst, uint64(rec.Size))
+	dst = binary.AppendUvarint(dst, uint64(len(rec.Blocks)))
+	for _, b := range rec.Blocks {
+		dst = binary.AppendUvarint(dst, uint64(b))
+	}
+	dst = binary.AppendVarint(dst, int64(rec.Owner))
+	if rec.Dead {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
 }
 
+var errBadRecord = errors.New("labkvs: malformed log record")
+
+// decodeRecord decodes one payload written by appendRecord.
+func decodeRecord(b []byte) (*record, error) {
+	d := wal.NewDecoder(b)
+	rec := &record{Key: d.Str(), Size: int(d.Uvarint())}
+	// A corrupt block count cannot run past the payload's length.
+	for n := d.Uvarint(); n > 0 && len(rec.Blocks) < len(b); n-- {
+		rec.Blocks = append(rec.Blocks, int64(d.Uvarint()))
+	}
+	rec.Owner = int(d.Varint())
+	rec.Dead = d.Uvarint() != 0
+	if !d.Done() {
+		return nil, errBadRecord
+	}
+	return rec, nil
+}
+
+// maybeReplay rebuilds the index and the free list from the device log.
+// The log is the whole truth: the index is rebuilt from empty, so a put
+// that never reached the log is lost rather than left pointing at blocks
+// the rebuilt free list hands out again.
 func (k *LabKVS) maybeReplay(e *core.Exec, req *core.Request) error {
 	k.replayMu.Lock()
 	defer k.replayMu.Unlock()
@@ -569,63 +593,37 @@ func (k *LabKVS) maybeReplay(e *core.Exec, req *core.Request) error {
 		return nil
 	}
 	k.needReplay = false
-	used := make(map[int64]bool)
-	for b := int64(0); b < k.logBlocks; b++ {
-		child := req.Child(core.OpBlockRead)
-		child.Offset = b * int64(k.blockSize)
-		child.Size = k.blockSize
-		child.Data = make([]byte, k.blockSize)
-		if err := e.SpawnNext(req, child); err != nil {
+	for i := range k.shards {
+		sh := &k.shards[i]
+		sh.mu.Lock()
+		clear(sh.recs)
+		sh.mu.Unlock()
+	}
+	err := k.log.Replay(e, req, func(b []byte) error {
+		rec, err := decodeRecord(b)
+		if err != nil {
 			return err
 		}
-		if child.Data[0] == 0 {
-			break
+		sh := k.shard(rec.Key)
+		sh.mu.Lock()
+		if rec.Dead {
+			delete(sh.recs, rec.Key)
+		} else {
+			sh.recs[rec.Key] = rec
 		}
-		k.logHead = b + 1
-		for _, line := range strings.Split(strings.TrimRight(string(child.Data), "\x00"), "\n") {
-			if line == "" {
-				continue
-			}
-			var rec record
-			if err := json.Unmarshal([]byte(line), &rec); err != nil {
-				continue // torn tail
-			}
-			sh := k.shard(rec.Key)
-			sh.mu.Lock()
-			if rec.Dead {
-				if old, ok := sh.recs[rec.Key]; ok {
-					for _, blk := range old.Blocks {
-						delete(used, blk)
-					}
-					delete(sh.recs, rec.Key)
-				}
-			} else {
-				r := rec
-				sh.recs[rec.Key] = &r
-				for _, blk := range rec.Blocks {
-					used[blk] = true
-				}
-			}
-			sh.mu.Unlock()
+		sh.mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	used := make(map[int64]bool)
+	for _, rec := range k.records("") {
+		for _, b := range rec.Blocks {
+			used[b] = true
 		}
 	}
-	// Rebuild the free list.
-	k.allocMu.Lock()
-	k.free = k.free[:0]
-	maxBlock := k.dataFirst + int64(cap(k.free))
-	_ = maxBlock
-	k.allocMu.Unlock()
-	total := int64(0)
-	if dev, err := k.Env.Device(k.Cfg.Attr("device", "")); err == nil {
-		total = dev.Capacity() / int64(k.blockSize)
-	}
-	k.allocMu.Lock()
-	for b := total - 1; b >= k.dataFirst; b-- {
-		if !used[b] {
-			k.free = append(k.free, b)
-		}
-	}
-	k.allocMu.Unlock()
+	k.rebuildFree(used)
 	return nil
 }
 
@@ -656,11 +654,10 @@ func (k *LabKVS) StateUpdate(prev core.Module) error {
 	}
 	k.shards = old.shards
 	k.free = old.free
-	k.logBuf = old.logBuf
-	k.logHead = old.logHead
+	k.log = old.log
 	k.blockSize = old.blockSize
-	k.logBlocks = old.logBlocks
 	k.dataFirst = old.dataFirst
+	k.dataEnd = old.dataEnd
 	k.needReplay = false
 	return nil
 }

@@ -186,6 +186,29 @@ func TestReplayRebuildsIndex(t *testing.T) {
 	}
 }
 
+// TestReplayDropsUnloggedPut: a crash replay rebuilds the index from the log
+// alone. A put that never reached the log is lost, not left in the index
+// pointing at a block the rebuilt free list hands to the next put.
+func TestReplayDropsUnloggedPut(t *testing.T) {
+	h := modtest.New(t, device.NVMe, 64<<20)
+	s := mountKVS(t, h)
+	put(t, h, s, "k1", []byte("one"))
+	if err := h.Run(t, s, core.NewRequest(core.OpFsync)); err != nil {
+		t.Fatal(err)
+	}
+	put(t, h, s, "k2", []byte("two")) // not flushed
+	kvsInstance(t, h).StateRepair()
+	put(t, h, s, "k3", []byte("three"))
+	if got, err := get(t, h, s, "k2"); !errors.Is(err, labkvs.ErrNoKey) {
+		t.Fatalf("unlogged put after replay: %q, %v; want ErrNoKey", got, err)
+	}
+	for k, want := range map[string]string{"k1": "one", "k3": "three"} {
+		if got, err := get(t, h, s, k); err != nil || string(got) != want {
+			t.Fatalf("get %s: %q, %v", k, got, err)
+		}
+	}
+}
+
 func TestStateUpdatePreservesIndex(t *testing.T) {
 	h := modtest.New(t, device.NVMe, 64<<20)
 	s := mountKVS(t, h)

@@ -5,8 +5,9 @@
 #   3. concurrency: go test -race -timeout 1800s ./... (on a 2-core host
 #      internal/experiments alone needs ~12.5 min under the race detector,
 #      past Go's default 10 min)
-#   4. hot-path soak: the lock-free ring and worker/client hot path, twice
-#      under the race detector with shuffled test order, to surface
+#   4. hot-path soak: the lock-free ring and worker/client hot path, and the
+#      write-ahead log with LabFS and LabKVS on top of it, twice under the
+#      race detector with shuffled test order, to surface
 #      ordering-dependent races the single straight-line pass can miss.
 #   5. handshake: the vectored ring and queue pair (the only ring there is),
 #      the submit → complete → reap handshake tests (completion word,
@@ -27,8 +28,9 @@
 #      -benchmem so the client round trip's ns/op and allocs/op are in the
 #      log.
 #   9. fuzz smoke: short native-fuzzing runs of the wire-protocol frame
-#      decoder, its streaming reader against it (serve.* RPC framing) and
-#      the YAML spec/stack builder to catch parser regressions early.
+#      decoder, its streaming reader against it (serve.* RPC framing), the
+#      YAML spec/stack builder and the write-ahead log's replay over
+#      arbitrary block images, to catch parser regressions early.
 #  10. observe smoke: boot labstor-runtime with the observability server on
 #      an ephemeral port and assert /metrics and /snapshot serve payloads.
 #  11. serve smoke: boot labstor-runtime with the network front end on an
@@ -49,8 +51,8 @@ go vet ./...
 echo "== go test -race -timeout 1800s ./... =="
 go test -race -timeout 1800s ./...
 
-echo "== go test -race -count=2 -shuffle=on ./internal/ipc/... ./internal/runtime/... ./internal/device/... ./internal/telemetry/... ./internal/obs/... ./internal/serve/... ./internal/mods/pushdown/... =="
-go test -race -count=2 -shuffle=on ./internal/ipc/... ./internal/runtime/... ./internal/device/... ./internal/telemetry/... ./internal/obs/... ./internal/serve/... ./internal/mods/pushdown/...
+echo "== go test -race -count=2 -shuffle=on ./internal/ipc/... ./internal/runtime/... ./internal/device/... ./internal/telemetry/... ./internal/obs/... ./internal/serve/... ./internal/mods/pushdown/... ./internal/wal/... ./internal/mods/labfs/... ./internal/mods/labkvs/... =="
+go test -race -count=2 -shuffle=on ./internal/ipc/... ./internal/runtime/... ./internal/device/... ./internal/telemetry/... ./internal/obs/... ./internal/serve/... ./internal/mods/pushdown/... ./internal/wal/... ./internal/mods/labfs/... ./internal/mods/labkvs/...
 
 echo "== handshake: go test -race -count=3 -cpu 1,2,8 -run 'Ring|QueuePair|Handshake|Wait|Spin|Park|Idle' ./internal/ipc/... ./internal/core/... ./internal/runtime/... =="
 go test -race -count=3 -cpu 1,2,8 -run 'Ring|QueuePair|Handshake|Wait|Spin|Park|Idle' ./internal/ipc/... ./internal/core/... ./internal/runtime/...
@@ -75,6 +77,9 @@ go test -run '^$' -fuzz FuzzStreamReader -fuzztime 5s ./internal/serve
 
 echo "== fuzz smoke: FuzzSpecParse -fuzztime 5s =="
 go test -run '^$' -fuzz FuzzSpecParse -fuzztime 5s ./internal/spec
+
+echo "== fuzz smoke: FuzzWALReplay -fuzztime 5s =="
+go test -run '^$' -fuzz FuzzWALReplay -fuzztime 5s ./internal/wal
 
 echo "== observe smoke: scripts/obs_smoke.sh =="
 sh scripts/obs_smoke.sh
