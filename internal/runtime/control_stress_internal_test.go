@@ -1,0 +1,133 @@
+package runtime
+
+import (
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"labstor/internal/core"
+	"labstor/internal/ipc"
+	"labstor/internal/mods/dummy"
+)
+
+// checkOwnership fails the test unless every registered queue is assigned
+// to exactly one worker and that worker is active. It holds ctl, so it
+// sees the runtime between two control decisions.
+func checkOwnership(t *testing.T, rt *Runtime, after string) {
+	t.Helper()
+	rt.ctl.Lock()
+	defer rt.ctl.Unlock()
+	owners := make(map[*QP][]*Worker)
+	for _, w := range rt.workers {
+		for _, q := range w.assigned() {
+			owners[q] = append(owners[q], w)
+		}
+	}
+	for _, q := range rt.orch.Queues() {
+		if ws := owners[q]; len(ws) != 1 || !ws[0].isActive() {
+			t.Errorf("after %s: queue %d has %d owners (want one active worker)", after, q.ID, len(ws))
+		}
+	}
+}
+
+// TestControlPlaneStress runs every kind of control call at once — clients
+// connecting, submitting and disconnecting, live upgrades, rebalances (on
+// demand and every millisecond) and stack edits — and checks the control
+// plane's invariants: after each call returns every registered queue has
+// exactly one active owner; at the end no queue has a request in flight and
+// the upgraded module counted every request (an upgrade that swapped under
+// a busy worker would lose its count). check.sh runs it under -race at
+// -cpu 1,2,8.
+func TestControlPlaneStress(t *testing.T) {
+	for _, policy := range []string{"round_robin", "dynamic"} {
+		t.Run(policy, func(t *testing.T) { controlPlaneStress(t, policy) })
+	}
+}
+
+func controlPlaneStress(t *testing.T, policy string) {
+	const clients, rounds, perRound = 4, 10, 20
+	rt := New(Options{MaxWorkers: 4, QueueDepth: 64, Policy: policy, RebalanceEvery: time.Millisecond,
+		PerfSampleEvery: PerfSamplingDisabled, TailRing: -1})
+	stack, err := rt.Mount(core.NewStack("msg::/s", core.Rules{}, []core.Vertex{{UUID: "dum", Type: dummy.Type}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	defer rt.Shutdown()
+
+	var (
+		mu        sync.Mutex
+		qps       []*QP
+		sent      atomic.Int64
+		clientsWG sync.WaitGroup
+		controlWG sync.WaitGroup
+	)
+	for c := 0; c < clients; c++ {
+		clientsWG.Add(1)
+		go func(c int) {
+			defer clientsWG.Done()
+			for r := 0; r < rounds; r++ {
+				cli := rt.Connect(ipc.Credentials{PID: 1 + c})
+				checkOwnership(t, rt, "Connect")
+				mu.Lock()
+				qps = append(qps, cli.QueuePair())
+				mu.Unlock()
+				for i := 0; i < perRound; i++ {
+					if err := cli.SubmitStack(stack, core.NewRequest(core.OpMessage)); err != nil {
+						t.Errorf("client %d: %v", c, err)
+						return
+					}
+					sent.Add(1)
+				}
+				cli.Disconnect()
+				checkOwnership(t, rt, "Disconnect")
+			}
+		}(c)
+	}
+
+	// The control callers run until the clients are done, each at least once.
+	done := make(chan struct{})
+	control := func(name string, call func() error) {
+		defer controlWG.Done()
+		for {
+			if err := call(); err != nil {
+				t.Errorf("%s: %v", name, err)
+				return
+			}
+			checkOwnership(t, rt, name)
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}
+	controlWG.Add(3)
+	go control("Upgrade", func() error {
+		return rt.ModManager().Upgrade(&UpgradeRequest{UUID: "dum", Build: func() core.Module { return &dummy.Dummy{} }})
+	})
+	go control("Rebalance", func() error { rt.Orchestrator().Rebalance(); return nil })
+	go control("ModifyStack", func() error {
+		if err := rt.ModifyStack("msg::/s", "dum", &core.Vertex{UUID: "probe", Type: dummy.Type}, ""); err != nil {
+			return err
+		}
+		return rt.ModifyStack("msg::/s", "", nil, "probe")
+	})
+	clientsWG.Wait()
+	close(done)
+	controlWG.Wait()
+
+	for _, q := range qps {
+		if n := q.Inflight(); n != 0 {
+			t.Errorf("queue %d: %d requests in flight at quiescence", q.ID, n)
+		}
+	}
+	m, err := rt.Registry.Get("dum")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.(*dummy.Dummy).Messages(), sent.Load(); got != want {
+		t.Fatalf("module counted %d requests across %d upgrades, %d were sent", got, rt.ModManager().UpgradesDone(), want)
+	}
+}

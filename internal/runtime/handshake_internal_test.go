@@ -16,36 +16,53 @@ import (
 // Wait's poll-then-park loop. check.sh runs these under -race at
 // -cpu 1,2,8; the -cpu 1 leg fails if the poll loop forgets to yield.
 
-const gateType = "test.handshake_gate"
+const (
+	gateType     = "test.handshake_gate"
+	passGateType = "test.pass_gate"
+)
 
 // gateMod answers every request with a function of its operands, so a
 // result delivered to the wrong request or before the mod ran is visible.
 // A request with Flags == gated first blocks until the test sends a token
-// on release.
+// on release. The pass variant forwards every request to the next vertex
+// with e.Next instead of answering it.
 type gateMod struct {
 	core.Base
 	entered chan struct{} // one token per gated request that reached the mod
 	release chan struct{} // one token lets one gated request proceed
 	repairs atomic.Int64
+	served  atomic.Int64 // requests this instance has finished with
+	pass    bool
 }
 
 const gated = 1
 
+func newGateMod(pass bool) *gateMod {
+	// Sized to the number of gated requests any one test has in flight.
+	return &gateMod{entered: make(chan struct{}, 4), release: make(chan struct{}, 4), pass: pass}
+}
+
 func init() {
-	core.RegisterType(gateType, func() core.Module {
-		// Sized to the number of gated requests any one test has in flight.
-		return &gateMod{entered: make(chan struct{}, 4), release: make(chan struct{}, 4)}
-	})
+	core.RegisterType(gateType, func() core.Module { return newGateMod(false) })
+	core.RegisterType(passGateType, func() core.Module { return newGateMod(true) })
 }
 
 func (g *gateMod) Info() core.ModuleInfo {
-	return core.ModuleInfo{Type: gateType, Version: "1.0", Consumes: core.APIAny, Produces: core.APIAny}
+	typ := gateType
+	if g.pass {
+		typ = passGateType
+	}
+	return core.ModuleInfo{Type: typ, Version: "1.0", Consumes: core.APIAny, Produces: core.APIAny}
 }
 
 func (g *gateMod) Process(e *core.Exec, req *core.Request) error {
 	if req.Flags == gated {
 		g.entered <- struct{}{}
 		<-g.release
+	}
+	g.served.Add(1)
+	if g.pass {
+		return e.Next(req)
 	}
 	req.Result = gateAnswer(req.Offset)
 	return nil

@@ -7,7 +7,6 @@ import (
 
 	"labstor/internal/core"
 	"labstor/internal/device"
-	"labstor/internal/ipc"
 	"labstor/internal/telemetry"
 	"labstor/internal/vtime"
 )
@@ -62,23 +61,21 @@ type ModManager struct {
 	lastUpgradeVT  vtime.Duration // modeled duration of the last batch
 	totalUpgradeVT vtime.Duration
 
-	// Wall-clock phase timings of the last upgrade batch (the protocol's
-	// pause → drain → apply sequence, paper §III-C2).
-	lastPauseWall time.Duration
-	lastDrainWall time.Duration
-	lastApplyWall time.Duration
+	// Wall-clock phase timings of the last upgrade batch: pausing and
+	// draining the queues, then swapping the modules (paper §III-C2).
+	lastQuiesceWall time.Duration
+	lastApplyWall   time.Duration
 }
 
 // UpgradeStats summarises the Module Manager's upgrade activity, including
 // the wall-clock phase timings of the most recent batch.
 type UpgradeStats struct {
-	Done          int            `json:"done"`
-	Pending       int            `json:"pending"`
-	LastVT        vtime.Duration `json:"last_vt_ns"`
-	TotalVT       vtime.Duration `json:"total_vt_ns"`
-	LastPauseWall time.Duration  `json:"last_pause_wall_ns"`
-	LastDrainWall time.Duration  `json:"last_drain_wall_ns"`
-	LastApplyWall time.Duration  `json:"last_apply_wall_ns"`
+	Done            int            `json:"done"`
+	Pending         int            `json:"pending"`
+	LastVT          vtime.Duration `json:"last_vt_ns"`
+	TotalVT         vtime.Duration `json:"total_vt_ns"`
+	LastQuiesceWall time.Duration  `json:"last_quiesce_wall_ns"`
+	LastApplyWall   time.Duration  `json:"last_apply_wall_ns"`
 }
 
 // Stats returns the upgrade counters and last-batch phase timings.
@@ -86,13 +83,12 @@ func (mm *ModManager) Stats() UpgradeStats {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
 	return UpgradeStats{
-		Done:          mm.upgradesDone,
-		Pending:       len(mm.pending),
-		LastVT:        mm.lastUpgradeVT,
-		TotalVT:       mm.totalUpgradeVT,
-		LastPauseWall: mm.lastPauseWall,
-		LastDrainWall: mm.lastDrainWall,
-		LastApplyWall: mm.lastApplyWall,
+		Done:            mm.upgradesDone,
+		Pending:         len(mm.pending),
+		LastVT:          mm.lastUpgradeVT,
+		TotalVT:         mm.totalUpgradeVT,
+		LastQuiesceWall: mm.lastQuiesceWall,
+		LastApplyWall:   mm.lastApplyWall,
 	}
 }
 
@@ -101,7 +97,7 @@ func newModManager(rt *Runtime) *ModManager {
 }
 
 // RequestUpgrade enqueues an upgrade (the paper's modify.mods API) and
-// returns a channel that yields the result when the admin processes it.
+// returns a channel that yields the result when the control loop applies it.
 func (mm *ModManager) RequestUpgrade(req *UpgradeRequest) <-chan error {
 	req.done = make(chan error, 1)
 	mm.mu.Lock()
@@ -138,18 +134,14 @@ func (mm *ModManager) TotalUpgradeTime() vtime.Duration {
 }
 
 // ProcessUpgrades drains the upgrade queue, executing the centralized
-// protocol (and its decentralized extension) for the whole batch:
+// protocol (and its decentralized extension) for the whole batch under
+// quiesce: the queues pause, workers acknowledge and finish the requests
+// they hold, each module is swapped via Registry.Swap → StateUpdate(old),
+// and the queues resume. If the workers do not quiesce in time the batch
+// stays queued for the next call.
 //
-//  1. mark every primary queue UPDATE_PENDING;
-//  2. wait until workers acknowledge (UPDATE_ACKED) — paused queues stop
-//     draining;
-//  3. wait for intermediate and in-flight requests to complete (all queue
-//     pairs idle, no worker mid-request);
-//  4. swap each module via Registry.Swap → StateUpdate(old);
-//  5. unmark the queues; requests flow again.
-//
-// It is called by the Runtime Admin loop every UpgradePoll, and may be
-// called directly by tests.
+// It is called by the control loop every UpgradePoll, and may be called
+// directly by tests.
 func (mm *ModManager) ProcessUpgrades() {
 	mm.mu.Lock()
 	batch := mm.pending
@@ -158,104 +150,56 @@ func (mm *ModManager) ProcessUpgrades() {
 	if len(batch) == 0 {
 		return
 	}
+	rt := mm.rt
+	rt.ctl.Lock()
+	defer rt.ctl.Unlock()
 
-	queues := mm.rt.orch.Queues()
-
-	// Phase 1: pause primary queues.
-	phaseStart := time.Now()
-	for _, q := range queues {
-		if q.Kind == ipc.Primary {
-			q.MarkUpdatePending()
-		}
-	}
-	// Phase 2: wait for worker acknowledgment (or empty queues; a queue no
-	// worker currently polls acks trivially since no one drains it).
-	deadline := time.Now().Add(500 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		allAcked := true
-		for _, q := range queues {
-			if q.Kind != ipc.Primary {
-				continue
-			}
-			if q.State() == ipc.UpdatePending && q.SQLen() > 0 {
-				allAcked = false
-				break
-			}
-		}
-		if allAcked {
-			break
-		}
-		time.Sleep(20 * time.Microsecond)
-	}
-	pauseWall := time.Since(phaseStart)
-	// Phase 3: drain intermediate queues, and the requests workers took off
-	// a primary queue before it paused — an empty SQ passes phase 2 while its
-	// last request is still inside the module about to be swapped, and a
-	// swap under it would lose that request's state change.
-	phaseStart = time.Now()
-	for time.Now().Before(deadline) {
-		busy := mm.rt.workersBusy()
-		for _, q := range queues {
-			if q.Kind == ipc.Intermediate && q.Inflight() > 0 {
-				busy = true
-				break
-			}
-		}
-		if !busy {
-			break
-		}
-		time.Sleep(20 * time.Microsecond)
-	}
-	drainWall := time.Since(phaseStart)
-
-	// Phase 4: apply each upgrade.
-	phaseStart = time.Now()
+	start := time.Now()
+	var quiesceWall time.Duration
 	var batchVT vtime.Duration
 	applied := 0
-	for _, up := range batch {
-		vt, err := mm.applyOne(up)
-		batchVT += vt
-		if err == nil {
-			applied++
-			mm.rt.events.Recordf(telemetry.EvUpgrade, mm.rt.vnow(),
-				"module %s upgraded (%s)", up.UUID, up.Mode)
-		} else {
-			mm.rt.events.Recordf(telemetry.EvUpgrade, mm.rt.vnow(),
-				"module %s upgrade failed: %v", up.UUID, err)
+	err := rt.quiesce("upgrade", func() error {
+		quiesceWall = time.Since(start)
+		start = time.Now()
+		for _, up := range batch {
+			vt, err := mm.applyOne(up)
+			batchVT += vt
+			if err == nil {
+				applied++
+				rt.events.Recordf(telemetry.EvUpgrade, rt.vnow(), "module %s upgraded (%s)", up.UUID, up.Mode)
+			} else {
+				rt.events.Recordf(telemetry.EvUpgrade, rt.vnow(), "module %s upgrade failed: %v", up.UUID, err)
+			}
+			up.done <- err
 		}
-		up.done <- err
-	}
-	applyWall := time.Since(phaseStart)
-
-	// The pause + code load + state transfer occupy the Runtime: model the
-	// service interruption by pushing every worker's virtual clock past the
-	// upgrade window, so requests queued during the upgrade see the delay.
-	if batchVT > 0 {
-		for _, w := range mm.rt.workers {
+		// The pause + code load + state transfer occupy the Runtime: model
+		// the service interruption by pushing every worker's virtual clock
+		// past the upgrade window, so requests queued during the upgrade see
+		// the delay.
+		for _, w := range rt.workers {
 			w.clock.Advance(batchVT)
 		}
+		return nil
+	})
+	if err != nil {
+		mm.mu.Lock()
+		mm.pending = append(batch, mm.pending...)
+		mm.mu.Unlock()
+		return
 	}
-
-	// Phase 5: resume.
-	for _, q := range queues {
-		if q.Kind == ipc.Primary {
-			q.ResumeAfterUpdate()
-		}
-	}
+	applyWall := time.Since(start)
 
 	mm.mu.Lock()
 	mm.upgradesDone += applied
 	mm.lastUpgradeVT = batchVT
 	mm.totalUpgradeVT += batchVT
-	mm.lastPauseWall = pauseWall
-	mm.lastDrainWall = drainWall
+	mm.lastQuiesceWall = quiesceWall
 	mm.lastApplyWall = applyWall
 	mm.mu.Unlock()
 
-	reg := mm.rt.metrics
+	reg := rt.metrics
 	reg.Add("upgrade.applied", int64(applied))
-	reg.Observe("upgrade.pause_wall_us", float64(pauseWall.Microseconds()))
-	reg.Observe("upgrade.drain_wall_us", float64(drainWall.Microseconds()))
+	reg.Observe("upgrade.quiesce_wall_us", float64(quiesceWall.Microseconds()))
 	reg.Observe("upgrade.apply_wall_us", float64(applyWall.Microseconds()))
 }
 

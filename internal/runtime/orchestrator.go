@@ -67,10 +67,6 @@ type queueStats struct {
 	rate float64
 }
 
-// DebugRebalance, when set, receives (lqs, cqs, nLQ, nCQ, lLoad, cLoad) at
-// every dynamic rebalance (test instrumentation).
-var DebugRebalance func(lqs, cqs, nLQ, nCQ int, lLoad, cLoad float64)
-
 func newOrchestrator(rt *Runtime) *Orchestrator {
 	return &Orchestrator{
 		rt:       rt,
@@ -78,19 +74,25 @@ func newOrchestrator(rt *Runtime) *Orchestrator {
 	}
 }
 
-// AddQueue registers a new client queue and triggers a rebalance (the paper
-// rebalances when a new client connects and every t ms).
+// AddQueue registers a new client queue and rebalances (the paper
+// rebalances when a new client connects and every t ms). Both happen under
+// the control lock, so every registered queue has a worker once no control
+// decision is in progress.
 func (o *Orchestrator) AddQueue(qp *QP) {
+	o.rt.ctl.Lock()
+	defer o.rt.ctl.Unlock()
 	o.mu.Lock()
 	o.queues = append(o.queues, qp)
 	n := len(o.queues)
 	o.mu.Unlock()
 	o.rt.events.Recordf(telemetry.EvRebalance, o.rt.vnow(), "queue %d registered (%d total)", qp.ID, n)
-	o.Rebalance()
+	o.rebalance()
 }
 
-// RemoveQueue retires a client queue.
+// RemoveQueue retires a client queue and rebalances, under the control lock.
 func (o *Orchestrator) RemoveQueue(qp *QP) {
+	o.rt.ctl.Lock()
+	defer o.rt.ctl.Unlock()
 	o.mu.Lock()
 	for i, q := range o.queues {
 		if q == qp {
@@ -102,7 +104,7 @@ func (o *Orchestrator) RemoveQueue(qp *QP) {
 	n := len(o.queues)
 	o.mu.Unlock()
 	o.rt.events.Recordf(telemetry.EvRebalance, o.rt.vnow(), "queue %d retired (%d left)", qp.ID, n)
-	o.Rebalance()
+	o.rebalance()
 }
 
 // Queues returns the registered queues.
@@ -187,6 +189,15 @@ func (o *Orchestrator) QueueDemands() []QueueDemand {
 
 // Rebalance recomputes the queue→worker assignment under the active policy.
 func (o *Orchestrator) Rebalance() {
+	o.rt.ctl.Lock()
+	defer o.rt.ctl.Unlock()
+	o.rebalance()
+}
+
+// rebalance is Rebalance for a caller that holds the control lock: the
+// queue snapshot, the plan and every worker's new assignment form one
+// decision.
+func (o *Orchestrator) rebalance() {
 	o.rt.metrics.Counter("orchestrator.rebalances").Inc()
 	o.mu.Lock()
 	o.rebalances++
@@ -238,12 +249,7 @@ func (o *Orchestrator) rebalanceDynamic(queues []*QP) {
 	//    global frontier rather than per-queue spans matters: a closed-loop
 	//    low-latency client is "always busy" inside its own tiny virtual
 	//    window, but consumes almost nothing of the system's capacity.
-	frontier := vtime.Time(0)
-	for _, w := range o.rt.workers {
-		if c := w.clock.Now(); c > frontier {
-			frontier = c
-		}
-	}
+	frontier := o.rt.vnow()
 	o.mu.Lock()
 	dFrontier := float64(frontier.Sub(o.prevFrontier))
 	// Only close a measurement window once the system has made enough
@@ -373,9 +379,6 @@ func (o *Orchestrator) rebalanceDynamic(queues []*QP) {
 		o.rt.events.Recordf(telemetry.EvRebalance, o.rt.vnow(),
 			"dynamic partition: %d LQs on %d workers, %d CQs on %d workers",
 			dec.LQs, dec.LQWorkers, dec.CQs, dec.CQWorkers)
-	}
-	if DebugRebalance != nil {
-		DebugRebalance(len(lqs), len(cqs), nLQ, nCQ, lTot, cTot)
 	}
 
 	for i, w := range workers {

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	gort "runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,9 +69,9 @@ type Options struct {
 	// Policy selects the orchestration policy ("round_robin" or "dynamic").
 	Policy string
 	// RebalanceEvery is the orchestrator epoch (wall time). 0 disables the
-	// background rebalance loop (experiments call Rebalance explicitly).
+	// periodic rebalance (experiments call Rebalance explicitly).
 	RebalanceEvery time.Duration
-	// UpgradePoll is the Runtime Admin's upgrade-queue polling period.
+	// UpgradePoll is the control loop's upgrade-queue polling period.
 	UpgradePoll time.Duration
 	// Model is the virtual-time cost model (vtime.Default() if nil).
 	Model *vtime.CostModel
@@ -255,9 +254,15 @@ type Runtime struct {
 	nextCli int
 	nextQP  int
 
-	state     atomic.Int32
-	adminStop chan struct{}
-	wg        sync.WaitGroup
+	// ctl is the control plane's lock: every rebalance (and the queue-list
+	// change that triggers it), upgrade batch, stack edit and crash repair
+	// holds it from start to finish, so control decisions apply one at a
+	// time. The data path never takes it.
+	ctl sync.Mutex
+
+	state atomic.Int32
+	stop  chan struct{}
+	wg    sync.WaitGroup
 }
 
 // New creates a Runtime with the given options.
@@ -269,7 +274,7 @@ func New(opts Options) *Runtime {
 		Registry:  core.NewRegistry(),
 		Namespace: core.NewNamespace(),
 		clients:   make(map[int]*Client),
-		adminStop: make(chan struct{}),
+		stop:      make(chan struct{}),
 	}
 	rt.metrics = rt.Env.Metrics
 	rt.tracer = telemetry.NewTracer(opts.TraceRing)
@@ -300,7 +305,7 @@ func New(opts Options) *Runtime {
 	return rt
 }
 
-// Start launches the workers and the admin loop.
+// Start launches the workers and the control loop.
 func (rt *Runtime) Start() {
 	rt.state.Store(stateRunning)
 	rt.events.Recordf(telemetry.EvRuntime, rt.vnow(), "runtime started: %d/%d workers, policy=%s",
@@ -312,15 +317,7 @@ func (rt *Runtime) Start() {
 		go w.run(&rt.wg)
 	}
 	rt.wg.Add(1)
-	go rt.adminLoop()
-	if rt.opts.RebalanceEvery > 0 {
-		rt.wg.Add(1)
-		go rt.rebalanceLoop()
-	}
-	if rt.slo != nil {
-		rt.wg.Add(1)
-		go rt.sloLoop()
-	}
+	go rt.controlLoop()
 }
 
 // Shutdown stops the Runtime cleanly.
@@ -329,7 +326,7 @@ func (rt *Runtime) Shutdown() {
 		rt.state.Store(stateStopped)
 	}
 	rt.events.Recordf(telemetry.EvRuntime, rt.vnow(), "runtime shutdown")
-	close(rt.adminStop)
+	close(rt.stop)
 	for _, w := range rt.workers {
 		w.stop()
 	}
@@ -348,15 +345,13 @@ func (rt *Runtime) Crash() {
 // that were mid-execution when the crash hit are drained first, so repair
 // never races an in-flight mutation.
 func (rt *Runtime) Restart() error {
+	rt.ctl.Lock()
+	defer rt.ctl.Unlock()
 	if rt.state.Load() != stateCrashed {
 		return fmt.Errorf("runtime: not crashed")
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for rt.workersBusy() {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("runtime: in-flight requests did not drain before restart")
-		}
-		gort.Gosched()
+	if !waitUntil(2*time.Second, func() bool { return !rt.workersBusy() }) {
+		return fmt.Errorf("runtime: in-flight requests did not drain before restart")
 	}
 	if err := rt.Registry.RepairAll(); err != nil {
 		rt.events.Recordf(telemetry.EvRuntime, rt.vnow(), "runtime restart failed: %v", err)
@@ -375,6 +370,58 @@ func (rt *Runtime) workersBusy() bool {
 		}
 	}
 	return false
+}
+
+// waitUntil polls cond until it holds (true) or d has passed (false).
+func waitUntil(d time.Duration, cond func() bool) bool {
+	deadline := time.Now().Add(d)
+	for !cond() {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
+	return true
+}
+
+// quiesceTimeout bounds how long quiesce waits for the workers to stop.
+const quiesceTimeout = 500 * time.Millisecond
+
+// errNotQuiet is quiesce's answer when the workers did not stop in time.
+var errNotQuiet = fmt.Errorf("runtime: workers did not quiesce within %v", quiesceTimeout)
+
+// quiesce runs apply while no async request is inside a stack (the paper's
+// pause → drain → apply → resume, §III-C2). It marks every queue
+// UPDATE_PENDING, waits until each is acknowledged by its worker or has
+// nothing in flight and no worker is mid-request, runs apply and resumes the
+// queues. If the workers have not stopped after quiesceTimeout it resumes
+// the queues without running apply, records a flight event and returns
+// errNotQuiet. The caller holds ctl, so no queue is added or reassigned
+// meanwhile: a client that connects now is assigned a worker after the
+// apply.
+func (rt *Runtime) quiesce(what string, apply func() error) error {
+	queues := rt.orch.Queues()
+	for _, q := range queues {
+		q.MarkUpdatePending()
+	}
+	defer func() {
+		for _, q := range queues {
+			q.ResumeAfterUpdate()
+		}
+	}()
+	quiet := func() bool {
+		for _, q := range queues {
+			if q.State() != ipc.UpdateAcked && q.Inflight() > 0 {
+				return false
+			}
+		}
+		return !rt.workersBusy()
+	}
+	if !waitUntil(quiesceTimeout, quiet) {
+		rt.events.Recordf(telemetry.EvRuntime, rt.vnow(), "%s aborted: %v", what, errNotQuiet)
+		return errNotQuiet
+	}
+	return apply()
 }
 
 // Running reports whether the Runtime is processing requests.
@@ -591,8 +638,12 @@ func (rt *Runtime) Mount(s *core.Stack) (*core.Stack, error) {
 func (rt *Runtime) Unmount(mount string) error { return rt.Namespace.Unmount(mount) }
 
 // ModifyStack applies a dynamic DAG edit (the paper's `modify_stack`):
-// inserting a vertex instantiates its module if needed.
+// inserting a vertex instantiates its module if needed. The edit is applied
+// under quiesce, so no async request is inside the stack while its vertices
+// change.
 func (rt *Runtime) ModifyStack(mount string, insertAfter string, v *core.Vertex, remove string) error {
+	rt.ctl.Lock()
+	defer rt.ctl.Unlock()
 	s, ok := rt.Namespace.Lookup(mount)
 	if !ok {
 		return fmt.Errorf("runtime: nothing mounted at %q", mount)
@@ -601,71 +652,67 @@ func (rt *Runtime) ModifyStack(mount string, insertAfter string, v *core.Vertex,
 		if _, err := rt.Registry.Instantiate(v.UUID, v.Type, core.Config{Attrs: v.Attrs}, rt.Env); err != nil {
 			return err
 		}
-		if err := s.InsertAfter(insertAfter, *v); err != nil {
-			return err
-		}
 	}
-	if remove != "" {
-		if err := s.RemoveVertex(remove); err != nil {
-			return err
-		}
-	}
-	return s.Validate(rt.Registry)
-}
-
-// --- background loops -------------------------------------------------------
-
-func (rt *Runtime) adminLoop() {
-	defer rt.wg.Done()
-	defer rt.flightOnPanic("admin loop")
-	t := time.NewTicker(rt.opts.UpgradePoll)
-	defer t.Stop()
-	for {
-		select {
-		case <-rt.adminStop:
-			return
-		case <-t.C:
-			if rt.Running() {
-				rt.modMgr.ProcessUpgrades()
+	return rt.quiesce("stack edit", func() error {
+		if v != nil {
+			if err := s.InsertAfter(insertAfter, *v); err != nil {
+				return err
 			}
 		}
-	}
+		if remove != "" {
+			if err := s.RemoveVertex(remove); err != nil {
+				return err
+			}
+		}
+		return s.Validate(rt.Registry)
+	})
 }
 
-func (rt *Runtime) rebalanceLoop() {
+// --- control loop -------------------------------------------------------------
+
+// controlLoop is the Runtime's one control goroutine: it polls the upgrade
+// queue every UpgradePoll, rebalances every RebalanceEvery and evaluates the
+// SLO targets every SLOCheckEvery, while the Runtime is running. A disabled
+// ticker is a nil channel, which select never picks.
+func (rt *Runtime) controlLoop() {
 	defer rt.wg.Done()
-	defer rt.flightOnPanic("rebalance loop")
-	t := time.NewTicker(rt.opts.RebalanceEvery)
-	defer t.Stop()
+	defer rt.flightOnPanic("control loop")
+	upgrades, stopUpgrades := ticker(rt.opts.UpgradePoll)
+	defer stopUpgrades()
+	rebalances, stopRebalances := ticker(rt.opts.RebalanceEvery)
+	defer stopRebalances()
+	sloEvery := rt.opts.SLOCheckEvery
+	if rt.slo == nil {
+		sloEvery = 0
+	}
+	slos, stopSLOs := ticker(sloEvery)
+	defer stopSLOs()
 	for {
+		var step func()
 		select {
-		case <-rt.adminStop:
+		case <-rt.stop:
 			return
-		case <-t.C:
-			if rt.Running() {
-				rt.orch.Rebalance()
-			}
+		case <-upgrades:
+			step = rt.modMgr.ProcessUpgrades
+		case <-rebalances:
+			step = rt.orch.Rebalance
+		case <-slos:
+			step = rt.slo.Evaluate
+		}
+		if rt.Running() {
+			step()
 		}
 	}
 }
 
-// sloLoop is the SLO watchdog driver: one Evaluate pass per period while
-// the Runtime is running.
-func (rt *Runtime) sloLoop() {
-	defer rt.wg.Done()
-	defer rt.flightOnPanic("slo watchdog")
-	t := time.NewTicker(rt.opts.SLOCheckEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-rt.adminStop:
-			return
-		case <-t.C:
-			if rt.Running() {
-				rt.slo.Evaluate()
-			}
-		}
+// ticker returns the channel of a ticker firing every d and the function
+// that stops it; for d <= 0 the channel is nil.
+func ticker(d time.Duration) (<-chan time.Time, func()) {
+	if d <= 0 {
+		return nil, func() {}
 	}
+	t := time.NewTicker(d)
+	return t.C, t.Stop
 }
 
 // --- flight recorder & postmortems --------------------------------------------
@@ -695,8 +742,8 @@ func (rt *Runtime) SLOStatus() []SLOStatus {
 	return rt.slo.Status()
 }
 
-// EvaluateSLOs forces one watchdog pass (tests and admin tooling; the SLO
-// loop calls it periodically on its own).
+// EvaluateSLOs forces one watchdog pass (tests and admin tooling; the
+// control loop calls it periodically on its own).
 func (rt *Runtime) EvaluateSLOs() {
 	if rt.slo != nil {
 		rt.slo.Evaluate()

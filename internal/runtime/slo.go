@@ -97,7 +97,7 @@ func newSLOWatchdog(rt *Runtime, targets []SLOTarget) *sloWatchdog {
 }
 
 // Evaluate runs one watchdog pass over every target. It is called by the
-// runtime's SLO loop every SLOCheckEvery, and directly by tests.
+// runtime's control loop every SLOCheckEvery, and directly by tests.
 func (wd *sloWatchdog) Evaluate() {
 	wd.mu.Lock()
 	defer wd.mu.Unlock()

@@ -180,9 +180,9 @@ func (s *Snapshot) String() string {
 	}
 
 	b.WriteString("\n== upgrades ==\n")
-	fmt.Fprintf(&b, "done=%d pending=%d last_vt=%s total_vt=%s pause=%s drain=%s apply=%s\n",
+	fmt.Fprintf(&b, "done=%d pending=%d last_vt=%s total_vt=%s quiesce=%s apply=%s\n",
 		s.Upgrades.Done, s.Upgrades.Pending, s.Upgrades.LastVT, s.Upgrades.TotalVT,
-		s.Upgrades.LastPauseWall, s.Upgrades.LastDrainWall, s.Upgrades.LastApplyWall)
+		s.Upgrades.LastQuiesceWall, s.Upgrades.LastApplyWall)
 
 	b.WriteString("\n== counters ==\n")
 	ct := &stats.Table{Header: []string{"name", "value"}}

@@ -15,25 +15,31 @@
 #      (window rule, park on sparse arrivals, no re-spin after a backstop
 #      wake) three times under the race detector at -cpu 1,2,8; the -cpu 1
 #      leg is the guard against a spin or poll loop that forgets to yield.
-#   6. chaos: TestChaosMixedLoadWithUpgradesAndCrash 200 times (concurrent
+#   6. control plane: TestConcurrentConnectAssignsEveryQueue (16 clients
+#      connecting at once, 300 runtimes over, must leave every queue with
+#      exactly one worker) three times at -cpu 1,2,4, and the
+#      connect/disconnect/upgrade/rebalance/stack-edit stress test with its
+#      ownership and in-flight invariants under the race detector at
+#      -cpu 1,2,8.
+#   7. chaos: TestChaosMixedLoadWithUpgradesAndCrash 200 times (concurrent
 #      LabFS writers across live upgrades, a stack insert/remove and a
 #      crash/restart; every fsync-acknowledged file must read back intact).
 #      Its failures are rare per run, so the single pass in step 1 misses
 #      them. 200 runs take ~4 s on a 2-core host.
-#   7. debug handles: core and serve again with -tags labstor_debug, so
+#   8. debug handles: core and serve again with -tags labstor_debug, so
 #      released buffers are poisoned and a stale or twice-released
 #      BufHandle panics — the serve plane writes result views in place and
 #      releases them only after the socket write.
-#   8. bench smoke: every benchmark once, then BenchmarkClientCallNop with
+#   9. bench smoke: every benchmark once, then BenchmarkClientCallNop with
 #      -benchmem so the client round trip's ns/op and allocs/op are in the
 #      log.
-#   9. fuzz smoke: short native-fuzzing runs of the wire-protocol frame
+#  10. fuzz smoke: short native-fuzzing runs of the wire-protocol frame
 #      decoder, its streaming reader against it (serve.* RPC framing), the
 #      YAML spec/stack builder and the write-ahead log's replay over
 #      arbitrary block images, to catch parser regressions early.
-#  10. observe smoke: boot labstor-runtime with the observability server on
+#  11. observe smoke: boot labstor-runtime with the observability server on
 #      an ephemeral port and assert /metrics and /snapshot serve payloads.
-#  11. serve smoke: boot labstor-runtime with the network front end on an
+#  12. serve smoke: boot labstor-runtime with the network front end on an
 #      ephemeral port, drive RPCs via labctl, assert serve.* on /metrics.
 # Run from the repository root (or via `make check`).
 set -eu
@@ -56,6 +62,12 @@ go test -race -count=2 -shuffle=on ./internal/ipc/... ./internal/runtime/... ./i
 
 echo "== handshake: go test -race -count=3 -cpu 1,2,8 -run 'Ring|QueuePair|Handshake|Wait|Spin|Park|Idle' ./internal/ipc/... ./internal/core/... ./internal/runtime/... =="
 go test -race -count=3 -cpu 1,2,8 -run 'Ring|QueuePair|Handshake|Wait|Spin|Park|Idle' ./internal/ipc/... ./internal/core/... ./internal/runtime/...
+
+echo "== control plane: go test -count=3 -cpu 1,2,4 -run TestConcurrentConnectAssignsEveryQueue ./internal/runtime =="
+go test -count=3 -cpu 1,2,4 -run TestConcurrentConnectAssignsEveryQueue ./internal/runtime
+
+echo "== control plane: go test -race -cpu 1,2,8 -run TestControlPlaneStress ./internal/runtime =="
+go test -race -cpu 1,2,8 -run TestControlPlaneStress ./internal/runtime
 
 echo "== chaos: go test -count=200 -run TestChaosMixedLoadWithUpgradesAndCrash ./internal/runtime =="
 go test -count=200 -run TestChaosMixedLoadWithUpgradesAndCrash ./internal/runtime
