@@ -64,7 +64,7 @@ type Bundler struct {
 	mu      sync.Mutex
 	last    map[string]time.Time // per-stack last capture wall time
 	written []BundleInfo
-	seq     int
+	seq     int // captures started, finished or not: the cap counts these
 	skipped int
 
 	// captureMu serializes captures: the process has one CPU profiler.
@@ -94,7 +94,7 @@ func NewBundler(rt *runtime.Runtime, cfg BundleConfig) *Bundler {
 func (b *Bundler) OnBreach(st runtime.SLOStatus) {
 	now := time.Now()
 	b.mu.Lock()
-	if len(b.written) >= b.cfg.Max {
+	if b.seq >= b.cfg.Max {
 		b.skipped++
 		b.mu.Unlock()
 		b.rt.Events().Recordf(telemetry.EvBundle, 0,

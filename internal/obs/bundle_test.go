@@ -26,7 +26,6 @@ func bootBundledRuntime(t *testing.T, bundle obs.BundleConfig) (*runtime.Runtime
 	rt := runtime.New(runtime.Options{
 		MaxWorkers:      2,
 		PerfSampleEvery: 1,
-		TailRing:        32,
 		SLOCheckEvery:   time.Hour,
 		SLOs: []runtime.SLOTarget{
 			{Stack: "dummy::/slow", P99US: 100},
@@ -263,6 +262,32 @@ func TestBundleLifetimeCap(t *testing.T) {
 	}
 	if got := srv.Bundler().List(); len(got) != 1 {
 		t.Fatalf("lifetime cap did not hold: %d bundles", len(got))
+	}
+}
+
+// TestBundleCapConcurrentBreaches pins the cap against captures in flight:
+// two stacks breaching in one evaluation run their hooks concurrently, and
+// with Max 1 only one of them may write a bundle.
+func TestBundleCapConcurrentBreaches(t *testing.T) {
+	rt, cli, srv, _ := bootBundledRuntime(t, obs.BundleConfig{
+		Dir:        t.TempDir(),
+		ProfileDur: 50 * time.Millisecond,
+		Max:        1,
+	})
+	submitN(t, cli, "dummy::/slow", core.OpWrite, "x", 10, true)
+	submitN(t, cli, "fs::/s", core.OpRead, "missing", 10, false)
+	rt.EvaluateSLOs()
+	b := srv.Bundler()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(b.List())+b.Skipped() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("two breaches gave %d bundles and %d skips", len(b.List()), b.Skipped())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	b.Wait()
+	if got, skipped := len(b.List()), b.Skipped(); got != 1 || skipped != 1 {
+		t.Fatalf("Max 1 with two concurrent breaches: %d bundles, %d skips; want 1 and 1", got, skipped)
 	}
 }
 

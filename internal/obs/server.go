@@ -192,9 +192,17 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 // filter it. ?tail=1 selects the tail-outlier ring (the slowest requests,
 // retained regardless of the sampling period), ?err=1 the error ring;
 // otherwise the sampled ring. Remaining filters intersect: ?stack=<mount>
-// ?op=<name> ?min_us=<latency floor> ?n=<last N>.
-func (s *Server) selectTraces(r *http.Request) []telemetry.Trace {
+// ?op=<name> ?min_us=<latency floor> ?n=<last N>. A malformed number is an
+// error naming its parameter.
+func (s *Server) selectTraces(r *http.Request) ([]telemetry.Trace, error) {
 	q := r.URL.Query()
+	var minUS float64
+	if v := strings.TrimSpace(q.Get("min_us")); v != "" {
+		var err error
+		if minUS, err = strconv.ParseFloat(v, 64); err != nil || !(minUS >= 0) {
+			return nil, badParam("min_us", v)
+		}
+	}
 	var traces []telemetry.Trace
 	switch {
 	case q.Get("tail") == "1" || q.Get("tail") == "true":
@@ -205,7 +213,6 @@ func (s *Server) selectTraces(r *http.Request) []telemetry.Trace {
 		traces = s.rt.Traces()
 	}
 	stack, op := q.Get("stack"), q.Get("op")
-	minUS, _ := strconv.ParseFloat(q.Get("min_us"), 64)
 	out := make([]telemetry.Trace, 0, len(traces))
 	for _, tr := range traces {
 		if stack != "" && tr.Stack != stack {
@@ -223,7 +230,12 @@ func (s *Server) selectTraces(r *http.Request) []telemetry.Trace {
 }
 
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.selectTraces(r))
+	traces, err := s.selectTraces(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	writeJSON(w, traces)
 }
 
 // handleTracesExport renders the same selection as /traces in an external
@@ -239,9 +251,14 @@ func (s *Server) handleTracesExport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown format %q (supported: chrome)", format), http.StatusBadRequest)
 		return
 	}
+	traces, err := s.selectTraces(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", `attachment; filename="labstor-trace.json"`)
-	if err := telemetry.WriteChromeTrace(w, s.selectTraces(r)); err != nil {
+	if err := telemetry.WriteChromeTrace(w, traces); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
@@ -289,8 +306,11 @@ func (s *Server) handleBundles(w http.ResponseWriter, _ *http.Request) {
 // family prefix (e.g. kind=slo matches slo.breach and slo.recover).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	evs := s.rt.Events().Filter(q.Get("kind"))
-	evs = lastN(evs, q.Get("n"))
+	evs, err := lastN(s.rt.Events().Filter(q.Get("kind")), q.Get("n"))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	writeJSON(w, evs)
 }
 
@@ -317,16 +337,20 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // lastN keeps the trailing n elements when the query asks for a bound.
-func lastN[T any](xs []T, nStr string) []T {
+func lastN[T any](xs []T, nStr string) ([]T, error) {
 	nStr = strings.TrimSpace(nStr)
 	if nStr == "" {
-		return xs
+		return xs, nil
 	}
 	n, err := strconv.Atoi(nStr)
-	if err != nil || n < 0 || n >= len(xs) {
-		return xs
+	if err != nil || n < 0 {
+		return nil, badParam("n", nStr)
 	}
-	return xs[len(xs)-n:]
+	return xs[len(xs)-min(n, len(xs)):], nil
+}
+
+func badParam(name, v string) error {
+	return fmt.Errorf("obs: query parameter %s=%q is not a non-negative number", name, v)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -223,6 +223,36 @@ func TestTracesEndpointFilters(t *testing.T) {
 	}
 }
 
+// TestTraceAndEventQueriesRejectMalformedNumbers pins the query grammar: a
+// malformed or negative n or min_us is a 400 naming the parameter, not a
+// silently dropped filter.
+func TestTraceAndEventQueriesRejectMalformedNumbers(t *testing.T) {
+	_, cli, addr := bootServedRuntime(t, false)
+	drive(t, cli, 4, 1)
+	for _, tc := range []struct {
+		path  string
+		code  int
+		param string
+	}{
+		{"/traces?n=ten", http.StatusBadRequest, "n="},
+		{"/traces?n=-1", http.StatusBadRequest, "n="},
+		{"/traces?min_us=abc", http.StatusBadRequest, "min_us="},
+		{"/traces?min_us=-5", http.StatusBadRequest, "min_us="},
+		{"/traces/export?n=ten", http.StatusBadRequest, "n="},
+		{"/traces/export?min_us=abc", http.StatusBadRequest, "min_us="},
+		{"/events?n=ten", http.StatusBadRequest, "n="},
+		{"/events?n=-1", http.StatusBadRequest, "n="},
+		{"/traces?n=0&min_us=0", http.StatusOK, ""},
+		{"/traces/export?n=2&min_us=1.5", http.StatusOK, ""},
+		{"/events?n=100", http.StatusOK, ""},
+	} {
+		code, body := get(t, addr, tc.path)
+		if code != tc.code || !strings.Contains(body, tc.param) {
+			t.Errorf("GET %s: %d %.80q, want %d naming %q", tc.path, code, body, tc.code, tc.param)
+		}
+	}
+}
+
 func TestEventsEndpoint(t *testing.T) {
 	_, cli, addr := bootServedRuntime(t, false)
 	drive(t, cli, 2, 1)

@@ -23,7 +23,7 @@ import (
 func TestConcurrentConnectAssignsEveryQueue(t *testing.T) {
 	const runtimes, clients = 300, 16
 	for r := 0; r < runtimes; r++ {
-		rt := New(Options{MaxWorkers: 8, QueueDepth: 16, PerfSampleEvery: PerfSamplingDisabled, TailRing: -1})
+		rt := New(Options{MaxWorkers: 8, QueueDepth: 16, PerfSampleEvery: PerfSamplingDisabled})
 		rt.Start()
 		var wg sync.WaitGroup
 		for c := 0; c < clients; c++ {
@@ -57,7 +57,7 @@ func TestConcurrentConnectAssignsEveryQueue(t *testing.T) {
 // is inside. ModifyStack must wait for the request to leave the stack: the
 // request then walks the old DAG to its end, and the edit applies after.
 func TestModifyStackDrainsRequestInRemovedVertex(t *testing.T) {
-	rt := New(Options{MaxWorkers: 1, QueueDepth: 16, PerfSampleEvery: PerfSamplingDisabled, TailRing: -1})
+	rt := New(Options{MaxWorkers: 1, QueueDepth: 16, PerfSampleEvery: PerfSamplingDisabled})
 	stack, err := rt.Mount(core.NewStack("msg::/pass", core.Rules{}, []core.Vertex{
 		{UUID: "hold", Type: passGateType, Outputs: []string{"tail"}},
 		{UUID: "tail", Type: dummy.Type},

@@ -48,7 +48,7 @@ func TestControlPlaneStress(t *testing.T) {
 func controlPlaneStress(t *testing.T, policy string) {
 	const clients, rounds, perRound = 4, 10, 20
 	rt := New(Options{MaxWorkers: 4, QueueDepth: 64, Policy: policy, RebalanceEvery: time.Millisecond,
-		PerfSampleEvery: PerfSamplingDisabled, TailRing: -1})
+		PerfSampleEvery: PerfSamplingDisabled})
 	stack, err := rt.Mount(core.NewStack("msg::/s", core.Rules{}, []core.Vertex{{UUID: "dum", Type: dummy.Type}}))
 	if err != nil {
 		t.Fatal(err)

@@ -80,7 +80,7 @@ func gateAnswer(off int64) int64 { return off*3 + 7 }
 // watchdog and the test's cleanup can both use it.
 func handshakeRig(t *testing.T, workers int, mode core.ExecMode) (*Runtime, *core.Stack, *gateMod, func()) {
 	t.Helper()
-	rt := New(Options{MaxWorkers: workers, QueueDepth: 256, PerfSampleEvery: PerfSamplingDisabled, TailRing: -1})
+	rt := New(Options{MaxWorkers: workers, QueueDepth: 256, PerfSampleEvery: PerfSamplingDisabled})
 	rt.AddDevice(device.New("dev0", device.NVMe, 1<<20))
 	stack, err := rt.Mount(core.NewStack("msg::/gate", core.Rules{ExecMode: mode}, []core.Vertex{
 		{UUID: "gate", Type: gateType},

@@ -86,32 +86,10 @@ type Options struct {
 	// counters, request histograms and the trace ring. 0 means the default
 	// (64); a negative value disables sampling entirely.
 	PerfSampleEvery int
-	// TraceRing is the capacity of the in-memory ring of recent request
-	// traces (0 = telemetry.DefaultTraceRing).
-	TraceRing int
-	// TraceSink, when non-nil, receives every captured trace synchronously
-	// (exporters, test assertions). Sampled requests, plus every errored
-	// request (errors are captured regardless of the sampling period).
-	TraceSink telemetry.Sink
-	// FlightRing is the flight-recorder event ring capacity
-	// (0 = telemetry.DefaultFlightRing).
-	FlightRing int
 	// SLOs are the per-stack service-level targets the watchdog evaluates.
 	SLOs []SLOTarget
 	// SLOCheckEvery is the watchdog evaluation period (default 100ms).
 	SLOCheckEvery time.Duration
-	// TailRing is the capacity of the tail-outlier trace ring: traces whose
-	// latency crossed the rolling per-stack quantile threshold, retained
-	// regardless of 1-in-N sampling (0 = telemetry.DefaultTailRing; negative
-	// disables tail retention).
-	TailRing int
-	// TailQuantile is the rolling quantile the tail estimator tracks
-	// (0 = telemetry.DefaultTailQuantile, i.e. 0.99: retain the slowest ~1%).
-	TailQuantile float64
-	// ProfileDisabled turns off the always-on latency-attribution aggregator
-	// (benchmark baselines; production keeps it on — see the attribution
-	// experiment for its measured cost).
-	ProfileDisabled bool
 }
 
 // PerfSamplingDisabled is the PerfSampleEvery value that turns sampling off.
@@ -169,11 +147,7 @@ func FromConfig(cfg *spec.RuntimeConfig) Options {
 		LossThreshold:   cfg.Orchestrator.LossThreshold,
 		MaxReposPerUser: cfg.MaxReposPerUser,
 		PerfSampleEvery: cfg.PerfSampleEvery,
-		TraceRing:       cfg.TraceRing,
-		FlightRing:      cfg.Observe.FlightRing,
 		SLOCheckEvery:   time.Duration(cfg.Observe.SLOCheckMs) * time.Millisecond,
-		TailRing:        cfg.Observe.Tail,
-		TailQuantile:    cfg.Observe.TailQuantile,
 	}
 	for _, s := range cfg.SLOs {
 		opts.SLOs = append(opts.SLOs, SLOTarget{Stack: s.Stack, P99US: s.P99Us, MaxErrRate: s.MaxErrRate})
@@ -200,21 +174,18 @@ type Runtime struct {
 	orch    *Orchestrator
 	repoMgr *core.RepoManager
 
-	perfMu  sync.Mutex
-	perfSum map[string]vtime.Duration
-	perfOps map[string]int64
-
 	// metrics is the runtime-wide metrics registry (shared with Env so
 	// LabMods publish op counters into the same tree); tracer keeps the
-	// bounded ring of sampled request traces; events is the flight
-	// recorder — the bounded blackbox of structured runtime events.
+	// bounded rings of sampled, errored and tail-outlier request traces;
+	// events is the flight recorder — the bounded blackbox of structured
+	// runtime events.
 	metrics *telemetry.Registry
 	tracer  *telemetry.Tracer
 	events  *telemetry.FlightRecorder
 
-	// profile is the always-on latency-attribution aggregator (nil when
-	// Options.ProfileDisabled); workers fold every completed request into it
-	// through worker-local Folders.
+	// profile is the one record of completed requests: workers fold every
+	// completion into it through worker-local Folders, and the stack.*
+	// metrics, SLO evaluation, PerfCounters and Attribution read from it.
 	profile *telemetry.Profile
 
 	// onBreach hooks run (each on its own goroutine) when an SLO target
@@ -222,10 +193,8 @@ type Runtime struct {
 	breachMu sync.Mutex
 	onBreach []func(SLOStatus)
 
-	// slo is the SLO watchdog (nil when no targets are configured);
-	// stackStats maps stack ID → per-stack completion accounting.
-	slo        *sloWatchdog
-	stackStats sync.Map // int -> *stackStats
+	// slo is the SLO watchdog (nil when no targets are configured).
+	slo *sloWatchdog
 
 	// flightDumpW receives the flight-recorder tail on panic or fatal
 	// error (os.Stderr unless redirected by tests).
@@ -277,13 +246,9 @@ func New(opts Options) *Runtime {
 		stop:      make(chan struct{}),
 	}
 	rt.metrics = rt.Env.Metrics
-	rt.tracer = telemetry.NewTracer(opts.TraceRing)
-	rt.tracer.SetSink(opts.TraceSink)
-	rt.tracer.SetTailRing(opts.TailRing)
-	if !opts.ProfileDisabled {
-		rt.profile = telemetry.NewProfile()
-	}
-	rt.events = telemetry.NewFlightRecorder(opts.FlightRing)
+	rt.tracer = telemetry.NewTracer()
+	rt.profile = telemetry.NewProfileIn(rt.metrics)
+	rt.events = telemetry.NewFlightRecorder()
 	rt.flightDumpW = os.Stderr
 	if len(opts.SLOs) > 0 {
 		rt.slo = newSLOWatchdog(rt, opts.SLOs)
@@ -297,8 +262,6 @@ func New(opts Options) *Runtime {
 	rt.modMgr = newModManager(rt)
 	rt.orch = newOrchestrator(rt)
 	rt.repoMgr = core.NewRepoManager(opts.MaxReposPerUser, 0)
-	rt.perfSum = make(map[string]vtime.Duration)
-	rt.perfOps = make(map[string]int64)
 	for i := 0; i < opts.MaxWorkers; i++ {
 		rt.workers = append(rt.workers, newWorker(rt, i))
 	}
@@ -457,18 +420,6 @@ func (rt *Runtime) UnmountRepo(name string, uid int) error { return rt.repoMgr.U
 // Repos lists mounted repos.
 func (rt *Runtime) Repos() []string { return rt.repoMgr.Repos() }
 
-// recordPerf folds a sampled request's per-stage costs into the Runtime's
-// performance counters (the paper: workers periodically monitor LabMods for
-// performance metrics feeding orchestration policy).
-func (rt *Runtime) recordPerf(stages []core.StageTime) {
-	rt.perfMu.Lock()
-	for _, st := range stages {
-		rt.perfSum[st.Stage] += st.Cost
-		rt.perfOps[st.Stage]++
-	}
-	rt.perfMu.Unlock()
-}
-
 // buildTrace assembles a telemetry.Trace from a completed request — spans
 // from the request's stage anatomy, queue wait from the worker's service
 // start.
@@ -497,51 +448,29 @@ func buildTrace(workerID, queueID int, stackMount string, req *core.Request, sta
 	return tr
 }
 
-// recordTrace pushes a sampled request's trace onto the trace ring and feeds
-// the request-level histograms. Errored samples also become flight events.
-func (rt *Runtime) recordTrace(workerID, queueID int, stackMount string, req *core.Request, start vtime.Time) {
+// retain builds a completed request's trace once and keeps it everywhere
+// it qualifies: a sampled request feeds the request-level histograms and
+// the stage tables, an errored one becomes a flight event, and the tracer
+// keeps it in each of its sampled, error and tail rings that apply.
+func (rt *Runtime) retain(workerID, queueID int, stackMount string, req *core.Request, start vtime.Time, sampled, tail bool) {
 	tr := buildTrace(workerID, queueID, stackMount, req, start)
-	rt.mSampled.Inc()
-	rt.hLatencyUS.Observe(tr.Latency().Micros())
-	rt.hWaitUS.Observe(tr.QueueWait.Micros())
-	rt.hCPUUS.Observe(tr.CPU.Micros())
-	rt.tracer.Capture(tr)
-	if rt.profile != nil {
+	rt.tracer.Capture(tr, sampled, tail)
+	if sampled {
+		rt.mSampled.Inc()
+		rt.hLatencyUS.Observe(tr.Latency().Micros())
+		rt.hWaitUS.Observe(tr.QueueWait.Micros())
+		rt.hCPUUS.Observe(tr.CPU.Micros())
 		rt.profile.FoldSpans(req.StackID, stackMount, tr)
 	}
-	if tr.Err != "" {
-		rt.recordErrorEvent(tr)
-	}
-}
-
-// recordTailTrace retains an outlier request (latency above the worker's
-// rolling per-stack quantile estimate) in the tracer's tail ring. It never
-// emits to the sink — a request that is both sampled and an outlier already
-// emitted once via recordTrace, and the sink contract is one emit per
-// request.
-func (rt *Runtime) recordTailTrace(workerID, queueID int, stackMount string, req *core.Request, start vtime.Time) {
-	tr := buildTrace(workerID, queueID, stackMount, req, start)
-	if rt.tracer.CaptureTail(tr) {
+	if tail {
 		rt.mTail.Inc()
-		if rt.profile != nil {
-			rt.profile.TailNote(req.StackID, stackMount)
-		}
+		rt.profile.TailNote(req.StackID, stackMount)
 	}
-}
-
-// recordErrorTrace captures an unsampled errored request into the tracer's
-// bounded error ring (no histogram or sample-counter side effects) and the
-// flight recorder. Errors are never dropped by the sampling period.
-func (rt *Runtime) recordErrorTrace(workerID, queueID int, stackMount string, req *core.Request, start vtime.Time) {
-	tr := buildTrace(workerID, queueID, stackMount, req, start)
-	rt.tracer.CaptureError(tr)
-	rt.recordErrorEvent(tr)
-}
-
-func (rt *Runtime) recordErrorEvent(tr telemetry.Trace) {
-	rt.events.Record(telemetry.EvRequestError,
-		fmt.Sprintf("request %d failed: %s", tr.ReqID, tr.Err), tr.End,
-		map[string]string{"stack": tr.Stack, "op": tr.Op, "err": tr.Err})
+	if tr.Err != "" {
+		rt.events.Record(telemetry.EvRequestError,
+			fmt.Sprintf("request %d failed: %s", tr.ReqID, tr.Err), tr.End,
+			map[string]string{"stack": tr.Stack, "op": tr.Op, "err": tr.Err})
+	}
 }
 
 // Metrics exposes the runtime-wide metrics registry.
@@ -553,46 +482,24 @@ func (rt *Runtime) Tracer() *telemetry.Tracer { return rt.tracer }
 // Traces returns the retained sampled-request traces, oldest first.
 func (rt *Runtime) Traces() []telemetry.Trace { return rt.tracer.Recent() }
 
-// TailTraces returns the retained tail-outlier traces, oldest first (nil
-// when tail retention is disabled).
+// TailTraces returns the retained tail-outlier traces, oldest first.
 func (rt *Runtime) TailTraces() []telemetry.Trace { return rt.tracer.RecentTail() }
 
-// Profile returns the always-on attribution aggregator (nil when disabled).
+// Profile returns the record of completed requests.
 func (rt *Runtime) Profile() *telemetry.Profile { return rt.profile }
 
 // Attribution returns the per-stack latency-attribution tables. Workers
-// publish their folded deltas when idle (and every few hundred requests),
-// so a snapshot taken mid-burst can trail the true counts slightly.
-func (rt *Runtime) Attribution() []telemetry.StackAttribution {
-	if rt.profile == nil {
-		return nil
-	}
-	return rt.profile.Snapshot()
-}
+// publish their folded deltas when idle or parked (and every few hundred
+// requests), so a snapshot taken mid-burst can trail the true counts
+// slightly.
+func (rt *Runtime) Attribution() []telemetry.StackAttribution { return rt.profile.Snapshot() }
 
 // PerfCounter is one pipeline stage's sampled cost statistics.
-type PerfCounter struct {
-	Stage string
-	Ops   int64
-	Total vtime.Duration
-	Mean  vtime.Duration
-}
+type PerfCounter = telemetry.StageCounter
 
-// PerfCounters returns the sampled per-stage performance counters.
-func (rt *Runtime) PerfCounters() []PerfCounter {
-	rt.perfMu.Lock()
-	defer rt.perfMu.Unlock()
-	out := make([]PerfCounter, 0, len(rt.perfSum))
-	for stage, total := range rt.perfSum {
-		ops := rt.perfOps[stage]
-		pc := PerfCounter{Stage: stage, Ops: ops, Total: total}
-		if ops > 0 {
-			pc.Mean = total / vtime.Duration(ops)
-		}
-		out = append(out, pc)
-	}
-	return out
-}
+// PerfCounters returns the sampled per-stage performance counters (the
+// Profile's stage tables summed over every stack).
+func (rt *Runtime) PerfCounters() []PerfCounter { return rt.profile.StageCounters() }
 
 // --- mount & stack management ------------------------------------------------
 

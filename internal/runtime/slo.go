@@ -103,15 +103,15 @@ func (wd *sloWatchdog) Evaluate() {
 	defer wd.mu.Unlock()
 	vnow := wd.rt.vnow()
 	for _, st := range wd.states {
-		ss := wd.rt.stackStatsByMount(st.target.Stack)
-		if ss == nil {
-			continue // stack not mounted (yet): nothing to evaluate
+		sp := wd.rt.profile.Stack(st.target.Stack)
+		if sp == nil {
+			continue // no completions on the stack (yet): nothing to evaluate
 		}
 		st.evals++
 
-		hist := ss.lat.State()
-		reqs := ss.requests.Value()
-		errs := ss.errors.Value()
+		hist := sp.Latency()
+		reqs := sp.Requests()
+		errs := sp.Errors()
 		window := hist.Delta(st.prevHist)
 		dReqs := reqs - st.prevReqs
 		dErrs := errs - st.prevErrs
@@ -201,45 +201,4 @@ func (wd *sloWatchdog) Status() []SLOStatus {
 		out = append(out, st.status())
 	}
 	return out
-}
-
-// stackStats is the per-stack completion accounting feeding SLO evaluation
-// and the stack.* metric family: full request/error counts plus the sampled
-// latency histogram. Handles are cached at first use so the worker hot path
-// pays one sync.Map load and two atomic adds per request.
-type stackStats struct {
-	mount    string
-	requests *telemetry.Counter
-	errors   *telemetry.Counter
-	lat      *stats.Histogram
-}
-
-// stackStatsFor returns (creating on first use) the stats slot for a stack.
-func (rt *Runtime) stackStatsFor(stackID int, mount string) *stackStats {
-	if v, ok := rt.stackStats.Load(stackID); ok {
-		return v.(*stackStats)
-	}
-	label := ";stack=" + mount
-	ss := &stackStats{
-		mount:    mount,
-		requests: rt.metrics.Counter("stack.requests" + label),
-		errors:   rt.metrics.Counter("stack.errors" + label),
-		lat:      rt.metrics.Histogram("stack.latency_us" + label),
-	}
-	v, _ := rt.stackStats.LoadOrStore(stackID, ss)
-	return v.(*stackStats)
-}
-
-// stackStatsByMount finds a stack's stats slot by mount point (watchdog
-// path: a linear scan over a handful of stacks every evaluation period).
-func (rt *Runtime) stackStatsByMount(mount string) *stackStats {
-	var found *stackStats
-	rt.stackStats.Range(func(_, v any) bool {
-		if ss := v.(*stackStats); ss.mount == mount {
-			found = ss
-			return false
-		}
-		return true
-	})
-	return found
 }

@@ -53,8 +53,7 @@ type Snapshot struct {
 	SLOs []SLOStatus `json:"slos,omitempty"`
 	// Events is the flight recorder's retained tail, oldest first.
 	Events []telemetry.Event `json:"events,omitempty"`
-	// Attribution is the always-on per-stack latency-attribution table
-	// (absent when profiling is disabled).
+	// Attribution is the always-on per-stack latency-attribution table.
 	Attribution []telemetry.StackAttribution `json:"attribution,omitempty"`
 	// CopySites is the per-site data-path copy accounting (zero-copy audit):
 	// every remaining memcpy on the payload path counts itself here.

@@ -3,7 +3,6 @@ package runtime_test
 import (
 	"math"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -52,7 +51,6 @@ mods:
 func TestTailRetentionCatchesSlowRequests(t *testing.T) {
 	rt, cli := bootFS(t, runtime.Options{
 		PerfSampleEvery: 1 << 20, // only the worker's request 0 is ever sampled
-		TailRing:        256,
 	})
 
 	small := make([]byte, 512)
@@ -124,64 +122,41 @@ func TestTailRetentionCatchesSlowRequests(t *testing.T) {
 	}
 }
 
-func TestTailRetentionDisabled(t *testing.T) {
-	rt, cli := bootFS(t, runtime.Options{TailRing: -1})
-	submitOps(t, cli, "fs::/s", core.OpWrite, "f", 200, true)
-	if tail := rt.TailTraces(); tail != nil {
-		t.Fatalf("TailTraces = %d traces with retention disabled, want nil", len(tail))
+// TestSampledTailTraceBuiltOnce pins the single completion record: a
+// request that is both sampled and a tail outlier has its trace built once,
+// so the sampled ring and the tail ring share one span array.
+func TestSampledTailTraceBuiltOnce(t *testing.T) {
+	rt, cli := bootFS(t, runtime.Options{PerfSampleEvery: 1})
+	small, big := make([]byte, 512), make([]byte, 256<<10)
+	for i := 0; i < 400; i++ {
+		data := small
+		if i >= 100 && i%50 == 0 {
+			data = big
+		}
+		req := core.NewRequest(core.OpWrite)
+		req.Path, req.Flags = "f", core.FlagCreate
+		req.Offset, req.Size, req.Data = int64(i)*int64(len(big)), len(data), data
+		if err := cli.Submit("fs::/s", req); err != nil {
+			t.Fatal(err)
+		}
 	}
-}
-
-// countingSink counts sink emits per request ID (satellite: sink single-emit
-// regression). Concurrent-safe: emits happen on worker goroutines.
-type countingSink struct {
-	mu sync.Mutex
-	n  map[uint64]int
-}
-
-func (cs *countingSink) Emit(tr telemetry.Trace) {
-	cs.mu.Lock()
-	cs.n[tr.ReqID]++
-	cs.mu.Unlock()
-}
-
-// TestSinkSingleEmitPerRequest pins the sink contract: every completed
-// request reaches the sink at most once, whatever combination of sampled,
-// errored and tail-outlier it is.
-func TestSinkSingleEmitPerRequest(t *testing.T) {
-	cases := []struct {
-		name        string
-		sampleEvery int
-	}{
-		{"sampled", 1},         // every request sampled; errors mirror internally
-		{"unsampled", 1 << 20}, // errors reach the sink via CaptureError only
+	sampled := map[uint64]telemetry.Trace{}
+	for _, tr := range rt.Traces() {
+		sampled[tr.ReqID] = tr
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			sink := &countingSink{n: make(map[uint64]int)}
-			rt, cli := bootFS(t, runtime.Options{
-				PerfSampleEvery: tc.sampleEvery,
-				TraceSink:       sink,
-				TailRing:        8, // tail retention on: must not add emits
-			})
-			submitOps(t, cli, "fs::/s", core.OpWrite, "f", 30, true)
-			submitOps(t, cli, "fs::/s", core.OpRead, "missing", 10, false)
-			_ = rt
-
-			sink.mu.Lock()
-			defer sink.mu.Unlock()
-			for id, n := range sink.n {
-				if n > 1 {
-					t.Fatalf("request %d emitted to sink %d times, want at most 1", id, n)
-				}
-			}
-			if tc.sampleEvery == 1 && len(sink.n) != 40 {
-				t.Fatalf("sink saw %d requests, want all 40 when sampling every request", len(sink.n))
-			}
-			if tc.sampleEvery > 1 && len(sink.n) < 10 {
-				t.Fatalf("sink saw %d requests, want at least the 10 errored ones", len(sink.n))
-			}
-		})
+	both := 0
+	for _, tail := range rt.TailTraces() {
+		s, ok := sampled[tail.ReqID]
+		if !ok {
+			continue
+		}
+		both++
+		if len(s.Spans) == 0 || &s.Spans[0] != &tail.Spans[0] {
+			t.Fatalf("request %d: the sampled and tail rings hold two builds of its trace", tail.ReqID)
+		}
+	}
+	if both == 0 {
+		t.Fatal("no request was both sampled and a tail outlier")
 	}
 }
 
@@ -252,16 +227,6 @@ func TestAttributionShares(t *testing.T) {
 	}
 	if text := snap.String(); !strings.Contains(text, "== attribution ==") {
 		t.Fatal("snapshot text missing the attribution section")
-	}
-}
-
-// TestAttributionDisabled pins the bench baseline: ProfileDisabled runs fold
-// nothing and report nothing.
-func TestAttributionDisabled(t *testing.T) {
-	rt, cli := bootFS(t, runtime.Options{ProfileDisabled: true})
-	submitOps(t, cli, "fs::/s", core.OpWrite, "f", 50, true)
-	if rt.Profile() != nil || rt.Attribution() != nil {
-		t.Fatal("profile active despite ProfileDisabled")
 	}
 }
 

@@ -51,17 +51,16 @@ type Worker struct {
 	// vectored ring reservation.
 	batchBuf []*Request
 
-	// folder is this worker's latency-attribution delta accumulator (nil
-	// when profiling is disabled): every completed request folds into it
-	// with plain integer adds, and deltas publish to the shared Profile on
-	// idle scans and every few hundred requests. Worker-owned: only touched
-	// from the run goroutine.
+	// folder is this worker's front to the runtime's Profile: every
+	// completed request folds into it, and its per-op deltas publish to the
+	// shared Profile on idle scans, before a park and every few hundred
+	// requests. Worker-owned: only touched from the run goroutine.
 	folder *telemetry.Folder
 
-	// tails tracks a rolling latency quantile per stack this worker drains
-	// (nil when tail retention is disabled); requests above the estimate are
-	// retained in the tracer's tail ring. The last-used estimator is cached
-	// so the common one-stack-per-queue case skips the map.
+	// tails tracks a rolling latency quantile per stack this worker drains;
+	// requests above the estimate are retained in the tracer's tail ring.
+	// The last-used estimator is cached so the common one-stack-per-queue
+	// case skips the map.
 	tails      map[int]*telemetry.TailEstimator
 	tailLast   *telemetry.TailEstimator
 	tailLastID int
@@ -75,15 +74,11 @@ func newWorker(rt *Runtime, id int) *Worker {
 		quit:     make(chan struct{}),
 		wake:     make(chan struct{}, 1),
 		batchBuf: make([]*Request, rt.opts.Batch),
+		folder:   rt.profile.NewFolder(func(op uint8) string { return core.Op(op).String() }),
+		tails:    make(map[int]*telemetry.TailEstimator),
 	}
 	empty := []*QP{}
 	w.queues.Store(&empty)
-	if rt.profile != nil {
-		w.folder = rt.profile.NewFolder(func(op uint8) string { return core.Op(op).String() })
-	}
-	if rt.opts.TailRing >= 0 {
-		w.tails = make(map[int]*telemetry.TailEstimator)
-	}
 	return w
 }
 
@@ -95,7 +90,7 @@ func (w *Worker) tailFor(stackID int) *telemetry.TailEstimator {
 	}
 	te, ok := w.tails[stackID]
 	if !ok {
-		te = telemetry.NewTailEstimator(w.rt.opts.TailQuantile)
+		te = telemetry.NewTailEstimator(telemetry.DefaultTailQuantile)
 		w.tails[stackID] = te
 	}
 	w.tailLast, w.tailLastID = te, stackID
@@ -160,12 +155,10 @@ func (w *Worker) assigned() []*QP { return *w.queues.Load() }
 // time.After per park allocated a timer and its channel every time.
 func (w *Worker) run(wg *sync.WaitGroup) {
 	defer wg.Done()
-	if w.folder != nil {
-		// Publish any attribution deltas still pending when the worker exits
-		// (shutdown with fewer than folderFlushEvery requests since the last
-		// idle scan).
-		defer w.folder.Flush()
-	}
+	// Publish any attribution deltas still pending when the worker exits
+	// (shutdown with fewer than folderFlushEvery requests since the last
+	// idle scan).
+	defer w.folder.Flush()
 	defer w.rt.flightOnPanic(fmt.Sprintf("worker %d", w.id))
 	backstop := time.NewTimer(parkBackstop)
 	defer backstop.Stop()
@@ -181,8 +174,9 @@ func (w *Worker) run(wg *sync.WaitGroup) {
 		default:
 		}
 		if !w.isActive() || !w.rt.Running() {
-			// Parked, decommissioned, or Runtime crashed: block until woken
-			// or stopped.
+			// Parked, decommissioned, or Runtime crashed: publish what the
+			// folder holds, then block until woken or stopped.
+			w.folder.Flush()
 			if !w.park(backstop) {
 				return
 			}
@@ -296,9 +290,7 @@ func (w *Worker) pollOnce() bool {
 		// Idle scan: publish attribution deltas so readers (/profile,
 		// snapshots) see counts that are current to the last burst. Flush
 		// no-ops when nothing is pending.
-		if w.folder != nil {
-			w.folder.Flush()
-		}
+		w.folder.Flush()
 	}
 	return any
 }
@@ -382,52 +374,25 @@ func (w *Worker) executeOne(qp *QP, req *Request, seq int64) (cpuUsed vtime.Dura
 	// service overlaps with the worker polling other queues.
 	w.clock.AdvanceTo(begin.Add(cpuUsed))
 
-	// Per-stack completion accounting: full request/error counts plus the
-	// sampled latency histogram, feeding the stack.* metric family and the
-	// SLO watchdog.
+	// The one completion record: the folder counts the request against its
+	// stack (the exact stack.requests/stack.errors counters) and folds its
+	// coarse anatomy (latency = queue wait + CPU + device) — plain integer
+	// adds on worker-owned state plus the counters' atomic adds.
 	mount := ""
 	if ok {
 		mount = stack.Mount
 	}
-	ss := w.rt.stackStatsFor(req.StackID, mount)
-	ss.requests.Inc()
-	if req.Err != nil {
-		ss.errors.Inc()
-	}
-
-	// Always-on attribution: every completion folds its coarse anatomy
-	// (latency = queue wait + CPU + device) into the worker-local folder —
-	// plain integer adds on worker-owned state, published in batches.
 	lat := req.Clock.Sub(req.Arrival)
-	if w.folder != nil {
-		w.folder.Fold(req.StackID, mount, uint8(req.Op), int64(lat),
-			int64(begin.Sub(req.Arrival)), int64(cpuUsed), req.Err != nil)
-	}
+	w.folder.Fold(req.StackID, mount, uint8(req.Op), int64(lat),
+		int64(begin.Sub(req.Arrival)), int64(cpuUsed), req.Err != nil)
 
-	// Trace retention decision point — the ONLY place a completed request
-	// reaches the tracer, so the sink's one-emit-per-request contract holds
-	// by construction: a request flows through exactly one of recordTrace
-	// (sampled; mirrors errors into the error ring itself) or
-	// recordErrorTrace (unsampled failure). Tail retention below never
-	// emits to the sink.
-	if sampled {
-		ss.lat.Observe(lat.Micros())
-		w.rt.recordPerf(req.Stages)
-		w.rt.recordTrace(w.id, qp.ID, mount, req, begin)
-	} else if req.Err != nil {
-		// Errors are always captured — unsampled failures go to the
-		// tracer's bounded error ring so /traces?err=1 shows real faults.
-		w.rt.recordErrorTrace(w.id, qp.ID, mount, req, begin)
-	}
-
-	// Tail-based retention: every completion passes the rolling per-stack
-	// quantile estimator; outliers land in the tail ring regardless of what
-	// the 1-in-N sampler picked, so /traces?tail=1 always has the slowest
-	// requests.
-	if w.tails != nil {
-		if w.tailFor(req.StackID).Observe(float64(lat)) {
-			w.rt.recordTailTrace(w.id, qp.ID, mount, req, begin)
-		}
+	// Every completion passes the rolling per-stack quantile estimator, so
+	// outliers are kept whatever the 1-in-N sampler picked; errors are
+	// always kept. A request that qualifies for any ring has its trace
+	// built once.
+	tail := w.tailFor(req.StackID).Observe(float64(lat))
+	if sampled || tail || req.Err != nil {
+		w.rt.retain(w.id, qp.ID, mount, req, begin, sampled, tail)
 	}
 	return cpuUsed, sampled
 }

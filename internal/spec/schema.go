@@ -132,10 +132,7 @@ type OrchestratorSpec struct {
 //	observe:
 //	  addr: 127.0.0.1:9120    # empty = server disabled
 //	  pprof: true
-//	  flight_ring: 256
 //	  slo_check_ms: 100
-//	  tail: 64                # tail-outlier trace ring (-1 disables)
-//	  tail_quantile: 0.99     # retain requests above this rolling quantile
 //	  bundle_dir: /tmp/labstor-bundles   # empty = no incident bundles
 //	  bundle_profile_ms: 250
 //	  bundle_cooldown_ms: 60000
@@ -147,17 +144,8 @@ type ObserveSpec struct {
 	// Pprof exposes net/http/pprof under /debug/pprof/ (default true when
 	// the server is enabled).
 	Pprof bool
-	// FlightRing is the flight-recorder event ring capacity (0 = default).
-	FlightRing int
 	// SLOCheckMs is the SLO watchdog evaluation period (0 = default 100ms).
 	SLOCheckMs int
-	// Tail is the tail-outlier trace ring capacity: traces slower than the
-	// rolling per-stack quantile threshold, retained regardless of 1-in-N
-	// sampling (0 = default 64, negative disables tail retention).
-	Tail int
-	// TailQuantile is the rolling quantile the tail estimator tracks
-	// (0 = default 0.99: the slowest ~1% of requests are outliers).
-	TailQuantile float64
 	// BundleDir, when set, arms incident capture: every SLO breach
 	// transition writes a diagnostic bundle directory under it.
 	BundleDir string
@@ -302,15 +290,13 @@ type RuntimeConfig struct {
 	// PerfSampleEvery is the telemetry sampling period: one request in N is
 	// traced (0 = runtime default of 64, negative disables sampling).
 	PerfSampleEvery int
-	// TraceRing is the capacity of the recent-trace ring (0 = default).
-	TraceRing    int
-	Orchestrator OrchestratorSpec
-	Observe      ObserveSpec
-	Serve        ServeSpec
-	Pushdown     PushdownSpec
-	SLOs         []SLOSpec
-	Devices      []DeviceSpec
-	Repos        []string
+	Orchestrator    OrchestratorSpec
+	Observe         ObserveSpec
+	Serve           ServeSpec
+	Pushdown        PushdownSpec
+	SLOs            []SLOSpec
+	Devices         []DeviceSpec
+	Repos           []string
 }
 
 // DefaultRuntimeConfig returns the configuration used when a document omits
@@ -346,7 +332,6 @@ func ParseRuntimeConfig(src string) (*RuntimeConfig, error) {
 		cfg.MaxReposPerUser = rt.Int("max_repos_per_user", cfg.MaxReposPerUser)
 		cfg.Batch = rt.Int("batch", cfg.Batch)
 		cfg.PerfSampleEvery = rt.Int("perf_sample_every", cfg.PerfSampleEvery)
-		cfg.TraceRing = rt.Int("trace_ring", cfg.TraceRing)
 	}
 	if or := root.Get("orchestrator"); or != nil {
 		cfg.Orchestrator.Policy = or.Str("policy", cfg.Orchestrator.Policy)
@@ -357,10 +342,7 @@ func ParseRuntimeConfig(src string) (*RuntimeConfig, error) {
 	if ob := root.Get("observe"); ob != nil {
 		cfg.Observe.Addr = ob.Str("addr", cfg.Observe.Addr)
 		cfg.Observe.Pprof = ob.Bool("pprof", cfg.Observe.Pprof)
-		cfg.Observe.FlightRing = ob.Int("flight_ring", cfg.Observe.FlightRing)
 		cfg.Observe.SLOCheckMs = ob.Int("slo_check_ms", cfg.Observe.SLOCheckMs)
-		cfg.Observe.Tail = ob.Int("tail", cfg.Observe.Tail)
-		cfg.Observe.TailQuantile = ob.Float("tail_quantile", cfg.Observe.TailQuantile)
 		cfg.Observe.BundleDir = ob.Str("bundle_dir", cfg.Observe.BundleDir)
 		cfg.Observe.BundleProfileMs = ob.Int("bundle_profile_ms", cfg.Observe.BundleProfileMs)
 		cfg.Observe.BundleCooldownMs = ob.Int("bundle_cooldown_ms", cfg.Observe.BundleCooldownMs)

@@ -292,6 +292,7 @@ func TestParseRuntimeConfigIgnoresRetiredKeys(t *testing.T) {
 		dev  = "devices:\n  - name: nvme0\n    class: nvme\n    capacity_mb: 512\n"
 		rt   = "runtime:\n  workers: 2\n"
 		orch = "orchestrator:\n  policy: dynamic\n"
+		obs  = "observe:\n  addr: 127.0.0.1:0\n"
 	)
 	for _, tc := range []struct{ name, base, key string }{
 		{"devices[].stripes", dev, "    stripes: 4\n"},
@@ -299,6 +300,10 @@ func TestParseRuntimeConfigIgnoresRetiredKeys(t *testing.T) {
 		{"negative numa.nodes", rt, "numa:\n  nodes: -2\n"},
 		{"orchestrator.locality_weight", orch, "  locality_weight: 2.5\n"},
 		{"orchestrator.idle_park_us", orch, "  idle_park_us: 50\n"},
+		{"runtime.trace_ring", rt, "  trace_ring: 256\n"},
+		{"observe.flight_ring", obs, "  flight_ring: 256\n"},
+		{"observe.tail", obs, "  tail: 64\n"},
+		{"observe.tail_quantile", obs, "  tail_quantile: 0.99\n"},
 	} {
 		with, err := ParseRuntimeConfig(tc.base + tc.key)
 		if err != nil {
@@ -351,7 +356,6 @@ runtime:
 observe:
   addr: 127.0.0.1:0
   pprof: false
-  flight_ring: 128
   slo_check_ms: 50
 slo:
   - stack: fs::/probe
@@ -364,7 +368,7 @@ slo:
 		t.Fatal(err)
 	}
 	ob := cfg.Observe
-	if ob.Addr != "127.0.0.1:0" || ob.Pprof || ob.FlightRing != 128 || ob.SLOCheckMs != 50 {
+	if ob.Addr != "127.0.0.1:0" || ob.Pprof || ob.SLOCheckMs != 50 {
 		t.Fatalf("observe %+v", ob)
 	}
 	if len(cfg.SLOs) != 2 {
@@ -393,22 +397,19 @@ observe:
 		t.Fatal(err)
 	}
 	ob := cfg.Observe
-	if ob.Tail != 128 || ob.TailQuantile != 0.995 {
-		t.Fatalf("tail knobs %+v", ob)
-	}
 	if ob.BundleDir != "/tmp/labstor-bundles" || ob.BundleProfileMs != 100 ||
 		ob.BundleCooldownMs != 30000 || ob.BundleMax != 4 {
 		t.Fatalf("bundle knobs %+v", ob)
 	}
 
 	// Absent keys stay zero: downstream layers own the defaults, so a bare
-	// config keeps tail retention at DefaultTailRing and capture disarmed.
+	// config keeps capture disarmed.
 	cfg, err = ParseRuntimeConfig("observe:\n  addr: :0\n")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ob = cfg.Observe
-	if ob.Tail != 0 || ob.TailQuantile != 0 || ob.BundleDir != "" ||
+	if ob.BundleDir != "" ||
 		ob.BundleProfileMs != 0 || ob.BundleCooldownMs != 0 || ob.BundleMax != 0 {
 		t.Fatalf("unset tail/bundle knobs not zero: %+v", ob)
 	}

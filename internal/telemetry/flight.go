@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -55,32 +54,20 @@ func (e Event) String() string {
 	return b.String()
 }
 
-// DefaultFlightRing is the flight-recorder capacity when none is configured.
-const DefaultFlightRing = 256
+// FlightRing is the flight recorder's event capacity.
+const FlightRing = 256
 
 // FlightRecorder is a bounded ring of runtime events — the blackbox that
 // gives a postmortem the *history* leading up to a fault, not just the final
-// snapshot. Recording is a mutex-guarded ring store; events are rare
-// (rebalances, upgrades, breaches, errors) so the data path never contends
-// on it.
+// snapshot. Events are rare (rebalances, upgrades, breaches, errors) so the
+// data path never contends on the ring's mutex.
 type FlightRecorder struct {
-	mu   sync.Mutex
-	ring []Event
-	next int
-	full bool
-
-	seq      atomic.Uint64
-	recorded atomic.Int64
+	ring *ring[Event]
+	seq  atomic.Uint64
 }
 
-// NewFlightRecorder returns a recorder holding up to capacity events
-// (DefaultFlightRing if capacity <= 0).
-func NewFlightRecorder(capacity int) *FlightRecorder {
-	if capacity <= 0 {
-		capacity = DefaultFlightRing
-	}
-	return &FlightRecorder{ring: make([]Event, capacity)}
-}
+// NewFlightRecorder returns an empty recorder.
+func NewFlightRecorder() *FlightRecorder { return &FlightRecorder{ring: newRing[Event](FlightRing)} }
 
 // Record appends an event, stamping sequence and wall time. fields may be
 // nil. It returns the stored event (tests and callers that also log it).
@@ -93,15 +80,7 @@ func (fr *FlightRecorder) Record(kind, msg string, vt vtime.Time, fields map[str
 		Msg:    msg,
 		Fields: fields,
 	}
-	fr.mu.Lock()
-	fr.ring[fr.next] = e
-	fr.next++
-	if fr.next == len(fr.ring) {
-		fr.next = 0
-		fr.full = true
-	}
-	fr.mu.Unlock()
-	fr.recorded.Add(1)
+	fr.ring.push(e)
 	return e
 }
 
@@ -111,29 +90,10 @@ func (fr *FlightRecorder) Recordf(kind string, vt vtime.Time, format string, arg
 }
 
 // Recorded returns the total number of events recorded (including evicted).
-func (fr *FlightRecorder) Recorded() int64 { return fr.recorded.Load() }
-
-// Cap returns the ring capacity.
-func (fr *FlightRecorder) Cap() int {
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	return len(fr.ring)
-}
+func (fr *FlightRecorder) Recorded() int64 { return fr.ring.total() }
 
 // Recent returns the retained events, oldest first.
-func (fr *FlightRecorder) Recent() []Event {
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	if !fr.full {
-		out := make([]Event, fr.next)
-		copy(out, fr.ring[:fr.next])
-		return out
-	}
-	out := make([]Event, 0, len(fr.ring))
-	out = append(out, fr.ring[fr.next:]...)
-	out = append(out, fr.ring[:fr.next]...)
-	return out
-}
+func (fr *FlightRecorder) Recent() []Event { return fr.ring.recent() }
 
 // Filter returns the retained events whose Kind matches the given dotted
 // prefix ("slo" matches "slo.breach"; "" matches everything), oldest first.

@@ -8,34 +8,26 @@ import (
 	"labstor/internal/vtime"
 )
 
+// TestFlightRecorderRingBounded pins the recorder's bookkeeping over its
+// ring (whose wrap order TestRing covers): Recorded counts evictions too, and
+// the survivors are the newest FlightRing events, sequenced oldest first.
 func TestFlightRecorderRingBounded(t *testing.T) {
-	fr := NewFlightRecorder(4)
-	if fr.Cap() != 4 {
-		t.Fatalf("Cap = %d, want 4", fr.Cap())
-	}
-	for i := 0; i < 10; i++ {
+	fr := NewFlightRecorder()
+	for i := 0; i < FlightRing+6; i++ {
 		fr.Record(EvWorker, "tick", vtime.Time(i), nil)
 	}
-	if fr.Recorded() != 10 {
-		t.Fatalf("Recorded = %d, want 10", fr.Recorded())
+	if fr.Recorded() != FlightRing+6 {
+		t.Fatalf("Recorded = %d, want %d", fr.Recorded(), FlightRing+6)
 	}
 	recent := fr.Recent()
-	if len(recent) != 4 {
-		t.Fatalf("retained %d events, want 4", len(recent))
-	}
-	// Oldest-first and monotonically sequenced: survivors are seq 7..10.
-	for i, want := range []uint64{7, 8, 9, 10} {
-		if recent[i].Seq != want {
-			t.Fatalf("recent[%d].Seq = %d, want %d", i, recent[i].Seq, want)
-		}
+	if len(recent) != FlightRing || recent[0].Seq != 7 || recent[len(recent)-1].Seq != FlightRing+6 {
+		t.Fatalf("retained %d events, seq %d..%d; want %d, 7..%d",
+			len(recent), recent[0].Seq, recent[len(recent)-1].Seq, FlightRing, FlightRing+6)
 	}
 }
 
 func TestFlightRecorderPartialAndDefaults(t *testing.T) {
-	fr := NewFlightRecorder(0)
-	if fr.Cap() != DefaultFlightRing {
-		t.Fatalf("default cap %d, want %d", fr.Cap(), DefaultFlightRing)
-	}
+	fr := NewFlightRecorder()
 	fr.Recordf(EvRebalance, 5, "moved %d queues", 3)
 	fr.Record(EvSLOBreach, "p99 over", 9, map[string]string{"stack": "fs::/a"})
 	recent := fr.Recent()
@@ -54,7 +46,7 @@ func TestFlightRecorderPartialAndDefaults(t *testing.T) {
 }
 
 func TestFlightRecorderFilter(t *testing.T) {
-	fr := NewFlightRecorder(16)
+	fr := NewFlightRecorder()
 	fr.Record(EvSLOBreach, "b", 1, nil)
 	fr.Record(EvSLORecover, "r", 2, nil)
 	fr.Record(EvUpgrade, "u", 3, nil)
@@ -74,7 +66,7 @@ func TestFlightRecorderFilter(t *testing.T) {
 }
 
 func TestFlightRecorderDump(t *testing.T) {
-	fr := NewFlightRecorder(8)
+	fr := NewFlightRecorder()
 	fr.Record(EvRuntime, "started", 0, nil)
 	fr.Record(EvRequestError, "boom", 7, map[string]string{"op": "read"})
 	var b strings.Builder
@@ -88,7 +80,7 @@ func TestFlightRecorderDump(t *testing.T) {
 }
 
 func TestFlightRecorderConcurrent(t *testing.T) {
-	fr := NewFlightRecorder(32)
+	fr := NewFlightRecorder()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -106,22 +98,22 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	if fr.Recorded() != 4000 {
 		t.Fatalf("Recorded = %d, want 4000", fr.Recorded())
 	}
-	if len(fr.Recent()) != 32 {
-		t.Fatalf("retained %d, want 32", len(fr.Recent()))
+	if len(fr.Recent()) != FlightRing {
+		t.Fatalf("retained %d, want %d", len(fr.Recent()), FlightRing)
 	}
 }
 
 func TestTracerErrorRing(t *testing.T) {
-	tr := NewTracer(4)
-	// Sampled captures with errors are mirrored into the error ring.
+	tr := NewTracer()
+	// Sampled captures with errors also land in the error ring.
 	errTrace := mkTrace(1)
 	errTrace.Err = "EIO"
-	tr.Capture(errTrace)
-	tr.Capture(mkTrace(2)) // clean: main ring only
+	tr.Capture(errTrace, true, false)
+	tr.Capture(mkTrace(2), true, false) // clean: main ring only
 	// Unsampled errors land in the error ring without touching the main ring.
 	only := mkTrace(3)
 	only.Err = "ENOSPC"
-	tr.CaptureError(only)
+	tr.Capture(only, false, false)
 
 	if got := tr.ErrorsCaptured(); got != 2 {
 		t.Fatalf("ErrorsCaptured = %d, want 2", got)
@@ -131,27 +123,22 @@ func TestTracerErrorRing(t *testing.T) {
 		t.Fatalf("RecentErrors = %+v", errs)
 	}
 	if got := len(tr.Recent()); got != 2 {
-		t.Fatalf("main ring has %d traces, want 2 (CaptureError leaked in)", got)
+		t.Fatalf("main ring has %d traces, want 2 (an unsampled error leaked in)", got)
 	}
 }
 
 func TestTracerErrorRingBoundedAndSink(t *testing.T) {
-	tr := NewTracer(2)
-	var sunk int
-	tr.SetSink(SinkFunc(func(Trace) { sunk++ }))
-	for i := uint64(1); i <= uint64(DefaultErrorRing)+5; i++ {
+	tr := NewTracer()
+	for i := uint64(1); i <= uint64(ErrorRing)+5; i++ {
 		tc := mkTrace(i)
 		tc.Err = "EIO"
-		tr.CaptureError(tc)
+		tr.Capture(tc, false, false)
 	}
 	errs := tr.RecentErrors()
-	if len(errs) != DefaultErrorRing {
-		t.Fatalf("error ring retained %d, want %d", len(errs), DefaultErrorRing)
+	if len(errs) != ErrorRing {
+		t.Fatalf("error ring retained %d, want %d", len(errs), ErrorRing)
 	}
-	if errs[len(errs)-1].ReqID != uint64(DefaultErrorRing)+5 {
+	if errs[len(errs)-1].ReqID != uint64(ErrorRing)+5 {
 		t.Fatalf("last error ReqID = %d", errs[len(errs)-1].ReqID)
-	}
-	if sunk != DefaultErrorRing+5 {
-		t.Fatalf("sink saw %d error traces", sunk)
 	}
 }

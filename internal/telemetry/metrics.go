@@ -1,9 +1,10 @@
 // Package telemetry is the runtime observability layer: a lock-cheap
 // metrics registry (atomic counters and gauges plus log2 latency
-// histograms from internal/stats) and a structured request tracer that
-// turns sampled requests into spans — request ID, stack, per-stage
-// enter/exit in virtual time, queue wait, worker ID — kept in a bounded
-// in-memory ring with an optional pluggable sink.
+// histograms from internal/stats), the Profile every completed request is
+// folded into once, and a structured request tracer that turns sampled,
+// errored and tail-outlier requests into spans — request ID, stack,
+// per-stage enter/exit in virtual time, queue wait, worker ID — kept in
+// bounded in-memory rings.
 //
 // The paper's Work Orchestrator (§III-C) consumes per-queue latency and
 // compute estimates, and the whole evaluation (§IV "Anatomy of I/O") is

@@ -6,23 +6,28 @@ import (
 	"sync/atomic"
 
 	"labstor/internal/stats"
+	"labstor/internal/vtime"
 )
 
-// This file is the latency-attribution half of the telemetry layer: an
-// always-on aggregator that folds *every* completed request's coarse anatomy
-// (latency = queue wait + CPU + device) into per-stack/per-op tables, plus
-// the sampled per-stage detail (p50/p99 per stage, share of total latency)
-// that the 1-in-N tracer feeds it. The paper's Fig. 4 "request anatomy"
-// argument is that a userspace stack lets you *see* where each microsecond
-// goes; Profile is that visibility as a queryable table rather than a
-// one-off experiment.
+// This file is the latency-attribution half of the telemetry layer and the
+// runtime's one record of completed requests: an always-on aggregator that
+// counts *every* completion per stack (the exact stack.requests and
+// stack.errors counters), folds its coarse anatomy (latency = queue wait +
+// CPU + device) into per-stack/per-op tables, and keeps the sampled
+// per-stage detail (p50/p99 per stage, share of total latency) that the
+// 1-in-N sampled requests feed it. Per-stack metrics, SLO evaluation, the
+// runtime's stage counters and the /profile tables are all read from it.
+// The paper's Fig. 4 "request anatomy" argument is that a userspace stack
+// lets you *see* where each microsecond goes; Profile is that visibility as
+// a queryable table rather than a one-off experiment.
 //
-// Hot-path discipline: workers never touch Profile directly. Each worker
-// owns a Folder — a single-goroutine delta accumulator whose Fold is a few
-// plain (non-atomic) integer adds against a cached slot — and publishes the
-// deltas into the shared atomics every folderFlushEvery requests or when the
-// worker goes idle. The per-request cost is nanoseconds; the shared
-// cachelines are touched ~1/256th as often as the request rate.
+// Hot-path discipline: workers reach Profile through a Folder — a
+// single-goroutine accumulator whose Fold is the stack's two exact counters'
+// atomic adds plus a few plain integer adds against a cached slot — and
+// publish the per-op deltas into the shared atomics every folderFlushEvery
+// requests or when the worker goes idle or parks. The per-request cost is
+// nanoseconds; the per-op cachelines are touched ~1/256th as often as the
+// request rate.
 
 // maxProfiledOps bounds the per-op table (core.Op values fit comfortably).
 const maxProfiledOps = 32
@@ -49,10 +54,16 @@ type stageAgg struct {
 	hist  stats.Histogram // microseconds
 }
 
-// StackProfile is one stack's attribution state inside a Profile.
+// StackProfile is one stack's completion state inside a Profile.
 type StackProfile struct {
-	stackID int
-	mount   string
+	mount string
+
+	// Exact completion counts and the sampled latency histogram (µs), kept
+	// in the Profile's registry as stack.requests, stack.errors and
+	// stack.latency_us, labelled with the stack's mount.
+	requests *Counter
+	errors   *Counter
+	latency  *stats.Histogram
 
 	ops     [maxProfiledOps]opAgg
 	opNames [maxProfiledOps]atomic.Pointer[string]
@@ -60,7 +71,6 @@ type StackProfile struct {
 	// Sampled-span detail (only the 1-in-N traced requests reach these).
 	stages        sync.Map // stage string -> *stageAgg
 	sampled       atomic.Int64
-	sampledLatNS  atomic.Int64
 	sampledWaitNS atomic.Int64
 	waitHist      stats.Histogram // queue-wait µs of sampled requests
 
@@ -75,32 +85,68 @@ func (sp *StackProfile) stageFor(name string) *stageAgg {
 	return v.(*stageAgg)
 }
 
-// Profile is the shared, concurrent attribution table: stack ID → per-op
-// always-on accumulators + sampled per-stage detail. Writers are worker
-// Folders (batched deltas) and the sampled-trace path; readers are the
-// /profile endpoint, the snapshot tree and `labctl profile`.
+// Requests returns the stack's exact completed-request count.
+func (sp *StackProfile) Requests() int64 { return sp.requests.Value() }
+
+// Errors returns the stack's exact errored-completion count.
+func (sp *StackProfile) Errors() int64 { return sp.errors.Value() }
+
+// Latency returns the sampled requests' latency histogram (µs).
+func (sp *StackProfile) Latency() stats.HistogramState { return sp.latency.State() }
+
+// Profile is the shared, concurrent completion table: stack ID → exact
+// counters, per-op always-on accumulators and sampled per-stage detail.
+// Writers are worker Folders and the sampled-trace path; readers are the
+// SLO watchdog, the /profile endpoint, the snapshot tree and `labctl
+// profile`.
 type Profile struct {
+	reg    *Registry
 	stacks sync.Map // int -> *StackProfile
 }
 
-// NewProfile returns an empty attribution table.
-func NewProfile() *Profile { return &Profile{} }
+// NewProfile returns an empty table whose stack.* metrics live in a
+// registry of its own.
+func NewProfile() *Profile { return NewProfileIn(NewRegistry()) }
+
+// NewProfileIn returns an empty table that registers each stack's stack.*
+// metrics in reg.
+func NewProfileIn(reg *Registry) *Profile { return &Profile{reg: reg} }
 
 func (p *Profile) stackFor(stackID int, mount string) *StackProfile {
 	if v, ok := p.stacks.Load(stackID); ok {
 		return v.(*StackProfile)
 	}
-	v, _ := p.stacks.LoadOrStore(stackID, &StackProfile{stackID: stackID, mount: mount})
+	label := ";stack=" + mount
+	v, _ := p.stacks.LoadOrStore(stackID, &StackProfile{
+		mount:    mount,
+		requests: p.reg.Counter("stack.requests" + label),
+		errors:   p.reg.Counter("stack.errors" + label),
+		latency:  p.reg.Histogram("stack.latency_us" + label),
+	})
 	return v.(*StackProfile)
 }
 
-// FoldSpans folds one sampled trace's per-stage spans and queue wait into
-// the stack's sampled-detail tables. Called on the 1-in-N sampled path only,
-// so histogram inserts here are amortized by the sampling period.
+// Stack returns the completion state of the stack mounted at mount (nil
+// before its first completion).
+func (p *Profile) Stack(mount string) *StackProfile {
+	var found *StackProfile
+	p.stacks.Range(func(_, v any) bool {
+		if sp := v.(*StackProfile); sp.mount == mount {
+			found = sp
+			return false
+		}
+		return true
+	})
+	return found
+}
+
+// FoldSpans folds one sampled trace's latency, per-stage spans and queue
+// wait into the stack's sampled-detail tables. Called on the 1-in-N sampled
+// path only, so histogram inserts here are amortized by the sampling period.
 func (p *Profile) FoldSpans(stackID int, mount string, t Trace) {
 	sp := p.stackFor(stackID, mount)
+	sp.latency.Observe(t.Latency().Micros())
 	sp.sampled.Add(1)
-	sp.sampledLatNS.Add(int64(t.Latency()))
 	sp.sampledWaitNS.Add(int64(t.QueueWait))
 	sp.waitHist.Observe(t.QueueWait.Micros())
 	for _, s := range t.Spans {
@@ -119,19 +165,19 @@ func (p *Profile) TailNote(stackID int, mount string) {
 // --- Folder: worker-local delta accumulation ---------------------------------
 
 type folderSlot struct {
-	stackID int
-	mount   string
-	op      uint8
+	sp *StackProfile
+	op uint8
 
 	count, errs          int64
 	latNS, waitNS, cpuNS int64
 }
 
 // Folder is a single-goroutine (worker-owned) accumulator in front of a
-// Profile. Fold is the always-on per-request hot path: a cached-slot lookup
-// plus plain integer adds — no atomics, no locks, no allocation. Deltas
-// reach the shared Profile on Flush, which the owner calls when idle and
-// which Fold triggers itself every folderFlushEvery requests.
+// Profile. Fold is the always-on per-request hot path: a cached-slot lookup,
+// the stack's exact counters and plain integer adds — no locks, no
+// allocation. Per-op deltas reach the shared Profile on Flush, which the
+// owner calls when idle and which Fold triggers itself every
+// folderFlushEvery requests.
 //
 // A Folder must only ever be used from one goroutine.
 type Folder struct {
@@ -151,9 +197,10 @@ func (p *Profile) NewFolder(opName func(uint8) string) *Folder {
 	return &Folder{p: p, opName: opName, slots: make(map[uint32]*folderSlot)}
 }
 
-// Fold accumulates one completed request. latNS/waitNS/cpuNS are the
-// request's modeled end-to-end latency, queue wait (arrival → service
-// start) and charged CPU time within service; device time is derived as
+// Fold records one completed request: the stack's exact counters at once,
+// the per-op anatomy as a delta. latNS/waitNS/cpuNS are the request's
+// modeled end-to-end latency, queue wait (arrival → service start) and
+// charged CPU time within service; device time is derived as
 // lat - wait - cpu.
 func (f *Folder) Fold(stackID int, mount string, op uint8, latNS, waitNS, cpuNS int64, errored bool) {
 	key := uint32(stackID)<<8 | uint32(op)
@@ -161,8 +208,10 @@ func (f *Folder) Fold(stackID int, mount string, op uint8, latNS, waitNS, cpuNS 
 	if s == nil || f.curKey != key {
 		s = f.slotFor(key, stackID, mount, op)
 	}
+	s.sp.requests.Inc()
 	s.count++
 	if errored {
+		s.sp.errors.Inc()
 		s.errs++
 	}
 	s.latNS += latNS
@@ -177,7 +226,7 @@ func (f *Folder) Fold(stackID int, mount string, op uint8, latNS, waitNS, cpuNS 
 func (f *Folder) slotFor(key uint32, stackID int, mount string, op uint8) *folderSlot {
 	s, ok := f.slots[key]
 	if !ok {
-		s = &folderSlot{stackID: stackID, mount: mount, op: op}
+		s = &folderSlot{sp: f.p.stackFor(stackID, mount), op: op}
 		f.slots[key] = s
 	}
 	f.cur, f.curKey = s, key
@@ -197,7 +246,7 @@ func (f *Folder) Flush() {
 		if s.count == 0 {
 			continue
 		}
-		sp := f.p.stackFor(s.stackID, s.mount)
+		sp := s.sp
 		idx := int(s.op)
 		if idx >= maxProfiledOps {
 			idx = 0
@@ -399,6 +448,43 @@ func (sp *StackProfile) stageAttribution() []StageAttribution {
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].SharePct > rows[j].SharePct })
 	return rows
+}
+
+// StageCounter is one pipeline stage's sampled cost summed over every
+// stack.
+type StageCounter struct {
+	Stage string
+	Ops   int64
+	Total vtime.Duration
+	Mean  vtime.Duration
+}
+
+// StageCounters sums each stage's sampled count and cost over every stack,
+// in no particular order.
+func (p *Profile) StageCounters() []StageCounter {
+	idx := map[string]int{}
+	out := []StageCounter{}
+	p.stacks.Range(func(_, v any) bool {
+		v.(*StackProfile).stages.Range(func(k, v any) bool {
+			name, sa := k.(string), v.(*stageAgg)
+			i, ok := idx[name]
+			if !ok {
+				i = len(out)
+				idx[name] = i
+				out = append(out, StageCounter{Stage: name})
+			}
+			out[i].Ops += sa.count.Load()
+			out[i].Total += vtime.Duration(sa.sumNS.Load())
+			return true
+		})
+		return true
+	})
+	for i := range out {
+		if out[i].Ops > 0 {
+			out[i].Mean = out[i].Total / vtime.Duration(out[i].Ops)
+		}
+	}
+	return out
 }
 
 func nsToUS(ns int64) float64 { return float64(ns) / 1e3 }

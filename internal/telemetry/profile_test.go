@@ -206,52 +206,22 @@ func TestTailEstimatorTracksDrift(t *testing.T) {
 }
 
 func TestTracerTailRing(t *testing.T) {
-	tr := NewTracer(4)
-	// Default tail ring present.
+	tr := NewTracer()
 	for i := uint64(1); i <= 100; i++ {
-		if !tr.CaptureTail(mkTrace(i)) {
-			t.Fatal("CaptureTail = false with default ring")
-		}
+		tr.Capture(mkTrace(i), false, true)
 	}
-	if tr.TailCaptured() != 100 {
-		t.Fatalf("TailCaptured = %d, want 100", tr.TailCaptured())
+	if tr.TailCaptured() != 100 || tr.Captured() != 0 {
+		t.Fatalf("TailCaptured = %d, Captured = %d; want 100 and 0", tr.TailCaptured(), tr.Captured())
 	}
 	tail := tr.RecentTail()
-	if len(tail) != DefaultTailRing {
-		t.Fatalf("tail retained %d, want %d", len(tail), DefaultTailRing)
+	if len(tail) != TailRing {
+		t.Fatalf("tail retained %d, want %d", len(tail), TailRing)
 	}
 	// Oldest-first across the wrap boundary: 37..100.
 	for i, tc := range tail {
-		if want := uint64(100 - DefaultTailRing + 1 + i); tc.ReqID != want {
+		if want := uint64(100 - TailRing + 1 + i); tc.ReqID != want {
 			t.Fatalf("tail[%d].ReqID = %d, want %d", i, tc.ReqID, want)
 		}
-	}
-	// Resize and disable.
-	tr.SetTailRing(2)
-	tr.CaptureTail(mkTrace(1))
-	tr.CaptureTail(mkTrace(2))
-	tr.CaptureTail(mkTrace(3))
-	if got := tr.RecentTail(); len(got) != 2 || got[0].ReqID != 2 || got[1].ReqID != 3 {
-		t.Fatalf("resized tail = %v", got)
-	}
-	tr.SetTailRing(-1)
-	if tr.CaptureTail(mkTrace(4)) {
-		t.Fatal("CaptureTail = true after disable")
-	}
-	if got := tr.RecentTail(); got != nil {
-		t.Fatalf("RecentTail after disable = %v, want nil", got)
-	}
-}
-
-// TestTailRingNoSinkEmit pins the sink single-emit contract: tail retention
-// must never forward to the sink (the sampled path already does).
-func TestTailRingNoSinkEmit(t *testing.T) {
-	tr := NewTracer(4)
-	emits := 0
-	tr.SetSink(SinkFunc(func(Trace) { emits++ }))
-	tr.CaptureTail(mkTrace(1))
-	if emits != 0 {
-		t.Fatalf("tail capture emitted to sink %d times, want 0", emits)
 	}
 }
 
@@ -259,35 +229,31 @@ func TestTailRingNoSinkEmit(t *testing.T) {
 // the wrap boundary: 100 errored traces through a 64-slot ring must read
 // back as IDs 37..100, oldest first.
 func TestErrorRingWrapOrdering(t *testing.T) {
-	tr := NewTracer(4)
+	tr := NewTracer()
 	for i := uint64(1); i <= 100; i++ {
 		tc := mkTrace(i)
 		tc.Err = "boom"
-		if i%2 == 0 {
-			tr.Capture(tc) // sampled+errored path mirrors into the error ring
-		} else {
-			tr.CaptureError(tc) // unsampled error path
-		}
+		tr.Capture(tc, i%2 == 0, false) // sampled or not
 	}
 	if tr.ErrorsCaptured() != 100 {
 		t.Fatalf("ErrorsCaptured = %d, want 100", tr.ErrorsCaptured())
 	}
 	errs := tr.RecentErrors()
-	if len(errs) != DefaultErrorRing {
-		t.Fatalf("error ring retained %d, want %d", len(errs), DefaultErrorRing)
+	if len(errs) != ErrorRing {
+		t.Fatalf("error ring retained %d, want %d", len(errs), ErrorRing)
 	}
 	for i, tc := range errs {
-		if want := uint64(100 - DefaultErrorRing + 1 + i); tc.ReqID != want {
+		if want := uint64(100 - ErrorRing + 1 + i); tc.ReqID != want {
 			t.Fatalf("errs[%d].ReqID = %d, want %d (not oldest-first across wrap)", i, tc.ReqID, want)
 		}
 	}
 }
 
-// TestTracerConcurrentCaptureRaces (satellite: S3) hammers Capture,
-// CaptureError and CaptureTail from concurrent goroutines while readers
+// TestTracerConcurrentCaptureRaces (satellite: S3) hammers sampled,
+// unsampled-error and tail captures from concurrent goroutines while readers
 // drain all three rings; run under -race this is the wraparound race test.
 func TestTracerConcurrentCaptureRaces(t *testing.T) {
-	tr := NewTracer(8)
+	tr := NewTracer()
 	const writers = 4
 	const perWriter = 500
 	var wg sync.WaitGroup
@@ -300,12 +266,12 @@ func TestTracerConcurrentCaptureRaces(t *testing.T) {
 				switch i % 3 {
 				case 0:
 					tc.Err = "x"
-					tr.Capture(tc)
+					tr.Capture(tc, true, false)
 				case 1:
 					tc.Err = "y"
-					tr.CaptureError(tc)
+					tr.Capture(tc, false, false)
 				case 2:
-					tr.CaptureTail(tc)
+					tr.Capture(tc, false, true)
 				}
 			}
 		}(wr)
@@ -332,8 +298,8 @@ func TestTracerConcurrentCaptureRaces(t *testing.T) {
 	if got := tr.ErrorsCaptured(); got != wantErrs {
 		t.Fatalf("ErrorsCaptured = %d, want %d", got, wantErrs)
 	}
-	if errs := tr.RecentErrors(); len(errs) != DefaultErrorRing {
-		t.Fatalf("error ring retained %d, want full %d", len(errs), DefaultErrorRing)
+	if errs := tr.RecentErrors(); len(errs) != ErrorRing {
+		t.Fatalf("error ring retained %d, want full %d", len(errs), ErrorRing)
 	}
 }
 

@@ -97,52 +97,32 @@ func mkTrace(id uint64) Trace {
 	}
 }
 
+// TestTracerRingBounded pins the sampled ring's bookkeeping (its wrap order
+// is TestRing's): Captured counts evictions too, and only sampled traces
+// enter it.
 func TestTracerRingBounded(t *testing.T) {
-	tr := NewTracer(4)
-	if tr.Cap() != 4 {
-		t.Fatalf("Cap = %d, want 4", tr.Cap())
+	tr := NewTracer()
+	for i := uint64(1); i <= TraceRing+6; i++ {
+		tr.Capture(mkTrace(i), true, false)
 	}
-	for i := uint64(1); i <= 10; i++ {
-		tr.Capture(mkTrace(i))
-	}
-	if tr.Captured() != 10 {
-		t.Fatalf("Captured = %d, want 10", tr.Captured())
+	tr.Capture(mkTrace(0), false, true) // tail only
+	if tr.Captured() != TraceRing+6 {
+		t.Fatalf("Captured = %d, want %d", tr.Captured(), TraceRing+6)
 	}
 	recent := tr.Recent()
-	if len(recent) != 4 {
-		t.Fatalf("ring retained %d traces, want 4", len(recent))
-	}
-	// Oldest-first: the oldest survivors are 7..10.
-	for i, want := range []uint64{7, 8, 9, 10} {
-		if recent[i].ReqID != want {
-			t.Fatalf("recent[%d].ReqID = %d, want %d (ring not oldest-first)", i, recent[i].ReqID, want)
-		}
+	if len(recent) != TraceRing || recent[0].ReqID != 7 || recent[len(recent)-1].ReqID != TraceRing+6 {
+		t.Fatalf("ring retained %d traces, IDs %d..%d; want %d, 7..%d",
+			len(recent), recent[0].ReqID, recent[len(recent)-1].ReqID, TraceRing, TraceRing+6)
 	}
 }
 
 func TestTracerPartialRing(t *testing.T) {
-	tr := NewTracer(8)
-	tr.Capture(mkTrace(1))
-	tr.Capture(mkTrace(2))
+	tr := NewTracer()
+	tr.Capture(mkTrace(1), true, false)
+	tr.Capture(mkTrace(2), true, false)
 	recent := tr.Recent()
 	if len(recent) != 2 || recent[0].ReqID != 1 || recent[1].ReqID != 2 {
 		t.Fatalf("partial ring = %v", recent)
-	}
-}
-
-func TestTracerSink(t *testing.T) {
-	tr := NewTracer(2)
-	var got []uint64
-	tr.SetSink(SinkFunc(func(tc Trace) { got = append(got, tc.ReqID) }))
-	tr.Capture(mkTrace(1))
-	tr.Capture(mkTrace(2))
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("sink saw %v, want [1 2]", got)
-	}
-	tr.SetSink(nil)
-	tr.Capture(mkTrace(3))
-	if len(got) != 2 {
-		t.Fatal("sink called after being cleared")
 	}
 }
 

@@ -3,8 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"labstor/internal/vtime"
 )
@@ -56,227 +54,58 @@ func (t Trace) String() string {
 	return b.String()
 }
 
-// Sink receives every captured trace synchronously. Implementations must be
-// safe for concurrent use; captures happen on worker goroutines for sampled
-// requests only.
-type Sink interface {
-	Emit(Trace)
-}
+// Trace ring capacities.
+const (
+	TraceRing = 256 // sampled traces
+	ErrorRing = 64  // errored traces, whatever the sampler picked
+	TailRing  = 64  // tail outliers, whatever the sampler picked
+)
 
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(Trace)
-
-// Emit calls f.
-func (f SinkFunc) Emit(t Trace) { f(t) }
-
-// DefaultTraceRing is the trace ring capacity when none is configured.
-const DefaultTraceRing = 256
-
-// DefaultErrorRing is the error-trace ring capacity when none is configured.
-const DefaultErrorRing = 64
-
-// DefaultTailRing is the tail-outlier ring capacity when none is configured.
-const DefaultTailRing = 64
-
-// Tracer keeps a bounded ring of the most recent traces and forwards each
-// capture to an optional sink. Errored traces are additionally retained in
-// a separate bounded ring, independent of sampling: failures are the traces
-// a debugger needs most, and with 1-in-N sampling they would otherwise
-// almost always be lost.
+// Tracer keeps three bounded rings of recent traces: the 1-in-N sampled
+// requests, every errored request and every tail outlier. Failures and
+// outliers are the traces a debugger needs most, and with 1-in-N sampling
+// they would otherwise almost always be lost.
 type Tracer struct {
-	mu   sync.Mutex
-	ring []Trace
-	next int
-	full bool
-
-	errMu   sync.Mutex
-	errRing []Trace
-	errNext int
-	errFull bool
-
-	// Tail ring: outlier traces retained because their latency crossed the
-	// rolling per-stack quantile threshold, independent of 1-in-N sampling.
-	tailMu   sync.Mutex
-	tailRing []Trace
-	tailNext int
-	tailFull bool
-
-	captured   atomic.Int64
-	errCaught  atomic.Int64
-	tailCaught atomic.Int64
-
-	sinkMu sync.RWMutex
-	sink   Sink
+	sampled, errs, tail *ring[Trace]
 }
 
-// NewTracer returns a tracer holding up to capacity traces (DefaultTraceRing
-// if capacity <= 0) plus an error ring of DefaultErrorRing traces.
-func NewTracer(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = DefaultTraceRing
-	}
-	return &Tracer{
-		ring:     make([]Trace, capacity),
-		errRing:  make([]Trace, DefaultErrorRing),
-		tailRing: make([]Trace, DefaultTailRing),
-	}
+// NewTracer returns a tracer with empty rings.
+func NewTracer() *Tracer {
+	return &Tracer{sampled: newRing[Trace](TraceRing), errs: newRing[Trace](ErrorRing), tail: newRing[Trace](TailRing)}
 }
 
-// SetTailRing resizes the tail-outlier ring: 0 restores DefaultTailRing, a
-// negative capacity disables tail retention entirely. Existing tail traces
-// are dropped. Call before traffic starts (the runtime does this while
-// booting).
-func (tr *Tracer) SetTailRing(capacity int) {
-	tr.tailMu.Lock()
-	defer tr.tailMu.Unlock()
-	switch {
-	case capacity < 0:
-		tr.tailRing = nil
-	case capacity == 0:
-		tr.tailRing = make([]Trace, DefaultTailRing)
-	default:
-		tr.tailRing = make([]Trace, capacity)
+// Capture retains one completed request's trace in every ring it qualifies
+// for: the sampled ring when sampled, the tail ring when tail, and the
+// error ring when t.Err is set.
+func (tr *Tracer) Capture(t Trace, sampled, tail bool) {
+	if sampled {
+		tr.sampled.push(t)
 	}
-	tr.tailNext, tr.tailFull = 0, false
-}
-
-// SetSink installs (or, with nil, removes) the trace sink.
-func (tr *Tracer) SetSink(s Sink) {
-	tr.sinkMu.Lock()
-	tr.sink = s
-	tr.sinkMu.Unlock()
-}
-
-// Capture appends a trace to the ring, evicting the oldest when full, and
-// forwards it to the sink. Errored traces are mirrored into the error ring.
-func (tr *Tracer) Capture(t Trace) {
-	tr.mu.Lock()
-	tr.ring[tr.next] = t
-	tr.next++
-	if tr.next == len(tr.ring) {
-		tr.next = 0
-		tr.full = true
-	}
-	tr.mu.Unlock()
-	tr.captured.Add(1)
 	if t.Err != "" {
-		tr.pushError(t)
+		tr.errs.push(t)
 	}
-
-	tr.sinkMu.RLock()
-	s := tr.sink
-	tr.sinkMu.RUnlock()
-	if s != nil {
-		s.Emit(t)
+	if tail {
+		tr.tail.push(t)
 	}
 }
 
-// CaptureError retains a trace in the error ring only (and forwards it to
-// the sink). Workers call this for errored requests that were *not* picked
-// by the 1-in-N sampler, so every failure is observable regardless of the
-// sampling period.
-func (tr *Tracer) CaptureError(t Trace) {
-	tr.pushError(t)
-	tr.sinkMu.RLock()
-	s := tr.sink
-	tr.sinkMu.RUnlock()
-	if s != nil {
-		s.Emit(t)
-	}
-}
-
-// CaptureTail retains an outlier trace in the tail ring. It deliberately
-// does NOT forward to the sink: a request that is both sampled and a tail
-// outlier already emits once via Capture, and the sink's contract is one
-// emit per request. Returns false when tail retention is disabled.
-func (tr *Tracer) CaptureTail(t Trace) bool {
-	tr.tailMu.Lock()
-	if tr.tailRing == nil {
-		tr.tailMu.Unlock()
-		return false
-	}
-	tr.tailRing[tr.tailNext] = t
-	tr.tailNext++
-	if tr.tailNext == len(tr.tailRing) {
-		tr.tailNext = 0
-		tr.tailFull = true
-	}
-	tr.tailMu.Unlock()
-	tr.tailCaught.Add(1)
-	return true
-}
-
-func (tr *Tracer) pushError(t Trace) {
-	tr.errMu.Lock()
-	tr.errRing[tr.errNext] = t
-	tr.errNext++
-	if tr.errNext == len(tr.errRing) {
-		tr.errNext = 0
-		tr.errFull = true
-	}
-	tr.errMu.Unlock()
-	tr.errCaught.Add(1)
-}
-
-// Captured returns the total number of traces captured (including evicted).
-func (tr *Tracer) Captured() int64 { return tr.captured.Load() }
+// Captured returns the total number of sampled traces captured (including
+// evicted).
+func (tr *Tracer) Captured() int64 { return tr.sampled.total() }
 
 // ErrorsCaptured returns the total number of errored traces retained in the
 // error ring (including evicted).
-func (tr *Tracer) ErrorsCaptured() int64 { return tr.errCaught.Load() }
+func (tr *Tracer) ErrorsCaptured() int64 { return tr.errs.total() }
 
 // TailCaptured returns the total number of tail-outlier traces retained
 // (including evicted).
-func (tr *Tracer) TailCaptured() int64 { return tr.tailCaught.Load() }
+func (tr *Tracer) TailCaptured() int64 { return tr.tail.total() }
 
-// RecentTail returns the retained tail-outlier traces, oldest first (nil
-// when tail retention is disabled).
-func (tr *Tracer) RecentTail() []Trace {
-	tr.tailMu.Lock()
-	defer tr.tailMu.Unlock()
-	if tr.tailRing == nil {
-		return nil
-	}
-	if !tr.tailFull {
-		out := make([]Trace, tr.tailNext)
-		copy(out, tr.tailRing[:tr.tailNext])
-		return out
-	}
-	out := make([]Trace, 0, len(tr.tailRing))
-	out = append(out, tr.tailRing[tr.tailNext:]...)
-	out = append(out, tr.tailRing[:tr.tailNext]...)
-	return out
-}
+// Recent returns the retained sampled traces, oldest first.
+func (tr *Tracer) Recent() []Trace { return tr.sampled.recent() }
 
 // RecentErrors returns the retained errored traces, oldest first.
-func (tr *Tracer) RecentErrors() []Trace {
-	tr.errMu.Lock()
-	defer tr.errMu.Unlock()
-	if !tr.errFull {
-		out := make([]Trace, tr.errNext)
-		copy(out, tr.errRing[:tr.errNext])
-		return out
-	}
-	out := make([]Trace, 0, len(tr.errRing))
-	out = append(out, tr.errRing[tr.errNext:]...)
-	out = append(out, tr.errRing[:tr.errNext]...)
-	return out
-}
+func (tr *Tracer) RecentErrors() []Trace { return tr.errs.recent() }
 
-// Recent returns the retained traces, oldest first.
-func (tr *Tracer) Recent() []Trace {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if !tr.full {
-		out := make([]Trace, tr.next)
-		copy(out, tr.ring[:tr.next])
-		return out
-	}
-	out := make([]Trace, 0, len(tr.ring))
-	out = append(out, tr.ring[tr.next:]...)
-	out = append(out, tr.ring[:tr.next]...)
-	return out
-}
-
-// Cap returns the ring capacity.
-func (tr *Tracer) Cap() int { return len(tr.ring) }
+// RecentTail returns the retained tail-outlier traces, oldest first.
+func (tr *Tracer) RecentTail() []Trace { return tr.tail.recent() }

@@ -41,6 +41,12 @@
 #      an ephemeral port and assert /metrics and /snapshot serve payloads.
 #  12. serve smoke: boot labstor-runtime with the network front end on an
 #      ephemeral port, drive RPCs via labctl, assert serve.* on /metrics.
+#  13. completion record: the attribution, SLO, trace, tail, flight-recorder,
+#      bundle, ring and views-agree tests three times under the race
+#      detector at -cpu 1,2,8. Workers fold completions into one
+#      telemetry.Profile and publish on idle scans and before parking, and
+#      bundle captures reserve their slot under a lock; these legs vary
+#      the interleavings those depend on.
 # Run from the repository root (or via `make check`).
 set -eu
 cd "$(dirname "$0")/.."
@@ -98,5 +104,8 @@ sh scripts/obs_smoke.sh
 
 echo "== serve smoke: scripts/serve_smoke.sh =="
 sh scripts/serve_smoke.sh
+
+echo "== completion record: go test -race -count=3 -cpu 1,2,8 -run 'Attribution|SLO|Trace|Tail|Flight|Bundle|Ring|Views' ./internal/telemetry/... ./internal/runtime/... ./internal/obs/... =="
+go test -race -count=3 -cpu 1,2,8 -run 'Attribution|SLO|Trace|Tail|Flight|Bundle|Ring|Views' ./internal/telemetry/... ./internal/runtime/... ./internal/obs/...
 
 echo "== check: OK =="
