@@ -100,7 +100,9 @@ mods:
 	rt.Start()
 	defer rt.Shutdown()
 	fs := &workload.LabStorFS{FSName: "labfs", RT: rt, Mount: "fs::/ab"}
-	r, err := workload.RunFxMark(fs, workload.FxMarkJob{Threads: 24, FilesPerThread: 150, SharedDir: true})
+	const threads = 24
+	r, err := workload.RunFxMark(fs, workload.FxMarkJob{Threads: threads, FilesPerThread: 150, SharedDir: true,
+		Gate: NewLockstep(threads)})
 	if err != nil {
 		return 0, err
 	}

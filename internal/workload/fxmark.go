@@ -17,6 +17,17 @@ type FxMarkJob struct {
 	// SharedDir places every file in one directory (maximal lock
 	// contention); otherwise each thread gets a private directory.
 	SharedDir bool
+	// Gate, if set, orders the threads by virtual time: thread th calls
+	// Gate.Wait(th, now) before each create and Gate.Done(th) when it
+	// stops. Without it, threads reach shared workers in wall-clock order
+	// and the result depends on the host's core count.
+	Gate Gate
+}
+
+// Gate orders closed-loop threads by virtual time.
+type Gate interface {
+	Wait(thread int, now vtime.Time)
+	Done(thread int)
 }
 
 // FxMarkResult summarizes a run.
@@ -43,6 +54,9 @@ func RunFxMark(fs FS, job FxMarkJob) (*FxMarkResult, error) {
 		wg.Add(1)
 		go func(th int) {
 			defer wg.Done()
+			if job.Gate != nil {
+				defer job.Gate.Done(th)
+			}
 			actor := fs.NewActor(th)
 			dir := "fx"
 			if !job.SharedDir {
@@ -52,6 +66,9 @@ func RunFxMark(fs FS, job FxMarkJob) (*FxMarkResult, error) {
 			for i := 0; i < job.FilesPerThread; i++ {
 				path := fmt.Sprintf("%s/t%d-f%d", dir, th, i)
 				opStart := actor.Now()
+				if job.Gate != nil {
+					job.Gate.Wait(th, opStart)
+				}
 				if err := actor.Create(path); err != nil {
 					errs[th] = err
 					return

@@ -1,6 +1,7 @@
 package workload_test
 
 import (
+	"sync"
 	"testing"
 
 	"labstor/internal/core"
@@ -108,6 +109,50 @@ func TestFxMarkSharedVsPrivate(t *testing.T) {
 	}
 	if shared.OpsPerSec <= 0 || private.OpsPerSec <= 0 {
 		t.Fatal("rates")
+	}
+}
+
+// recordGate counts each thread's Wait and Done calls and checks that a
+// thread's clock never runs backwards.
+type recordGate struct {
+	mu    sync.Mutex
+	waits []int
+	dones []int
+	last  []vtime.Time
+	bad   bool
+}
+
+func (g *recordGate) Wait(th int, now vtime.Time) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.waits[th]++
+	g.bad = g.bad || now < g.last[th]
+	g.last[th] = now
+}
+
+func (g *recordGate) Done(th int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.dones[th]++
+}
+
+func TestFxMarkGateSeesEveryCreate(t *testing.T) {
+	const threads, files = 3, 20
+	g := &recordGate{waits: make([]int, threads), dones: make([]int, threads), last: make([]vtime.Time, threads)}
+	res, err := workload.RunFxMark(kernelFS(t, "ext4"), workload.FxMarkJob{Threads: threads, FilesPerThread: files, SharedDir: true, Gate: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ops != threads*files {
+		t.Fatalf("ops %d", res.Ops)
+	}
+	for th := 0; th < threads; th++ {
+		if g.waits[th] != files || g.dones[th] != 1 {
+			t.Fatalf("thread %d: %d waits, %d dones; want %d and 1", th, g.waits[th], g.dones[th], files)
+		}
+	}
+	if g.bad {
+		t.Fatal("a thread's clock ran backwards between waits")
 	}
 }
 
