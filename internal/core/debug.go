@@ -43,9 +43,6 @@ func SetDebugChecks(on bool) bool {
 	return prev
 }
 
-// DebugChecksEnabled reports whether poison/double-release checking is on.
-func DebugChecksEnabled() bool { return debugChecks.Load() }
-
 const poisonByte = 0xDB
 
 func poison(b []byte) {

@@ -12,10 +12,9 @@ import (
 //
 // The walk is a middleware chain: Exec delivers the request to the current
 // vertex's module, which charges its stage cost, transforms or spawns
-// requests, and calls Next/NextTo to forward downstream. The module
-// instance is looked up in the Module Registry *per hop*, so Registry.Swap
-// (hot plug / live upgrade) takes effect for every subsequent request —
-// exactly the paper's per-request registry query.
+// requests, and calls Next/NextTo to forward downstream. Every hop steps by
+// index through the Plan that Submit pinned and resolves its module in the
+// Exec's Registry, so a Swap (hot plug / live upgrade) applies to the next.
 type Exec struct {
 	Registry  *Registry
 	Namespace *Namespace
@@ -33,32 +32,29 @@ func NewExec(reg *Registry, ns *Namespace, model *vtime.CostModel, workerID int)
 	return &Exec{Registry: reg, Namespace: ns, Model: model, WorkerID: workerID}
 }
 
-// Submit delivers req to the entry vertex of stack and runs it to
-// completion of the DAG walk. The caller is responsible for queue-pair
-// transport and completion signaling.
+// Submit pins stack's current plan on req and runs req from the entry
+// vertex to the end of the DAG walk. The caller is responsible for
+// queue-pair transport and completion signaling.
 func (e *Exec) Submit(stack *Stack, req *Request) error {
-	entry := stack.Entry()
-	if entry == "" {
+	p := stack.plan.Load()
+	if len(p.vertices) == 0 {
 		return fmt.Errorf("core: stack %q is empty", stack.Mount)
 	}
 	req.StackID = stack.ID
-	req.stack = stack
-	return e.Deliver(entry, req)
+	req.plan = p
+	return e.deliver(0, req)
 }
 
-// Deliver routes req to the named vertex's module instance.
-func (e *Exec) Deliver(uuid string, req *Request) error {
-	if req.stack == nil {
-		return fmt.Errorf("core: request %d has no stack context", req.ID)
-	}
-	m, err := e.Registry.Get(uuid)
-	if err != nil {
-		return err
+// deliver runs vertex i of req's plan on req.
+func (e *Exec) deliver(i int, req *Request) error {
+	m := req.plan.modules(e.Registry)[i]
+	if m == nil {
+		return fmt.Errorf("core: module %q not in registry", req.plan.vertices[i].UUID)
 	}
 	req.Charge("registry", e.Model.ModLookup)
 	prev := req.vertex
-	req.vertex = uuid
-	err = m.Process(e, req)
+	req.vertex = i
+	err := m.Process(e, req)
 	req.vertex = prev
 	if err != nil && req.Err == nil {
 		req.Err = err
@@ -71,46 +67,49 @@ func (e *Exec) Deliver(uuid string, req *Request) error {
 // completes the chain (Next is then an error — terminal modules such as
 // drivers must not call it).
 func (e *Exec) Next(req *Request) error {
-	outs := req.stack.Outputs(req.vertex)
-	if len(outs) == 0 {
-		return fmt.Errorf("core: vertex %q has no outputs (stack %q)", req.vertex, req.stack.Mount)
+	p := req.plan
+	if len(p.outs[req.vertex]) == 0 {
+		return fmt.Errorf("core: vertex %q has no outputs (stack %q)", p.vertices[req.vertex].UUID, p.stack.Mount)
 	}
-	return e.forward(outs[0], req)
+	return e.forward(0, req)
 }
 
 // NextTo forwards req to a specific downstream vertex UUID (for fan-out
 // vertices with multiple outputs).
 func (e *Exec) NextTo(req *Request, uuid string) error {
-	for _, o := range req.stack.Outputs(req.vertex) {
+	v := req.plan.vertices[req.vertex]
+	for k, o := range v.Outputs {
 		if o == uuid {
-			return e.forward(uuid, req)
+			return e.forward(k, req)
 		}
 	}
-	return fmt.Errorf("core: %q is not an output of %q", uuid, req.vertex)
+	return fmt.Errorf("core: %q is not an output of %q", uuid, v.UUID)
 }
 
 // HasNext reports whether the current vertex has downstream outputs.
 func (e *Exec) HasNext(req *Request) bool {
-	return req.stack != nil && len(req.stack.Outputs(req.vertex)) > 0
+	return req.plan != nil && len(req.plan.outs[req.vertex]) > 0
 }
 
-func (e *Exec) forward(out string, req *Request) error {
-	if strings.HasPrefix(out, "stack:") {
-		mount := strings.TrimPrefix(out, "stack:")
-		if e.Namespace == nil {
-			return fmt.Errorf("core: stack reference %q without namespace", out)
-		}
-		next, ok := e.Namespace.Lookup(mount)
-		if !ok {
-			return fmt.Errorf("core: stack reference %q not mounted", out)
-		}
-		save := req.stack
-		saveID := req.StackID
-		err := e.Submit(next, req)
-		req.stack, req.StackID = save, saveID
-		return err
+// forward delivers req to output k of its current vertex: a vertex of its
+// plan, or the entry of the mounted stack a "stack:" output names.
+func (e *Exec) forward(k int, req *Request) error {
+	p := req.plan
+	if j := p.outs[req.vertex][k]; j >= 0 {
+		return e.deliver(j, req)
 	}
-	return e.Deliver(out, req)
+	out := p.vertices[req.vertex].Outputs[k]
+	if e.Namespace == nil {
+		return fmt.Errorf("core: stack reference %q without namespace", out)
+	}
+	next, ok := e.Namespace.Lookup(strings.TrimPrefix(out, "stack:"))
+	if !ok {
+		return fmt.Errorf("core: stack reference %q not mounted", out)
+	}
+	saveID := req.StackID
+	err := e.Submit(next, req)
+	req.plan, req.StackID = p, saveID
+	return err
 }
 
 // SpawnNext runs a child request through the remainder of the DAG
@@ -118,17 +117,10 @@ func (e *Exec) forward(out string, req *Request) error {
 // trace back into the parent. This is the "filesystem op spawns block I/O
 // requests" pattern.
 func (e *Exec) SpawnNext(parent, child *Request) error {
-	child.stack = parent.stack
+	child.plan = parent.plan
 	child.vertex = parent.vertex
 	child.Clock = parent.Clock
 	err := e.Next(child)
 	parent.Absorb(child)
 	return err
 }
-
-// CurrentVertex returns the UUID of the vertex processing req (for tests
-// and diagnostics).
-func (e *Exec) CurrentVertex(req *Request) string { return req.vertex }
-
-// Stack returns the stack req is currently walking.
-func (e *Exec) Stack(req *Request) *Stack { return req.stack }

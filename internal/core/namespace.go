@@ -2,27 +2,38 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
-// Namespace is the LabStack Namespace: a concurrent map from mount point to
-// mounted stack with longest-prefix path resolution (as GenericFS uses when
-// routing "fs::/b/hi.txt" to the stack mounted at "fs::/b").
+// Namespace is the LabStack Namespace: a copy-on-write map from mount
+// point to mounted stack with longest-prefix path resolution (as GenericFS
+// uses when routing "fs::/b/hi.txt" to the stack mounted at "fs::/b").
 type Namespace struct {
-	mu     sync.RWMutex
+	mu     sync.Mutex
+	tab    atomic.Pointer[nsTable]
+	nextID int // guarded by mu
+}
+
+// nsTable is one immutable version of the namespace's maps.
+type nsTable struct {
 	byPath map[string]*Stack
 	byID   map[int]*Stack
-	nextID int
 }
 
 // NewNamespace returns an empty namespace.
 func NewNamespace() *Namespace {
-	return &Namespace{
-		byPath: make(map[string]*Stack),
-		byID:   make(map[int]*Stack),
-		nextID: 1,
-	}
+	n := &Namespace{nextID: 1}
+	n.tab.Store(&nsTable{byPath: map[string]*Stack{}, byID: map[int]*Stack{}})
+	return n
+}
+
+// clone copies the current table for a writer holding mu.
+func (n *Namespace) clone() *nsTable {
+	t := n.tab.Load()
+	return &nsTable{byPath: maps.Clone(t.byPath), byID: maps.Clone(t.byID)}
 }
 
 // Mount inducts a validated stack into the namespace, assigning its ID.
@@ -30,14 +41,14 @@ func (n *Namespace) Mount(s *Stack) error {
 	mount := CleanMount(s.Mount)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if _, ok := n.byPath[mount]; ok {
+	if _, ok := n.tab.Load().byPath[mount]; ok {
 		return fmt.Errorf("core: mount point %q already in use", mount)
 	}
-	s.Mount = mount
-	s.ID = n.nextID
+	s.Mount, s.ID = mount, n.nextID
 	n.nextID++
-	n.byPath[mount] = s
-	n.byID[s.ID] = s
+	t := n.clone()
+	t.byPath[mount], t.byID[s.ID] = s, s
+	n.tab.Store(t)
 	return nil
 }
 
@@ -46,28 +57,26 @@ func (n *Namespace) Unmount(mount string) error {
 	mount = CleanMount(mount)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	s, ok := n.byPath[mount]
+	s, ok := n.tab.Load().byPath[mount]
 	if !ok {
 		return fmt.Errorf("core: nothing mounted at %q", mount)
 	}
-	delete(n.byPath, mount)
-	delete(n.byID, s.ID)
+	t := n.clone()
+	delete(t.byPath, mount)
+	delete(t.byID, s.ID)
+	n.tab.Store(t)
 	return nil
 }
 
 // Lookup returns the stack mounted exactly at mount.
 func (n *Namespace) Lookup(mount string) (*Stack, bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	s, ok := n.byPath[CleanMount(mount)]
+	s, ok := n.tab.Load().byPath[CleanMount(mount)]
 	return s, ok
 }
 
 // ByID returns the stack with the given ID.
 func (n *Namespace) ByID(id int) (*Stack, bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	s, ok := n.byID[id]
+	s, ok := n.tab.Load().byID[id]
 	return s, ok
 }
 
@@ -76,10 +85,9 @@ func (n *Namespace) ByID(id int) (*Stack, bool) {
 // It mirrors GenericFS's resolution: exact match first, then parents.
 func (n *Namespace) Resolve(path string) (*Stack, string, bool) {
 	p := CleanMount(path)
-	n.mu.RLock()
-	defer n.mu.RUnlock()
+	byPath := n.tab.Load().byPath
 	for probe := p; ; {
-		if s, ok := n.byPath[probe]; ok {
+		if s, ok := byPath[probe]; ok {
 			rem := strings.TrimPrefix(p, probe)
 			rem = strings.TrimPrefix(rem, "/")
 			return s, rem, true
@@ -90,7 +98,7 @@ func (n *Namespace) Resolve(path string) (*Stack, string, bool) {
 		}
 		if i == 0 {
 			// try root mount "/" last
-			if s, ok := n.byPath["/"]; ok {
+			if s, ok := byPath["/"]; ok {
 				return s, strings.TrimPrefix(p, "/"), true
 			}
 			break
@@ -102,10 +110,9 @@ func (n *Namespace) Resolve(path string) (*Stack, string, bool) {
 
 // Mounts returns all mount points (unordered).
 func (n *Namespace) Mounts() []string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]string, 0, len(n.byPath))
-	for m := range n.byPath {
+	byPath := n.tab.Load().byPath
+	out := make([]string, 0, len(byPath))
+	for m := range byPath {
 		out = append(out, m)
 	}
 	return out
@@ -113,10 +120,9 @@ func (n *Namespace) Mounts() []string {
 
 // Stacks returns all mounted stacks (unordered).
 func (n *Namespace) Stacks() []*Stack {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]*Stack, 0, len(n.byID))
-	for _, s := range n.byID {
+	byID := n.tab.Load().byID
+	out := make([]*Stack, 0, len(byID))
+	for _, s := range byID {
 		out = append(out, s)
 	}
 	return out

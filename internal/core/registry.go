@@ -2,26 +2,41 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 )
 
-// Registry is the Module Registry: a concurrent map from LabMod UUID to the
-// live module instance (in the paper, a hashmap in shared memory holding
-// instances and their entrypoints). Workers look instances up per hop, so a
-// Swap takes effect for all subsequent requests — the mechanism behind
-// hot-plugging and live upgrades.
+// Registry is the Module Registry: a copy-on-write map from LabMod UUID to
+// the live module instance (in the paper, a hashmap in shared memory
+// holding instances and their entrypoints). Writers serialize on mu and
+// publish a new table; readers take no lock. Every hop resolves against the
+// current table, so a Swap takes effect for all subsequent requests.
 type Registry struct {
-	mu      sync.RWMutex
-	mods    map[string]Module
-	version map[string]int // swap generation per UUID
+	mu      sync.Mutex
+	tab     atomic.Pointer[map[string]Module]
+	version map[string]int // swap generation per UUID (guarded by mu)
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		mods:    make(map[string]Module),
-		version: make(map[string]int),
+	r := &Registry{version: make(map[string]int)}
+	r.tab.Store(&map[string]Module{})
+	return r
+}
+
+// mods returns the current table, which must not be modified.
+func (r *Registry) mods() map[string]Module { return *r.tab.Load() }
+
+// set publishes a copy of the table with uuid bound to m (nil: removed).
+func (r *Registry) set(uuid string, m Module) {
+	mods := maps.Clone(r.mods())
+	if m == nil {
+		delete(mods, uuid)
+	} else {
+		mods[uuid] = m
 	}
+	r.tab.Store(&mods)
 }
 
 // Instantiate creates, configures, and registers a module instance for the
@@ -31,7 +46,7 @@ func NewRegistry() *Registry {
 func (r *Registry) Instantiate(uuid, typeName string, cfg Config, env *Env) (Module, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.mods[uuid]; ok {
+	if m, ok := r.mods()[uuid]; ok {
 		return m, nil
 	}
 	m, err := NewModule(typeName)
@@ -42,7 +57,7 @@ func (r *Registry) Instantiate(uuid, typeName string, cfg Config, env *Env) (Mod
 	if err := m.Configure(cfg, env); err != nil {
 		return nil, fmt.Errorf("configure %q (%s): %w", uuid, typeName, err)
 	}
-	r.mods[uuid] = m
+	r.set(uuid, m)
 	return m, nil
 }
 
@@ -50,15 +65,13 @@ func (r *Registry) Instantiate(uuid, typeName string, cfg Config, env *Env) (Mod
 // client-side registries).
 func (r *Registry) Register(uuid string, m Module) {
 	r.mu.Lock()
-	r.mods[uuid] = m
+	r.set(uuid, m)
 	r.mu.Unlock()
 }
 
 // Get returns the live instance for a UUID.
 func (r *Registry) Get(uuid string) (Module, error) {
-	r.mu.RLock()
-	m, ok := r.mods[uuid]
-	r.mu.RUnlock()
+	m, ok := r.mods()[uuid]
 	if !ok {
 		return nil, fmt.Errorf("core: module %q not in registry", uuid)
 	}
@@ -67,9 +80,7 @@ func (r *Registry) Get(uuid string) (Module, error) {
 
 // Has reports whether a UUID is registered.
 func (r *Registry) Has(uuid string) bool {
-	r.mu.RLock()
-	_, ok := r.mods[uuid]
-	r.mu.RUnlock()
+	_, ok := r.mods()[uuid]
 	return ok
 }
 
@@ -78,39 +89,37 @@ func (r *Registry) Has(uuid string) bool {
 func (r *Registry) Swap(uuid string, next Module) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old, ok := r.mods[uuid]
+	old, ok := r.mods()[uuid]
 	if !ok {
 		return fmt.Errorf("core: module %q not in registry", uuid)
 	}
 	if err := next.StateUpdate(old); err != nil {
 		return fmt.Errorf("state update for %q: %w", uuid, err)
 	}
-	r.mods[uuid] = next
+	r.set(uuid, next)
 	r.version[uuid]++
 	return nil
 }
 
 // Generation returns how many times uuid has been swapped.
 func (r *Registry) Generation(uuid string) int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return r.version[uuid]
 }
 
 // Remove deletes an instance.
 func (r *Registry) Remove(uuid string) {
 	r.mu.Lock()
-	delete(r.mods, uuid)
+	r.set(uuid, nil)
 	delete(r.version, uuid)
 	r.mu.Unlock()
 }
 
 // UUIDs returns the registered instance names (unordered).
 func (r *Registry) UUIDs() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.mods))
-	for u := range r.mods {
+	out := make([]string, 0, len(r.mods()))
+	for u := range r.mods() {
 		out = append(out, u)
 	}
 	return out
@@ -118,13 +127,7 @@ func (r *Registry) UUIDs() []string {
 
 // ForEach calls fn for every registered (uuid, instance) pair.
 func (r *Registry) ForEach(fn func(uuid string, m Module)) {
-	r.mu.RLock()
-	snapshot := make(map[string]Module, len(r.mods))
-	for u, m := range r.mods {
-		snapshot[u] = m
-	}
-	r.mu.RUnlock()
-	for u, m := range snapshot {
+	for u, m := range r.mods() {
 		fn(u, m)
 	}
 }

@@ -137,8 +137,8 @@ type Request struct {
 
 	// Stack routing state.
 	StackID int
-	stack   *Stack // stack being walked (set by Exec)
-	vertex  string // UUID of the vertex currently processing the request
+	plan    *Plan // plan of the stack being walked, pinned by Exec.Submit
+	vertex  int   // position in plan of the vertex processing the request
 
 	// Virtual-time accounting.
 	Arrival vtime.Time // submission time (client clock)
@@ -280,7 +280,7 @@ func (r *Request) Park() bool {
 func (r *Request) Child(op Op) *Request {
 	c := NewRequest(op)
 	c.StackID = r.StackID
-	c.stack = r.stack
+	c.plan = r.plan
 	c.vertex = r.vertex
 	c.Arrival = r.Arrival
 	c.Clock = r.Clock

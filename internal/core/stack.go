@@ -3,8 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // ExecMode selects where a stack's DAG executes (paper §III-B governing
@@ -59,72 +61,98 @@ type Stack struct {
 	Mount string
 	Rules Rules
 
-	mu       sync.RWMutex
+	mu   sync.Mutex           // serializes edits, which publish a new plan
+	plan atomic.Pointer[Plan] // the current DAG; readers take no lock
+}
+
+// Plan is one compiled, immutable version of a stack's DAG. A request walks
+// the plan it was submitted on, by index, whatever edits follow.
+type Plan struct {
+	stack    *Stack
 	vertices []Vertex
 	index    map[string]int // uuid -> position in vertices
+	outs     [][]int        // position of vertices[i].Outputs[k]; -1 for "stack:" references
+	mods     atomic.Pointer[planMods]
+}
+
+// planMods is a plan's vertices resolved against one registry table.
+type planMods struct {
+	tab  *map[string]Module
+	mods []Module // nil where the registry has no instance
 }
 
 // NewStack builds a stack from an ordered vertex list; the first vertex is
 // the entry point.
 func NewStack(mount string, rules Rules, vertices []Vertex) *Stack {
 	s := &Stack{Mount: mount, Rules: rules}
-	s.setVertices(vertices)
+	s.publish(vertices)
 	return s
 }
 
-func (s *Stack) setVertices(vs []Vertex) {
-	s.vertices = vs
-	s.index = make(map[string]int, len(vs))
+// publish compiles vs (not to be modified afterwards) into the current plan.
+func (s *Stack) publish(vs []Vertex) {
+	p := &Plan{stack: s, vertices: vs, index: make(map[string]int, len(vs)), outs: make([][]int, len(vs))}
 	for i, v := range vs {
-		s.index[v.UUID] = i
+		p.index[v.UUID] = i
 	}
+	for i, v := range vs {
+		p.outs[i] = make([]int, len(v.Outputs))
+		for k, o := range v.Outputs {
+			p.outs[i][k] = -1
+			if j, ok := p.index[o]; ok {
+				p.outs[i][k] = j
+			}
+		}
+	}
+	s.plan.Store(p)
+}
+
+// modules returns the instances behind the vertices in reg's current table
+// (nil where it has none), cached on the plan until reg publishes another.
+func (p *Plan) modules(reg *Registry) []Module {
+	tab := reg.tab.Load()
+	if pm := p.mods.Load(); pm != nil && pm.tab == tab {
+		return pm.mods
+	}
+	pm := &planMods{tab: tab, mods: make([]Module, len(p.vertices))}
+	for i, v := range p.vertices {
+		pm.mods[i] = (*tab)[v.UUID]
+	}
+	p.mods.Store(pm)
+	return pm.mods
 }
 
 // Entry returns the entry vertex UUID ("" for an empty stack).
 func (s *Stack) Entry() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if len(s.vertices) == 0 {
-		return ""
+	if p := s.plan.Load(); len(p.vertices) > 0 {
+		return p.vertices[0].UUID
 	}
-	return s.vertices[0].UUID
+	return ""
 }
 
 // Vertices returns a copy of the DAG's vertex list.
 func (s *Stack) Vertices() []Vertex {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]Vertex, len(s.vertices))
-	copy(out, s.vertices)
-	return out
+	return append([]Vertex(nil), s.plan.Load().vertices...)
 }
 
 // Vertex returns the vertex with the given UUID.
 func (s *Stack) Vertex(uuid string) (Vertex, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	i, ok := s.index[uuid]
+	p := s.plan.Load()
+	i, ok := p.index[uuid]
 	if !ok {
 		return Vertex{}, false
 	}
-	return s.vertices[i], true
+	return p.vertices[i], true
 }
 
 // Outputs returns the downstream UUIDs of the named vertex.
 func (s *Stack) Outputs(uuid string) []string {
-	v, ok := s.Vertex(uuid)
-	if !ok {
-		return nil
-	}
+	v, _ := s.Vertex(uuid)
 	return v.Outputs
 }
 
 // Len returns the number of vertices.
-func (s *Stack) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.vertices)
-}
+func (s *Stack) Len() int { return len(s.plan.Load().vertices) }
 
 // InsertAfter inserts a new vertex after the vertex with UUID `after`
 // (modify_stack: dynamic semantics imposition, e.g. adding a compression
@@ -134,29 +162,27 @@ func (s *Stack) Len() int {
 func (s *Stack) InsertAfter(after string, v Vertex) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.index[v.UUID]; dup {
+	p := s.plan.Load()
+	if _, dup := p.index[v.UUID]; dup {
 		return fmt.Errorf("core: vertex %q already in stack %q", v.UUID, s.Mount)
 	}
-	if after == "" {
-		if len(s.vertices) > 0 && len(v.Outputs) == 0 {
-			v.Outputs = []string{s.vertices[0].UUID}
+	i, ok := p.index[after]
+	switch {
+	case after == "":
+		i = -1
+		if len(p.vertices) > 0 && len(v.Outputs) == 0 {
+			v.Outputs = []string{p.vertices[0].UUID}
 		}
-		s.setVertices(append([]Vertex{v}, s.vertices...))
-		return nil
-	}
-	i, ok := s.index[after]
-	if !ok {
+	case !ok:
 		return fmt.Errorf("core: vertex %q not in stack %q", after, s.Mount)
+	case len(v.Outputs) == 0:
+		v.Outputs = append([]string(nil), p.vertices[i].Outputs...)
 	}
-	if len(v.Outputs) == 0 {
-		v.Outputs = append([]string(nil), s.vertices[i].Outputs...)
+	vs := append(append([]Vertex(nil), p.vertices[:i+1]...), v)
+	if i >= 0 {
+		vs[i].Outputs = []string{v.UUID}
 	}
-	s.vertices[i].Outputs = []string{v.UUID}
-	vs := make([]Vertex, 0, len(s.vertices)+1)
-	vs = append(vs, s.vertices[:i+1]...)
-	vs = append(vs, v)
-	vs = append(vs, s.vertices[i+1:]...)
-	s.setVertices(vs)
+	s.publish(append(vs, p.vertices[i+1:]...))
 	return nil
 }
 
@@ -165,41 +191,34 @@ func (s *Stack) InsertAfter(after string, v Vertex) error {
 func (s *Stack) RemoveVertex(uuid string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i, ok := s.index[uuid]
+	p := s.plan.Load()
+	i, ok := p.index[uuid]
 	if !ok {
 		return fmt.Errorf("core: vertex %q not in stack %q", uuid, s.Mount)
 	}
-	removed := s.vertices[i]
-	vs := make([]Vertex, 0, len(s.vertices)-1)
-	for j, v := range s.vertices {
+	removed := p.vertices[i]
+	vs := make([]Vertex, 0, len(p.vertices)-1)
+	for j, v := range p.vertices {
 		if j == i {
 			continue
 		}
 		outs := make([]string, 0, len(v.Outputs))
 		for _, o := range v.Outputs {
+			splice := []string{o}
 			if o == uuid {
-				outs = append(outs, removed.Outputs...)
-			} else {
-				outs = append(outs, o)
+				splice = removed.Outputs
+			}
+			for _, o := range splice {
+				if !slices.Contains(outs, o) {
+					outs = append(outs, o)
+				}
 			}
 		}
-		v.Outputs = dedup(outs)
+		v.Outputs = outs
 		vs = append(vs, v)
 	}
-	s.setVertices(vs)
+	s.publish(vs)
 	return nil
-}
-
-func dedup(in []string) []string {
-	seen := make(map[string]bool, len(in))
-	out := in[:0]
-	for _, s := range in {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // ErrCycle is returned by Validate for cyclic DAGs.
@@ -209,83 +228,66 @@ var ErrCycle = errors.New("core: stack DAG contains a cycle")
 // stack references), the DAG is acyclic, depth within bounds, and adjacent
 // module interfaces are compatible per the registry's instances.
 func (s *Stack) Validate(reg *Registry) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if len(s.vertices) == 0 {
+	p := s.plan.Load()
+	if len(p.vertices) == 0 {
 		return fmt.Errorf("core: stack %q has no vertices", s.Mount)
 	}
 	maxDepth := s.Rules.MaxDepth
 	if maxDepth <= 0 {
 		maxDepth = 64
 	}
-	if len(s.vertices) > maxDepth {
+	if len(p.vertices) > maxDepth {
 		return fmt.Errorf("core: stack %q exceeds max depth %d", s.Mount, maxDepth)
 	}
-	for _, v := range s.vertices {
-		for _, o := range v.Outputs {
-			if strings.HasPrefix(o, "stack:") {
-				continue
-			}
-			if _, ok := s.index[o]; !ok {
+	for i, v := range p.vertices {
+		for k, o := range v.Outputs {
+			if p.outs[i][k] < 0 && !strings.HasPrefix(o, "stack:") {
 				return fmt.Errorf("core: stack %q vertex %q references unknown output %q", s.Mount, v.UUID, o)
 			}
 		}
 	}
 	// Cycle check (DFS with colors).
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make(map[string]int, len(s.vertices))
-	var visit func(u string) error
-	visit = func(u string) error {
-		color[u] = gray
-		i := s.index[u]
-		for _, o := range s.vertices[i].Outputs {
-			if strings.HasPrefix(o, "stack:") {
+	const white, gray, black = 0, 1, 2
+	color := make([]int, len(p.vertices))
+	var visit func(i int) error
+	visit = func(i int) error {
+		color[i] = gray
+		for _, j := range p.outs[i] {
+			if j < 0 {
 				continue
 			}
-			switch color[o] {
+			switch color[j] {
 			case gray:
-				return fmt.Errorf("%w: via %q -> %q", ErrCycle, u, o)
+				return fmt.Errorf("%w: via %q -> %q", ErrCycle, p.vertices[i].UUID, p.vertices[j].UUID)
 			case white:
-				if err := visit(o); err != nil {
+				if err := visit(j); err != nil {
 					return err
 				}
 			}
 		}
-		color[u] = black
+		color[i] = black
 		return nil
 	}
-	for _, v := range s.vertices {
-		if color[v.UUID] == white {
-			if err := visit(v.UUID); err != nil {
+	for i := range p.vertices {
+		if color[i] == white {
+			if err := visit(i); err != nil {
 				return err
 			}
 		}
 	}
 	// Interface compatibility: upstream Produces must match downstream
-	// Consumes (or either side is APIAny).
+	// Consumes (or either side is APIAny); mount checks uninstantiated ones.
 	if reg != nil {
-		for _, v := range s.vertices {
-			m, err := reg.Get(v.UUID)
-			if err != nil {
-				continue // not yet instantiated; compatibility checked at mount
-			}
-			up := m.Info().Produces
-			for _, o := range v.Outputs {
-				if strings.HasPrefix(o, "stack:") {
+		mods := p.modules(reg)
+		for i, v := range p.vertices {
+			for _, j := range p.outs[i] {
+				if j < 0 || mods[i] == nil || mods[j] == nil {
 					continue
 				}
-				dm, err := reg.Get(o)
-				if err != nil {
-					continue
-				}
-				down := dm.Info().Consumes
+				up, down := mods[i].Info().Produces, mods[j].Info().Consumes
 				if up != APIAny && down != APIAny && up != down {
 					return fmt.Errorf("core: stack %q: %q produces %q but %q consumes %q",
-						s.Mount, v.UUID, up, o, down)
+						s.Mount, v.UUID, up, p.vertices[j].UUID, down)
 				}
 			}
 		}

@@ -109,6 +109,49 @@ func TestModifyStackDrainsRequestInRemovedVertex(t *testing.T) {
 	}
 }
 
+// TestModifyStackUnderSyncRequestInRemovedVertex removes the vertex a
+// sync-mode request is inside. The request walks the client's thread, not
+// a queue, so ModifyStack does not wait for it; the request must still
+// finish without error on the plan it pinned at submission.
+func TestModifyStackUnderSyncRequestInRemovedVertex(t *testing.T) {
+	rt := New(Options{MaxWorkers: 1, QueueDepth: 16, PerfSampleEvery: PerfSamplingDisabled})
+	stack, err := rt.Mount(core.NewStack("msg::/pass", core.Rules{ExecMode: core.ExecSync}, []core.Vertex{
+		{UUID: "hold", Type: passGateType, Outputs: []string{"tail"}},
+		{UUID: "tail", Type: dummy.Type},
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	t.Cleanup(rt.Shutdown)
+	m, err := rt.Registry.Get("hold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold := m.(*gateMod)
+	cli := rt.Connect(ipc.Credentials{PID: 1})
+
+	req := core.NewRequest(core.OpMessage)
+	req.Flags = gated
+	walked := make(chan error, 1)
+	go func() { walked <- cli.SubmitStack(stack, req) }()
+	<-hold.entered
+	within(t, 5*time.Second, "ModifyStack under a sync request", func() {
+		if err := rt.ModifyStack("msg::/pass", "", nil, "hold"); err != nil {
+			t.Errorf("ModifyStack: %v", err)
+		}
+	})
+	hold.release <- struct{}{}
+	within(t, 5*time.Second, "the held sync request", func() {
+		if err := <-walked; err != nil {
+			t.Errorf("request held in the removed vertex failed: %v", err)
+		}
+	})
+	if vs := stack.Vertices(); len(vs) != 1 || vs[0].UUID != "tail" {
+		t.Fatalf("stack after the edit: %+v", vs)
+	}
+}
+
 // TestUpgradeNeverSwapsUnderBusyWorker holds a request inside the module
 // being upgraded for longer than the upgrade's quiesce deadline. The
 // upgrade must not swap the module while the old instance still holds the

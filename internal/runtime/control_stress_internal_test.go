@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -129,5 +130,131 @@ func controlPlaneStress(t *testing.T, policy string) {
 	}
 	if got, want := m.(*dummy.Dummy).Messages(), sent.Load(); got != want {
 		t.Fatalf("module counted %d requests across %d upgrades, %d were sent", got, rt.ModManager().UpgradesDone(), want)
+	}
+}
+
+// tagType is a pass-through module that appends its UUID to req.Names, so
+// a finished request shows the path it walked.
+const tagType = "test.tag_pass"
+
+type tagMod struct{ core.Base }
+
+func init() { core.RegisterType(tagType, func() core.Module { return &tagMod{} }) }
+
+func (m *tagMod) Info() core.ModuleInfo {
+	return core.ModuleInfo{Type: tagType, Version: "1.0", Consumes: core.APIAny, Produces: core.APIAny}
+}
+
+func (m *tagMod) Process(e *core.Exec, req *core.Request) error {
+	req.Names = append(req.Names, m.Cfg.UUID)
+	if e.HasNext(req) {
+		return e.Next(req)
+	}
+	return nil
+}
+
+// TestWalkersPinTheirPlan runs walkers on an async and a sync stack while
+// ModifyStack inserts and removes an entry vertex and a middle vertex of
+// each, and upgrades swap the tail modules. Every request must finish
+// without error on one whole version of its stack's DAG — the plan it
+// pinned at submission — even when the vertex it is in is removed under
+// it, which ModifyStack's quiesce does not prevent for a sync walk.
+// check.sh runs it under -race at -cpu 1,2,8.
+func TestWalkersPinTheirPlan(t *testing.T) {
+	const walkersPerStack, edits = 2, 40
+	rt := New(Options{MaxWorkers: 2, QueueDepth: 64, PerfSampleEvery: PerfSamplingDisabled})
+	modes := map[string]core.ExecMode{"a": core.ExecAsync, "s": core.ExecSync}
+	stacks := map[string]*core.Stack{}
+	for name, mode := range modes {
+		st, err := rt.Mount(core.NewStack("msg::/"+name, core.Rules{ExecMode: mode}, []core.Vertex{
+			{UUID: name + ".head", Type: tagType, Outputs: []string{name + ".tail"}},
+			{UUID: name + ".tail", Type: tagType},
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stacks[name] = st
+	}
+	rt.Start()
+	defer rt.Shutdown()
+
+	done := make(chan struct{})
+	var walkers sync.WaitGroup
+	walked := map[string]*atomic.Int64{"a": {}, "s": {}}
+	pid := 0
+	for name, st := range stacks {
+		// The paths of the four versions of the stack's DAG.
+		valid := map[string]bool{}
+		for _, front := range []string{"", name + ".front,"} {
+			for _, mid := range []string{"", name + ".mid,"} {
+				valid[front+name+".head,"+mid+name+".tail"] = true
+			}
+		}
+		for w := 0; w < walkersPerStack; w++ {
+			pid++
+			walkers.Add(1)
+			go func(name string, st *core.Stack, valid map[string]bool, pid int) {
+				defer walkers.Done()
+				cli := rt.Connect(ipc.Credentials{PID: pid})
+				defer cli.Disconnect()
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					req := core.NewRequest(core.OpMessage)
+					if err := cli.SubmitStack(st, req); err != nil {
+						t.Errorf("stack %s: %v", name, err)
+						return
+					}
+					if path := strings.Join(req.Names, ","); !valid[path] {
+						t.Errorf("stack %s: request walked %s, which no version of the DAG has", name, path)
+						return
+					}
+					walked[name].Add(1)
+				}
+			}(name, st, valid, pid)
+		}
+	}
+
+	var control sync.WaitGroup
+	for name := range stacks {
+		control.Add(1)
+		go func(name string) {
+			defer control.Done()
+			mount := "msg::/" + name
+			front := &core.Vertex{UUID: name + ".front", Type: tagType}
+			mid := &core.Vertex{UUID: name + ".mid", Type: tagType}
+			for i := 0; i < edits; i++ {
+				for _, edit := range []func() error{
+					func() error { return rt.ModifyStack(mount, name+".head", mid, "") },
+					func() error { return rt.ModifyStack(mount, "", front, "") },
+					func() error { return rt.ModifyStack(mount, "", nil, name+".mid") },
+					func() error { return rt.ModifyStack(mount, "", nil, name+".front") },
+				} {
+					if err := edit(); err != nil {
+						t.Errorf("ModifyStack %s: %v", mount, err)
+						return
+					}
+				}
+				if i%10 == 0 {
+					if err := rt.ModManager().Upgrade(&UpgradeRequest{
+						UUID: name + ".tail", Build: func() core.Module { return &tagMod{} },
+					}); err != nil {
+						t.Errorf("Upgrade %s.tail: %v", name, err)
+						return
+					}
+				}
+			}
+		}(name)
+	}
+	control.Wait()
+	close(done)
+	walkers.Wait()
+	for name, n := range walked {
+		if n.Load() == 0 {
+			t.Errorf("stack %s: no request finished during the edits", name)
+		}
 	}
 }

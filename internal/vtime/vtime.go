@@ -133,8 +133,13 @@ func (c *Clock) StartService(arrival Time, busy Duration) Time {
 // logically preceded-or-overlapped it, never behind work from another
 // entity's future.
 type Lock struct {
-	mu      sync.Mutex
-	periods []busyPeriod // sorted by start, non-overlapping
+	mu sync.Mutex
+	// periods are the busy periods, sorted by start and non-overlapping,
+	// so their ends are sorted too. They are a window of buf: merging the
+	// two oldest advances the window's head, and an insertion that finds
+	// the window at the end of buf first moves it back to buf's start.
+	periods []busyPeriod
+	buf     []busyPeriod
 }
 
 // busyPeriod is a maximal interval of back-to-back serial lock work.
@@ -156,39 +161,67 @@ func (l *Lock) Acquire(now Time, hold Duration) Time {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 
-	// Find the busy period containing the arrival (the last period with
-	// start <= now and end > now).
-	i := 0
-	for i < len(l.periods) && l.periods[i].end <= now {
-		i++
-	}
+	// The busy period containing the arrival, if any, is the first one
+	// that ends after it.
+	i := l.find(now)
+	p := l.periods
 	var release Time
-	if i < len(l.periods) && l.periods[i].start <= now {
+	if i < len(p) && p[i].start <= now {
 		// Arrival inside period i: the new work queues at the period's end.
-		release = l.periods[i].end.Add(hold)
-		l.periods[i].end = release
+		release = p[i].end.Add(hold)
+		p[i].end = release
 	} else {
 		// Arrival in a gap (or beyond all periods): immediate grant; a new
 		// busy period begins at the arrival.
 		release = now.Add(hold)
-		l.periods = append(l.periods, busyPeriod{})
-		copy(l.periods[i+1:], l.periods[i:])
-		l.periods[i] = busyPeriod{start: now, end: release}
+		p = l.insert(i, busyPeriod{start: now, end: release})
 	}
 	// Cascade: shifting period i may now overlap later periods — their work
 	// serializes behind it.
-	for i+1 < len(l.periods) && l.periods[i+1].start < l.periods[i].end {
-		w := l.periods[i+1].end.Sub(l.periods[i+1].start)
-		l.periods[i].end = l.periods[i].end.Add(w)
-		l.periods = append(l.periods[:i+1], l.periods[i+2:]...)
+	j := i + 1
+	for ; j < len(p) && p[j].start < p[i].end; j++ {
+		p[i].end = p[i].end.Add(p[j].end.Sub(p[j].start))
 	}
-	// Bound memory by merging the two oldest periods.
-	for len(l.periods) > maxLockPeriods {
-		w := l.periods[1].end.Sub(l.periods[1].start)
-		l.periods[0].end = l.periods[0].end.Add(w)
-		l.periods = append(l.periods[:1], l.periods[2:]...)
+	if j > i+1 {
+		p = append(p[:i+1], p[j:]...)
 	}
+	// Bound memory by merging the two oldest periods into the second slot.
+	for len(p) > maxLockPeriods {
+		p[1] = busyPeriod{start: p[0].start, end: p[0].end.Add(p[1].end.Sub(p[1].start))}
+		p = p[1:]
+	}
+	l.periods = p
 	return release
+}
+
+// find returns the index of the first busy period that ends after now.
+func (l *Lock) find(now Time) int {
+	lo, hi := 0, len(l.periods)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if l.periods[m].end <= now {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// insert puts v at index i of the periods and returns them. A full window
+// moves back to the start of buf, or into a larger buf if it fills it.
+func (l *Lock) insert(i int, v busyPeriod) []busyPeriod {
+	p := l.periods
+	if len(p) == cap(p) {
+		if cap(l.buf) == len(p) {
+			l.buf = make([]busyPeriod, 2*len(p)+8)
+		}
+		p = l.buf[:copy(l.buf, p)]
+	}
+	p = p[:len(p)+1]
+	copy(p[i+1:], p[i:])
+	p[i] = v
+	return p
 }
 
 // Horizon returns the end of the lock's latest busy period (0 if never
@@ -206,10 +239,8 @@ func (l *Lock) Horizon() Time {
 func (l *Lock) Backlog(now Time) Duration {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, p := range l.periods {
-		if p.start <= now && now < p.end {
-			return p.end.Sub(now)
-		}
+	if i := l.find(now); i < len(l.periods) && l.periods[i].start <= now {
+		return l.periods[i].end.Sub(now)
 	}
 	return 0
 }

@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -222,6 +223,124 @@ func TestLockQuickReleaseInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refLock is the reference model for Lock: Acquire and Backlog as first
+// written, with a linear scan for the arrival's busy period and a shift of
+// the whole slice to merge the two oldest periods. Lock must give the same
+// answers for every input.
+type refLock struct{ periods []busyPeriod }
+
+func (l *refLock) Acquire(now Time, hold Duration) Time {
+	if hold < 0 {
+		hold = 0
+	}
+	i := 0
+	for i < len(l.periods) && l.periods[i].end <= now {
+		i++
+	}
+	var release Time
+	if i < len(l.periods) && l.periods[i].start <= now {
+		release = l.periods[i].end.Add(hold)
+		l.periods[i].end = release
+	} else {
+		release = now.Add(hold)
+		l.periods = append(l.periods, busyPeriod{})
+		copy(l.periods[i+1:], l.periods[i:])
+		l.periods[i] = busyPeriod{start: now, end: release}
+	}
+	for i+1 < len(l.periods) && l.periods[i+1].start < l.periods[i].end {
+		w := l.periods[i+1].end.Sub(l.periods[i+1].start)
+		l.periods[i].end = l.periods[i].end.Add(w)
+		l.periods = append(l.periods[:i+1], l.periods[i+2:]...)
+	}
+	for len(l.periods) > maxLockPeriods {
+		w := l.periods[1].end.Sub(l.periods[1].start)
+		l.periods[0].end = l.periods[0].end.Add(w)
+		l.periods = append(l.periods[:1], l.periods[2:]...)
+	}
+	return release
+}
+
+func (l *refLock) Backlog(now Time) Duration {
+	for _, p := range l.periods {
+		if p.start <= now && now < p.end {
+			return p.end.Sub(now)
+		}
+	}
+	return 0
+}
+
+// TestLockMatchesReferenceModel drives Lock and the reference model with
+// the same seeded stream of calls from eight actors, each on its own
+// clock: arrivals at the actor's clock or behind it, advances of nothing,
+// a little or a lot (so the lock fills past maxLockPeriods and merges),
+// and holds that are often zero. Every release, backlog and horizon must
+// agree.
+func TestLockMatchesReferenceModel(t *testing.T) {
+	seeds, calls := 300, 20000
+	if testing.Short() || raceEnabled {
+		seeds = 10
+	}
+	for seed := 1; seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		var got Lock
+		var want refLock
+		var clocks [8]Time
+		for c := 0; c < calls; c++ {
+			a := rng.Intn(len(clocks))
+			switch r := rng.Intn(10); {
+			case r < 5:
+				clocks[a] = clocks[a].Add(Duration(rng.Intn(200)))
+			case r < 7:
+				clocks[a] = clocks[a].Add(Duration(rng.Intn(100_000)))
+			}
+			now := clocks[a]
+			if rng.Intn(8) == 0 {
+				now = MaxTime(0, now.Add(-Duration(rng.Intn(50_000))))
+			}
+			hold := Duration(rng.Intn(300))
+			if rng.Intn(4) == 0 {
+				hold = 0
+			}
+			g, w := got.Acquire(now, hold), want.Acquire(now, hold)
+			if g != w {
+				t.Fatalf("seed %d call %d: Acquire(%d, %d) = %d, reference %d", seed, c, now, hold, g, w)
+			}
+			if rng.Intn(2) == 0 {
+				clocks[a] = g
+			}
+			probe := now.Add(Duration(rng.Intn(1000) - 500))
+			if g, w := got.Backlog(probe), want.Backlog(probe); g != w {
+				t.Fatalf("seed %d call %d: Backlog(%d) = %d, reference %d", seed, c, probe, g, w)
+			}
+		}
+		if h, w := got.Horizon(), want.periods[len(want.periods)-1].end; h != w {
+			t.Fatalf("seed %d: Horizon = %d, reference %d", seed, h, w)
+		}
+	}
+}
+
+// TestLockAcquireSteadyStateAllocs: once a lock holds maxLockPeriods busy
+// periods, Acquire neither allocates nor grows, whether the arrival opens
+// a new period at the end (merging the two oldest) or in a gap.
+func TestLockAcquireSteadyStateAllocs(t *testing.T) {
+	var l Lock
+	now := Time(0)
+	step := func() {
+		now = now.Add(1000)
+		l.Acquire(now, 1)
+		l.Acquire(now.Add(-500), 1)
+	}
+	for i := 0; i < 4*maxLockPeriods; i++ {
+		step()
+	}
+	if n := testing.AllocsPerRun(2000, step); n != 0 {
+		t.Fatalf("steady-state Acquire allocates %v objects, want 0", n)
+	}
+	if len(l.periods) != maxLockPeriods {
+		t.Fatalf("%d busy periods, want %d", len(l.periods), maxLockPeriods)
 	}
 }
 

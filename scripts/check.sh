@@ -19,8 +19,10 @@
 #      connecting at once, 300 runtimes over, must leave every queue with
 #      exactly one worker) three times at -cpu 1,2,4, and the
 #      connect/disconnect/upgrade/rebalance/stack-edit stress test with its
-#      ownership and in-flight invariants under the race detector at
-#      -cpu 1,2,8.
+#      ownership and in-flight invariants, and the pinned-plan test (async
+#      and sync walkers while stack edits and upgrades run; every request
+#      must finish on one whole version of its DAG), under the race
+#      detector at -cpu 1,2,8.
 #   7. chaos: TestChaosMixedLoadWithUpgradesAndCrash 200 times (concurrent
 #      LabFS writers across live upgrades, a stack insert/remove and a
 #      crash/restart; every fsync-acknowledged file must read back intact).
@@ -72,8 +74,8 @@ go test -race -count=3 -cpu 1,2,8 -run 'Ring|QueuePair|Handshake|Wait|Spin|Park|
 echo "== control plane: go test -count=3 -cpu 1,2,4 -run TestConcurrentConnectAssignsEveryQueue ./internal/runtime =="
 go test -count=3 -cpu 1,2,4 -run TestConcurrentConnectAssignsEveryQueue ./internal/runtime
 
-echo "== control plane: go test -race -cpu 1,2,8 -run TestControlPlaneStress ./internal/runtime =="
-go test -race -cpu 1,2,8 -run TestControlPlaneStress ./internal/runtime
+echo "== control plane: go test -race -cpu 1,2,8 -run 'TestControlPlaneStress|TestWalkersPinTheirPlan' ./internal/runtime =="
+go test -race -cpu 1,2,8 -run 'TestControlPlaneStress|TestWalkersPinTheirPlan' ./internal/runtime
 
 echo "== chaos: go test -count=200 -run TestChaosMixedLoadWithUpgradesAndCrash ./internal/runtime =="
 go test -count=200 -run TestChaosMixedLoadWithUpgradesAndCrash ./internal/runtime
