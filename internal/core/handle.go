@@ -83,6 +83,22 @@ func (b BufHandle) Slice(lo, hi int) BufHandle {
 	return BufHandle{h: b.h, gen: b.gen, off: b.off + lo, ln: hi - lo, own: b.own}
 }
 
+// Narrow is Slice for an owning handle: the result carries b's reference
+// to the view [lo, hi), so b must be neither used nor released after it.
+// A mod that adopts a child's result handle narrows it this way.
+func (b BufHandle) Narrow(lo, hi int) BufHandle { return b.Slice(lo, hi) }
+
+// Sole reports whether b holds the only reference to its buffer: no cache
+// page or other request shares the bytes, so the holder may keep them and
+// write them. Only an owning handle can ask; a borrowed Slice cannot tell.
+func (b BufHandle) Sole() bool {
+	if b.h == nil {
+		return false
+	}
+	b.check("Sole")
+	return b.h.refs.Load() == 1
+}
+
 // Retain bumps the buffer's refcount and returns an owning handle for the
 // same view. The caller must balance it with Release.
 func (b BufHandle) Retain() BufHandle {

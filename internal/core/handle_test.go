@@ -32,6 +32,32 @@ func TestBufHandleLifecycle(t *testing.T) {
 	r.Release() // last reference
 }
 
+func TestBufHandleSoleAndNarrow(t *testing.T) {
+	prev := SetDebugChecks(true)
+	defer SetDebugChecks(prev)
+
+	if (BufHandle{}).Sole() {
+		t.Fatal("the zero handle holds no reference")
+	}
+	page := AcquireHandle(4096)
+	page.Bytes()[0] = 0x11
+	if !page.Sole() {
+		t.Fatal("a fresh handle is its buffer's only holder")
+	}
+	view := page.Retain().Narrow(0, 100) // a request's reference to a cache page
+	if page.Sole() || view.Sole() {
+		t.Fatal("a page shared by a cache and a request has no sole holder")
+	}
+	if view.Len() != 100 || view.Bytes()[0] != 0x11 {
+		t.Fatalf("narrowed view: len %d, [0] %#x", view.Len(), view.Bytes()[0])
+	}
+	page.Release() // the cache evicts: the request's narrowed reference remains
+	if !view.Sole() || view.Bytes()[0] != 0x11 {
+		t.Fatal("the narrowed view must keep the buffer alive as its sole holder")
+	}
+	view.Release() // the narrowed reference is the last one: no double release
+}
+
 func TestBufHandleUseAfterReleasePanicsInDebug(t *testing.T) {
 	prev := SetDebugChecks(true)
 	defer SetDebugChecks(prev)

@@ -24,15 +24,11 @@ import (
 // ErrOutOfRange is returned for accesses beyond the device capacity.
 var ErrOutOfRange = errors.New("device: access out of range")
 
-// ErrUnaligned is returned by MapRange for spans that cross a chunk
-// boundary — a mapped view must be one contiguous allocation.
-var ErrUnaligned = errors.New("device: mapped range crosses a chunk boundary")
-
 const chunkSize = 64 * 1024
 
 // Data-path copy accounting: WriteAt/ReadAt are the store's "DMA" — the
 // one transfer a zero-copy stack still pays, device <-> registered
-// buffer. MapRange is the DAX rung of the API ladder: no copy at all.
+// buffer.
 var (
 	copyDMAWrite = telemetry.CopySite("device.dma_write")
 	copyDMARead  = telemetry.CopySite("device.dma_read")
@@ -185,39 +181,6 @@ func (s *SparseStore) ReadAt(p []byte, off int64) (int, error) {
 	}
 	copyDMARead.Add(read)
 	return read, nil
-}
-
-// MapRange returns a direct view of [off, off+n) in device memory,
-// materializing the chunk on first touch. This is the byte-addressable
-// (DAX/PMEM) access path: the caller loads and stores device bytes in
-// place with zero copies. The span must sit inside one chunk (64 KiB).
-// The view stays valid until the range is Trimmed; concurrent access to
-// the same bytes carries the same torn-read caveat as overlapping
-// WriteAt/ReadAt.
-func (s *SparseStore) MapRange(off int64, n int) ([]byte, error) {
-	if err := s.check(off, n); err != nil {
-		return nil, err
-	}
-	ci := off / chunkSize
-	co := int(off % chunkSize)
-	if co+n > chunkSize {
-		return nil, fmt.Errorf("%w: off=%d len=%d", ErrUnaligned, off, n)
-	}
-	st := s.stripe(ci)
-	st.mu.RLock()
-	chunk, ok := st.chunks[ci]
-	st.mu.RUnlock()
-	if !ok {
-		st.mu.Lock()
-		chunk, ok = st.chunks[ci]
-		if !ok {
-			chunk = make([]byte, chunkSize)
-			st.chunks[ci] = chunk
-			s.materialized.Add(chunkSize)
-		}
-		st.mu.Unlock()
-	}
-	return chunk[co : co+n : co+n], nil
 }
 
 // Trim discards the chunks fully covered by [off, off+n), returning the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"labstor"
 	"labstor/internal/core"
 	"labstor/internal/device"
 	"labstor/internal/ipc"
@@ -112,45 +113,56 @@ func copyDeltas(before []telemetry.CopySiteStat) map[string]int64 {
 // TestKVSCopyContract is the copies/op contract of plain KVS traffic over a
 // kvs -> lru -> noop -> kernel_driver stack, by CopySite name:
 //
-//   - N cached 4 KiB gets make exactly N copies, all lru.hit_copy_out (the
-//     one copy into the result);
 //   - N 4 KiB puts make one lru.write_insert and one device.dma_write each,
 //     and on top only the metadata log: one labkvs.log_stage per filled log
 //     block, whose block write is one more DMA. The log is written DirectIO,
-//     so the cache takes no copy of it.
+//     so the cache takes no copy of it;
+//   - N cached gets through runtime.Client, of 4 KiB values and of values
+//     shorter than a block, make no copy: each value is a retained view of
+//     its cache page;
+//   - the same gets through the labstor facade make exactly one copy each,
+//     at labstor.value_copy_out: the caller may write its result, and the
+//     page is still the cache's.
 //
 // Any other site moving fails by name.
 func TestKVSCopyContract(t *testing.T) {
-	const n, valSize = 128, 4096
-	rt := runtime.New(runtime.Options{MaxWorkers: 2, QueueDepth: 1024})
-	rt.AddDevice(device.New("dev0", device.NVMe, 128<<20))
-	defer rt.Shutdown()
+	const n, valSize, shortSize = 128, 4096, 100
+	p := labstor.NewPlatform(labstor.Config{Workers: 2, QueueDepth: 1024})
+	defer p.Close()
+	p.AddDevice("dev0", labstor.NVMe, 128<<20)
+	rt := p.Runtime()
 	stack, err := MountLab(rt, "kv::/kc", "dev0", LabCfg{KV: true, Cache: true, Sched: "noop", Driver: "kernel_driver"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.Start()
 	cli := rt.Connect(ipc.Credentials{PID: 1, UID: 0, GID: 0})
+	sess := p.Connect()
+	defer sess.Close()
+	kv := sess.KV("kv::/kc")
 	val := make([]byte, valSize)
-	pass := func(op core.Op) map[string]int64 {
+	key := func(size, i int) string { return fmt.Sprintf("k%d/%03d", size, i) }
+	call := func(op core.Op, size, i int) {
+		req := core.AcquireRequest(op)
+		req.Key = key(size, i)
+		if op == core.OpPut {
+			req.Size, req.Data = size, val[:size]
+		}
+		err := cli.SubmitStack(stack, req)
+		reqErr, result := req.Err, req.Result
+		req.Release()
+		if err != nil || reqErr != nil || result != int64(size) {
+			t.Fatalf("%s %s: %v / %v, result %d", op, key(size, i), err, reqErr, result)
+		}
+	}
+	pass := func(each func(i int)) map[string]int64 {
 		before := telemetry.CopySiteStats()
 		for i := 0; i < n; i++ {
-			req := core.AcquireRequest(op)
-			req.Key = fmt.Sprintf("k/%03d", i)
-			if op == core.OpPut {
-				req.Size, req.Data = valSize, val
-			}
-			err := cli.SubmitStack(stack, req)
-			reqErr, result := req.Err, req.Result
-			req.Release()
-			if err != nil || reqErr != nil || result != valSize {
-				t.Fatalf("%s %d: %v / %v, result %d", op, i, err, reqErr, result)
-			}
+			each(i)
 		}
 		return copyDeltas(before)
 	}
 
-	puts := pass(core.OpPut)
+	puts := pass(func(i int) { call(core.OpPut, valSize, i) })
 	logBlocks := puts["labkvs.log_stage"]
 	if logBlocks > n/16 {
 		t.Errorf("%d puts filled %d log blocks, want at most %d", n, logBlocks, n/16)
@@ -168,8 +180,20 @@ func TestKVSCopyContract(t *testing.T) {
 		t.Errorf("puts copied at sites outside the contract: %v", puts)
 	}
 
-	gets := pass(core.OpGet)
-	if gets["lru.hit_copy_out"] != n || len(gets) != 1 {
-		t.Errorf("%d cached gets copied %v, want exactly %d at lru.hit_copy_out", n, gets, n)
+	for i := 0; i < n; i++ {
+		call(core.OpPut, shortSize, i)
+	}
+	for _, size := range []int{valSize, shortSize} {
+		if gets := pass(func(i int) { call(core.OpGet, size, i) }); len(gets) != 0 {
+			t.Errorf("%d cached %d-byte gets through runtime.Client copied %v, want none", n, size, gets)
+		}
+		gets := pass(func(i int) {
+			if v, err := kv.Get(key(size, i)); err != nil || len(v) != size {
+				t.Fatalf("facade get %s: %d bytes, %v", key(size, i), len(v), err)
+			}
+		})
+		if gets["labstor.value_copy_out"] != n || len(gets) != 1 {
+			t.Errorf("%d cached %d-byte gets through the facade copied %v, want exactly %d at labstor.value_copy_out", n, size, gets, n)
+		}
 	}
 }

@@ -315,6 +315,14 @@ func (k *LabKVS) get(e *core.Exec, req *core.Request) error {
 		req.Err = fmt.Errorf("%w: %q", ErrNoKey, req.Key)
 		return req.Err
 	}
+	if len(rec.Blocks) == 1 {
+		if err := k.getBlock(e, req, rec); err != nil {
+			return err
+		}
+		req.Result = int64(rec.Size)
+		k.gets.Add(1)
+		return nil
+	}
 	// Arena-backed result handle: block reads land directly in the result
 	// buffer (no per-block bounce), and downstream caches may retain the
 	// stack-owned views instead of copying. Recycled when the last holder
@@ -367,6 +375,34 @@ func (k *LabKVS) get(e *core.Exec, req *core.Request) error {
 	}
 	req.Result = int64(rec.Size)
 	k.gets.Add(1)
+	return nil
+}
+
+// getBlock reads a one-block record with no destination and adopts the
+// block read's result handle, narrowed to the record, as the get's value:
+// a warm LRU answers with a retained view of its page and a miss with the
+// driver's fill, which the cache keeps too. Either way the get copies
+// nothing, and the value may share its bytes with the cache, so holders
+// treat it as read-only (DESIGN.md §13).
+func (k *LabKVS) getBlock(e *core.Exec, req *core.Request, rec *record) error {
+	child := req.Child(core.OpBlockRead)
+	child.Offset = rec.Blocks[0] * int64(k.blockSize)
+	child.Size = k.blockSize
+	err := e.Next(child)
+	req.Absorb(child)
+	h := child.TakeValue()
+	if err == nil {
+		err = child.Err
+	}
+	if err == nil && (!h.Valid() || h.Len() < rec.Size) {
+		err = fmt.Errorf("labkvs: block read for %q returned no %d-byte result handle", req.Key, rec.Size)
+	}
+	if err != nil {
+		h.Release()
+		return err
+	}
+	req.ValueH = h.Narrow(0, rec.Size)
+	req.Value = req.ValueH.Bytes()
 	return nil
 }
 

@@ -6,8 +6,12 @@
 // The read path is zero-copy (DESIGN.md §13): a cache miss whose fill
 // landed in a stack-owned buffer is retained by reference instead of
 // copied, and a hit with no caller destination hands out a retained view
-// of the page. The only remaining read-path copies are hit-into-caller-
-// buffer (the caller chose its destination) and fills from borrowed
+// of the page. LabKVS reads every one-block value that way, so a cached
+// get's value is the page itself, shared by the cache and the request
+// until the request is released: holders read it and never write it, and
+// the serve plane writes it to the socket in place. The only remaining
+// read-path copies are hit-into-caller-buffer (the caller chose its
+// destination: multi-block gets, LabFS reads) and fills from borrowed
 // client memory, which the cache may not retain. Writes always copy —
 // the payload is the client's registered buffer, and it may be rewritten
 // the moment the request completes — but the copy lands in a

@@ -3,6 +3,7 @@ package pushdown
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -357,4 +358,59 @@ func TestDecodeKVTorn(t *testing.T) {
 	if err := DecodeKV([]byte{0xff}, func(string, []byte) error { return nil }); err == nil {
 		t.Fatal("torn buffer decoded cleanly")
 	}
+}
+
+// FuzzDecodeKV feeds DecodeKV arbitrary bytes, which must never panic, and
+// round-trips records cut from the same bytes through an EmitKV filter:
+// what the evaluator emits, from whole or split records, must decode back
+// to the same keys and values in the same order.
+func FuzzDecodeKV(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{0xff}, uint8(1))
+	f.Add([]byte("\x03key\x05value"), uint8(2))
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, uint8(3))
+	f.Add([]byte("\x01a\x00\x02bc\x0fa longer value."), uint8(7))
+	all := &Program{agg: aggFilter} // no predicate: every record matches
+	f.Fuzz(func(t *testing.T, data []byte, split uint8) {
+		DecodeKV(data, func(string, []byte) error { return nil })
+
+		// Records: a length byte and that many key bytes, then the same for
+		// the value; the value is handed over in two chunks cut at split.
+		type kv struct {
+			key string
+			val []byte
+		}
+		var want []kv
+		ev := NewEval(all, EmitKV, 0, 0)
+		field := func(rest []byte) ([]byte, []byte) {
+			if len(rest) == 0 {
+				return nil, nil
+			}
+			n := min(int(rest[0]), len(rest)-1)
+			return rest[1 : 1+n], rest[1+n:]
+		}
+		for rest := data; len(rest) > 0; {
+			var key, val []byte
+			key, rest = field(rest)
+			val, rest = field(rest)
+			cut := int(split) % (len(val) + 1)
+			if _, err := ev.Record(string(key), val[:cut], val[cut:]); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, kv{string(key), val})
+		}
+		var req core.Request
+		ev.Finish(&req)
+		i := 0
+		err := DecodeKV(req.Value, func(key string, val []byte) error {
+			if i >= len(want) || key != want[i].key || string(val) != string(want[i].val) {
+				return fmt.Errorf("record %d decodes as %q=%q", i, key, val)
+			}
+			i++
+			return nil
+		})
+		if err != nil || i != len(want) {
+			t.Fatalf("%v after %d of %d records", err, i, len(want))
+		}
+	})
 }

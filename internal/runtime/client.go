@@ -134,9 +134,6 @@ func (c *Client) AcquireBuffer(n int) (core.BufHandle, error) {
 	return c.rt.BufArena().Acquire(n)
 }
 
-// ReleaseBuffer returns an AcquireBuffer handle to the arena.
-func (c *Client) ReleaseBuffer(b core.BufHandle) { b.Release() }
-
 // Clone implements the fork/clone support path (paper §III-F): the child
 // process gets its own connection — fresh credentials PID, a fresh
 // shared-memory queue pair and segment grant — while open file descriptors
@@ -165,9 +162,6 @@ func (c *Client) ID() int { return c.id }
 
 // Clock returns the client's current virtual time.
 func (c *Client) Clock() vtime.Time { return c.clock.Now() }
-
-// AdvanceClock lets workload generators model think time.
-func (c *Client) AdvanceClock(d vtime.Duration) { c.clock.Advance(d) }
 
 // QueuePair exposes the client's primary queue pair (diagnostics/tests).
 func (c *Client) QueuePair() *QP { return c.qp }

@@ -100,6 +100,27 @@ func put(t *testing.T, addr, key string, val []byte) {
 	}
 }
 
+// newCachedRuntime starts a runtime serving a kvs -> lru -> noop ->
+// kernel_driver stack at mount, so that a 4 KiB get's value is a view of
+// the cache's page itself. It is shut down when the test ends.
+func newCachedRuntime(t *testing.T, mount string, opts runtime.Options) *runtime.Runtime {
+	t.Helper()
+	rt := runtime.New(opts)
+	rt.AddDevice(device.New("nvme0", device.NVMe, 64<<20))
+	dev := map[string]string{"device": "nvme0"}
+	if _, err := rt.Mount(core.NewStack(mount, core.Rules{}, []core.Vertex{
+		{UUID: "kvs", Type: "labstor.labkvs", Attrs: map[string]string{"device": "nvme0", "log_mb": "4"}, Outputs: []string{"cache"}},
+		{UUID: "cache", Type: "labstor.lru", Attrs: map[string]string{"capacity_mb": "8"}, Outputs: []string{"sched"}},
+		{UUID: "sched", Type: "labstor.noop", Attrs: dev, Outputs: []string{"drv"}},
+		{UUID: "drv", Type: "labstor.kernel_driver", Attrs: dev},
+	})); err != nil {
+		t.Fatalf("mount: %v", err)
+	}
+	rt.Start()
+	t.Cleanup(rt.Shutdown)
+	return rt
+}
+
 // closeWithin fails the test if Server.Close hangs.
 func closeWithin(t *testing.T, s *Server, d time.Duration) {
 	t.Helper()
@@ -165,6 +186,110 @@ func TestServeClientNeverReads(t *testing.T) {
 	closeWithin(t, s, 10*time.Second)
 	nc.Close()
 	<-blast
+	lc.done()
+}
+
+func TestServeClientNeverReadsCachedPage(t *testing.T) {
+	// The 4 KiB variant of TestServeClientNeverReads: a get's value is a
+	// view of the LRU's page itself, not a copy. The peer blasts gets for
+	// one key and reads nothing until the completer is stuck in its writev
+	// with batches of those views piled up behind it. Puts then replace
+	// the key's page. Every answer encoded before them must still carry
+	// the old bytes (with poisoning on, a page recycled under a pinned view
+	// would put 0xDB on the wire), and once the peer has read everything,
+	// nothing the stalled batches held may be left or released twice.
+	defer core.SetDebugChecks(core.SetDebugChecks(true))
+	rt := newCachedRuntime(t, "kv::/bench", runtime.Options{MaxWorkers: 2, QueueDepth: 1024, Batch: 8})
+	s := New(rt, Config{Addr: "127.0.0.1:0", Default: TenantPolicy{Inflight: 1 << 20}})
+	ln, err := s.ListenAndServe()
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer s.Close()
+	addr := ln.String()
+	// labkvs frees a key's old block on overwrite and hands it to the next
+	// put. Two puts before the stall leave the cache one page for each of
+	// the key's two blocks; the two after it rewrite both, so the second
+	// replaces the page the stalled answers view, and the cache ends up
+	// holding as many pages as it began with.
+	oldVal, newVal := bytes.Repeat([]byte{0x01}, 4096), bytes.Repeat([]byte{0x02}, 4096)
+	put(t, addr, "k", oldVal)
+	put(t, addr, "k", oldVal)
+	lc := startLeakCheck(t, rt)
+
+	nc := rawDial(t, addr)
+	defer nc.Close()
+	const windows, perWindow = 64, 64 // 16 MiB of answers, far past the socket buffers
+	blast := make(chan struct{})
+	go func() {
+		defer close(blast)
+		var frames []byte
+		for w := 0; w < windows; w++ {
+			frames = frames[:0]
+			for i := 1; i <= perWindow; i++ {
+				frames = AppendReq(frames, &ReqFrame{ID: uint64(w*perWindow + i), Op: core.OpGet, Mount: "kv::/bench", Key: "k"})
+			}
+			if _, err := nc.Write(frames); err != nil {
+				return
+			}
+		}
+	}()
+
+	counters := func() (in, out int64) {
+		snap := rt.Metrics().Snapshot()
+		return snap.Counters["serve.frames_in"], snap.Counters["serve.frames_out"]
+	}
+	lastIn, lastOut := counters()
+	for still, deadline := 0, time.Now().Add(20*time.Second); still < 6; {
+		if time.Now().After(deadline) {
+			t.Fatalf("connection never stalled: %d frames in, %d out", lastIn, lastOut)
+		}
+		time.Sleep(50 * time.Millisecond)
+		in, out := counters()
+		if in == lastIn && out == lastOut && out > 0 {
+			still++
+		} else {
+			still = 0
+		}
+		lastIn, lastOut = in, out
+	}
+	// frames_out counts a batch before its write, so the first lastOut
+	// answers are encoded and waiting on the peer.
+	if lastIn >= windows*perWindow {
+		t.Fatalf("the server read all %d gets: nothing was held back", lastIn)
+	}
+	put(t, addr, "k", newVal)
+	put(t, addr, "k", newVal)
+
+	fr := newFrameReader(bufio.NewReader(nc), 0)
+	value := make([]byte, 4096)
+	replaced := false
+	for id := uint64(1); id <= windows*perWindow; id++ {
+		var resp RespFrame
+		if typ, _, err := fr.next(); err != nil || typ != FrameResp {
+			t.Fatalf("answer %d: frame type %d, %v", id, typ, err)
+		}
+		n, err := fr.head(&resp)
+		if err == nil && n == len(value) {
+			err = fr.bulk(value)
+		}
+		if err != nil || !resp.OK || resp.ID != id || n != len(value) {
+			t.Fatalf("answer %d: %+v with %d value bytes, %v", id, resp, n, err)
+		}
+		switch {
+		case int64(id) <= lastOut && !bytes.Equal(value, oldVal):
+			t.Fatalf("stalled answer %d of %d starts %x, want the %x it was when the get completed", id, lastOut, value[:8], oldVal[:8])
+		case bytes.Equal(value, newVal):
+			replaced = true
+		case replaced || !bytes.Equal(value, oldVal):
+			t.Fatalf("answer %d starts %x after the put: want old %x or new %x, and no old after new", id, value[:8], oldVal[:8], newVal[:8])
+		}
+	}
+	<-blast
+	if !replaced {
+		t.Error("no get after the put saw the new value")
+	}
+	nc.Close()
 	lc.done()
 }
 
@@ -319,19 +444,7 @@ func TestServeResultPinnedUntilWritten(t *testing.T) {
 	// poisoning on, a view released early would put 0xDB on the wire.
 	defer core.SetDebugChecks(core.SetDebugChecks(true))
 
-	rt := runtime.New(runtime.Options{MaxWorkers: 1, QueueDepth: 256, Batch: 8})
-	rt.AddDevice(device.New("nvme0", device.NVMe, 64<<20))
-	dev := map[string]string{"device": "nvme0"}
-	if _, err := rt.Mount(core.NewStack("kv::/hot", core.Rules{}, []core.Vertex{
-		{UUID: "kvs", Type: "labstor.labkvs", Attrs: map[string]string{"device": "nvme0", "log_mb": "4"}, Outputs: []string{"cache"}},
-		{UUID: "cache", Type: "labstor.lru", Attrs: map[string]string{"capacity_mb": "8"}, Outputs: []string{"sched"}},
-		{UUID: "sched", Type: "labstor.noop", Attrs: dev, Outputs: []string{"drv"}},
-		{UUID: "drv", Type: "labstor.kernel_driver", Attrs: dev},
-	})); err != nil {
-		t.Fatalf("mount: %v", err)
-	}
-	rt.Start()
-	defer rt.Shutdown()
+	rt := newCachedRuntime(t, "kv::/hot", runtime.Options{MaxWorkers: 1, QueueDepth: 256, Batch: 8})
 
 	gate := &writeGate{arrived: make(chan struct{}, 1), open: make(chan struct{})}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -33,6 +33,7 @@ import (
 	"labstor/internal/ipc"
 	_ "labstor/internal/mods/allmods" // register the built-in LabMods
 	"labstor/internal/runtime"
+	"labstor/internal/telemetry"
 	"labstor/internal/vtime"
 )
 
@@ -136,6 +137,9 @@ func (s *Session) Clock() vtime.Time { return s.cli.Clock() }
 // Client exposes the underlying runtime client.
 func (s *Session) Client() *runtime.Client { return s.cli }
 
+// copyValueOut counts the facade's copies of results it shares with a cache.
+var copyValueOut = telemetry.CopySite("labstor.value_copy_out")
+
 // reply is what a facade call keeps of a request once the request itself
 // has gone back to the pool.
 type reply struct {
@@ -161,11 +165,17 @@ func (s *Session) do(path string, op core.Op, build func(*core.Request)) (reply,
 		return reply{}, err
 	}
 	out := reply{Result: req.Result, Value: req.Value, Names: req.Names}
-	// The caller keeps the result bytes for good, so they must never
-	// re-enter an arena: the handle behind them is taken and dropped, and a
-	// Value without a handle (a mod's own slice) is detached, before Release
-	// recycles whatever the request still holds.
-	req.TakeValue()
+	// The caller keeps the result bytes for good and may write them. A
+	// handle the request holds alone is taken and dropped, so its bytes
+	// never re-enter an arena. A handle shared with a cache (a page view)
+	// is copied out once and released: the cache still serves those bytes.
+	// A Value without a handle (a mod's own slice) is detached before
+	// Release recycles whatever the request still holds.
+	if h := req.TakeValue(); h.Valid() && !h.Sole() {
+		out.Value = make([]byte, len(out.Value))
+		copyValueOut.Add(copy(out.Value, h.Bytes()))
+		h.Release()
+	}
 	req.Value = nil
 	req.Release()
 	return out, err
@@ -337,7 +347,8 @@ func (k *KV) Put(key string, value []byte) error {
 	return err
 }
 
-// Get retrieves the value stored under key.
+// Get retrieves the value stored under key. The returned slice is the
+// caller's own to keep and write.
 func (k *KV) Get(key string) ([]byte, error) {
 	req, err := k.s.do(k.mount, core.OpGet, func(r *core.Request) { r.Key = key })
 	if err != nil {

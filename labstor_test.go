@@ -283,3 +283,56 @@ func TestFacadePooledRequests(t *testing.T) {
 		t.Fatal("Stat of a missing file succeeded")
 	}
 }
+
+// TestFacadeGetResultIsCallersOwn: a Get result may be written by its
+// caller. On a cache miss the LRU keeps the driver's fill as its page, the
+// same buffer the get answers with, so the facade must not hand that page
+// over: rewriting the returned slice would change every later Get of the key.
+func TestFacadeGetResultIsCallersOwn(t *testing.T) {
+	p := labstor.NewPlatform(labstor.Config{Workers: 2})
+	defer p.Close()
+	p.AddDevice("nvme0", labstor.NVMe, 128<<20)
+	if _, err := p.MountSpec(`
+mount: kv::/own
+mods:
+  - uuid: kvs
+    type: labstor.labkvs
+    attrs:
+      device: nvme0
+      log_mb: 4
+  - uuid: cache
+    type: labstor.lru
+    attrs:
+      capacity_mb: 1
+  - uuid: drv
+    type: labstor.kernel_driver
+    attrs:
+      device: nvme0
+`); err != nil {
+		t.Fatal(err)
+	}
+	s := p.Connect()
+	defer s.Close()
+	kv := s.KV("kv::/own")
+
+	value := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 4096) }
+	// 512 pages through a 256-page cache: k0's page is evicted, so the
+	// first Get below misses and its fill becomes the cached page.
+	for i := 0; i < 512; i++ {
+		if err := kv.Put(fmt.Sprint("k", i), value(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 2; round++ { // a miss, then a hit
+		v, err := kv.Get("k0")
+		if err != nil || !bytes.Equal(v, value(0)) {
+			t.Fatalf("round %d: Get(k0) = %d bytes, %v", round, len(v), err)
+		}
+		for i := range v {
+			v[i] = 0xEE
+		}
+	}
+	if v, err := kv.Get("k0"); err != nil || !bytes.Equal(v, value(0)) {
+		t.Fatalf("a caller's write into its Get result reached the store: [0] = %#x, %v", v[0], err)
+	}
+}

@@ -28,17 +28,19 @@
 #      crash/restart; every fsync-acknowledged file must read back intact).
 #      Its failures are rare per run, so the single pass in step 1 misses
 #      them. 200 runs take ~4 s on a 2-core host.
-#   8. debug handles: core and serve again with -tags labstor_debug, so
-#      released buffers are poisoned and a stale or twice-released
-#      BufHandle panics — the serve plane writes result views in place and
-#      releases them only after the socket write.
+#   8. debug handles: core, serve, LabKVS, the LRU and the facade again
+#      with -tags labstor_debug, so released buffers are poisoned and a
+#      stale or twice-released BufHandle panics — a cached get's value is
+#      a view of the cache page, the serve plane writes it in place and
+#      releases it only after the socket write, and the facade copies it.
 #   9. bench smoke: every benchmark once, then BenchmarkClientCallNop with
 #      -benchmem so the client round trip's ns/op and allocs/op are in the
 #      log.
 #  10. fuzz smoke: short native-fuzzing runs of the wire-protocol frame
 #      decoder, its streaming reader against it (serve.* RPC framing), the
-#      YAML spec/stack builder and the write-ahead log's replay over
-#      arbitrary block images, to catch parser regressions early.
+#      YAML spec/stack builder, the write-ahead log's replay over
+#      arbitrary block images and the pushdown KV result decoder, to catch
+#      parser regressions early.
 #  11. observe smoke: boot labstor-runtime with the observability server on
 #      an ephemeral port and assert /metrics and /snapshot serve payloads.
 #  12. serve smoke: boot labstor-runtime with the network front end on an
@@ -80,8 +82,8 @@ go test -race -cpu 1,2,8 -run 'TestControlPlaneStress|TestWalkersPinTheirPlan' .
 echo "== chaos: go test -count=200 -run TestChaosMixedLoadWithUpgradesAndCrash ./internal/runtime =="
 go test -count=200 -run TestChaosMixedLoadWithUpgradesAndCrash ./internal/runtime
 
-echo "== debug handles: go test -tags labstor_debug ./internal/core/... ./internal/serve/... =="
-go test -tags labstor_debug ./internal/core/... ./internal/serve/...
+echo "== debug handles: go test -tags labstor_debug ./internal/core/... ./internal/serve/... ./internal/mods/labkvs ./internal/mods/lru . =="
+go test -tags labstor_debug ./internal/core/... ./internal/serve/... ./internal/mods/labkvs ./internal/mods/lru .
 
 echo "== bench smoke: go test -bench=. -benchtime=1x -run '^$' ./... =="
 go test -bench=. -benchtime=1x -run '^$' ./...
@@ -100,6 +102,9 @@ go test -run '^$' -fuzz FuzzSpecParse -fuzztime 5s ./internal/spec
 
 echo "== fuzz smoke: FuzzWALReplay -fuzztime 5s =="
 go test -run '^$' -fuzz FuzzWALReplay -fuzztime 5s ./internal/wal
+
+echo "== fuzz smoke: FuzzDecodeKV -fuzztime 5s =="
+go test -run '^$' -fuzz FuzzDecodeKV -fuzztime 5s ./internal/mods/pushdown
 
 echo "== observe smoke: scripts/obs_smoke.sh =="
 sh scripts/obs_smoke.sh
