@@ -12,17 +12,34 @@ func TestRequestAllocContracts(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { sink = NewRequest(OpNop) }); n != 1 {
 		t.Errorf("NewRequest allocates %v objects, want 1 (the struct; no completion channel)", n)
 	}
-	parent := NewRequest(OpRead)
-	if n := testing.AllocsPerRun(200, func() { sink = parent.Child(OpBlockRead) }); n != 1 {
-		t.Errorf("Request.Child allocates %v objects, want 1", n)
-	}
 	_ = sink
 	AcquireRequest(OpNop).Release() // prime the pool
+	parent := NewRequest(OpRead)
+	if n := testing.AllocsPerRun(200, func() {
+		c := parent.Child(OpBlockRead)
+		parent.Absorb(c)
+		c.Release()
+	}); n != 0 {
+		t.Errorf("Request.Child+Absorb+Release allocates %v objects in steady state, want 0", n)
+	}
 	if n := testing.AllocsPerRun(200, func() {
 		r := AcquireRequest(OpMessage)
 		r.MarkDone()
 		r.Release()
 	}); n != 0 {
 		t.Errorf("AcquireRequest+MarkDone+Release allocates %v objects in steady state, want 0", n)
+	}
+}
+
+// TestArenaRoundTripAllocs: recycling a buffer of any size class through
+// the arena allocates nothing once the class's pool holds a buffer — the
+// pool keeps the backing array, not a boxed slice header.
+func TestArenaRoundTripAllocs(t *testing.T) {
+	for c := 0; c < arenaClasses; c++ {
+		size := 1 << (arenaMinBits + c)
+		ReleaseBuf(AcquireBuf(size)) // prime the class
+		if n := testing.AllocsPerRun(100, func() { ReleaseBuf(AcquireBuf(size)) }); n != 0 {
+			t.Errorf("AcquireBuf(%d)+ReleaseBuf allocates %v objects, want 0", size, n)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Payload buffer arena: the data path allocates transient byte buffers on
@@ -17,6 +18,11 @@ import (
 // (counted as misses). Buffers come back with whatever bytes the previous
 // user left in them — callers that depend on zeroing must clear the buffer
 // themselves.
+//
+// A pool holds each backing array as an unsafe.Pointer to its first byte,
+// not as a slice: a pointer fits in the pool's interface word, so Put boxes
+// nothing, and AcquireBuf rebuilds the slice at the class size. The pointer
+// keeps the whole array alive while it sits in the pool.
 const (
 	arenaMinBits = 9  // 512 B — smallest class
 	arenaMaxBits = 21 // 2 MiB — largest class
@@ -37,8 +43,7 @@ func init() {
 		size := 1 << (arenaMinBits + i)
 		arenaPools[i].New = func() any {
 			arenaMisses.Add(1)
-			b := make([]byte, size)
-			return &b
+			return unsafe.Pointer(unsafe.SliceData(make([]byte, size)))
 		}
 	}
 }
@@ -70,7 +75,7 @@ func AcquireBuf(n int) []byte {
 		arenaMisses.Add(1)
 		return make([]byte, n)
 	}
-	b := *arenaPools[c].Get().(*[]byte)
+	b := unsafe.Slice((*byte)(arenaPools[c].Get().(unsafe.Pointer)), 1<<(arenaMinBits+c))
 	if debugChecks.Load() {
 		debugNoteAcquire(b)
 	}
@@ -100,7 +105,7 @@ func ReleaseBuf(b []byte) {
 		poison(b)
 	}
 	arenaReleases.Add(1)
-	arenaPools[cls].Put(&b)
+	arenaPools[cls].Put(unsafe.Pointer(unsafe.SliceData(b)))
 }
 
 // ArenaStats is the buffer arena's cumulative accounting. Hits is Gets that

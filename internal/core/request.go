@@ -275,10 +275,14 @@ func (r *Request) Park() bool {
 		atomic.LoadUint32(&r.state) == reqParked
 }
 
-// Child creates a follow-on request (e.g. a block I/O spawned by a
-// filesystem op) that inherits the parent's routing and clock.
+// Child draws a follow-on request (e.g. a block I/O spawned by a
+// filesystem op) from the request pool; it inherits the parent's routing
+// and clock. The spawner Releases it once it has Absorbed it and holds
+// nothing of it. Release recycles Value through the arena, so a spawner
+// that pointed Value at a buffer other than the child's own ValueH clears
+// it first.
 func (r *Request) Child(op Op) *Request {
-	c := NewRequest(op)
+	c := AcquireRequest(op)
 	c.StackID = r.StackID
 	c.plan = r.plan
 	c.vertex = r.vertex

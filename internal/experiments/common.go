@@ -74,16 +74,6 @@ func LabAll(driver string) LabCfg {
 	return LabCfg{Generic: true, Perms: true, Cache: true, Sched: "noop", Driver: driver}
 }
 
-// LabMin returns the Lab-Min configuration.
-func LabMin(driver string) LabCfg {
-	return LabCfg{Generic: true, Cache: true, Sched: "noop", Driver: driver}
-}
-
-// LabD returns the Lab-D (decentralized, synchronous) configuration.
-func LabD(driver string) LabCfg {
-	return LabCfg{Generic: true, Cache: true, Sched: "noop", Driver: driver, Sync: true}
-}
-
 // MountLab builds and mounts a LabStack over devName at mount.
 func MountLab(rt *runtime.Runtime, mount, devName string, cfg LabCfg) (*core.Stack, error) {
 	if cfg.Driver == "" {

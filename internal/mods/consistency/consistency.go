@@ -86,7 +86,9 @@ func (g *Guard) Process(e *core.Exec, req *core.Request) error {
 		g.flushes++
 		g.mu.Unlock()
 		fl := req.Child(core.OpBlockFlush)
-		return e.SpawnNext(req, fl)
+		err := e.SpawnNext(req, fl)
+		fl.Release()
+		return err
 	}
 	return nil
 }

@@ -537,10 +537,13 @@ func (f *LabFS) truncateTo(e *core.Exec, req *core.Request, ino *inode, size int
 			rc.Data = blockBuf
 			err := e.Next(rc)
 			rc.Data = nil
+			if err == nil {
+				req.Absorb(rc)
+			}
+			rc.Release()
 			if err != nil {
 				return err
 			}
-			req.Absorb(rc)
 			for i := inBlock; i < bs; i++ {
 				blockBuf[i] = 0
 			}
@@ -550,10 +553,13 @@ func (f *LabFS) truncateTo(e *core.Exec, req *core.Request, ino *inode, size int
 			wc.Data = blockBuf
 			err = e.Next(wc)
 			wc.Data = nil
+			if err == nil {
+				req.Absorb(wc)
+			}
+			wc.Release()
 			if err != nil {
 				return err
 			}
-			req.Absorb(wc)
 		}
 	}
 	ino.Size = size
@@ -584,7 +590,9 @@ func (f *LabFS) fsync(e *core.Exec, req *core.Request) error {
 		return err
 	}
 	child := req.Child(core.OpBlockFlush)
-	return e.SpawnNext(req, child)
+	err := e.SpawnNext(req, child)
+	child.Release()
+	return err
 }
 
 // --- data ops -----------------------------------------------------------------
@@ -663,11 +671,14 @@ func (f *LabFS) write(e *core.Exec, req *core.Request) error {
 				err := e.Next(rc)
 				rc.Data = nil
 				if err != nil {
+					rc.Release()
+					child.Release()
 					core.ReleaseBuf(scratch)
 					return err
 				}
 				child.Clock = rc.Clock
 				req.Absorb(rc)
+				rc.Release()
 			} else {
 				// Fresh block: the unwritten tail must read as zeros, and
 				// arena buffers come back dirty.
@@ -683,10 +694,13 @@ func (f *LabFS) write(e *core.Exec, req *core.Request) error {
 		child.Data = nil
 		child.Buf = core.BufHandle{}
 		core.ReleaseBuf(scratch)
+		if err == nil {
+			req.Absorb(child)
+		}
+		child.Release()
 		if err != nil {
 			return err
 		}
-		req.Absorb(child)
 		written += n
 	}
 	if end := off + int64(len(data)); end > ino.Size {
@@ -772,13 +786,16 @@ func (f *LabFS) read(e *core.Exec, req *core.Request) error {
 		err := e.Next(child)
 		child.Data = nil
 		child.Buf = core.BufHandle{}
+		if err == nil {
+			req.Absorb(child)
+		}
+		child.Release()
 		if err != nil {
 			if blockBuf != nil {
 				core.ReleaseBuf(blockBuf)
 			}
 			return err
 		}
-		req.Absorb(child)
 		if !direct {
 			copyReadBounce.Add(int(n))
 			copy(data[read:read+n], blockBuf[inBlock:inBlock+int(n)])
@@ -838,13 +855,11 @@ func (f *LabFS) scanExec(e *core.Exec, req *core.Request) error {
 			child.Size = f.blockSize
 			err := e.Next(child)
 			req.Absorb(child)
-			if err != nil || child.Err != nil {
-				if child.ValueH.Valid() {
-					child.ValueH.Release()
-				}
-				if err == nil {
-					err = child.Err
-				}
+			if err == nil {
+				err = child.Err
+			}
+			if err != nil {
+				child.Release()
 				req.Err = err
 				return err
 			}
@@ -853,7 +868,11 @@ func (f *LabFS) scanExec(e *core.Exec, req *core.Request) error {
 				view = child.Data
 			}
 			view = view[:n]
-			h = child.ValueH
+			// The view outlives the child: keep its handle, and clear
+			// Value so that Release recycles nothing the view reads.
+			h = child.TakeValue()
+			child.Value = nil
+			child.Release()
 		} else {
 			view = make([]byte, n) // hole: zeros
 		}

@@ -283,10 +283,13 @@ func (k *LabKVS) put(e *core.Exec, req *core.Request) error {
 		if staged != nil {
 			core.ReleaseBuf(staged)
 		}
+		if err == nil {
+			req.Absorb(child)
+		}
+		child.Release()
 		if err != nil {
 			return err
 		}
-		req.Absorb(child)
 	}
 
 	sh.mu.Lock()
@@ -357,13 +360,16 @@ func (k *LabKVS) get(e *core.Exec, req *core.Request) error {
 		err := e.Next(child)
 		child.Data = nil
 		child.Buf = core.BufHandle{}
+		if err == nil {
+			req.Absorb(child)
+		}
+		child.Release()
 		if err != nil {
 			if scratch != nil {
 				core.ReleaseBuf(scratch)
 			}
 			return err
 		}
-		req.Absorb(child)
 		if scratch != nil && hi > rec.Size {
 			hi = rec.Size
 			copyGatherTail.Add(hi - lo)
@@ -394,6 +400,7 @@ func (k *LabKVS) getBlock(e *core.Exec, req *core.Request, rec *record) error {
 	if err == nil {
 		err = child.Err
 	}
+	child.Release()
 	if err == nil && (!h.Valid() || h.Len() < rec.Size) {
 		err = fmt.Errorf("labkvs: block read for %q returned no %d-byte result handle", req.Key, rec.Size)
 	}
@@ -507,15 +514,13 @@ func (k *LabKVS) scanExec(e *core.Exec, req *core.Request) error {
 			child.Size = k.blockSize
 			err := e.Next(child)
 			req.Absorb(child)
-			if err != nil || child.Err != nil {
-				if child.ValueH.Valid() {
-					child.ValueH.Release()
-				}
+			if err == nil {
+				err = child.Err
+			}
+			if err != nil {
+				child.Release()
 				for _, h := range handles {
 					h.Release()
-				}
-				if err == nil {
-					err = child.Err
 				}
 				req.Err = err
 				return err
@@ -530,9 +535,13 @@ func (k *LabKVS) scanExec(e *core.Exec, req *core.Request) error {
 				view = child.Data
 			}
 			chunks = append(chunks, view[:hi-lo])
-			if child.ValueH.Valid() {
-				handles = append(handles, child.ValueH)
+			// The chunk outlives the child: keep its handle, and clear
+			// Value so that Release recycles nothing the chunk reads.
+			if h := child.TakeValue(); h.Valid() {
+				handles = append(handles, h)
 			}
+			child.Value = nil
+			child.Release()
 		}
 		_, err := ev.Record(rec.Key, chunks...)
 		for _, h := range handles {

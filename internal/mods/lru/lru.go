@@ -17,10 +17,15 @@
 // the moment the request completes — but the copy lands in a
 // handle-backed page, so later reads (and pushdown scans) of
 // write-inserted data still get zero-copy handouts.
+//
+// The pages live in a slot table: a []page that grows to the capacity
+// and then never again. The recency list links slots by int32 index and a
+// pointer-free map[int64]int32 finds a block's slot, so neither holds a
+// pointer for the GC to trace. At capacity an insert takes the LRU tail's
+// slot in place, and a cache in steady state allocates nothing.
 package lru
 
 import (
-	"container/list"
 	"strconv"
 	"sync"
 
@@ -44,22 +49,26 @@ var (
 	copyFlushSnap   = telemetry.CopySite("lru.flush_snapshot")
 )
 
-// page is one cached block. Handle-backed pages (h.Valid()) hold a
-// retained reference into the zero-copy arena; legacy pages own an arena
-// buffer outright.
+// page is one slot of the table: a cached block. Handle-backed pages
+// (h.Valid()) hold a retained reference into the zero-copy arena; legacy
+// pages own an arena buffer outright. prev and next link the slot into the
+// recency list.
 type page struct {
-	off   int64
-	data  []byte
-	h     core.BufHandle
-	dirty bool
-	elem  *list.Element
+	off        int64
+	data       []byte
+	h          core.BufHandle
+	dirty      bool
+	prev, next int32
 }
 
-// release returns the page's buffer to wherever it came from.
-func (p *page) release() {
+// noSlot ends the recency list.
+const noSlot = -1
+
+// release returns the page's buffer to wherever it came from. The zero
+// page holds nothing and releases nothing.
+func (p page) release() {
 	if p.h.Valid() {
 		p.h.Release()
-		p.h = core.BufHandle{}
 		return
 	}
 	core.ReleaseBuf(p.data)
@@ -70,9 +79,11 @@ type Cache struct {
 	core.Base
 
 	mu       sync.Mutex
-	pages    map[int64]*page
-	order    *list.List // front = most recent
-	capacity int        // max pages
+	slots    []page          // slot table, at most capacity long
+	index    map[int64]int32 // block offset -> slot
+	head     int32           // most recent slot, noSlot when empty
+	tail     int32           // least recent slot, the next victim
+	capacity int             // max pages
 	pageSize int
 	policy   string // "writethrough" | "writeback"
 
@@ -105,8 +116,9 @@ func (c *Cache) Configure(cfg core.Config, env *core.Env) error {
 		c.capacity = 1
 	}
 	c.policy = cfg.Attr("policy", "writethrough")
-	c.pages = make(map[int64]*page)
-	c.order = list.New()
+	c.slots = nil
+	c.index = make(map[int64]int32)
+	c.head, c.tail = noSlot, noSlot
 	return nil
 }
 
@@ -132,8 +144,9 @@ func (c *Cache) processRead(e *core.Exec, req *core.Request) error {
 	req.Charge("cache", e.Model.LRUCacheOp)
 	if req.Size == c.pageSize && req.Offset%int64(c.pageSize) == 0 {
 		c.mu.Lock()
-		if p, ok := c.pages[req.Offset]; ok {
-			c.order.MoveToFront(p.elem)
+		if i, ok := c.index[req.Offset]; ok {
+			c.touch(i)
+			p := &c.slots[i]
 			c.hits++
 			if req.Data == nil && p.h.Valid() {
 				// Zero-copy hit: hand the caller a retained view of the
@@ -250,8 +263,8 @@ func (c *Cache) processFlush(e *core.Exec, req *core.Request) error {
 	}
 	c.mu.Lock()
 	dirty := make([]flushPage, 0)
-	for _, p := range c.pages {
-		if p.dirty {
+	for i := range c.slots {
+		if p := &c.slots[i]; p.dirty {
 			p.dirty = false
 			if p.h.Valid() {
 				h := p.h.Retain()
@@ -272,6 +285,7 @@ func (c *Cache) processFlush(e *core.Exec, req *core.Request) error {
 		child.Data = fp.data
 		err := e.SpawnNext(req, child)
 		child.Data = nil
+		child.Release()
 		if fp.h.Valid() {
 			fp.h.Release()
 		} else {
@@ -284,45 +298,81 @@ func (c *Cache) processFlush(e *core.Exec, req *core.Request) error {
 	return e.Next(req)
 }
 
-// insertPage adds/updates a page and evicts LRU pages beyond capacity.
+// insertPage adds/updates a page and evicts the LRU page beyond capacity.
 // Evicted dirty pages are lost unless flushed first — writeback callers
 // must flush; the functional tests cover this contract. The page's buffer
 // is owned by the cache from here on: a retained handle reference, or an
 // arena buffer returned on replacement/eviction.
 func (c *Cache) insertPage(np *page) {
 	c.mu.Lock()
-	if p, ok := c.pages[np.off]; ok {
+	if i, ok := c.index[np.off]; ok {
+		p := &c.slots[i]
 		old := *p
 		p.data, p.h = np.data, np.h
 		p.dirty = p.dirty || np.dirty
-		c.order.MoveToFront(p.elem)
+		c.touch(i)
 		c.mu.Unlock()
 		old.release()
 		return
 	}
-	np.elem = c.order.PushFront(np)
-	c.pages[np.off] = np
-	var evicted []*page
-	for len(c.pages) > c.capacity {
-		tail := c.order.Back()
-		if tail == nil {
-			break
-		}
-		victim := tail.Value.(*page)
-		c.order.Remove(tail)
-		delete(c.pages, victim.off)
-		evicted = append(evicted, victim)
+	var victim page
+	var i int32
+	if len(c.slots) < c.capacity {
+		i = int32(len(c.slots))
+		c.slots = append(c.slots, page{})
+	} else {
+		// Full: the LRU tail's slot takes the new page in place.
+		i = c.tail
+		victim = c.slots[i]
+		c.unlink(i)
+		delete(c.index, victim.off)
 	}
+	c.slots[i] = *np
+	c.pushFront(i)
+	c.index[np.off] = i
 	c.mu.Unlock()
-	for _, p := range evicted {
-		p.release()
+	victim.release()
+}
+
+// unlink takes slot i out of the recency list. Caller holds c.mu.
+func (c *Cache) unlink(i int32) {
+	p := &c.slots[i]
+	if p.prev == noSlot {
+		c.head = p.next
+	} else {
+		c.slots[p.prev].next = p.next
+	}
+	if p.next == noSlot {
+		c.tail = p.prev
+	} else {
+		c.slots[p.next].prev = p.prev
+	}
+}
+
+// pushFront links slot i in as the most recent. Caller holds c.mu.
+func (c *Cache) pushFront(i int32) {
+	p := &c.slots[i]
+	p.prev, p.next = noSlot, c.head
+	if c.head == noSlot {
+		c.tail = i
+	} else {
+		c.slots[c.head].prev = i
+	}
+	c.head = i
+}
+
+// touch makes slot i the most recent. Caller holds c.mu.
+func (c *Cache) touch(i int32) {
+	if c.head != i {
+		c.unlink(i)
+		c.pushFront(i)
 	}
 }
 
 // resident reports whether the block at off is cached.
 func (c *Cache) resident(off int64) bool {
 	c.mu.Lock()
-	_, ok := c.pages[off]
+	_, ok := c.index[off]
 	c.mu.Unlock()
 	return ok
 }
@@ -331,7 +381,7 @@ func (c *Cache) resident(off int64) bool {
 func (c *Cache) Stats() (hits, misses int64, resident int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, len(c.pages)
+	return c.hits, c.misses, len(c.index)
 }
 
 // DirtyPages returns the number of dirty (unflushed) pages.
@@ -339,8 +389,8 @@ func (c *Cache) DirtyPages() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for _, p := range c.pages {
-		if p.dirty {
+	for i := range c.slots {
+		if c.slots[i].dirty {
 			n++
 		}
 	}
@@ -349,8 +399,9 @@ func (c *Cache) DirtyPages() int {
 
 // StateUpdate migrates the cached pages from the previous instance (live
 // upgrade keeps the cache warm). Buffer ownership — handle references and
-// arena buffers alike — transfers to the new instance; the old one is
-// discarded without releasing.
+// arena buffers alike — transfers to the new instance for the capacity
+// most recent pages, in their recency order; a smaller cache releases the
+// rest. The old instance is discarded without releasing.
 func (c *Cache) StateUpdate(prev core.Module) error {
 	old, ok := prev.(*Cache)
 	if !ok {
@@ -360,11 +411,23 @@ func (c *Cache) StateUpdate(prev core.Module) error {
 	defer old.mu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for e := old.order.Back(); e != nil; e = e.Prev() {
-		p := e.Value.(*page)
-		np := &page{off: p.off, data: p.data, h: p.h, dirty: p.dirty}
-		np.elem = c.order.PushFront(np)
-		c.pages[np.off] = np
+	for j := old.head; j != noSlot; j = old.slots[j].next {
+		p := old.slots[j]
+		if len(c.slots) == c.capacity {
+			p.release()
+			continue
+		}
+		// Appending in recency order links each page behind the last.
+		i := int32(len(c.slots))
+		p.prev, p.next = c.tail, noSlot
+		c.slots = append(c.slots, p)
+		if c.tail == noSlot {
+			c.head = i
+		} else {
+			c.slots[c.tail].next = i
+		}
+		c.tail = i
+		c.index[p.off] = i
 	}
 	c.hits, c.misses = old.hits, old.misses
 	return nil

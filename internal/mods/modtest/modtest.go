@@ -9,7 +9,6 @@ import (
 
 	"labstor/internal/core"
 	"labstor/internal/device"
-	"labstor/internal/vtime"
 )
 
 // Harness hosts modules over one simulated device.
@@ -118,6 +117,3 @@ func BlockReadReq(off int64, n int) *core.Request {
 	r.Data = make([]byte, n)
 	return r
 }
-
-// CPUOf returns a request's accumulated CPU time (assertion helper).
-func CPUOf(r *core.Request) vtime.Duration { return r.CPUTime }

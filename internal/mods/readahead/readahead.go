@@ -170,12 +170,14 @@ func (p *Prefetcher) Process(e *core.Exec, req *core.Request) error {
 			h := core.AcquireHandle(p.blockSize)
 			child.Data = h.Bytes()
 			child.Buf = h
-			if err := e.Next(child); err != nil {
+			err := e.Next(child)
+			cpu := child.CPUTime
+			child.Release() // drops Buf without releasing it: h is still ours
+			if err != nil {
 				h.Release()
 				return nil // prefetch failures are not request failures
 			}
-			child.Buf = core.BufHandle{}
-			req.CPUTime += child.CPUTime
+			req.CPUTime += cpu
 			p.mu.Lock()
 			if _, dup := p.buf[off]; dup {
 				p.mu.Unlock()

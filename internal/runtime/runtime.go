@@ -740,14 +740,6 @@ func (ws WorkerStats) IdleRatio() float64 {
 	return float64(ws.EmptyPolls) / float64(ws.Polls)
 }
 
-// BusyRatio is modeled CPU time over the worker's virtual clock span.
-func (ws WorkerStats) BusyRatio() float64 {
-	if ws.Clock <= 0 {
-		return 0
-	}
-	return float64(ws.BusyVirt) / float64(ws.Clock)
-}
-
 // Stats returns per-worker statistics.
 func (rt *Runtime) Stats() []WorkerStats {
 	out := make([]WorkerStats, 0, len(rt.workers))

@@ -90,9 +90,6 @@ func (r *Ring) Lookup(key string) string {
 	return r.backends[r.points[i].idx]
 }
 
-// Backends returns the ring's backend list.
-func (r *Ring) Backends() []string { return append([]string(nil), r.backends...) }
-
 // Router is the thin shard-routing proxy: client connections speak the
 // same wire protocol, and each request is forwarded to the backend owning
 // its mount's RouteKey. Upstream connections are shared (muxed) across

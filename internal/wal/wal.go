@@ -196,6 +196,7 @@ func (l *Log) writeVersioned(e *core.Exec, parent *core.Request, blockNo int64, 
 	child.DirectIO = true
 	err := e.SpawnNext(parent, child)
 	child.Data = nil // img goes back to the arena; drop the alias
+	child.Release()
 	if err == nil {
 		l.written[blockNo] = ver
 	}
@@ -222,6 +223,7 @@ func (l *Log) Replay(e *core.Exec, parent *core.Request, apply func(rec []byte) 
 		child.Data = blk
 		err = e.SpawnNext(parent, child)
 		child.Data = nil
+		child.Release()
 		if err != nil {
 			break
 		}

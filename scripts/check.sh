@@ -5,10 +5,11 @@
 #   3. concurrency: go test -race -timeout 1800s ./... (on a 2-core host
 #      internal/experiments alone needs ~12.5 min under the race detector,
 #      past Go's default 10 min)
-#   4. hot-path soak: the lock-free ring and worker/client hot path, and the
-#      write-ahead log with LabFS and LabKVS on top of it, twice under the
-#      race detector with shuffled test order, to surface
-#      ordering-dependent races the single straight-line pass can miss.
+#   4. hot-path soak: the lock-free ring and worker/client hot path, the
+#      write-ahead log with LabFS and LabKVS on top of it, and the LRU's
+#      slot table, twice under the race detector with shuffled test order,
+#      to surface ordering-dependent races the single straight-line pass
+#      can miss.
 #   5. handshake: the vectored ring and queue pair (the only ring there is),
 #      the submit → complete → reap handshake tests (completion word,
 #      wake channel, poll-then-park Wait) and the worker's idle spin tests
@@ -28,11 +29,13 @@
 #      crash/restart; every fsync-acknowledged file must read back intact).
 #      Its failures are rare per run, so the single pass in step 1 misses
 #      them. 200 runs take ~4 s on a 2-core host.
-#   8. debug handles: core, serve, LabKVS, the LRU and the facade again
-#      with -tags labstor_debug, so released buffers are poisoned and a
-#      stale or twice-released BufHandle panics — a cached get's value is
-#      a view of the cache page, the serve plane writes it in place and
-#      releases it only after the socket write, and the facade copies it.
+#   8. debug handles: core, serve, LabKVS, LabFS, the write-ahead log, the
+#      LRU and the facade again with -tags labstor_debug, so released
+#      buffers are poisoned and a stale or twice-released BufHandle panics
+#      — a cached get's value is a view of the cache page, the serve plane
+#      writes it in place and releases it only after the socket write, the
+#      facade copies it, and LabFS, the log and LabKVS release their pooled
+#      block children (and the results those hold) once absorbed.
 #   9. bench smoke: every benchmark once, then BenchmarkClientCallNop with
 #      -benchmem so the client round trip's ns/op and allocs/op are in the
 #      log.
@@ -67,8 +70,8 @@ go vet ./...
 echo "== go test -race -timeout 1800s ./... =="
 go test -race -timeout 1800s ./...
 
-echo "== go test -race -count=2 -shuffle=on ./internal/ipc/... ./internal/runtime/... ./internal/device/... ./internal/telemetry/... ./internal/obs/... ./internal/serve/... ./internal/mods/pushdown/... ./internal/wal/... ./internal/mods/labfs/... ./internal/mods/labkvs/... =="
-go test -race -count=2 -shuffle=on ./internal/ipc/... ./internal/runtime/... ./internal/device/... ./internal/telemetry/... ./internal/obs/... ./internal/serve/... ./internal/mods/pushdown/... ./internal/wal/... ./internal/mods/labfs/... ./internal/mods/labkvs/...
+echo "== go test -race -count=2 -shuffle=on ./internal/ipc/... ./internal/runtime/... ./internal/device/... ./internal/telemetry/... ./internal/obs/... ./internal/serve/... ./internal/mods/pushdown/... ./internal/wal/... ./internal/mods/labfs/... ./internal/mods/labkvs/... ./internal/mods/lru/... =="
+go test -race -count=2 -shuffle=on ./internal/ipc/... ./internal/runtime/... ./internal/device/... ./internal/telemetry/... ./internal/obs/... ./internal/serve/... ./internal/mods/pushdown/... ./internal/wal/... ./internal/mods/labfs/... ./internal/mods/labkvs/... ./internal/mods/lru/...
 
 echo "== handshake: go test -race -count=3 -cpu 1,2,8 -run 'Ring|QueuePair|Handshake|Wait|Spin|Park|Idle' ./internal/ipc/... ./internal/core/... ./internal/runtime/... =="
 go test -race -count=3 -cpu 1,2,8 -run 'Ring|QueuePair|Handshake|Wait|Spin|Park|Idle' ./internal/ipc/... ./internal/core/... ./internal/runtime/...
@@ -82,8 +85,8 @@ go test -race -cpu 1,2,8 -run 'TestControlPlaneStress|TestWalkersPinTheirPlan' .
 echo "== chaos: go test -count=200 -run TestChaosMixedLoadWithUpgradesAndCrash ./internal/runtime =="
 go test -count=200 -run TestChaosMixedLoadWithUpgradesAndCrash ./internal/runtime
 
-echo "== debug handles: go test -tags labstor_debug ./internal/core/... ./internal/serve/... ./internal/mods/labkvs ./internal/mods/lru . =="
-go test -tags labstor_debug ./internal/core/... ./internal/serve/... ./internal/mods/labkvs ./internal/mods/lru .
+echo "== debug handles: go test -tags labstor_debug ./internal/core/... ./internal/serve/... ./internal/mods/labkvs ./internal/mods/labfs ./internal/wal ./internal/mods/lru . =="
+go test -tags labstor_debug ./internal/core/... ./internal/serve/... ./internal/mods/labkvs ./internal/mods/labfs ./internal/wal ./internal/mods/lru .
 
 echo "== bench smoke: go test -bench=. -benchtime=1x -run '^$' ./... =="
 go test -bench=. -benchtime=1x -run '^$' ./...
