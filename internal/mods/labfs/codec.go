@@ -1,10 +1,9 @@
 package labfs
 
 import (
-	"encoding/binary"
 	"errors"
 
-	"labstor/internal/wal"
+	"labstor/internal/codec"
 )
 
 // logOp is a log entry's kind, one uvarint byte on the device.
@@ -24,11 +23,11 @@ const (
 // logEntry is one record of LabFS's metadata log. LabFS stores only the log
 // on the device and reconstructs all inodes in memory by traversing it
 // (paper §III-E). The log itself (framing, blocks, checkpoint, replay) is
-// internal/wal; this file is the payload:
+// internal/wal; this file is the payload, an internal/codec record:
 //
-//	seq (uvarint) · op (uvarint) · path (uvarint len + bytes) ·
-//	path2 (uvarint len + bytes) · mode (uvarint) · uid (varint) ·
-//	gid (varint) · block_idx (varint) · phys (varint) · size (varint)
+//	seq (uvarint) · op (uvarint) · path (string) · path2 (string) ·
+//	mode (uvarint) · uid (varint) · gid (varint) · block_idx (varint) ·
+//	phys (varint) · size (varint)
 type logEntry struct {
 	Seq   uint64
 	Op    logOp
@@ -49,26 +48,24 @@ var errBadEntry = errors.New("labfs: malformed log entry")
 
 // appendEntry encodes ent's payload onto dst.
 func appendEntry(dst []byte, ent *logEntry) []byte {
-	dst = binary.AppendUvarint(dst, ent.Seq)
-	dst = binary.AppendUvarint(dst, uint64(ent.Op))
-	dst = binary.AppendUvarint(dst, uint64(len(ent.Path)))
-	dst = append(dst, ent.Path...)
-	dst = binary.AppendUvarint(dst, uint64(len(ent.Path2)))
-	dst = append(dst, ent.Path2...)
-	dst = binary.AppendUvarint(dst, uint64(ent.Mode))
-	dst = binary.AppendVarint(dst, int64(ent.UID))
-	dst = binary.AppendVarint(dst, int64(ent.GID))
-	dst = binary.AppendVarint(dst, ent.BlockIdx)
-	dst = binary.AppendVarint(dst, ent.Phys)
-	return binary.AppendVarint(dst, ent.Size)
+	dst = codec.AppendUvarint(dst, ent.Seq)
+	dst = codec.AppendUvarint(dst, uint64(ent.Op))
+	dst = codec.AppendStr(dst, ent.Path)
+	dst = codec.AppendStr(dst, ent.Path2)
+	dst = codec.AppendUvarint(dst, uint64(ent.Mode))
+	dst = codec.AppendVarint(dst, int64(ent.UID))
+	dst = codec.AppendVarint(dst, int64(ent.GID))
+	dst = codec.AppendVarint(dst, ent.BlockIdx)
+	dst = codec.AppendVarint(dst, ent.Phys)
+	return codec.AppendVarint(dst, ent.Size)
 }
 
 // decodeEntry decodes one payload written by appendEntry.
 func decodeEntry(rec []byte) (logEntry, error) {
-	d := wal.NewDecoder(rec)
+	d := codec.NewDecoder(rec)
 	seq, op := d.Uvarint(), d.Uvarint()
 	ent := logEntry{
-		Seq: seq, Op: logOp(op), Path: d.Str(), Path2: d.Str(),
+		Seq: seq, Op: logOp(op), Path: d.Str(""), Path2: d.Str(""),
 		Mode: uint32(d.Uvarint()), UID: int(d.Varint()), GID: int(d.Varint()),
 		BlockIdx: d.Varint(), Phys: d.Varint(), Size: d.Varint(),
 	}

@@ -7,7 +7,6 @@
 package labkvs
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -16,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"labstor/internal/codec"
 	"labstor/internal/core"
 	"labstor/internal/mods/pushdown"
 	"labstor/internal/telemetry"
@@ -591,18 +591,17 @@ func (k *LabKVS) snapshot(emit func(rec []byte) error) error {
 	return nil
 }
 
-// appendRecord encodes rec's log payload onto dst: key (uvarint length +
-// bytes), size, block count and blocks (uvarints), owner (varint), dead
-// (uvarint 0 or 1).
+// appendRecord encodes rec's log payload onto dst as an internal/codec
+// record: key (string), size, block count and blocks (uvarints), owner
+// (varint), dead (uvarint 0 or 1).
 func appendRecord(dst []byte, rec *record) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(rec.Key)))
-	dst = append(dst, rec.Key...)
-	dst = binary.AppendUvarint(dst, uint64(rec.Size))
-	dst = binary.AppendUvarint(dst, uint64(len(rec.Blocks)))
+	dst = codec.AppendStr(dst, rec.Key)
+	dst = codec.AppendUvarint(dst, uint64(rec.Size))
+	dst = codec.AppendUvarint(dst, uint64(len(rec.Blocks)))
 	for _, b := range rec.Blocks {
-		dst = binary.AppendUvarint(dst, uint64(b))
+		dst = codec.AppendUvarint(dst, uint64(b))
 	}
-	dst = binary.AppendVarint(dst, int64(rec.Owner))
+	dst = codec.AppendVarint(dst, int64(rec.Owner))
 	if rec.Dead {
 		return append(dst, 1)
 	}
@@ -613,8 +612,8 @@ var errBadRecord = errors.New("labkvs: malformed log record")
 
 // decodeRecord decodes one payload written by appendRecord.
 func decodeRecord(b []byte) (*record, error) {
-	d := wal.NewDecoder(b)
-	rec := &record{Key: d.Str(), Size: int(d.Uvarint())}
+	d := codec.NewDecoder(b)
+	rec := &record{Key: d.Str(""), Size: int(d.Uvarint())}
 	// A corrupt block count cannot run past the payload's length.
 	for n := d.Uvarint(); n > 0 && len(rec.Blocks) < len(b); n-- {
 		rec.Blocks = append(rec.Blocks, int64(d.Uvarint()))

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 
+	"labstor/internal/codec"
 	"labstor/internal/core"
 	"labstor/internal/telemetry"
 )
@@ -36,7 +37,8 @@ var (
 type EmitStyle uint8
 
 const (
-	// EmitKV frames each match as uvarint(len(key)) key uvarint(len(val)) val.
+	// EmitKV frames each match as an internal/codec record of two string
+	// fields, key then value.
 	EmitKV EmitStyle = iota
 	// EmitRaw appends each match followed by '\n' (grep-style lines).
 	EmitRaw
@@ -182,7 +184,8 @@ func compare(v uint64, op cmpOp, ref uint64) bool {
 // record when available and gathering across chunk boundaries otherwise.
 func readFieldChunks(rec []byte, chunks [][]byte, f field) (uint64, bool) {
 	if rec != nil {
-		if f.off+int64(f.width) > int64(len(rec)) {
+		// f.off may be anything up to MaxInt64: compare without adding to it.
+		if f.off > int64(len(rec)-f.width) {
 			return 0, false
 		}
 		return readLE(rec[f.off : f.off+int64(f.width)]), true
@@ -221,11 +224,9 @@ func readLE(b []byte) uint64 {
 }
 
 func (ev *Eval) emit(key string, rec []byte, chunks [][]byte, size int) {
-	switch ev.style {
-	case EmitKV:
-		ev.out = binary.AppendUvarint(ev.out, uint64(len(key)))
-		ev.out = append(ev.out, key...)
-		ev.out = binary.AppendUvarint(ev.out, uint64(size))
+	if ev.style == EmitKV {
+		ev.out = codec.AppendStr(ev.out, key)
+		ev.out = codec.AppendUvarint(ev.out, uint64(size))
 	}
 	if rec != nil {
 		ev.out = append(ev.out, rec...)
@@ -266,23 +267,15 @@ func (ev *Eval) EmitBytes() int64 { return int64(len(ev.out)) }
 // DecodeKV walks an EmitKV result, calling fn per match. Clients use it
 // to unpack scan results; the experiment uses it to verify correctness.
 func DecodeKV(buf []byte, fn func(key string, val []byte) error) error {
-	for len(buf) > 0 {
-		kl, n := binary.Uvarint(buf)
-		if n <= 0 || uint64(len(buf)-n) < kl {
-			return fmt.Errorf("pushdown: torn KV result (key)")
+	d := codec.NewDecoder(buf)
+	for !d.Done() {
+		key, val := d.Str(""), d.Bytes()
+		if d.Failed() {
+			return fmt.Errorf("pushdown: torn KV result")
 		}
-		buf = buf[n:]
-		key := string(buf[:kl])
-		buf = buf[kl:]
-		vl, n := binary.Uvarint(buf)
-		if n <= 0 || uint64(len(buf)-n) < vl {
-			return fmt.Errorf("pushdown: torn KV result (val)")
-		}
-		buf = buf[n:]
-		if err := fn(key, buf[:vl]); err != nil {
+		if err := fn(key, val); err != nil {
 			return err
 		}
-		buf = buf[vl:]
 	}
 	return nil
 }

@@ -414,3 +414,70 @@ func FuzzDecodeKV(f *testing.F) {
 		}
 	})
 }
+
+// TestFieldOffsetNearMaxInt64: a field offset near MaxInt64 lies past the
+// end of every record. Adding the width to it must not wrap the bounds
+// check negative and slice a record out of range.
+func TestFieldOffsetNearMaxInt64(t *testing.T) {
+	r := rec(1, 2, "tail")
+	for _, src := range []string{
+		"count where u64@9223372036854775807 == 1",
+		"sum u32@9223372036854775806",
+	} {
+		p, err := Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, chunks := range [][][]byte{{r}, {r[:5], r[5:]}} {
+			ev := NewEval(p, EmitKV, 0, 0)
+			if _, err := ev.Record("k", chunks...); err != nil {
+				t.Fatal(err)
+			}
+			var req core.Request
+			ev.Finish(&req)
+			if req.Result != 0 {
+				t.Fatalf("%q over %d chunks: result %d, want 0", src, len(chunks), req.Result)
+			}
+		}
+	}
+}
+
+// FuzzCompileEval compiles arbitrary source and runs every program that
+// compiles over records cut from the input, each record once whole and once
+// split into chunks at arbitrary points (empty chunks included). Neither
+// run may panic, and the two must agree record by record on match and
+// error, and at the end on the aggregate or the emitted matches.
+func FuzzCompileEval(f *testing.F) {
+	f.Add("count where u64@9223372036854775807 == 1", []byte("\x10aaaaaaaabbbbbbbb"), uint8(3))
+	f.Add("sum u32@9223372036854775806", []byte("\x08\x01\x00\x00\x00\x02\x00\x00\x00"), uint8(1))
+	f.Add("filter where u32@0 == 7 and substr \"x\"", []byte("\x06\x07\x00\x00\x00x!\x05\x07\x00\x00\x00y"), uint8(9))
+	f.Add("max u16@1 where u8@0 >= 2", []byte("\x03\x02\x05\x00\x03\x03\x09\x01\x01\x01"), uint8(0))
+	f.Add("min u64@4 where u8@0 != 0", rec(1, 1<<40, "tail"), uint8(200))
+	f.Fuzz(func(t *testing.T, src string, data []byte, cut uint8) {
+		p, err := Compile(src)
+		if err != nil {
+			return
+		}
+		whole := NewEval(p, EmitKV, 1<<40, 1<<40)
+		split := NewEval(p, EmitKV, 1<<40, 1<<40)
+		for rest := data; len(rest) > 0; {
+			n := min(int(rest[0]), len(rest)-1)
+			r := rest[1 : 1+n]
+			rest = rest[1+n:]
+			// Up to three chunks, cut at points drawn from cut.
+			a := int(cut) % (len(r) + 1)
+			b := a + int(cut/3)%(len(r)-a+1)
+			okW, errW := whole.Record("k", r)
+			okS, errS := split.Record("k", r[:a], r[a:b], r[b:])
+			if okW != okS || (errW == nil) != (errS == nil) {
+				t.Fatalf("%q over %x cut at %d,%d: whole %v/%v, split %v/%v", src, r, a, b, okW, errW, okS, errS)
+			}
+		}
+		var rw, rs core.Request
+		whole.Finish(&rw)
+		split.Finish(&rs)
+		if rw.Result != rs.Result || string(rw.Value) != string(rs.Value) {
+			t.Fatalf("%q: whole gives %d %x, split gives %d %x", src, rw.Result, rw.Value, rs.Result, rs.Value)
+		}
+	})
+}

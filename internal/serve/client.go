@@ -61,25 +61,10 @@ type Conn struct {
 // Dial connects, performs the Hello handshake and starts the reader.
 // tenant becomes the connection's default tenant for admission control.
 func Dial(addr, tenant string) (*Conn, error) {
-	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	nc, fr, err := dialHello(addr, tenant)
 	if err != nil {
 		return nil, err
 	}
-	if tc, ok := nc.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
-	if _, err := nc.Write(AppendHello(nil, &HelloFrame{Version: ProtoVersion, Tenant: tenant})); err != nil {
-		nc.Close()
-		return nil, err
-	}
-	fr := newFrameReader(bufio.NewReaderSize(nc, 64<<10), DefaultMaxPayload)
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := fr.hello(); err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("serve: handshake failed: %v", err)
-	}
-	nc.SetReadDeadline(time.Time{})
-
 	c := &Conn{
 		conn:    nc,
 		tenant:  tenant,
@@ -89,6 +74,30 @@ func Dial(addr, tenant string) (*Conn, error) {
 	c.readWG.Add(1)
 	go c.readLoop(fr)
 	return c, nil
+}
+
+// dialHello connects to addr and performs the client side of the Hello
+// handshake; the returned reader is positioned after the server's ack.
+func dialHello(addr, tenant string) (net.Conn, *frameReader, error) {
+	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		return nil, nil, err
+	}
+	if tc, ok := nc.(*net.TCPConn); ok {
+		tc.SetNoDelay(true)
+	}
+	if _, err := nc.Write(AppendHello(nil, &HelloFrame{Version: ProtoVersion, Tenant: tenant})); err != nil {
+		nc.Close()
+		return nil, nil, err
+	}
+	fr := newFrameReader(bufio.NewReaderSize(nc, 64<<10), DefaultMaxPayload)
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := fr.hello(); err != nil {
+		nc.Close()
+		return nil, nil, fmt.Errorf("serve: handshake failed: %v", err)
+	}
+	nc.SetReadDeadline(time.Time{})
+	return nc, fr, nil
 }
 
 // Close tears the connection down; outstanding requests fail with
@@ -139,18 +148,10 @@ func readResult(fr *frameReader, rf *RespFrame) (id uint64, res Result, err erro
 		res.Resp = *rf
 		return rf.ID, res, fr.bulk(rf.Value)
 	case FrameBusy:
-		p, err := fr.payload()
-		if err != nil {
-			return 0, res, err
-		}
-		bf, err := DecodeBusy(p)
+		bf, err := decodePayload(fr, DecodeBusy)
 		return bf.ID, Result{Busy: true, Reason: bf.Reason, RetryNs: bf.RetryNs}, err
 	case FramePong:
-		p, err := fr.payload()
-		if err != nil {
-			return 0, res, err
-		}
-		id, err = DecodePing(p)
+		id, err = decodePayload(fr, DecodePing)
 		return id, Result{Resp: RespFrame{ID: id, OK: true}}, err
 	}
 	return 0, res, ErrTornFrame

@@ -342,11 +342,7 @@ func (r *Router) handleConn(conn net.Conn) {
 			return
 		}
 		if typ == FramePing {
-			p, err := fr.payload()
-			if err != nil {
-				return
-			}
-			id, err := DecodePing(p)
+			id, err := decodePayload(fr, DecodePing)
 			if err != nil {
 				return
 			}
@@ -455,24 +451,10 @@ type pendingRoute struct {
 }
 
 func (r *Router) dialUpstream(backend string) (*upstream, error) {
-	nc, err := net.DialTimeout("tcp", backend, 5*time.Second)
+	nc, fr, err := dialHello(backend, r.tenant)
 	if err != nil {
 		return nil, err
 	}
-	if tc, ok := nc.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
-	if _, err := nc.Write(AppendHello(nil, &HelloFrame{Version: ProtoVersion, Tenant: r.tenant})); err != nil {
-		nc.Close()
-		return nil, err
-	}
-	fr := newFrameReader(bufio.NewReaderSize(nc, 64<<10), DefaultMaxPayload)
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := fr.hello(); err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("handshake: %v", err)
-	}
-	nc.SetReadDeadline(time.Time{})
 
 	u := &upstream{
 		r:       r,
@@ -585,16 +567,12 @@ func (u *upstream) relay(fr *frameReader, rf *RespFrame) error {
 		case err != nil:
 			u.lost(route) // no longer pending, so readLoop's sweep would miss it
 		default:
-			sealFrame(b[:value], 0, b[value:])
+			wireFmt.Seal(b[:value], 0, b[value:])
 			route.cc.send(b)
 		}
 		return err
 	case FrameBusy:
-		p, err := fr.payload()
-		if err != nil {
-			return err
-		}
-		bf, err := DecodeBusy(p)
+		bf, err := decodePayload(fr, DecodeBusy)
 		if err != nil {
 			return err
 		}

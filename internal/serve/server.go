@@ -380,7 +380,7 @@ func (s *Server) readLoop(fr *frameReader, br *bufio.Reader, cli *runtime.Client
 	// counted records a frame read whole and intact.
 	counted := func(plen int) {
 		s.mFramesIn.Inc()
-		s.mBytesIn.Add(int64(frameHeader + plen))
+		s.mBytesIn.Add(int64(wireFmt.Header() + plen))
 	}
 	// reject answers a request that will not reach the stack.
 	var enc []byte
@@ -401,11 +401,7 @@ func (s *Server) readLoop(fr *frameReader, br *bufio.Reader, cli *runtime.Client
 			return
 		}
 		if typ == FramePing {
-			var id uint64
-			p, err := fr.payload()
-			if err == nil {
-				id, err = DecodePing(p)
-			}
+			id, err := decodePayload(fr, DecodePing)
 			if err != nil {
 				protoErr(err)
 				return

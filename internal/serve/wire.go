@@ -4,13 +4,13 @@
 // and inflight caps fed by the orchestrator's demand estimates) and a
 // consistent-hash shard router for scale-out across runtime instances.
 //
-// The wire format is a length-prefixed, CRC-framed binary RPC — the same
-// torn-frame discipline as the labfs metadata log codec, applied to a
-// socket stream. Every frame is
+// The wire format is a length-prefixed, CRC-framed binary RPC: the typed
+// internal/codec frame, the one the write-ahead log writes untyped on the
+// device, applied to a socket stream. Every frame is
 //
 //	[magic 0xAB][type 1B][payload length 4B LE][payload CRC32 (IEEE) 4B LE][payload]
 //
-// and payloads are fixed varint field sequences per frame type. A CRC
+// and payloads are fixed internal/codec records per frame type. A CRC
 // mismatch, oversized length, unknown frame type or malformed payload is a
 // protocol error: the peer that detects it closes the connection (a TCP
 // stream that has lost framing cannot be resynchronized).
@@ -26,13 +26,12 @@ package serve
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 
+	"labstor/internal/codec"
 	"labstor/internal/core"
 )
 
@@ -59,8 +58,7 @@ const (
 const ProtoVersion = 2
 
 const (
-	frameMagic  = 0xAB
-	frameHeader = 10 // magic + type + length + crc
+	frameMagic = 0xAB
 
 	// DefaultMaxPayload bounds a frame payload (data + headers); a length
 	// field above the limit is treated as a torn/hostile frame. 4 MiB covers
@@ -91,6 +89,9 @@ func BusyReasonString(r byte) string {
 	}
 	return fmt.Sprintf("reason(%d)", r)
 }
+
+// wireFmt frames every message.
+var wireFmt = codec.Frame{Magic: frameMagic, Typed: true}
 
 // Errors surfaced by the codec.
 var (
@@ -153,79 +154,57 @@ type BusyFrame struct {
 // future op added without bumping this is rejected loudly, not executed).
 const maxWireOp = core.OpScan
 
-// reserveFrame starts a frame: the header with length and CRC still zero.
-// sealFrame fills them in once the payload is known.
-func reserveFrame(dst []byte, typ byte) []byte {
-	return append(dst, frameMagic, typ, 0, 0, 0, 0, 0, 0, 0, 0)
-}
-
-// sealFrame completes the header of the frame that starts at dst[start]. Its
-// payload is dst[start+frameHeader:] followed by bulk, which need not be in
-// dst: the length covers both and the CRC chains over one, then the other.
-func sealFrame(dst []byte, start int, bulk []byte) []byte {
-	head := dst[start+frameHeader:]
-	binary.LittleEndian.PutUint32(dst[start+2:], uint32(len(head)+len(bulk)))
-	crc := crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, bulk)
-	binary.LittleEndian.PutUint32(dst[start+6:], crc)
-	return dst
-}
-
-func appendStr(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
 // AppendHello encodes a Hello frame.
 func AppendHello(dst []byte, h *HelloFrame) []byte {
 	start := len(dst)
-	dst = reserveFrame(dst, FrameHello)
-	dst = binary.AppendUvarint(dst, h.Version)
-	dst = appendStr(dst, h.Tenant)
-	return sealFrame(dst, start, nil)
+	dst = wireFmt.Reserve(dst, FrameHello)
+	dst = codec.AppendUvarint(dst, h.Version)
+	dst = codec.AppendStr(dst, h.Tenant)
+	return wireFmt.Seal(dst, start, nil)
 }
 
 // appendReqHead appends the head of a request frame whose payload is n
 // bytes: everything of the frame but the payload itself. The header stays
-// open until sealFrame is given the payload.
+// open until Seal is given the payload.
 func appendReqHead(dst []byte, r *ReqFrame, n int) []byte {
-	dst = reserveFrame(dst, FrameReq)
-	dst = binary.AppendUvarint(dst, r.ID)
-	dst = appendStr(dst, r.Tenant)
-	dst = appendStr(dst, r.Mount)
+	dst = wireFmt.Reserve(dst, FrameReq)
+	dst = codec.AppendUvarint(dst, r.ID)
+	dst = codec.AppendStr(dst, r.Tenant)
+	dst = codec.AppendStr(dst, r.Mount)
 	dst = append(dst, byte(r.Op))
-	dst = appendStr(dst, r.Path)
-	dst = appendStr(dst, r.Key)
-	dst = binary.AppendVarint(dst, r.Offset)
-	dst = binary.AppendVarint(dst, r.Size)
-	dst = appendStr(dst, r.Prog)
-	return binary.AppendUvarint(dst, uint64(n))
+	dst = codec.AppendStr(dst, r.Path)
+	dst = codec.AppendStr(dst, r.Key)
+	dst = codec.AppendVarint(dst, r.Offset)
+	dst = codec.AppendVarint(dst, r.Size)
+	dst = codec.AppendStr(dst, r.Prog)
+	return codec.AppendUvarint(dst, uint64(n))
 }
 
 // appendRespHead is appendReqHead for a response frame with an n-byte value.
 func appendRespHead(dst []byte, r *RespFrame, n int) []byte {
-	dst = reserveFrame(dst, FrameResp)
-	dst = binary.AppendUvarint(dst, r.ID)
+	dst = wireFmt.Reserve(dst, FrameResp)
+	dst = codec.AppendUvarint(dst, r.ID)
 	ok := byte(0)
 	if r.OK {
 		ok = 1
 	}
 	dst = append(dst, ok)
-	dst = binary.AppendVarint(dst, r.Result)
-	dst = appendStr(dst, r.Err)
-	return binary.AppendUvarint(dst, uint64(n))
+	dst = codec.AppendVarint(dst, r.Result)
+	dst = codec.AppendStr(dst, r.Err)
+	return codec.AppendUvarint(dst, uint64(n))
 }
 
 // AppendReq encodes a request frame.
 func AppendReq(dst []byte, r *ReqFrame) []byte {
 	start := len(dst)
-	dst = sealFrame(appendReqHead(dst, r, len(r.Payload)), start, r.Payload)
+	dst = wireFmt.Seal(appendReqHead(dst, r, len(r.Payload)), start, r.Payload)
 	return append(dst, r.Payload...)
 }
 
 // AppendResp encodes a response frame.
 func AppendResp(dst []byte, r *RespFrame) []byte {
 	start := len(dst)
-	dst = sealFrame(appendRespHead(dst, r, len(r.Value)), start, r.Value)
+	dst = wireFmt.Seal(appendRespHead(dst, r, len(r.Value)), start, r.Value)
 	return append(dst, r.Value...)
 }
 
@@ -234,7 +213,7 @@ func AppendResp(dst []byte, r *RespFrame) []byte {
 // is copied once, into w's buffer, and not at all when it is larger than
 // that buffer.
 func writeReq(w *bufio.Writer, scratch []byte, r *ReqFrame) ([]byte, error) {
-	scratch = sealFrame(appendReqHead(scratch[:0], r, len(r.Payload)), 0, r.Payload)
+	scratch = wireFmt.Seal(appendReqHead(scratch[:0], r, len(r.Payload)), 0, r.Payload)
 	_, err := w.Write(scratch)
 	if err == nil {
 		_, err = w.Write(r.Payload)
@@ -245,19 +224,19 @@ func writeReq(w *bufio.Writer, scratch []byte, r *ReqFrame) ([]byte, error) {
 // AppendBusy encodes a busy frame.
 func AppendBusy(dst []byte, b *BusyFrame) []byte {
 	start := len(dst)
-	dst = reserveFrame(dst, FrameBusy)
-	dst = binary.AppendUvarint(dst, b.ID)
+	dst = wireFmt.Reserve(dst, FrameBusy)
+	dst = codec.AppendUvarint(dst, b.ID)
 	dst = append(dst, b.Reason)
-	dst = binary.AppendVarint(dst, b.RetryNs)
-	return sealFrame(dst, start, nil)
+	dst = codec.AppendVarint(dst, b.RetryNs)
+	return wireFmt.Seal(dst, start, nil)
 }
 
 // AppendPing encodes a ping (or pong, by type) frame.
 func AppendPing(dst []byte, typ byte, id uint64) []byte {
 	start := len(dst)
-	dst = reserveFrame(dst, typ)
-	dst = binary.AppendUvarint(dst, id)
-	return sealFrame(dst, start, nil)
+	dst = wireFmt.Reserve(dst, typ)
+	dst = codec.AppendUvarint(dst, id)
+	return wireFmt.Seal(dst, start, nil)
 }
 
 // frameGather collects frames for one vectored write. Heads are encoded
@@ -284,7 +263,7 @@ type gatherCut struct {
 // resp adds a response frame; r.Value is referenced, not copied.
 func (g *frameGather) resp(r *RespFrame) {
 	start := len(g.head)
-	g.head = sealFrame(appendRespHead(g.head, r, len(r.Value)), start, r.Value)
+	g.head = wireFmt.Seal(appendRespHead(g.head, r, len(r.Value)), start, r.Value)
 	g.frames++
 	if len(r.Value) > 0 {
 		g.cuts = append(g.cuts, gatherCut{at: len(g.head), bulk: r.Value})
@@ -332,40 +311,29 @@ func parseHeader(hdr []byte, maxPayload int) (typ byte, plen int, crc uint32, er
 	if maxPayload <= 0 {
 		maxPayload = DefaultMaxPayload
 	}
-	if hdr[0] != frameMagic {
+	typ, n, crc, ok := wireFmt.Parse(hdr)
+	if !ok || typ == 0 || typ > FramePong {
 		return 0, 0, 0, ErrTornFrame
 	}
-	typ = hdr[1]
-	if typ == 0 || typ > FramePong {
-		return 0, 0, 0, ErrTornFrame
-	}
-	plen = int(binary.LittleEndian.Uint32(hdr[2:6]))
-	if plen < 0 || plen > maxPayload {
+	if plen = int(n); plen > maxPayload {
 		return 0, 0, 0, ErrFrameSize
 	}
-	return typ, plen, binary.LittleEndian.Uint32(hdr[6:10]), nil
+	return typ, plen, crc, nil
 }
 
 // DecodeFrame splits the first frame off b: type, payload (aliasing b) and
-// the remaining bytes. It performs the same torn-frame discipline as the
-// labfs record codec: bad magic, short header/body, oversized length or CRC
-// mismatch is ErrTornFrame / ErrFrameSize.
+// the remaining bytes. Bad magic or type, a short header or body, or a CRC
+// mismatch is ErrTornFrame; an oversized length is ErrFrameSize.
 func DecodeFrame(b []byte, maxPayload int) (typ byte, payload, rest []byte, err error) {
-	if len(b) < frameHeader {
-		return 0, nil, b, ErrTornFrame
-	}
 	typ, plen, crc, err := parseHeader(b, maxPayload)
 	if err != nil {
 		return 0, nil, b, err
 	}
-	if frameHeader+plen > len(b) {
+	payload, ok := wireFmt.Payload(b, uint32(plen), crc)
+	if !ok {
 		return 0, nil, b, ErrTornFrame
 	}
-	payload = b[frameHeader : frameHeader+plen]
-	if crc32.ChecksumIEEE(payload) != crc {
-		return 0, nil, b, ErrTornFrame
-	}
-	return typ, payload, b[frameHeader+plen:], nil
+	return typ, payload, b[wireFmt.Header()+plen:], nil
 }
 
 // headWindow is how much of a payload frameReader looks at to find the end
@@ -385,11 +353,11 @@ type frameReader struct {
 	max int
 	buf []byte // staging for whole payloads, reused
 
-	left   int          // payload bytes of the current frame still on the stream
-	want   uint32       // the header's CRC of the whole payload
-	sum    uint32       // CRC of the head, set by head for bulk to continue
-	staged []byte       // the bulk field, non-nil when head had to stage the frame
-	dec    fieldDecoder // head's decoder: here, not on its stack, because an interface call takes its address
+	left   int           // payload bytes of the current frame still on the stream
+	want   uint32        // the header's CRC of the whole payload
+	sum    uint32        // CRC of the head, set by head for bulk to continue
+	staged []byte        // the bulk field, non-nil when head had to stage the frame
+	dec    codec.Decoder // head's decoder: here, not on its stack, because an interface call takes its address
 }
 
 func newFrameReader(br *bufio.Reader, maxPayload int) *frameReader {
@@ -407,7 +375,7 @@ func midFrame(err error) error {
 
 // next reads a frame header and returns the frame's type and payload length.
 func (fr *frameReader) next() (typ byte, plen int, err error) {
-	hdr, err := fr.br.Peek(frameHeader)
+	hdr, err := fr.br.Peek(wireFmt.Header())
 	if err != nil {
 		if len(hdr) > 0 {
 			err = midFrame(err)
@@ -418,7 +386,7 @@ func (fr *frameReader) next() (typ byte, plen int, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	fr.br.Discard(frameHeader) // cannot fail: the bytes were just peeked
+	fr.br.Discard(len(hdr)) // cannot fail: the bytes were just peeked
 	fr.left, fr.want, fr.staged = plen, crc, nil
 	return typ, plen, nil
 }
@@ -434,7 +402,7 @@ func (fr *frameReader) payload() ([]byte, error) {
 		return nil, midFrame(err)
 	}
 	fr.left = 0
-	if crc32.ChecksumIEEE(p) != fr.want {
+	if codec.Checksum(0, p) != fr.want {
 		return nil, ErrTornFrame
 	}
 	return p, nil
@@ -449,18 +417,25 @@ func (fr *frameReader) hello() (HelloFrame, error) {
 	if typ != FrameHello {
 		return HelloFrame{}, fmt.Errorf("serve: frame type %d where a hello was expected", typ)
 	}
+	return decodePayload(fr, DecodeHello)
+}
+
+// decodePayload reads the current frame's whole payload and decodes it
+// with dec, the decoder of a frame type without a bulk field.
+func decodePayload[T any](fr *frameReader, dec func([]byte) (T, error)) (T, error) {
 	p, err := fr.payload()
 	if err != nil {
-		return HelloFrame{}, err
+		var zero T
+		return zero, err
 	}
-	return DecodeHello(p)
+	return dec(p)
 }
 
 // bulkFrame is a frame type whose last field is bulk data: decodeHead
 // decodes every field before it, leaves the bulk field nil and returns the
-// length the payload claims for it. d.off is then where the bulk starts.
+// length the payload claims for it. d.Off() is then where the bulk starts.
 type bulkFrame interface {
-	decodeHead(d *fieldDecoder) uint64
+	decodeHead(d *codec.Decoder) uint64
 }
 
 // head decodes the current frame's fields into f and returns the length of
@@ -473,16 +448,17 @@ func (fr *frameReader) head(f bulkFrame) (n int, err error) {
 		return 0, midFrame(err)
 	}
 	d := &fr.dec
-	*d = fieldDecoder{b: win}
+	*d = codec.NewDecoder(win)
 	n64 := f.decodeHead(d)
 	switch {
-	case !d.bad:
-		if n64 != uint64(fr.left-d.off) {
+	case !d.Failed():
+		at := d.Off()
+		if n64 != uint64(fr.left-at) {
 			return 0, ErrBadPayload
 		}
-		fr.sum = crc32.ChecksumIEEE(win[:d.off])
-		fr.br.Discard(d.off)
-		fr.left -= d.off
+		fr.sum = codec.Checksum(0, win[:at])
+		fr.br.Discard(at)
+		fr.left -= at
 		return int(n64), nil
 	case w == fr.left:
 		return 0, ErrBadPayload // the whole payload was in view
@@ -493,9 +469,9 @@ func (fr *frameReader) head(f bulkFrame) (n int, err error) {
 	if err != nil {
 		return 0, err
 	}
-	*d = fieldDecoder{b: p}
-	if fr.staged, err = d.bulk(f.decodeHead(d)); err != nil {
-		return 0, err
+	*d = codec.NewDecoder(p)
+	if fr.staged = d.Bulk(f.decodeHead(d)); d.Failed() {
+		return 0, ErrBadPayload
 	}
 	return len(fr.staged), nil
 }
@@ -512,7 +488,7 @@ func (fr *frameReader) bulk(dst []byte) error {
 		return midFrame(err)
 	}
 	fr.left = 0
-	if crc32.Update(fr.sum, crc32.IEEETable, dst) != fr.want {
+	if codec.Checksum(fr.sum, dst) != fr.want {
 		return ErrTornFrame
 	}
 	return nil
@@ -532,141 +508,77 @@ func ReadFrame(r *bufio.Reader, buf []byte, maxPayload int) (typ byte, payload, 
 	return typ, payload, fr.buf, nil
 }
 
-// fieldDecoder walks a payload's fixed field sequence, latching any
-// malformation (the labfs varintDecoder pattern).
-type fieldDecoder struct {
-	b   []byte
-	off int
-	bad bool
-}
-
-func (d *fieldDecoder) uvarint() uint64 {
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.bad = true
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *fieldDecoder) varint() int64 {
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.bad = true
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *fieldDecoder) byte() byte {
-	if d.off >= len(d.b) {
-		d.bad = true
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-// str decodes a string field. last is what the field held in the frame
-// decoded before, into the same struct: connections repeat their mount and
-// tenant frame after frame, and an equal string is kept, not allocated anew.
-func (d *fieldDecoder) str(last string) string {
-	ln := d.uvarint()
-	if d.bad || ln > uint64(len(d.b)-d.off) {
-		d.bad = true
-		return ""
-	}
-	b := d.b[d.off : d.off+int(ln)]
-	d.off += int(ln)
-	if string(b) == last {
-		return last
-	}
-	return string(b)
-}
-
-// bulk returns the bulk field, given the length n decoded for it: it must
-// be exactly the rest of the payload.
-func (d *fieldDecoder) bulk(n uint64) ([]byte, error) {
-	if d.bad || n != uint64(len(d.b)-d.off) {
-		return nil, ErrBadPayload
-	}
-	return d.b[d.off:len(d.b):len(d.b)], nil
-}
-
-func (d *fieldDecoder) done() bool { return !d.bad && d.off == len(d.b) }
-
 // DecodeHello decodes a Hello payload.
 func DecodeHello(payload []byte) (HelloFrame, error) {
 	var h HelloFrame
-	d := fieldDecoder{b: payload}
-	h.Version = d.uvarint()
-	h.Tenant = d.str("")
-	if !d.done() {
+	d := codec.NewDecoder(payload)
+	h.Version = d.Uvarint()
+	h.Tenant = d.Str("")
+	if !d.Done() {
 		return HelloFrame{}, ErrBadPayload
 	}
 	return h, nil
 }
 
-func (r *ReqFrame) decodeHead(d *fieldDecoder) uint64 {
-	r.ID = d.uvarint()
-	r.Tenant = d.str(r.Tenant)
-	r.Mount = d.str(r.Mount)
-	r.Op = core.Op(d.byte())
-	r.Path = d.str(r.Path)
-	r.Key = d.str(r.Key)
-	r.Offset = d.varint()
-	r.Size = d.varint()
-	r.Prog = d.str(r.Prog)
+func (r *ReqFrame) decodeHead(d *codec.Decoder) uint64 {
+	r.ID = d.Uvarint()
+	r.Tenant = d.Str(r.Tenant)
+	r.Mount = d.Str(r.Mount)
+	r.Op = core.Op(d.Byte())
+	r.Path = d.Str(r.Path)
+	r.Key = d.Str(r.Key)
+	r.Offset = d.Varint()
+	r.Size = d.Varint()
+	r.Prog = d.Str(r.Prog)
 	r.Payload = nil
 	if r.Op > maxWireOp {
-		d.bad = true
+		d.Fail()
 	}
-	return d.uvarint()
+	return d.Uvarint()
 }
 
-func (r *RespFrame) decodeHead(d *fieldDecoder) uint64 {
-	r.ID = d.uvarint()
-	ok := d.byte()
+func (r *RespFrame) decodeHead(d *codec.Decoder) uint64 {
+	r.ID = d.Uvarint()
+	ok := d.Byte()
 	r.OK = ok == 1
-	r.Result = d.varint()
-	r.Err = d.str(r.Err)
+	r.Result = d.Varint()
+	r.Err = d.Str(r.Err)
 	r.Value = nil
 	if ok > 1 {
-		d.bad = true
+		d.Fail()
 	}
-	return d.uvarint()
+	return d.Uvarint()
 }
 
 // DecodeReq decodes a request payload into r. The Payload field aliases the
 // input buffer.
-func DecodeReq(payload []byte, r *ReqFrame) (err error) {
-	d := fieldDecoder{b: payload}
-	if r.Payload, err = d.bulk(r.decodeHead(&d)); err != nil {
+func DecodeReq(payload []byte, r *ReqFrame) error {
+	d := codec.NewDecoder(payload)
+	if r.Payload = d.Bulk(r.decodeHead(&d)); d.Failed() {
 		*r = ReqFrame{}
+		return ErrBadPayload
 	}
-	return err
+	return nil
 }
 
 // DecodeResp decodes a response payload into r. Value aliases the input.
-func DecodeResp(payload []byte, r *RespFrame) (err error) {
-	d := fieldDecoder{b: payload}
-	if r.Value, err = d.bulk(r.decodeHead(&d)); err != nil {
+func DecodeResp(payload []byte, r *RespFrame) error {
+	d := codec.NewDecoder(payload)
+	if r.Value = d.Bulk(r.decodeHead(&d)); d.Failed() {
 		*r = RespFrame{}
+		return ErrBadPayload
 	}
-	return err
+	return nil
 }
 
 // DecodeBusy decodes a busy payload.
 func DecodeBusy(payload []byte) (BusyFrame, error) {
 	var b BusyFrame
-	d := fieldDecoder{b: payload}
-	b.ID = d.uvarint()
-	b.Reason = d.byte()
-	b.RetryNs = d.varint()
-	if !d.done() || b.Reason < BusyRate || b.Reason > BusyOverload {
+	d := codec.NewDecoder(payload)
+	b.ID = d.Uvarint()
+	b.Reason = d.Byte()
+	b.RetryNs = d.Varint()
+	if !d.Done() || b.Reason < BusyRate || b.Reason > BusyOverload {
 		return BusyFrame{}, ErrBadPayload
 	}
 	return b, nil
@@ -674,9 +586,9 @@ func DecodeBusy(payload []byte) (BusyFrame, error) {
 
 // DecodePing decodes a ping/pong payload (the echoed id).
 func DecodePing(payload []byte) (uint64, error) {
-	d := fieldDecoder{b: payload}
-	id := d.uvarint()
-	if !d.done() {
+	d := codec.NewDecoder(payload)
+	id := d.Uvarint()
+	if !d.Done() {
 		return 0, ErrBadPayload
 	}
 	return id, nil

@@ -9,9 +9,8 @@
 //
 //	[lap, 4B LE][record]...[zero padding]
 //
-// and each record is an opaque payload framed as
-//
-//	[magic 0xA7][payload length, 4B LE][payload CRC32 (IEEE), 4B LE][payload]
+// and each record is an opaque payload in an untyped internal/codec frame
+// with magic 0xA7.
 //
 // A checkpoint starts a new lap at block 0. Replay reads blocks in order and
 // stops at the first block whose lap differs from block 0's, so it never
@@ -25,9 +24,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sync"
 
+	"labstor/internal/codec"
 	"labstor/internal/core"
 	"labstor/internal/telemetry"
 )
@@ -35,8 +34,10 @@ import (
 const (
 	blockHeader = 4 // lap
 	recMagic    = 0xA7
-	frameHeader = 9 // magic + length + crc
 )
+
+// logFmt frames each record.
+var logFmt = codec.Frame{Magic: recMagic}
 
 // ErrFull reports an append past the end of the log region.
 var ErrFull = errors.New("wal: log region full")
@@ -84,7 +85,7 @@ func New(blockSize int, blocks int64, pad *telemetry.CopyCounter) *Log {
 // flushes. With a nil snap the log never checkpoints and an append past the
 // region fails with ErrFull.
 func (l *Log) Append(e *core.Exec, parent *core.Request, rec []byte, snap Snapshot) error {
-	n := frameHeader + len(rec)
+	n := logFmt.Header() + len(rec)
 	if blockHeader+n > l.blockSize {
 		return fmt.Errorf("wal: %d-byte record does not fit a %d-byte block", len(rec), l.blockSize)
 	}
@@ -275,11 +276,7 @@ func scanBlock(blk []byte, apply func(rec []byte) error) (end int, stop bool) {
 // stack scratch).
 func appendFrame(dst, rec []byte) []byte {
 	start := len(dst)
-	dst = append(dst, recMagic, 0, 0, 0, 0, 0, 0, 0, 0)
-	dst = append(dst, rec...)
-	binary.LittleEndian.PutUint32(dst[start+1:], uint32(len(rec)))
-	binary.LittleEndian.PutUint32(dst[start+5:], crc32.ChecksumIEEE(dst[start+frameHeader:]))
-	return dst
+	return logFmt.Seal(append(logFmt.Reserve(dst, 0), rec...), start, nil)
 }
 
 // decodeFrame reads the record framed at the start of b and the n bytes the
@@ -290,66 +287,12 @@ func decodeFrame(b []byte) (rec []byte, n int, torn bool) {
 	if len(b) == 0 || b[0] == 0 {
 		return nil, 0, len(bytes.TrimLeft(b, "\x00")) > 0
 	}
-	if b[0] != recMagic || len(b) < frameHeader {
+	_, plen, crc, ok := logFmt.Parse(b)
+	if ok {
+		rec, ok = logFmt.Payload(b, plen, crc)
+	}
+	if !ok {
 		return nil, 0, true
 	}
-	plen := binary.LittleEndian.Uint32(b[1:5])
-	if uint64(plen) > uint64(len(b)-frameHeader) {
-		return nil, 0, true
-	}
-	rec = b[frameHeader : frameHeader+int(plen)]
-	if crc32.ChecksumIEEE(rec) != binary.LittleEndian.Uint32(b[5:frameHeader]) {
-		return nil, 0, true
-	}
-	return rec, frameHeader + int(plen), false
-}
-
-// Decoder walks a record payload's varint fields, latching any
-// malformation instead of failing field by field. Owners encode payloads
-// with encoding/binary's Append{U,}varint and uvarint-length-prefixed
-// strings.
-type Decoder struct {
-	b   []byte
-	off int
-	bad bool
-}
-
-// NewDecoder returns a decoder over one payload.
-func NewDecoder(b []byte) Decoder { return Decoder{b: b} }
-
-// Done reports whether every field decoded and the payload is used up.
-func (d *Decoder) Done() bool { return !d.bad && d.off == len(d.b) }
-
-// Uvarint reads an unsigned varint.
-func (d *Decoder) Uvarint() uint64 {
-	v, n := binary.Uvarint(d.b[d.off:])
-	d.step(n)
-	return v
-}
-
-// Varint reads a zigzag varint.
-func (d *Decoder) Varint() int64 {
-	v, n := binary.Varint(d.b[d.off:])
-	d.step(n)
-	return v
-}
-
-func (d *Decoder) step(n int) {
-	if n <= 0 {
-		d.bad = true
-	} else {
-		d.off += n
-	}
-}
-
-// Str reads a uvarint length and that many bytes as a string.
-func (d *Decoder) Str() string {
-	ln := d.Uvarint()
-	if d.bad || ln > uint64(len(d.b)-d.off) {
-		d.bad = true
-		return ""
-	}
-	s := string(d.b[d.off : d.off+int(ln)])
-	d.off += int(ln)
-	return s
+	return rec, logFmt.Header() + len(rec), false
 }

@@ -166,10 +166,10 @@ func TestFrameTornDetection(t *testing.T) {
 	}{
 		{"bad magic", flip(0)},
 		{"length past the block", flip(1)},
-		{"payload corruption", flip(frameHeader + 3)},
+		{"payload corruption", flip(logFmt.Header() + 3)},
 		{"checksum corruption", flip(5)},
 		{"truncated frame", fr[:len(fr)-2]},
-		{"truncated header", fr[:frameHeader-1]},
+		{"truncated header", fr[:logFmt.Header()-1]},
 	} {
 		if _, _, torn := decodeFrame(row.b); !torn {
 			t.Errorf("%s not detected", row.name)
@@ -232,8 +232,8 @@ func TestOversizedRecordRejected(t *testing.T) {
 		size int
 		ok   bool
 	}{
-		{256 - blockHeader - frameHeader, true},
-		{256 - blockHeader - frameHeader + 1, false},
+		{256 - blockHeader - logFmt.Header(), true},
+		{256 - blockHeader - logFmt.Header() + 1, false},
 		{300, false},
 	} {
 		var err error

@@ -39,11 +39,14 @@
 #   9. bench smoke: every benchmark once, then BenchmarkClientCallNop with
 #      -benchmem so the client round trip's ns/op and allocs/op are in the
 #      log.
-#  10. fuzz smoke: short native-fuzzing runs of the wire-protocol frame
-#      decoder, its streaming reader against it (serve.* RPC framing), the
-#      YAML spec/stack builder, the write-ahead log's replay over
-#      arbitrary block images and the pushdown KV result decoder, to catch
-#      parser regressions early.
+#  10. fuzz smoke: short native-fuzzing runs of the shared record and frame
+#      codec (internal/codec: field and frame round trips, torn and
+#      truncated input), the wire-protocol frame decoder, its streaming
+#      reader against it (serve.* RPC framing), the YAML spec/stack
+#      builder, the write-ahead log's replay over arbitrary block images,
+#      the pushdown KV result decoder and the pushdown compiler and
+#      evaluator (whole records against chunked ones), to catch parser
+#      regressions early.
 #  11. observe smoke: boot labstor-runtime with the observability server on
 #      an ephemeral port and assert /metrics and /snapshot serve payloads.
 #  12. serve smoke: boot labstor-runtime with the network front end on an
@@ -94,6 +97,9 @@ go test -bench=. -benchtime=1x -run '^$' ./...
 echo "== bench smoke: go test -bench ClientCallNop -benchmem -run '^$' ./internal/runtime =="
 go test -bench ClientCallNop -benchmem -run '^$' ./internal/runtime
 
+echo "== fuzz smoke: FuzzCodec -fuzztime 5s =="
+go test -run '^$' -fuzz FuzzCodec -fuzztime 5s ./internal/codec
+
 echo "== fuzz smoke: FuzzFrameDecode -fuzztime 5s =="
 go test -run '^$' -fuzz FuzzFrameDecode -fuzztime 5s ./internal/serve
 
@@ -108,6 +114,9 @@ go test -run '^$' -fuzz FuzzWALReplay -fuzztime 5s ./internal/wal
 
 echo "== fuzz smoke: FuzzDecodeKV -fuzztime 5s =="
 go test -run '^$' -fuzz FuzzDecodeKV -fuzztime 5s ./internal/mods/pushdown
+
+echo "== fuzz smoke: FuzzCompileEval -fuzztime 5s =="
+go test -run '^$' -fuzz FuzzCompileEval -fuzztime 5s ./internal/mods/pushdown
 
 echo "== observe smoke: scripts/obs_smoke.sh =="
 sh scripts/obs_smoke.sh
