@@ -35,13 +35,14 @@ serve-smoke:
 	sh scripts/serve_smoke.sh
 
 # fuzz smoke-runs the shared record and frame codec, the wire-protocol
-# frame decoder, the streaming frame reader against it, the YAML spec
-# builder, the write-ahead log replay and the pushdown compiler/evaluator
-# fuzzers.
+# frame decoder, the streaming frame reader against it, the router's head
+# path against the server's, the YAML spec builder, the write-ahead log
+# replay and the pushdown compiler/evaluator fuzzers.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCodec -fuzztime 10s ./internal/codec
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzStreamReader -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzRouteHead -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzSpecParse -fuzztime 10s ./internal/spec
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzCompileEval -fuzztime 10s ./internal/mods/pushdown

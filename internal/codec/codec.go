@@ -49,6 +49,10 @@ func (d *Decoder) Fail() { d.bad = true }
 // Off is how many bytes the fields read so far span.
 func (d *Decoder) Off() int { return d.off }
 
+// Span returns the encoded bytes of the fields read since Off returned off,
+// as a slice of the record.
+func (d *Decoder) Span(off int) []byte { return d.b[off:d.off] }
+
 // Uvarint reads an unsigned varint.
 func (d *Decoder) Uvarint() uint64 {
 	v, n := binary.Uvarint(d.b[d.off:])

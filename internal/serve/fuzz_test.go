@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"labstor/internal/codec"
 	"labstor/internal/core"
 )
 
@@ -275,6 +276,60 @@ func FuzzStreamReader(f *testing.F) {
 		}
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Fatalf("gather wrote %x, AppendResp made %x", got.Bytes(), want)
+		}
+	})
+}
+
+// FuzzRouteHead holds the router's head path to the server's.
+//
+// Accept: over any bytes, routeHead.decodeHead fails where
+// ReqFrame.decodeHead fails and otherwise reads the same id, tenant and
+// mount, the same number of bytes and the same bulk length.
+//
+// Forward: for a request AppendReq encodes, read off a stream as the router
+// reads it, the frame the router forwards is byte for byte AppendReq of the
+// request under the new id, with the connection's tenant in place of an
+// empty one.
+func FuzzRouteHead(f *testing.F) {
+	long := strings.Repeat("p", headWindow+40)
+	req := AppendReq(nil, &ReqFrame{ID: 9, Tenant: "t", Mount: "kv::/b", Op: core.OpPut, Key: "k", Offset: -1, Size: 3, Prog: "count", Payload: []byte("abc")})
+	f.Add(req[wireFmt.Header():], uint64(1), "", "kv::/bench", byte(core.OpGet), "", "key-1", int64(0), int64(4096), "", []byte{}, "raw")
+	f.Add([]byte{1, 0, 0, byte(maxWireOp) + 1, 0, 0, 0, 0, 0, 0}, uint64(1<<63), "acme", "fs::/x", byte(core.OpWrite), long, "", int64(-7), int64(1<<40), "sum u32@0", []byte("data"), "")
+	f.Fuzz(func(t *testing.T, data []byte, id uint64, tenant, mount string, op byte, path, key string, off, size int64, prog string, payload []byte, def string) {
+		var rf ReqFrame
+		var h routeHead
+		dr, dh := codec.NewDecoder(data), codec.NewDecoder(data)
+		nr, nh := rf.decodeHead(&dr), h.decodeHead(&dh)
+		if dr.Failed() != dh.Failed() {
+			t.Fatalf("%x: ReqFrame.decodeHead fails %v, routeHead.decodeHead %v", data, dr.Failed(), dh.Failed())
+		}
+		dm := codec.NewDecoder(h.fields)
+		if !dr.Failed() && (h.id != rf.ID || string(h.tenant) != rf.Tenant || string(dm.Bytes()) != rf.Mount || dh.Off() != dr.Off() || nh != nr) {
+			t.Fatalf("%x: routeHead read id %d, tenant %q, %d bytes, bulk %d; ReqFrame %+v, %d bytes, bulk %d",
+				data, h.id, h.tenant, dh.Off(), nh, rf, dr.Off(), nr)
+		}
+
+		rf = ReqFrame{ID: id, Tenant: tenant, Mount: mount, Op: core.Op(op % byte(maxWireOp+1)), Path: path, Key: key, Offset: off, Size: size, Prog: prog, Payload: payload}
+		fr := newFrameReader(bufio.NewReader(bytes.NewReader(AppendReq(nil, &rf))), 0)
+		if _, _, err := fr.next(); err != nil {
+			t.Fatalf("next: %v", err)
+		}
+		n, err := fr.head(&h)
+		if err != nil {
+			t.Fatalf("head of %+v: %v", rf, err)
+		}
+		got := make([]byte, n)
+		if err := fr.bulk(got); err != nil {
+			t.Fatalf("bulk of %+v: %v", rf, err)
+		}
+		gid := id ^ 0x5555
+		fwd := append(wireFmt.Seal(h.appendHead(nil, gid, []byte(def), n), 0, got), got...)
+		rf.ID = gid
+		if rf.Tenant == "" {
+			rf.Tenant = def
+		}
+		if want := AppendReq(nil, &rf); !bytes.Equal(fwd, want) {
+			t.Fatalf("the router forwards %x, AppendReq makes %x", fwd, want)
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	gort "runtime"
 	"sync"
@@ -88,6 +89,26 @@ func rawDial(t *testing.T, addr string) net.Conn {
 	return nc
 }
 
+// blastWindow is how many gets blastGets writes at a time.
+const blastWindow = 64
+
+// blastGets writes windows of blastWindow gets for key to nc, with ids
+// counting up from 1, until it has written the given number of windows or
+// a write fails, then closes done.
+func blastGets(nc net.Conn, key string, windows int, done chan<- struct{}) {
+	defer close(done)
+	var frames []byte
+	for w := 0; w < windows; w++ {
+		frames = frames[:0]
+		for i := 1; i <= blastWindow; i++ {
+			frames = AppendReq(frames, &ReqFrame{ID: uint64(w*blastWindow + i), Op: core.OpGet, Mount: "kv::/bench", Key: key})
+		}
+		if _, err := nc.Write(frames); err != nil {
+			return
+		}
+	}
+}
+
 func put(t *testing.T, addr, key string, val []byte) {
 	t.Helper()
 	c, err := Dial(addr, "t1")
@@ -121,8 +142,8 @@ func newCachedRuntime(t *testing.T, mount string, opts runtime.Options) *runtime
 	return rt
 }
 
-// closeWithin fails the test if Server.Close hangs.
-func closeWithin(t *testing.T, s *Server, d time.Duration) {
+// closeWithin fails the test if s.Close (a Server's or a Router's) hangs.
+func closeWithin(t *testing.T, s io.Closer, d time.Duration) {
 	t.Helper()
 	closed := make(chan struct{})
 	go func() {
@@ -133,7 +154,22 @@ func closeWithin(t *testing.T, s *Server, d time.Duration) {
 	case <-closed:
 	case <-time.After(d):
 		buf := make([]byte, 1<<16)
-		t.Fatalf("Server.Close still running after %v:\n%s", d, buf[:gort.Stack(buf, true)])
+		t.Fatalf("Close still running after %v:\n%s", d, buf[:gort.Stack(buf, true)])
+	}
+}
+
+// frameCounters returns a function that reads how many frames the server
+// has taken in and sent out since frameCounters was called, leaving out the
+// frames of whatever came before, such as a test's setup.
+func frameCounters(rt *runtime.Runtime) func() (in, out int64) {
+	count := func() (in, out int64) {
+		snap := rt.Metrics().Snapshot()
+		return snap.Counters["serve.frames_in"], snap.Counters["serve.frames_out"]
+	}
+	in0, out0 := count()
+	return func() (in, out int64) {
+		in, out = count()
+		return in - in0, out - out0
 	}
 }
 
@@ -145,29 +181,15 @@ func TestServeClientNeverReads(t *testing.T) {
 	// stalled batches held may be lost.
 	rt, s, addr := newTestServer(t, Config{Default: TenantPolicy{Inflight: 1 << 20}})
 	put(t, addr, "big", bytes.Repeat([]byte{0x5A}, 16<<10))
+	counters := frameCounters(rt)
 	lc := startLeakCheck(t, rt)
 
 	nc := rawDial(t, addr)
 	blast := make(chan struct{})
-	go func() {
-		defer close(blast)
-		var frames []byte
-		for id := uint64(1); id <= 64; id++ {
-			frames = AppendReq(frames, &ReqFrame{ID: id, Op: core.OpGet, Mount: "kv::/bench", Key: "big"})
-		}
-		for {
-			if _, err := nc.Write(frames); err != nil {
-				return // the test closed nc, or the server did
-			}
-		}
-	}()
+	go blastGets(nc, "big", math.MaxInt, blast) // until the test closes nc, or the server does
 
 	// Stalled: some answers were written, and neither direction has moved
 	// for a while.
-	counters := func() (in, out int64) {
-		snap := rt.Metrics().Snapshot()
-		return snap.Counters["serve.frames_in"], snap.Counters["serve.frames_out"]
-	}
 	lastIn, lastOut := counters()
 	for still, deadline := 0, time.Now().Add(20*time.Second); still < 6; {
 		if time.Now().After(deadline) {
@@ -215,30 +237,15 @@ func TestServeClientNeverReadsCachedPage(t *testing.T) {
 	oldVal, newVal := bytes.Repeat([]byte{0x01}, 4096), bytes.Repeat([]byte{0x02}, 4096)
 	put(t, addr, "k", oldVal)
 	put(t, addr, "k", oldVal)
+	counters := frameCounters(rt)
 	lc := startLeakCheck(t, rt)
 
 	nc := rawDial(t, addr)
 	defer nc.Close()
-	const windows, perWindow = 64, 64 // 16 MiB of answers, far past the socket buffers
+	const windows = 64 // 16 MiB of answers, far past the socket buffers
 	blast := make(chan struct{})
-	go func() {
-		defer close(blast)
-		var frames []byte
-		for w := 0; w < windows; w++ {
-			frames = frames[:0]
-			for i := 1; i <= perWindow; i++ {
-				frames = AppendReq(frames, &ReqFrame{ID: uint64(w*perWindow + i), Op: core.OpGet, Mount: "kv::/bench", Key: "k"})
-			}
-			if _, err := nc.Write(frames); err != nil {
-				return
-			}
-		}
-	}()
+	go blastGets(nc, "k", windows, blast)
 
-	counters := func() (in, out int64) {
-		snap := rt.Metrics().Snapshot()
-		return snap.Counters["serve.frames_in"], snap.Counters["serve.frames_out"]
-	}
 	lastIn, lastOut := counters()
 	for still, deadline := 0, time.Now().Add(20*time.Second); still < 6; {
 		if time.Now().After(deadline) {
@@ -255,7 +262,7 @@ func TestServeClientNeverReadsCachedPage(t *testing.T) {
 	}
 	// frames_out counts a batch before its write, so the first lastOut
 	// answers are encoded and waiting on the peer.
-	if lastIn >= windows*perWindow {
+	if lastIn >= windows*blastWindow {
 		t.Fatalf("the server read all %d gets: nothing was held back", lastIn)
 	}
 	put(t, addr, "k", newVal)
@@ -264,7 +271,7 @@ func TestServeClientNeverReadsCachedPage(t *testing.T) {
 	fr := newFrameReader(bufio.NewReader(nc), 0)
 	value := make([]byte, 4096)
 	replaced := false
-	for id := uint64(1); id <= windows*perWindow; id++ {
+	for id := uint64(1); id <= windows*blastWindow; id++ {
 		var resp RespFrame
 		if typ, _, err := fr.next(); err != nil || typ != FrameResp {
 			t.Fatalf("answer %d: frame type %d, %v", id, typ, err)

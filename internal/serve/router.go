@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"labstor/internal/codec"
+	"labstor/internal/core"
 	"labstor/internal/telemetry"
 )
 
@@ -102,10 +104,12 @@ type Router struct {
 
 	ln        net.Listener
 	wg        sync.WaitGroup
-	quit      chan struct{}
 	closeOnce sync.Once
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// closed is set by Close before its sweep: no connection is accepted and
+	// no upstream dialed after it, so none is left for wg.Wait to wait on.
+	closed    bool
 	conns     map[net.Conn]struct{}
 	upstreams map[string]*upstream
 	nextGID   atomic.Uint64
@@ -114,6 +118,9 @@ type Router struct {
 	mUpErrors  *telemetry.Counter
 	gConns     *telemetry.Gauge
 }
+
+// errRouterClosed is why a closing router dials no upstream.
+var errRouterClosed = errors.New("serve: router closed")
 
 // NewRouter builds a router over the backend set. reg may be nil (a
 // private registry is created); pass a runtime's registry to surface
@@ -126,7 +133,6 @@ func NewRouter(backends []string, replicas int, reg *telemetry.Registry) *Router
 		ring:       NewRing(backends, replicas),
 		tenant:     "router",
 		metrics:    reg,
-		quit:       make(chan struct{}),
 		conns:      make(map[net.Conn]struct{}),
 		upstreams:  make(map[string]*upstream),
 		mForwarded: reg.Counter("router.frames_forwarded"),
@@ -157,11 +163,11 @@ func (r *Router) ListenAndServe(addr string) (net.Addr, error) {
 func (r *Router) Close() error {
 	var err error
 	r.closeOnce.Do(func() {
-		close(r.quit)
 		if r.ln != nil {
 			err = r.ln.Close()
 		}
 		r.mu.Lock()
+		r.closed = true
 		for c := range r.conns {
 			c.Close()
 		}
@@ -183,103 +189,101 @@ func (r *Router) acceptLoop() {
 	for {
 		conn, err := r.ln.Accept()
 		if err != nil {
-			select {
-			case <-r.quit:
-				return
-			default:
-			}
 			if errors.Is(err, net.ErrClosed) {
 				return
 			}
 			continue
 		}
 		r.mu.Lock()
+		if r.closed {
+			r.mu.Unlock()
+			conn.Close()
+			return
+		}
 		r.conns[conn] = struct{}{}
+		r.wg.Add(1)
 		r.mu.Unlock()
 		r.gConns.Add(1)
-		r.wg.Add(1)
 		go r.handleConn(conn)
 	}
 }
 
-// clientConn is one proxied client connection's write side. Unlike the
-// server's connections it keeps a writer goroutine: an upstream's reader is
-// shared by every client of that shard, so it must hand a frame to a queue
-// and move on — a client socket that is slow to drain may delay that
-// client's frames, never another's.
+// clientWriteTimeout bounds every write to a client. The upstream readers,
+// each shared by every client of its shard, write responses themselves: a
+// client that cannot take a frame within this long is cut off, so it holds
+// up the other clients of its shards once, for at most this long.
+const clientWriteTimeout = time.Second
+
+// clientConn is one proxied client connection's write side. As on the
+// server, whoever has a frame for the client writes it, under mu: the
+// client's reader a pong or an error, an upstream's reader a response.
 type clientConn struct {
-	// writeCh queues whole encoded frames for the writer. 256 is how many
-	// responses a client may leave undrained before the shared upstream
-	// readers start to wait for it.
-	writeCh chan []byte
-	// free carries written-out buffers back to whoever encodes this
-	// client's next frame; as many as writeCh can hold are worth keeping.
-	free chan []byte
-	done chan struct{}
+	conn net.Conn
+	mu   sync.Mutex
+	// dead is set by the first failed write, which also closes the
+	// connection: later frames are dropped, and the client's reader ends on
+	// its read error.
+	dead bool
 }
 
-func newClientConn() *clientConn {
-	return &clientConn{writeCh: make(chan []byte, 256), free: make(chan []byte, 256), done: make(chan struct{})}
-}
-
-// buffer returns an empty buffer to encode a frame for this client into: one
-// the writer has handed back, or nil.
-func (cc *clientConn) buffer() []byte {
-	select {
-	case b := <-cc.free:
-		return b[:0]
-	default:
-		return nil
+// write sends one encoded frame to the client, or drops it if the
+// connection is dead. b may be reused once write returns.
+func (cc *clientConn) write(b []byte) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if cc.dead {
+		return
+	}
+	cc.conn.SetWriteDeadline(time.Now().Add(clientWriteTimeout))
+	if _, err := cc.conn.Write(b); err != nil {
+		cc.dead = true
+		cc.conn.Close()
 	}
 }
 
-// send delivers a client-bound frame unless the connection is gone. The
-// writer owns b from here on.
-func (cc *clientConn) send(b []byte) {
-	select {
-	case cc.writeCh <- b:
-	case <-cc.done:
-	}
+// routeHead is a request's head as the router forwards it: the id it
+// rewrites, the tenant it may fill in, and the fields from the mount through
+// the prog, checked as ReqFrame.decodeHead checks them and kept as encoded —
+// never made into strings and encoded again, so nothing is allocated.
+type routeHead struct {
+	id     uint64
+	tenant []byte
+	fields []byte // the mount through the prog, as encoded
 }
 
-// writeLoop writes queued frames to the client until done closes: everything
-// queued at the moment goes out in one vectored write, and the buffers go
-// back to free. After a write error it keeps draining (discarding) so
-// senders never block on a dead peer.
-func (cc *clientConn) writeLoop(conn net.Conn) {
-	var held, vec [][]byte // the frames of one write: to hand back, and as the vector
-	var out net.Buffers    // WriteTo's receiver: it consumes the vector it is given
-	dead := false
-	for {
-		select {
-		case b := <-cc.writeCh:
-			held = append(held[:0], b)
-		case <-cc.done:
-			return
-		}
-	drain:
-		for {
-			select {
-			case b := <-cc.writeCh:
-				held = append(held, b)
-			default:
-				break drain
-			}
-		}
-		if !dead {
-			vec = append(vec[:0], held...)
-			out = vec
-			_, err := out.WriteTo(conn)
-			dead = err != nil
-		}
-		for i, b := range held {
-			select {
-			case cc.free <- b:
-			default:
-			}
-			held[i] = nil
-		}
+func (h *routeHead) decodeHead(d *codec.Decoder) uint64 {
+	h.id = d.Uvarint()
+	h.tenant = append(h.tenant[:0], d.Bytes()...)
+	at := d.Off()
+	d.Bytes() // mount
+	op := core.Op(d.Byte())
+	d.Bytes()  // path
+	d.Bytes()  // key
+	d.Varint() // offset
+	d.Varint() // size
+	d.Bytes()  // prog
+	if op > maxWireOp {
+		d.Fail()
 	}
+	h.fields = append(h.fields[:0], d.Span(at)...)
+	return d.Uvarint()
+}
+
+// appendHead appends the head of the request as it goes upstream, for an
+// n-byte payload: id in place of the client's, the tenant, or def when the
+// client sent none, and the other fields as the client encoded them. The
+// header stays open until Seal is given the payload.
+func (h *routeHead) appendHead(dst []byte, id uint64, def []byte, n int) []byte {
+	tenant := h.tenant
+	if len(tenant) == 0 {
+		tenant = def
+	}
+	dst = wireFmt.Reserve(dst, FrameReq)
+	dst = codec.AppendUvarint(dst, id)
+	dst = codec.AppendUvarint(dst, uint64(len(tenant)))
+	dst = append(dst, tenant...)
+	dst = append(dst, h.fields...)
+	return codec.AppendUvarint(dst, uint64(n))
 }
 
 func (r *Router) handleConn(conn net.Conn) {
@@ -306,19 +310,7 @@ func (r *Router) handleConn(conn net.Conn) {
 	if _, err := conn.Write(AppendHello(nil, &HelloFrame{Version: ProtoVersion, Tenant: hello.Tenant})); err != nil {
 		return
 	}
-
-	cc := newClientConn()
-	var writerWG sync.WaitGroup
-	writerWG.Add(1)
-	go func() {
-		defer writerWG.Done()
-		cc.writeLoop(conn)
-	}()
-	// Stop the writer before waiting on it (defers run LIFO after this one).
-	defer func() {
-		close(cc.done)
-		writerWG.Wait()
-	}()
+	cc := &clientConn{conn: conn}
 
 	// ups caches mount -> upstream for this connection, as the server
 	// caches mount -> stack: the route key, the ring search and the
@@ -329,12 +321,17 @@ func (r *Router) handleConn(conn net.Conn) {
 	// maxRouteCache entries rather than left to grow with them.
 	const maxRouteCache = 1024
 	ups := make(map[string]*upstream)
+	var out []byte // the frames this reader answers itself, encoded in turn
 	fail := func(id uint64, format string, args ...any) {
 		r.mUpErrors.Inc()
-		cc.send(AppendResp(cc.buffer(), &RespFrame{ID: id, Err: fmt.Sprintf(format, args...)}))
+		out = AppendResp(out[:0], &RespFrame{ID: id, Err: fmt.Sprintf(format, args...)})
+		cc.write(out)
 	}
 
-	var rf ReqFrame
+	// Tenant travels per-frame across the mux; the connection default fills
+	// in an empty one so backend admission attributes the right tenant.
+	defTenant := []byte(hello.Tenant)
+	var h routeHead
 	var payload []byte // staging for one request's payload, reused
 	for {
 		typ, _, err := fr.next()
@@ -346,7 +343,8 @@ func (r *Router) handleConn(conn net.Conn) {
 			if err != nil {
 				return
 			}
-			cc.send(AppendPing(cc.buffer(), FramePong, id))
+			out = AppendPing(out[:0], FramePong, id)
+			cc.write(out)
 			continue
 		}
 		if typ != FrameReq {
@@ -355,7 +353,7 @@ func (r *Router) handleConn(conn net.Conn) {
 		// The frame goes upstream with another id and tenant, so with
 		// another CRC — which precedes the payload on the wire. The payload
 		// therefore waits here until forward has sealed the new head.
-		n, err := fr.head(&rf)
+		n, err := fr.head(&h)
 		if err != nil {
 			return
 		}
@@ -363,29 +361,26 @@ func (r *Router) handleConn(conn net.Conn) {
 		if err := fr.bulk(payload); err != nil {
 			return
 		}
-		rf.Payload = payload
-		// Tenant travels per-frame across the mux; fill the connection
-		// default in so backend admission attributes the right tenant.
-		if rf.Tenant == "" {
-			rf.Tenant = hello.Tenant
-		}
-		u := ups[rf.Mount]
+		d := codec.NewDecoder(h.fields)
+		mount := d.Bytes()
+		u := ups[string(mount)]
 		if u == nil || u.closed.Load() {
-			backend := r.ring.Lookup(RouteKey(rf.Mount))
+			m := string(mount)
+			backend := r.ring.Lookup(RouteKey(m))
 			if u, err = r.upstream(backend); err != nil {
-				delete(ups, rf.Mount)
-				fail(rf.ID, "shard %s unreachable: %v", backend, err)
+				delete(ups, m)
+				fail(h.id, "shard %s unreachable: %v", backend, err)
 				continue
 			}
 			if len(ups) >= maxRouteCache {
 				clear(ups)
 			}
-			ups[rf.Mount] = u
+			ups[m] = u
 		}
-		if err := u.forward(&rf, cc, br.Buffered() == 0); err != nil {
-			delete(ups, rf.Mount)
+		if err := u.forward(&h, defTenant, payload, cc, br.Buffered() == 0); err != nil {
+			delete(ups, string(mount))
 			r.dropUpstream(u.backend, u)
-			fail(rf.ID, "shard %s write failed: %v", u.backend, err)
+			fail(h.id, "shard %s write failed: %v", u.backend, err)
 		}
 	}
 }
@@ -394,23 +389,40 @@ func (r *Router) handleConn(conn net.Conn) {
 func (r *Router) upstream(backend string) (*upstream, error) {
 	r.mu.Lock()
 	u, ok := r.upstreams[backend]
+	closed := r.closed
 	r.mu.Unlock()
-	if ok {
+	switch {
+	case closed:
+		return nil, errRouterClosed
+	case ok:
 		return u, nil
 	}
-	nu, err := r.dialUpstream(backend)
+	nc, fr, err := dialHello(backend, r.tenant)
 	if err != nil {
 		return nil, err
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		nc.Close()
+		return nil, errRouterClosed
+	}
 	if cur, ok := r.upstreams[backend]; ok {
-		r.mu.Unlock()
-		nu.close()
+		nc.Close()
 		return cur, nil
 	}
-	r.upstreams[backend] = nu
-	r.mu.Unlock()
-	return nu, nil
+	u = &upstream{
+		r:       r,
+		backend: backend,
+		conn:    nc,
+		bw:      bufio.NewWriterSize(nc, 64<<10),
+		pending: make(map[uint64]pendingRoute),
+		mOps:    r.metrics.Counter("router.backend_ops;backend=" + backend),
+	}
+	r.upstreams[backend] = u
+	r.wg.Add(1)
+	go u.readLoop(fr)
+	return u, nil
 }
 
 func (r *Router) dropUpstream(backend string, u *upstream) {
@@ -441,6 +453,8 @@ type upstream struct {
 	// handleConn's route cache.
 	closed atomic.Bool
 
+	out []byte // the reader's scratch for the frames it writes to clients
+
 	mOps *telemetry.Counter
 }
 
@@ -450,47 +464,29 @@ type pendingRoute struct {
 	id uint64 // the client's original request id
 }
 
-func (r *Router) dialUpstream(backend string) (*upstream, error) {
-	nc, fr, err := dialHello(backend, r.tenant)
-	if err != nil {
-		return nil, err
-	}
-
-	u := &upstream{
-		r:       r,
-		backend: backend,
-		conn:    nc,
-		bw:      bufio.NewWriterSize(nc, 64<<10),
-		pending: make(map[uint64]pendingRoute),
-		mOps:    r.metrics.Counter("router.backend_ops;backend=" + backend),
-	}
-	r.wg.Add(1)
-	go u.readLoop(fr)
-	return u, nil
-}
-
-// forward rewrites the request id and writes the frame upstream, flushing
-// when the client's read side has gone momentarily idle.
-func (u *upstream) forward(rf *ReqFrame, cc *clientConn, flush bool) error {
+// forward writes the request upstream under a rewritten id, flushing when
+// the client's read side has gone momentarily idle. def is the client's
+// default tenant.
+func (u *upstream) forward(h *routeHead, def, payload []byte, cc *clientConn, flush bool) error {
 	gid := u.r.nextGID.Add(1)
 	u.pmu.Lock()
 	if u.closed.Load() {
 		u.pmu.Unlock()
 		return ErrConnClosed
 	}
-	u.pending[gid] = pendingRoute{cc: cc, id: rf.ID}
+	u.pending[gid] = pendingRoute{cc: cc, id: h.id}
 	u.pmu.Unlock()
 
-	orig := rf.ID
-	rf.ID = gid
 	u.wmu.Lock()
-	var err error
-	u.enc, err = writeReq(u.bw, u.enc, rf)
+	u.enc = wireFmt.Seal(h.appendHead(u.enc[:0], gid, def, len(payload)), 0, payload)
+	_, err := u.bw.Write(u.enc)
+	if err == nil {
+		_, err = u.bw.Write(payload)
+	}
 	if err == nil && flush {
 		err = u.bw.Flush()
 	}
 	u.wmu.Unlock()
-	rf.ID = orig
 	if err != nil {
 		u.take(gid)
 		return err
@@ -511,8 +507,9 @@ func (u *upstream) take(gid uint64) (pendingRoute, bool) {
 
 // readLoop demuxes backend completions to their client connections,
 // rewriting ids back. A response is re-encoded — new id, so new CRC — into
-// a buffer its client's writer has handed back, and the value is read off
-// the upstream connection straight into its place in that frame.
+// the reader's scratch, with the value read off the upstream connection
+// straight into its place in that frame, and written to the client there
+// and then.
 func (u *upstream) readLoop(fr *frameReader) {
 	defer u.r.wg.Done()
 	var rf RespFrame
@@ -536,7 +533,8 @@ func (u *upstream) readLoop(fr *frameReader) {
 
 // lost answers a request whose response the upstream will not deliver.
 func (u *upstream) lost(rt pendingRoute) {
-	rt.cc.send(AppendResp(rt.cc.buffer(), &RespFrame{ID: rt.id, Err: "shard connection lost: " + u.backend}))
+	u.out = AppendResp(u.out[:0], &RespFrame{ID: rt.id, Err: "shard connection lost: " + u.backend})
+	rt.cc.write(u.out)
 }
 
 // relay passes one frame from the backend on to the client that waits for
@@ -553,22 +551,18 @@ func (u *upstream) relay(fr *frameReader, rf *RespFrame) error {
 			return err
 		}
 		route, ok := u.take(rf.ID)
-		var b []byte
-		if ok {
-			b = route.cc.buffer()
-		}
 		rf.ID = route.id
-		b = appendRespHead(b, rf, n)
+		b := appendRespHead(u.out[:0], rf, n)
 		value := len(b)
 		b = slices.Grow(b, n)[:value+n]
+		u.out = b
 		err = fr.bulk(b[value:])
 		switch {
 		case !ok:
 		case err != nil:
 			u.lost(route) // no longer pending, so readLoop's sweep would miss it
 		default:
-			wireFmt.Seal(b[:value], 0, b[value:])
-			route.cc.send(b)
+			route.cc.write(wireFmt.Seal(b, 0, nil))
 		}
 		return err
 	case FrameBusy:
@@ -578,7 +572,8 @@ func (u *upstream) relay(fr *frameReader, rf *RespFrame) error {
 		}
 		if route, ok := u.take(bf.ID); ok {
 			bf.ID = route.id
-			route.cc.send(AppendBusy(route.cc.buffer(), &bf))
+			u.out = AppendBusy(u.out[:0], &bf)
+			route.cc.write(u.out)
 		}
 	default: // pongs etc. have no route
 		_, err = fr.payload()

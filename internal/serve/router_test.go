@@ -1,10 +1,19 @@
 package serve
 
 import (
+	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
+	"net"
+	"os"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"labstor/internal/codec"
 	"labstor/internal/core"
 	"labstor/internal/telemetry"
 )
@@ -217,5 +226,195 @@ func TestRouterShardLoss(t *testing.T) {
 	}
 	if !sawErr {
 		t.Fatal("no shard-loss error surfaced")
+	}
+}
+
+// newTestRouter starts a router in front of backends and closes it, within
+// a bound, when the test ends.
+func newTestRouter(t *testing.T, backends ...string) (*Router, string) {
+	t.Helper()
+	r := NewRouter(backends, 0, nil)
+	addr, err := r.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("router listen: %v", err)
+	}
+	t.Cleanup(func() { closeWithin(t, r, 10*time.Second) })
+	return r, addr.String()
+}
+
+func TestRouterStuckClientDoesNotStallOthers(t *testing.T) {
+	// A client sends 4096 gets for a 16 KiB value through the router, 64 MiB
+	// of answers, far past the socket buffers, and never reads one. Once its
+	// socket is full, the upstream reader that writes its answers can go no
+	// further. Another client of the same shard must still be answered: the
+	// stuck one is cut off.
+	_, _, addr := newTestServer(t, Config{Default: TenantPolicy{Inflight: 1 << 20}})
+	put(t, addr, "big", bytes.Repeat([]byte{0x5A}, 16<<10))
+	router, raddr := newTestRouter(t, addr)
+
+	nc := rawDial(t, raddr)
+	defer nc.Close()
+	blast := make(chan struct{})
+	go blastGets(nc, "big", 64, blast)
+
+	// Stalled: the router has forwarded nothing for a while.
+	forwarded := func() int64 { return router.Metrics().Snapshot().Counters["router.frames_forwarded"] }
+	last := forwarded()
+	for still, deadline := 0, time.Now().Add(20*time.Second); still < 6; {
+		if time.Now().After(deadline) {
+			t.Fatalf("the router never stalled: %d frames forwarded", last)
+		}
+		time.Sleep(50 * time.Millisecond)
+		n := forwarded()
+		if n == last && n > 0 {
+			still++
+		} else {
+			still = 0
+		}
+		last = n
+	}
+
+	c, err := Dial(raddr, "t1")
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	answered := make(chan error, 1)
+	go func() {
+		res, err := c.Do(&ReqFrame{Op: core.OpGet, Mount: "kv::/bench", Key: "big"})
+		if err == nil {
+			err = res.Err()
+		}
+		answered <- err
+	}()
+	select {
+	case err := <-answered:
+		if err != nil {
+			t.Fatalf("get beside a stuck client: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a client that never reads stalls the other clients of its shard")
+	}
+	// Cut off: what the router wrote before it closed the connection reads
+	// out, then the stream ends.
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.Copy(io.Discard, nc); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("the client that never reads was not cut off")
+	}
+	<-blast
+}
+
+func TestRouterCloseMidStream(t *testing.T) {
+	// Clients pipeline gets through the router without pause, so their
+	// read buffers hold frames when Close closes the upstreams. A frame read
+	// after that must not dial an upstream that Close would then wait on.
+	_, _, addr := newTestServer(t, Config{Default: TenantPolicy{Inflight: 1 << 20}})
+	put(t, addr, "k", bytes.Repeat([]byte{0x11}, 1024))
+	router, raddr := newTestRouter(t, addr)
+	var drained sync.WaitGroup
+	blasts := make([]chan struct{}, 4)
+	for i := range blasts {
+		nc := rawDial(t, raddr)
+		defer nc.Close()
+		blasts[i] = make(chan struct{})
+		go blastGets(nc, "k", 1<<10, blasts[i])
+		drained.Add(1)
+		go func() {
+			defer drained.Done()
+			io.Copy(io.Discard, nc)
+		}()
+	}
+	for deadline := time.Now().Add(20 * time.Second); router.Metrics().Snapshot().Counters["router.frames_forwarded"] < 4096; {
+		if time.Now().After(deadline) {
+			t.Fatal("the clients' gets never got through")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	closeWithin(t, router, 5*time.Second)
+	for _, b := range blasts {
+		<-b
+	}
+	drained.Wait()
+}
+
+func TestRouterForwardAllocations(t *testing.T) {
+	// The shard answers every get with the same 4 KiB through a
+	// frameReader and a frameGather, which allocate nothing in steady
+	// state, so the process-wide count AllocsPerRun takes is the client's
+	// and the router's: the client allocates the value of each get, and the
+	// router must add nothing, for keys that change from get to get too.
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan error, 1)
+	go func() {
+		served <- func() error {
+			nc, err := ln.Accept()
+			if err != nil {
+				return err
+			}
+			defer nc.Close()
+			br := bufio.NewReader(nc)
+			fr := newFrameReader(br, 0)
+			if _, err := fr.hello(); err != nil {
+				return err
+			}
+			if _, err := nc.Write(AppendHello(nil, &HelloFrame{Version: ProtoVersion})); err != nil {
+				return err
+			}
+			value := make([]byte, 4096)
+			var g frameGather
+			for {
+				if _, _, err := fr.next(); err != nil {
+					return nil // the router hung up
+				}
+				p, err := fr.payload()
+				if err != nil {
+					return err
+				}
+				d := codec.NewDecoder(p)
+				g.resp(&RespFrame{ID: d.Uvarint(), OK: true, Result: 4096, Value: value})
+				if br.Buffered() == 0 {
+					if err := g.writeTo(nc); err != nil {
+						return err
+					}
+				}
+			}
+		}()
+	}()
+	router, raddr := newTestRouter(t, ln.Addr().String())
+	c, err := Dial(raddr, "t1")
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%d", i)
+	}
+	rf := ReqFrame{Op: core.OpGet, Mount: "kv::/bench"}
+	i := 0
+	get := func() {
+		rf.ID, rf.Key, i = 0, keys[i%len(keys)], i+1
+		res, err := c.Do(&rf)
+		if err != nil || len(res.Resp.Value) != 4096 {
+			t.Fatalf("get via router: %v / %+v", err, res.Resp)
+		}
+	}
+	for range keys {
+		get()
+	}
+	allocs := testing.AllocsPerRun(500, get)
+	c.Close()
+	closeWithin(t, router, 10*time.Second)
+	if err := <-served; err != nil {
+		t.Fatalf("shard: %v", err)
+	}
+	if allocs > 1 {
+		t.Fatalf("a get through the router allocates %v times, want the 1 value the client allocates", allocs)
 	}
 }

@@ -45,8 +45,9 @@
 #      reader against it (serve.* RPC framing), the YAML spec/stack
 #      builder, the write-ahead log's replay over arbitrary block images,
 #      the pushdown KV result decoder and the pushdown compiler and
-#      evaluator (whole records against chunked ones), to catch parser
-#      regressions early.
+#      evaluator (whole records against chunked ones), and the router's
+#      head path against the server's (same frames accepted, forwarded
+#      heads byte-identical to AppendReq), to catch parser regressions early.
 #  11. observe smoke: boot labstor-runtime with the observability server on
 #      an ephemeral port and assert /metrics and /snapshot serve payloads.
 #  12. serve smoke: boot labstor-runtime with the network front end on an
@@ -57,6 +58,10 @@
 #      telemetry.Profile and publish on idle scans and before parking, and
 #      bundle captures reserve their slot under a lock; these legs vary
 #      the interleavings those depend on.
+#  14. router: the router tests three times under the race detector at
+#      -cpu 1,2,8. Upstream readers write responses to client sockets
+#      themselves, so two of them may write to one client at once, under
+#      that client's lock, while its own reader writes pongs and errors.
 # Run from the repository root (or via `make check`).
 set -eu
 cd "$(dirname "$0")/.."
@@ -106,6 +111,9 @@ go test -run '^$' -fuzz FuzzFrameDecode -fuzztime 5s ./internal/serve
 echo "== fuzz smoke: FuzzStreamReader -fuzztime 5s =="
 go test -run '^$' -fuzz FuzzStreamReader -fuzztime 5s ./internal/serve
 
+echo "== fuzz smoke: FuzzRouteHead -fuzztime 5s =="
+go test -run '^$' -fuzz FuzzRouteHead -fuzztime 5s ./internal/serve
+
 echo "== fuzz smoke: FuzzSpecParse -fuzztime 5s =="
 go test -run '^$' -fuzz FuzzSpecParse -fuzztime 5s ./internal/spec
 
@@ -126,5 +134,8 @@ sh scripts/serve_smoke.sh
 
 echo "== completion record: go test -race -count=3 -cpu 1,2,8 -run 'Attribution|SLO|Trace|Tail|Flight|Bundle|Ring|Views' ./internal/telemetry/... ./internal/runtime/... ./internal/obs/... =="
 go test -race -count=3 -cpu 1,2,8 -run 'Attribution|SLO|Trace|Tail|Flight|Bundle|Ring|Views' ./internal/telemetry/... ./internal/runtime/... ./internal/obs/...
+
+echo "== router: go test -race -count=3 -cpu 1,2,8 -run Router ./internal/serve =="
+go test -race -count=3 -cpu 1,2,8 -run Router ./internal/serve
 
 echo "== check: OK =="
