@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"labstor/internal/vtime"
 )
@@ -225,8 +226,8 @@ func TestRegistryInstantiateOnce(t *testing.T) {
 	if m1 != m2 {
 		t.Fatal("same UUID must return the same instance")
 	}
-	if !reg.Has("u1") || reg.Has("u2") {
-		t.Fatal("Has")
+	if _, err := reg.Get("u2"); err == nil {
+		t.Fatal("Get of an unregistered UUID")
 	}
 	if len(reg.UUIDs()) != 1 {
 		t.Fatal("UUIDs")
@@ -279,7 +280,7 @@ func TestRegistryRepairAll(t *testing.T) {
 		t.Fatal("not all modules repaired")
 	}
 	reg.Remove("a")
-	if reg.Has("a") {
+	if _, err := reg.Get("a"); err == nil {
 		t.Fatal("remove")
 	}
 }
@@ -365,7 +366,8 @@ func TestStackValidateInterfaceCompatibility(t *testing.T) {
 
 func TestStackInsertAfterAndRemove(t *testing.T) {
 	s := NewStack("m", Rules{}, chainVertices("a", "b"))
-	if err := s.InsertAfter("a", Vertex{UUID: "mid", Type: "test.fake"}); err != nil {
+	insert := func(after string, v Vertex) error { return s.Modify(nil, after, &v, "") }
+	if err := insert("a", Vertex{UUID: "mid", Type: "test.fake"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Outputs("a"); got[0] != "mid" {
@@ -374,28 +376,43 @@ func TestStackInsertAfterAndRemove(t *testing.T) {
 	if got := s.Outputs("mid"); got[0] != "b" {
 		t.Fatalf("mid outputs %v", got)
 	}
-	if err := s.InsertAfter("a", Vertex{UUID: "mid"}); err == nil {
+	if err := insert("a", Vertex{UUID: "mid"}); err == nil {
 		t.Fatal("duplicate insert succeeded")
 	}
-	if err := s.InsertAfter("ghost", Vertex{UUID: "x"}); err == nil {
+	if err := insert("ghost", Vertex{UUID: "x"}); err == nil {
 		t.Fatal("insert after missing vertex succeeded")
 	}
+	// An edit that fails validation publishes nothing.
+	before := s.Plan()
+	if err := insert("b", Vertex{UUID: "x", Outputs: []string{"nowhere"}}); err == nil {
+		t.Fatal("insert with a dangling output succeeded")
+	}
+	if s.Plan() != before {
+		t.Fatal("an edit that failed validation was published")
+	}
 	// Prepend.
-	if err := s.InsertAfter("", Vertex{UUID: "front", Type: "test.fake"}); err != nil {
+	if err := insert("", Vertex{UUID: "front", Type: "test.fake"}); err != nil {
 		t.Fatal(err)
 	}
 	if s.Entry() != "front" {
 		t.Fatalf("entry %s", s.Entry())
 	}
 	// Remove splices.
-	if err := s.RemoveVertex("mid"); err != nil {
+	if err := s.Modify(nil, "", nil, "mid"); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Outputs("a"); got[0] != "b" {
 		t.Fatalf("splice failed: %v", got)
 	}
-	if err := s.RemoveVertex("ghost"); err == nil {
+	if err := s.Modify(nil, "", nil, "ghost"); err == nil {
 		t.Fatal("remove of missing vertex succeeded")
+	}
+	// Insert and remove in one edit publish once.
+	if err := s.Modify(nil, "a", &Vertex{UUID: "mid2"}, "front"); err != nil {
+		t.Fatal(err)
+	}
+	if s.Entry() != "a" || s.Outputs("a")[0] != "mid2" {
+		t.Fatalf("combined edit: %+v", s.Vertices())
 	}
 	if err := s.Validate(nil); err != nil {
 		t.Fatal(err)
@@ -601,6 +618,54 @@ func TestExecStackReference(t *testing.T) {
 	}
 	if req.StackID != front.ID {
 		t.Fatal("stack ID not restored after cross-stack forward")
+	}
+}
+
+// TestExecGate: a top-level Submit into a gated stack waits until the gate
+// closes, a walk names its plan in the walker's slot until it ends, and a
+// nested walk into a gated stack neither waits nor takes the slot.
+func TestExecGate(t *testing.T) {
+	reg := NewRegistry()
+	ns := NewNamespace()
+	var during []*Plan
+	reg.Register("front", &fakeMod{name: "front", process: func(e *Exec, r *Request) error {
+		during = append(during, e.Walking())
+		return e.Next(r)
+	}})
+	reg.Register("back", &fakeMod{name: "back", process: func(e *Exec, r *Request) error {
+		during = append(during, e.Walking())
+		return nil
+	}})
+	back := NewStack("fs::/back", Rules{}, chainVertices("back"))
+	front := NewStack("fs::/front", Rules{}, []Vertex{{UUID: "front", Outputs: []string{"stack:fs::/back"}}})
+	for _, s := range []*Stack{back, front} {
+		if err := ns.Mount(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := NewExec(reg, ns, nil, 0)
+
+	gate := make(chan struct{})
+	ungate := back.Gate(gate)
+	plan := front.Plan()
+	if err := e.Submit(front, NewRequest(OpNop)); err != nil {
+		t.Fatalf("nested walk into a gated stack: %v", err)
+	}
+	if len(during) != 2 || during[0] != plan || during[1] != plan || e.Walking() != nil {
+		t.Fatalf("slot during the walk %v (want the top-level plan %p twice), after %v", during, plan, e.Walking())
+	}
+
+	walked := make(chan error, 1)
+	go func() { walked <- e.Submit(back, NewRequest(OpNop)) }()
+	select {
+	case err := <-walked:
+		t.Fatalf("Submit into a gated stack returned (%v) before the gate closed", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	ungate()
+	close(gate)
+	if err := <-walked; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"labstor/internal/vtime"
 )
@@ -15,6 +16,9 @@ import (
 // requests, and calls Next/NextTo to forward downstream. Every hop steps by
 // index through the Plan that Submit pinned and resolves its module in the
 // Exec's Registry, so a Swap (hot plug / live upgrade) applies to the next.
+//
+// An Exec is also its walker's slot in the control plane's quiescence
+// (Walking, Stack.Gate).
 type Exec struct {
 	Registry  *Registry
 	Namespace *Namespace
@@ -22,6 +26,15 @@ type Exec struct {
 	// WorkerID identifies the executing worker (-1 for client-side sync
 	// execution).
 	WorkerID int
+	// Admit, when set, is asked before every top-level walk, once Walking
+	// names its plan; an error ends the submission with the slot empty.
+	Admit func(*Request) error
+
+	// slot is the plan of the top-level walk in progress (nil when idle), on
+	// a cache line of its own: only its walker writes it.
+	_    [56]byte
+	slot atomic.Pointer[Plan]
+	_    [56]byte
 }
 
 // NewExec returns an Exec over the given registry and namespace.
@@ -32,15 +45,47 @@ func NewExec(reg *Registry, ns *Namespace, model *vtime.CostModel, workerID int)
 	return &Exec{Registry: reg, Namespace: ns, Model: model, WorkerID: workerID}
 }
 
-// Submit pins stack's current plan on req and runs req from the entry
-// vertex to the end of the DAG walk. The caller is responsible for
-// queue-pair transport and completion signaling.
+// Walking returns the plan of the top-level walk in progress, or nil.
+func (e *Exec) Walking() *Plan { return e.slot.Load() }
+
+// Submit runs req from the entry vertex of stack's current plan to the end
+// of the DAG walk. The caller is responsible for queue-pair transport and
+// completion signaling.
+//
+// A gated plan is waited out. Otherwise the slot names the plan before
+// Submit loads the stack's plan again, retrying if it changed, so a control
+// plane that gates the stack and then reads the slot finds the walk or is
+// seen by it.
 func (e *Exec) Submit(stack *Stack, req *Request) error {
-	p := stack.plan.Load()
-	if len(p.vertices) == 0 {
-		return fmt.Errorf("core: stack %q is empty", stack.Mount)
+	for {
+		p := stack.plan.Load()
+		if p.gate != nil {
+			<-p.gate // the control plane reopens the stack, at the latest on shutdown
+			continue
+		}
+		e.slot.Store(p)
+		if stack.plan.Load() != p {
+			e.slot.Store(nil)
+			continue
+		}
+		var err error
+		if e.Admit != nil {
+			err = e.Admit(req)
+		}
+		if err == nil {
+			err = e.walk(p, req)
+		}
+		e.slot.Store(nil)
+		return err
 	}
-	req.StackID = stack.ID
+}
+
+// walk pins p on req and runs it from p's entry vertex.
+func (e *Exec) walk(p *Plan, req *Request) error {
+	if len(p.vertices) == 0 {
+		return fmt.Errorf("core: stack %q is empty", p.stack.Mount)
+	}
+	req.StackID = p.stack.ID
 	req.plan = p
 	return e.deliver(0, req)
 }
@@ -106,8 +151,11 @@ func (e *Exec) forward(k int, req *Request) error {
 	if !ok {
 		return fmt.Errorf("core: stack reference %q not mounted", out)
 	}
+	// A nested walk is part of the top-level one. It neither takes the slot
+	// nor waits at a gate: the control plane that gated next waits for this
+	// walk to end.
 	saveID := req.StackID
-	err := e.Submit(next, req)
+	err := e.walk(next.plan.Load(), req)
 	req.plan, req.StackID = p, saveID
 	return err
 }

@@ -61,8 +61,8 @@ func (r *Registry) Instantiate(uuid, typeName string, cfg Config, env *Env) (Mod
 	return m, nil
 }
 
-// Register inserts a pre-built instance (used by tests and by decentralized
-// client-side registries).
+// Register inserts a pre-built instance (used by tests). Workers and
+// clients walk the one registry: one instance per UUID.
 func (r *Registry) Register(uuid string, m Module) {
 	r.mu.Lock()
 	r.set(uuid, m)
@@ -76,12 +76,6 @@ func (r *Registry) Get(uuid string) (Module, error) {
 		return nil, fmt.Errorf("core: module %q not in registry", uuid)
 	}
 	return m, nil
-}
-
-// Has reports whether a UUID is registered.
-func (r *Registry) Has(uuid string) bool {
-	_, ok := r.mods()[uuid]
-	return ok
 }
 
 // Swap replaces the instance behind uuid with next after transferring state
@@ -125,21 +119,14 @@ func (r *Registry) UUIDs() []string {
 	return out
 }
 
-// ForEach calls fn for every registered (uuid, instance) pair.
-func (r *Registry) ForEach(fn func(uuid string, m Module)) {
-	for u, m := range r.mods() {
-		fn(u, m)
-	}
-}
-
 // RepairAll invokes StateRepair on every instance (crash-recovery path).
 // It returns the first error encountered but repairs all instances.
 func (r *Registry) RepairAll() error {
 	var first error
-	r.ForEach(func(uuid string, m Module) {
+	for uuid, m := range r.mods() {
 		if err := m.StateRepair(); err != nil && first == nil {
 			first = fmt.Errorf("repair %q: %w", uuid, err)
 		}
-	})
+	}
 	return first
 }

@@ -73,6 +73,7 @@ type Plan struct {
 	index    map[string]int // uuid -> position in vertices
 	outs     [][]int        // position of vertices[i].Outputs[k]; -1 for "stack:" references
 	mods     atomic.Pointer[planMods]
+	gate     <-chan struct{} // on a gated copy (Stack.Gate): new top-level walks wait on it
 }
 
 // planMods is a plan's vertices resolved against one registry table.
@@ -85,12 +86,12 @@ type planMods struct {
 // the entry point.
 func NewStack(mount string, rules Rules, vertices []Vertex) *Stack {
 	s := &Stack{Mount: mount, Rules: rules}
-	s.publish(vertices)
+	s.plan.Store(s.compile(vertices))
 	return s
 }
 
-// publish compiles vs (not to be modified afterwards) into the current plan.
-func (s *Stack) publish(vs []Vertex) {
+// compile builds the plan of vs, which must not be modified afterwards.
+func (s *Stack) compile(vs []Vertex) *Plan {
 	p := &Plan{stack: s, vertices: vs, index: make(map[string]int, len(vs)), outs: make([][]int, len(vs))}
 	for i, v := range vs {
 		p.index[v.UUID] = i
@@ -104,7 +105,38 @@ func (s *Stack) publish(vs []Vertex) {
 			}
 		}
 	}
-	s.plan.Store(p)
+	return p
+}
+
+// Plan returns the stack's current plan.
+func (s *Stack) Plan() *Plan { return s.plan.Load() }
+
+// Reaches reports whether the plan holds a vertex named in uuids, or
+// forwards through a "stack:" output to a mount in mounts.
+func (p *Plan) Reaches(uuids, mounts map[string]bool) bool {
+	for _, v := range p.vertices {
+		if uuids[v.UUID] {
+			return true
+		}
+		for _, o := range v.Outputs {
+			if m, ok := strings.CutPrefix(o, "stack:"); ok && mounts[CleanMount(m)] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Gate publishes a gated copy of the stack's current plan: top-level walks
+// wait until gate is closed (Exec.Submit), nested ones walk it as the plan.
+// ungate republishes the plan unless an edit has replaced the copy.
+func (s *Stack) Gate(gate <-chan struct{}) (ungate func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p := s.plan.Load()
+	g := &Plan{stack: s, vertices: p.vertices, index: p.index, outs: p.outs, gate: gate}
+	s.plan.Store(g)
+	return func() { s.plan.CompareAndSwap(g, p) }
 }
 
 // modules returns the instances behind the vertices in reg's current table
@@ -154,17 +186,38 @@ func (s *Stack) Outputs(uuid string) []string {
 // Len returns the number of vertices.
 func (s *Stack) Len() int { return len(s.plan.Load().vertices) }
 
-// InsertAfter inserts a new vertex after the vertex with UUID `after`
-// (modify_stack: dynamic semantics imposition, e.g. adding a compression
-// LabMod for a period of time). The new vertex inherits `after`'s outputs
-// and `after` is rewired to point at it. An empty `after` prepends a new
-// entry vertex.
-func (s *Stack) InsertAfter(after string, v Vertex) error {
+// Modify applies a modify_stack edit (dynamic semantics imposition, e.g.
+// adding a compression LabMod for a period of time): a non-nil v is
+// inserted after the vertex `after`, then the vertex `remove`, if named, is
+// removed. The edited DAG is validated against reg (Validate) and only
+// then published, so an edit that fails leaves the stack as it was.
+func (s *Stack) Modify(reg *Registry, after string, v *Vertex, remove string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p := s.plan.Load()
+	var err error
+	if v != nil {
+		p, err = p.insert(after, *v)
+	}
+	if remove != "" && err == nil {
+		p, err = p.remove(remove)
+	}
+	if err == nil {
+		err = p.validate(reg)
+	}
+	if err == nil {
+		s.plan.Store(p)
+	}
+	return err
+}
+
+// insert returns p with v inserted after the vertex with UUID `after`. The
+// new vertex inherits `after`'s outputs and `after` is rewired to point at
+// it. An empty `after` prepends a new entry vertex.
+func (p *Plan) insert(after string, v Vertex) (*Plan, error) {
+	s := p.stack
 	if _, dup := p.index[v.UUID]; dup {
-		return fmt.Errorf("core: vertex %q already in stack %q", v.UUID, s.Mount)
+		return nil, fmt.Errorf("core: vertex %q already in stack %q", v.UUID, s.Mount)
 	}
 	i, ok := p.index[after]
 	switch {
@@ -174,7 +227,7 @@ func (s *Stack) InsertAfter(after string, v Vertex) error {
 			v.Outputs = []string{p.vertices[0].UUID}
 		}
 	case !ok:
-		return fmt.Errorf("core: vertex %q not in stack %q", after, s.Mount)
+		return nil, fmt.Errorf("core: vertex %q not in stack %q", after, s.Mount)
 	case len(v.Outputs) == 0:
 		v.Outputs = append([]string(nil), p.vertices[i].Outputs...)
 	}
@@ -182,19 +235,15 @@ func (s *Stack) InsertAfter(after string, v Vertex) error {
 	if i >= 0 {
 		vs[i].Outputs = []string{v.UUID}
 	}
-	s.publish(append(vs, p.vertices[i+1:]...))
-	return nil
+	return s.compile(append(vs, p.vertices[i+1:]...)), nil
 }
 
-// RemoveVertex removes the named vertex, splicing its inputs to its outputs.
-// Removing the entry vertex promotes its first output to entry.
-func (s *Stack) RemoveVertex(uuid string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p := s.plan.Load()
+// remove returns p without the named vertex, its inputs spliced to its
+// outputs. Removing the entry vertex promotes its first output to entry.
+func (p *Plan) remove(uuid string) (*Plan, error) {
 	i, ok := p.index[uuid]
 	if !ok {
-		return fmt.Errorf("core: vertex %q not in stack %q", uuid, s.Mount)
+		return nil, fmt.Errorf("core: vertex %q not in stack %q", uuid, p.stack.Mount)
 	}
 	removed := p.vertices[i]
 	vs := make([]Vertex, 0, len(p.vertices)-1)
@@ -217,8 +266,7 @@ func (s *Stack) RemoveVertex(uuid string) error {
 		v.Outputs = outs
 		vs = append(vs, v)
 	}
-	s.publish(vs)
-	return nil
+	return p.stack.compile(vs), nil
 }
 
 // ErrCycle is returned by Validate for cyclic DAGs.
@@ -227,8 +275,11 @@ var ErrCycle = errors.New("core: stack DAG contains a cycle")
 // Validate checks the stack: non-empty, referenced outputs exist (or are
 // stack references), the DAG is acyclic, depth within bounds, and adjacent
 // module interfaces are compatible per the registry's instances.
-func (s *Stack) Validate(reg *Registry) error {
-	p := s.plan.Load()
+func (s *Stack) Validate(reg *Registry) error { return s.plan.Load().validate(reg) }
+
+// validate is Validate for plan p.
+func (p *Plan) validate(reg *Registry) error {
+	s := p.stack
 	if len(p.vertices) == 0 {
 		return fmt.Errorf("core: stack %q has no vertices", s.Mount)
 	}

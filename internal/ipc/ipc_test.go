@@ -65,38 +65,6 @@ func TestQueuePairCompleteOverflow(t *testing.T) {
 	}
 }
 
-func TestQueuePairUpgradeHandshake(t *testing.T) {
-	qp := NewQueuePair[int](1, Primary, true, 4)
-	if qp.State() != Running {
-		t.Fatal("initial state")
-	}
-	if !qp.MarkUpdatePending() {
-		t.Fatal("MarkUpdatePending failed")
-	}
-	if qp.MarkUpdatePending() {
-		t.Fatal("double MarkUpdatePending succeeded")
-	}
-	if qp.State() != UpdatePending {
-		t.Fatal("state after mark")
-	}
-	if !qp.AckUpdate() {
-		t.Fatal("AckUpdate failed")
-	}
-	if qp.State() != UpdateAcked {
-		t.Fatal("state after ack")
-	}
-	qp.ResumeAfterUpdate()
-	if qp.State() != Running {
-		t.Fatal("state after resume")
-	}
-	// State string coverage.
-	for _, s := range []UpgradeState{Running, UpdatePending, UpdateAcked, UpgradeState(9)} {
-		if s.String() == "" {
-			t.Fatal("empty state string")
-		}
-	}
-}
-
 func TestQueueKindString(t *testing.T) {
 	if Primary.String() != "primary" || Intermediate.String() != "intermediate" {
 		t.Fatal("kind strings")

@@ -1,21 +1,16 @@
 package ipc
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // QueueKind distinguishes where a queue sits on the request path.
 type QueueKind uint8
 
 const (
 	// Primary queues are where clients initiate requests. In the paper they
-	// live in shared memory and participate in the live-upgrade pause
-	// protocol.
+	// live in shared memory.
 	Primary QueueKind = iota
 	// Intermediate queues hold requests spawned as a result of another
-	// request (module-to-module forwarding); they drain fully before an
-	// upgrade proceeds.
+	// request (module-to-module forwarding).
 	Intermediate
 )
 
@@ -24,35 +19,6 @@ func (k QueueKind) String() string {
 		return "primary"
 	}
 	return "intermediate"
-}
-
-// UpgradeState is the live-upgrade handshake state of a primary queue pair
-// (paper §III-C2): the Module Manager marks primary queues UPDATE_PENDING;
-// workers acknowledge with UPDATE_ACKED and stop draining the queue until
-// the upgrade completes.
-type UpgradeState uint32
-
-const (
-	// Running means requests flow normally.
-	Running UpgradeState = iota
-	// UpdatePending is set by the Module Manager when an upgrade is queued.
-	UpdatePending
-	// UpdateAcked is set by the processing worker once it has observed
-	// UpdatePending and paused the queue.
-	UpdateAcked
-)
-
-func (s UpgradeState) String() string {
-	switch s {
-	case Running:
-		return "RUNNING"
-	case UpdatePending:
-		return "UPDATE_PENDING"
-	case UpdateAcked:
-		return "UPDATE_ACKED"
-	default:
-		return fmt.Sprintf("UpgradeState(%d)", uint32(s))
-	}
 }
 
 // QueuePair is a submission queue / completion queue pair, the unit the
@@ -75,7 +41,6 @@ type QueuePair[T any] struct {
 	sq *Ring[T]
 	cq *Ring[T]
 
-	state    atomic.Uint32
 	inflight atomic.Int64 // submitted but not yet completed
 }
 
@@ -126,19 +91,17 @@ type QueuePairStats struct {
 	ID       int       `json:"id"`
 	Kind     string    `json:"kind"`
 	Owner    int       `json:"owner_client"`
-	State    string    `json:"state"`
 	Inflight int       `json:"inflight"`
 	SQ       RingStats `json:"sq"`
 	CQ       RingStats `json:"cq"`
 }
 
-// Stats snapshots both rings and the pair's upgrade/inflight state.
+// Stats snapshots both rings and the pair's in-flight count.
 func (q *QueuePair[T]) Stats() QueuePairStats {
 	return QueuePairStats{
 		ID:       q.ID,
 		Kind:     q.Kind.String(),
 		Owner:    q.OwnerClient,
-		State:    q.State().String(),
 		Inflight: q.Inflight(),
 		SQ:       q.sq.Stats(),
 		CQ:       q.cq.Stats(),
@@ -147,21 +110,3 @@ func (q *QueuePair[T]) Stats() QueuePairStats {
 
 // SQLen returns the number of requests waiting in the submission queue.
 func (q *QueuePair[T]) SQLen() int { return q.sq.Len() }
-
-// State returns the queue's upgrade-handshake state.
-func (q *QueuePair[T]) State() UpgradeState { return UpgradeState(q.state.Load()) }
-
-// MarkUpdatePending transitions Running -> UpdatePending (Module Manager
-// side). It reports whether the transition happened.
-func (q *QueuePair[T]) MarkUpdatePending() bool {
-	return q.state.CompareAndSwap(uint32(Running), uint32(UpdatePending))
-}
-
-// AckUpdate transitions UpdatePending -> UpdateAcked (worker side). It
-// reports whether the transition happened.
-func (q *QueuePair[T]) AckUpdate() bool {
-	return q.state.CompareAndSwap(uint32(UpdatePending), uint32(UpdateAcked))
-}
-
-// ResumeAfterUpdate returns the queue to Running from any upgrade state.
-func (q *QueuePair[T]) ResumeAfterUpdate() { q.state.Store(uint32(Running)) }

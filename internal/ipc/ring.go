@@ -6,9 +6,10 @@
 // In the paper, clients and the Runtime live in separate address spaces and
 // exchange cacheline-sized requests over shared-memory queues. Here the
 // "address spaces" are goroutines inside one process; the queue protocol
-// (polling, ordered/unordered, primary/intermediate, UPDATE_PENDING /
-// UPDATE_ACKED upgrade flags) is reproduced faithfully, and the cross-core
-// cacheline-transfer cost is charged in virtual time by the runtime.
+// (polling, ordered/unordered, primary/intermediate) is reproduced
+// faithfully, and the cross-core cacheline-transfer cost is charged in
+// virtual time by the runtime. Live upgrades do not pause queues: the
+// runtime gates only the stacks an upgrade changes (internal/runtime).
 package ipc
 
 import (

@@ -15,10 +15,12 @@ import (
 	"labstor/internal/runtime"
 )
 
-// TestChaosMixedLoadWithUpgradesAndCrash drives a filesystem stack with
-// concurrent clients while the test live-upgrades the scheduler, inserts
-// and removes a compression vertex, crashes and restarts the Runtime —
-// then verifies every file's content survived intact.
+// TestChaosMixedLoadWithUpgradesAndCrash drives a filesystem with
+// concurrent clients, half through an async stack and half through a
+// sync-mode stack over the same LabMods, while the test live-upgrades the
+// scheduler (centralized, then decentralized), inserts and removes a
+// pass-through vertex, crashes and restarts the Runtime — then verifies
+// every file's content survived intact.
 func TestChaosMixedLoadWithUpgradesAndCrash(t *testing.T) {
 	rt := runtime.New(runtime.Options{MaxWorkers: 4, QueueDepth: 4096})
 	rt.AddDevice(device.New("dev0", device.NVMe, 512<<20))
@@ -41,6 +43,11 @@ mods:
 `); err != nil {
 		t.Fatal(err)
 	}
+	async, _ := rt.Namespace.Lookup("fs::/chaos")
+	if _, err := rt.Mount(core.NewStack("fs::/chaos_sync", core.Rules{ExecMode: core.ExecSync}, async.Vertices())); err != nil {
+		t.Fatal(err)
+	}
+	mounts := []string{"fs::/chaos", "fs::/chaos_sync"}
 	rt.Start()
 	defer rt.Shutdown()
 
@@ -56,6 +63,7 @@ mods:
 			defer wg.Done()
 			cli := rt.Connect(ipc.Credentials{PID: 100 + c, UID: 1000, GID: 1000})
 			cli.RestartPatience = 10 * time.Second
+			mount := mounts[c%len(mounts)]
 			rng := rand.New(rand.NewSource(int64(c)))
 			mine := make(map[string][]byte, filesPerClient)
 			content[c] = mine
@@ -72,7 +80,7 @@ mods:
 					req.Flags = core.FlagCreate
 					req.Size = len(data)
 					req.Data = data
-					if err := cli.Submit("fs::/chaos", req); err != nil || req.Err != nil {
+					if err := cli.Submit(mount, req); err != nil || req.Err != nil {
 						if err == nil {
 							err = req.Err
 						}
@@ -83,7 +91,7 @@ mods:
 					fy.Path = path
 					// A failed fsync (e.g. ENOENT after a crash replay
 					// dropped the create) means "not durable — redo".
-					_ = cli.Submit("fs::/chaos", fy)
+					_ = cli.Submit(mount, fy)
 					durable = fy.Err == nil
 				}
 				if !durable {
@@ -98,7 +106,7 @@ mods:
 					rr.Path = prev
 					rr.Size = len(mine[prev])
 					rr.Data = make([]byte, len(mine[prev]))
-					if err := cli.Submit("fs::/chaos", rr); err != nil || rr.Err != nil {
+					if err := cli.Submit(mount, rr); err != nil || rr.Err != nil {
 						errs[c] = fmt.Errorf("read %s: %v/%v", prev, err, rr.Err)
 						return
 					}
@@ -116,12 +124,12 @@ mods:
 	go func() {
 		defer close(chaosDone)
 		time.Sleep(time.Millisecond)
-		// Live-upgrade the scheduler twice.
-		for i := 0; i < 2; i++ {
+		// Live-upgrade the scheduler twice, in both protocols.
+		for _, mode := range []runtime.UpgradeMode{runtime.Centralized, runtime.Decentralized} {
 			if err := rt.ModManager().Upgrade(&runtime.UpgradeRequest{
 				UUID:  "sched",
 				Build: func() core.Module { return &iosched.NoOp{} },
-				Mode:  runtime.Centralized,
+				Mode:  mode,
 			}); err != nil {
 				t.Errorf("upgrade: %v", err)
 			}

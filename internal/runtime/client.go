@@ -32,12 +32,10 @@ type Client struct {
 	// completion, making submissions closed-loop in virtual time.
 	clock vtime.Clock
 
-	// syncExec walks sync-mode stacks directly in the client thread against
-	// the client's own registry view (decentralized execution, Lab-D).
+	// syncExec walks sync-mode stacks directly in the client thread
+	// (decentralized execution, Lab-D). Its slot is this client's in the
+	// control plane's quiescence.
 	syncExec *core.Exec
-	// localRegistry is this client's instance view for decentralized
-	// upgrades. It starts as a mirror of the Runtime registry.
-	localRegistry *core.Registry
 
 	// RestartPatience bounds how long Wait tolerates a crashed Runtime.
 	RestartPatience time.Duration
@@ -96,7 +94,6 @@ func (rt *Runtime) Connect(cred ipc.Credentials) *Client {
 		id:              id,
 		cred:            cred,
 		qp:              qp,
-		localRegistry:   rt.Registry, // shared until a decentralized upgrade clones it
 		RestartPatience: 5 * time.Second,
 		OriginCore:      id,
 		wake:            make(chan struct{}, 1),
@@ -106,6 +103,7 @@ func (rt *Runtime) Connect(cred ipc.Credentials) *Client {
 		<-c.backstop.C
 	}
 	c.syncExec = core.NewExec(rt.Registry, rt.Namespace, rt.opts.Model, -1)
+	c.syncExec.Admit = rt.admit
 	cqBuf := rt.opts.QueueDepth
 	if cqBuf > 256 {
 		cqBuf = 256
@@ -197,13 +195,11 @@ func (c *Client) Submit(mount string, req *core.Request) error {
 // is finished: a batch of one, waited for.
 func (c *Client) SubmitStack(s *core.Stack, req *core.Request) error {
 	if s.Rules.ExecMode == core.ExecSync {
-		// Decentralized: walk the DAG in the client thread against the
-		// client's registry view. No queue, no IPC charge.
+		// Decentralized: walk the DAG in the client thread. No queue, no
+		// IPC charge. A crashed runtime is waited out as Wait does.
 		c.stamp(s, req, c.clock.Now())
 		c.mSyncRuns.Inc()
-		exec := c.syncExec
-		exec.Registry = c.localRegistry
-		err := exec.Submit(s, req)
+		err := c.rt.walk(c.syncExec, s, req, c.RestartPatience)
 		req.MarkDone()
 		c.clock.AdvanceTo(req.Clock)
 		if err != nil && req.Err == nil {
@@ -271,10 +267,10 @@ func (c *Client) enqueue(s *core.Stack, reqs []*core.Request) error {
 		req.Charge("queue", queueOp)
 	}
 	for sent := 0; sent < len(reqs); {
-		if err := c.checkAlive(); err != nil {
+		if c.rt.state.Load() == stateStopped {
 			// Reqs before sent are already queued; the caller must still
 			// WaitAll them if the Runtime comes back.
-			return err
+			return ErrStopped
 		}
 		n := c.qp.SubmitBatch(reqs[sent:])
 		if n == 0 {
@@ -325,8 +321,8 @@ func (c *Client) Call(mount string, op core.Op, build func(*core.Request)) (*cor
 
 // Wait blocks until req completes. If the Runtime crashes while the request
 // is outstanding, Wait blocks until an administrator restarts it (up to
-// RestartPatience), triggers StateRepair through the client library, and
-// resubmits the request (paper §III-C3).
+// RestartPatience), which repairs module state with StateRepair, and keeps
+// waiting: the frozen queue still holds the request (paper §III-C3).
 //
 // The wait is poll-then-park, like the worker's: reap the CQ, check the
 // completion word, yield-poll it for waitPollBudget rounds, and only then
@@ -357,15 +353,12 @@ func (c *Client) Wait(req *core.Request) error {
 				<-c.backstop.C
 			}
 		case <-c.backstop.C:
-			// Periodic wake-up to detect a crashed/stopped Runtime.
-			if c.rt.Crashed() {
-				if err := c.awaitRestart(deadline); err != nil {
-					return err
-				}
-				// The Runtime is back: repair module state, then keep
-				// waiting — the frozen queues are intact, so workers resume
-				// draining the outstanding request.
-				c.repairAfterCrash()
+			// Periodic wake-up to detect a crashed/stopped Runtime. Once a
+			// crashed one is back (Restart repaired module state), keep
+			// waiting: the frozen queues are intact, so workers resume
+			// draining the request.
+			if err := c.rt.awaitRestart(deadline); err != nil {
+				return err
 			}
 			if c.rt.state.Load() == stateStopped {
 				return ErrStopped
@@ -382,63 +375,4 @@ func (c *Client) Wait(req *core.Request) error {
 func (c *Client) reapCQ() {
 	for c.qp.PollCQBatch(c.cqBuf) > 0 {
 	}
-}
-
-func (c *Client) awaitRestart(deadline time.Time) error {
-	for c.rt.Crashed() {
-		if time.Now().After(deadline) {
-			return ErrWaitTimeout
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	return nil
-}
-
-// repairAfterCrash is the client library's post-restart hook. In the
-// paper, each client iterates the LabStack Namespace and invokes
-// StateRepair on the LabMods in its address space. Here the Runtime's
-// Restart performs that repair exactly once, under quiescence (no requests
-// in flight), for the shared instances every client would otherwise race
-// to repair; the client hook only repairs instances that are private to
-// this client — clones created by a decentralized upgrade.
-func (c *Client) repairAfterCrash() {
-	if c.localRegistry == c.rt.Registry {
-		return // shared instances: repaired centrally by Restart
-	}
-	for _, s := range c.rt.Namespace.Stacks() {
-		if s.Rules.ExecMode != core.ExecSync {
-			continue
-		}
-		for _, v := range s.Vertices() {
-			if m, err := c.localRegistry.Get(v.UUID); err == nil {
-				if shared, err2 := c.rt.Registry.Get(v.UUID); err2 == nil && shared == m {
-					continue // still the shared instance
-				}
-				_ = m.StateRepair()
-			}
-		}
-	}
-}
-
-func (c *Client) checkAlive() error {
-	switch c.rt.state.Load() {
-	case stateStopped:
-		return ErrStopped
-	default:
-		return nil
-	}
-}
-
-// cloneRegistryForDecentralized gives the client a private registry view the
-// decentralized upgrade protocol can update independently.
-func (c *Client) cloneRegistryForDecentralized() *core.Registry {
-	if c.localRegistry != c.rt.Registry {
-		return c.localRegistry
-	}
-	clone := core.NewRegistry()
-	c.rt.Registry.ForEach(func(uuid string, m core.Module) {
-		clone.Register(uuid, m)
-	})
-	c.localRegistry = clone
-	return clone
 }

@@ -12,9 +12,10 @@ import (
 )
 
 // The control plane (DESIGN.md "Control plane"): rebalances, upgrades,
-// stack edits and restarts apply one at a time under Runtime.ctl, and
-// upgrades and stack edits run under quiesce, so no async request is inside
-// a stack while it changes.
+// stack edits and restarts apply one at a time under Runtime.ctl. Upgrades
+// run under quiesce, which gates only the stacks that reach the upgraded
+// module and waits for the walkers in them, async and sync alike; stack
+// edits publish without waiting; Restart waits for every walker.
 
 // TestConcurrentConnectAssignsEveryQueue connects 16 clients at once to an
 // 8-worker round-robin runtime, 300 times over. Once every Connect has
@@ -53,148 +54,186 @@ func TestConcurrentConnectAssignsEveryQueue(t *testing.T) {
 	}
 }
 
-// TestModifyStackDrainsRequestInRemovedVertex removes the vertex a request
-// is inside. ModifyStack must wait for the request to leave the stack: the
-// request then walks the old DAG to its end, and the edit applies after.
-func TestModifyStackDrainsRequestInRemovedVertex(t *testing.T) {
-	rt := New(Options{MaxWorkers: 1, QueueDepth: 16, PerfSampleEvery: PerfSamplingDisabled})
-	stack, err := rt.Mount(core.NewStack("msg::/pass", core.Rules{}, []core.Vertex{
-		{UUID: "hold", Type: passGateType, Outputs: []string{"tail"}},
-		{UUID: "tail", Type: dummy.Type},
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.Start()
-	t.Cleanup(rt.Shutdown)
-	m, err := rt.Registry.Get("hold")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hold := m.(*gateMod)
-	cli := rt.Connect(ipc.Credentials{PID: 1})
-
-	req := core.NewRequest(core.OpMessage)
+// holdIn starts req, flagged gated, on stack from a new client — queued
+// for a worker (async) or walked by the client's thread (sync) — and
+// returns once the request is inside the gate module g, with a function
+// that waits for its outcome.
+func holdIn(t *testing.T, rt *Runtime, stack *core.Stack, g *gateMod, req *core.Request) (finish func() error) {
+	t.Helper()
+	cli := rt.Connect(ipc.Credentials{PID: 100})
 	req.Flags = gated
-	if err := cli.SubmitBatch(stack, []*core.Request{req}); err != nil {
-		t.Fatal(err)
-	}
-	<-hold.entered
-	edited := make(chan error, 1)
-	go func() { edited <- rt.ModifyStack("msg::/pass", "", nil, "hold") }()
-	var early error
-	returnedEarly := false
-	select {
-	case early = <-edited:
-		returnedEarly = true
-	case <-time.After(20 * time.Millisecond):
-	}
-	hold.release <- struct{}{}
-	if err := cli.Wait(req); err != nil {
-		t.Fatal(err)
-	}
-	if req.Err != nil {
-		t.Fatalf("request held in the removed vertex failed: %v", req.Err)
-	}
-	if returnedEarly {
-		t.Fatalf("ModifyStack returned (%v) while a request was inside the vertex it removes", early)
-	}
-	within(t, 5*time.Second, "ModifyStack after the request left the stack", func() {
-		if err := <-edited; err != nil {
-			t.Errorf("ModifyStack: %v", err)
+	if stack.Rules.ExecMode == core.ExecAsync {
+		if err := cli.SubmitBatch(stack, []*core.Request{req}); err != nil {
+			t.Fatal(err)
 		}
-	})
-	if vs := stack.Vertices(); len(vs) != 1 || vs[0].UUID != "tail" {
-		t.Fatalf("stack after the edit: %+v", vs)
+		<-g.entered
+		return func() error { return cli.Wait(req) }
 	}
-}
-
-// TestModifyStackUnderSyncRequestInRemovedVertex removes the vertex a
-// sync-mode request is inside. The request walks the client's thread, not
-// a queue, so ModifyStack does not wait for it; the request must still
-// finish without error on the plan it pinned at submission.
-func TestModifyStackUnderSyncRequestInRemovedVertex(t *testing.T) {
-	rt := New(Options{MaxWorkers: 1, QueueDepth: 16, PerfSampleEvery: PerfSamplingDisabled})
-	stack, err := rt.Mount(core.NewStack("msg::/pass", core.Rules{ExecMode: core.ExecSync}, []core.Vertex{
-		{UUID: "hold", Type: passGateType, Outputs: []string{"tail"}},
-		{UUID: "tail", Type: dummy.Type},
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.Start()
-	t.Cleanup(rt.Shutdown)
-	m, err := rt.Registry.Get("hold")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hold := m.(*gateMod)
-	cli := rt.Connect(ipc.Credentials{PID: 1})
-
-	req := core.NewRequest(core.OpMessage)
-	req.Flags = gated
 	walked := make(chan error, 1)
 	go func() { walked <- cli.SubmitStack(stack, req) }()
-	<-hold.entered
-	within(t, 5*time.Second, "ModifyStack under a sync request", func() {
-		if err := rt.ModifyStack("msg::/pass", "", nil, "hold"); err != nil {
-			t.Errorf("ModifyStack: %v", err)
-		}
-	})
-	hold.release <- struct{}{}
-	within(t, 5*time.Second, "the held sync request", func() {
-		if err := <-walked; err != nil {
-			t.Errorf("request held in the removed vertex failed: %v", err)
-		}
-	})
-	if vs := stack.Vertices(); len(vs) != 1 || vs[0].UUID != "tail" {
-		t.Fatalf("stack after the edit: %+v", vs)
+	<-g.entered
+	return func() error { return <-walked }
+}
+
+var execModes = []core.ExecMode{core.ExecAsync, core.ExecSync}
+
+// TestModifyStackUnderSyncRequestInRemovedVertex removes the vertex a
+// request is inside, in either exec mode. The edit publishes without
+// waiting for the request, which finishes without error on the plan it
+// pinned at submission.
+func TestModifyStackUnderSyncRequestInRemovedVertex(t *testing.T) {
+	for _, mode := range execModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			rt := New(Options{MaxWorkers: 1, QueueDepth: 16, PerfSampleEvery: PerfSamplingDisabled})
+			stack, err := rt.Mount(core.NewStack("msg::/pass", core.Rules{ExecMode: mode}, []core.Vertex{
+				{UUID: "hold", Type: passGateType, Outputs: []string{"tail"}},
+				{UUID: "tail", Type: dummy.Type},
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.Start()
+			t.Cleanup(rt.Shutdown)
+			m, err := rt.Registry.Get("hold")
+			if err != nil {
+				t.Fatal(err)
+			}
+			hold := m.(*gateMod)
+			t.Cleanup(func() { hold.release <- struct{}{} }) // never strand the walker
+
+			req := core.NewRequest(core.OpMessage)
+			finish := holdIn(t, rt, stack, hold, req)
+			within(t, 50*time.Millisecond, "ModifyStack under a held request", func() {
+				if err := rt.ModifyStack("msg::/pass", "", nil, "hold"); err != nil {
+					t.Errorf("ModifyStack: %v", err)
+				}
+			})
+			hold.release <- struct{}{}
+			within(t, 5*time.Second, "the held request", func() {
+				if err := finish(); err != nil || req.Err != nil {
+					t.Errorf("request held in the removed vertex failed: %v, %v", err, req.Err)
+				}
+			})
+			if vs := stack.Vertices(); len(vs) != 1 || vs[0].UUID != "tail" {
+				t.Fatalf("stack after the edit: %+v", vs)
+			}
+		})
 	}
 }
 
-// TestUpgradeNeverSwapsUnderBusyWorker holds a request inside the module
-// being upgraded for longer than the upgrade's quiesce deadline. The
-// upgrade must not swap the module while the old instance still holds the
-// request: it aborts, stays queued, and applies once the request is done.
+// TestUpgradeNeverSwapsUnderBusyWorker holds a request, async or sync,
+// inside the module being upgraded for longer than the upgrade's quiesce
+// deadline. The upgrade must not swap the module while the old instance
+// still holds the request: it aborts, stays queued, and applies once the
+// request is done.
 func TestUpgradeNeverSwapsUnderBusyWorker(t *testing.T) {
-	rt, stack, old, _ := handshakeRig(t, 1, core.ExecAsync)
-	cli := rt.Connect(ipc.Credentials{PID: 1})
-	req := core.NewRequest(core.OpMessage)
-	req.Flags = gated
-	req.Offset = 3
-	if err := cli.SubmitBatch(stack, []*core.Request{req}); err != nil {
+	for _, mode := range execModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			rt, stack, old, _ := handshakeRig(t, 1, mode)
+			t.Cleanup(func() { old.release <- struct{}{} }) // never strand the walker
+			req := core.NewRequest(core.OpMessage)
+			req.Offset = 3
+			finish := holdIn(t, rt, stack, old, req)
+
+			next := newGateMod(false)
+			upgraded := rt.ModManager().RequestUpgrade(&UpgradeRequest{
+				UUID:  "gate",
+				Build: func() core.Module { return next },
+			})
+			time.Sleep(quiesceTimeout + 100*time.Millisecond)
+			during, _ := rt.Registry.Get("gate")
+			old.release <- struct{}{}
+			within(t, 5*time.Second, "upgrade after the request finished", func() {
+				if err := <-upgraded; err != nil {
+					t.Errorf("Upgrade: %v", err)
+				}
+			})
+			if err := finish(); err != nil || req.Result != gateAnswer(3) {
+				t.Fatalf("held request: %v, result %d", err, req.Result)
+			}
+			if during != core.Module(old) {
+				t.Fatal("the upgrade swapped in the new instance while the old one held a request")
+			}
+			if now, _ := rt.Registry.Get("gate"); now != core.Module(next) {
+				t.Fatal("the upgrade did not apply once the request finished")
+			}
+			aborted := false
+			for _, ev := range rt.Events().Recent() {
+				aborted = aborted || strings.Contains(ev.Msg, "upgrade aborted")
+			}
+			if !aborted {
+				t.Fatal("no flight event for the aborted upgrade")
+			}
+		})
+	}
+}
+
+// TestControlPlaneSkipsUnrelatedStack holds a request in msg::/gate. An
+// edit of msg::/other must return at once, and an upgrade of a module only
+// msg::/other uses must complete while the request is still held: the
+// control plane waits only for the stacks it changes.
+func TestControlPlaneSkipsUnrelatedStack(t *testing.T) {
+	rt, stack, gate, _ := handshakeRig(t, 2, core.ExecAsync)
+	t.Cleanup(func() { gate.release <- struct{}{} }) // never strand the worker
+	if _, err := rt.Mount(core.NewStack("msg::/other", core.Rules{}, []core.Vertex{{UUID: "odum", Type: dummy.Type}})); err != nil {
 		t.Fatal(err)
 	}
-	<-old.entered
+	req := core.NewRequest(core.OpMessage)
+	finish := holdIn(t, rt, stack, gate, req)
 
-	next := newGateMod(false)
-	upgraded := rt.ModManager().RequestUpgrade(&UpgradeRequest{
-		UUID:  "gate",
-		Build: func() core.Module { return next },
-	})
-	time.Sleep(quiesceTimeout + 100*time.Millisecond)
-	during, _ := rt.Registry.Get("gate")
-	old.release <- struct{}{}
-	within(t, 5*time.Second, "upgrade after the request finished", func() {
-		if err := <-upgraded; err != nil {
+	start := time.Now()
+	if err := rt.ModifyStack("msg::/other", "odum", &core.Vertex{UUID: "probe", Type: dummy.Type}, ""); err != nil {
+		t.Fatalf("edit of the other stack: %v", err)
+	}
+	if d := time.Since(start); d > 50*time.Millisecond {
+		t.Fatalf("edit of the other stack took %v while a request was held elsewhere", d)
+	}
+	within(t, 2*time.Second, "upgrade of the other stack's module", func() {
+		if err := rt.ModManager().Upgrade(&UpgradeRequest{UUID: "odum", Build: func() core.Module { return &dummy.Dummy{} }}); err != nil {
 			t.Errorf("Upgrade: %v", err)
 		}
 	})
-	if err := cli.Wait(req); err != nil || req.Result != gateAnswer(3) {
+	cli := rt.Connect(ipc.Credentials{PID: 1})
+	if err := cli.Submit("msg::/other", core.NewRequest(core.OpMessage)); err != nil {
+		t.Fatalf("request on the other stack: %v", err)
+	}
+	gate.release <- struct{}{}
+	if err := finish(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRestartWaitsForSyncRequest crashes the runtime while a sync request
+// is inside a module. Restart must not run StateRepair until the request
+// has left, and the request finishes without error.
+func TestRestartWaitsForSyncRequest(t *testing.T) {
+	rt, stack, gate, _ := handshakeRig(t, 1, core.ExecSync)
+	t.Cleanup(func() { gate.release <- struct{}{} }) // never strand the walker
+	req := core.NewRequest(core.OpMessage)
+	req.Offset = 4
+	finish := holdIn(t, rt, stack, gate, req)
+	rt.Crash()
+	restarted := make(chan error, 1)
+	go func() { restarted <- rt.Restart() }()
+	select {
+	case err := <-restarted:
+		t.Fatalf("Restart returned (%v) while a sync request was inside the module", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if n := gate.repairs.Load(); n != 0 {
+		t.Fatalf("StateRepair ran %d times while a sync request was inside the module", n)
+	}
+	gate.release <- struct{}{}
+	within(t, 5*time.Second, "Restart after the request left", func() {
+		if err := <-restarted; err != nil {
+			t.Errorf("Restart: %v", err)
+		}
+	})
+	if err := finish(); err != nil || req.Result != gateAnswer(4) {
 		t.Fatalf("held request: %v, result %d", err, req.Result)
 	}
-	if during != core.Module(old) {
-		t.Fatal("the upgrade swapped in the new instance while the old one held a request")
-	}
-	if now, _ := rt.Registry.Get("gate"); now != core.Module(next) {
-		t.Fatal("the upgrade did not apply once the request finished")
-	}
-	aborted := false
-	for _, ev := range rt.Events().Recent() {
-		aborted = aborted || strings.Contains(ev.Msg, "upgrade aborted")
-	}
-	if !aborted {
-		t.Fatal("no flight event for the aborted upgrade")
+	if n := gate.repairs.Load(); n != 1 {
+		t.Fatalf("StateRepair ran %d times, want 1", n)
 	}
 }
 

@@ -33,13 +33,14 @@ func checkOwnership(t *testing.T, rt *Runtime, after string) {
 }
 
 // TestControlPlaneStress runs every kind of control call at once — clients
-// connecting, submitting and disconnecting, live upgrades, rebalances (on
-// demand and every millisecond) and stack edits — and checks the control
-// plane's invariants: after each call returns every registered queue has
-// exactly one active owner; at the end no queue has a request in flight and
-// the upgraded module counted every request (an upgrade that swapped under
-// a busy worker would lose its count). check.sh runs it under -race at
-// -cpu 1,2,8.
+// connecting, submitting to an async and a sync stack that share a module,
+// and disconnecting, centralized and decentralized live upgrades of that
+// module, rebalances (on demand and every millisecond) and stack edits —
+// and checks the control plane's invariants: after each call returns every
+// registered queue has exactly one active owner; at the end no queue has a
+// request in flight and the upgraded module counted every request on both
+// paths (an upgrade that swapped under a walker, or forked the module's
+// state, would lose counts). check.sh runs it under -race at -cpu 1,2,8.
 func TestControlPlaneStress(t *testing.T) {
 	for _, policy := range []string{"round_robin", "dynamic"} {
 		t.Run(policy, func(t *testing.T) { controlPlaneStress(t, policy) })
@@ -50,9 +51,13 @@ func controlPlaneStress(t *testing.T, policy string) {
 	const clients, rounds, perRound = 4, 10, 20
 	rt := New(Options{MaxWorkers: 4, QueueDepth: 64, Policy: policy, RebalanceEvery: time.Millisecond,
 		PerfSampleEvery: PerfSamplingDisabled})
-	stack, err := rt.Mount(core.NewStack("msg::/s", core.Rules{}, []core.Vertex{{UUID: "dum", Type: dummy.Type}}))
-	if err != nil {
-		t.Fatal(err)
+	var stacks []*core.Stack
+	for _, mode := range execModes {
+		s, err := rt.Mount(core.NewStack("msg::/"+mode.String(), core.Rules{ExecMode: mode}, []core.Vertex{{UUID: "dum", Type: dummy.Type}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stacks = append(stacks, s)
 	}
 	rt.Start()
 	defer rt.Shutdown()
@@ -75,7 +80,7 @@ func controlPlaneStress(t *testing.T, policy string) {
 				qps = append(qps, cli.QueuePair())
 				mu.Unlock()
 				for i := 0; i < perRound; i++ {
-					if err := cli.SubmitStack(stack, core.NewRequest(core.OpMessage)); err != nil {
+					if err := cli.SubmitStack(stacks[i%len(stacks)], core.NewRequest(core.OpMessage)); err != nil {
 						t.Errorf("client %d: %v", c, err)
 						return
 					}
@@ -105,15 +110,18 @@ func controlPlaneStress(t *testing.T, policy string) {
 		}
 	}
 	controlWG.Add(3)
+	upgrades := 0
 	go control("Upgrade", func() error {
-		return rt.ModManager().Upgrade(&UpgradeRequest{UUID: "dum", Build: func() core.Module { return &dummy.Dummy{} }})
+		upgrades++
+		mode := []UpgradeMode{Centralized, Decentralized}[upgrades%2]
+		return rt.ModManager().Upgrade(&UpgradeRequest{UUID: "dum", Build: func() core.Module { return &dummy.Dummy{} }, Mode: mode})
 	})
 	go control("Rebalance", func() error { rt.Orchestrator().Rebalance(); return nil })
 	go control("ModifyStack", func() error {
-		if err := rt.ModifyStack("msg::/s", "dum", &core.Vertex{UUID: "probe", Type: dummy.Type}, ""); err != nil {
+		if err := rt.ModifyStack("msg::/async", "dum", &core.Vertex{UUID: "probe", Type: dummy.Type}, ""); err != nil {
 			return err
 		}
-		return rt.ModifyStack("msg::/s", "", nil, "probe")
+		return rt.ModifyStack("msg::/async", "", nil, "probe")
 	})
 	clientsWG.Wait()
 	close(done)
@@ -158,7 +166,7 @@ func (m *tagMod) Process(e *core.Exec, req *core.Request) error {
 // each, and upgrades swap the tail modules. Every request must finish
 // without error on one whole version of its stack's DAG — the plan it
 // pinned at submission — even when the vertex it is in is removed under
-// it, which ModifyStack's quiesce does not prevent for a sync walk.
+// it, which ModifyStack does not wait for.
 // check.sh runs it under -race at -cpu 1,2,8.
 func TestWalkersPinTheirPlan(t *testing.T) {
 	const walkersPerStack, edits = 2, 40

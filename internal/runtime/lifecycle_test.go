@@ -66,6 +66,11 @@ func TestCentralizedUpgradeUnderLoad(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	close(stop)
 	wg.Wait()
+	// Requests still flow after the upgrades.
+	if err := cli.Submit("msg::/d", core.NewRequest(core.OpMessage)); err != nil {
+		t.Fatal(err)
+	}
+	sent++
 
 	if rt.ModManager().UpgradesDone() != 3 {
 		t.Fatalf("upgrades done %d", rt.ModManager().UpgradesDone())
@@ -83,43 +88,94 @@ func TestCentralizedUpgradeUnderLoad(t *testing.T) {
 	}
 }
 
+// TestDecentralizedUpgradeUpdatesClients upgrades a module that a sync and
+// an async stack share. The client's sync path must walk the one upgraded
+// instance: configured with the module's attrs, counting every message in
+// one counter, and swapped safely under a client that keeps walking
+// (check.sh runs it under -race).
 func TestDecentralizedUpgradeUpdatesClients(t *testing.T) {
-	rt, cli := newDummyRig(t, 1)
-	_ = cli
-	// A second client whose registry view will be cloned.
-	cli2 := rt.Connect(ipc.Credentials{PID: 2})
-	req := core.NewRequest(core.OpMessage)
-	if err := cli2.Submit("msg::/d", req); err != nil {
+	rt := runtime.New(runtime.Options{MaxWorkers: 1, QueueDepth: 64})
+	rt.AddDevice(device.New("dev0", device.NVMe, 32<<20))
+	stacks := map[core.ExecMode]*core.Stack{}
+	for mode, mount := range map[core.ExecMode]string{core.ExecAsync: "msg::/async", core.ExecSync: "msg::/sync"} {
+		s, err := rt.Mount(core.NewStack(mount, core.Rules{ExecMode: mode}, []core.Vertex{
+			{UUID: "dum", Type: dummy.Type, Attrs: map[string]string{"cost_ns": "7000"}},
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stacks[mode] = s
+	}
+	rt.Start()
+	t.Cleanup(rt.Shutdown)
+	cli := rt.Connect(ipc.Credentials{PID: 1})
+	send := func(cli *runtime.Client, mode core.ExecMode) (*core.Request, error) {
+		req := core.NewRequest(core.OpMessage)
+		return req, cli.SubmitStack(stacks[mode], req)
+	}
+	upgrade := func() error {
+		return rt.ModManager().Upgrade(&runtime.UpgradeRequest{
+			UUID:  "dum",
+			Build: func() core.Module { return &dummy.Dummy{} },
+			Mode:  runtime.Decentralized,
+		})
+	}
+	counted := func() int64 {
+		m, _ := rt.Registry.Get("dum")
+		return m.(*dummy.Dummy).Messages()
+	}
+
+	if _, err := send(cli, core.ExecSync); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.ModManager().Upgrade(&runtime.UpgradeRequest{
-		UUID:  "dum",
-		Build: func() core.Module { return &dummy.Dummy{} },
-		Mode:  runtime.Decentralized,
-	}); err != nil {
+	if err := upgrade(); err != nil {
 		t.Fatal(err)
 	}
 	if rt.Registry.Generation("dum") != 1 {
 		t.Fatal("central registry not swapped")
 	}
-}
+	req, err := send(cli, core.ExecSync)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.CPUTime < 7000 {
+		t.Fatalf("sync request after the upgrade charged %v, want at least the module's cost_ns of 7000", req.CPUTime)
+	}
+	if _, err := send(cli, core.ExecAsync); err != nil {
+		t.Fatal(err)
+	}
+	if got := counted(); got != 3 {
+		t.Fatalf("the module counted %d of 3 messages sent over the sync and async paths", got)
+	}
 
-func TestUpgradeQueuePausesAndResumes(t *testing.T) {
-	rt, cli := newDummyRig(t, 1)
-	// After an upgrade completes, the queue must be back to Running and
-	// requests must flow.
-	if err := rt.ModManager().Upgrade(&runtime.UpgradeRequest{
-		UUID:  "dum",
-		Build: func() core.Module { return &dummy.Dummy{} },
-	}); err != nil {
-		t.Fatal(err)
+	walker := rt.Connect(ipc.Credentials{PID: 2})
+	stop := make(chan struct{})
+	walked := make(chan int64)
+	go func() {
+		n := int64(0)
+		defer func() { walked <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := send(walker, core.ExecSync); err != nil {
+				t.Errorf("sync walker: %v", err)
+				return
+			}
+			n++
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		if err := upgrade(); err != nil {
+			t.Errorf("upgrade %d: %v", i, err)
+			break
+		}
 	}
-	if st := cli.QueuePair().State(); st != ipc.Running {
-		t.Fatalf("queue state after upgrade: %v", st)
-	}
-	req := core.NewRequest(core.OpMessage)
-	if err := cli.Submit("msg::/d", req); err != nil {
-		t.Fatal(err)
+	close(stop)
+	if n := <-walked; counted() != 3+n {
+		t.Fatalf("the module counted %d messages across 20 upgrades, %d were sent", counted(), 3+n)
 	}
 }
 
@@ -213,6 +269,51 @@ func TestWaitTimesOutIfNeverRestarted(t *testing.T) {
 	rt.Restart()
 }
 
+// TestSyncWalkChecksRuntimeState: a sync walk that starts while the
+// runtime is crashed waits for the restart, as Wait does — up to
+// RestartPatience, then ErrWaitTimeout — and one that starts after
+// Shutdown returns ErrStopped.
+func TestSyncWalkChecksRuntimeState(t *testing.T) {
+	rt := runtime.New(runtime.Options{MaxWorkers: 1})
+	stack, err := rt.Mount(core.NewStack("msg::/s", core.Rules{ExecMode: core.ExecSync}, []core.Vertex{{UUID: "d", Type: dummy.Type}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	cli := rt.Connect(ipc.Credentials{PID: 1})
+	rt.Crash()
+	walked := make(chan error, 1)
+	go func() { walked <- cli.SubmitStack(stack, core.NewRequest(core.OpMessage)) }()
+	select {
+	case err := <-walked:
+		t.Fatalf("sync walk ran (%v) while the runtime was crashed", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if err := rt.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-walked; err != nil {
+		t.Fatalf("sync walk after Restart: %v", err)
+	}
+
+	cli.RestartPatience = 20 * time.Millisecond
+	rt.Crash()
+	if err := cli.SubmitStack(stack, core.NewRequest(core.OpMessage)); err != runtime.ErrWaitTimeout {
+		t.Fatalf("sync walk into a runtime never restarted: %v, want ErrWaitTimeout", err)
+	}
+	if err := rt.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	rt.Shutdown()
+	if err := cli.SubmitStack(stack, core.NewRequest(core.OpMessage)); err != runtime.ErrStopped {
+		t.Fatalf("sync walk after Shutdown: %v, want ErrStopped", err)
+	}
+	m, _ := rt.Registry.Get("d")
+	if n := m.(*dummy.Dummy).Messages(); n != 1 {
+		t.Fatalf("the module ran %d walks, want only the one after Restart", n)
+	}
+}
+
 func TestSubmitAfterShutdown(t *testing.T) {
 	rt := runtime.New(runtime.Options{MaxWorkers: 1})
 	rt.AddDevice(device.New("dev0", device.NVMe, 1<<20))
@@ -247,6 +348,17 @@ func TestModifyStackLive(t *testing.T) {
 	cli.Submit("msg::/d", core.NewRequest(core.OpMessage))
 	if m.(*dummy.Dummy).Messages() != 1 {
 		t.Fatal("removed vertex still on the path")
+	}
+	// An edit that fails validation publishes nothing: the next request
+	// walks the stack as it was.
+	if err := rt.ModifyStack("msg::/d", "dum", &core.Vertex{UUID: "x", Type: dummy.Type, Outputs: []string{"nowhere"}}, ""); err == nil {
+		t.Fatal("insert with a dangling output succeeded")
+	}
+	if s, _ := rt.Namespace.Lookup("msg::/d"); s.Len() != 1 {
+		t.Fatalf("stack after a failed edit: %+v", s.Vertices())
+	}
+	if err := cli.Submit("msg::/d", core.NewRequest(core.OpMessage)); err != nil {
+		t.Fatalf("request after a failed edit: %v", err)
 	}
 	// Unknown mount.
 	if err := rt.ModifyStack("msg::/ghost", "", nil, "x"); err == nil {

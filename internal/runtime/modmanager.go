@@ -18,8 +18,10 @@ const (
 	// Centralized upgrades replace the instance in the Runtime's Module
 	// Registry (paper §III-C2, detailed protocol).
 	Centralized UpgradeMode = iota
-	// Decentralized upgrades additionally replace the instance in every
-	// running client's registry view (sync-mode / client-side operators).
+	// Decentralized upgrades also reach the clients that walk sync-mode
+	// stacks. Every client walks the one registry, so the upgrade swaps the
+	// one instance as a centralized one does; it models each connected
+	// client mapping the new code and taking the state.
 	Decentralized
 )
 
@@ -61,8 +63,8 @@ type ModManager struct {
 	lastUpgradeVT  vtime.Duration // modeled duration of the last batch
 	totalUpgradeVT vtime.Duration
 
-	// Wall-clock phase timings of the last upgrade batch: pausing and
-	// draining the queues, then swapping the modules (paper §III-C2).
+	// Wall-clock phase timings of the last upgrade batch: gating and
+	// draining the stacks, then swapping the modules (paper §III-C2).
 	lastQuiesceWall time.Duration
 	lastApplyWall   time.Duration
 }
@@ -135,10 +137,10 @@ func (mm *ModManager) TotalUpgradeTime() vtime.Duration {
 
 // ProcessUpgrades drains the upgrade queue, executing the centralized
 // protocol (and its decentralized extension) for the whole batch under
-// quiesce: the queues pause, workers acknowledge and finish the requests
-// they hold, each module is swapped via Registry.Swap → StateUpdate(old),
-// and the queues resume. If the workers do not quiesce in time the batch
-// stays queued for the next call.
+// quiesce: the stacks that reach the batch's modules are gated, the walks
+// inside them finish, each module is swapped via Registry.Swap →
+// StateUpdate(old), and the stacks reopen. If the walkers do not leave in
+// time the batch stays queued for the next call.
 //
 // It is called by the control loop every UpgradePoll, and may be called
 // directly by tests.
@@ -154,11 +156,15 @@ func (mm *ModManager) ProcessUpgrades() {
 	rt.ctl.Lock()
 	defer rt.ctl.Unlock()
 
+	uuids := make(map[string]bool, len(batch))
+	for _, up := range batch {
+		uuids[up.UUID] = true
+	}
 	start := time.Now()
 	var quiesceWall time.Duration
 	var batchVT vtime.Duration
 	applied := 0
-	err := rt.quiesce("upgrade", func() error {
+	err := rt.quiesce(uuids, func() error {
 		quiesceWall = time.Since(start)
 		start = time.Now()
 		for _, up := range batch {
@@ -174,8 +180,8 @@ func (mm *ModManager) ProcessUpgrades() {
 		}
 		// The pause + code load + state transfer occupy the Runtime: model
 		// the service interruption by pushing every worker's virtual clock
-		// past the upgrade window, so requests queued during the upgrade see
-		// the delay.
+		// past the upgrade window, so requests held at the gate see the
+		// delay (Worker.admit).
 		for _, w := range rt.workers {
 			w.clock.Advance(batchVT)
 		}
@@ -237,26 +243,12 @@ func (mm *ModManager) applyOne(up *UpgradeRequest) (vtime.Duration, error) {
 	}
 
 	if up.Mode == Decentralized {
-		// Update every running client's registry view as well.
+		// Each connected client maps the updated code into its own address
+		// space and receives the transferred state.
 		mm.rt.mu.Lock()
-		clients := make([]*Client, 0, len(mm.rt.clients))
-		for _, c := range mm.rt.clients {
-			clients = append(clients, c)
-		}
+		clients := len(mm.rt.clients)
 		mm.rt.mu.Unlock()
-		for _, c := range clients {
-			reg := c.cloneRegistryForDecentralized()
-			if reg.Has(up.UUID) {
-				inst := up.Build()
-				_ = inst.Configure(core.Config{UUID: up.UUID}, mm.rt.Env)
-				if err := reg.Swap(up.UUID, inst); err != nil {
-					return cost, err
-				}
-				// Each client maps the updated code into its own address
-				// space and receives the transferred state.
-				cost += mm.rt.opts.Model.Copy(up.CodeSize) + mm.rt.opts.Model.Copy(1024)
-			}
-		}
+		cost += vtime.Duration(clients) * (mm.rt.opts.Model.Copy(up.CodeSize) + mm.rt.opts.Model.Copy(1024))
 	}
 	return cost, nil
 }

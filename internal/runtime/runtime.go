@@ -11,11 +11,12 @@
 //     policy (round-robin or the paper's dynamic latency/compute
 //     partitioning) and scales the worker pool;
 //   - Module Manager — holds the Module Registry and executes the
-//     centralized and decentralized live-upgrade protocols;
+//     centralized and decentralized live-upgrade protocols, gating only
+//     the stacks that reach the upgraded module (quiesce);
 //   - LabStack Namespace — mount/modify/unmount of stacks;
 //   - Crash recovery — the Runtime can crash and be restarted while
-//     clients block in Wait; on restart clients invoke StateRepair on
-//     every LabMod and continue.
+//     clients block in Wait; Restart waits for the walks in progress to
+//     end, invokes StateRepair on every LabMod, and clients continue.
 //
 // Performance is accounted in virtual time (see internal/vtime): each
 // worker and client owns a virtual clock, so modeled latency, throughput,
@@ -304,16 +305,16 @@ func (rt *Runtime) Crash() {
 }
 
 // Restart repairs and resumes a crashed Runtime: module state is repaired
-// via StateRepair and workers resume draining the frozen queues. Requests
-// that were mid-execution when the crash hit are drained first, so repair
-// never races an in-flight mutation.
+// via StateRepair and workers resume draining the frozen queues. Walks in
+// progress when the crash hit finish first, and no walk starts while the
+// runtime is crashed (admit), so repair never races a mutation.
 func (rt *Runtime) Restart() error {
 	rt.ctl.Lock()
 	defer rt.ctl.Unlock()
 	if rt.state.Load() != stateCrashed {
 		return fmt.Errorf("runtime: not crashed")
 	}
-	if !waitUntil(2*time.Second, func() bool { return !rt.workersBusy() }) {
+	if !rt.waitUntil(2*time.Second, func() bool { return !rt.walking(nil, nil) }) {
 		return fmt.Errorf("runtime: in-flight requests did not drain before restart")
 	}
 	if err := rt.Registry.RepairAll(); err != nil {
@@ -325,21 +326,75 @@ func (rt *Runtime) Restart() error {
 	return nil
 }
 
-// workersBusy reports whether any worker is mid-request.
-func (rt *Runtime) workersBusy() bool {
+// errCrashed is admit's answer while the runtime is crashed.
+var errCrashed = errors.New("runtime: runtime is crashed")
+
+// admit is every walker's Exec.Admit: a walk starts only while the runtime
+// runs. The slot names the walk first, so Restart sees it or it sees the crash.
+func (rt *Runtime) admit(*Request) error {
+	switch rt.state.Load() {
+	case stateCrashed:
+		return errCrashed
+	case stateStopped:
+		return ErrStopped
+	}
+	return nil
+}
+
+// walk submits req to s on exec and, while the runtime is crashed, waits
+// for its restart — for up to patience — and submits it again.
+func (rt *Runtime) walk(exec *core.Exec, s *core.Stack, req *Request, patience time.Duration) error {
+	err := exec.Submit(s, req)
+	if err == errCrashed {
+		deadline := time.Now().Add(patience)
+		for err == errCrashed {
+			if err = rt.awaitRestart(deadline); err == nil {
+				err = exec.Submit(s, req)
+			}
+		}
+	}
+	return err
+}
+
+// awaitRestart waits while the runtime is crashed, until deadline.
+func (rt *Runtime) awaitRestart(deadline time.Time) error {
+	for rt.Crashed() {
+		if time.Now().After(deadline) {
+			return ErrWaitTimeout
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	return nil
+}
+
+// walking reports whether a worker or connected client walks a plan that
+// reaches uuids or mounts (core.Plan.Reaches); any plan if uuids is nil.
+func (rt *Runtime) walking(uuids, mounts map[string]bool) bool {
+	in := func(e *core.Exec) bool {
+		p := e.Walking()
+		return p != nil && (uuids == nil || p.Reaches(uuids, mounts))
+	}
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	for _, w := range rt.workers {
-		if w.inProcess.Load() {
+		if in(w.exec) {
+			return true
+		}
+	}
+	for _, c := range rt.clients {
+		if in(c.syncExec) {
 			return true
 		}
 	}
 	return false
 }
 
-// waitUntil polls cond until it holds (true) or d has passed (false).
-func waitUntil(d time.Duration, cond func() bool) bool {
+// waitUntil polls cond until it holds (true), or d has passed or the
+// runtime has stopped (false).
+func (rt *Runtime) waitUntil(d time.Duration, cond func() bool) bool {
 	deadline := time.Now().Add(d)
 	for !cond() {
-		if time.Now().After(deadline) {
+		if time.Now().After(deadline) || rt.state.Load() == stateStopped {
 			return false
 		}
 		time.Sleep(20 * time.Microsecond)
@@ -347,41 +402,34 @@ func waitUntil(d time.Duration, cond func() bool) bool {
 	return true
 }
 
-// quiesceTimeout bounds how long quiesce waits for the workers to stop.
+// quiesceTimeout bounds how long quiesce waits for walkers to leave.
 const quiesceTimeout = 500 * time.Millisecond
 
-// errNotQuiet is quiesce's answer when the workers did not stop in time.
-var errNotQuiet = fmt.Errorf("runtime: workers did not quiesce within %v", quiesceTimeout)
+// errNotQuiet is quiesce's answer when the walkers did not leave in time.
+var errNotQuiet = fmt.Errorf("runtime: walkers did not leave the upgraded stacks within %v", quiesceTimeout)
 
-// quiesce runs apply while no async request is inside a stack (the paper's
-// pause → drain → apply → resume, §III-C2). It marks every queue
-// UPDATE_PENDING, waits until each is acknowledged by its worker or has
-// nothing in flight and no worker is mid-request, runs apply and resumes the
-// queues. If the workers have not stopped after quiesceTimeout it resumes
-// the queues without running apply, records a flight event and returns
-// errNotQuiet. The caller holds ctl, so no queue is added or reassigned
-// meanwhile: a client that connects now is assigned a worker after the
-// apply.
-func (rt *Runtime) quiesce(what string, apply func() error) error {
-	queues := rt.orch.Queues()
-	for _, q := range queues {
-		q.MarkUpdatePending()
-	}
-	defer func() {
-		for _, q := range queues {
-			q.ResumeAfterUpdate()
-		}
-	}()
-	quiet := func() bool {
-		for _, q := range queues {
-			if q.State() != ipc.UpdateAcked && q.Inflight() > 0 {
-				return false
+// quiesce runs apply while no request is inside a module named in uuids:
+// the paper's pause → drain → apply → resume (§III-C2), per stack. It gates
+// the stacks whose plan holds one of uuids or reaches such a stack through
+// "stack:" outputs, waits until no walker's slot, async or sync, holds a
+// plan that reaches them, runs apply and reopens the stacks. If the walkers
+// have not left after quiesceTimeout, or the runtime stops, it reopens them
+// without applying, records a flight event and returns errNotQuiet.
+func (rt *Runtime) quiesce(uuids map[string]bool, apply func() error) error {
+	gate := make(chan struct{})
+	defer close(gate) // after every stack's plan is back
+	mounts := map[string]bool{}
+	for grew := true; grew; {
+		grew = false
+		for _, s := range rt.Namespace.Stacks() {
+			if !mounts[s.Mount] && s.Plan().Reaches(uuids, mounts) {
+				mounts[s.Mount], grew = true, true
+				defer s.Gate(gate)() // reopens at return
 			}
 		}
-		return !rt.workersBusy()
 	}
-	if !waitUntil(quiesceTimeout, quiet) {
-		rt.events.Recordf(telemetry.EvRuntime, rt.vnow(), "%s aborted: %v", what, errNotQuiet)
+	if !rt.waitUntil(quiesceTimeout, func() bool { return !rt.walking(uuids, mounts) }) {
+		rt.events.Recordf(telemetry.EvRuntime, rt.vnow(), "upgrade aborted: %v", errNotQuiet)
 		return errNotQuiet
 	}
 	return apply()
@@ -545,9 +593,9 @@ func (rt *Runtime) Mount(s *core.Stack) (*core.Stack, error) {
 func (rt *Runtime) Unmount(mount string) error { return rt.Namespace.Unmount(mount) }
 
 // ModifyStack applies a dynamic DAG edit (the paper's `modify_stack`):
-// inserting a vertex instantiates its module if needed. The edit is applied
-// under quiesce, so no async request is inside the stack while its vertices
-// change.
+// inserting a vertex instantiates its module if needed. The edited DAG is
+// validated, then published without waiting: a request walks the plan it
+// pinned to its end, and an edit transfers no state. It holds ctl.
 func (rt *Runtime) ModifyStack(mount string, insertAfter string, v *core.Vertex, remove string) error {
 	rt.ctl.Lock()
 	defer rt.ctl.Unlock()
@@ -560,19 +608,7 @@ func (rt *Runtime) ModifyStack(mount string, insertAfter string, v *core.Vertex,
 			return err
 		}
 	}
-	return rt.quiesce("stack edit", func() error {
-		if v != nil {
-			if err := s.InsertAfter(insertAfter, *v); err != nil {
-				return err
-			}
-		}
-		if remove != "" {
-			if err := s.RemoveVertex(remove); err != nil {
-				return err
-			}
-		}
-		return s.Validate(rt.Registry)
-	})
+	return s.Modify(rt.Registry, insertAfter, v, remove)
 }
 
 // --- control loop -------------------------------------------------------------

@@ -151,13 +151,13 @@ func (s *Snapshot) String() string {
 	b.WriteString(wt.String())
 
 	b.WriteString("\n== queues ==\n")
-	qt := &stats.Table{Header: []string{"id", "kind", "owner", "state", "sq_depth", "inflight", "enq", "done", "rejects", "rate", "est_us", "workers"}}
+	qt := &stats.Table{Header: []string{"id", "kind", "owner", "sq_depth", "inflight", "enq", "done", "rejects", "rate", "est_us", "workers"}}
 	for _, q := range s.Queues {
 		ids := make([]string, len(q.Workers))
 		for i, w := range q.Workers {
 			ids[i] = fmt.Sprint(w)
 		}
-		qt.AddRowf(q.ID, q.Kind, q.Owner, q.State, q.SQ.Depth, q.Inflight,
+		qt.AddRowf(q.ID, q.Kind, q.Owner, q.SQ.Depth, q.Inflight,
 			q.SQ.Enqueued, q.CQ.Enqueued, q.SQ.Rejects, q.Rate, q.EstUS, strings.Join(ids, ","))
 	}
 	b.WriteString(qt.String())

@@ -2,13 +2,13 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 	gort "runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"labstor/internal/core"
-	"labstor/internal/ipc"
 	"labstor/internal/telemetry"
 	"labstor/internal/vtime"
 )
@@ -37,11 +37,10 @@ type Worker struct {
 	spin atomic.Int64
 
 	active atomic.Bool
-	// inProcess is true while the worker is mid-request (crash recovery
-	// drains on it before repairing module state).
-	inProcess atomic.Bool
-	quit      chan struct{}
-	wake      chan struct{}
+	quit   chan struct{}
+	wake   chan struct{}
+
+	begin vtime.Time // service start of the request in execution (serve)
 
 	// queues assigned by the orchestrator (copy-on-write).
 	queues atomic.Pointer[[]*QP]
@@ -70,13 +69,14 @@ func newWorker(rt *Runtime, id int) *Worker {
 	w := &Worker{
 		rt:       rt,
 		id:       id,
-		exec:     core.NewExec(rt.Registry, rt.Namespace, rt.opts.Model, id),
 		quit:     make(chan struct{}),
 		wake:     make(chan struct{}, 1),
 		batchBuf: make([]*Request, rt.opts.Batch),
 		folder:   rt.profile.NewFolder(func(op uint8) string { return core.Op(op).String() }),
 		tails:    make(map[int]*telemetry.TailEstimator),
 	}
+	w.exec = core.NewExec(rt.Registry, rt.Namespace, rt.opts.Model, id)
+	w.exec.Admit = w.admit
 	empty := []*QP{}
 	w.queues.Store(&empty)
 	return w
@@ -268,15 +268,6 @@ func (w *Worker) pollOnce() bool {
 	w.polls.Add(1)
 	any := false
 	for _, qp := range w.assigned() {
-		// Live-upgrade handshake: acknowledge pending updates and stop
-		// draining this (primary) queue until the Module Manager resumes it.
-		switch qp.State() {
-		case ipc.UpdatePending:
-			qp.AckUpdate()
-			continue
-		case ipc.UpdateAcked:
-			continue
-		}
 		// One ring reservation for the whole run, whatever its length.
 		n := qp.PollSQBatch(w.batchBuf)
 		if n == 0 {
@@ -303,9 +294,6 @@ func (w *Worker) pollOnce() bool {
 // observation (one mutex acquisition per batch), the batch-size histogram,
 // and the CQ reservation.
 func (w *Worker) processBatch(qp *QP, reqs []*Request) {
-	w.inProcess.Store(true)
-	defer w.inProcess.Store(false)
-
 	base := w.processed.Load()
 	var totalCPU vtime.Duration
 	var lastClock vtime.Time
@@ -353,21 +341,22 @@ func (w *Worker) executeOne(qp *QP, req *Request, seq int64) (cpuUsed vtime.Dura
 	// core's cache (or DRAM) — the paper's measured IPC cost.
 	req.Charge("ipc", model.IPCRoundTrip)
 
-	// FCFS serialization on this worker's virtual clock.
-	begin := vtime.MaxTime(req.Clock, w.clock.Now())
-	req.AdvanceTo(begin)
-
 	// CPU cost is tracked on the request; device stages only advance its
-	// clock.
+	// clock. Every Submit ends in admit, which serves req on the worker's
+	// clock (FCFS).
 	cpuBefore := req.CPUTime
 	stack, ok := w.rt.Namespace.ByID(req.StackID)
 	if ok {
-		if err := w.exec.Submit(stack, req); err != nil && req.Err == nil {
+		if err := w.rt.walk(w.exec, stack, req, math.MaxInt64); err != nil && req.Err == nil {
 			req.Err = err
 		}
-	} else if req.Err == nil {
-		req.Err = errNoStack(req.StackID)
+	} else {
+		w.serve(req)
+		if req.Err == nil {
+			req.Err = errNoStack(req.StackID)
+		}
 	}
+	begin := w.begin
 	cpuUsed = req.CPUTime - cpuBefore
 
 	// The worker was busy for the software portion of the walk; device
@@ -395,6 +384,21 @@ func (w *Worker) executeOne(qp *QP, req *Request, seq int64) (cpuUsed vtime.Dura
 		w.rt.retain(w.id, qp.ID, mount, req, begin, sampled, tail)
 	}
 	return cpuUsed, sampled
+}
+
+// serve is FCFS serialization on the worker's virtual clock: req starts
+// service at its arrival or when the worker is free, whichever is later.
+func (w *Worker) serve(req *Request) {
+	w.begin = vtime.MaxTime(req.Clock, w.clock.Now())
+	req.AdvanceTo(w.begin)
+}
+
+// admit is the worker's Exec.Admit. It serves req when the walk would start,
+// so a request held at an upgrade's gate starts after the upgrade window
+// that ProcessUpgrades adds to every worker clock.
+func (w *Worker) admit(req *Request) error {
+	w.serve(req)
+	return w.rt.admit(req)
 }
 
 type errNoStackT int

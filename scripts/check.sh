@@ -18,15 +18,23 @@
 #      leg is the guard against a spin or poll loop that forgets to yield.
 #   6. control plane: TestConcurrentConnectAssignsEveryQueue (16 clients
 #      connecting at once, 300 runtimes over, must leave every queue with
-#      exactly one worker) three times at -cpu 1,2,4, and the
-#      connect/disconnect/upgrade/rebalance/stack-edit stress test with its
-#      ownership and in-flight invariants, and the pinned-plan test (async
-#      and sync walkers while stack edits and upgrades run; every request
-#      must finish on one whole version of its DAG), under the race
-#      detector at -cpu 1,2,8.
+#      exactly one worker) three times at -cpu 1,2,4; then three times
+#      under the race detector at -cpu 1,2,8: the
+#      connect/disconnect/upgrade/rebalance/stack-edit stress test over an
+#      async and a sync stack with centralized and decentralized upgrades
+#      (ownership, in-flight and one-counter invariants), the pinned-plan
+#      test (async and sync walkers while stack edits and upgrades run;
+#      every request must finish on one whole version of its DAG), and the
+#      quiescence tests: walker slots and per-stack gates keep an upgrade
+#      from swapping a module an async or sync request is inside, and
+#      Restart from repairing under one, while edits and upgrades of other
+#      stacks go on; a sync walk waits out a crash; and a decentralized
+#      upgrade swaps the one instance under a walking sync client.
 #   7. chaos: TestChaosMixedLoadWithUpgradesAndCrash 200 times (concurrent
-#      LabFS writers across live upgrades, a stack insert/remove and a
-#      crash/restart; every fsync-acknowledged file must read back intact).
+#      LabFS writers, through an async and a sync-mode stack, across
+#      centralized and decentralized live upgrades, a stack insert/remove
+#      and a crash/restart; every fsync-acknowledged file must read back
+#      intact).
 #      Its failures are rare per run, so the single pass in step 1 misses
 #      them. 200 runs take ~4 s on a 2-core host.
 #   8. debug handles: core, serve, LabKVS, LabFS, the write-ahead log, the
@@ -87,8 +95,8 @@ go test -race -count=3 -cpu 1,2,8 -run 'Ring|QueuePair|Handshake|Wait|Spin|Park|
 echo "== control plane: go test -count=3 -cpu 1,2,4 -run TestConcurrentConnectAssignsEveryQueue ./internal/runtime =="
 go test -count=3 -cpu 1,2,4 -run TestConcurrentConnectAssignsEveryQueue ./internal/runtime
 
-echo "== control plane: go test -race -cpu 1,2,8 -run 'TestControlPlaneStress|TestWalkersPinTheirPlan' ./internal/runtime =="
-go test -race -cpu 1,2,8 -run 'TestControlPlaneStress|TestWalkersPinTheirPlan' ./internal/runtime
+echo "== control plane: go test -race -count=3 -cpu 1,2,8 -run 'TestControlPlane|TestWalkersPinTheirPlan|TestUpgradeNeverSwaps|TestModifyStackUnderSync|TestRestartWaits|TestSyncWalk|TestDecentralizedUpgrade|TestConnectDuringUpgrade' ./internal/runtime =="
+go test -race -count=3 -cpu 1,2,8 -run 'TestControlPlane|TestWalkersPinTheirPlan|TestUpgradeNeverSwaps|TestModifyStackUnderSync|TestRestartWaits|TestSyncWalk|TestDecentralizedUpgrade|TestConnectDuringUpgrade' ./internal/runtime
 
 echo "== chaos: go test -count=200 -run TestChaosMixedLoadWithUpgradesAndCrash ./internal/runtime =="
 go test -count=200 -run TestChaosMixedLoadWithUpgradesAndCrash ./internal/runtime
