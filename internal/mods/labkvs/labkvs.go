@@ -42,19 +42,47 @@ func init() {
 // ErrNoKey is returned for lookups of absent keys.
 var ErrNoKey = errors.New("labkvs: no such key")
 
-// record is the in-memory index entry for one key, and one log record.
+// record is one log record: a key's blocks, or its tombstone.
 type record struct {
 	Key    string
 	Size   int
 	Blocks []int64
 	Owner  int
-	Dead   bool // tombstone (log only)
+	Dead   bool // tombstone
+}
+
+// entry is one live key in the index, held by value in its shard's map. A
+// one-block value keeps its block inline; only a value of another block
+// count holds a slice, which is never written once the entry is installed.
+type entry struct {
+	// key is the index's own copy of the key, the string the map stores: a
+	// put installs the entry under it, because assigning to a map entry also
+	// replaces its stored key with the one the assignment uses.
+	key    string
+	size   int
+	owner  int
+	inline bool     // the value is one block, block[0]
+	block  [1]int64 // the block of a one-block value
+	blocks []int64  // the blocks of a value of any other count (a replayed record may have none)
+}
+
+// blockList returns e's blocks; for a one-block entry, a view of e itself.
+func (e *entry) blockList() []int64 {
+	if e.inline {
+		return e.block[:]
+	}
+	return e.blocks
+}
+
+// logRecord is e as a put record. It shares e's blocks.
+func (e *entry) logRecord() record {
+	return record{Key: e.key, Size: e.size, Blocks: e.blockList(), Owner: e.owner}
 }
 
 type kvShard struct {
 	mu    sync.RWMutex
 	vlock vtime.Lock
-	recs  map[string]*record
+	recs  map[string]entry
 }
 
 // LabKVS is the key-value store module instance.
@@ -128,7 +156,7 @@ func (k *LabKVS) Configure(cfg core.Config, env *core.Env) error {
 	}
 	k.shards = make([]kvShard, nShards)
 	for i := range k.shards {
-		k.shards[i].recs = make(map[string]*record)
+		k.shards[i].recs = make(map[string]entry)
 	}
 	k.free = make([]int64, 0, total-logBlocks)
 	k.rebuildFree(nil)
@@ -167,17 +195,22 @@ func fnv32a(s string) uint32 {
 	return h
 }
 
-func (k *LabKVS) allocBlocks(n int) ([]int64, error) {
+// allocBlocks takes n blocks off the free list into ent: inline when n is
+// 1, else into a new slice.
+func (k *LabKVS) allocBlocks(ent *entry, n int) error {
 	k.allocMu.Lock()
 	defer k.allocMu.Unlock()
 	if len(k.free) < n {
-		return nil, fmt.Errorf("labkvs: device full")
+		return fmt.Errorf("labkvs: device full")
 	}
 	out := k.free[len(k.free)-n:]
-	blocks := make([]int64, n)
-	copy(blocks, out)
+	if ent.inline = n == 1; ent.inline {
+		ent.block[0] = out[0]
+	} else {
+		ent.blocks = append([]int64(nil), out...)
+	}
 	k.free = k.free[:len(k.free)-n]
-	return blocks, nil
+	return nil
 }
 
 // rebuildFree makes every data block not in used free.
@@ -244,13 +277,13 @@ func (k *LabKVS) put(e *core.Exec, req *core.Request) error {
 	if nBlocks == 0 {
 		nBlocks = 1
 	}
-	blocks, err := k.allocBlocks(nBlocks)
-	if err != nil {
+	ent := entry{size: len(data), owner: req.Cred.UID}
+	if err := k.allocBlocks(&ent, nBlocks); err != nil {
 		req.Err = err
 		return err
 	}
 	base := req.Clock
-	for i, phys := range blocks {
+	for i, phys := range ent.blockList() {
 		child := req.Child(core.OpBlockWrite)
 		child.Clock = base
 		child.Offset = phys * int64(k.blockSize)
@@ -292,15 +325,23 @@ func (k *LabKVS) put(e *core.Exec, req *core.Request) error {
 		}
 	}
 
+	// req.Key may be a view of memory the caller reuses (a server's key
+	// slab): an overwrite keeps the key the index holds, and a new key is
+	// cloned, so the index never pins the caller's memory.
 	sh.mu.Lock()
-	old := sh.recs[req.Key]
-	rec := &record{Key: req.Key, Size: len(data), Blocks: blocks, Owner: req.Cred.UID}
-	sh.recs[req.Key] = rec
-	sh.mu.Unlock()
-	if old != nil {
-		k.freeBlocks(old.Blocks)
+	old, had := sh.recs[req.Key]
+	if had {
+		ent.key = old.key
+	} else {
+		ent.key = strings.Clone(req.Key)
 	}
-	if err := k.logAppend(e, req, rec); err != nil {
+	sh.recs[ent.key] = ent
+	sh.mu.Unlock()
+	if had {
+		k.freeBlocks(old.blockList())
+	}
+	rec := ent.logRecord()
+	if err := k.logAppend(e, req, &rec); err != nil {
 		return err
 	}
 	k.puts.Add(1)
@@ -312,17 +353,17 @@ func (k *LabKVS) get(e *core.Exec, req *core.Request) error {
 	sh := k.shard(req.Key)
 	chargeMeta(e, req, sh)
 	sh.mu.RLock()
-	rec, ok := sh.recs[req.Key]
+	ent, ok := sh.recs[req.Key]
 	sh.mu.RUnlock()
 	if !ok {
 		req.Err = fmt.Errorf("%w: %q", ErrNoKey, req.Key)
 		return req.Err
 	}
-	if len(rec.Blocks) == 1 {
-		if err := k.getBlock(e, req, rec); err != nil {
+	if ent.inline {
+		if err := k.getBlock(e, req, ent.block[0], ent.size); err != nil {
 			return err
 		}
-		req.Result = int64(rec.Size)
+		req.Result = int64(ent.size)
 		k.gets.Add(1)
 		return nil
 	}
@@ -330,10 +371,10 @@ func (k *LabKVS) get(e *core.Exec, req *core.Request) error {
 	// buffer (no per-block bounce), and downstream caches may retain the
 	// stack-owned views instead of copying. Recycled when the last holder
 	// releases.
-	out := req.CompleteValue(rec.Size)
+	out := req.CompleteValue(ent.size)
 	base := req.Clock
 	var scratch []byte
-	for i, phys := range rec.Blocks {
+	for i, phys := range ent.blocks {
 		child := req.Child(core.OpBlockRead)
 		child.Clock = base
 		child.Offset = phys * int64(k.blockSize)
@@ -341,7 +382,7 @@ func (k *LabKVS) get(e *core.Exec, req *core.Request) error {
 		lo := i * k.blockSize
 		hi := lo + k.blockSize
 		switch {
-		case hi <= rec.Size:
+		case hi <= ent.size:
 			// Full block: read straight into the result view.
 			child.Data = out[lo:hi]
 			child.Buf = req.ValueH.Slice(lo, hi)
@@ -370,8 +411,8 @@ func (k *LabKVS) get(e *core.Exec, req *core.Request) error {
 			}
 			return err
 		}
-		if scratch != nil && hi > rec.Size {
-			hi = rec.Size
+		if scratch != nil && hi > ent.size {
+			hi = ent.size
 			copyGatherTail.Add(hi - lo)
 			copy(out[lo:hi], scratch[:hi-lo])
 		}
@@ -379,7 +420,7 @@ func (k *LabKVS) get(e *core.Exec, req *core.Request) error {
 	if scratch != nil {
 		core.ReleaseBuf(scratch)
 	}
-	req.Result = int64(rec.Size)
+	req.Result = int64(ent.size)
 	k.gets.Add(1)
 	return nil
 }
@@ -390,9 +431,9 @@ func (k *LabKVS) get(e *core.Exec, req *core.Request) error {
 // driver's fill, which the cache keeps too. Either way the get copies
 // nothing, and the value may share its bytes with the cache, so holders
 // treat it as read-only (DESIGN.md §13).
-func (k *LabKVS) getBlock(e *core.Exec, req *core.Request, rec *record) error {
+func (k *LabKVS) getBlock(e *core.Exec, req *core.Request, block int64, size int) error {
 	child := req.Child(core.OpBlockRead)
-	child.Offset = rec.Blocks[0] * int64(k.blockSize)
+	child.Offset = block * int64(k.blockSize)
 	child.Size = k.blockSize
 	err := e.Next(child)
 	req.Absorb(child)
@@ -401,14 +442,14 @@ func (k *LabKVS) getBlock(e *core.Exec, req *core.Request, rec *record) error {
 		err = child.Err
 	}
 	child.Release()
-	if err == nil && (!h.Valid() || h.Len() < rec.Size) {
-		err = fmt.Errorf("labkvs: block read for %q returned no %d-byte result handle", req.Key, rec.Size)
+	if err == nil && (!h.Valid() || h.Len() < size) {
+		err = fmt.Errorf("labkvs: block read for %q returned no %d-byte result handle", req.Key, size)
 	}
 	if err != nil {
 		h.Release()
 		return err
 	}
-	req.ValueH = h.Narrow(0, rec.Size)
+	req.ValueH = h.Narrow(0, size)
 	req.Value = req.ValueH.Bytes()
 	return nil
 }
@@ -417,7 +458,7 @@ func (k *LabKVS) del(e *core.Exec, req *core.Request) error {
 	sh := k.shard(req.Key)
 	chargeMeta(e, req, sh)
 	sh.mu.Lock()
-	rec, ok := sh.recs[req.Key]
+	ent, ok := sh.recs[req.Key]
 	if ok {
 		delete(sh.recs, req.Key)
 	}
@@ -426,7 +467,7 @@ func (k *LabKVS) del(e *core.Exec, req *core.Request) error {
 		req.Err = fmt.Errorf("%w: %q", ErrNoKey, req.Key)
 		return req.Err
 	}
-	k.freeBlocks(rec.Blocks)
+	k.freeBlocks(ent.blockList())
 	k.dels.Add(1)
 	return k.logAppend(e, req, &record{Key: req.Key, Dead: true})
 }
@@ -442,28 +483,27 @@ func (k *LabKVS) has(req *core.Request) error {
 	return nil
 }
 
-// records returns the live records whose key starts with prefix. Records
-// are immutable once installed (a put replaces the pointer), so callers use
-// them outside the shard locks.
-func (k *LabKVS) records(prefix string) []*record {
-	var recs []*record
+// records returns copies, taken under the shard locks, of the live entries
+// whose key starts with prefix.
+func (k *LabKVS) records(prefix string) []entry {
+	var ents []entry
 	for i := range k.shards {
 		sh := &k.shards[i]
 		sh.mu.RLock()
-		for key, rec := range sh.recs {
+		for key, ent := range sh.recs {
 			if strings.HasPrefix(key, prefix) {
-				recs = append(recs, rec)
+				ents = append(ents, ent)
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	return recs
+	return ents
 }
 
 func (k *LabKVS) scan(req *core.Request) error {
 	var keys []string
-	for _, rec := range k.records(req.Path) {
-		keys = append(keys, rec.Key)
+	for _, ent := range k.records(req.Path) {
+		keys = append(keys, ent.key)
 	}
 	sort.Strings(keys)
 	req.Names = keys
@@ -499,16 +539,16 @@ func (k *LabKVS) scanExec(e *core.Exec, req *core.Request) error {
 	// Block reads happen outside the shard locks: freed blocks of replaced
 	// records are only rewritten by later puts, which this scan is
 	// unordered against anyway.
-	recs := k.records(prefix)
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })
+	ents := k.records(prefix)
+	sort.Slice(ents, func(i, j int) bool { return ents[i].key < ents[j].key })
 
 	ev := pushdown.NewEval(prog, pushdown.EmitKV, req.ProgMaxBytes, req.ProgMaxSteps)
 	chunks := make([][]byte, 0, 4)
 	handles := make([]core.BufHandle, 0, 4)
-	for _, rec := range recs {
+	for _, ent := range ents {
 		chunks = chunks[:0]
 		handles = handles[:0]
-		for i, phys := range rec.Blocks {
+		for i, phys := range ent.blockList() {
 			child := req.Child(core.OpBlockRead)
 			child.Offset = phys * int64(k.blockSize)
 			child.Size = k.blockSize
@@ -527,8 +567,8 @@ func (k *LabKVS) scanExec(e *core.Exec, req *core.Request) error {
 			}
 			lo := i * k.blockSize
 			hi := lo + k.blockSize
-			if hi > rec.Size {
-				hi = rec.Size
+			if hi > ent.size {
+				hi = ent.size
 			}
 			view := child.Value
 			if view == nil {
@@ -543,7 +583,7 @@ func (k *LabKVS) scanExec(e *core.Exec, req *core.Request) error {
 			child.Value = nil
 			child.Release()
 		}
-		_, err := ev.Record(rec.Key, chunks...)
+		_, err := ev.Record(ent.key, chunks...)
 		for _, h := range handles {
 			h.Release()
 		}
@@ -582,8 +622,9 @@ func (k *LabKVS) logAppend(e *core.Exec, req *core.Request, rec *record) error {
 // the index.
 func (k *LabKVS) snapshot(emit func(rec []byte) error) error {
 	var buf []byte
-	for _, rec := range k.records("") {
-		buf = appendRecord(buf[:0], rec)
+	for _, ent := range k.records("") {
+		rec := ent.logRecord()
+		buf = appendRecord(buf[:0], &rec)
 		if err := emit(buf); err != nil {
 			return err
 		}
@@ -626,6 +667,16 @@ func decodeRecord(b []byte) (*record, error) {
 	return rec, nil
 }
 
+// replayEntry is the index entry of a replayed put record, which owns its
+// key and blocks.
+func replayEntry(rec *record) entry {
+	ent := entry{key: rec.Key, size: rec.Size, owner: rec.Owner, blocks: rec.Blocks}
+	if ent.inline = len(rec.Blocks) == 1; ent.inline {
+		ent.block[0], ent.blocks = rec.Blocks[0], nil
+	}
+	return ent
+}
+
 // maybeReplay rebuilds the index and the free list from the device log.
 // The log is the whole truth: the index is rebuilt from empty, so a put
 // that never reached the log is lost rather than left pointing at blocks
@@ -653,7 +704,7 @@ func (k *LabKVS) maybeReplay(e *core.Exec, req *core.Request) error {
 		if rec.Dead {
 			delete(sh.recs, rec.Key)
 		} else {
-			sh.recs[rec.Key] = rec
+			sh.recs[rec.Key] = replayEntry(rec)
 		}
 		sh.mu.Unlock()
 		return nil
@@ -662,8 +713,8 @@ func (k *LabKVS) maybeReplay(e *core.Exec, req *core.Request) error {
 		return err
 	}
 	used := make(map[int64]bool)
-	for _, rec := range k.records("") {
-		for _, b := range rec.Blocks {
+	for _, ent := range k.records("") {
+		for _, b := range ent.blockList() {
 			used[b] = true
 		}
 	}

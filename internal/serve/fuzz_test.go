@@ -172,7 +172,8 @@ func decodeWhole(b []byte, maxPayload int) (f wireFrame, rest []byte, err error)
 }
 
 // readStreamed is the same frame taken off a stream: head then bulk for
-// requests and responses, payload for the rest.
+// requests and responses, payload for the rest. A request's key and mount
+// are strings in the reader's key slab, as the server decodes them.
 func readStreamed(fr *frameReader) (f wireFrame, err error) {
 	if f.typ, _, err = fr.next(); err != nil {
 		return f, err
@@ -181,6 +182,7 @@ func readStreamed(fr *frameReader) (f wireFrame, err error) {
 	switch f.typ {
 	case FrameReq:
 		var n int
+		f.req.keys = &fr.keys
 		if n, err = fr.head(&f.req); err == nil {
 			f.req.Payload = make([]byte, n)
 			err = fr.bulk(f.req.Payload)
@@ -212,7 +214,9 @@ func readStreamed(fr *frameReader) (f wireFrame, err error) {
 // In: for any byte string, frameReader over a reader that returns the bytes
 // in chunks of any size, behind a bufio.Reader of any size, accepts exactly
 // the frames DecodeFrame plus the payload decoder accept, with equal fields,
-// and rejects where they reject.
+// and rejects where they reject. A request's key and mount come from the
+// reader's key slab; each frame still equals its reference after every later
+// frame has been decoded into the same slab.
 //
 // Out: for any response, what frameGather writes is byte for byte what
 // AppendResp appends. The response is cut from the same input (error string,
@@ -239,6 +243,7 @@ func FuzzStreamReader(f *testing.F) {
 		const maxPayload = 1 << 16
 		fr := newFrameReader(bufio.NewReaderSize(&chunkReader{b: data, chunk: int(chunk) + 1}, int(bufSize)), maxPayload)
 		rest := data
+		var wants, gots []wireFrame
 		for i := 0; i < 16; i++ {
 			want, nrest, wantErr := decodeWhole(rest, maxPayload)
 			got, gotErr := readStreamed(fr)
@@ -251,7 +256,13 @@ func FuzzStreamReader(f *testing.F) {
 			if !want.equal(&got) {
 				t.Fatalf("frame %d: stream reader decoded %+v, whole-buffer decode %+v", i, got, want)
 			}
+			wants, gots = append(wants, want), append(gots, got)
 			rest = nrest
+		}
+		for i := range gots {
+			if !wants[i].equal(&gots[i]) {
+				t.Fatalf("frame %d reads %+v once later frames are decoded, whole-buffer decode %+v", i, gots[i], wants[i])
+			}
 		}
 
 		cut := min(int(errLen), len(data))

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"time"
 
@@ -342,14 +343,6 @@ func (s *Server) handleConn(conn net.Conn) {
 func (s *Server) readLoop(fr *frameReader, br *bufio.Reader, cli *runtime.Client,
 	defTenant *tenantState, cw *connWriter, compCh chan<- *submittedBatch) {
 
-	// Per-connection mount cache: resolution is a namespace prefix walk;
-	// connections hammer a handful of mounts.
-	type resolved struct {
-		stack *core.Stack
-		rem   string
-	}
-	mounts := make(map[string]resolved)
-
 	batch := s.getBatch()
 	var batchStack *core.Stack
 
@@ -393,7 +386,9 @@ func (s *Server) readLoop(fr *frameReader, br *bufio.Reader, cli *runtime.Client
 		cw.frame(enc)
 	}
 
-	var rf ReqFrame
+	// The key and the mount of each request are strings in the connection's
+	// key slab, not one allocation each.
+	rf := ReqFrame{keys: &fr.keys}
 	for {
 		typ, plen, err := fr.next()
 		if err != nil {
@@ -457,18 +452,16 @@ func (s *Server) readLoop(fr *frameReader, br *bufio.Reader, cli *runtime.Client
 			continue
 		}
 
-		// Resolve the stack (exact mount, else namespace prefix walk).
-		res, ok := mounts[rf.Mount]
-		if !ok {
-			if st, found := s.rt.Namespace.Lookup(rf.Mount); found {
-				res = resolved{stack: st}
-			} else if st, rem, found := s.rt.Namespace.Resolve(rf.Mount); found {
-				res = resolved{stack: st, rem: rem}
-			} else {
+		// Resolve the stack, exact mount else namespace prefix walk, on every
+		// frame: the namespace is copy-on-write, so a lookup takes no lock,
+		// and a stack mounted again at the same path is found at once.
+		st, found := s.rt.Namespace.Lookup(rf.Mount)
+		var rem string
+		if !found {
+			if st, rem, found = s.rt.Namespace.Resolve(rf.Mount); !found {
 				reject(ts, ph, rf.ID, fmt.Sprintf("no stack serving %q", rf.Mount))
 				continue
 			}
-			mounts[rf.Mount] = res
 		}
 
 		// Pushdown gate: a Prog-carrying frame runs a registered program
@@ -495,7 +488,8 @@ func (s *Server) readLoop(fr *frameReader, br *bufio.Reader, cli *runtime.Client
 		req := core.AcquireRequest(rf.Op)
 		req.Path = rf.Path
 		if req.Path == "" {
-			req.Path = res.rem
+			// rem is a slice of the mount, a slab string; LabFS keeps paths.
+			req.Path = strings.Clone(rem)
 		}
 		req.Key = rf.Key
 		req.Offset = rf.Offset
@@ -516,10 +510,10 @@ func (s *Server) readLoop(fr *frameReader, br *bufio.Reader, cli *runtime.Client
 		}
 
 		// Coalesce: same-stack runs batch into one vectored submission.
-		if batchStack != nil && (batchStack != res.stack || len(batch.reqs) >= s.cfg.Batch) {
+		if batchStack != nil && (batchStack != st || len(batch.reqs) >= s.cfg.Batch) {
 			flush()
 		}
-		batchStack = res.stack
+		batchStack = st
 		batch.reqs = append(batch.reqs, req)
 		batch.entries = append(batch.entries, pendingReq{id: rf.ID, payload: ph, ts: ts})
 

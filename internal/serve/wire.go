@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"unsafe"
 
 	"labstor/internal/codec"
 	"labstor/internal/core"
@@ -129,6 +130,11 @@ type ReqFrame struct {
 	// aliases the decode buffer; a frameReader leaves it nil and reads the
 	// bytes into memory its caller picks.
 	Payload []byte
+
+	// keys, when set, is where decodeHead copies the key and the mount to
+	// instead of allocating a string for each; the server sets its
+	// connection's slab. Encoding ignores it.
+	keys *keySlab
 }
 
 // RespFrame is one RPC completion.
@@ -358,6 +364,7 @@ type frameReader struct {
 	sum    uint32        // CRC of the head, set by head for bulk to continue
 	staged []byte        // the bulk field, non-nil when head had to stage the frame
 	dec    codec.Decoder // head's decoder: here, not on its stack, because an interface call takes its address
+	keys   keySlab       // the connection's request keys and mounts, for a ReqFrame whose keys point here
 }
 
 func newFrameReader(br *bufio.Reader, maxPayload int) *frameReader {
@@ -523,10 +530,10 @@ func DecodeHello(payload []byte) (HelloFrame, error) {
 func (r *ReqFrame) decodeHead(d *codec.Decoder) uint64 {
 	r.ID = d.Uvarint()
 	r.Tenant = d.Str(r.Tenant)
-	r.Mount = d.Str(r.Mount)
+	r.Mount = r.keys.str(d.Bytes(), r.Mount)
 	r.Op = core.Op(d.Byte())
 	r.Path = d.Str(r.Path)
-	r.Key = d.Str(r.Key)
+	r.Key = r.keys.str(d.Bytes(), r.Key)
 	r.Offset = d.Varint()
 	r.Size = d.Varint()
 	r.Prog = d.Str(r.Prog)
@@ -548,6 +555,41 @@ func (r *RespFrame) decodeHead(d *codec.Decoder) uint64 {
 		d.Fail()
 	}
 	return d.Uvarint()
+}
+
+// keySlabSize is the size of one key slab: a few hundred keys of tens of
+// bytes each, so the slab's own allocation is a small share of one per
+// request.
+const keySlabSize = 4 << 10
+
+// keySlab makes strings of request fields without allocating one each: it
+// copies them into the unused tail of an append-only byte slab. A full slab
+// is replaced by a new one and never written again, so a string made from it
+// is immutable and stays valid for as long as anyone holds it — the GC keeps
+// the slab alive for it (DESIGN.md §13).
+type keySlab struct {
+	b []byte
+}
+
+// str returns b as a string: last when they are equal, as codec.Decoder.Str
+// does, and otherwise a copy in the slab. A nil slab, or a field longer than
+// a quarter of one, allocates the string as Decoder.Str does.
+func (s *keySlab) str(b []byte, last string) string {
+	if string(b) == last {
+		return last
+	}
+	if s == nil || len(b) > keySlabSize/4 {
+		return string(b)
+	}
+	if len(b) == 0 {
+		return ""
+	}
+	if cap(s.b)-len(s.b) < len(b) {
+		s.b = make([]byte, 0, keySlabSize)
+	}
+	at := len(s.b)
+	s.b = append(s.b, b...)
+	return unsafe.String(&s.b[at], len(b))
 }
 
 // DecodeReq decodes a request payload into r. The Payload field aliases the

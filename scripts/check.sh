@@ -70,6 +70,13 @@
 #      -cpu 1,2,8. Upstream readers write responses to client sockets
 #      themselves, so two of them may write to one client at once, under
 #      that client's lock, while its own reader writes pongs and errors.
+#  15. keys: the remount test (a live connection reaches a stack mounted
+#      again at its path), the key slab tests (a slab string reads the same
+#      after rollovers) and the LabKVS index tests (keys owned by the index,
+#      and op by op against a map model with the free-list invariant) three
+#      times under the race detector at -cpu 1,2,8. Slab strings cross from
+#      the reader to workers while the reader appends to the same slab, and
+#      LabKVS reads entries copied out under its shard locks.
 # Run from the repository root (or via `make check`).
 set -eu
 cd "$(dirname "$0")/.."
@@ -145,5 +152,8 @@ go test -race -count=3 -cpu 1,2,8 -run 'Attribution|SLO|Trace|Tail|Flight|Bundle
 
 echo "== router: go test -race -count=3 -cpu 1,2,8 -run Router ./internal/serve =="
 go test -race -count=3 -cpu 1,2,8 -run Router ./internal/serve
+
+echo "== keys: go test -race -count=3 -cpu 1,2,8 -run 'TestServeRemount|TestKeySlab|TestIndex' ./internal/serve ./internal/mods/labkvs =="
+go test -race -count=3 -cpu 1,2,8 -run 'TestServeRemount|TestKeySlab|TestIndex' ./internal/serve ./internal/mods/labkvs
 
 echo "== check: OK =="
