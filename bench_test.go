@@ -256,8 +256,8 @@ func BenchmarkCreateEmptyFiles(b *testing.B) {
 
 // benchHotpath drives b.N requests through a one-vertex dummy stack in
 // windows of 64 outstanding requests, submitted with SubmitBatch and drained
-// eight at a time. pooled recycles requests through
-// core.AcquireRequest/Release instead of core.NewRequest. Run with
+// eight at a time. pooled Releases each request after WaitAll, so
+// core.NewRequest reuses it; heap leaves it to the collector. Run with
 // -benchmem: the heap-vs-pooled delta is allocs/op.
 func benchHotpath(b *testing.B, pooled bool) {
 	b.Helper()
@@ -283,11 +283,7 @@ func benchHotpath(b *testing.B, pooled bool) {
 			n = b.N - done
 		}
 		for i := 0; i < n; i++ {
-			if pooled {
-				reqs[i] = core.AcquireRequest(core.OpMessage)
-			} else {
-				reqs[i] = core.NewRequest(core.OpMessage)
-			}
+			reqs[i] = core.NewRequest(core.OpMessage)
 		}
 		if err := cli.SubmitBatch(stack, reqs[:n]); err != nil {
 			b.Fatal(err)
@@ -322,7 +318,7 @@ func BenchmarkRequestLifecycleHeap(b *testing.B) {
 func BenchmarkRequestLifecyclePooled(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := core.AcquireRequest(core.OpMessage)
+		r := core.NewRequest(core.OpMessage)
 		r.Trace = true
 		r.Charge("bench", 100)
 		r.MarkDone()

@@ -53,7 +53,7 @@ func main() {
 	serveAddr := flag.String("serve", "", "network serving address (overrides the config's serve.addr)")
 	flag.Parse()
 
-	cfg := &spec.RuntimeConfig{Workers: 4, QueueDepth: 1024, UpgradePollMs: 5}
+	cfg := spec.DefaultRuntimeConfig()
 	if *configPath != "" {
 		raw, err := os.ReadFile(*configPath)
 		if err != nil {

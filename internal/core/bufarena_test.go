@@ -85,7 +85,7 @@ func TestBufArenaReuse(t *testing.T) {
 }
 
 func TestCompleteValueRecycledOnRelease(t *testing.T) {
-	r := AcquireRequest(OpRead)
+	r := NewRequest(OpRead)
 	out := r.CompleteValue(700)
 	if len(out) != 700 || cap(out) != 1024 {
 		t.Fatalf("CompleteValue(700): len=%d cap=%d", len(out), cap(out))

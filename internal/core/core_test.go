@@ -6,8 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"labstor/internal/vtime"
 )
 
 // --- Request ---------------------------------------------------------------------
@@ -128,7 +126,7 @@ func TestHandshakeCompletionWord(t *testing.T) {
 	// Waiter and completer racing: whichever side wins, the waiter ends up
 	// seeing done, and it blocks only when a token is coming.
 	for i := 0; i < 2000; i++ {
-		r := AcquireRequest(OpNop)
+		r := NewRequest(OpNop)
 		r.SetWaker(wake)
 		go func() {
 			r.Result = int64(r.ID)
@@ -205,8 +203,6 @@ func (f *fakeMod) StateUpdate(prev Module) error {
 }
 
 func (f *fakeMod) StateRepair() error { f.repaired = true; return nil }
-
-func (f *fakeMod) EstProcessingTime(op Op, size int) vtime.Duration { return 100 }
 
 func init() {
 	RegisterType("test.fake", func() Module { return &fakeMod{name: "test.fake"} })

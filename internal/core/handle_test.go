@@ -175,7 +175,7 @@ func TestSegArenaHandles(t *testing.T) {
 }
 
 func TestRequestValueHandleTransfer(t *testing.T) {
-	r := AcquireRequest(OpGet)
+	r := NewRequest(OpGet)
 	out := r.CompleteValue(4096)
 	copy(out, []byte("payload"))
 	h := r.TakeValue()

@@ -106,17 +106,17 @@ func (e *Env) Device(name string) (*device.Device, error) {
 // The lifecycle APIs required by the platform (paper §III-A):
 //   - StateUpdate copies state from the previous instance during a live
 //     upgrade;
-//   - StateRepair revalidates/rebuilds state after a Runtime crash;
-//   - EstProcessingTime estimates per-request processing cost, which the
-//     Work Orchestrator uses to split latency-sensitive from computational
-//     queues.
+//   - StateRepair revalidates/rebuilds state after a Runtime crash.
+//
+// The paper's third lifecycle API, a per-request processing-time estimate,
+// is not part of the contract: the Work Orchestrator classifies queues by
+// the per-request CPU it measures, not by an estimate each module declares.
 type Module interface {
 	Info() ModuleInfo
 	Configure(cfg Config, env *Env) error
 	Process(e *Exec, req *Request) error
 	StateUpdate(prev Module) error
 	StateRepair() error
-	EstProcessingTime(op Op, size int) vtime.Duration
 }
 
 // Base provides default lifecycle implementations modules can embed.
@@ -141,11 +141,6 @@ func (b *Base) StateUpdate(prev Module) error { return nil }
 
 // StateRepair is a no-op by default.
 func (b *Base) StateRepair() error { return nil }
-
-// EstProcessingTime defaults to a microsecond-scale constant.
-func (b *Base) EstProcessingTime(op Op, size int) vtime.Duration {
-	return vtime.Microsecond
-}
 
 // Factory constructs a fresh, unconfigured module instance of one type.
 type Factory func() Module

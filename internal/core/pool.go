@@ -8,15 +8,17 @@ import (
 // Request pooling: the async hot path allocates one Request per operation,
 // which at millions of ops/s is exactly the GC pressure the paper's
 // shared-memory request slabs avoid (requests there live in preallocated
-// cacheline-sized shared segments). AcquireRequest/Release recycle Request
+// cacheline-sized shared segments). NewRequest/Release recycle Request
 // objects through a sync.Pool so the steady-state hot path stops allocating
 // the struct and its trace buffer.
 //
-// The pool is opt-in: NewRequest still heap-allocates and callers that never
-// Release keep working unchanged. Release is only safe once the request has
-// fully completed (Wait/WaitAll returned) and the caller has copied out any
-// results it needs — after Release the object may be reused and every field,
-// including Data, Value, Names and Err, is rewritten.
+// NewRequest is the one constructor and always draws from the pool; a
+// request that is never Released is garbage like any other object, so
+// callers that never Release keep working unchanged. Release is only safe
+// once the request has fully completed (Wait/WaitAll returned) and the
+// caller has copied out any results it needs — after Release the object
+// may be reused and every field, including Data, Value, Names and Err, is
+// rewritten.
 var reqPool = sync.Pool{
 	New: func() any {
 		poolMisses.Add(1)
@@ -25,14 +27,14 @@ var reqPool = sync.Pool{
 }
 
 var (
-	poolGets   atomic.Int64 // AcquireRequest calls
-	poolMisses atomic.Int64 // Acquires that had to allocate
+	poolGets   atomic.Int64 // NewRequest calls
+	poolMisses atomic.Int64 // NewRequests that had to allocate
 	poolPuts   atomic.Int64 // Release calls
 )
 
-// AcquireRequest returns a reset Request with a fresh ID, drawn from the
+// NewRequest returns a reset Request with a fresh ID, drawn from the
 // request pool when possible.
-func AcquireRequest(op Op) *Request {
+func NewRequest(op Op) *Request {
 	poolGets.Add(1)
 	r := reqPool.Get().(*Request)
 	r.reset(op)

@@ -6,7 +6,7 @@ import "testing"
 // fresh ID, a pending completion word, zeroed fields, and an empty (but reusable)
 // stage slice.
 func TestAcquireReleaseReset(t *testing.T) {
-	r := AcquireRequest(OpWrite)
+	r := NewRequest(OpWrite)
 	if r.Op != OpWrite {
 		t.Fatalf("op = %v", r.Op)
 	}
@@ -24,7 +24,7 @@ func TestAcquireReleaseReset(t *testing.T) {
 	r.MarkDone()
 	r.Release()
 
-	r2 := AcquireRequest(OpRead)
+	r2 := NewRequest(OpRead)
 	if r2.ID == firstID {
 		t.Fatal("recycled request kept its old ID")
 	}
@@ -45,7 +45,7 @@ func TestPoolStatsAccounting(t *testing.T) {
 	const n = 32
 	reqs := make([]*Request, n)
 	for i := range reqs {
-		reqs[i] = AcquireRequest(OpMessage)
+		reqs[i] = NewRequest(OpMessage)
 	}
 	for _, r := range reqs {
 		r.Release()

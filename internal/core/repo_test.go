@@ -1,16 +1,11 @@
 package core
 
-import (
-	"testing"
-
-	"labstor/internal/vtime"
-)
+import "testing"
 
 type repoMod struct{ Base }
 
-func (r *repoMod) Info() ModuleInfo                         { return ModuleInfo{Type: "repo.mod"} }
-func (r *repoMod) Process(e *Exec, req *Request) error      { return nil }
-func (r *repoMod) EstProcessingTime(Op, int) vtime.Duration { return 0 }
+func (r *repoMod) Info() ModuleInfo                    { return ModuleInfo{Type: "repo.mod"} }
+func (r *repoMod) Process(e *Exec, req *Request) error { return nil }
 
 func repoWith(name string, owner int, trusted bool, types ...string) *Repo {
 	m := make(map[string]Factory, len(types))

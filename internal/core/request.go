@@ -1,6 +1,6 @@
 // Package core implements the LabStor platform core: the LabMod programming
-// model (type / operation / state / connector with the StateUpdate,
-// StateRepair and EstProcessingTime lifecycle APIs), the Module Registry,
+// model (type / operation / state / connector with the StateUpdate and
+// StateRepair lifecycle APIs), the Module Registry,
 // the LabStack DAG, the LabStack Namespace with longest-prefix mount
 // resolution, and the Executor that walks a request through a stack.
 package core
@@ -202,11 +202,6 @@ type Cred struct {
 
 var reqID atomic.Uint64
 
-// NewRequest allocates a request with a fresh ID.
-func NewRequest(op Op) *Request {
-	return &Request{ID: reqID.Add(1), Op: op}
-}
-
 // Charge advances the request clock by d and, when tracing, records the
 // stage name.
 func (r *Request) Charge(stage string, d vtime.Duration) {
@@ -282,7 +277,7 @@ func (r *Request) Park() bool {
 // that pointed Value at a buffer other than the child's own ValueH clears
 // it first.
 func (r *Request) Child(op Op) *Request {
-	c := AcquireRequest(op)
+	c := NewRequest(op)
 	c.StackID = r.StackID
 	c.plan = r.plan
 	c.vertex = r.vertex

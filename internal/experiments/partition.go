@@ -65,7 +65,6 @@ func runPartitionTrial(workers int, policy string, lFiles, cReqs, cBytes int) (l
 		QueueDepth:     4096,
 		Policy:         policy,
 		RebalanceEvery: 2 * time.Millisecond,
-		LatencyCutoff:  100 * vtime.Microsecond,
 	})
 	dev := device.New("dev0", device.NVMe, 4<<30)
 	rt.AddDevice(dev)

@@ -47,7 +47,7 @@ func TestPushdownScanCopyContract(t *testing.T) {
 		val := make([]byte, valSize)
 		binary.LittleEndian.PutUint32(val, 1)
 		for i := 0; i < nRecs; i++ {
-			req := core.AcquireRequest(core.OpPut)
+			req := core.NewRequest(core.OpPut)
 			req.Key = fmt.Sprintf("c/%02d", i)
 			req.Size = valSize
 			req.Data = val
@@ -60,7 +60,7 @@ func TestPushdownScanCopyContract(t *testing.T) {
 		}
 
 		before := telemetry.CopySiteStats()
-		req := core.AcquireRequest(core.OpScan)
+		req := core.NewRequest(core.OpScan)
 		req.Key = "c/"
 		req.Prog = prog.Ref
 		err = cli.SubmitStack(stack, req)
@@ -142,7 +142,7 @@ func TestKVSCopyContract(t *testing.T) {
 	val := make([]byte, valSize)
 	key := func(size, i int) string { return fmt.Sprintf("k%d/%03d", size, i) }
 	call := func(op core.Op, size, i int) {
-		req := core.AcquireRequest(op)
+		req := core.NewRequest(op)
 		req.Key = key(size, i)
 		if op == core.OpPut {
 			req.Size, req.Data = size, val[:size]

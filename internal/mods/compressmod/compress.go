@@ -18,7 +18,6 @@ import (
 
 	"labstor/internal/core"
 	"labstor/internal/telemetry"
-	"labstor/internal/vtime"
 )
 
 // Type is the registered module type name.
@@ -215,13 +214,4 @@ func (c *Compressor) StateUpdate(prev core.Module) error {
 		c.bytesIn, c.bytesOut, c.compressed = old.bytesIn, old.bytesOut, old.compressed
 	}
 	return nil
-}
-
-// EstProcessingTime estimates compression CPU cost — large writes through
-// this module are "computational" requests for the Work Orchestrator.
-func (c *Compressor) EstProcessingTime(op core.Op, size int) vtime.Duration {
-	if op.IsWrite() {
-		return c.Env.Model.Compress(size)
-	}
-	return c.Env.Model.Compress(size) / 2
 }

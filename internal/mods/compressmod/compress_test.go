@@ -113,10 +113,6 @@ func TestCompressChargesCPU(t *testing.T) {
 	if w.CPUTime < h.Env.Model.Compress(len(data)) {
 		t.Fatalf("compression CPU not charged: %v", w.CPUTime)
 	}
-	m, _ := h.Registry.Get("zip")
-	if est := m.EstProcessingTime(core.OpWrite, 1<<20); est < h.Env.Model.Compress(1<<20) {
-		t.Fatal("EstProcessingTime must reflect compression cost")
-	}
 }
 
 func TestNonDataOpsPassThrough(t *testing.T) {

@@ -15,7 +15,6 @@ import (
 	"sync"
 
 	"labstor/internal/core"
-	"labstor/internal/vtime"
 )
 
 // Type is the registered module type name.
@@ -111,9 +110,4 @@ func (g *Guard) StateUpdate(prev core.Module) error {
 		g.pending, g.flushes = old.pending, old.flushes
 	}
 	return nil
-}
-
-// EstProcessingTime is negligible — the policy itself is cheap.
-func (g *Guard) EstProcessingTime(op core.Op, size int) vtime.Duration {
-	return 100 * vtime.Nanosecond
 }

@@ -21,7 +21,6 @@ import (
 
 	"labstor/internal/core"
 	"labstor/internal/device"
-	"labstor/internal/vtime"
 )
 
 // Type names registered with the core module factory.
@@ -113,11 +112,6 @@ func (d *KernelDriver) Process(e *core.Exec, req *core.Request) error {
 	return nil
 }
 
-// EstProcessingTime estimates CPU cost per request.
-func (d *KernelDriver) EstProcessingTime(op core.Op, size int) vtime.Duration {
-	return d.Env.Model.KernelDriverSubmit
-}
-
 // StateRepair revalidates the device binding.
 func (d *KernelDriver) StateRepair() error {
 	dev, err := resolveDevice(&d.Base)
@@ -181,11 +175,6 @@ func (d *SPDK) Process(e *core.Exec, req *core.Request) error {
 	req.ChargeIO("io", end)
 	req.Result = int64(len(buf))
 	return nil
-}
-
-// EstProcessingTime estimates CPU cost per request.
-func (d *SPDK) EstProcessingTime(op core.Op, size int) vtime.Duration {
-	return d.Env.Model.SPDKSubmit
 }
 
 // StateRepair revalidates the device binding.
@@ -256,12 +245,6 @@ func (d *DAX) Process(e *core.Exec, req *core.Request) error {
 	req.ChargeIO("io", end)
 	req.Result = int64(len(buf))
 	return nil
-}
-
-// EstProcessingTime estimates CPU cost per request (the memcpy occupies the
-// CPU for DAX, unlike DMA-based drivers).
-func (d *DAX) EstProcessingTime(op core.Op, size int) vtime.Duration {
-	return d.Env.Model.DAXAccessSetup + d.Env.Model.Copy(size)
 }
 
 // StateRepair revalidates the device binding.

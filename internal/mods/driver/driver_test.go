@@ -176,9 +176,6 @@ func TestSPDKFlushDiscardAndReadAlloc(t *testing.T) {
 	if err := m.StateRepair(); err != nil {
 		t.Fatal(err)
 	}
-	if m.EstProcessingTime(core.OpBlockWrite, 4096) <= 0 {
-		t.Fatal("est")
-	}
 }
 
 func TestDAXFlushDiscardAndReadAlloc(t *testing.T) {
@@ -209,20 +206,6 @@ func TestDAXFlushDiscardAndReadAlloc(t *testing.T) {
 	m, _ := h.Registry.Get("dax")
 	if err := m.StateRepair(); err != nil {
 		t.Fatal(err)
-	}
-	if m.EstProcessingTime(core.OpBlockRead, 4096) <= 0 {
-		t.Fatal("est")
-	}
-}
-
-func TestKernelDriverEst(t *testing.T) {
-	h := modtest.New(t, device.NVMe, 64<<20)
-	h.Mount(t, "blk::/kd", modtest.ChainVertex{
-		UUID: "drv", Type: driver.KernelDriverType, Attrs: map[string]string{"device": "dev0"},
-	})
-	m, _ := h.Registry.Get("drv")
-	if m.EstProcessingTime(core.OpBlockWrite, 4096) <= 0 {
-		t.Fatal("est")
 	}
 }
 

@@ -78,6 +78,3 @@ func (d *Dummy) StateRepair() error {
 	d.repairs.Add(1)
 	return nil
 }
-
-// EstProcessingTime reports the configured message cost.
-func (d *Dummy) EstProcessingTime(op core.Op, size int) vtime.Duration { return d.cost }

@@ -17,7 +17,6 @@ import (
 	"sync"
 
 	"labstor/internal/core"
-	"labstor/internal/vtime"
 )
 
 // Type names registered with the core module factory.
@@ -177,11 +176,6 @@ func (g *GenericFS) StateUpdate(prev core.Module) error {
 	return nil
 }
 
-// EstProcessingTime is small — GenericFS only routes.
-func (g *GenericFS) EstProcessingTime(op core.Op, size int) vtime.Duration {
-	return g.Env.Model.ModLookup
-}
-
 // GenericKVS is the key-value interface multiplexer.
 type GenericKVS struct {
 	core.Base
@@ -203,9 +197,4 @@ func (g *GenericKVS) Process(e *core.Exec, req *core.Request) error {
 		}
 	}
 	return e.Next(req)
-}
-
-// EstProcessingTime is small — GenericKVS only routes.
-func (g *GenericKVS) EstProcessingTime(op core.Op, size int) vtime.Duration {
-	return g.Env.Model.ModLookup
 }

@@ -21,7 +21,6 @@ import (
 
 	"labstor/internal/core"
 	"labstor/internal/device"
-	"labstor/internal/vtime"
 )
 
 // Type names registered with the core module factory.
@@ -72,11 +71,6 @@ func (s *NoOp) Process(e *core.Exec, req *core.Request) error {
 		req.Hctx = req.OriginCore
 	}
 	return e.Next(req)
-}
-
-// EstProcessingTime estimates the scheduler's CPU cost.
-func (s *NoOp) EstProcessingTime(op core.Op, size int) vtime.Duration {
-	return s.Env.Model.NoOpSched
 }
 
 // BlkSwitch is the load-aware queue-steering scheduler. Following the
@@ -138,11 +132,6 @@ func (s *BlkSwitch) Process(e *core.Exec, req *core.Request) error {
 	}
 	req.Hctx = best
 	return e.Next(req)
-}
-
-// EstProcessingTime estimates the scheduler's CPU cost.
-func (s *BlkSwitch) EstProcessingTime(op core.Op, size int) vtime.Duration {
-	return s.Env.Model.BlkSwitchSched
 }
 
 // StateRepair revalidates the device binding.

@@ -8,7 +8,6 @@ import (
 
 	"labstor/internal/core"
 	"labstor/internal/device"
-	"labstor/internal/vtime"
 	"labstor/internal/wal"
 )
 
@@ -34,8 +33,6 @@ func (s *sinkMod) Process(e *core.Exec, req *core.Request) error {
 	return nil
 }
 
-func (s *sinkMod) EstProcessingTime(core.Op, int) vtime.Duration { return 0 }
-
 // headMod invokes a test callback with the module's executor context: the
 // position LabFS itself occupies when it drives its metadata log.
 type headMod struct {
@@ -48,8 +45,6 @@ func (h *headMod) Info() core.ModuleInfo {
 }
 
 func (h *headMod) Process(e *core.Exec, req *core.Request) error { return h.fn(e, req) }
-
-func (h *headMod) EstProcessingTime(core.Op, int) vtime.Duration { return 0 }
 
 // driveLog runs fn in a module context above a device-backed sink.
 func driveLog(t *testing.T, dev *device.Device, fn func(e *core.Exec, req *core.Request) error) {

@@ -24,7 +24,6 @@ import (
 	"labstor/internal/core"
 	"labstor/internal/mods/pushdown"
 	"labstor/internal/telemetry"
-	"labstor/internal/vtime"
 	"labstor/internal/wal"
 )
 
@@ -953,17 +952,6 @@ func (f *LabFS) StateRepair() error {
 	f.needReplay = true
 	f.replayMu.Unlock()
 	return nil
-}
-
-// EstProcessingTime classifies LabFS requests as latency-sensitive
-// (metadata + per-block bookkeeping).
-func (f *LabFS) EstProcessingTime(op core.Op, size int) vtime.Duration {
-	m := f.Env.Model
-	if op.IsMetadata() {
-		return m.FSMetadata + m.LabFSCreate
-	}
-	blocks := vtime.Duration(size/f.blockSize + 1)
-	return m.FSMetadata + blocks*m.LabFSShardLockHold
 }
 
 // Provenance returns a file's provenance record (creator UID, creating log

@@ -32,7 +32,7 @@ func TestKVSteadyStateAllocs(t *testing.T) {
 	value := bytes.Repeat([]byte{7}, 1000)
 	var got []byte
 	run := func(op core.Op) {
-		r := core.AcquireRequest(op)
+		r := core.NewRequest(op)
 		r.Key = "user/00000042"
 		if op == core.OpPut {
 			r.Data, r.Size = value, len(value)

@@ -764,10 +764,3 @@ func (k *LabKVS) StateRepair() error {
 	k.replayMu.Unlock()
 	return nil
 }
-
-// EstProcessingTime classifies LabKVS ops.
-func (k *LabKVS) EstProcessingTime(op core.Op, size int) vtime.Duration {
-	m := k.Env.Model
-	blocks := vtime.Duration(size/k.blockSize + 1)
-	return m.FSMetadata + blocks*m.LabFSShardLockHold
-}

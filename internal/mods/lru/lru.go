@@ -31,7 +31,6 @@ import (
 
 	"labstor/internal/core"
 	"labstor/internal/telemetry"
-	"labstor/internal/vtime"
 )
 
 // Type is the registered module type name.
@@ -431,9 +430,4 @@ func (c *Cache) StateUpdate(prev core.Module) error {
 	}
 	c.hits, c.misses = old.hits, old.misses
 	return nil
-}
-
-// EstProcessingTime estimates the cache's CPU cost for a request.
-func (c *Cache) EstProcessingTime(op core.Op, size int) vtime.Duration {
-	return c.Env.Model.LRUCacheOp + c.Env.Model.Copy(size)
 }

@@ -326,13 +326,27 @@ func TestStateUpdateIntoSmallerCache(t *testing.T) {
 
 func TestConfigureValidation(t *testing.T) {
 	h := modtest.New(t, device.NVMe, 64<<20)
-	c := &lru.Cache{}
-	// Nonsense capacities fall back to sane defaults rather than zero.
-	if err := c.Configure(core.Config{UUID: "x", Attrs: map[string]string{"capacity_mb": "-3", "page_kb": "0"}}, h.Env); err != nil {
+	// Nonsense capacities fall back to sane defaults rather than zero: a
+	// write and then a read through the cache still hit.
+	s := mountCache(t, h, map[string]string{"capacity_mb": "-3", "page_kb": "0"})
+	c := cacheInstance(t, h)
+	data := bytes.Repeat([]byte{5}, 4096)
+	if err := h.Run(t, s, modtest.BlockWriteReq(0, data)); err != nil {
 		t.Fatal(err)
 	}
-	if est := c.EstProcessingTime(core.OpBlockWrite, 4096); est <= 0 {
-		t.Fatal("est")
+	reads, _, _, _, _ := h.Dev.Stats()
+	r := modtest.BlockReadReq(0, 4096)
+	if err := h.Run(t, s, r); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(r.Data, data) {
+		t.Fatal("read after write returned wrong data")
+	}
+	if after, _, _, _, _ := h.Dev.Stats(); after != reads {
+		t.Fatal("read after write missed the cache")
+	}
+	if hits, misses, resident := c.Stats(); hits != 1 || misses != 0 || resident != 1 {
+		t.Fatalf("stats: %d/%d/%d", hits, misses, resident)
 	}
 }
 

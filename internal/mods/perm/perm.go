@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"labstor/internal/core"
-	"labstor/internal/vtime"
 )
 
 // Type is the registered module type name.
@@ -146,9 +145,4 @@ func (p *Checker) StateUpdate(prev core.Module) error {
 		p.acl = append(p.acl, old.acl...)
 	}
 	return nil
-}
-
-// EstProcessingTime estimates the check cost.
-func (p *Checker) EstProcessingTime(op core.Op, size int) vtime.Duration {
-	return p.Env.Model.PermCheck
 }

@@ -7,7 +7,6 @@ import (
 
 	"labstor/internal/core"
 	"labstor/internal/telemetry"
-	"labstor/internal/vtime"
 )
 
 // Type is the registered module type name.
@@ -124,9 +123,4 @@ func (m *Mod) Process(e *core.Exec, req *core.Request) error {
 	req.Prog = prog.Ref
 	m.pol.Clamp("", req)
 	return e.Next(req)
-}
-
-// EstProcessingTime estimates the gate's per-request cost.
-func (m *Mod) EstProcessingTime(op core.Op, size int) vtime.Duration {
-	return m.Env.Model.ModLookup
 }

@@ -17,7 +17,6 @@ import (
 
 	"labstor/internal/core"
 	"labstor/internal/telemetry"
-	"labstor/internal/vtime"
 )
 
 // Type is the registered module type name.
@@ -220,9 +219,4 @@ func (p *Prefetcher) StateUpdate(prev core.Module) error {
 		p.hits, p.prefetches = old.hits, old.prefetches
 	}
 	return nil
-}
-
-// EstProcessingTime is small: a map lookup plus an occasional async window.
-func (p *Prefetcher) EstProcessingTime(op core.Op, size int) vtime.Duration {
-	return p.Env.Model.ModLookup + p.Env.Model.Copy(size)
 }

@@ -38,7 +38,7 @@ func TestClientRoundTripAllocContracts(t *testing.T) {
 			}},
 		} {
 			roundTrip := func() {
-				req := core.AcquireRequest(core.OpMessage)
+				req := core.NewRequest(core.OpMessage)
 				req.Offset = 3
 				if err := submit.do(req); err != nil || req.Result != gateAnswer(3) {
 					t.Fatalf("%s: %v, result %d", submit.name, err, req.Result)
@@ -95,7 +95,7 @@ func TestEvaluateSLOsAllocContract(t *testing.T) {
 	t.Cleanup(rt.Shutdown)
 	cli := rt.Connect(ipc.Credentials{PID: 1})
 	for i := 0; i < 256; i++ {
-		req := core.AcquireRequest(core.OpMessage)
+		req := core.NewRequest(core.OpMessage)
 		if err := cli.SubmitStack(stack, req); err != nil {
 			t.Fatal(err)
 		}

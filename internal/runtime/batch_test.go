@@ -194,7 +194,7 @@ func TestSubmitBatchPooledRoundTrip(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		reqs := make([]*core.Request, 16)
 		for i := range reqs {
-			reqs[i] = core.AcquireRequest(core.OpMessage)
+			reqs[i] = core.NewRequest(core.OpMessage)
 		}
 		if err := cli.SubmitBatch(stack, reqs); err != nil {
 			t.Fatal(err)

@@ -179,7 +179,7 @@ func TestHandshakeStress(t *testing.T) {
 		reqs := make([]*core.Request, window)
 		for w := 0; w < windows; w++ {
 			for i := range reqs {
-				reqs[i] = core.AcquireRequest(core.OpMessage)
+				reqs[i] = core.NewRequest(core.OpMessage)
 				reqs[i].Offset = int64(-(w*window + i))
 			}
 			if err := batcher.SubmitBatch(stack, reqs); err != nil {
@@ -312,7 +312,7 @@ func TestHandshakePooledReuse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				off := int64(c*rounds + i)
-				req := core.AcquireRequest(core.OpMessage)
+				req := core.NewRequest(core.OpMessage)
 				req.Offset = off
 				if err := cli.SubmitStack(stack, req); err != nil {
 					t.Errorf("client %d round %d: %v", c, i, err)

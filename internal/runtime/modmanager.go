@@ -142,7 +142,7 @@ func (mm *ModManager) TotalUpgradeTime() vtime.Duration {
 // StateUpdate(old), and the stacks reopen. If the walkers do not leave in
 // time the batch stays queued for the next call.
 //
-// It is called by the control loop every UpgradePoll, and may be called
+// It is called by the control loop every upgradePoll, and may be called
 // directly by tests.
 func (mm *ModManager) ProcessUpgrades() {
 	mm.mu.Lock()

@@ -15,8 +15,8 @@ import (
 //
 //   - round_robin: queues are divided evenly across all active workers.
 //   - dynamic: queues are split into latency-sensitive queues (LQs) and
-//     computational queues (CQs) by the maximum expected processing time of
-//     their requests (EstProcessingTime) and queue depth; LQs are placed on
+//     computational queues (CQs) by the per-request CPU time the
+//     orchestrator observed on each queue (ObserveBatch); LQs are placed on
 //     a dedicated subset of workers, CQs on another, and a knapsack-style
 //     partition picks the fewest workers that keep estimated per-worker
 //     load under a threshold.
@@ -49,6 +49,21 @@ type RebalanceDecision struct {
 	LQLoad    float64 `json:"lq_load"`
 	CQLoad    float64 `json:"cq_load"`
 }
+
+// The dynamic policy's two thresholds. Constants, not options: no workload
+// needs another value.
+const (
+	// latencyCutoff divides latency-sensitive from computational queues by
+	// the observed mean CPU per request. In Fig 5(b) an L-App create costs
+	// a few µs and a C-App 2 MiB compressed write over 1 ms, so 100 µs sits
+	// more than an order of magnitude from both.
+	latencyCutoff = 100 * vtime.Microsecond
+	// lossThreshold is the tolerated per-worker overload. A group's demand
+	// is measured at its current capacity, so a saturated group
+	// under-reports; sizing it to 1 + 2.5×0.1 = 1.25× its demand lets the
+	// pool grow until the measured demand fits.
+	lossThreshold = 0.1
+)
 
 // queueStats is the orchestrator's view of one queue's demand.
 type queueStats struct {
@@ -230,8 +245,8 @@ func (o *Orchestrator) rebalanceRR(queues []*QP) {
 }
 
 // rebalanceDynamic implements the paper's dynamic policy: classify queues
-// into latency-sensitive (LQ) and computational (CQ) by expected processing
-// time; size each group's worker subset to its observed CPU-utilization
+// into latency-sensitive (LQ) and computational (CQ) by observed CPU time
+// per request; size each group's worker subset to its observed CPU-utilization
 // demand (fewest workers within the loss threshold); and pack queues onto
 // workers with balanced-knapsack greedy placement, LQs on a dedicated
 // subset so computational requests never sit in front of them.
@@ -241,7 +256,6 @@ func (o *Orchestrator) rebalanceDynamic(queues []*QP) {
 	if maxW == 0 || len(queues) == 0 {
 		return
 	}
-	cutoff := float64(o.rt.opts.LatencyCutoff)
 
 	// 1. Classify and compute each queue's utilization rate: CPU time the
 	//    queue consumed this epoch, normalized by the global virtual-time
@@ -286,7 +300,7 @@ func (o *Orchestrator) rebalanceDynamic(queues []*QP) {
 			}
 		}
 		loads[q.ID] = rate
-		if est > cutoff {
+		if est > float64(latencyCutoff) {
 			cqs = append(cqs, q)
 		} else {
 			lqs = append(lqs, q)
@@ -313,7 +327,7 @@ func (o *Orchestrator) rebalanceDynamic(queues []*QP) {
 	//    the *current* capacity, so when the pool is saturated the
 	//    measurement understates true demand; the headroom factor lets the
 	//    pool grow until the measured demand fits.
-	headroom := 1.0 + 2.5*o.rt.opts.LossThreshold
+	const headroom = 1.0 + 2.5*lossThreshold
 	need := func(qs []*QP) int {
 		var total float64
 		for _, q := range qs {

@@ -1,7 +1,7 @@
 package runtime_test
 
 import (
-	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -9,6 +9,7 @@ import (
 	"labstor/internal/device"
 	"labstor/internal/ipc"
 	"labstor/internal/runtime"
+	"labstor/internal/spec"
 )
 
 func TestRoundRobinSpreadsQueues(t *testing.T) {
@@ -139,15 +140,41 @@ func TestDynamicSeparatesComputeFromLatency(t *testing.T) {
 	t.Fatal("dynamic policy never isolated the latency-sensitive queue")
 }
 
+// FromConfig maps every runtime key a config can set onto Options, and
+// nothing else: no default of its own sneaks in.
 func TestFromConfig(t *testing.T) {
-	opts := runtime.Options{MaxWorkers: 3}
-	_ = opts
-	rt := runtime.New(runtime.Options{})
-	if rt.Options().MaxWorkers != 4 {
-		t.Fatalf("default workers %d", rt.Options().MaxWorkers)
+	cfg, err := spec.ParseRuntimeConfig(`
+runtime:
+  workers: 6
+  queue_depth: 512
+  batch: 4
+  max_repos_per_user: 3
+  perf_sample_every: 16
+orchestrator:
+  policy: round_robin
+  rebalance_ms: 7
+observe:
+  slo_check_ms: 40
+slo:
+  - stack: fs::/a
+    p99_us: 250
+    max_err_rate: 0.02
+`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rt.Model() == nil {
-		t.Fatal("model")
+	want := runtime.Options{
+		MaxWorkers:      6,
+		QueueDepth:      512,
+		Batch:           4,
+		Policy:          "round_robin",
+		RebalanceEvery:  7 * time.Millisecond,
+		MaxReposPerUser: 3,
+		PerfSampleEvery: 16,
+		SLOs:            []runtime.SLOTarget{{Stack: "fs::/a", P99US: 250, MaxErrRate: 0.02}},
+		SLOCheckEvery:   40 * time.Millisecond,
 	}
-	_ = fmt.Sprint()
+	if got := runtime.FromConfig(cfg); !reflect.DeepEqual(got, want) {
+		t.Fatalf("FromConfig\n got %+v\nwant %+v", got, want)
+	}
 }

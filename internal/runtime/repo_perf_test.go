@@ -7,7 +7,6 @@ import (
 	"labstor/internal/device"
 	"labstor/internal/ipc"
 	"labstor/internal/runtime"
-	"labstor/internal/vtime"
 )
 
 // untrustedMod is a module type provided by an untrusted repo.
@@ -17,9 +16,6 @@ func (u *untrustedMod) Info() core.ModuleInfo {
 	return core.ModuleInfo{Type: "thirdparty.mod", Consumes: core.APIAny, Produces: core.APIAny}
 }
 func (u *untrustedMod) Process(e *core.Exec, r *core.Request) error { return nil }
-func (u *untrustedMod) EstProcessingTime(core.Op, int) vtime.Duration {
-	return vtime.Microsecond
-}
 
 func TestRuntimeRepoLifecycle(t *testing.T) {
 	rt := runtime.New(runtime.Options{MaxWorkers: 1, MaxReposPerUser: 2})

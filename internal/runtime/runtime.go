@@ -53,11 +53,9 @@ type QP = ipc.QueuePair[*core.Request]
 // Options configures a Runtime.
 type Options struct {
 	// MaxWorkers is the size of the worker pool (paper: Runtime workers
-	// configured per experiment). The orchestrator may activate fewer.
+	// configured per experiment). Every worker starts active; the
+	// orchestrator may park some.
 	MaxWorkers int
-	// InitialWorkers is the number of workers active at start
-	// (default MaxWorkers).
-	InitialWorkers int
 	// QueueDepth is the per-queue-pair ring depth.
 	QueueDepth int
 	// Batch is the worker's drain width: the most requests it takes from
@@ -72,15 +70,8 @@ type Options struct {
 	// RebalanceEvery is the orchestrator epoch (wall time). 0 disables the
 	// periodic rebalance (experiments call Rebalance explicitly).
 	RebalanceEvery time.Duration
-	// UpgradePoll is the control loop's upgrade-queue polling period.
-	UpgradePoll time.Duration
 	// Model is the virtual-time cost model (vtime.Default() if nil).
 	Model *vtime.CostModel
-	// LatencyCutoff divides latency-sensitive from computational queues in
-	// the dynamic policy.
-	LatencyCutoff vtime.Duration
-	// LossThreshold is the dynamic policy's tolerated per-worker overload.
-	LossThreshold float64
 	// MaxReposPerUser bounds mount.repo per UID (0 = unlimited).
 	MaxReposPerUser int
 	// PerfSampleEvery traces one request in N for per-stage performance
@@ -100,9 +91,6 @@ func (o *Options) fill() {
 	if o.MaxWorkers <= 0 {
 		o.MaxWorkers = 4
 	}
-	if o.InitialWorkers <= 0 || o.InitialWorkers > o.MaxWorkers {
-		o.InitialWorkers = o.MaxWorkers
-	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 1024
 	}
@@ -115,17 +103,8 @@ func (o *Options) fill() {
 	if o.Policy == "" {
 		o.Policy = "round_robin"
 	}
-	if o.UpgradePoll <= 0 {
-		o.UpgradePoll = time.Millisecond
-	}
 	if o.Model == nil {
 		o.Model = vtime.Default()
-	}
-	if o.LatencyCutoff <= 0 {
-		o.LatencyCutoff = 100 * vtime.Microsecond
-	}
-	if o.LossThreshold <= 0 {
-		o.LossThreshold = 0.1
 	}
 	if o.PerfSampleEvery == 0 {
 		o.PerfSampleEvery = 64
@@ -143,9 +122,6 @@ func FromConfig(cfg *spec.RuntimeConfig) Options {
 		Batch:           cfg.Batch,
 		Policy:          cfg.Orchestrator.Policy,
 		RebalanceEvery:  time.Duration(cfg.Orchestrator.RebalanceMs) * time.Millisecond,
-		UpgradePoll:     time.Duration(cfg.UpgradePollMs) * time.Millisecond,
-		LatencyCutoff:   vtime.Duration(cfg.Orchestrator.LatencyCutoffUs) * vtime.Microsecond,
-		LossThreshold:   cfg.Orchestrator.LossThreshold,
 		MaxReposPerUser: cfg.MaxReposPerUser,
 		PerfSampleEvery: cfg.PerfSampleEvery,
 		SLOCheckEvery:   time.Duration(cfg.Observe.SLOCheckMs) * time.Millisecond,
@@ -272,11 +248,10 @@ func New(opts Options) *Runtime {
 // Start launches the workers and the control loop.
 func (rt *Runtime) Start() {
 	rt.state.Store(stateRunning)
-	rt.events.Recordf(telemetry.EvRuntime, rt.vnow(), "runtime started: %d/%d workers, policy=%s",
-		rt.opts.InitialWorkers, rt.opts.MaxWorkers, rt.opts.Policy)
-	for i, w := range rt.workers {
-		active := i < rt.opts.InitialWorkers
-		w.setActive(active)
+	rt.events.Recordf(telemetry.EvRuntime, rt.vnow(), "runtime started: %d workers, policy=%s",
+		rt.opts.MaxWorkers, rt.opts.Policy)
+	for _, w := range rt.workers {
+		w.setActive(true)
 		rt.wg.Add(1)
 		go w.run(&rt.wg)
 	}
@@ -613,14 +588,21 @@ func (rt *Runtime) ModifyStack(mount string, insertAfter string, v *core.Vertex,
 
 // --- control loop -------------------------------------------------------------
 
+// upgradePoll is how often the control loop takes the queued upgrades. A
+// constant, not an option: a tick with an empty queue costs one mutex
+// round trip, and a queued upgrade waits at most 1 ms before its quiesce,
+// which may itself take up to 500 ms, so no caller gains from another
+// value.
+const upgradePoll = time.Millisecond
+
 // controlLoop is the Runtime's one control goroutine: it polls the upgrade
-// queue every UpgradePoll, rebalances every RebalanceEvery and evaluates the
-// SLO targets every SLOCheckEvery, while the Runtime is running. A disabled
-// ticker is a nil channel, which select never picks.
+// queue every upgradePoll, rebalances every RebalanceEvery and evaluates
+// the SLO targets every SLOCheckEvery, while the Runtime is running. A
+// disabled ticker is a nil channel, which select never picks.
 func (rt *Runtime) controlLoop() {
 	defer rt.wg.Done()
 	defer rt.flightOnPanic("control loop")
-	upgrades, stopUpgrades := ticker(rt.opts.UpgradePoll)
+	upgrades, stopUpgrades := ticker(upgradePoll)
 	defer stopUpgrades()
 	rebalances, stopRebalances := ticker(rt.opts.RebalanceEvery)
 	defer stopRebalances()

@@ -67,7 +67,7 @@ func TestWorkerParksPromptlyOnSparseArrivals(t *testing.T) {
 	rt, stack, _, _ := handshakeRig(t, 1, core.ExecAsync)
 	cli := rt.Connect(ipc.Credentials{PID: 1})
 	call := func() {
-		req := core.AcquireRequest(core.OpMessage)
+		req := core.NewRequest(core.OpMessage)
 		req.Offset = 5
 		if err := cli.SubmitStack(stack, req); err != nil || req.Result != gateAnswer(5) {
 			t.Fatalf("call: %v, result %d", err, req.Result)

@@ -21,10 +21,9 @@ func PolicyFromSpec(ts spec.TenantSpec) TenantPolicy {
 // no server-side equivalent here.
 func ConfigFromSpec(sv spec.ServeSpec) Config {
 	cfg := Config{
-		Addr:         sv.Addr,
-		Batch:        sv.Batch,
-		DemandPollMs: sv.DemandPollMs,
-		Default:      PolicyFromSpec(sv.Default),
+		Addr:    sv.Addr,
+		Batch:   sv.Batch,
+		Default: PolicyFromSpec(sv.Default),
 	}
 	if sv.MaxPayloadMB > 0 {
 		cfg.MaxPayload = sv.MaxPayloadMB << 20

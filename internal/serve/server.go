@@ -31,17 +31,27 @@ type Config struct {
 	Default TenantPolicy
 	// Tenants are the explicit per-tenant QoS policies.
 	Tenants []TenantPolicy
-	// DemandPollMs is how often the server folds the orchestrator's
-	// per-queue demand estimates into the admission pressure signal
-	// (0 = 50ms, negative disables the feed).
-	DemandPollMs int
-	// HandshakeTimeout bounds the Hello exchange (0 = 5s).
-	HandshakeTimeout time.Duration
 	// Pushdown is the program policy for Prog-carrying scan frames:
 	// per-tenant allow-lists plus byte/step budget caps. nil rejects every
 	// program (secure default — remote computation must be opted into).
 	Pushdown *pushdown.Policy
 }
+
+// Two timings of the server. Constants, not options: no caller needs
+// another value.
+const (
+	// handshakeTimeout bounds the Hello exchange. A client sends Hello in
+	// its first write, so only a peer that never speaks the protocol waits
+	// this long, and it holds one goroutine and one socket while it does.
+	handshakeTimeout = 5 * time.Second
+	// demandPoll is how often the server folds the orchestrator's per-queue
+	// demand estimates into the admission pressure signal. The estimates
+	// change at most once per rebalance epoch (10 ms in the shipped
+	// configs); folding every 50 ms costs one orchestrator lock per tick
+	// and still shrinks the inflight budgets within a fraction of a second
+	// of an overload.
+	demandPoll = 50 * time.Millisecond
+)
 
 // Server is the TCP serving front end: it multiplexes many client
 // connections onto the Runtime's queue-pair fast path. Each connection gets
@@ -100,9 +110,6 @@ func New(rt *runtime.Runtime, cfg Config) *Server {
 	if cfg.MaxPayload <= 0 {
 		cfg.MaxPayload = DefaultMaxPayload
 	}
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = 5 * time.Second
-	}
 	reg := rt.Metrics()
 	s := &Server{
 		rt:         rt,
@@ -137,12 +144,9 @@ func (s *Server) ListenAndServe() (net.Addr, error) {
 		return nil, err
 	}
 	s.ln = ln
-	s.wg.Add(1)
+	s.wg.Add(2)
 	go s.acceptLoop()
-	if s.cfg.DemandPollMs >= 0 {
-		s.wg.Add(1)
-		go s.demandLoop()
-	}
+	go s.demandLoop()
 	return ln.Addr(), nil
 }
 
@@ -195,11 +199,7 @@ func (s *Server) acceptLoop() {
 // measured demand) against the worker pool capacity.
 func (s *Server) demandLoop() {
 	defer s.wg.Done()
-	period := time.Duration(s.cfg.DemandPollMs) * time.Millisecond
-	if period <= 0 {
-		period = 50 * time.Millisecond
-	}
-	tick := time.NewTicker(period)
+	tick := time.NewTicker(demandPoll)
 	defer tick.Stop()
 	for {
 		select {
@@ -306,7 +306,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	fr := newFrameReader(br, s.cfg.MaxPayload)
 
 	// Handshake: Hello in, Hello (ack) out, bounded by a deadline.
-	conn.SetReadDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
+	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	hello, err := fr.hello()
 	if err != nil || hello.Version != ProtoVersion {
 		s.mProtoErrs.Inc()
@@ -485,7 +485,7 @@ func (s *Server) readLoop(fr *frameReader, br *bufio.Reader, cli *runtime.Client
 			}
 		}
 
-		req := core.AcquireRequest(rf.Op)
+		req := core.NewRequest(rf.Op)
 		req.Path = rf.Path
 		if req.Path == "" {
 			// rem is a slice of the mount, a slab string; LabFS keeps paths.

@@ -120,10 +120,8 @@ type DeviceSpec struct {
 
 // OrchestratorSpec configures the Work Orchestrator.
 type OrchestratorSpec struct {
-	Policy          string // "round_robin" | "dynamic"
-	RebalanceMs     int    // epoch length
-	LatencyCutoffUs int    // EstProcessingTime cutoff for LQ vs CQ
-	LossThreshold   float64
+	Policy      string // "round_robin" | "dynamic"
+	RebalanceMs int    // epoch length
 }
 
 // ObserveSpec configures the live observability plane (the HTTP
@@ -178,7 +176,6 @@ type TenantSpec struct {
 //	  addr: 127.0.0.1:7600     # empty = serving disabled
 //	  batch: 32                # coalesced SubmitBatch window
 //	  max_payload_mb: 4
-//	  demand_poll_ms: 50       # orchestrator demand -> admission pressure
 //	  default:
 //	    inflight: 256
 //	  tenants:
@@ -196,9 +193,6 @@ type ServeSpec struct {
 	Batch int
 	// MaxPayloadMB bounds a single frame's payload (0 = default 4 MiB).
 	MaxPayloadMB int
-	// DemandPollMs is the orchestrator-demand poll period feeding admission
-	// pressure (0 = default 50ms, negative disables the feed).
-	DemandPollMs int
 	// Default is the policy for tenants without an explicit entry.
 	Default TenantSpec
 	// Tenants lists per-tenant policies.
@@ -268,7 +262,6 @@ type SLOSpec struct {
 //	runtime:
 //	  workers: 4
 //	  queue_depth: 1024
-//	  upgrade_poll_ms: 5
 //	orchestrator:
 //	  policy: dynamic
 //	  rebalance_ms: 10
@@ -281,7 +274,6 @@ type SLOSpec struct {
 type RuntimeConfig struct {
 	Workers         int
 	QueueDepth      int
-	UpgradePollMs   int
 	MaxReposPerUser int
 	// Batch is the worker drain width: up to Batch requests are taken from
 	// a queue per scan with one vectored ring reservation (default 1).
@@ -305,20 +297,19 @@ func DefaultRuntimeConfig() *RuntimeConfig {
 	return &RuntimeConfig{
 		Workers:         4,
 		QueueDepth:      1024,
-		UpgradePollMs:   5,
 		MaxReposPerUser: 8,
 		Batch:           1,
 		Orchestrator: OrchestratorSpec{
-			Policy:          "dynamic",
-			RebalanceMs:     10,
-			LatencyCutoffUs: 100,
-			LossThreshold:   0.1,
+			Policy:      "dynamic",
+			RebalanceMs: 10,
 		},
 		Observe: ObserveSpec{Pprof: true},
 	}
 }
 
-// ParseRuntimeConfig parses a runtime configuration document.
+// ParseRuntimeConfig parses a runtime configuration document. It fails on
+// the first key it never read, naming it: a misspelt or deleted key would
+// otherwise leave its setting at the default without a word.
 func ParseRuntimeConfig(src string) (*RuntimeConfig, error) {
 	root, err := Parse(src)
 	if err != nil {
@@ -328,7 +319,6 @@ func ParseRuntimeConfig(src string) (*RuntimeConfig, error) {
 	if rt := root.Get("runtime"); rt != nil {
 		cfg.Workers = rt.Int("workers", cfg.Workers)
 		cfg.QueueDepth = rt.Int("queue_depth", cfg.QueueDepth)
-		cfg.UpgradePollMs = rt.Int("upgrade_poll_ms", cfg.UpgradePollMs)
 		cfg.MaxReposPerUser = rt.Int("max_repos_per_user", cfg.MaxReposPerUser)
 		cfg.Batch = rt.Int("batch", cfg.Batch)
 		cfg.PerfSampleEvery = rt.Int("perf_sample_every", cfg.PerfSampleEvery)
@@ -336,8 +326,6 @@ func ParseRuntimeConfig(src string) (*RuntimeConfig, error) {
 	if or := root.Get("orchestrator"); or != nil {
 		cfg.Orchestrator.Policy = or.Str("policy", cfg.Orchestrator.Policy)
 		cfg.Orchestrator.RebalanceMs = or.Int("rebalance_ms", cfg.Orchestrator.RebalanceMs)
-		cfg.Orchestrator.LatencyCutoffUs = or.Int("latency_cutoff_us", cfg.Orchestrator.LatencyCutoffUs)
-		cfg.Orchestrator.LossThreshold = or.Float("loss_threshold", cfg.Orchestrator.LossThreshold)
 	}
 	if ob := root.Get("observe"); ob != nil {
 		cfg.Observe.Addr = ob.Str("addr", cfg.Observe.Addr)
@@ -352,7 +340,6 @@ func ParseRuntimeConfig(src string) (*RuntimeConfig, error) {
 		cfg.Serve.Addr = sv.Str("addr", cfg.Serve.Addr)
 		cfg.Serve.Batch = sv.Int("batch", cfg.Serve.Batch)
 		cfg.Serve.MaxPayloadMB = sv.Int("max_payload_mb", cfg.Serve.MaxPayloadMB)
-		cfg.Serve.DemandPollMs = sv.Int("demand_poll_ms", cfg.Serve.DemandPollMs)
 		parseTenant := func(n *Node, ts *TenantSpec) error {
 			ts.Name = n.Str("name", ts.Name)
 			ts.RatePerSec = n.Float("rate_per_sec", ts.RatePerSec)
@@ -461,6 +448,9 @@ func ParseRuntimeConfig(src string) (*RuntimeConfig, error) {
 		}
 	}
 	cfg.Repos = root.Strings("repos")
+	if k := root.unread(); k != "" {
+		return nil, fmt.Errorf("spec: unknown runtime config key %q", strings.TrimPrefix(k, "."))
+	}
 	return cfg, nil
 }
 

@@ -1,7 +1,8 @@
 package spec
 
 import (
-	"reflect"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -243,7 +244,6 @@ const sampleRuntime = `
 runtime:
   workers: 12
   queue_depth: 2048
-  upgrade_poll_ms: 7
 orchestrator:
   policy: dynamic
   rebalance_ms: 20
@@ -264,7 +264,7 @@ func TestParseRuntimeConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Workers != 12 || cfg.QueueDepth != 2048 || cfg.UpgradePollMs != 7 {
+	if cfg.Workers != 12 || cfg.QueueDepth != 2048 {
 		t.Fatalf("runtime section %+v", cfg)
 	}
 	if cfg.Orchestrator.Policy != "dynamic" || cfg.Orchestrator.RebalanceMs != 20 {
@@ -284,38 +284,42 @@ func TestParseRuntimeConfig(t *testing.T) {
 	}
 }
 
-// A config written before a key was retired must keep loading, and the key
-// must change nothing: each row parses to the same config as its base
-// document without the key.
-func TestParseRuntimeConfigIgnoresRetiredKeys(t *testing.T) {
+// A key the parser never reads fails the parse and is named, so a config
+// that still sets a deleted key, or misspells one, cannot silently run at
+// the default. Each base document parses alone; with the key it must not.
+func TestParseRuntimeConfigRejectsUnreadKeys(t *testing.T) {
 	const (
 		dev  = "devices:\n  - name: nvme0\n    class: nvme\n    capacity_mb: 512\n"
 		rt   = "runtime:\n  workers: 2\n"
 		orch = "orchestrator:\n  policy: dynamic\n"
 		obs  = "observe:\n  addr: 127.0.0.1:0\n"
+		sv   = "serve:\n  addr: 127.0.0.1:0\n  tenants:\n    - name: gold\n"
 	)
-	for _, tc := range []struct{ name, base, key string }{
-		{"devices[].stripes", dev, "    stripes: 4\n"},
+	for _, tc := range []struct{ key, base, line string }{
+		// Deleted with the options they set: each is a constant now.
+		{"runtime.upgrade_poll_ms", rt, "  upgrade_poll_ms: 7\n"},
+		{"orchestrator.latency_cutoff_us", orch, "  latency_cutoff_us: 500\n"},
+		{"orchestrator.loss_threshold", orch, "  loss_threshold: 0.2\n"},
+		{"serve.demand_poll_ms", sv, "  demand_poll_ms: 25\n"},
+		// Deleted earlier, with the features they configured.
+		{"devices[0].stripes", dev, "    stripes: 4\n"},
 		{"numa", rt, "numa:\n  nodes: 2\n  cross_ns_per_byte: 0.5\n"},
-		{"negative numa.nodes", rt, "numa:\n  nodes: -2\n"},
 		{"orchestrator.locality_weight", orch, "  locality_weight: 2.5\n"},
 		{"orchestrator.idle_park_us", orch, "  idle_park_us: 50\n"},
 		{"runtime.trace_ring", rt, "  trace_ring: 256\n"},
 		{"observe.flight_ring", obs, "  flight_ring: 256\n"},
 		{"observe.tail", obs, "  tail: 64\n"},
 		{"observe.tail_quantile", obs, "  tail_quantile: 0.99\n"},
+		// Misspelt, at the top level and inside a list item.
+		{"runtime.worker", rt, "  worker: 8\n"},
+		{"serve.tenants[0].rate_per_s", sv, "      rate_per_s: 100\n"},
 	} {
-		with, err := ParseRuntimeConfig(tc.base + tc.key)
-		if err != nil {
-			t.Errorf("%s: %v", tc.name, err)
-			continue
+		if _, err := ParseRuntimeConfig(tc.base); err != nil {
+			t.Fatalf("%s: base document: %v", tc.key, err)
 		}
-		without, err := ParseRuntimeConfig(tc.base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(with, without) {
-			t.Errorf("%s: with the key %+v, without %+v", tc.name, with, without)
+		_, err := ParseRuntimeConfig(tc.base + tc.line)
+		if err == nil || !strings.Contains(err.Error(), `"`+tc.key+`"`) {
+			t.Errorf("%s: err = %v, want one naming the key", tc.key, err)
 		}
 	}
 }
@@ -386,8 +390,6 @@ func TestParseObserveTailAndBundle(t *testing.T) {
 	cfg, err := ParseRuntimeConfig(`
 observe:
   addr: 127.0.0.1:0
-  tail: 128
-  tail_quantile: 0.995
   bundle_dir: /tmp/labstor-bundles
   bundle_profile_ms: 100
   bundle_cooldown_ms: 30000
@@ -520,7 +522,6 @@ serve:
   addr: 127.0.0.1:7600
   batch: 48
   max_payload_mb: 8
-  demand_poll_ms: 25
   default:
     inflight: 128
   tenants:
@@ -535,7 +536,7 @@ serve:
 		t.Fatal(err)
 	}
 	sv := cfg.Serve
-	if sv.Addr != "127.0.0.1:7600" || sv.Batch != 48 || sv.MaxPayloadMB != 8 || sv.DemandPollMs != 25 {
+	if sv.Addr != "127.0.0.1:7600" || sv.Batch != 48 || sv.MaxPayloadMB != 8 {
 		t.Fatalf("serve %+v", sv)
 	}
 	if sv.Default.Inflight != 128 {
@@ -587,5 +588,34 @@ func TestParseServeBlockErrors(t *testing.T) {
 	}
 	if _, err := ParseRuntimeConfig("serve:\n  addr: x\n  tenants:\n    - name: a\n      inflight: -1\n"); err == nil {
 		t.Fatal("negative limit accepted")
+	}
+}
+
+// Every file shipped in configs/ parses: runtime configs through the strict
+// ParseRuntimeConfig, stack files (those with a top-level mount:) through
+// ParseStack.
+func TestShippedConfigsParse(t *testing.T) {
+	paths, err := filepath.Glob("../../configs/*.yaml")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no configs found: %v", err)
+	}
+	for _, p := range paths {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, err := Parse(string(raw))
+		if err != nil {
+			t.Errorf("%s: %v", p, err)
+			continue
+		}
+		if root.Get("mount") != nil {
+			_, err = ParseStack(string(raw))
+		} else {
+			_, err = ParseRuntimeConfig(string(raw))
+		}
+		if err != nil {
+			t.Errorf("%s: %v", p, err)
+		}
 	}
 }

@@ -20,6 +20,9 @@ type Node struct {
 	list     []*Node
 	keys     []string // map key order
 	kids     map[string]*Node
+	// read is set when a lookup of this node's key returns it, so a strict
+	// consumer can name the keys it never read (unread).
+	read bool
 }
 
 // IsScalar reports whether the node is a scalar.
@@ -55,12 +58,39 @@ func (n *Node) Keys() []string {
 	return n.keys
 }
 
-// Get returns the child node for key (nil if absent or not a map).
+// Get returns the child node for key (nil if absent or not a map) and
+// marks it read.
 func (n *Node) Get(key string) *Node {
 	if n == nil || n.kids == nil {
 		return nil
 	}
-	return n.kids[key]
+	c := n.kids[key]
+	if c != nil {
+		c.read = true
+	}
+	return c
+}
+
+// unread returns the path below n of the first key, in document order,
+// that no lookup read ("" if there is none). The values of read keys and
+// the items of lists are searched too, so a nested key reads as
+// ".serve.tenants[1].x".
+func (n *Node) unread() string {
+	for _, k := range n.keys {
+		c := n.kids[k]
+		if !c.read {
+			return "." + k
+		}
+		if p := c.unread(); p != "" {
+			return "." + k + p
+		}
+	}
+	for i, it := range n.list {
+		if p := it.unread(); p != "" {
+			return fmt.Sprintf("[%d]%s", i, p)
+		}
+	}
+	return ""
 }
 
 // Str returns the scalar at key, or def.
@@ -157,6 +187,7 @@ func (n *Node) StringMap(key string) map[string]string {
 	out := make(map[string]string, len(c.keys))
 	for _, k := range c.keys {
 		if v := c.kids[k]; v != nil && v.isScalar {
+			v.read = true
 			out[k] = v.scalar
 		}
 	}

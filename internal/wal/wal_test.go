@@ -14,7 +14,6 @@ import (
 	"labstor/internal/core"
 	"labstor/internal/device"
 	"labstor/internal/telemetry"
-	"labstor/internal/vtime"
 )
 
 var testPad = telemetry.CopySite("wal.test_pad")
@@ -41,8 +40,6 @@ func (s *sinkMod) Process(e *core.Exec, req *core.Request) error {
 	return nil
 }
 
-func (s *sinkMod) EstProcessingTime(core.Op, int) vtime.Duration { return 0 }
-
 // headMod invokes a test callback with the module's executor context: the
 // position an owning mod occupies when it drives its log.
 type headMod struct {
@@ -55,8 +52,6 @@ func (h *headMod) Info() core.ModuleInfo {
 }
 
 func (h *headMod) Process(e *core.Exec, req *core.Request) error { return h.fn(e, req) }
-
-func (h *headMod) EstProcessingTime(core.Op, int) vtime.Duration { return 0 }
 
 // drive runs fn in a module context above a device-backed sink.
 func drive(t *testing.T, dev *device.Device, fn func(e *core.Exec, req *core.Request) error) {

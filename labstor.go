@@ -153,7 +153,7 @@ func (s *Session) do(path string, op core.Op, build func(*core.Request)) (reply,
 	if !ok {
 		return reply{}, fmt.Errorf("labstor: no stack serving %q", path)
 	}
-	req := core.AcquireRequest(op)
+	req := core.NewRequest(op)
 	req.Path = rem
 	if build != nil {
 		build(req)
@@ -291,7 +291,7 @@ func (s *Session) Remove(path string) error {
 // Rename moves a file within one stack. Both paths must resolve to the
 // same mount.
 func (s *Session) Rename(from, to string) error {
-	stack, remFrom, ok := s.cli.Resolve(from)
+	stack, _, ok := s.cli.Resolve(from)
 	if !ok {
 		return fmt.Errorf("labstor: no stack serving %q", from)
 	}
@@ -299,13 +299,8 @@ func (s *Session) Rename(from, to string) error {
 	if !ok || stack2 != stack {
 		return fmt.Errorf("labstor: rename across stacks (%q -> %q)", from, to)
 	}
-	req := core.NewRequest(core.OpRename)
-	req.Path = remFrom
-	req.Path2 = remTo
-	if err := s.cli.SubmitStack(stack, req); err != nil {
-		return err
-	}
-	return req.Err
+	_, err := s.do(from, core.OpRename, func(r *core.Request) { r.Path2 = remTo })
+	return err
 }
 
 // ReadDir lists the children of a directory.
