@@ -147,9 +147,6 @@ func TestHandshakeCompletionWord(t *testing.T) {
 }
 
 func TestOpClassification(t *testing.T) {
-	if !OpCreate.IsMetadata() || OpWrite.IsMetadata() {
-		t.Fatal("IsMetadata")
-	}
 	if !OpWrite.IsWrite() || !OpPut.IsWrite() || OpRead.IsWrite() {
 		t.Fatal("IsWrite")
 	}

@@ -71,16 +71,6 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", uint8(o))
 }
 
-// IsMetadata reports whether the op is a metadata (not data-path) operation.
-func (o Op) IsMetadata() bool {
-	switch o {
-	case OpOpen, OpCreate, OpClose, OpStat, OpUnlink, OpRename,
-		OpMkdir, OpRmdir, OpReaddir, OpTruncate:
-		return true
-	}
-	return false
-}
-
 // IsWrite reports whether the op moves data toward the device.
 func (o Op) IsWrite() bool {
 	switch o {
