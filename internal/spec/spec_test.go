@@ -310,7 +310,7 @@ func TestParseRuntimeConfigRejectsUnreadKeys(t *testing.T) {
 		{"observe.flight_ring", obs, "  flight_ring: 256\n"},
 		{"observe.tail", obs, "  tail: 64\n"},
 		{"observe.tail_quantile", obs, "  tail_quantile: 0.99\n"},
-		// Misspelt, at the top level and inside a list item.
+		// Misspelt, in a section and inside a list item.
 		{"runtime.worker", rt, "  worker: 8\n"},
 		{"serve.tenants[0].rate_per_s", sv, "      rate_per_s: 100\n"},
 	} {
