@@ -1,8 +1,8 @@
 // Package core implements the LabStor platform core: the LabMod programming
 // model (type / operation / state / connector with the StateUpdate and
-// StateRepair lifecycle APIs), the Module Registry,
-// the LabStack DAG, the LabStack Namespace with longest-prefix mount
-// resolution, and the Executor that walks a request through a stack.
+// StateRepair lifecycle APIs), the Module Registry, the LabStack DAG, the
+// LabStack Namespace with longest-prefix mount resolution, and the Executor
+// that walks a request through a stack.
 package core
 
 import (

@@ -326,26 +326,30 @@ func TestStateUpdateIntoSmallerCache(t *testing.T) {
 
 func TestConfigureValidation(t *testing.T) {
 	h := modtest.New(t, device.NVMe, 64<<20)
-	// Nonsense capacities fall back to sane defaults rather than zero: a
-	// write and then a read through the cache still hit.
+	// Nonsense capacities fall back to sane defaults rather than zero (or
+	// one page): blocks written through the cache still hit when read back.
 	s := mountCache(t, h, map[string]string{"capacity_mb": "-3", "page_kb": "0"})
 	c := cacheInstance(t, h)
-	data := bytes.Repeat([]byte{5}, 4096)
-	if err := h.Run(t, s, modtest.BlockWriteReq(0, data)); err != nil {
-		t.Fatal(err)
+	const n = 4
+	for i := 0; i < n; i++ {
+		if err := h.Run(t, s, modtest.BlockWriteReq(int64(i)*4096, bytes.Repeat([]byte{byte(i + 1)}, 4096))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	reads, _, _, _, _ := h.Dev.Stats()
-	r := modtest.BlockReadReq(0, 4096)
-	if err := h.Run(t, s, r); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(r.Data, data) {
-		t.Fatal("read after write returned wrong data")
+	for i := 0; i < n; i++ {
+		r := modtest.BlockReadReq(int64(i)*4096, 4096)
+		if err := h.Run(t, s, r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Data[0] != byte(i+1) {
+			t.Fatalf("block %d read %d after its write", i, r.Data[0])
+		}
 	}
 	if after, _, _, _, _ := h.Dev.Stats(); after != reads {
-		t.Fatal("read after write missed the cache")
+		t.Fatalf("%d of %d reads after their writes missed the cache", after-reads, n)
 	}
-	if hits, misses, resident := c.Stats(); hits != 1 || misses != 0 || resident != 1 {
+	if hits, misses, resident := c.Stats(); hits != n || misses != 0 || resident != n {
 		t.Fatalf("stats: %d/%d/%d", hits, misses, resident)
 	}
 }
