@@ -4,50 +4,39 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"labstor/internal/ipc"
 )
 
 // Zero-copy buffer handles (paper Fig. 6 top rung / io_uring registered
 // buffers): instead of memcpy'ing payloads at every stack hop, a payload
-// lives in one registered arena buffer for its whole lifetime and the
-// request carries a BufHandle — a refcounted {buffer, off, len} view.
-// Mods pass narrowed views downstream (Slice), the cache retains pages by
-// bumping the refcount (Retain), and the buffer returns to its arena only
-// when the last holder calls Release.
+// lives in one arena buffer for its whole lifetime and the request carries
+// a BufHandle — a refcounted {buffer, off, len} view. Mods pass narrowed
+// views downstream (Slice), the cache retains pages by bumping the
+// refcount (Retain), and the buffer returns to the size-class arena
+// (bufarena.go) only when the last holder calls Release.
 //
-// Two backing sources share one header type:
-//   - SegArena buffers carved from registered ipc.Segments — the client
-//     data path.
-//   - anonymous buffers from the size-class arena (bufarena.go) — results
-//     allocated inside the stack (Request.CompleteValue).
-//
-// Ownership rules are documented in DESIGN.md §13: write payloads are
-// borrowed (a mod that needs the bytes past the request must copy), read
-// results are stack-owned until completion and then transfer to the
-// client, and only stack-owned buffers may be retained by caches.
+// Every handle is stack-owned: AcquireHandle is its one source, whether
+// the buffer holds a payload the serve plane landed (SetPayload) or a
+// result allocated inside the stack (Request.CompleteValue). The
+// ownership rule (DESIGN.md §13) is one line: a Buf handle may be
+// retained; a bare Data slice is borrowed and copied.
 
 // bufHeader is the shared, refcounted state behind every view of one
 // buffer. gen is bumped each time the buffer is recycled so debug builds
 // can detect stale handles (use-after-release).
 type bufHeader struct {
-	refs  atomic.Int32
-	gen   atomic.Uint32
-	data  []byte // full-capacity backing slice
-	seg   *ipc.Segment
-	arena *SegArena // owner freelist; nil = anonymous (bufarena-backed)
-	class int16     // freelist class index within the arena
+	refs atomic.Int32
+	gen  atomic.Uint32
+	data []byte // full-capacity backing slice
 }
 
-// BufHandle is a borrowed or owned view [off, off+ln) of a refcounted
-// buffer. The zero BufHandle is invalid. Handles are values: Slice and
-// Retain return new handles; Release drops the underlying reference.
+// BufHandle is a view [off, off+ln) of a refcounted buffer. The zero
+// BufHandle is invalid. Handles are values: Slice and Retain return new
+// handles; Release drops the underlying reference.
 type BufHandle struct {
 	h   *bufHeader
 	gen uint32
 	off int
 	ln  int
-	own bool
 }
 
 // Valid reports whether the handle references a buffer.
@@ -55,12 +44,6 @@ func (b BufHandle) Valid() bool { return b.h != nil }
 
 // Len returns the view length.
 func (b BufHandle) Len() int { return b.ln }
-
-// Owned reports whether the view is stack-owned: allocated by the stack
-// (CompleteValue / SegArena results) rather than borrowed from a client's
-// registered buffer. Caches may retain only owned views; borrowed client
-// memory can be rewritten by its owner at any time after completion.
-func (b BufHandle) Owned() bool { return b.own }
 
 // Bytes returns the view's bytes. The slice aliases the shared buffer —
 // holders must respect the ownership rules (DESIGN.md §13).
@@ -80,7 +63,7 @@ func (b BufHandle) Slice(lo, hi int) BufHandle {
 		panic(fmt.Sprintf("core: BufHandle.Slice [%d,%d) out of range 0..%d", lo, hi, b.ln))
 	}
 	b.check("Slice")
-	return BufHandle{h: b.h, gen: b.gen, off: b.off + lo, ln: hi - lo, own: b.own}
+	return BufHandle{h: b.h, gen: b.gen, off: b.off + lo, ln: hi - lo}
 }
 
 // Narrow is Slice for an owning handle: the result carries b's reference
@@ -139,13 +122,8 @@ func recycleHeader(h *bufHeader) {
 	if debugChecks.Load() {
 		poison(h.data)
 	}
-	if h.arena != nil {
-		h.arena.recycle(h)
-		return
-	}
 	ReleaseBuf(h.data)
 	h.data = nil
-	h.seg = nil
 	headerPool.Put(h)
 }
 
@@ -159,10 +137,7 @@ func (b BufHandle) check(op string) {
 
 var headerPool = sync.Pool{New: func() any { return &bufHeader{} }}
 
-var (
-	handleAcquires       atomic.Int64
-	handleDoubleReleases atomic.Int64
-)
+var handleDoubleReleases atomic.Int64
 
 // HandleDoubleReleases returns how many BufHandle double-releases have
 // been absorbed (non-debug builds count instead of panicking).
@@ -172,111 +147,19 @@ func HandleDoubleReleases() int64 { return handleDoubleReleases.Load() }
 // anonymous arena buffer. Contents are unspecified. The caller owns the
 // single reference.
 func AcquireHandle(n int) BufHandle {
-	handleAcquires.Add(1)
 	h := headerPool.Get().(*bufHeader)
 	h.data = AcquireBuf(n)
-	h.seg = nil
-	h.arena = nil
 	h.refs.Store(1)
-	return BufHandle{h: h, gen: h.gen.Load(), off: 0, ln: n, own: true}
-}
-
-// SegArena carves fixed-size slots out of registered ipc.Segments and
-// hands them to clients as BufHandles — the io_uring registered-buffer
-// analogue. Slots are pow2 size classes; each class keeps its own segment
-// list and freelist.
-type SegArena struct {
-	sm   *ipc.SegmentManager
-	name string
-	cred ipc.Credentials
-
-	mu    sync.Mutex
-	free  map[int][]*bufHeader // class -> freelist
-	segs  int                  // segments allocated (naming)
-	slots int                  // live slots handed out at least once
-}
-
-// NewSegArena returns an arena carving from sm. Segments are allocated
-// under "<name>/…" and granted to cred.
-func NewSegArena(sm *ipc.SegmentManager, name string, cred ipc.Credentials) *SegArena {
-	if name == "" {
-		name = "bufarena"
-	}
-	return &SegArena{sm: sm, name: name, cred: cred, free: make(map[int][]*bufHeader)}
-}
-
-// segArenaSlab is how much segment memory one allocation registers; small
-// classes share a slab, classes above it get one slot per segment.
-const segArenaSlab = 256 << 10
-
-// Acquire returns a stack-visible, client-owned handle of length n. The
-// buffer lives inside a registered segment; the handle is NOT stack-owned
-// (Owned() == false) — it is the client's registered memory, so caches
-// must copy rather than retain it.
-func (a *SegArena) Acquire(n int) (BufHandle, error) {
-	if n <= 0 {
-		return BufHandle{}, fmt.Errorf("core: SegArena.Acquire(%d)", n)
-	}
-	cls := arenaClass(n)
-	if cls < 0 {
-		return BufHandle{}, fmt.Errorf("core: SegArena.Acquire(%d) exceeds max class %d", n, 1<<arenaMaxBits)
-	}
-	slot := 1 << (arenaMinBits + cls)
-
-	a.mu.Lock()
-	list := a.free[cls]
-	if len(list) == 0 {
-		// Register a fresh segment for this class and carve it.
-		per := segArenaSlab / slot
-		if per < 1 {
-			per = 1
-		}
-		a.segs++
-		segName := fmt.Sprintf("%s/c%d/%d", a.name, cls, a.segs)
-		seg := a.sm.Allocate(segName, per*slot, a.cred)
-		for i := 0; i < per; i++ {
-			view, err := seg.View(i*slot, slot)
-			if err != nil {
-				a.mu.Unlock()
-				return BufHandle{}, err
-			}
-			list = append(list, &bufHeader{data: view, seg: seg, arena: a, class: int16(cls)})
-		}
-		a.slots += per
-	}
-	h := list[len(list)-1]
-	a.free[cls] = list[:len(list)-1]
-	a.mu.Unlock()
-
-	handleAcquires.Add(1)
-	h.refs.Store(1)
-	return BufHandle{h: h, gen: h.gen.Load(), off: 0, ln: n, own: false}, nil
-}
-
-// Outstanding returns how many of the arena's slots are acquired and not
-// yet released. Leak checks compare it against zero once every holder is
-// gone.
-func (a *SegArena) Outstanding() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	n := a.slots
-	for _, list := range a.free {
-		n -= len(list)
-	}
-	return n
-}
-
-func (a *SegArena) recycle(h *bufHeader) {
-	a.mu.Lock()
-	a.free[int(h.class)] = append(a.free[int(h.class)], h)
-	a.mu.Unlock()
+	return BufHandle{h: h, gen: h.gen.Load(), off: 0, ln: n}
 }
 
 // Handle plumbing on Request ------------------------------------------------
 
-// SetPayload attaches a client-acquired registered buffer as the request's
-// payload: Data becomes a view of the handle. The request borrows the
-// handle — completion does not release it; the client does.
+// SetPayload attaches a payload handle to the request: Data becomes a view
+// of the handle. The request borrows the handle — completion does not
+// release it; the holder does. SetPayload freezes the buffer: a cache may
+// retain it as a page, so from here on the holder may Release the handle
+// but never write its bytes again.
 func (r *Request) SetPayload(b BufHandle) {
 	r.Buf = b
 	r.Data = b.Bytes()

@@ -3,14 +3,12 @@ package core
 import (
 	"strings"
 	"testing"
-
-	"labstor/internal/ipc"
 )
 
 func TestBufHandleLifecycle(t *testing.T) {
 	h := AcquireHandle(4096)
-	if !h.Valid() || h.Len() != 4096 || !h.Owned() {
-		t.Fatalf("bad handle: valid=%v len=%d owned=%v", h.Valid(), h.Len(), h.Owned())
+	if !h.Valid() || h.Len() != 4096 {
+		t.Fatalf("bad handle: valid=%v len=%d", h.Valid(), h.Len())
 	}
 	b := h.Bytes()
 	b[0], b[4095] = 0xAA, 0xBB
@@ -120,58 +118,6 @@ func TestReleaseBufDoubleReleasePanicsInDebug(t *testing.T) {
 		}
 	}()
 	ReleaseBuf(b)
-}
-
-func TestSegArenaHandles(t *testing.T) {
-	sm := ipc.NewSegmentManager()
-	a := NewSegArena(sm, "test-arena", ipc.Credentials{PID: 42})
-
-	h, err := a.Acquire(4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Len() != 4096 || h.Owned() {
-		t.Fatalf("seg handle: len=%d owned=%v (client buffers are not stack-owned)", h.Len(), h.Owned())
-	}
-	// The bytes really live inside a registered, granted segment.
-	names := sm.Names()
-	if len(names) == 0 {
-		t.Fatal("SegArena allocated no segments")
-	}
-	seg, err := sm.Lookup(names[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !seg.Granted(42) {
-		t.Fatal("creator pid not granted on arena segment")
-	}
-	h.Bytes()[0] = 0xEE
-	mapped, err := seg.Map(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for i := range mapped {
-		if mapped[i] == 0xEE {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatal("handle write not visible through the segment mapping")
-	}
-
-	// Release/reacquire must recycle the slot, not register more memory.
-	st := sm.Stats()
-	h.Release()
-	h2, err := a.Acquire(4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sm.Stats(); got.Bytes != st.Bytes {
-		t.Fatalf("reacquire grew segment bytes %d -> %d", st.Bytes, got.Bytes)
-	}
-	h2.Release()
 }
 
 func TestRequestValueHandleTransfer(t *testing.T) {

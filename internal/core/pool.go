@@ -44,10 +44,10 @@ func NewRequest(op Op) *Request {
 // Release returns a completed request to the pool, recycling its result
 // buffer (the stack-owned ValueH handle when CompleteValue allocated one,
 // else the raw Value slice through the payload arena). The payload handle
-// (Buf) is borrowed and deliberately NOT released — its owner (client or
-// parent request) does that. The caller must not touch r afterwards.
-// Never call Release on a request that is still queued, executing, or
-// being waited on.
+// (Buf) is borrowed and deliberately NOT released — its owner (the serve
+// plane or a parent request) does that. The caller must not touch r
+// afterwards. Never call Release on a request that is still queued,
+// executing, or being waited on.
 func (r *Request) Release() {
 	poolPuts.Add(1)
 	if r.ValueH.Valid() {

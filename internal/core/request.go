@@ -103,11 +103,11 @@ type Request struct {
 	Offset int64  // file or device offset
 	Size   int    // requested length
 	Data   []byte // payload (write/put) or destination (read/get)
-	// Buf is the registered-buffer handle behind Data when the payload
-	// lives in an arena/segment buffer (zero-copy path). The request
-	// borrows it: client-acquired payload handles are released by the
-	// client, and views a parent cut from its own result (Slice) die with
-	// the parent. Mods consult Buf.Owned() to decide retain-vs-copy.
+	// Buf is the handle behind Data when the payload lives in an arena
+	// buffer (zero-copy path). The request borrows it: a payload handle is
+	// released by whoever attached it (SetPayload), and views a parent cut
+	// from its own result (Slice) die with the parent. A mod may Retain a
+	// Buf view instead of copying it; a bare Data slice must be copied.
 	Buf      BufHandle
 	Flags    int
 	Mode     uint32

@@ -102,22 +102,6 @@ func (s *Segment) Map(pid int) ([]byte, error) {
 	return s.data, nil
 }
 
-// View returns [off, off+n) of the segment without an ACL check. It is the
-// runtime-internal accessor the buffer-handle layer uses: the worker
-// address space owns every segment, so in-process access is trusted; ACLs
-// gate client mappings only.
-func (s *Segment) View(off, n int) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.freed {
-		return nil, fmt.Errorf("segment %q: %w", s.Name, ErrSegmentFreed)
-	}
-	if off < 0 || n < 0 || off+n > len(s.data) {
-		return nil, fmt.Errorf("segment %q: view [%d,%d) out of range 0..%d", s.Name, off, off+n, len(s.data))
-	}
-	return s.data[off : off+n : off+n], nil
-}
-
 // Size returns the segment length in bytes.
 func (s *Segment) Size() int {
 	s.mu.RLock()

@@ -123,8 +123,9 @@ func (c *Compressor) processWrite(e *core.Exec, req *core.Request) error {
 	req.Data = framed
 	req.Size = len(framed)
 	// Detach the payload handle while Data points at the frame: the frame
-	// is scratch, not the registered buffer, and downstream mods must not
-	// pair the handle with the wrong bytes.
+	// is scratch, not the payload buffer, and downstream mods must not
+	// pair the handle with the wrong bytes: a cache below would keep the
+	// handle as the page of the frame's block.
 	origBuf := req.Buf
 	req.Buf = core.BufHandle{}
 	err = e.Next(req)

@@ -731,8 +731,8 @@ func (f *LabFS) read(e *core.Exec, req *core.Request) error {
 	}
 	data := req.Data
 	// dstH is the handle behind data, used to cut per-block views for
-	// downstream retention: the request's own result handle (stack-owned,
-	// caches may retain) or the client's registered buffer (borrowed).
+	// downstream retention: the request's own result handle or the
+	// caller's destination handle (zero when data is a bare slice).
 	dstH := req.ValueH
 	if !dstH.Valid() {
 		dstH = req.Buf

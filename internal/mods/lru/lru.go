@@ -3,20 +3,21 @@
 // It is the "page cache" stage of the paper's Lab-All stack, whose data
 // copies account for ~17% of a 4KB request's time in the Fig. 4(a) anatomy.
 //
-// The read path is zero-copy (DESIGN.md §13): a cache miss whose fill
-// landed in a stack-owned buffer is retained by reference instead of
+// The cache follows the one ownership rule (DESIGN.md §13): a Buf handle
+// may be retained, a bare Data slice is borrowed and copied. A cache miss
+// whose fill landed in a handle is retained by reference instead of
 // copied, and a hit with no caller destination hands out a retained view
 // of the page. LabKVS reads every one-block value that way, so a cached
 // get's value is the page itself, shared by the cache and the request
 // until the request is released: holders read it and never write it, and
 // the serve plane writes it to the socket in place. The only remaining
 // read-path copies are hit-into-caller-buffer (the caller chose its
-// destination: multi-block gets, LabFS reads) and fills from borrowed
-// client memory, which the cache may not retain. Writes always copy —
-// the payload is the client's registered buffer, and it may be rewritten
-// the moment the request completes — but the copy lands in a
-// handle-backed page, so later reads (and pushdown scans) of
-// write-inserted data still get zero-copy handouts.
+// destination: multi-block gets, LabFS reads) and fills into a bare
+// slice. A page-sized write payload handle (a put over the wire) becomes
+// the page by reference; a bare payload slice may be rewritten the moment
+// the request completes, so it is copied, but into a handle-backed page,
+// so later reads (and pushdown scans) of written data get zero-copy
+// handouts either way.
 //
 // The pages live in a slot table: a []page that grows to the capacity
 // and then never again. The recency list links slots by int32 index and a
@@ -186,15 +187,15 @@ func (c *Cache) processRead(e *core.Exec, req *core.Request) error {
 	return e.Next(req)
 }
 
-// insertFill caches the result of a read miss. Stack-owned fills (the
-// request's own result handle, or a stack-owned destination view cut by a
-// parent request) are retained in place — no copy; borrowed client
-// destinations are copied, because the client may rewrite its registered
-// buffer the moment the request completes.
+// insertFill caches the result of a read miss. Handle-backed fills (the
+// request's own result handle, or a destination view cut by a parent
+// request) are retained in place — no copy; a bare destination slice is
+// copied, because its owner may rewrite it the moment the request
+// completes.
 func (c *Cache) insertFill(e *core.Exec, req *core.Request) {
 	var h core.BufHandle
 	switch {
-	case req.Buf.Valid() && req.Buf.Owned() && req.Buf.Len() == c.pageSize:
+	case req.Buf.Valid() && req.Buf.Len() == c.pageSize:
 		h = req.Buf.Retain()
 	case req.ValueH.Valid() && req.ValueH.Len() == c.pageSize:
 		h = req.ValueH.Retain()
@@ -225,17 +226,24 @@ func (c *Cache) processWrite(e *core.Exec, req *core.Request) error {
 		req.Charge("cache", e.Model.LRUCacheOp)
 		return e.Next(req)
 	}
-	// Page allocation + copy into the cache: the write payload is borrowed
-	// from the client's registered buffer, so the cache must take its own
-	// copy (DESIGN.md §13 — write payloads may never be retained).
-	req.Charge("cache", e.Model.LRUCacheOp+e.Model.Copy(req.Size))
-	if aligned {
-		copyWriteInsert.Add(req.Size)
-		// Handle-backed insert: the copied page can be handed out as a
-		// retained view on later Data==nil reads (get-after-put and
-		// pushdown scans over warm data are then zero-copy).
-		h := core.AcquireHandle(len(req.Data))
-		copy(h.Bytes(), req.Data)
+	// Every page is handle-backed, so later Data==nil reads get it as a
+	// retained view (get-after-put and pushdown scans over warm data are
+	// then zero-copy). A page-sized payload handle becomes the page by
+	// reference; a bare Data slice is borrowed, so the cache takes its own
+	// copy (DESIGN.md §13 — a Buf handle may be retained, Data may not).
+	var h core.BufHandle
+	if aligned && req.Buf.Valid() && req.Buf.Len() == c.pageSize {
+		req.Charge("cache", e.Model.LRUCacheOp)
+		h = req.Buf.Retain()
+	} else {
+		req.Charge("cache", e.Model.LRUCacheOp+e.Model.Copy(req.Size))
+		if aligned {
+			copyWriteInsert.Add(req.Size)
+			h = core.AcquireHandle(len(req.Data))
+			copy(h.Bytes(), req.Data)
+		}
+	}
+	if h.Valid() {
 		c.insertPage(&page{off: req.Offset, data: h.Bytes(), h: h, dirty: c.policy == "writeback"})
 		if c.policy == "writeback" {
 			req.Result = int64(req.Size)

@@ -497,7 +497,7 @@ func (c *refCache) processRead(e *core.Exec, req *core.Request) error {
 func (c *refCache) insertFill(e *core.Exec, req *core.Request) {
 	var h core.BufHandle
 	switch {
-	case req.Buf.Valid() && req.Buf.Owned() && req.Buf.Len() == c.pageSize:
+	case req.Buf.Valid() && req.Buf.Len() == c.pageSize:
 		h = req.Buf.Retain()
 	case req.ValueH.Valid() && req.ValueH.Len() == c.pageSize:
 		h = req.ValueH.Retain()
@@ -525,10 +525,18 @@ func (c *refCache) processWrite(e *core.Exec, req *core.Request) error {
 		req.Charge("cache", e.Model.LRUCacheOp)
 		return e.Next(req)
 	}
-	req.Charge("cache", e.Model.LRUCacheOp+e.Model.Copy(req.Size))
-	if aligned {
-		h := core.AcquireHandle(len(req.Data))
-		copy(h.Bytes(), req.Data)
+	var h core.BufHandle
+	if aligned && req.Buf.Valid() && req.Buf.Len() == c.pageSize {
+		req.Charge("cache", e.Model.LRUCacheOp)
+		h = req.Buf.Retain()
+	} else {
+		req.Charge("cache", e.Model.LRUCacheOp+e.Model.Copy(req.Size))
+		if aligned {
+			h = core.AcquireHandle(len(req.Data))
+			copy(h.Bytes(), req.Data)
+		}
+	}
+	if h.Valid() {
 		c.insertPage(&refPage{off: req.Offset, data: h.Bytes(), h: h, dirty: c.policy == "writeback"})
 		if c.policy == "writeback" {
 			req.Result = int64(req.Size)

@@ -123,15 +123,6 @@ func (rt *Runtime) Connect(cred ipc.Credentials) *Client {
 	return c
 }
 
-// AcquireBuffer returns a registered payload buffer of length n — the
-// io_uring register-buffers analogue. Attach it to a request with
-// req.SetPayload; the client owns the handle and must Release it once the
-// request (and any use of the bytes) is finished. The stack reads/writes
-// the buffer in place: no copy at the IPC boundary.
-func (c *Client) AcquireBuffer(n int) (core.BufHandle, error) {
-	return c.rt.BufArena().Acquire(n)
-}
-
 // Clone implements the fork/clone support path (paper §III-F): the child
 // process gets its own connection — fresh credentials PID, a fresh
 // shared-memory queue pair and segment grant — while open file descriptors

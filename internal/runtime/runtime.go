@@ -187,13 +187,6 @@ type Runtime struct {
 	// hBatch observes the size of each worker drain (1..Options.Batch).
 	hBatch *stats.Histogram
 
-	// bufArena is the runtime-owned registered-buffer arena (the io_uring
-	// registered-buffer analogue): clients acquire payload handles from it
-	// so data lives in ipc.Segment-backed memory end to end. Created lazily
-	// on first AcquireBuffer.
-	bufArenaOnce sync.Once
-	bufArena     *core.SegArena
-
 	mu      sync.Mutex
 	workers []*Worker
 	clients map[int]*Client
@@ -781,15 +774,6 @@ func (rt *Runtime) Stats() []WorkerStats {
 		})
 	}
 	return out
-}
-
-// BufArena returns the runtime-owned registered-buffer arena, creating it
-// on first use. Buffers carved from it live in registered ipc.Segments.
-func (rt *Runtime) BufArena() *core.SegArena {
-	rt.bufArenaOnce.Do(func() {
-		rt.bufArena = core.NewSegArena(rt.Env.Segments, "payload", ipc.Credentials{})
-	})
-	return rt.bufArena
 }
 
 // pokeWorkers nudges parked workers after a submission (non-blocking).

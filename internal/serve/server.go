@@ -58,7 +58,7 @@ const (
 // one runtime.Client (one queue pair, placed by the orchestrator like any
 // local client) and two goroutines:
 //
-//	reader    — parses frame heads, lands payloads in registered buffers,
+//	reader    — parses frame heads, lands payloads in arena buffers,
 //	            runs admission, coalesces admitted requests into vectored
 //	            SubmitBatch calls
 //	completer — reaps each submitted batch with WaitAll and writes its
@@ -220,7 +220,7 @@ func (s *Server) demandLoop() {
 // the request itself.
 type pendingReq struct {
 	id      uint64         // wire request id
-	payload core.BufHandle // registered payload buffer to release (may be zero)
+	payload core.BufHandle // payload buffer to release (may be zero)
 	ts      *tenantState
 }
 
@@ -413,24 +413,20 @@ func (s *Server) readLoop(fr *frameReader, br *bufio.Reader, cli *runtime.Client
 		}
 
 		// Zero-copy hand-off: the payload goes from the stream straight into
-		// a registered arena buffer — its one landing — and the stack
-		// operates on it in place. Oversized payloads land in plain heap
-		// memory. Nothing acts on the frame until bulk has checked its CRC.
+		// a stack-owned arena buffer — its one landing — and the stack
+		// operates on it in place; a cache may keep it as a page by
+		// reference. Nothing acts on the frame until bulk has checked its
+		// CRC.
 		n, err := fr.head(&rf)
 		if err != nil {
 			protoErr(err)
 			return
 		}
 		var ph core.BufHandle
-		var data []byte
 		if n > 0 {
-			if h, err := cli.AcquireBuffer(n); err == nil {
-				ph, data = h, h.Bytes()
-			} else {
-				data = make([]byte, n)
-			}
+			ph = core.AcquireHandle(n)
 		}
-		if err := fr.bulk(data); err != nil {
+		if err := fr.bulk(ph.Bytes()); err != nil {
 			ph.Release()
 			protoErr(err)
 			return
@@ -499,11 +495,7 @@ func (s *Server) readLoop(fr *frameReader, br *bufio.Reader, cli *runtime.Client
 			s.cfg.Pushdown.Clamp(ts.policy.Name, req)
 		}
 		if n > 0 {
-			if ph.Valid() {
-				req.SetPayload(ph)
-			} else {
-				req.Data = data
-			}
+			req.SetPayload(ph)
 			if req.Size == 0 {
 				req.Size = n
 			}

@@ -103,6 +103,9 @@ func StackFromNode(root *Node) (*StackSpec, error) {
 			s.Vertices[i].Outputs = []string{s.Vertices[i+1].UUID}
 		}
 	}
+	if err := root.invalid("stack"); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -308,7 +311,8 @@ func DefaultRuntimeConfig() *RuntimeConfig {
 }
 
 // ParseRuntimeConfig parses a runtime configuration document. It fails on
-// the first key it never read, naming it: a misspelt or deleted key would
+// the first value that does not parse and on the first key it never read,
+// naming it: a malformed value, or a misspelt or deleted key, would
 // otherwise leave its setting at the default without a word.
 func ParseRuntimeConfig(src string) (*RuntimeConfig, error) {
 	root, err := Parse(src)
@@ -448,6 +452,9 @@ func ParseRuntimeConfig(src string) (*RuntimeConfig, error) {
 		}
 	}
 	cfg.Repos = root.Strings("repos")
+	if err := root.invalid("runtime config"); err != nil {
+		return nil, err
+	}
 	if k := root.unread(); k != "" {
 		return nil, fmt.Errorf("spec: unknown runtime config key %q", strings.TrimPrefix(k, "."))
 	}

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -323,6 +324,42 @@ func TestParseRuntimeConfigRejectsUnreadKeys(t *testing.T) {
 		}
 	}
 }
+
+// A value that does not parse as what its key needs fails the parse, and
+// the error names the key and the value, so "workers: four" cannot load as
+// the default worker count. One row per typed accessor; each document
+// parses with the value written well.
+func TestParseRejectsUnparsedValues(t *testing.T) {
+	const stack = "mount: kv::/a\nrules:\n  priority: %s\nmods:\n  - uuid: a\n    type: t\n"
+	for _, tc := range []struct {
+		doc, good, bad string
+		parse          func(string) error
+		want           string
+	}{
+		{"runtime:\n  workers: %s\n", "4", "four", runtimeErr,
+			`spec: runtime config key "runtime.workers": "four" is not an integer`},
+		{"runtime:\n  queue_depth: %s\n", "1024", "1k", runtimeErr,
+			`spec: runtime config key "runtime.queue_depth": "1k" is not an integer`},
+		{"devices:\n  - name: nvme0\n    capacity_mb: %s\n", "512", "abc", runtimeErr,
+			`spec: runtime config key "devices[0].capacity_mb": "abc" is not a 64-bit integer`},
+		{"serve:\n  tenants:\n    - name: gold\n      rate_per_sec: %s\n", "100", "fast", runtimeErr,
+			`spec: runtime config key "serve.tenants[0].rate_per_sec": "fast" is not a number`},
+		{"observe:\n  pprof: %s\n", "false", "maybe", runtimeErr,
+			`spec: runtime config key "observe.pprof": "maybe" is not a boolean`},
+		{stack, "3", "high", stackErr,
+			`spec: stack key "rules.priority": "high" is not an integer`},
+	} {
+		if err := tc.parse(fmt.Sprintf(tc.doc, tc.good)); err != nil {
+			t.Fatalf("%s: good value: %v", tc.want, err)
+		}
+		if err := tc.parse(fmt.Sprintf(tc.doc, tc.bad)); err == nil || err.Error() != tc.want {
+			t.Errorf("err = %v, want %s", err, tc.want)
+		}
+	}
+}
+
+func runtimeErr(src string) error { _, err := ParseRuntimeConfig(src); return err }
+func stackErr(src string) error   { _, err := ParseStack(src); return err }
 
 func TestParseRuntimeConfigRejectsBadCapacity(t *testing.T) {
 	for _, capacity := range []string{

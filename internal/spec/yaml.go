@@ -23,6 +23,10 @@ type Node struct {
 	// read is set when a lookup of this node's key returns it, so a strict
 	// consumer can name the keys it never read (unread).
 	read bool
+	// want is set when a typed accessor (Int, Int64, Float, Bool) could not
+	// parse the scalar: it names the kind of value the key needed, so a
+	// consumer can fail instead of running on the default (invalid).
+	want string
 }
 
 // IsScalar reports whether the node is a scalar.
@@ -76,21 +80,40 @@ func (n *Node) Get(key string) *Node {
 // the items of lists are searched too, so a nested key reads as
 // ".serve.tenants[1].x".
 func (n *Node) unread() string {
+	p, _ := n.first(func(c *Node) bool { return !c.read })
+	return p
+}
+
+// invalid returns the first key below n, in document order, whose value a
+// typed accessor could not parse, as an error naming its path and value
+// (nil if there is none). what names the document, e.g. "runtime config".
+func (n *Node) invalid(what string) error {
+	p, bad := n.first(func(c *Node) bool { return c.want != "" })
+	if bad == nil {
+		return nil
+	}
+	return fmt.Errorf("spec: %s key %q: %q is not %s", what, strings.TrimPrefix(p, "."), bad.scalar, bad.want)
+}
+
+// first returns the first value below n, in document order, that f picks,
+// and the path of its key ("", nil if there is none). The values of keys f
+// passes over and the items of lists are searched too.
+func (n *Node) first(f func(*Node) bool) (string, *Node) {
 	for _, k := range n.keys {
 		c := n.kids[k]
-		if !c.read {
-			return "." + k
+		if f(c) {
+			return "." + k, c
 		}
-		if p := c.unread(); p != "" {
-			return "." + k + p
+		if p, v := c.first(f); v != nil {
+			return "." + k + p, v
 		}
 	}
 	for i, it := range n.list {
-		if p := it.unread(); p != "" {
-			return fmt.Sprintf("[%d]%s", i, p)
+		if p, v := it.first(f); v != nil {
+			return fmt.Sprintf("[%d]%s", i, p), v
 		}
 	}
-	return ""
+	return "", nil
 }
 
 // Str returns the scalar at key, or def.
@@ -102,7 +125,8 @@ func (n *Node) Str(key, def string) string {
 	return c.scalar
 }
 
-// Int returns the integer at key, or def.
+// Int returns the integer at key, or def. A value that is not an integer
+// also returns def, and is marked for invalid to report.
 func (n *Node) Int(key string, def int) int {
 	c := n.Get(key)
 	if c == nil || !c.isScalar {
@@ -110,12 +134,13 @@ func (n *Node) Int(key string, def int) int {
 	}
 	v, err := strconv.Atoi(strings.TrimSpace(c.scalar))
 	if err != nil {
+		c.want = "an integer"
 		return def
 	}
 	return v
 }
 
-// Int64 returns the 64-bit integer at key, or def.
+// Int64 returns the 64-bit integer at key, or def, as Int does.
 func (n *Node) Int64(key string, def int64) int64 {
 	c := n.Get(key)
 	if c == nil || !c.isScalar {
@@ -123,12 +148,13 @@ func (n *Node) Int64(key string, def int64) int64 {
 	}
 	v, err := strconv.ParseInt(strings.TrimSpace(c.scalar), 10, 64)
 	if err != nil {
+		c.want = "a 64-bit integer"
 		return def
 	}
 	return v
 }
 
-// Float returns the float at key, or def.
+// Float returns the float at key, or def, as Int does.
 func (n *Node) Float(key string, def float64) float64 {
 	c := n.Get(key)
 	if c == nil || !c.isScalar {
@@ -136,12 +162,13 @@ func (n *Node) Float(key string, def float64) float64 {
 	}
 	v, err := strconv.ParseFloat(strings.TrimSpace(c.scalar), 64)
 	if err != nil {
+		c.want = "a number"
 		return def
 	}
 	return v
 }
 
-// Bool returns the boolean at key, or def.
+// Bool returns the boolean at key, or def, as Int does.
 func (n *Node) Bool(key string, def bool) bool {
 	c := n.Get(key)
 	if c == nil || !c.isScalar {
@@ -153,6 +180,7 @@ func (n *Node) Bool(key string, def bool) bool {
 	case "false", "no", "off", "0":
 		return false
 	}
+	c.want = "a boolean"
 	return def
 }
 

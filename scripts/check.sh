@@ -77,6 +77,12 @@
 #      times under the race detector at -cpu 1,2,8. Slab strings cross from
 #      the reader to workers while the reader appends to the same slab, and
 #      LabKVS reads entries copied out under its shard locks.
+#  16. payload retention: the serve copy contract (puts over the wire make
+#      no cache copy, and every value reads back byte-exact once the putting
+#      connection is gone), the LRU retention tests and the serve lifetime
+#      tests three times under the race detector at -cpu 1,2,8. A put's
+#      payload buffer becomes the cache page by reference: workers retain it
+#      while the connection's completer releases its own reference.
 # Run from the repository root (or via `make check`).
 set -eu
 cd "$(dirname "$0")/.."
@@ -155,5 +161,8 @@ go test -race -count=3 -cpu 1,2,8 -run Router ./internal/serve
 
 echo "== keys: go test -race -count=3 -cpu 1,2,8 -run 'TestServeRemount|TestKeySlab|TestIndex' ./internal/serve ./internal/mods/labkvs =="
 go test -race -count=3 -cpu 1,2,8 -run 'TestServeRemount|TestKeySlab|TestIndex' ./internal/serve ./internal/mods/labkvs
+
+echo "== payload retention: go test -race -count=3 -cpu 1,2,8 -run 'TestServeCopyContract|TestRetain|TestServeClientNeverReads|TestServeMidFrameDisconnect|TestServeCloseWithBatchesInFlight|TestServeResultPinnedUntilWritten|TestGatherBatchDoesNotAllocate|TestPipelineWindowAllocations' ./internal/experiments ./internal/mods/lru ./internal/serve =="
+go test -race -count=3 -cpu 1,2,8 -run 'TestServeCopyContract|TestRetain|TestServeClientNeverReads|TestServeMidFrameDisconnect|TestServeCloseWithBatchesInFlight|TestServeResultPinnedUntilWritten|TestGatherBatchDoesNotAllocate|TestPipelineWindowAllocations' ./internal/experiments ./internal/mods/lru ./internal/serve
 
 echo "== check: OK =="
