@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 
 	"labstor/internal/device"
@@ -57,6 +59,22 @@ func (c Config) Attr(key, def string) string {
 		return v
 	}
 	return def
+}
+
+// Int returns the integer attribute key, or def when the vertex does not
+// set it. A value that is not an integer is an error naming the vertex, the
+// attribute and the value: a mod's Configure returns it, so the mount fails
+// instead of running on a fallback.
+func (c Config) Int(key string, def int) (int, error) {
+	v, ok := c.Attrs[key]
+	if !ok {
+		return def, nil
+	}
+	n, err := strconv.Atoi(strings.TrimSpace(v))
+	if err != nil {
+		return 0, fmt.Errorf("core: vertex %q attribute %q: %q is not an integer", c.UUID, key, v)
+	}
+	return n, nil
 }
 
 // Env is the environment the Runtime hands to module instances: simulated

@@ -5,7 +5,6 @@
 package dummy
 
 import (
-	"strconv"
 	"sync/atomic"
 
 	"labstor/internal/core"
@@ -38,8 +37,11 @@ func (d *Dummy) Configure(cfg core.Config, env *core.Env) error {
 	if err := d.Base.Configure(cfg, env); err != nil {
 		return err
 	}
-	ns, err := strconv.Atoi(cfg.Attr("cost_ns", "500"))
-	if err != nil || ns < 0 {
+	ns, err := cfg.Int("cost_ns", 500)
+	if err != nil {
+		return err
+	}
+	if ns < 0 {
 		ns = 500
 	}
 	d.cost = vtime.Duration(ns)

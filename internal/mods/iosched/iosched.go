@@ -17,7 +17,6 @@ package iosched
 
 import (
 	"fmt"
-	"strconv"
 
 	"labstor/internal/core"
 	"labstor/internal/device"
@@ -103,7 +102,10 @@ func (s *BlkSwitch) Configure(cfg core.Config, env *core.Env) error {
 		return err
 	}
 	s.dev = dev
-	maxKB, _ := strconv.Atoi(cfg.Attr("steer_max_kb", "16"))
+	maxKB, err := cfg.Int("steer_max_kb", 16)
+	if err != nil {
+		return err
+	}
 	if maxKB < 1 {
 		maxKB = 16
 	}

@@ -17,7 +17,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -108,12 +107,18 @@ func (f *LabFS) Configure(cfg core.Config, env *core.Env) error {
 	if err != nil {
 		return err
 	}
-	blockKB, _ := strconv.Atoi(cfg.Attr("block_kb", "4"))
+	blockKB, err := cfg.Int("block_kb", 4)
+	if err != nil {
+		return err
+	}
 	if blockKB < 1 {
 		blockKB = 4
 	}
 	f.blockSize = blockKB << 10
-	logMB, _ := strconv.Atoi(cfg.Attr("log_mb", "16"))
+	logMB, err := cfg.Int("log_mb", 16)
+	if err != nil {
+		return err
+	}
 	if logMB < 1 {
 		logMB = 16
 	}
@@ -125,8 +130,14 @@ func (f *LabFS) Configure(cfg core.Config, env *core.Env) error {
 	f.dataFirst = logBlocks
 	f.dataBlocks = total - logBlocks
 
-	shards, _ := strconv.Atoi(cfg.Attr("shards", "64"))
-	pools, _ := strconv.Atoi(cfg.Attr("pools", "16"))
+	shards, err := cfg.Int("shards", 64)
+	if err != nil {
+		return err
+	}
+	pools, err := cfg.Int("pools", 16)
+	if err != nil {
+		return err
+	}
 	f.table = newInodeTable(shards)
 	f.alloc = newAllocator(pools, f.dataFirst, f.dataBlocks)
 	f.log = wal.New(f.blockSize, logBlocks, copyLogPad)

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -134,12 +133,18 @@ func (k *LabKVS) Configure(cfg core.Config, env *core.Env) error {
 	if err != nil {
 		return err
 	}
-	blockKB, _ := strconv.Atoi(cfg.Attr("block_kb", "4"))
+	blockKB, err := cfg.Int("block_kb", 4)
+	if err != nil {
+		return err
+	}
 	if blockKB < 1 {
 		blockKB = 4
 	}
 	k.blockSize = blockKB << 10
-	logMB, _ := strconv.Atoi(cfg.Attr("log_mb", "8"))
+	logMB, err := cfg.Int("log_mb", 8)
+	if err != nil {
+		return err
+	}
 	if logMB < 1 {
 		logMB = 8
 	}
@@ -150,7 +155,10 @@ func (k *LabKVS) Configure(cfg core.Config, env *core.Env) error {
 	}
 	k.dataFirst = logBlocks
 	k.dataEnd = total
-	nShards, _ := strconv.Atoi(cfg.Attr("shards", "64"))
+	nShards, err := cfg.Int("shards", 64)
+	if err != nil {
+		return err
+	}
 	if nShards < 1 {
 		nShards = 1
 	}

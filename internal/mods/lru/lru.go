@@ -27,7 +27,6 @@
 package lru
 
 import (
-	"strconv"
 	"sync"
 
 	"labstor/internal/core"
@@ -102,11 +101,17 @@ func (c *Cache) Configure(cfg core.Config, env *core.Env) error {
 	if err := c.Base.Configure(cfg, env); err != nil {
 		return err
 	}
-	capMB, _ := strconv.Atoi(cfg.Attr("capacity_mb", "64"))
+	capMB, err := cfg.Int("capacity_mb", 64)
+	if err != nil {
+		return err
+	}
 	if capMB <= 0 {
 		capMB = 64
 	}
-	pageKB, _ := strconv.Atoi(cfg.Attr("page_kb", "4"))
+	pageKB, err := cfg.Int("page_kb", 4)
+	if err != nil {
+		return err
+	}
 	if pageKB <= 0 {
 		pageKB = 4
 	}

@@ -59,8 +59,13 @@ func (p *Checker) Configure(cfg core.Config, env *core.Env) error {
 	if err := p.Base.Configure(cfg, env); err != nil {
 		return err
 	}
-	p.defUID, _ = strconv.Atoi(cfg.Attr("owner", "0"))
-	p.defGID, _ = strconv.Atoi(cfg.Attr("group", "0"))
+	var err error
+	if p.defUID, err = cfg.Int("owner", 0); err != nil {
+		return err
+	}
+	if p.defGID, err = cfg.Int("group", 0); err != nil {
+		return err
+	}
 	mode, err := strconv.ParseUint(cfg.Attr("mode", "0644"), 8, 32)
 	if err != nil {
 		return fmt.Errorf("perm: bad mode attribute: %v", err)

@@ -2,7 +2,6 @@ package pushdown
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"labstor/internal/core"
@@ -89,11 +88,19 @@ func (m *Mod) Configure(cfg core.Config, env *core.Env) error {
 		}
 	}
 	var caps Caps
-	if mb, err := strconv.Atoi(cfg.Attr("max_scan_mb", "0")); err == nil && mb > 0 {
+	mb, err := cfg.Int("max_scan_mb", 0)
+	if err != nil {
+		return err
+	}
+	if mb > 0 {
 		caps.MaxBytes = int64(mb) << 20
 	}
-	if st, err := strconv.ParseInt(cfg.Attr("max_steps", "0"), 10, 64); err == nil && st > 0 {
-		caps.MaxSteps = st
+	st, err := cfg.Int("max_steps", 0)
+	if err != nil {
+		return err
+	}
+	if st > 0 {
+		caps.MaxSteps = int64(st)
 	}
 	m.pol = NewPolicy(Default, allow, caps)
 	for name, src := range cfg.Attrs {

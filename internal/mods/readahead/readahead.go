@@ -12,7 +12,6 @@
 package readahead
 
 import (
-	"strconv"
 	"sync"
 
 	"labstor/internal/core"
@@ -64,20 +63,29 @@ func (p *Prefetcher) Configure(cfg core.Config, env *core.Env) error {
 	if err := p.Base.Configure(cfg, env); err != nil {
 		return err
 	}
-	bk, _ := strconv.Atoi(cfg.Attr("block_kb", "4"))
+	bk, err := cfg.Int("block_kb", 4)
+	if err != nil {
+		return err
+	}
 	if bk < 1 {
 		bk = 4
 	}
 	p.blockSize = bk << 10
-	p.window, _ = strconv.Atoi(cfg.Attr("window", "8"))
+	if p.window, err = cfg.Int("window", 8); err != nil {
+		return err
+	}
 	if p.window < 1 {
 		p.window = 8
 	}
-	p.trigger, _ = strconv.Atoi(cfg.Attr("trigger", "2"))
+	if p.trigger, err = cfg.Int("trigger", 2); err != nil {
+		return err
+	}
 	if p.trigger < 1 {
 		p.trigger = 2
 	}
-	p.capacity, _ = strconv.Atoi(cfg.Attr("capacity_blocks", "256"))
+	if p.capacity, err = cfg.Int("capacity_blocks", 256); err != nil {
+		return err
+	}
 	if p.capacity < p.window {
 		p.capacity = p.window
 	}

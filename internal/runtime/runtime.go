@@ -59,9 +59,10 @@ type Options struct {
 	// QueueDepth is the per-queue-pair ring depth.
 	QueueDepth int
 	// Batch is the worker's drain width: the most requests it takes from
-	// one queue per poll scan with one SQ and one CQ reservation (default
-	// 1, clamped to QueueDepth). Wider drains amortize ring reservations,
-	// telemetry and orchestrator observation. Requests are still executed
+	// one queue per poll scan with one SQ reservation (default 1, clamped
+	// to QueueDepth). Each request's completion is published as its walk
+	// ends. Wider drains amortize the SQ reservation, telemetry and
+	// orchestrator observation. Requests are still executed
 	// and serialized on the worker clock one at a time, so modeled virtual
 	// time is identical at any width.
 	Batch int

@@ -287,16 +287,22 @@ func (w *Worker) pollOnce() bool {
 }
 
 // processBatch walks a drained run of requests through their stacks and
-// publishes the completions in bulk. Requests still execute one at a time
-// and serialize individually on the worker's virtual clock — the batch
-// only amortizes the host-side costs around them: the SQ reservation
+// publishes each completion as its walk ends: the request's CQ entry, then
+// its completion word (MarkDone), before the next request of the run starts.
+// A waiter therefore sees its request done without waiting for the rest of
+// the drain. Requests execute one at a time and serialize individually on
+// the worker's virtual clock; the batch only amortizes the host-side
+// bookkeeping around them, which stays once per drain: the SQ reservation
 // (already taken by the caller), worker counters, the orchestrator
-// observation (one mutex acquisition per batch), the batch-size histogram,
-// and the CQ reservation.
+// observation (one mutex acquisition per batch) and the batch-size
+// histogram. That bookkeeping lands before the drain's last completion, so
+// a client that has seen all of its drained requests done also sees them
+// counted (a drain holds one client's queue).
 func (w *Worker) processBatch(qp *QP, reqs []*Request) {
 	base := w.processed.Load()
 	var totalCPU vtime.Duration
 	var lastClock vtime.Time
+	last := len(reqs) - 1
 	for i, req := range reqs {
 		cpuUsed, sampled := w.executeOne(qp, req, base+int64(i))
 		totalCPU += cpuUsed
@@ -306,17 +312,19 @@ func (w *Worker) processBatch(qp *QP, reqs []*Request) {
 		if sampled {
 			req.Trace = false
 		}
-	}
-
-	w.busy.Add(int64(totalCPU))
-	w.processed.Add(int64(len(reqs)))
-	w.rt.orch.ObserveBatch(qp.ID, len(reqs), totalCPU, lastClock)
-	w.rt.hBatch.Observe(float64(len(reqs)))
-
-	// One CQ reservation for the whole batch; requests that do not fit
-	// (completion ring full) fall back to direct completion via MarkDone.
-	qp.CompleteBatch(reqs)
-	for _, req := range reqs {
+		if i == last {
+			w.busy.Add(int64(totalCPU))
+			w.processed.Add(int64(len(reqs)))
+			w.rt.orch.ObserveBatch(qp.ID, len(reqs), totalCPU, lastClock)
+			w.rt.hBatch.Observe(float64(len(reqs)))
+		}
+		// MarkDone is the last touch (DESIGN.md §9 rule 1): the waiter may
+		// recycle req the moment its word reads done, so everything read of
+		// it is read above, and the drain buffer lets go of it first. A
+		// request whose CQ slot does not fit (completion ring full) is
+		// signalled by MarkDone alone.
+		qp.CompleteBatch(reqs[i : i+1])
+		reqs[i] = nil
 		req.MarkDone()
 	}
 }

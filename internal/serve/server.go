@@ -63,7 +63,9 @@ const (
 //	            SubmitBatch calls
 //	completer — reaps each submitted batch with WaitAll and writes its
 //	            responses itself: heads from a scratch, values from where
-//	            the stack left them, one writev per batch (connWriter)
+//	            the stack left them, at most two writevs per batch — what
+//	            is done once the first request is, then the rest
+//	            (connWriter)
 //
 // There is no writer goroutine. The reader's own frames (BUSY, pong, error
 // responses) go out through the same connWriter under its lock.
@@ -517,44 +519,66 @@ func (s *Server) readLoop(fr *frameReader, br *bufio.Reader, cli *runtime.Client
 	}
 }
 
-// completeLoop reaps submitted batches in order and answers them. A batch's
-// responses go out in one vectored write whose elements point at the result
-// views themselves (req.Value: a cache page, a stack-owned buffer), so the
-// requests, their ValueH views and the payload handles are released only
-// after that write has returned — DESIGN.md §13.
+// completeLoop reaps submitted batches in order and answers them in at
+// most two vectored writes per batch. It waits for the batch's first
+// request and writes every response that is done by then — the run of done
+// requests from the front, so responses keep their order — then waits for
+// the rest and writes them. The write elements point at the result views
+// themselves (req.Value: a cache page, a stack-owned buffer), so the
+// requests, their ValueH views and the payload handles of a write are
+// released only after that write has returned — DESIGN.md §13. Every
+// request is reaped through WaitAll, so the client's clock advances over
+// the same requests in the same order as one WaitAll of the batch.
 func (s *Server) completeLoop(cli *runtime.Client, cw *connWriter, compCh <-chan *submittedBatch) {
 	for b := range compCh {
 		// WaitAll also when submission failed partway (runtime stopped):
 		// whatever did get queued must be reaped so CQ slots are recycled;
-		// already-done requests return immediately.
-		_ = cli.WaitAll(b.reqs) // each request carries its own error
-
-		cw.mu.Lock()
-		for i, req := range b.reqs {
-			resp := RespFrame{ID: b.entries[i].id}
-			switch {
-			case req.Err != nil:
-				resp.Err = req.Err.Error()
-				s.mReqErrs.Inc()
-			case b.subErr != nil:
-				resp.Err = b.subErr.Error()
-				s.mReqErrs.Inc()
-			default:
-				resp.OK = true
-				resp.Result = req.Result
-				resp.Value = req.Value
-			}
-			cw.g.resp(&resp)
+		// already-done requests return immediately. Each request carries
+		// its own error.
+		_ = cli.WaitAll(b.reqs[:1])
+		ready := 1
+		for ready < len(b.reqs) && b.reqs[ready].Done() {
+			ready++
 		}
-		cw.flush()
-		cw.mu.Unlock()
-
-		for i, req := range b.reqs {
-			e := &b.entries[i]
-			e.payload.Release()
-			req.Release()
-			s.adm.Done(e.ts)
+		_ = cli.WaitAll(b.reqs[1:ready])
+		s.answer(cw, b, 0, ready)
+		if ready < len(b.reqs) {
+			_ = cli.WaitAll(b.reqs[ready:])
+			s.answer(cw, b, ready, len(b.reqs))
 		}
 		s.putBatch(b)
+	}
+}
+
+// answer writes the responses of b's requests lo..hi-1 in one vectored
+// write, then releases those requests, their payloads and their admission
+// slots.
+func (s *Server) answer(cw *connWriter, b *submittedBatch, lo, hi int) {
+	cw.mu.Lock()
+	for i := lo; i < hi; i++ {
+		req := b.reqs[i]
+		resp := RespFrame{ID: b.entries[i].id}
+		switch {
+		case req.Err != nil:
+			resp.Err = req.Err.Error()
+			s.mReqErrs.Inc()
+		case b.subErr != nil:
+			resp.Err = b.subErr.Error()
+			s.mReqErrs.Inc()
+		default:
+			resp.OK = true
+			resp.Result = req.Result
+			resp.Value = req.Value
+		}
+		cw.g.resp(&resp)
+	}
+	cw.flush()
+	cw.mu.Unlock()
+
+	for i := lo; i < hi; i++ {
+		e := &b.entries[i]
+		e.payload.Release()
+		b.reqs[i].Release()
+		s.adm.Done(e.ts)
 	}
 }

@@ -61,12 +61,7 @@ func StackFromNode(root *Node) (*StackSpec, error) {
 		}
 		s.Rules.Priority = rules.Int("priority", 0)
 		s.Rules.MaxDepth = rules.Int("max_depth", 0)
-		for _, o := range rules.Strings("owners") {
-			var uid int
-			if _, err := fmt.Sscanf(o, "%d", &uid); err == nil {
-				s.Rules.Owners = append(s.Rules.Owners, uid)
-			}
-		}
+		s.Rules.Owners = rules.Ints("owners")
 	}
 	mods := root.Get("mods")
 	if mods == nil || !mods.IsList() {

@@ -331,6 +331,7 @@ func TestParseRuntimeConfigRejectsUnreadKeys(t *testing.T) {
 // parses with the value written well.
 func TestParseRejectsUnparsedValues(t *testing.T) {
 	const stack = "mount: kv::/a\nrules:\n  priority: %s\nmods:\n  - uuid: a\n    type: t\n"
+	const owners = "mount: kv::/a\nrules:\n  owners: %s\nmods:\n  - uuid: a\n    type: t\n"
 	for _, tc := range []struct {
 		doc, good, bad string
 		parse          func(string) error
@@ -348,6 +349,12 @@ func TestParseRejectsUnparsedValues(t *testing.T) {
 			`spec: runtime config key "observe.pprof": "maybe" is not a boolean`},
 		{stack, "3", "high", stackErr,
 			`spec: stack key "rules.priority": "high" is not an integer`},
+		{owners, "[7, 1000]", "[alice]", stackErr,
+			`spec: stack key "rules.owners[0]": "alice" is not an integer`},
+		{owners, "[7, 1000]", "[7x]", stackErr,
+			`spec: stack key "rules.owners[0]": "7x" is not an integer`},
+		{owners, "7", "[7, alice]", stackErr,
+			`spec: stack key "rules.owners[1]": "alice" is not an integer`},
 	} {
 		if err := tc.parse(fmt.Sprintf(tc.doc, tc.good)); err != nil {
 			t.Fatalf("%s: good value: %v", tc.want, err)

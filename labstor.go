@@ -25,6 +25,7 @@
 package labstor
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -172,8 +173,9 @@ func (s *Session) do(path string, op core.Op, build func(*core.Request)) (reply,
 	// A Value without a handle (a mod's own slice) is detached before
 	// Release recycles whatever the request still holds.
 	if h := req.TakeValue(); h.Valid() && !h.Sole() {
-		out.Value = make([]byte, len(out.Value))
-		copyValueOut.Add(copy(out.Value, h.Bytes()))
+		// Clone does not zero the bytes it is about to overwrite.
+		out.Value = bytes.Clone(h.Bytes())
+		copyValueOut.Add(len(out.Value))
 		h.Release()
 	}
 	req.Value = nil

@@ -3,6 +3,7 @@ package labstor_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"labstor"
@@ -335,4 +336,69 @@ mods:
 	if v, err := kv.Get("k0"); err != nil || !bytes.Equal(v, value(0)) {
 		t.Fatalf("a caller's write into its Get result reached the store: [0] = %#x, %v", v[0], err)
 	}
+}
+
+// TestMountRejectsNonIntegerAttrs mounts, for every integer mod attribute,
+// a stack that sets it to a value that is not an integer: the mount must
+// fail and name the vertex, the attribute and the value. The same stack
+// with an integer there must mount.
+func TestMountRejectsNonIntegerAttrs(t *testing.T) {
+	const drv = "  - uuid: drv\n    type: labstor.kernel_driver\n    attrs:\n      device: nvme0\n"
+	fsStack := func(mods string) string {
+		return "mount: fs::/a\nmods:\n" + mods +
+			"  - uuid: fs\n    type: labstor.labfs\n    attrs:\n      device: nvme0\n      log_mb: 4\n"
+	}
+	blockMod := func(typ, attr string) string {
+		return fsStack("") + "  - uuid: m\n    type: " + typ + "\n    attrs:\n      device: nvme0\n      " + attr + ": %s\n" + drv
+	}
+	fsAttr := func(attr string) string {
+		return "mount: fs::/a\nmods:\n  - uuid: m\n    type: labstor.labfs\n    attrs:\n      device: nvme0\n      log_mb: 4\n      " + attr + ": %s\n" + drv
+	}
+	kvsAttr := func(attr string) string {
+		return "mount: kv::/a\nmods:\n  - uuid: m\n    type: labstor.labkvs\n    attrs:\n      device: nvme0\n      log_mb: 4\n      " + attr + ": %s\n" + drv
+	}
+	anyMod := func(typ, attr string) string {
+		return fsStack("  - uuid: m\n    type: "+typ+"\n    attrs:\n      "+attr+": %s\n") + drv
+	}
+	for _, tc := range []struct {
+		attr, doc string
+	}{
+		{"capacity_mb", blockMod("labstor.lru", "capacity_mb")},
+		{"page_kb", blockMod("labstor.lru", "page_kb")},
+		{"block_kb", fsAttr("block_kb")},
+		{"log_mb", fsAttr("log_mb")},
+		{"shards", fsAttr("shards")},
+		{"pools", fsAttr("pools")},
+		{"block_kb", kvsAttr("block_kb")},
+		{"log_mb", kvsAttr("log_mb")},
+		{"shards", kvsAttr("shards")},
+		{"block_kb", blockMod("labstor.readahead", "block_kb")},
+		{"window", blockMod("labstor.readahead", "window")},
+		{"trigger", blockMod("labstor.readahead", "trigger")},
+		{"capacity_blocks", blockMod("labstor.readahead", "capacity_blocks")},
+		{"steer_max_kb", blockMod("labstor.blkswitch", "steer_max_kb")},
+		{"owner", anyMod("labstor.perm", "owner")},
+		{"group", anyMod("labstor.perm", "group")},
+		{"cost_ns", anyMod("labstor.dummy", "cost_ns")},
+		{"max_scan_mb", anyMod("labstor.pushdown", "max_scan_mb")},
+		{"max_steps", anyMod("labstor.pushdown", "max_steps")},
+	} {
+		if err := mountOn(fmt.Sprintf(tc.doc, "8")); err != nil {
+			t.Errorf("%s = 8: %v", tc.attr, err)
+		}
+		want := fmt.Sprintf(`core: vertex "m" attribute %q: "alice" is not an integer`, tc.attr)
+		if err := mountOn(fmt.Sprintf(tc.doc, "alice")); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s = alice: err = %v, want it to contain %s", tc.attr, err, want)
+		}
+	}
+}
+
+// mountOn mounts spec on a platform of its own, so no module instance of
+// an earlier mount is reused.
+func mountOn(spec string) error {
+	p := labstor.NewPlatform(labstor.Config{Workers: 1})
+	defer p.Close()
+	p.AddDevice("nvme0", labstor.NVMe, 64<<20)
+	_, err := p.MountSpec(spec)
+	return err
 }

@@ -83,6 +83,15 @@
 #      tests three times under the race detector at -cpu 1,2,8. A put's
 #      payload buffer becomes the cache page by reference: workers retain it
 #      while the connection's completer releases its own reference.
+#  17. streamed completions: the worker's per-request publish test (a batch
+#      of four whose last request is held at a gate: the three before it
+#      read done meanwhile), the serve completer's tests (the first answer
+#      of a pipelined window of 8 arrives while its last request is held,
+#      and a batch goes out in at most two writes, in order) and the
+#      runtime's completion and handshake tests three times under the race
+#      detector with -tags labstor_debug at -cpu 1,2,8. The tests recycle
+#      completed requests through the pool while the worker is still in
+#      their batch, so a touch after MarkDone is a reported race.
 # Run from the repository root (or via `make check`).
 set -eu
 cd "$(dirname "$0")/.."
@@ -164,5 +173,8 @@ go test -race -count=3 -cpu 1,2,8 -run 'TestServeRemount|TestKeySlab|TestIndex' 
 
 echo "== payload retention: go test -race -count=3 -cpu 1,2,8 -run 'TestServeCopyContract|TestRetain|TestServeClientNeverReads|TestServeMidFrameDisconnect|TestServeCloseWithBatchesInFlight|TestServeResultPinnedUntilWritten|TestGatherBatchDoesNotAllocate|TestPipelineWindowAllocations' ./internal/experiments ./internal/mods/lru ./internal/serve =="
 go test -race -count=3 -cpu 1,2,8 -run 'TestServeCopyContract|TestRetain|TestServeClientNeverReads|TestServeMidFrameDisconnect|TestServeCloseWithBatchesInFlight|TestServeResultPinnedUntilWritten|TestGatherBatchDoesNotAllocate|TestPipelineWindowAllocations' ./internal/experiments ./internal/mods/lru ./internal/serve
+
+echo "== streamed completions: go test -race -tags labstor_debug -count=3 -cpu 1,2,8 -run 'TestStreamedCompletion|TestServeStreamsCompletions|TestCompleterWritesBatchAtMostTwice|TestParkedWorker|Handshake|Wait' ./internal/runtime ./internal/serve =="
+go test -race -tags labstor_debug -count=3 -cpu 1,2,8 -run 'TestStreamedCompletion|TestServeStreamsCompletions|TestCompleterWritesBatchAtMostTwice|TestParkedWorker|Handshake|Wait' ./internal/runtime ./internal/serve
 
 echo "== check: OK =="
