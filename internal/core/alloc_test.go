@@ -38,15 +38,15 @@ func TestRequestAllocContracts(t *testing.T) {
 	}
 }
 
-// TestArenaRoundTripAllocs: recycling a buffer of any size class through
-// the arena allocates nothing once the class's pool holds a buffer — the
-// pool keeps the backing array, not a boxed slice header.
+// TestArenaRoundTripAllocs: acquiring and releasing a handle of any size
+// class allocates nothing once the class's pool holds a header — the pool
+// keeps the header with its bytes, and a pointer needs no boxing.
 func TestArenaRoundTripAllocs(t *testing.T) {
 	for c := 0; c < arenaClasses; c++ {
 		size := 1 << (arenaMinBits + c)
-		ReleaseBuf(AcquireBuf(size)) // prime the class
-		if n := testing.AllocsPerRun(100, func() { ReleaseBuf(AcquireBuf(size)) }); n != 0 {
-			t.Errorf("AcquireBuf(%d)+ReleaseBuf allocates %v objects, want 0", size, n)
+		AcquireHandle(size).Release() // prime the class
+		if n := testing.AllocsPerRun(100, func() { AcquireHandle(size).Release() }); n != 0 {
+			t.Errorf("AcquireHandle(%d)+Release allocates %v objects, want 0", size, n)
 		}
 	}
 }

@@ -212,12 +212,15 @@ func TestRegistryInstantiateOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := reg.Instantiate("u1", "other.type.ignored", Config{}, env)
+	m2, err := reg.Instantiate("u1", "test.fake", Config{}, env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m1 != m2 {
 		t.Fatal("same UUID must return the same instance")
+	}
+	if _, err := reg.Instantiate("u1", "other.type", Config{}, env); err == nil {
+		t.Fatal("same UUID with another type must be refused")
 	}
 	if _, err := reg.Get("u2"); err == nil {
 		t.Fatal("Get of an unregistered UUID")

@@ -11,14 +11,61 @@ import (
 // lives in one arena buffer for its whole lifetime and the request carries
 // a BufHandle — a refcounted {buffer, off, len} view. Mods pass narrowed
 // views downstream (Slice), the cache retains pages by bumping the
-// refcount (Retain), and the buffer returns to the size-class arena
-// (bufarena.go) only when the last holder calls Release.
+// refcount (Retain), and the buffer returns to the arena only when the
+// last holder calls Release.
 //
-// Every handle is stack-owned: AcquireHandle is its one source, whether
-// the buffer holds a payload the serve plane landed (SetPayload) or a
-// result allocated inside the stack (Request.CompleteValue). The
+// AcquireHandle is the one source of arena memory, whether the buffer
+// holds a payload the serve plane landed (SetPayload), a result allocated
+// inside the stack (Request.CompleteValue) or a mod's scratch block. The
 // ownership rule (DESIGN.md §13) is one line: a Buf handle may be
 // retained; a bare Data slice is borrowed and copied.
+//
+// The arena mirrors the paper's preallocated shared-memory data slabs: one
+// sync.Pool per power-of-two size class, from 1<<arenaMinBits to
+// 1<<arenaMaxBits, pooling headers that keep their class-sized bytes
+// while they wait. An acquire is one Get and a last Release one Put, and
+// neither allocates once the class is warm. A request above the largest
+// class gets a fresh header over a heap buffer (counted as a miss) that is
+// never pooled. Buffers come back with whatever bytes the previous user
+// left in them — callers that depend on zeroing clear the buffer
+// themselves.
+const (
+	arenaMinBits = 9  // 512 B — smallest class
+	arenaMaxBits = 21 // 2 MiB — largest class
+	arenaClasses = arenaMaxBits - arenaMinBits + 1
+)
+
+var arenaPools [arenaClasses]sync.Pool
+
+var (
+	arenaGets     atomic.Int64 // AcquireHandle calls
+	arenaMisses   atomic.Int64 // acquires that had to allocate
+	arenaReleases atomic.Int64 // headers put back into a class pool
+	arenaBytes    atomic.Int64 // cumulative bytes handed out
+)
+
+func init() {
+	for i := range arenaPools {
+		size := 1 << (arenaMinBits + i)
+		arenaPools[i].New = func() any {
+			arenaMisses.Add(1)
+			return &bufHeader{data: make([]byte, size)}
+		}
+	}
+}
+
+// arenaClass returns the size-class index for n, or -1 if n exceeds the
+// largest class.
+func arenaClass(n int) int {
+	c := 0
+	for size := 1 << arenaMinBits; size < n; size <<= 1 {
+		c++
+	}
+	if c >= arenaClasses {
+		return -1
+	}
+	return c
+}
 
 // bufHeader is the shared, refcounted state behind every view of one
 // buffer. gen is bumped each time the buffer is recycled so debug builds
@@ -26,7 +73,7 @@ import (
 type bufHeader struct {
 	refs atomic.Int32
 	gen  atomic.Uint32
-	data []byte // full-capacity backing slice
+	data []byte // full-capacity backing slice, kept while pooled
 }
 
 // BufHandle is a view [off, off+ln) of a refcounted buffer. The zero
@@ -37,6 +84,23 @@ type BufHandle struct {
 	gen uint32
 	off int
 	ln  int
+}
+
+// AcquireHandle returns a stack-owned handle of length n backed by an
+// arena buffer. Contents are unspecified. The caller owns the single
+// reference.
+func AcquireHandle(n int) BufHandle {
+	arenaGets.Add(1)
+	arenaBytes.Add(int64(n))
+	var h *bufHeader
+	if c := arenaClass(n); c >= 0 {
+		h = arenaPools[c].Get().(*bufHeader)
+	} else {
+		arenaMisses.Add(1)
+		h = &bufHeader{data: make([]byte, n)}
+	}
+	h.refs.Store(1)
+	return BufHandle{h: h, gen: h.gen.Load(), ln: n}
 }
 
 // Valid reports whether the handle references a buffer.
@@ -93,10 +157,11 @@ func (b BufHandle) Retain() BufHandle {
 	return b
 }
 
-// Release drops one reference; the last release recycles the buffer into
-// its arena. Releasing the zero handle is a no-op. A double release is
-// counted (and panics in debug mode, see debug.go) — the refcount going
-// negative means some holder still believes it owns recycled memory.
+// Release drops one reference; the last release puts the header, bytes
+// and all, back into its class pool. Releasing the zero handle is a no-op.
+// A double release is counted (and panics in debug mode, see debug.go) —
+// the refcount going negative means some holder still believes it owns
+// recycled memory.
 func (b BufHandle) Release() {
 	if b.h == nil {
 		return
@@ -114,17 +179,15 @@ func (b BufHandle) Release() {
 		}
 		return
 	}
-	recycleHeader(b.h)
-}
-
-func recycleHeader(h *bufHeader) {
+	h := b.h
 	h.gen.Add(1)
 	if debugChecks.Load() {
 		poison(h.data)
 	}
-	ReleaseBuf(h.data)
-	h.data = nil
-	headerPool.Put(h)
+	if c := len(h.data); c <= 1<<arenaMaxBits {
+		arenaReleases.Add(1)
+		arenaPools[arenaClass(c)].Put(h)
+	}
 }
 
 // check panics in debug mode when the handle outlived its buffer (the
@@ -135,22 +198,33 @@ func (b BufHandle) check(op string) {
 	}
 }
 
-var headerPool = sync.Pool{New: func() any { return &bufHeader{} }}
-
 var handleDoubleReleases atomic.Int64
 
 // HandleDoubleReleases returns how many BufHandle double-releases have
 // been absorbed (non-debug builds count instead of panicking).
 func HandleDoubleReleases() int64 { return handleDoubleReleases.Load() }
 
-// AcquireHandle returns a stack-owned handle of length n backed by an
-// anonymous arena buffer. Contents are unspecified. The caller owns the
-// single reference.
-func AcquireHandle(n int) BufHandle {
-	h := headerPool.Get().(*bufHeader)
-	h.data = AcquireBuf(n)
-	h.refs.Store(1)
-	return BufHandle{h: h, gen: h.gen.Load(), off: 0, ln: n}
+// ArenaStats is the buffer arena's cumulative accounting. Hits is Gets that
+// were served by a recycled (or pool-cached) buffer.
+type ArenaStats struct {
+	Gets     int64 `json:"gets"`
+	Hits     int64 `json:"hits"`
+	Misses   int64 `json:"misses"`
+	Releases int64 `json:"releases"`
+	Bytes    int64 `json:"bytes"`
+}
+
+// BufArenaStats snapshots the arena counters (telemetry).
+func BufArenaStats() ArenaStats {
+	gets := arenaGets.Load()
+	misses := arenaMisses.Load()
+	return ArenaStats{
+		Gets:     gets,
+		Hits:     gets - misses,
+		Misses:   misses,
+		Releases: arenaReleases.Load(),
+		Bytes:    arenaBytes.Load(),
+	}
 }
 
 // Handle plumbing on Request ------------------------------------------------
@@ -165,15 +239,16 @@ func (r *Request) SetPayload(b BufHandle) {
 	r.Data = b.Bytes()
 }
 
-// completeHandle allocates the request's result as a stack-owned handle and
-// points Value (and the returned slice) at it. Used by CompleteValue.
-func (r *Request) completeHandle(n int) []byte {
-	if r.ValueH.Valid() {
-		r.ValueH.Release()
-	}
+// CompleteValue allocates the request's result as a stack-owned handle
+// (r.ValueH) and points r.Value, which it returns, at its bytes. Drivers
+// and stores use it for read completions whose payload the caller did not
+// supply a buffer for. Release drops the request's reference, and clients
+// that want to keep the result zero-copy call TakeValue first.
+func (r *Request) CompleteValue(n int) []byte {
+	r.ValueH.Release()
 	r.ValueH = AcquireHandle(n)
-	// Expose the class-capacity backing (cap > n) like the pre-handle
-	// arena contract did; in-place consumers rely on the slack.
+	// Expose the class-capacity backing (cap > n): in-place consumers
+	// such as LabKVS's tail-block read rely on the slack.
 	r.Value = r.ValueH.h.data[:n]
 	return r.Value
 }
@@ -186,8 +261,7 @@ func (r *Request) TakeValue() BufHandle {
 	h := r.ValueH
 	r.ValueH = BufHandle{}
 	if h.Valid() {
-		// Detach Value too: it aliases the taken buffer, and leaving it
-		// set would let Release recycle memory the caller now owns.
+		// Value aliases the taken buffer, which is the caller's now.
 		r.Value = nil
 	}
 	return h

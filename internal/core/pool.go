@@ -41,24 +41,17 @@ func NewRequest(op Op) *Request {
 	return r
 }
 
-// Release returns a completed request to the pool, recycling its result
-// buffer (the stack-owned ValueH handle when CompleteValue allocated one,
-// else the raw Value slice through the payload arena). The payload handle
-// (Buf) is borrowed and deliberately NOT released — its owner (the serve
-// plane or a parent request) does that. The caller must not touch r
-// afterwards. Never call Release on a request that is still queued,
-// executing, or being waited on.
+// Release returns a completed request to the pool and drops its result
+// handle (ValueH). A bare Value without a handle (a mod's own heap slice)
+// is never recycled: it is left to the GC. The payload handle (Buf) is
+// borrowed and deliberately NOT released — its owner (the serve plane or
+// a parent request) does that. The caller must not touch r afterwards.
+// Never call Release on a request that is still queued, executing, or
+// being waited on.
 func (r *Request) Release() {
 	poolPuts.Add(1)
-	if r.ValueH.Valid() {
-		r.ValueH.Release()
-		r.ValueH = BufHandle{}
-		r.Value = nil
-	} else if r.Value != nil {
-		ReleaseBuf(r.Value)
-		r.Value = nil
-	}
-	r.Buf = BufHandle{}
+	r.ValueH.Release()
+	r.ValueH, r.Value, r.Buf = BufHandle{}, nil, BufHandle{}
 	reqPool.Put(r)
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -15,12 +16,19 @@ import (
 type Registry struct {
 	mu      sync.Mutex
 	tab     atomic.Pointer[map[string]Module]
-	version map[string]int // swap generation per UUID (guarded by mu)
+	decls   map[string]decl // how each instantiated UUID was declared (guarded by mu)
+	version map[string]int  // swap generation per UUID (guarded by mu)
+}
+
+// decl is the type and attributes a UUID was first instantiated with.
+type decl struct {
+	typ   string
+	attrs map[string]string
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{version: make(map[string]int)}
+	r := &Registry{decls: make(map[string]decl), version: make(map[string]int)}
 	r.tab.Store(&map[string]Module{})
 	return r
 }
@@ -42,11 +50,18 @@ func (r *Registry) set(uuid string, m Module) {
 // Instantiate creates, configures, and registers a module instance for the
 // given UUID if one does not already exist (mount only instantiates LabMods
 // whose UUID is absent, so stacks can share instances). It returns the
-// registered instance.
+// registered instance. A later vertex that names an existing UUID may
+// leave attributes out, but it may not change the type or give an
+// attribute another value: the shared instance would silently ignore it.
 func (r *Registry) Instantiate(uuid, typeName string, cfg Config, env *Env) (Module, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m, ok := r.mods()[uuid]; ok {
+		if d, ok := r.decls[uuid]; ok {
+			if err := d.check(uuid, typeName, cfg.Attrs); err != nil {
+				return nil, err
+			}
+		}
 		return m, nil
 	}
 	m, err := NewModule(typeName)
@@ -58,7 +73,31 @@ func (r *Registry) Instantiate(uuid, typeName string, cfg Config, env *Env) (Mod
 		return nil, fmt.Errorf("configure %q (%s): %w", uuid, typeName, err)
 	}
 	r.set(uuid, m)
+	r.decls[uuid] = decl{typ: typeName, attrs: maps.Clone(cfg.Attrs)}
 	return m, nil
+}
+
+// check fails when a vertex redeclares uuid with another type or another
+// value for one of its attributes.
+func (d decl) check(uuid, typeName string, attrs map[string]string) error {
+	if typeName != d.typ {
+		return fmt.Errorf("core: vertex %q is a %s instance, not %s", uuid, d.typ, typeName)
+	}
+	keys := make([]string, 0, len(attrs))
+	for k := range attrs {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys) // name the same key on every run
+	for _, k := range keys {
+		was, ok := d.attrs[k]
+		switch {
+		case !ok:
+			return fmt.Errorf("core: vertex %q attribute %q: %q, but its instance was configured without it", uuid, k, attrs[k])
+		case attrs[k] != was:
+			return fmt.Errorf("core: vertex %q attribute %q: %q, but its instance was configured with %q", uuid, k, attrs[k], was)
+		}
+	}
+	return nil
 }
 
 // Register inserts a pre-built instance (used by tests). Workers and
@@ -66,6 +105,7 @@ func (r *Registry) Instantiate(uuid, typeName string, cfg Config, env *Env) (Mod
 func (r *Registry) Register(uuid string, m Module) {
 	r.mu.Lock()
 	r.set(uuid, m)
+	delete(r.decls, uuid)
 	r.mu.Unlock()
 }
 
@@ -106,6 +146,7 @@ func (r *Registry) Generation(uuid string) int {
 func (r *Registry) Remove(uuid string) {
 	r.mu.Lock()
 	r.set(uuid, nil)
+	delete(r.decls, uuid)
 	delete(r.version, uuid)
 	r.mu.Unlock()
 }

@@ -263,9 +263,7 @@ func (r *Request) Park() bool {
 // Child draws a follow-on request (e.g. a block I/O spawned by a
 // filesystem op) from the request pool; it inherits the parent's routing
 // and clock. The spawner Releases it once it has Absorbed it and holds
-// nothing of it. Release recycles Value through the arena, so a spawner
-// that pointed Value at a buffer other than the child's own ValueH clears
-// it first.
+// nothing of it.
 func (r *Request) Child(op Op) *Request {
 	c := NewRequest(op)
 	c.StackID = r.StackID

@@ -101,11 +101,11 @@ func (c *Compressor) processWrite(e *core.Exec, req *core.Request) error {
 	}
 
 	framed := buf.Bytes()
-	var scratch []byte // arena buffer to release after the downstream write
+	var scratch core.BufHandle // arena frame to release after the downstream write
 	if buf.Len()-frameHeader >= len(orig) {
 		// Incompressible: store raw in an arena scratch frame.
-		framed = core.AcquireBuf(frameHeader + len(orig))
-		scratch = framed
+		scratch = core.AcquireHandle(frameHeader + len(orig))
+		framed = scratch.Bytes()
 		framed[0] = flagRaw
 		binary.BigEndian.PutUint32(framed[1:frameHeader], uint32(len(orig)))
 		copyFrameRaw.Add(copy(framed[frameHeader:], orig))
@@ -133,7 +133,7 @@ func (c *Compressor) processWrite(e *core.Exec, req *core.Request) error {
 	req.Data = orig
 	req.Size = len(orig)
 	req.Buf = origBuf
-	core.ReleaseBuf(scratch)
+	scratch.Release()
 	if err == nil {
 		req.Result = int64(len(orig))
 	}
@@ -145,8 +145,9 @@ func (c *Compressor) processRead(e *core.Exec, req *core.Request) error {
 	dst := req.Data
 	// Read the full frame region downstream into an arena scratch buffer.
 	// The frame is at most header + original size (raw fallback guarantee).
-	frame := core.AcquireBuf(frameHeader + want)
-	defer core.ReleaseBuf(frame)
+	scratch := core.AcquireHandle(frameHeader + want)
+	defer scratch.Release()
+	frame := scratch.Bytes()
 	req.Data = frame
 	req.Size = len(frame)
 	// Detach handles while Data points at the frame scratch — a cache

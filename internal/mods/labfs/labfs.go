@@ -539,8 +539,9 @@ func (f *LabFS) truncateTo(e *core.Exec, req *core.Request, ino *inode, size int
 	// read as zeros (POSIX), not as stale block content.
 	if inBlock := size % bs; inBlock != 0 {
 		if phys, ok := ino.Blocks[size/bs]; ok {
-			blockBuf := core.AcquireBuf(f.blockSize)
-			defer core.ReleaseBuf(blockBuf)
+			scratch := core.AcquireHandle(f.blockSize)
+			defer scratch.Release()
+			blockBuf := scratch.Bytes()
 			rc := req.Child(core.OpBlockRead)
 			rc.Offset = phys * bs
 			rc.Size = f.blockSize
@@ -661,7 +662,7 @@ func (f *LabFS) write(e *core.Exec, req *core.Request) error {
 		child := req.Child(core.OpBlockWrite)
 		child.Clock = base
 		child.Offset = phys * bs
-		var scratch []byte // arena block to release after the write
+		var scratch core.BufHandle // arena block to release after the write
 		if inBlock == 0 && n == f.blockSize {
 			// Full-block write: the payload view flows down unstaged.
 			child.Size = f.blockSize
@@ -671,19 +672,20 @@ func (f *LabFS) write(e *core.Exec, req *core.Request) error {
 			}
 		} else {
 			// Partial block: read-modify-write through an arena scratch block.
-			scratch = core.AcquireBuf(f.blockSize)
+			scratch = core.AcquireHandle(f.blockSize)
+			block := scratch.Bytes()
 			if have {
 				rc := req.Child(core.OpBlockRead)
 				rc.Clock = base
 				rc.Offset = phys * bs
 				rc.Size = f.blockSize
-				rc.Data = scratch
+				rc.Data = block
 				err := e.Next(rc)
 				rc.Data = nil
 				if err != nil {
 					rc.Release()
 					child.Release()
-					core.ReleaseBuf(scratch)
+					scratch.Release()
 					return err
 				}
 				child.Clock = rc.Clock
@@ -692,18 +694,16 @@ func (f *LabFS) write(e *core.Exec, req *core.Request) error {
 			} else {
 				// Fresh block: the unwritten tail must read as zeros, and
 				// arena buffers come back dirty.
-				for i := range scratch {
-					scratch[i] = 0
-				}
+				clear(block)
 			}
-			copyRMWStage.Add(copy(scratch[inBlock:], data[written:written+n]))
+			copyRMWStage.Add(copy(block[inBlock:], data[written:written+n]))
 			child.Size = f.blockSize
-			child.Data = scratch
+			child.Data = block
 		}
 		err := e.Next(child)
 		child.Data = nil
 		child.Buf = core.BufHandle{}
-		core.ReleaseBuf(scratch)
+		scratch.Release()
 		if err == nil {
 			req.Absorb(child)
 		}
@@ -759,7 +759,7 @@ func (f *LabFS) read(e *core.Exec, req *core.Request) error {
 	bs := int64(f.blockSize)
 	base := req.Clock
 	read := int64(0)
-	var blockBuf []byte // bounce scratch, lazily acquired for partial blocks
+	var bounce core.BufHandle // scratch block, lazily acquired for partial blocks
 	for read < want {
 		idx := (req.Offset + read) / bs
 		inBlock := int((req.Offset + read) % bs)
@@ -788,10 +788,10 @@ func (f *LabFS) read(e *core.Exec, req *core.Request) error {
 				child.Buf = dstH.Slice(int(read), int(read+n))
 			}
 		} else {
-			if blockBuf == nil {
-				blockBuf = core.AcquireBuf(f.blockSize)
+			if !bounce.Valid() {
+				bounce = core.AcquireHandle(f.blockSize)
 			}
-			child.Data = blockBuf
+			child.Data = bounce.Bytes()
 		}
 		err := e.Next(child)
 		child.Data = nil
@@ -801,20 +801,16 @@ func (f *LabFS) read(e *core.Exec, req *core.Request) error {
 		}
 		child.Release()
 		if err != nil {
-			if blockBuf != nil {
-				core.ReleaseBuf(blockBuf)
-			}
+			bounce.Release()
 			return err
 		}
 		if !direct {
 			copyReadBounce.Add(int(n))
-			copy(data[read:read+n], blockBuf[inBlock:inBlock+int(n)])
+			copy(data[read:read+n], bounce.Bytes()[inBlock:inBlock+int(n)])
 		}
 		read += n
 	}
-	if blockBuf != nil {
-		core.ReleaseBuf(blockBuf)
-	}
+	bounce.Release()
 	req.Result = read
 	return nil
 }
@@ -878,10 +874,8 @@ func (f *LabFS) scanExec(e *core.Exec, req *core.Request) error {
 				view = child.Data
 			}
 			view = view[:n]
-			// The view outlives the child: keep its handle, and clear
-			// Value so that Release recycles nothing the view reads.
+			// The view outlives the child: keep its handle.
 			h = child.TakeValue()
-			child.Value = nil
 			child.Release()
 		} else {
 			view = make([]byte, n) // hole: zeros

@@ -298,7 +298,7 @@ func (k *LabKVS) put(e *core.Exec, req *core.Request) error {
 		lo := i * k.blockSize
 		hi := lo + k.blockSize
 		child.Size = k.blockSize
-		var staged []byte
+		var staged core.BufHandle
 		if hi <= len(data) {
 			// Full block: pass the payload slice straight down — the
 			// borrowed view goes device-ward with zero staging copies.
@@ -310,20 +310,17 @@ func (k *LabKVS) put(e *core.Exec, req *core.Request) error {
 			// Tail block: stage into a zero-padded scratch block (the
 			// device writes whole blocks; arena buffers come back dirty).
 			hi = len(data)
-			staged = core.AcquireBuf(k.blockSize)
-			n := copy(staged, data[lo:hi])
+			staged = core.AcquireHandle(k.blockSize)
+			block := staged.Bytes()
+			n := copy(block, data[lo:hi])
 			copyStageTail.Add(n)
-			for j := n; j < len(staged); j++ {
-				staged[j] = 0
-			}
-			child.Data = staged
+			clear(block[n:])
+			child.Data = block
 		}
 		err := e.Next(child)
 		child.Data = nil
 		child.Buf = core.BufHandle{}
-		if staged != nil {
-			core.ReleaseBuf(staged)
-		}
+		staged.Release()
 		if err == nil {
 			req.Absorb(child)
 		}
@@ -381,7 +378,7 @@ func (k *LabKVS) get(e *core.Exec, req *core.Request) error {
 	// releases.
 	out := req.CompleteValue(ent.size)
 	base := req.Clock
-	var scratch []byte
+	var scratch core.BufHandle
 	for i, phys := range ent.blocks {
 		child := req.Child(core.OpBlockRead)
 		child.Clock = base
@@ -401,10 +398,10 @@ func (k *LabKVS) get(e *core.Exec, req *core.Request) error {
 		default:
 			// Tail block with no slack (heap-fallback sizes): bounce
 			// through scratch and copy the live prefix.
-			if scratch == nil {
-				scratch = core.AcquireBuf(k.blockSize)
+			if !scratch.Valid() {
+				scratch = core.AcquireHandle(k.blockSize)
 			}
-			child.Data = scratch
+			child.Data = scratch.Bytes()
 		}
 		err := e.Next(child)
 		child.Data = nil
@@ -414,20 +411,16 @@ func (k *LabKVS) get(e *core.Exec, req *core.Request) error {
 		}
 		child.Release()
 		if err != nil {
-			if scratch != nil {
-				core.ReleaseBuf(scratch)
-			}
+			scratch.Release()
 			return err
 		}
-		if scratch != nil && hi > ent.size {
+		if scratch.Valid() && hi > ent.size {
 			hi = ent.size
 			copyGatherTail.Add(hi - lo)
-			copy(out[lo:hi], scratch[:hi-lo])
+			copy(out[lo:hi], scratch.Bytes()[:hi-lo])
 		}
 	}
-	if scratch != nil {
-		core.ReleaseBuf(scratch)
-	}
+	scratch.Release()
 	req.Result = int64(ent.size)
 	k.gets.Add(1)
 	return nil
@@ -583,12 +576,10 @@ func (k *LabKVS) scanExec(e *core.Exec, req *core.Request) error {
 				view = child.Data
 			}
 			chunks = append(chunks, view[:hi-lo])
-			// The chunk outlives the child: keep its handle, and clear
-			// Value so that Release recycles nothing the chunk reads.
+			// The chunk outlives the child: keep its handle.
 			if h := child.TakeValue(); h.Valid() {
 				handles = append(handles, h)
 			}
-			child.Value = nil
 			child.Release()
 		}
 		_, err := ev.Record(ent.key, chunks...)

@@ -45,16 +45,13 @@ var (
 	copyHitOut      = telemetry.CopySite("lru.hit_copy_out")
 	copyFill        = telemetry.CopySite("lru.fill_copy")
 	copyWriteInsert = telemetry.CopySite("lru.write_insert")
-	copyFlushSnap   = telemetry.CopySite("lru.flush_snapshot")
 )
 
-// page is one slot of the table: a cached block. Handle-backed pages
-// (h.Valid()) hold a retained reference into the zero-copy arena; legacy
-// pages own an arena buffer outright. prev and next link the slot into the
-// recency list.
+// page is one slot of the table: a cached block, held as one reference to
+// an arena handle (the zero page holds nothing). prev and next link the
+// slot into the recency list.
 type page struct {
 	off        int64
-	data       []byte
 	h          core.BufHandle
 	dirty      bool
 	prev, next int32
@@ -62,16 +59,6 @@ type page struct {
 
 // noSlot ends the recency list.
 const noSlot = -1
-
-// release returns the page's buffer to wherever it came from. The zero
-// page holds nothing and releases nothing.
-func (p page) release() {
-	if p.h.Valid() {
-		p.h.Release()
-		return
-	}
-	core.ReleaseBuf(p.data)
-}
 
 // Cache is the LRU page-cache module instance.
 type Cache struct {
@@ -153,7 +140,7 @@ func (c *Cache) processRead(e *core.Exec, req *core.Request) error {
 			c.touch(i)
 			p := &c.slots[i]
 			c.hits++
-			if req.Data == nil && p.h.Valid() {
+			if req.Data == nil {
 				// Zero-copy hit: hand the caller a retained view of the
 				// page. The refcount keeps the bytes stable even if the
 				// page is replaced or evicted before the caller releases.
@@ -164,13 +151,10 @@ func (c *Cache) processRead(e *core.Exec, req *core.Request) error {
 				req.Result = int64(c.pageSize)
 				return nil
 			}
-			if req.Data == nil {
-				req.Data = req.CompleteValue(c.pageSize)
-			}
-			// Copy out under the lock: legacy page buffers are recycled
-			// through the arena on eviction/replacement, so p.data must
-			// not be read after the lock is dropped.
-			copy(req.Data, p.data)
+			// Copy out under the lock: a replacement or eviction releases
+			// the page's reference, so its bytes are read only while the
+			// slot holds it.
+			copy(req.Data, p.h.Bytes())
 			c.mu.Unlock()
 			copyHitOut.Add(c.pageSize)
 			req.Charge("cache", e.Model.Copy(req.Size))
@@ -195,8 +179,8 @@ func (c *Cache) processRead(e *core.Exec, req *core.Request) error {
 // insertFill caches the result of a read miss. Handle-backed fills (the
 // request's own result handle, or a destination view cut by a parent
 // request) are retained in place — no copy; a bare destination slice is
-// copied, because its owner may rewrite it the moment the request
-// completes.
+// copied into a page of its own, because its owner may rewrite it the
+// moment the request completes.
 func (c *Cache) insertFill(e *core.Exec, req *core.Request) {
 	var h core.BufHandle
 	switch {
@@ -204,23 +188,20 @@ func (c *Cache) insertFill(e *core.Exec, req *core.Request) {
 		h = req.Buf.Retain()
 	case req.ValueH.Valid() && req.ValueH.Len() == c.pageSize:
 		h = req.ValueH.Retain()
+	default:
+		data := req.Data
+		if data == nil {
+			data = req.Value
+		}
+		if data == nil {
+			return
+		}
+		copyFill.Add(len(data))
+		req.Charge("cache", e.Model.Copy(len(data)))
+		h = core.AcquireHandle(len(data))
+		copy(h.Bytes(), data)
 	}
-	if h.Valid() {
-		c.insertPage(&page{off: req.Offset, data: h.Bytes(), h: h})
-		return
-	}
-	data := req.Data
-	if data == nil {
-		data = req.Value
-	}
-	if data == nil {
-		return
-	}
-	copyFill.Add(len(data))
-	req.Charge("cache", e.Model.Copy(len(data)))
-	cp := core.AcquireBuf(len(data))
-	copy(cp, data)
-	c.insertPage(&page{off: req.Offset, data: cp})
+	c.insertPage(&page{off: req.Offset, h: h})
 }
 
 func (c *Cache) processWrite(e *core.Exec, req *core.Request) error {
@@ -249,7 +230,7 @@ func (c *Cache) processWrite(e *core.Exec, req *core.Request) error {
 		}
 	}
 	if h.Valid() {
-		c.insertPage(&page{off: req.Offset, data: h.Bytes(), h: h, dirty: c.policy == "writeback"})
+		c.insertPage(&page{off: req.Offset, h: h, dirty: c.policy == "writeback"})
 		if c.policy == "writeback" {
 			req.Result = int64(req.Size)
 			return nil // absorbed; flushed on eviction or OpBlockFlush
@@ -263,46 +244,27 @@ func (c *Cache) processFlush(e *core.Exec, req *core.Request) error {
 	if c.policy != "writeback" {
 		return e.Next(req)
 	}
-	// Write back every dirty page downstream. Handle-backed pages are
-	// pinned by retaining them — a concurrent replacement releases its own
-	// reference but cannot recycle ours. Legacy pages are snapshotted by
-	// copy, since their buffer goes straight back to the arena when
-	// replaced.
-	type flushPage struct {
-		off  int64
-		data []byte
-		h    core.BufHandle
-	}
+	// Write back every dirty page downstream. Each is pinned by retaining
+	// it — a concurrent replacement releases its own reference but cannot
+	// recycle ours.
 	c.mu.Lock()
-	dirty := make([]flushPage, 0)
+	var dirty []page
 	for i := range c.slots {
 		if p := &c.slots[i]; p.dirty {
 			p.dirty = false
-			if p.h.Valid() {
-				h := p.h.Retain()
-				dirty = append(dirty, flushPage{off: p.off, data: h.Bytes(), h: h})
-				continue
-			}
-			copyFlushSnap.Add(len(p.data))
-			cp := core.AcquireBuf(len(p.data))
-			copy(cp, p.data)
-			dirty = append(dirty, flushPage{off: p.off, data: cp})
+			dirty = append(dirty, page{off: p.off, h: p.h.Retain()})
 		}
 	}
 	c.mu.Unlock()
 	for _, fp := range dirty {
 		child := req.Child(core.OpBlockWrite)
 		child.Offset = fp.off
-		child.Size = len(fp.data)
-		child.Data = fp.data
+		child.Size = fp.h.Len()
+		child.Data = fp.h.Bytes()
 		err := e.SpawnNext(req, child)
 		child.Data = nil
 		child.Release()
-		if fp.h.Valid() {
-			fp.h.Release()
-		} else {
-			core.ReleaseBuf(fp.data)
-		}
+		fp.h.Release()
 		if err != nil {
 			return err
 		}
@@ -312,19 +274,19 @@ func (c *Cache) processFlush(e *core.Exec, req *core.Request) error {
 
 // insertPage adds/updates a page and evicts the LRU page beyond capacity.
 // Evicted dirty pages are lost unless flushed first — writeback callers
-// must flush; the functional tests cover this contract. The page's buffer
-// is owned by the cache from here on: a retained handle reference, or an
-// arena buffer returned on replacement/eviction.
+// must flush; the functional tests cover this contract. The page's handle
+// reference is owned by the cache from here on, and released on
+// replacement or eviction.
 func (c *Cache) insertPage(np *page) {
 	c.mu.Lock()
 	if i, ok := c.index[np.off]; ok {
 		p := &c.slots[i]
-		old := *p
-		p.data, p.h = np.data, np.h
+		old := p.h
+		p.h = np.h
 		p.dirty = p.dirty || np.dirty
 		c.touch(i)
 		c.mu.Unlock()
-		old.release()
+		old.Release()
 		return
 	}
 	var victim page
@@ -343,7 +305,7 @@ func (c *Cache) insertPage(np *page) {
 	c.pushFront(i)
 	c.index[np.off] = i
 	c.mu.Unlock()
-	victim.release()
+	victim.h.Release()
 }
 
 // unlink takes slot i out of the recency list. Caller holds c.mu.
@@ -410,10 +372,10 @@ func (c *Cache) DirtyPages() int {
 }
 
 // StateUpdate migrates the cached pages from the previous instance (live
-// upgrade keeps the cache warm). Buffer ownership — handle references and
-// arena buffers alike — transfers to the new instance for the capacity
-// most recent pages, in their recency order; a smaller cache releases the
-// rest. The old instance is discarded without releasing.
+// upgrade keeps the cache warm). The page references transfer to the new
+// instance for the capacity most recent pages, in their recency order; a
+// smaller cache releases the rest. The old instance is discarded without
+// releasing.
 func (c *Cache) StateUpdate(prev core.Module) error {
 	old, ok := prev.(*Cache)
 	if !ok {
@@ -426,7 +388,7 @@ func (c *Cache) StateUpdate(prev core.Module) error {
 	for j := old.head; j != noSlot; j = old.slots[j].next {
 		p := old.slots[j]
 		if len(c.slots) == c.capacity {
-			p.release()
+			p.h.Release()
 			continue
 		}
 		// Appending in recency order links each page behind the last.

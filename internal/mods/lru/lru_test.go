@@ -401,19 +401,14 @@ type refCache struct {
 
 type refPage struct {
 	off   int64
-	data  []byte
 	h     core.BufHandle
 	dirty bool
 	elem  *list.Element
 }
 
 func (p *refPage) release() {
-	if p.h.Valid() {
-		p.h.Release()
-		p.h = core.BufHandle{}
-		return
-	}
-	core.ReleaseBuf(p.data)
+	p.h.Release()
+	p.h = core.BufHandle{}
 }
 
 func (c *refCache) Info() core.ModuleInfo {
@@ -463,7 +458,7 @@ func (c *refCache) processRead(e *core.Exec, req *core.Request) error {
 		if p, ok := c.pages[req.Offset]; ok {
 			c.order.MoveToFront(p.elem)
 			c.hits++
-			if req.Data == nil && p.h.Valid() {
+			if req.Data == nil {
 				req.ValueH = p.h.Retain()
 				c.mu.Unlock()
 				req.Value = req.ValueH.Bytes()
@@ -471,10 +466,7 @@ func (c *refCache) processRead(e *core.Exec, req *core.Request) error {
 				req.Result = int64(c.pageSize)
 				return nil
 			}
-			if req.Data == nil {
-				req.Data = req.CompleteValue(c.pageSize)
-			}
-			copy(req.Data, p.data)
+			copy(req.Data, p.h.Bytes())
 			c.mu.Unlock()
 			req.Charge("cache", e.Model.Copy(req.Size))
 			req.Result = int64(c.pageSize)
@@ -503,7 +495,7 @@ func (c *refCache) insertFill(e *core.Exec, req *core.Request) {
 		h = req.ValueH.Retain()
 	}
 	if h.Valid() {
-		c.insertPage(&refPage{off: req.Offset, data: h.Bytes(), h: h})
+		c.insertPage(&refPage{off: req.Offset, h: h})
 		return
 	}
 	data := req.Data
@@ -514,9 +506,9 @@ func (c *refCache) insertFill(e *core.Exec, req *core.Request) {
 		return
 	}
 	req.Charge("cache", e.Model.Copy(len(data)))
-	cp := core.AcquireBuf(len(data))
-	copy(cp, data)
-	c.insertPage(&refPage{off: req.Offset, data: cp})
+	h = core.AcquireHandle(len(data))
+	copy(h.Bytes(), data)
+	c.insertPage(&refPage{off: req.Offset, h: h})
 }
 
 func (c *refCache) processWrite(e *core.Exec, req *core.Request) error {
@@ -537,7 +529,7 @@ func (c *refCache) processWrite(e *core.Exec, req *core.Request) error {
 		}
 	}
 	if h.Valid() {
-		c.insertPage(&refPage{off: req.Offset, data: h.Bytes(), h: h, dirty: c.policy == "writeback"})
+		c.insertPage(&refPage{off: req.Offset, h: h, dirty: c.policy == "writeback"})
 		if c.policy == "writeback" {
 			req.Result = int64(req.Size)
 			return nil
@@ -551,39 +543,23 @@ func (c *refCache) processFlush(e *core.Exec, req *core.Request) error {
 	if c.policy != "writeback" {
 		return e.Next(req)
 	}
-	type flushPage struct {
-		off  int64
-		data []byte
-		h    core.BufHandle
-	}
 	c.mu.Lock()
-	dirty := make([]flushPage, 0)
+	var dirty []refPage
 	for _, p := range c.pages {
 		if p.dirty {
 			p.dirty = false
-			if p.h.Valid() {
-				h := p.h.Retain()
-				dirty = append(dirty, flushPage{off: p.off, data: h.Bytes(), h: h})
-				continue
-			}
-			cp := core.AcquireBuf(len(p.data))
-			copy(cp, p.data)
-			dirty = append(dirty, flushPage{off: p.off, data: cp})
+			dirty = append(dirty, refPage{off: p.off, h: p.h.Retain()})
 		}
 	}
 	c.mu.Unlock()
 	for _, fp := range dirty {
 		child := req.Child(core.OpBlockWrite)
 		child.Offset = fp.off
-		child.Size = len(fp.data)
-		child.Data = fp.data
+		child.Size = fp.h.Len()
+		child.Data = fp.h.Bytes()
 		err := e.SpawnNext(req, child)
 		child.Data = nil
-		if fp.h.Valid() {
-			fp.h.Release()
-		} else {
-			core.ReleaseBuf(fp.data)
-		}
+		fp.h.Release()
 		if err != nil {
 			return err
 		}
@@ -595,7 +571,7 @@ func (c *refCache) insertPage(np *refPage) {
 	c.mu.Lock()
 	if p, ok := c.pages[np.off]; ok {
 		old := *p
-		p.data, p.h = np.data, np.h
+		p.h = np.h
 		p.dirty = p.dirty || np.dirty
 		c.order.MoveToFront(p.elem)
 		c.mu.Unlock()

@@ -2,6 +2,7 @@ package runtime_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -429,5 +430,39 @@ mods:
       device: dev0
 `); err == nil {
 		t.Fatal("generickvs -> labfs composition validated")
+	}
+}
+
+// TestMountRefusesRedefinedVertex: a vertex UUID names one registry
+// instance for the runtime's life, across unmounts. A later stack may name
+// it again and leave its attributes out, but not give one another value:
+// the shared instance would run on the first value without a word.
+func TestMountRefusesRedefinedVertex(t *testing.T) {
+	rt := runtime.New(runtime.Options{MaxWorkers: 1})
+	rt.AddDevice(device.New("nvme0", device.NVMe, 32<<20))
+	spec := func(mount, attrs string) string {
+		return "mount: " + mount + "\nmods:\n  - uuid: m\n    type: labstor.lru\n" + attrs +
+			"  - uuid: drv\n    type: labstor.kernel_driver\n    attrs:\n      device: nvme0\n"
+	}
+	if _, err := rt.MountSpec(spec("blk::/a", "    attrs:\n      capacity_mb: 8\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Unmount("blk::/a"); err != nil {
+		t.Fatal(err)
+	}
+	_, err := rt.MountSpec(spec("blk::/b", "    attrs:\n      capacity_mb: 16\n"))
+	if err == nil || !strings.Contains(err.Error(), `vertex "m"`) || !strings.Contains(err.Error(), `"capacity_mb"`) {
+		t.Fatalf("redefined capacity_mb: err = %v, want one naming vertex m and capacity_mb", err)
+	}
+	if _, err := rt.MountSpec(strings.Replace(spec("blk::/c", ""), "labstor.lru", "labstor.noop", 1)); err == nil || !strings.Contains(err.Error(), `vertex "m" is a labstor.lru instance`) {
+		t.Fatalf("redefined type: err = %v, want one naming vertex m", err)
+	}
+	for mount, attrs := range map[string]string{
+		"blk::/d": "    attrs:\n      capacity_mb: 8\n", // the same value
+		"blk::/e": "",                                   // left out
+	} {
+		if _, err := rt.MountSpec(spec(mount, attrs)); err != nil {
+			t.Fatalf("%s: %v", mount, err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -42,7 +43,9 @@ func ParseStack(src string) (*StackSpec, error) {
 	return StackFromNode(root)
 }
 
-// StackFromNode converts a parsed document into a StackSpec.
+// StackFromNode converts a parsed document into a StackSpec. It fails on
+// a value that does not parse and on a key nothing reads; the keys under
+// a mod's attrs are that mod's to check.
 func StackFromNode(root *Node) (*StackSpec, error) {
 	s := &StackSpec{}
 	s.Mount = root.Str("mount", "")
@@ -50,6 +53,10 @@ func StackFromNode(root *Node) (*StackSpec, error) {
 		return nil, fmt.Errorf("spec: stack is missing 'mount'")
 	}
 	rules := root.Get("rules")
+	if rules.IsScalar() && rules.Scalar() != "" || rules.IsList() {
+		// The subset has no flow mappings: "{exec_mode: sync}" is a scalar.
+		return nil, errors.New(`spec: stack key "rules" is not a mapping`)
+	}
 	if rules != nil {
 		switch strings.ToLower(rules.Str("exec_mode", "async")) {
 		case "sync", "synchronous":
@@ -100,6 +107,9 @@ func StackFromNode(root *Node) (*StackSpec, error) {
 	}
 	if err := root.invalid("stack"); err != nil {
 		return nil, err
+	}
+	if k := root.unread(); k != "" {
+		return nil, fmt.Errorf("spec: unknown stack key %q", strings.TrimPrefix(k, "."))
 	}
 	return s, nil
 }

@@ -365,6 +365,27 @@ func TestParseRejectsUnparsedValues(t *testing.T) {
 	}
 }
 
+// TestParseStackRejectsUnknownKeys: a stack file fails on a key no
+// accessor reads, as a runtime config does, naming its path. Keys under
+// attrs are each mod's and count as read.
+func TestParseStackRejectsUnknownKeys(t *testing.T) {
+	const mods = "mods:\n  - uuid: a\n    type: t\n"
+	for _, tc := range []struct{ doc, want string }{
+		{"mount: kv::/a\nrules:\n  exec_mod: sync\n" + mods, `spec: unknown stack key "rules.exec_mod"`},
+		{"mount: kv::/a\nrules: {exec_mode: sync}\n" + mods, `spec: stack key "rules" is not a mapping`},
+		{"mount: kv::/a\nrule:\n  exec_mode: sync\n" + mods, `spec: unknown stack key "rule"`},
+		{"mount: kv::/a\n" + mods + "    output: [b]\n", `spec: unknown stack key "mods[0].output"`},
+	} {
+		if err := stackErr(tc.doc); err == nil || err.Error() != tc.want {
+			t.Errorf("%q: err = %v, want %s", tc.doc, err, tc.want)
+		}
+	}
+	ss, err := ParseStack("mount: kv::/a\nrules:\n  exec_mode: sync\n" + mods + "    attrs:\n      capacity_mb: 8\n      lgo_mb: 4\n")
+	if err != nil || ss.Vertices[0].Attrs["lgo_mb"] != "4" {
+		t.Fatalf("attrs are each mod's to read: %v, %+v", err, ss)
+	}
+}
+
 func runtimeErr(src string) error { _, err := ParseRuntimeConfig(src); return err }
 func stackErr(src string) error   { _, err := ParseStack(src); return err }
 

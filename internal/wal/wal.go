@@ -89,7 +89,7 @@ func (l *Log) Append(e *core.Exec, parent *core.Request, rec []byte, snap Snapsh
 	if blockHeader+n > l.blockSize {
 		return fmt.Errorf("wal: %d-byte record does not fit a %d-byte block", len(rec), l.blockSize)
 	}
-	var img []byte
+	var img core.BufHandle
 	var at int64
 	var ver uint64
 	l.mu.Lock()
@@ -112,7 +112,7 @@ func (l *Log) Append(e *core.Exec, parent *core.Request, rec []byte, snap Snapsh
 	}
 	l.mu.Unlock()
 
-	if img != nil {
+	if img.Valid() {
 		if err := l.writeVersioned(e, parent, at, ver, img); err != nil {
 			return err
 		}
@@ -166,14 +166,15 @@ func (l *Log) checkpoint(e *core.Exec, parent *core.Request, snap Snapshot) erro
 
 // detach returns a versioned, zero-padded arena image of the block being
 // filled. Callers hold mu.
-func (l *Log) detach() (img []byte, at int64, ver uint64) {
-	img = core.AcquireBuf(l.blockSize)
-	binary.LittleEndian.PutUint32(img, l.lap)
-	n := copy(img[blockHeader:], l.buf)
+func (l *Log) detach() (img core.BufHandle, at int64, ver uint64) {
+	img = core.AcquireHandle(l.blockSize)
+	b := img.Bytes()
+	binary.LittleEndian.PutUint32(b, l.lap)
+	n := copy(b[blockHeader:], l.buf)
 	l.pad.Add(n)
 	// Arena buffers come back dirty, and the padding is what ends a block's
 	// records on replay.
-	clear(img[blockHeader+n:])
+	clear(b[blockHeader+n:])
 	l.wver++
 	l.dirty = false
 	return img, l.head, l.wver
@@ -183,8 +184,8 @@ func (l *Log) detach() (img []byte, at int64, ver uint64) {
 // of the same block has been written already, and returns it to the arena.
 // Log blocks are read back only by replay, so they go DirectIO: a cache
 // below takes no page and no copy for them.
-func (l *Log) writeVersioned(e *core.Exec, parent *core.Request, blockNo int64, ver uint64, img []byte) error {
-	defer core.ReleaseBuf(img)
+func (l *Log) writeVersioned(e *core.Exec, parent *core.Request, blockNo int64, ver uint64, img core.BufHandle) error {
+	defer img.Release()
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
 	if l.written[blockNo] >= ver {
@@ -193,7 +194,7 @@ func (l *Log) writeVersioned(e *core.Exec, parent *core.Request, blockNo int64, 
 	child := parent.Child(core.OpBlockWrite)
 	child.Offset = blockNo * int64(l.blockSize)
 	child.Size = l.blockSize
-	child.Data = img
+	child.Data = img.Bytes()
 	child.DirectIO = true
 	err := e.SpawnNext(parent, child)
 	child.Data = nil // img goes back to the arena; drop the alias
@@ -211,8 +212,9 @@ func (l *Log) writeVersioned(e *core.Exec, parent *core.Request, blockNo int64, 
 // resume right after the last record applied: the next Flush rewrites a
 // torn remainder and never a valid record.
 func (l *Log) Replay(e *core.Exec, parent *core.Request, apply func(rec []byte) error) error {
-	blk := core.AcquireBuf(l.blockSize)
-	defer core.ReleaseBuf(blk)
+	h := core.AcquireHandle(l.blockSize)
+	defer h.Release()
+	blk := h.Bytes()
 	var lap uint32
 	var head int64
 	var tail []byte // records of block head, up to the stop

@@ -170,15 +170,14 @@ func (s *Session) do(path string, op core.Op, build func(*core.Request)) (reply,
 	// handle the request holds alone is taken and dropped, so its bytes
 	// never re-enter an arena. A handle shared with a cache (a page view)
 	// is copied out once and released: the cache still serves those bytes.
-	// A Value without a handle (a mod's own slice) is detached before
-	// Release recycles whatever the request still holds.
+	// A Value without a handle (a mod's own slice) is the caller's as it
+	// is: Release never recycles it.
 	if h := req.TakeValue(); h.Valid() && !h.Sole() {
 		// Clone does not zero the bytes it is about to overwrite.
 		out.Value = bytes.Clone(h.Bytes())
 		copyValueOut.Add(len(out.Value))
 		h.Release()
 	}
-	req.Value = nil
 	req.Release()
 	return out, err
 }

@@ -38,12 +38,14 @@
 #      Its failures are rare per run, so the single pass in step 1 misses
 #      them. 200 runs take ~4 s on a 2-core host.
 #   8. debug handles: core, serve, LabKVS, LabFS, the write-ahead log, the
-#      LRU and the facade again with -tags labstor_debug, so released
-#      buffers are poisoned and a stale or twice-released BufHandle panics
-#      — a cached get's value is a view of the cache page, the serve plane
-#      writes it in place and releases it only after the socket write, the
-#      facade copies it, and LabFS, the log and LabKVS release their pooled
-#      block children (and the results those hold) once absorbed.
+#      LRU, compressmod, readahead, pushdown and the facade again with
+#      -tags labstor_debug, so released buffers are poisoned and a stale or
+#      twice-released BufHandle panics — a cached get's value is a view of
+#      the cache page, the serve plane writes it in place and releases it
+#      only after the socket write, the facade copies it, LabFS, the log
+#      and LabKVS release their pooled block children (and the results
+#      those hold) once absorbed, and every scratch block (compressmod's
+#      frames, readahead's prefetches, the mods' staging) is a handle.
 #   9. bench smoke: every benchmark once, then BenchmarkClientCallNop with
 #      -benchmem so the client round trip's ns/op and allocs/op are in the
 #      log.
@@ -123,8 +125,8 @@ go test -race -count=3 -cpu 1,2,8 -run 'TestControlPlane|TestWalkersPinTheirPlan
 echo "== chaos: go test -count=200 -run TestChaosMixedLoadWithUpgradesAndCrash ./internal/runtime =="
 go test -count=200 -run TestChaosMixedLoadWithUpgradesAndCrash ./internal/runtime
 
-echo "== debug handles: go test -tags labstor_debug ./internal/core/... ./internal/serve/... ./internal/mods/labkvs ./internal/mods/labfs ./internal/wal ./internal/mods/lru . =="
-go test -tags labstor_debug ./internal/core/... ./internal/serve/... ./internal/mods/labkvs ./internal/mods/labfs ./internal/wal ./internal/mods/lru .
+echo "== debug handles: go test -tags labstor_debug ./internal/core/... ./internal/serve/... ./internal/mods/labkvs ./internal/mods/labfs ./internal/wal ./internal/mods/lru ./internal/mods/compressmod ./internal/mods/readahead ./internal/mods/pushdown . =="
+go test -tags labstor_debug ./internal/core/... ./internal/serve/... ./internal/mods/labkvs ./internal/mods/labfs ./internal/wal ./internal/mods/lru ./internal/mods/compressmod ./internal/mods/readahead ./internal/mods/pushdown .
 
 echo "== bench smoke: go test -bench=. -benchtime=1x -run '^$' ./... =="
 go test -bench=. -benchtime=1x -run '^$' ./...
