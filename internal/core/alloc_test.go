@@ -5,6 +5,8 @@ package core
 import (
 	"runtime"
 	"testing"
+
+	"labstor/internal/arena"
 )
 
 // Allocation contracts of the request lifecycle. Not built under the race
@@ -42,8 +44,8 @@ func TestRequestAllocContracts(t *testing.T) {
 // class allocates nothing once the class's pool holds a header — the pool
 // keeps the header with its bytes, and a pointer needs no boxing.
 func TestArenaRoundTripAllocs(t *testing.T) {
-	for c := 0; c < arenaClasses; c++ {
-		size := 1 << (arenaMinBits + c)
+	for bits := arena.MinClassBits; bits <= arena.MaxClassBits; bits++ {
+		size := 1 << bits
 		AcquireHandle(size).Release() // prime the class
 		if n := testing.AllocsPerRun(100, func() { AcquireHandle(size).Release() }); n != 0 {
 			t.Errorf("AcquireHandle(%d)+Release allocates %v objects, want 0", size, n)

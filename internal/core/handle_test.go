@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"labstor/internal/arena"
 )
 
 func TestBufHandleLifecycle(t *testing.T) {
@@ -110,7 +112,7 @@ func TestBufHandleReleasePoisonsInDebug(t *testing.T) {
 	b := h.Bytes()
 	b[0] = 0x7F
 	h.Release()
-	if b[0] != poisonByte {
+	if b[0] != arena.PoisonByte {
 		t.Fatalf("released buffer not poisoned: [0]=%#x", b[0])
 	}
 }
@@ -145,8 +147,8 @@ func TestBufArenaSizeClasses(t *testing.T) {
 	}
 	for _, c := range cases {
 		h := AcquireHandle(c.n)
-		if h.Len() != c.n || len(h.Bytes()) != c.n || len(h.h.data) != c.wantCap {
-			t.Fatalf("AcquireHandle(%d): len=%d class=%d, want len=%d class=%d", c.n, h.Len(), len(h.h.data), c.n, c.wantCap)
+		if h.Len() != c.n || len(h.Bytes()) != c.n || cap(h.Backing()) != c.wantCap {
+			t.Fatalf("AcquireHandle(%d): len=%d class=%d, want len=%d class=%d", c.n, h.Len(), cap(h.Backing()), c.n, c.wantCap)
 		}
 		h.Release()
 	}

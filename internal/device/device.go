@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"labstor/internal/arena"
 	"labstor/internal/vtime"
 )
 
@@ -178,6 +179,7 @@ func NewWithProfile(name string, p Profile, capacity int64) *Device {
 		server:  vtime.NewServer(p.Parallelism),
 		hctx:    make([]*vtime.Lock, p.HardwareQueues),
 	}
+	d.store.name = name
 	for i := range d.hctx {
 		d.hctx[i] = &vtime.Lock{}
 	}
@@ -245,31 +247,11 @@ func (d *Device) ServiceTime(op Op, off int64, n int) vtime.Duration {
 // Submit performs the data movement for one command and models its service:
 // it returns the virtual (start, completion) interval for a command arriving
 // at the device at time arrival. The buffer is read from or written to the
-// backing store synchronously (functionally the I/O always happens).
+// backing store synchronously (functionally the I/O always happens), and
+// copied: this is the CPU load/store path that DAX models. The command is
+// served by the device's internal parallelism, with no hardware queue.
 func (d *Device) Submit(op Op, off int64, buf []byte, arrival vtime.Time) (vtime.Time, vtime.Time, error) {
-	var err error
-	if op == Read {
-		_, err = d.store.ReadAt(buf, off)
-	} else {
-		_, err = d.store.WriteAt(buf, off)
-	}
-	if err != nil {
-		return arrival, arrival, err
-	}
-	svc := d.ServiceTime(op, off, len(buf))
-	start, end := d.server.Serve(arrival, svc)
-
-	d.statsMu.Lock()
-	if op == Read {
-		d.reads++
-		d.bytesRead += int64(len(buf))
-	} else {
-		d.writes++
-		d.bytesWrote += int64(len(buf))
-	}
-	d.busy += svc
-	d.statsMu.Unlock()
-	return start, end, nil
+	return d.transfer(-1, op, off, buf, arrival)
 }
 
 // SubmitToQueue performs the data movement for one command issued to a
@@ -277,14 +259,50 @@ func (d *Device) Submit(op Op, off int64, buf []byte, arrival vtime.Time) (vtime
 // serviced FIFO — one outstanding command at a time — which is what makes
 // head-of-line blocking visible when large and small I/Os share a queue
 // (the effect the blk-switch scheduler experiment measures). Commands on
-// different hctxs proceed in parallel.
+// different hctxs proceed in parallel. buf is a bare slice, so the store
+// copies it; WriteBuf and ReadBuf are the by-reference commands.
 func (d *Device) SubmitToQueue(hctx int, op Op, off int64, buf []byte, arrival vtime.Time) (vtime.Time, vtime.Time, error) {
-	if hctx < 0 || hctx >= len(d.hctx) {
-		hctx = hctx % len(d.hctx)
-		if hctx < 0 {
-			hctx += len(d.hctx)
-		}
+	return d.transfer(d.queue(hctx), op, off, buf, arrival)
+}
+
+// WriteBuf is SubmitToQueue's write by reference: the store keeps views of
+// h's blocks (SparseStore.Adopt) instead of copying them, as a DMA engine
+// reads a registered buffer without the host CPU. The caller keeps its
+// reference, and h's bytes must not change from here on.
+func (d *Device) WriteBuf(hctx int, off int64, h arena.Handle, arrival vtime.Time) (vtime.Time, vtime.Time, error) {
+	if _, err := d.store.Adopt(h, off); err != nil {
+		return arrival, arrival, err
 	}
+	start, end := d.serve(d.queue(hctx), Write, off, h.Len(), arrival)
+	return start, end, nil
+}
+
+// ReadBuf is SubmitToQueue's read with no destination: it returns the n
+// bytes at off as an owned handle, a retained view of the stored block
+// when the range lies in one (SparseStore.ReadHandle). The holder reads
+// the bytes and never writes them, and releases the handle.
+func (d *Device) ReadBuf(hctx int, off int64, n int, arrival vtime.Time) (arena.Handle, vtime.Time, vtime.Time, error) {
+	h, err := d.store.ReadHandle(off, n)
+	if err != nil {
+		return h, arrival, arrival, err
+	}
+	start, end := d.serve(d.queue(hctx), Read, off, n, arrival)
+	return h, start, end, nil
+}
+
+// queue maps any hctx number onto a hardware queue, wrapping modulo the
+// queue count.
+func (d *Device) queue(hctx int) int {
+	hctx %= len(d.hctx)
+	if hctx < 0 {
+		hctx += len(d.hctx)
+	}
+	return hctx
+}
+
+// transfer copies buf to or from the store and serves the command on
+// hardware queue hctx, or on the device's parallel server if hctx < 0.
+func (d *Device) transfer(hctx int, op Op, off int64, buf []byte, arrival vtime.Time) (vtime.Time, vtime.Time, error) {
 	var err error
 	if op == Read {
 		_, err = d.store.ReadAt(buf, off)
@@ -294,21 +312,32 @@ func (d *Device) SubmitToQueue(hctx int, op Op, off int64, buf []byte, arrival v
 	if err != nil {
 		return arrival, arrival, err
 	}
-	svc := d.ServiceTime(op, off, len(buf))
-	end := d.hctx[hctx].Acquire(arrival, svc)
-	start := end.Add(-svc)
+	start, end := d.serve(hctx, op, off, len(buf), arrival)
+	return start, end, nil
+}
 
+// serve models one command of n bytes whose data has moved: its service
+// interval, FIFO on hardware queue hctx or on the parallel server if
+// hctx < 0, and the cumulative stats.
+func (d *Device) serve(hctx int, op Op, off int64, n int, arrival vtime.Time) (start, end vtime.Time) {
+	svc := d.ServiceTime(op, off, n)
+	if hctx < 0 {
+		start, end = d.server.Serve(arrival, svc)
+	} else {
+		end = d.hctx[hctx].Acquire(arrival, svc)
+		start = end.Add(-svc)
+	}
 	d.statsMu.Lock()
 	if op == Read {
 		d.reads++
-		d.bytesRead += int64(len(buf))
+		d.bytesRead += int64(n)
 	} else {
 		d.writes++
-		d.bytesWrote += int64(len(buf))
+		d.bytesWrote += int64(n)
 	}
 	d.busy += svc
 	d.statsMu.Unlock()
-	return start, end, nil
+	return start, end
 }
 
 // QueueHorizon returns the virtual time at which the given hardware queue

@@ -64,7 +64,7 @@ func TestSparseStoreStripedDisjointWriters(t *testing.T) {
 // TestSparseStoreConcurrentStress hammers one store with a mixed
 // ReadAt/WriteAt/Trim workload from many goroutines (run under the race
 // detector by scripts/check.sh), then checks the atomic materialized
-// counter agrees with the chunks actually resident.
+// counter agrees with the blocks actually resident.
 func TestSparseStoreConcurrentStress(t *testing.T) {
 	const capacity = int64(8 << 20)
 	for _, stripes := range []int{1, 8} {
@@ -103,10 +103,16 @@ func TestSparseStoreConcurrentStress(t *testing.T) {
 
 		var resident int64
 		for i := range s.stripes {
-			resident += int64(len(s.stripes[i].chunks))
+			for _, c := range s.stripes[i].chunks {
+				for _, b := range c.blocks {
+					if b.Valid() {
+						resident++
+					}
+				}
+			}
 		}
-		if got := s.Materialized(); got != resident*chunkSize {
-			t.Fatalf("stripes=%d: Materialized()=%d, resident chunks say %d", stripes, got, resident*chunkSize)
+		if got := s.Materialized(); got != resident*blockSize {
+			t.Fatalf("stripes=%d: Materialized()=%d, resident blocks say %d", stripes, got, resident*blockSize)
 		}
 	}
 }

@@ -13,7 +13,10 @@
 //
 // All three are functional (bytes land on the simulated device and read
 // back) and charge their calibrated software cost in virtual time, which is
-// what produces the Fig. 6 storage-API ladder.
+// what produces the Fig. 6 storage-API ladder. KernelDriver and SPDK DMA by
+// reference: the device keeps a write's buffer handle and answers a read
+// with no destination with a view of its stored block. DAX keeps its CPU
+// memcpy, because that is what it models.
 package driver
 
 import (
@@ -21,6 +24,7 @@ import (
 
 	"labstor/internal/core"
 	"labstor/internal/device"
+	"labstor/internal/vtime"
 )
 
 // Type names registered with the core module factory.
@@ -54,6 +58,36 @@ func opOf(req *core.Request) (device.Op, error) {
 	default:
 		return device.Read, fmt.Errorf("driver: %w: %s", core.ErrNotSupported, req.Op)
 	}
+}
+
+// queueIO moves a block request through hardware queue req.Hctx by
+// reference where the request allows it, as a DMA engine moves a
+// registered buffer without the host CPU (DESIGN.md §13): a write whose
+// Buf is the handle behind Data is stored by Retain, and a read with no
+// destination is answered with a retained view of the stored block. A
+// bare Data slice is borrowed, so the device copies it.
+func queueIO(dev *device.Device, req *core.Request, op device.Op) error {
+	var end vtime.Time
+	var err error
+	n := len(req.Data)
+	switch {
+	case op == device.Read && req.Data == nil:
+		var h core.BufHandle
+		h, _, end, err = dev.ReadBuf(req.Hctx, req.Offset, req.Size, req.Clock)
+		if err == nil {
+			n = len(req.SetValue(h))
+		}
+	case op == device.Write && req.Buf.Valid() && req.Buf.Len() == n:
+		_, end, err = dev.WriteBuf(req.Hctx, req.Offset, req.Buf, req.Clock)
+	default:
+		_, end, err = dev.SubmitToQueue(req.Hctx, op, req.Offset, req.Data, req.Clock)
+	}
+	if err != nil {
+		return err
+	}
+	req.ChargeIO("io", end)
+	req.Result = int64(n)
+	return nil
 }
 
 // KernelDriver is the MQ kernel driver LabMod.
@@ -97,19 +131,7 @@ func (d *KernelDriver) Process(e *core.Exec, req *core.Request) error {
 	}
 	// Kernel request structure allocation + doorbell through the KO manager.
 	req.Charge("driver", e.Model.KernelDriverSubmit)
-	buf := req.Data
-	if op == device.Read && buf == nil {
-		// Arena-backed result buffer: recycled when the caller Releases the
-		// request (the device read below fills it fully).
-		buf = req.CompleteValue(req.Size)
-	}
-	_, end, err := d.dev.SubmitToQueue(req.Hctx, op, req.Offset, buf, req.Clock)
-	if err != nil {
-		return err
-	}
-	req.ChargeIO("io", end)
-	req.Result = int64(len(buf))
-	return nil
+	return queueIO(d.dev, req, op)
 }
 
 // StateRepair revalidates the device binding.
@@ -162,19 +184,7 @@ func (d *SPDK) Process(e *core.Exec, req *core.Request) error {
 		return err
 	}
 	req.Charge("driver", e.Model.SPDKSubmit)
-	buf := req.Data
-	if op == device.Read && buf == nil {
-		// Arena-backed result buffer: recycled when the caller Releases the
-		// request (the device read below fills it fully).
-		buf = req.CompleteValue(req.Size)
-	}
-	_, end, err := d.dev.SubmitToQueue(req.Hctx, op, req.Offset, buf, req.Clock)
-	if err != nil {
-		return err
-	}
-	req.ChargeIO("io", end)
-	req.Result = int64(len(buf))
-	return nil
+	return queueIO(d.dev, req, op)
 }
 
 // StateRepair revalidates the device binding.

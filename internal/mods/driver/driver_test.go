@@ -8,6 +8,7 @@ import (
 	"labstor/internal/device"
 	"labstor/internal/mods/driver"
 	"labstor/internal/mods/modtest"
+	"labstor/internal/telemetry"
 )
 
 func TestKernelDriverRoundTrip(t *testing.T) {
@@ -217,5 +218,76 @@ func TestDriverStateRepair(t *testing.T) {
 	m, _ := h.Registry.Get("drv")
 	if err := m.StateRepair(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// dmaCopies returns the device's copy counts so far.
+func dmaCopies() (write, read int64) {
+	for _, s := range telemetry.CopySiteStats() {
+		switch s.Site {
+		case "device.dma_write":
+			write = s.Count
+		case "device.dma_read":
+			read = s.Count
+		}
+	}
+	return write, read
+}
+
+// TestDriverDMAByReference: the kernel driver and SPDK store a write whose
+// Buf is the handle behind Data by reference, and answer a block read
+// with no destination with a retained view of the stored block: neither
+// copies. A bare Data slice is still copied in and out, and so is
+// everything DAX moves, because a CPU memcpy is what DAX models.
+func TestDriverDMAByReference(t *testing.T) {
+	for _, c := range []struct {
+		typ   string
+		class device.Class
+		byRef bool
+	}{
+		{driver.KernelDriverType, device.NVMe, true},
+		{driver.SPDKType, device.NVMe, true},
+		{driver.DAXType, device.PMEM, false},
+	} {
+		t.Run(c.typ, func(t *testing.T) {
+			h := modtest.New(t, c.class, 64<<20)
+			s := h.Mount(t, "blk::/d", modtest.ChainVertex{UUID: "drv", Type: c.typ, Attrs: map[string]string{"device": "dev0"}})
+			payload := core.AcquireHandle(8192)
+			for i, b := 0, payload.Bytes(); i < len(b); i++ {
+				b[i] = byte(i * 13)
+			}
+			w := core.NewRequest(core.OpBlockWrite)
+			w.Offset, w.Size = 4096, 8192
+			w.SetPayload(payload)
+			w0, r0 := dmaCopies()
+			if err := h.Run(t, s, w); err != nil || w.Result != 8192 {
+				t.Fatalf("write: result %d, %v", w.Result, err)
+			}
+			r := core.NewRequest(core.OpBlockRead) // no destination
+			r.Offset, r.Size = 8192, 4096
+			if err := h.Run(t, s, r); err != nil || r.Result != 4096 {
+				t.Fatalf("read: result %d, %v", r.Result, err)
+			}
+			if !bytes.Equal(r.Value, payload.Bytes()[4096:]) {
+				t.Fatal("read back other bytes than the write stored")
+			}
+			w1, r1 := dmaCopies()
+			if want := map[bool]int64{true: 0, false: 1}[c.byRef]; w1-w0 != want || r1-r0 != want {
+				t.Fatalf("handle write and destination-less read made %d dma_write and %d dma_read, want %d each", w1-w0, r1-r0, want)
+			}
+			if c.byRef && (&r.Value[0] != &payload.Bytes()[4096] || r.ValueH.Sole()) {
+				t.Fatal("the read must be a view of the stored payload, shared with the device")
+			}
+			r.Release()
+			payload.Release()
+
+			bare := bytes.Repeat([]byte{0x6B}, 4096)
+			h.Run(t, s, modtest.BlockWriteReq(0, bare))
+			rb := modtest.BlockReadReq(0, 4096)
+			h.Run(t, s, rb)
+			if w2, r2 := dmaCopies(); w2-w1 != 1 || r2-r1 != 1 || !bytes.Equal(rb.Data, bare) {
+				t.Fatalf("bare slices: %d dma_write and %d dma_read, want 1 each", w2-w1, r2-r1)
+			}
+		})
 	}
 }

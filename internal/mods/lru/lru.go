@@ -10,14 +10,18 @@
 // of the page. LabKVS reads every one-block value that way, so a cached
 // get's value is the page itself, shared by the cache and the request
 // until the request is released: holders read it and never write it, and
-// the serve plane writes it to the socket in place. The only remaining
-// read-path copies are hit-into-caller-buffer (the caller chose its
-// destination: multi-block gets, LabFS reads) and fills into a bare
-// slice. A page-sized write payload handle (a put over the wire) becomes
-// the page by reference; a bare payload slice may be rewritten the moment
-// the request completes, so it is copied, but into a handle-backed page,
-// so later reads (and pushdown scans) of written data get zero-copy
-// handouts either way.
+// the serve plane writes it to the socket in place. A miss into a bare
+// destination slice reads the block with no destination, so the page is
+// the device's stored block by reference, and copies it once into the
+// destination. The only read-path copies are those into a caller's
+// destination: hits (multi-block gets, LabFS reads) and such fills. A
+// page-sized write payload handle (a put over the wire) becomes the page
+// by reference; a bare payload slice may be rewritten the moment the
+// request completes, so it is copied, but into a handle-backed page, so
+// later reads (and pushdown scans) of written data get zero-copy handouts
+// either way. A write-through hands the page down as the write's Buf, and
+// a flush hands down each dirty page, so a device that DMAs by reference
+// keeps the page itself and copies nothing.
 //
 // The pages live in a slot table: a []page that grows to the capacity
 // and then never again. The recency list links slots by int32 index and a
@@ -27,6 +31,7 @@
 package lru
 
 import (
+	"fmt"
 	"sync"
 
 	"labstor/internal/core"
@@ -163,10 +168,13 @@ func (c *Cache) processRead(e *core.Exec, req *core.Request) error {
 		}
 		c.misses++
 		c.mu.Unlock()
+		if req.Data != nil && !req.Buf.Valid() {
+			return c.fillByRef(e, req)
+		}
 		if err := e.Next(req); err != nil {
 			return err
 		}
-		c.insertFill(e, req)
+		c.insertFill(req)
 		return nil
 	}
 	// Unaligned access: bypass the cache.
@@ -176,32 +184,42 @@ func (c *Cache) processRead(e *core.Exec, req *core.Request) error {
 	return e.Next(req)
 }
 
-// insertFill caches the result of a read miss. Handle-backed fills (the
-// request's own result handle, or a destination view cut by a parent
-// request) are retained in place — no copy; a bare destination slice is
-// copied into a page of its own, because its owner may rewrite it the
-// moment the request completes.
-func (c *Cache) insertFill(e *core.Exec, req *core.Request) {
-	var h core.BufHandle
-	switch {
-	case req.Buf.Valid() && req.Buf.Len() == c.pageSize:
-		h = req.Buf.Retain()
-	case req.ValueH.Valid() && req.ValueH.Len() == c.pageSize:
-		h = req.ValueH.Retain()
-	default:
-		data := req.Data
-		if data == nil {
-			data = req.Value
-		}
-		if data == nil {
-			return
-		}
-		copyFill.Add(len(data))
-		req.Charge("cache", e.Model.Copy(len(data)))
-		h = core.AcquireHandle(len(data))
-		copy(h.Bytes(), data)
+// fillByRef serves a miss into a bare destination slice. The block is read
+// with no destination, so a driver that DMAs by reference answers with a
+// retained view of its stored block; the page keeps that handle, and the
+// one copy is into the caller's slice (lru.fill_copy).
+func (c *Cache) fillByRef(e *core.Exec, req *core.Request) error {
+	dst := req.Data
+	req.Data = nil
+	err := e.Next(req)
+	h := req.TakeValue()
+	req.Data = dst
+	if err == nil && h.Len() != c.pageSize {
+		err = fmt.Errorf("lru: block read at %d returned no %d-byte result handle", req.Offset, c.pageSize)
 	}
+	if err != nil {
+		h.Release()
+		return err
+	}
+	// Copy out before the page is published: a replacement or eviction
+	// may release the page's reference as soon as it is.
+	copyFill.Add(copy(dst, h.Bytes()))
+	req.Charge("cache", e.Model.Copy(len(dst)))
 	c.insertPage(&page{off: req.Offset, h: h})
+	return nil
+}
+
+// insertFill caches the result of a miss that had no bare destination:
+// the request's own result handle, or a destination view cut by a parent
+// request, is retained in place — no copy.
+func (c *Cache) insertFill(req *core.Request) {
+	h := req.Buf
+	if !h.Valid() {
+		h = req.ValueH
+	}
+	if h.Valid() && h.Len() == c.pageSize {
+		c.insertPage(&page{off: req.Offset, h: h.Retain()})
+	}
 }
 
 func (c *Cache) processWrite(e *core.Exec, req *core.Request) error {
@@ -223,20 +241,31 @@ func (c *Cache) processWrite(e *core.Exec, req *core.Request) error {
 		h = req.Buf.Retain()
 	} else {
 		req.Charge("cache", e.Model.LRUCacheOp+e.Model.Copy(req.Size))
-		if aligned {
-			copyWriteInsert.Add(req.Size)
-			h = core.AcquireHandle(len(req.Data))
-			copy(h.Bytes(), req.Data)
+		if !aligned {
+			return e.Next(req)
 		}
+		copyWriteInsert.Add(req.Size)
+		h = core.AcquireHandle(len(req.Data))
+		copy(h.Bytes(), req.Data)
 	}
-	if h.Valid() {
-		c.insertPage(&page{off: req.Offset, h: h, dirty: c.policy == "writeback"})
-		if c.policy == "writeback" {
-			req.Result = int64(req.Size)
-			return nil // absorbed; flushed on eviction or OpBlockFlush
-		}
+	if c.policy == "writeback" {
+		c.insertPage(&page{off: req.Offset, h: h, dirty: true})
+		req.Result = int64(req.Size)
+		return nil // absorbed; OpBlockFlush writes it back
 	}
-	return e.Next(req)
+	// Write-through: the page goes down as the request's Buf, so a driver
+	// that DMAs by reference keeps the page itself, and a bare payload's
+	// write costs only the copy above. The pin keeps the page alive until
+	// the write is done: once inserted, a concurrent replacement or
+	// eviction may drop the cache's reference.
+	pin := h.Retain()
+	c.insertPage(&page{off: req.Offset, h: h})
+	data, buf := req.Data, req.Buf
+	req.Data, req.Buf = pin.Bytes(), pin
+	err := e.Next(req)
+	req.Data, req.Buf = data, buf
+	pin.Release()
+	return err
 }
 
 func (c *Cache) processFlush(e *core.Exec, req *core.Request) error {
@@ -260,9 +289,9 @@ func (c *Cache) processFlush(e *core.Exec, req *core.Request) error {
 		child := req.Child(core.OpBlockWrite)
 		child.Offset = fp.off
 		child.Size = fp.h.Len()
-		child.Data = fp.h.Bytes()
+		child.Data, child.Buf = fp.h.Bytes(), fp.h // the device may keep the page by reference
 		err := e.SpawnNext(req, child)
-		child.Data = nil
+		child.Data, child.Buf = nil, core.BufHandle{}
 		child.Release()
 		fp.h.Release()
 		if err != nil {

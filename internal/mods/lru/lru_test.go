@@ -267,7 +267,7 @@ func TestStateUpdateKeepsCacheWarm(t *testing.T) {
 // TestStateUpdateIntoSmallerCache: a live upgrade into a cache with less
 // capacity keeps the capacity most recent pages, in their order, and
 // releases the rest, so Stats never reports more pages than fit and no
-// buffer of a dropped page stays acquired.
+// buffer of a dropped page stays acquired by the cache.
 func TestStateUpdateIntoSmallerCache(t *testing.T) {
 	h := modtest.New(t, device.NVMe, 64<<20)
 	s := mountCache(t, h, map[string]string{"capacity_mb": "4"}) // 1024 pages
@@ -296,6 +296,12 @@ func TestStateUpdateIntoSmallerCache(t *testing.T) {
 	_, _, resident := next.Stats()
 	if resident > 256 {
 		t.Fatalf("resident %d after an upgrade into a 256-page cache", resident)
+	}
+	// The device keeps every written block by reference; discarding them
+	// leaves the cache as the only holder, so each buffer still acquired
+	// is a resident page's.
+	if err := h.Dev.Trim(0, n*4096); err != nil {
+		t.Fatal(err)
 	}
 	if held := outstanding() - before; held != int64(resident) {
 		t.Fatalf("%d page buffers still acquired for %d resident pages", held, resident)

@@ -195,3 +195,96 @@ func framesToOnePage(b []byte, level int) bool {
 	}
 	return false
 }
+
+// copySites returns every copy site's count.
+func copySites() map[string]int64 {
+	m := map[string]int64{}
+	for _, s := range telemetry.CopySiteStats() {
+		m[s.Site] = s.Count
+	}
+	return m
+}
+
+// copiedSince returns, by site, the copies made since before.
+func copiedSince(before map[string]int64) map[string]int64 {
+	d := map[string]int64{}
+	for site, n := range copySites() {
+		if n != before[site] {
+			d[site] = n - before[site]
+		}
+	}
+	return d
+}
+
+// TestRetainWritebackFlushByReference: a flush writes each dirty page back
+// as the child's Buf, so the device keeps the page by reference: a flush
+// of N dirty pages makes N device writes and no copy at all, and the
+// device then holds the written bytes exactly.
+func TestRetainWritebackFlushByReference(t *testing.T) {
+	const n = 32
+	h := modtest.New(t, device.NVMe, 64<<20)
+	s := mountCache(t, h, map[string]string{"policy": "writeback"})
+	block := func(i int) []byte { return bytes.Repeat([]byte{byte(i), 0x5A}, 2048) }
+	for i := 0; i < n; i++ {
+		if err := h.Run(t, s, modtest.BlockWriteReq(int64(i)*4096, block(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := cacheInstance(t, h).DirtyPages(); d != n {
+		t.Fatalf("%d dirty pages, want %d", d, n)
+	}
+	_, w0, _, _, _ := h.Dev.Stats()
+	before := copySites()
+	if err := h.Run(t, s, core.NewRequest(core.OpBlockFlush)); err != nil {
+		t.Fatal(err)
+	}
+	if d := copiedSince(before); len(d) != 0 {
+		t.Errorf("a flush of %d dirty pages copied %v, want nothing (no device.dma_write)", n, d)
+	}
+	if _, w, _, _, _ := h.Dev.Stats(); w-w0 != n {
+		t.Fatalf("a flush of %d dirty pages made %d device writes", n, w-w0)
+	}
+	got := make([]byte, 4096)
+	for i := 0; i < n; i++ {
+		h.Dev.ReadAt(got, int64(i)*4096)
+		if !bytes.Equal(got, block(i)) {
+			t.Fatalf("block %d on the device differs from its flushed page", i)
+		}
+	}
+}
+
+// TestRetainWriteThroughPassesPageDown: a write-through of a bare slice
+// copies it once, into the page, and the page goes down as the write's
+// Buf: no device.dma_write. A later miss into a bare destination fills
+// the page by reference and copies once, into the destination: no
+// device.dma_read.
+func TestRetainWriteThroughPassesPageDown(t *testing.T) {
+	h := modtest.New(t, device.NVMe, 64<<20)
+	s := mountCache(t, h, map[string]string{"capacity_mb": "1"}) // 256 pages
+	data := bytes.Repeat([]byte{0xC5, 0x3C}, 2048)
+	before := copySites()
+	w := modtest.BlockWriteReq(0, data)
+	if err := h.Run(t, s, w); err != nil {
+		t.Fatal(err)
+	}
+	if d := copiedSince(before); len(d) != 1 || d["lru.write_insert"] != 1 {
+		t.Fatalf("a bare write-through copied %v, want one lru.write_insert", d)
+	}
+	if w.Buf.Valid() || &w.Data[0] != &data[0] {
+		t.Fatal("the request must get its own Data back, and no Buf")
+	}
+	for i := 1; i <= 256; i++ { // evict block 0
+		h.Run(t, s, modtest.BlockWriteReq(int64(i)*4096, data))
+	}
+	before = copySites()
+	r := modtest.BlockReadReq(0, 4096)
+	if err := h.Run(t, s, r); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(r.Data, data) || r.Value != nil || r.ValueH.Valid() {
+		t.Fatal("a miss into a bare destination must fill the destination and leave no result handle")
+	}
+	if d := copiedSince(before); len(d) != 1 || d["lru.fill_copy"] != 1 {
+		t.Fatalf("a cold read into a bare destination copied %v, want one lru.fill_copy", d)
+	}
+}

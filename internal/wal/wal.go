@@ -181,9 +181,11 @@ func (l *Log) detach() (img core.BufHandle, at int64, ver uint64) {
 }
 
 // writeVersioned writes a detached image downstream unless a newer image
-// of the same block has been written already, and returns it to the arena.
-// Log blocks are read back only by replay, so they go DirectIO: a cache
-// below takes no page and no copy for them.
+// of the same block has been written already, and drops the log's
+// reference to it. Log blocks are read back only by replay, so they go
+// DirectIO: a cache below takes no page and no copy for them. The image is
+// never written again, so it goes down as the child's Buf too, and a
+// device that DMAs by reference keeps it without a copy.
 func (l *Log) writeVersioned(e *core.Exec, parent *core.Request, blockNo int64, ver uint64, img core.BufHandle) error {
 	defer img.Release()
 	l.wmu.Lock()
@@ -194,10 +196,10 @@ func (l *Log) writeVersioned(e *core.Exec, parent *core.Request, blockNo int64, 
 	child := parent.Child(core.OpBlockWrite)
 	child.Offset = blockNo * int64(l.blockSize)
 	child.Size = l.blockSize
-	child.Data = img.Bytes()
+	child.Data, child.Buf = img.Bytes(), img
 	child.DirectIO = true
 	err := e.SpawnNext(parent, child)
-	child.Data = nil // img goes back to the arena; drop the alias
+	child.Data, child.Buf = nil, core.BufHandle{} // drop the aliases of img
 	child.Release()
 	if err == nil {
 		l.written[blockNo] = ver

@@ -46,6 +46,9 @@
 #      and LabKVS release their pooled block children (and the results
 #      those hold) once absorbed, and every scratch block (compressmod's
 #      frames, readahead's prefetches, the mods' staging) is a handle.
+#      Then the device store, the drivers and the copy contracts the same
+#      way: the store keeps adopted blocks by reference, checksums them
+#      under the tag and panics on one a writer changed after its write.
 #   9. bench smoke: every benchmark once, then BenchmarkClientCallNop with
 #      -benchmem so the client round trip's ns/op and allocs/op are in the
 #      log.
@@ -84,7 +87,10 @@
 #      connection is gone), the LRU retention tests and the serve lifetime
 #      tests three times under the race detector at -cpu 1,2,8. A put's
 #      payload buffer becomes the cache page by reference: workers retain it
-#      while the connection's completer releases its own reference.
+#      while the connection's completer releases its own reference. With
+#      them the device store's adoption, view and stress tests, the
+#      drivers' DMA-by-reference test and the file copy contract: the
+#      store retains pages and payloads while readers hold views of them.
 #  17. streamed completions: the worker's per-request publish test (a batch
 #      of four whose last request is held at a gate: the three before it
 #      read done meanwhile), the serve completer's tests (the first answer
@@ -127,6 +133,10 @@ go test -count=200 -run TestChaosMixedLoadWithUpgradesAndCrash ./internal/runtim
 
 echo "== debug handles: go test -tags labstor_debug ./internal/core/... ./internal/serve/... ./internal/mods/labkvs ./internal/mods/labfs ./internal/wal ./internal/mods/lru ./internal/mods/compressmod ./internal/mods/readahead ./internal/mods/pushdown . =="
 go test -tags labstor_debug ./internal/core/... ./internal/serve/... ./internal/mods/labkvs ./internal/mods/labfs ./internal/wal ./internal/mods/lru ./internal/mods/compressmod ./internal/mods/readahead ./internal/mods/pushdown .
+
+echo "== debug handles: go test -tags labstor_debug ./internal/device ./internal/mods/driver; -run 'CopyContract' ./internal/experiments =="
+go test -tags labstor_debug ./internal/device ./internal/mods/driver
+go test -tags labstor_debug -run 'CopyContract' ./internal/experiments
 
 echo "== bench smoke: go test -bench=. -benchtime=1x -run '^$' ./... =="
 go test -bench=. -benchtime=1x -run '^$' ./...
@@ -173,8 +183,8 @@ go test -race -count=3 -cpu 1,2,8 -run Router ./internal/serve
 echo "== keys: go test -race -count=3 -cpu 1,2,8 -run 'TestServeRemount|TestKeySlab|TestIndex' ./internal/serve ./internal/mods/labkvs =="
 go test -race -count=3 -cpu 1,2,8 -run 'TestServeRemount|TestKeySlab|TestIndex' ./internal/serve ./internal/mods/labkvs
 
-echo "== payload retention: go test -race -count=3 -cpu 1,2,8 -run 'TestServeCopyContract|TestRetain|TestServeClientNeverReads|TestServeMidFrameDisconnect|TestServeCloseWithBatchesInFlight|TestServeResultPinnedUntilWritten|TestGatherBatchDoesNotAllocate|TestPipelineWindowAllocations' ./internal/experiments ./internal/mods/lru ./internal/serve =="
-go test -race -count=3 -cpu 1,2,8 -run 'TestServeCopyContract|TestRetain|TestServeClientNeverReads|TestServeMidFrameDisconnect|TestServeCloseWithBatchesInFlight|TestServeResultPinnedUntilWritten|TestGatherBatchDoesNotAllocate|TestPipelineWindowAllocations' ./internal/experiments ./internal/mods/lru ./internal/serve
+echo "== payload retention: go test -race -count=3 -cpu 1,2,8 -run 'TestServeCopyContract|TestFSCopyContract|TestRetain|TestServeClientNeverReads|TestServeMidFrameDisconnect|TestServeCloseWithBatchesInFlight|TestServeResultPinnedUntilWritten|TestGatherBatchDoesNotAllocate|TestPipelineWindowAllocations|TestSparseStore|TestDevice|TestDriver' ./internal/experiments ./internal/mods/lru ./internal/serve ./internal/device ./internal/mods/driver =="
+go test -race -count=3 -cpu 1,2,8 -run 'TestServeCopyContract|TestFSCopyContract|TestRetain|TestServeClientNeverReads|TestServeMidFrameDisconnect|TestServeCloseWithBatchesInFlight|TestServeResultPinnedUntilWritten|TestGatherBatchDoesNotAllocate|TestPipelineWindowAllocations|TestSparseStore|TestDevice|TestDriver' ./internal/experiments ./internal/mods/lru ./internal/serve ./internal/device ./internal/mods/driver
 
 echo "== streamed completions: go test -race -tags labstor_debug -count=3 -cpu 1,2,8 -run 'TestStreamedCompletion|TestServeStreamsCompletions|TestCompleterWritesBatchAtMostTwice|TestParkedWorker|Handshake|Wait' ./internal/runtime ./internal/serve =="
 go test -race -tags labstor_debug -count=3 -cpu 1,2,8 -run 'TestStreamedCompletion|TestServeStreamsCompletions|TestCompleterWritesBatchAtMostTwice|TestParkedWorker|Handshake|Wait' ./internal/runtime ./internal/serve
