@@ -51,10 +51,17 @@ type Config struct {
 	UUID string
 	// Attrs are free-form key/value attributes from the spec vertex.
 	Attrs map[string]string
+
+	// read records the keys Attr and Int were asked for, when the
+	// registry tracks them (nil: untracked).
+	read map[string]bool
 }
 
 // Attr returns the attribute value or a default.
 func (c Config) Attr(key, def string) string {
+	if c.read != nil {
+		c.read[key] = true
+	}
 	if v, ok := c.Attrs[key]; ok {
 		return v
 	}
@@ -66,6 +73,9 @@ func (c Config) Attr(key, def string) string {
 // attribute and the value: a mod's Configure returns it, so the mount fails
 // instead of running on a fallback.
 func (c Config) Int(key string, def int) (int, error) {
+	if c.read != nil {
+		c.read[key] = true
+	}
 	v, ok := c.Attrs[key]
 	if !ok {
 		return def, nil
@@ -151,8 +161,13 @@ func (b *Base) Configure(cfg Config, env *Env) error {
 }
 
 // ModConfig exposes the stored config (used by live upgrades to carry the
-// old instance's attributes to the replacement).
-func (b *Base) ModConfig() Config { return b.Cfg }
+// old instance's attributes to the replacement), without the record of the
+// keys it was read for.
+func (b *Base) ModConfig() Config {
+	cfg := b.Cfg
+	cfg.read = nil
+	return cfg
+}
 
 // StateUpdate is a no-op by default (stateless module).
 func (b *Base) StateUpdate(prev Module) error { return nil }

@@ -50,9 +50,11 @@ func (r *Registry) set(uuid string, m Module) {
 // Instantiate creates, configures, and registers a module instance for the
 // given UUID if one does not already exist (mount only instantiates LabMods
 // whose UUID is absent, so stacks can share instances). It returns the
-// registered instance. A later vertex that names an existing UUID may
-// leave attributes out, but it may not change the type or give an
-// attribute another value: the shared instance would silently ignore it.
+// registered instance. Configure must read every attribute the vertex
+// sets: one it never asked for (a misspelt or retired key) fails the
+// instantiation. A later vertex that names an existing UUID may leave
+// attributes out, but it may not change the type or give an attribute
+// another value: the shared instance would silently ignore it.
 func (r *Registry) Instantiate(uuid, typeName string, cfg Config, env *Env) (Module, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -69,8 +71,14 @@ func (r *Registry) Instantiate(uuid, typeName string, cfg Config, env *Env) (Mod
 		return nil, err
 	}
 	cfg.UUID = uuid
+	cfg.read = make(map[string]bool, len(cfg.Attrs))
 	if err := m.Configure(cfg, env); err != nil {
 		return nil, fmt.Errorf("configure %q (%s): %w", uuid, typeName, err)
+	}
+	for _, k := range sortedKeys(cfg.Attrs) {
+		if !cfg.read[k] {
+			return nil, fmt.Errorf("core: vertex %q (%s) sets attribute %q, which the module does not read", uuid, typeName, k)
+		}
 	}
 	r.set(uuid, m)
 	r.decls[uuid] = decl{typ: typeName, attrs: maps.Clone(cfg.Attrs)}
@@ -83,12 +91,7 @@ func (d decl) check(uuid, typeName string, attrs map[string]string) error {
 	if typeName != d.typ {
 		return fmt.Errorf("core: vertex %q is a %s instance, not %s", uuid, d.typ, typeName)
 	}
-	keys := make([]string, 0, len(attrs))
-	for k := range attrs {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys) // name the same key on every run
-	for _, k := range keys {
+	for _, k := range sortedKeys(attrs) {
 		was, ok := d.attrs[k]
 		switch {
 		case !ok:
@@ -98,6 +101,17 @@ func (d decl) check(uuid, typeName string, attrs map[string]string) error {
 		}
 	}
 	return nil
+}
+
+// sortedKeys returns attrs' keys in order, so an error names the same key
+// on every run.
+func sortedKeys(attrs map[string]string) []string {
+	keys := make([]string, 0, len(attrs))
+	for k := range attrs {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // Register inserts a pre-built instance (used by tests). Workers and

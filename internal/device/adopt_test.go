@@ -21,7 +21,7 @@ func copies() (write, read, cow int64) {
 func filled(n int, seed byte) arena.Handle {
 	h := arena.Acquire(n)
 	for i, b := 0, h.Bytes(); i < n; i++ {
-		b[i] = seed + byte(i/blockSize) + byte(i)
+		b[i] = seed + byte(i/BlockSize) + byte(i)
 	}
 	return h
 }
@@ -31,27 +31,27 @@ func filled(n int, seed byte) arena.Handle {
 // stored bytes, and a read into a slice copies them out.
 func TestSparseStoreAdoptByReference(t *testing.T) {
 	s := NewSparseStore(1 << 20)
-	h := filled(4*blockSize, 1)
+	h := filled(4*BlockSize, 1)
 	want := bytes.Clone(h.Bytes())
 	w0, r0, c0 := copies()
-	if n, err := s.Adopt(h, 2*blockSize); err != nil || n != 4*blockSize {
+	if n, err := s.Adopt(h, 2*BlockSize); err != nil || n != 4*BlockSize {
 		t.Fatalf("adopt: %d, %v", n, err)
 	}
-	if s.Materialized() != 4*blockSize {
-		t.Fatalf("materialized %d, want %d", s.Materialized(), 4*blockSize)
+	if s.Materialized() != 4*BlockSize {
+		t.Fatalf("materialized %d, want %d", s.Materialized(), 4*BlockSize)
 	}
 	if h.Sole() {
 		t.Fatal("the store holds no reference to the adopted buffer")
 	}
-	view, err := s.ReadHandle(3*blockSize, blockSize)
+	view, err := s.ReadHandle(3*BlockSize, BlockSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &view.Bytes()[0] != &h.Bytes()[blockSize] {
+	if &view.Bytes()[0] != &h.Bytes()[BlockSize] {
 		t.Fatal("a one-block read with no destination must view the adopted bytes")
 	}
-	sub, err := s.ReadHandle(3*blockSize+100, 50)
-	if err != nil || !bytes.Equal(sub.Bytes(), want[blockSize+100:blockSize+150]) {
+	sub, err := s.ReadHandle(3*BlockSize+100, 50)
+	if err != nil || !bytes.Equal(sub.Bytes(), want[BlockSize+100:BlockSize+150]) {
 		t.Fatalf("sub-block view: %v", err)
 	}
 	sub.Release()
@@ -59,8 +59,8 @@ func TestSparseStoreAdoptByReference(t *testing.T) {
 		t.Fatalf("by-reference write and reads copied: dma_write +%d, dma_read +%d, cow +%d", w-w0, r-r0, c-c0)
 	}
 	h.Release() // the writer is done; the store's views keep the bytes
-	got := make([]byte, 4*blockSize)
-	if _, err := s.ReadAt(got, 2*blockSize); err != nil || !bytes.Equal(got, want) {
+	got := make([]byte, 4*BlockSize)
+	if _, err := s.ReadAt(got, 2*BlockSize); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("readback after the writer released: %v", err)
 	}
 	if _, r, _ := copies(); r != r0+1 {
@@ -75,35 +75,35 @@ func TestSparseStoreAdoptByReference(t *testing.T) {
 // write into the shared block copies it first.
 func TestSparseStoreReadViewIsStable(t *testing.T) {
 	s := NewSparseStore(1 << 20)
-	if _, err := s.WriteAt(bytes.Repeat([]byte{0x11}, blockSize), 0); err != nil {
+	if _, err := s.WriteAt(bytes.Repeat([]byte{0x11}, BlockSize), 0); err != nil {
 		t.Fatal(err)
 	}
-	view, _ := s.ReadHandle(0, blockSize)
+	view, _ := s.ReadHandle(0, BlockSize)
 	old := bytes.Clone(view.Bytes())
 	_, _, c0 := copies()
 	s.WriteAt([]byte{0x22, 0x22}, 10) // partial: the block is shared, so copied first
 	if _, _, c := copies(); c != c0+1 {
 		t.Fatalf("a partial write into a shared block made %d cow copies, want 1", c-c0)
 	}
-	got := make([]byte, blockSize)
+	got := make([]byte, BlockSize)
 	s.ReadAt(got, 0)
 	if got[9] != 0x11 || got[10] != 0x22 || got[12] != 0x11 {
 		t.Fatalf("partial write over a shared block: bytes %x", got[8:14])
 	}
-	h := filled(blockSize, 7)
+	h := filled(BlockSize, 7)
 	s.Adopt(h, 0)
 	h.Release()
-	s.WriteAt(make([]byte, blockSize), 0)
-	s.Trim(0, blockSize)
+	s.WriteAt(make([]byte, BlockSize), 0)
+	s.Trim(0, BlockSize)
 	if !bytes.Equal(view.Bytes(), old) {
 		t.Fatal("a read view changed under a later write or trim")
 	}
 	view.Release()
 
 	// A block the store holds alone is written in place: no cow copy.
-	s.WriteAt(bytes.Repeat([]byte{0x33}, blockSize), blockSize)
+	s.WriteAt(bytes.Repeat([]byte{0x33}, BlockSize), BlockSize)
 	_, _, c0 = copies()
-	s.WriteAt([]byte{0x44}, blockSize+5)
+	s.WriteAt([]byte{0x44}, BlockSize+5)
 	if _, _, c := copies(); c != c0 {
 		t.Fatalf("a partial write into a sole block made %d cow copies", c-c0)
 	}
@@ -116,7 +116,7 @@ func TestSparseStoreAdoptUnalignedCopies(t *testing.T) {
 	for _, c := range []struct {
 		off int64
 		n   int
-	}{{100, blockSize}, {blockSize, 100}, {blockSize, blockSize + 1}} {
+	}{{100, BlockSize}, {BlockSize, 100}, {BlockSize, BlockSize + 1}} {
 		h := filled(c.n, 3)
 		w0, _, _ := copies()
 		if _, err := s.Adopt(h, c.off); err != nil {
@@ -141,16 +141,16 @@ func TestSparseStoreAdoptUnalignedCopies(t *testing.T) {
 // handle, and a read that spans blocks is copied into one handle.
 func TestSparseStoreReadHandleHolesAndSpans(t *testing.T) {
 	s := NewSparseStore(1 << 20)
-	hole, err := s.ReadHandle(5*blockSize, blockSize)
-	if err != nil || hole.Len() != blockSize || !bytes.Equal(hole.Bytes(), make([]byte, blockSize)) {
+	hole, err := s.ReadHandle(5*BlockSize, BlockSize)
+	if err != nil || hole.Len() != BlockSize || !bytes.Equal(hole.Bytes(), make([]byte, BlockSize)) {
 		t.Fatalf("hole read: %v", err)
 	}
 	hole.Release()
-	data := filled(3*blockSize, 9)
+	data := filled(3*BlockSize, 9)
 	s.WriteAt(data.Bytes(), 0)
 	_, r0, _ := copies()
-	span, err := s.ReadHandle(blockSize/2, 2*blockSize)
-	if err != nil || !bytes.Equal(span.Bytes(), data.Bytes()[blockSize/2:blockSize/2+2*blockSize]) {
+	span, err := s.ReadHandle(BlockSize/2, 2*BlockSize)
+	if err != nil || !bytes.Equal(span.Bytes(), data.Bytes()[BlockSize/2:BlockSize/2+2*BlockSize]) {
 		t.Fatalf("spanning read: %v", err)
 	}
 	if _, r, _ := copies(); r != r0+1 {
@@ -180,13 +180,13 @@ func TestSparseStoreAdoptionStress(t *testing.T) {
 			go func(seed int64) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(seed))
-				blocks := int(capacity / blockSize)
+				blocks := int(capacity / BlockSize)
 				for i := 0; i < 300; i++ {
 					nb := 1 + rng.Intn(3)
-					off := int64(rng.Intn(blocks-nb)) * blockSize
+					off := int64(rng.Intn(blocks-nb)) * BlockSize
 					switch rng.Intn(5) {
 					case 0:
-						h := arena.Acquire(nb * blockSize)
+						h := arena.Acquire(nb * BlockSize)
 						b := h.Bytes()
 						for j := range b {
 							b[j] = byte(seed)
@@ -194,28 +194,28 @@ func TestSparseStoreAdoptionStress(t *testing.T) {
 						s.Adopt(h, off)
 						h.Release()
 					case 1:
-						s.WriteAt(bytes.Repeat([]byte{byte(seed)}, nb*blockSize), off)
+						s.WriteAt(bytes.Repeat([]byte{byte(seed)}, nb*BlockSize), off)
 					case 2:
-						v, err := s.ReadHandle(off, blockSize)
+						v, err := s.ReadHandle(off, BlockSize)
 						if err != nil {
 							t.Error(err)
 							return
 						}
-						if b := v.Bytes(); !bytes.Equal(b, bytes.Repeat(b[:1], blockSize)) {
+						if b := v.Bytes(); !bytes.Equal(b, bytes.Repeat(b[:1], BlockSize)) {
 							t.Errorf("a block view mixes patterns at %d", off)
 						}
 						v.Release()
 					case 3:
-						got := make([]byte, nb*blockSize)
+						got := make([]byte, nb*BlockSize)
 						s.ReadAt(got, off)
 						for j := 0; j < nb; j++ {
-							b := got[j*blockSize : (j+1)*blockSize]
-							if !bytes.Equal(b, bytes.Repeat(b[:1], blockSize)) {
-								t.Errorf("a block read mixes patterns at %d", off+int64(j*blockSize))
+							b := got[j*BlockSize : (j+1)*BlockSize]
+							if !bytes.Equal(b, bytes.Repeat(b[:1], BlockSize)) {
+								t.Errorf("a block read mixes patterns at %d", off+int64(j*BlockSize))
 							}
 						}
 					default:
-						s.Trim(off, int64(nb*blockSize))
+						s.Trim(off, int64(nb*BlockSize))
 					}
 				}
 			}(int64(g + 1))
@@ -241,24 +241,24 @@ func TestSparseStoreAdoptionStress(t *testing.T) {
 // account the command like SubmitToQueue.
 func TestDeviceDMAByReference(t *testing.T) {
 	d := New("nvme", NVMe, 1<<30)
-	h := filled(2*blockSize, 5)
+	h := filled(2*BlockSize, 5)
 	w0, r0, _ := copies()
 	_, end, err := d.WriteBuf(3, 8192, h, 0)
 	if err != nil || end <= 0 {
 		t.Fatalf("WriteBuf: end %v, %v", end, err)
 	}
-	v, _, end2, err := d.ReadBuf(3, 8192+blockSize, blockSize, end)
+	v, _, end2, err := d.ReadBuf(3, 8192+BlockSize, BlockSize, end)
 	if err != nil || end2 <= end {
 		t.Fatalf("ReadBuf: end %v, %v", end2, err)
 	}
-	if !bytes.Equal(v.Bytes(), h.Bytes()[blockSize:]) {
+	if !bytes.Equal(v.Bytes(), h.Bytes()[BlockSize:]) {
 		t.Fatal("ReadBuf returned other bytes than WriteBuf stored")
 	}
 	if w, r, _ := copies(); w != w0 || r != r0 {
 		t.Fatalf("by-reference commands copied: dma_write +%d, dma_read +%d", w-w0, r-r0)
 	}
 	reads, writes, br, bw, _ := d.Stats()
-	if reads != 1 || writes != 1 || br != blockSize || bw != 2*blockSize {
+	if reads != 1 || writes != 1 || br != BlockSize || bw != 2*BlockSize {
 		t.Fatalf("stats: %d reads %d writes, %d/%d bytes", reads, writes, br, bw)
 	}
 	v.Release()
@@ -275,22 +275,22 @@ func TestDeviceAdoptedBlockChangedPanics(t *testing.T) {
 		name string
 		next func(d *Device)
 	}{
-		{"read", func(d *Device) { d.ReadAt(make([]byte, 16), 3*blockSize) }},
-		{"view", func(d *Device) { v, _, _, _ := d.ReadBuf(0, 3*blockSize, blockSize, 0); v.Release() }},
-		{"replaced", func(d *Device) { d.WriteAt(make([]byte, blockSize), 3*blockSize) }},
+		{"read", func(d *Device) { d.ReadAt(make([]byte, 16), 3*BlockSize) }},
+		{"view", func(d *Device) { v, _, _, _ := d.ReadBuf(0, 3*BlockSize, BlockSize, 0); v.Release() }},
+		{"replaced", func(d *Device) { d.WriteAt(make([]byte, BlockSize), 3*BlockSize) }},
 		{"trimmed", func(d *Device) { d.Trim(0, 1<<20) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			d := New("pmem7", NVMe, 1<<20)
-			h := filled(2*blockSize, 1)
-			if _, _, err := d.WriteBuf(0, 2*blockSize, h, 0); err != nil {
+			h := filled(2*BlockSize, 1)
+			if _, _, err := d.WriteBuf(0, 2*BlockSize, h, 0); err != nil {
 				t.Fatal(err)
 			}
-			h.Bytes()[blockSize+10]++ // the write has completed: this is the bug
+			h.Bytes()[BlockSize+10]++ // the write has completed: this is the bug
 			defer func() {
 				msg := fmt.Sprint(recover())
-				if !strings.Contains(msg, "device pmem7") || !strings.Contains(msg, fmt.Sprintf("offset %d", 3*blockSize)) {
-					t.Fatalf("want a panic naming device pmem7 and offset %d, got %q", 3*blockSize, msg)
+				if !strings.Contains(msg, "device pmem7") || !strings.Contains(msg, fmt.Sprintf("offset %d", 3*BlockSize)) {
+					t.Fatalf("want a panic naming device pmem7 and offset %d, got %q", 3*BlockSize, msg)
 				}
 			}()
 			c.next(d)
@@ -303,15 +303,15 @@ func TestDeviceAdoptedBlockChangedPanics(t *testing.T) {
 func TestDeviceAdoptedBlockUnchangedPasses(t *testing.T) {
 	defer arena.SetDebugChecks(arena.SetDebugChecks(true))
 	d := New("nvme", NVMe, 1<<20)
-	h := filled(4*blockSize, 2)
+	h := filled(4*BlockSize, 2)
 	d.WriteBuf(0, 0, h, 0)
 	h.Release()
-	got := make([]byte, 4*blockSize)
+	got := make([]byte, 4*BlockSize)
 	d.ReadAt(got, 0)
-	v, _, _, _ := d.ReadBuf(0, blockSize, blockSize, 0)
+	v, _, _, _ := d.ReadBuf(0, BlockSize, BlockSize, 0)
 	v.Release()
-	d.WriteAt(got[:blockSize], 0)
-	d.WriteAt(got[:10], blockSize+7) // in place: the block is the store's alone
+	d.WriteAt(got[:BlockSize], 0)
+	d.WriteAt(got[:10], BlockSize+7) // in place: the block is the store's alone
 	if err := d.Trim(0, 1<<20); err != nil {
 		t.Fatal(err)
 	}

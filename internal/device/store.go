@@ -34,13 +34,16 @@ import (
 var ErrOutOfRange = errors.New("device: access out of range")
 
 const (
-	// blockSize is the store's unit of ownership: each block is one arena
-	// handle, held by reference when a write handed it down.
-	blockSize = 4096
+	// BlockSize is the store's unit of ownership: each block is one arena
+	// handle, held by reference when a write handed it down. It is the
+	// platform's one block size: LabFS, LabKVS, the LRU's pages and
+	// readahead all move whole blocks of it, so a cached page is a stored
+	// block.
+	BlockSize = 4096
 	// chunkSize is the span of one map entry: a chunk holds chunkBlocks
 	// block handles, so a block's lookup is one map access per chunk.
 	chunkSize   = 64 * 1024
-	chunkBlocks = chunkSize / blockSize
+	chunkBlocks = chunkSize / BlockSize
 )
 
 // Data-path copy accounting. Writes of a handle and block reads with no
@@ -188,10 +191,10 @@ func (s *SparseStore) WriteAt(p []byte, off int64) (int, error) {
 	for done := 0; done < len(p); {
 		ci := (off + int64(done)) / chunkSize
 		st, c := s.lockChunk(ci)
-		for bi := int((off+int64(done))%chunkSize) / blockSize; bi < chunkBlocks && done < len(p); bi++ {
-			bo := int((off + int64(done)) % blockSize)
-			n := min(blockSize-bo, len(p)-done)
-			s.writeBlock(c, bi, ci*chunkSize+int64(bi*blockSize), bo, p[done:done+n])
+		for bi := int((off+int64(done))%chunkSize) / BlockSize; bi < chunkBlocks && done < len(p); bi++ {
+			bo := int((off + int64(done)) % BlockSize)
+			n := min(BlockSize-bo, len(p)-done)
+			s.writeBlock(c, bi, ci*chunkSize+int64(bi*BlockSize), bo, p[done:done+n])
 			done += n
 		}
 		st.mu.Unlock()
@@ -211,9 +214,9 @@ func (s *SparseStore) writeBlock(c *chunk, bi int, at int64, bo int, src []byte)
 		s.record(c, bi, false)
 		return
 	}
-	nb := arena.New(blockSize)
+	nb := arena.New(BlockSize)
 	dst := nb.Bytes()
-	if len(src) < blockSize && b.Valid() {
+	if len(src) < BlockSize && b.Valid() {
 		copyCOW.Add(copy(dst, b.Bytes()))
 	}
 	copy(dst[bo:], src)
@@ -227,7 +230,7 @@ func (s *SparseStore) writeBlock(c *chunk, bi int, at int64, bo int, src []byte)
 // is copied, as WriteAt does.
 func (s *SparseStore) Adopt(h arena.Handle, off int64) (int, error) {
 	n := h.Len()
-	if off%blockSize != 0 || n%blockSize != 0 {
+	if off%BlockSize != 0 || n%BlockSize != 0 {
 		return s.WriteAt(h.Bytes(), off)
 	}
 	if err := s.check(off, n); err != nil {
@@ -236,9 +239,9 @@ func (s *SparseStore) Adopt(h arena.Handle, off int64) (int, error) {
 	for done := 0; done < n; {
 		ci := (off + int64(done)) / chunkSize
 		st, c := s.lockChunk(ci)
-		for bi := int((off+int64(done))%chunkSize) / blockSize; bi < chunkBlocks && done < n; bi++ {
-			s.put(c, bi, h.Slice(done, done+blockSize).Retain(), ci*chunkSize+int64(bi*blockSize), true)
-			done += blockSize
+		for bi := int((off+int64(done))%chunkSize) / BlockSize; bi < chunkBlocks && done < n; bi++ {
+			s.put(c, bi, h.Slice(done, done+BlockSize).Retain(), ci*chunkSize+int64(bi*BlockSize), true)
+			done += BlockSize
 		}
 		st.mu.Unlock()
 	}
@@ -253,7 +256,7 @@ func (s *SparseStore) put(c *chunk, bi int, h arena.Handle, at int64, adopted bo
 		old.Release()
 	} else {
 		c.live++
-		s.materialized.Add(blockSize)
+		s.materialized.Add(BlockSize)
 	}
 	c.blocks[bi] = h
 	s.record(c, bi, adopted)
@@ -269,11 +272,11 @@ func (s *SparseStore) ReadAt(p []byte, off int64) (int, error) {
 		st := s.stripe(ci)
 		st.mu.RLock()
 		c := st.chunks[ci]
-		for bi := int((off+int64(done))%chunkSize) / blockSize; bi < chunkBlocks && done < len(p); bi++ {
-			bo := int((off + int64(done)) % blockSize)
-			dst := p[done : done+min(blockSize-bo, len(p)-done)]
+		for bi := int((off+int64(done))%chunkSize) / BlockSize; bi < chunkBlocks && done < len(p); bi++ {
+			bo := int((off + int64(done)) % BlockSize)
+			dst := p[done : done+min(BlockSize-bo, len(p)-done)]
 			if c != nil && c.blocks[bi].Valid() {
-				s.verify(c, bi, ci*chunkSize+int64(bi*blockSize))
+				s.verify(c, bi, ci*chunkSize+int64(bi*BlockSize))
 				copy(dst, c.blocks[bi].Bytes()[bo:])
 			} else {
 				clear(dst)
@@ -295,14 +298,14 @@ func (s *SparseStore) ReadHandle(off int64, n int) (arena.Handle, error) {
 	if err := s.check(off, n); err != nil {
 		return arena.Handle{}, err
 	}
-	bo := int(off % blockSize)
-	if bo+n > blockSize {
+	bo := int(off % BlockSize)
+	if bo+n > BlockSize {
 		h := arena.Acquire(n)
 		s.ReadAt(h.Bytes(), off)
 		return h, nil
 	}
 	ci := off / chunkSize
-	bi := int(off%chunkSize) / blockSize
+	bi := int(off%chunkSize) / BlockSize
 	st := s.stripe(ci)
 	st.mu.RLock()
 	var h arena.Handle
@@ -316,7 +319,7 @@ func (s *SparseStore) ReadHandle(off int64, n int) (arena.Handle, error) {
 		clear(h.Bytes())
 		return h, nil
 	}
-	if n < blockSize {
+	if n < BlockSize {
 		h = h.Narrow(bo, bo+n)
 	}
 	return h, nil
@@ -328,8 +331,8 @@ func (s *SparseStore) Trim(off, n int64) error {
 	if err := s.check(off, int(min(n, int64(int(^uint(0)>>1))))); err != nil {
 		return err
 	}
-	first := (off + blockSize - 1) / blockSize // block numbers
-	last := (off + n) / blockSize
+	first := (off + BlockSize - 1) / BlockSize // block numbers
+	last := (off + n) / BlockSize
 	for b := first; b < last; {
 		ci := b / chunkBlocks
 		end := min(last, (ci+1)*chunkBlocks)
@@ -339,12 +342,12 @@ func (s *SparseStore) Trim(off, n int64) error {
 			for ; b < end; b++ {
 				bi := int(b % chunkBlocks)
 				if c.blocks[bi].Valid() {
-					s.verify(c, bi, b*blockSize)
+					s.verify(c, bi, b*BlockSize)
 					c.blocks[bi].Release()
 					c.blocks[bi] = arena.Handle{}
 					s.record(c, bi, false)
 					c.live--
-					s.materialized.Add(-blockSize)
+					s.materialized.Add(-BlockSize)
 				}
 			}
 			if c.live == 0 {

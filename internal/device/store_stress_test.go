@@ -111,8 +111,8 @@ func TestSparseStoreConcurrentStress(t *testing.T) {
 				}
 			}
 		}
-		if got := s.Materialized(); got != resident*blockSize {
-			t.Fatalf("stripes=%d: Materialized()=%d, resident blocks say %d", stripes, got, resident*blockSize)
+		if got := s.Materialized(); got != resident*BlockSize {
+			t.Fatalf("stripes=%d: Materialized()=%d, resident blocks say %d", stripes, got, resident*BlockSize)
 		}
 	}
 }

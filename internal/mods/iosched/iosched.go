@@ -74,14 +74,16 @@ func (s *NoOp) Process(e *core.Exec, req *core.Request) error {
 
 // BlkSwitch is the load-aware queue-steering scheduler. Following the
 // blk-switch design's separation of latency-critical from throughput-bound
-// requests, small requests (≤ steer_max_kb, default 16) are steered to the
+// requests, small requests (at most steerMax bytes) are steered to the
 // least-loaded hardware queue, while large throughput-bound requests stay
 // core-keyed so they cannot crowd every queue.
 type BlkSwitch struct {
 	core.Base
-	dev      *device.Device
-	steerMax int
+	dev *device.Device
 }
+
+// steerMax is the largest request BlkSwitch steers.
+const steerMax = 16 << 10
 
 // Info describes the module.
 func (s *BlkSwitch) Info() core.ModuleInfo {
@@ -102,14 +104,6 @@ func (s *BlkSwitch) Configure(cfg core.Config, env *core.Env) error {
 		return err
 	}
 	s.dev = dev
-	maxKB, err := cfg.Int("steer_max_kb", 16)
-	if err != nil {
-		return err
-	}
-	if maxKB < 1 {
-		maxKB = 16
-	}
-	s.steerMax = maxKB << 10
 	return nil
 }
 
@@ -118,7 +112,7 @@ func (s *BlkSwitch) Configure(cfg core.Config, env *core.Env) error {
 func (s *BlkSwitch) Process(e *core.Exec, req *core.Request) error {
 	req.Charge("sched", e.Model.BlkSwitchSched)
 	own := req.OriginCore % s.dev.HardwareQueues()
-	if req.Size > s.steerMax {
+	if req.Size > steerMax {
 		req.Hctx = own
 		return e.Next(req)
 	}

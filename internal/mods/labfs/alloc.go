@@ -11,18 +11,18 @@ var ErrNoSpace = errors.New("labfs: device full")
 // allocator is LabFS's scalable per-worker block allocator (paper §III-E):
 // device blocks are divided evenly among a pool per worker, so concurrent
 // workers allocate without contention; a worker whose pool runs dry steals
-// half the free blocks of the richest pool. Pools can be added and removed
-// as the Work Orchestrator scales the worker set.
+// half the free blocks of the richest pool.
 type allocator struct {
 	mu    sync.Mutex
 	pools [][]int64 // free block numbers, per pool
 }
 
+// allocPools is the number of pools LabFS divides its blocks among, one per
+// expected worker.
+const allocPools = 16
+
 // newAllocator divides blocks [first, first+count) among n pools.
 func newAllocator(n int, first, count int64) *allocator {
-	if n < 1 {
-		n = 1
-	}
 	a := &allocator{pools: make([][]int64, n)}
 	per := count / int64(n)
 	b := first
@@ -44,9 +44,6 @@ func newAllocator(n int, first, count int64) *allocator {
 // newEmptyAllocator creates n empty pools (used before log replay rebuilds
 // the free lists).
 func newEmptyAllocator(n int) *allocator {
-	if n < 1 {
-		n = 1
-	}
 	return &allocator{pools: make([][]int64, n)}
 }
 
@@ -105,33 +102,6 @@ func (a *allocator) MarkUsed(blk int64) {
 				return
 			}
 		}
-	}
-}
-
-// AddPools grows the pool set to n; new pools start empty and fill via
-// stealing (paper: new workers steal a configurable number of blocks).
-func (a *allocator) AddPools(n int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for len(a.pools) < n {
-		a.pools = append(a.pools, nil)
-	}
-}
-
-// RemovePool retires pool i, redistributing its free blocks round-robin to
-// the remaining pools (paper: free blocks of decommissioned workers are
-// assigned to running workers).
-func (a *allocator) RemovePool(i int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if i < 0 || i >= len(a.pools) || len(a.pools) == 1 {
-		return
-	}
-	orphans := a.pools[i]
-	a.pools = append(a.pools[:i], a.pools[i+1:]...)
-	for j, b := range orphans {
-		p := j % len(a.pools)
-		a.pools[p] = append(a.pools[p], b)
 	}
 }
 

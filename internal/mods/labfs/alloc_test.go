@@ -72,30 +72,6 @@ func TestAllocatorFreeReturns(t *testing.T) {
 	}
 }
 
-func TestAllocatorPoolScaling(t *testing.T) {
-	a := newAllocator(2, 0, 100)
-	a.AddPools(4)
-	if a.Pools() != 4 {
-		t.Fatal("AddPools")
-	}
-	// New pools start empty and fill by stealing.
-	if _, err := a.Alloc(3); err != nil {
-		t.Fatalf("new pool cannot steal: %v", err)
-	}
-	// Decommission pool 0: its blocks redistribute.
-	before := a.FreeBlocks()
-	a.RemovePool(0)
-	if a.Pools() != 3 || a.FreeBlocks() != before {
-		t.Fatalf("RemovePool lost blocks: %d -> %d", before, a.FreeBlocks())
-	}
-	// Removing the last pool is refused.
-	b := newAllocator(1, 0, 10)
-	b.RemovePool(0)
-	if b.Pools() != 1 {
-		t.Fatal("last pool removed")
-	}
-}
-
 func TestAllocatorMarkUsed(t *testing.T) {
 	a := newAllocator(2, 0, 10)
 	a.MarkUsed(5)

@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 
 	"labstor/internal/core"
+	"labstor/internal/device"
 	"labstor/internal/mods/pushdown"
 	"labstor/internal/telemetry"
 	"labstor/internal/wal"
@@ -58,7 +59,6 @@ var (
 type LabFS struct {
 	core.Base
 
-	blockSize  int
 	dataFirst  int64 // first data block; the log takes [0, dataFirst)
 	dataBlocks int64
 
@@ -89,12 +89,13 @@ func (f *LabFS) Info() core.ModuleInfo {
 
 // Configure reads geometry from attributes:
 //
-//	device:   name of the backing device (required — sizes the allocator)
-//	block_kb: filesystem block size in KiB (default 4)
-//	log_mb:   metadata log region size in MiB (default 16)
-//	shards:   inode hashmap shard count (default 64)
-//	pools:    allocator pools / expected workers (default 16)
-//	replay:   "true" to reconstruct state from an existing device log
+//	device: name of the backing device (required — sizes the allocator)
+//	log_mb: metadata log region size in MiB (default 16)
+//	shards: inode hashmap shard count (default 64)
+//	replay: "true" to reconstruct state from an existing device log
+//
+// Blocks are the device's (device.BlockSize), divided among allocPools
+// allocator pools.
 func (f *LabFS) Configure(cfg core.Config, env *core.Env) error {
 	if err := f.Base.Configure(cfg, env); err != nil {
 		return err
@@ -107,14 +108,6 @@ func (f *LabFS) Configure(cfg core.Config, env *core.Env) error {
 	if err != nil {
 		return err
 	}
-	blockKB, err := cfg.Int("block_kb", 4)
-	if err != nil {
-		return err
-	}
-	if blockKB < 1 {
-		blockKB = 4
-	}
-	f.blockSize = blockKB << 10
 	logMB, err := cfg.Int("log_mb", 16)
 	if err != nil {
 		return err
@@ -122,8 +115,8 @@ func (f *LabFS) Configure(cfg core.Config, env *core.Env) error {
 	if logMB < 1 {
 		logMB = 16
 	}
-	logBlocks := int64(logMB<<20) / int64(f.blockSize)
-	total := dev.Capacity() / int64(f.blockSize)
+	logBlocks := int64(logMB<<20) / device.BlockSize
+	total := dev.Capacity() / device.BlockSize
 	if total <= logBlocks {
 		return fmt.Errorf("labfs: device %q too small (%d blocks) for a %d-block log", devName, total, logBlocks)
 	}
@@ -134,13 +127,9 @@ func (f *LabFS) Configure(cfg core.Config, env *core.Env) error {
 	if err != nil {
 		return err
 	}
-	pools, err := cfg.Int("pools", 16)
-	if err != nil {
-		return err
-	}
 	f.table = newInodeTable(shards)
-	f.alloc = newAllocator(pools, f.dataFirst, f.dataBlocks)
-	f.log = wal.New(f.blockSize, logBlocks, copyLogPad)
+	f.alloc = newAllocator(allocPools, f.dataFirst, f.dataBlocks)
+	f.log = wal.New(device.BlockSize, logBlocks, copyLogPad)
 	f.seq = new(atomic.Uint64)
 	f.needReplay = cfg.Attr("replay", "false") == "true"
 
@@ -162,9 +151,6 @@ func (f *LabFS) Configure(cfg core.Config, env *core.Env) error {
 	f.pdStats = pushdown.Counters(env.Metrics)
 	return nil
 }
-
-// BlockSize returns the filesystem block size.
-func (f *LabFS) BlockSize() int { return f.blockSize }
 
 // Files returns the number of inodes.
 func (f *LabFS) Files() int { return f.table.Count() }
@@ -282,7 +268,7 @@ func (f *LabFS) applyEntries(entries []logEntry) {
 			if ino, ok := f.table.Get(ent.Path); ok {
 				ino.Size = ent.Size
 				if ent.Op == logTruncate {
-					limit := (ent.Size + int64(f.blockSize) - 1) / int64(f.blockSize)
+					limit := (ent.Size + device.BlockSize - 1) / device.BlockSize
 					for idx, phys := range ino.Blocks {
 						if idx >= limit {
 							delete(used, phys)
@@ -526,7 +512,7 @@ func (f *LabFS) truncate(e *core.Exec, req *core.Request) error {
 }
 
 func (f *LabFS) truncateTo(e *core.Exec, req *core.Request, ino *inode, size int64) error {
-	bs := int64(f.blockSize)
+	bs := int64(device.BlockSize)
 	limit := (size + bs - 1) / bs
 	for idx, phys := range ino.Blocks {
 		if idx >= limit {
@@ -539,12 +525,12 @@ func (f *LabFS) truncateTo(e *core.Exec, req *core.Request, ino *inode, size int
 	// read as zeros (POSIX), not as stale block content.
 	if inBlock := size % bs; inBlock != 0 {
 		if phys, ok := ino.Blocks[size/bs]; ok {
-			scratch := core.AcquireHandle(f.blockSize)
+			scratch := core.AcquireHandle(device.BlockSize)
 			defer scratch.Release()
 			blockBuf := scratch.Bytes()
 			rc := req.Child(core.OpBlockRead)
 			rc.Offset = phys * bs
-			rc.Size = f.blockSize
+			rc.Size = device.BlockSize
 			rc.Data = blockBuf
 			err := e.Next(rc)
 			rc.Data = nil
@@ -560,7 +546,7 @@ func (f *LabFS) truncateTo(e *core.Exec, req *core.Request, ino *inode, size int
 			}
 			wc := req.Child(core.OpBlockWrite)
 			wc.Offset = phys * bs
-			wc.Size = f.blockSize
+			wc.Size = device.BlockSize
 			wc.Data = blockBuf
 			err = e.Next(wc)
 			wc.Data = nil
@@ -630,7 +616,7 @@ func (f *LabFS) write(e *core.Exec, req *core.Request) error {
 		off = ino.Size
 	}
 	data := req.Data
-	bs := int64(f.blockSize)
+	bs := int64(device.BlockSize)
 
 	// Issue the per-block children concurrently in virtual time: each child
 	// starts from the parent's current clock (the device's parallelism and
@@ -641,7 +627,7 @@ func (f *LabFS) write(e *core.Exec, req *core.Request) error {
 	for written < len(data) {
 		idx := (off + int64(written)) / bs
 		inBlock := int((off + int64(written)) % bs)
-		n := f.blockSize - inBlock
+		n := device.BlockSize - inBlock
 		if n > len(data)-written {
 			n = len(data) - written
 		}
@@ -663,22 +649,22 @@ func (f *LabFS) write(e *core.Exec, req *core.Request) error {
 		child.Clock = base
 		child.Offset = phys * bs
 		var scratch core.BufHandle // arena block to release after the write
-		if inBlock == 0 && n == f.blockSize {
+		if inBlock == 0 && n == device.BlockSize {
 			// Full-block write: the payload view flows down unstaged.
-			child.Size = f.blockSize
+			child.Size = device.BlockSize
 			child.Data = data[written : written+n]
 			if req.Buf.Valid() && written+n <= req.Buf.Len() {
 				child.Buf = req.Buf.Slice(written, written+n)
 			}
 		} else {
 			// Partial block: read-modify-write through an arena scratch block.
-			scratch = core.AcquireHandle(f.blockSize)
+			scratch = core.AcquireHandle(device.BlockSize)
 			block := scratch.Bytes()
 			if have {
 				rc := req.Child(core.OpBlockRead)
 				rc.Clock = base
 				rc.Offset = phys * bs
-				rc.Size = f.blockSize
+				rc.Size = device.BlockSize
 				rc.Data = block
 				err := e.Next(rc)
 				rc.Data = nil
@@ -697,7 +683,7 @@ func (f *LabFS) write(e *core.Exec, req *core.Request) error {
 				clear(block)
 			}
 			copyRMWStage.Add(copy(block[inBlock:], data[written:written+n]))
-			child.Size = f.blockSize
+			child.Size = device.BlockSize
 			child.Data = block
 		}
 		err := e.Next(child)
@@ -756,14 +742,14 @@ func (f *LabFS) read(e *core.Exec, req *core.Request) error {
 	if req.Offset+want > ino.Size {
 		want = ino.Size - req.Offset
 	}
-	bs := int64(f.blockSize)
+	bs := int64(device.BlockSize)
 	base := req.Clock
 	read := int64(0)
 	var bounce core.BufHandle // scratch block, lazily acquired for partial blocks
 	for read < want {
 		idx := (req.Offset + read) / bs
 		inBlock := int((req.Offset + read) % bs)
-		n := int64(f.blockSize - inBlock)
+		n := int64(device.BlockSize - inBlock)
 		if n > want-read {
 			n = want - read
 		}
@@ -779,8 +765,8 @@ func (f *LabFS) read(e *core.Exec, req *core.Request) error {
 		child := req.Child(core.OpBlockRead)
 		child.Clock = base
 		child.Offset = phys * bs
-		child.Size = f.blockSize
-		direct := inBlock == 0 && n == int64(f.blockSize)
+		child.Size = device.BlockSize
+		direct := inBlock == 0 && n == device.BlockSize
 		if direct {
 			// Block-aligned span: read straight into the destination.
 			child.Data = data[read : read+n]
@@ -789,7 +775,7 @@ func (f *LabFS) read(e *core.Exec, req *core.Request) error {
 			}
 		} else {
 			if !bounce.Valid() {
-				bounce = core.AcquireHandle(f.blockSize)
+				bounce = core.AcquireHandle(device.BlockSize)
 			}
 			child.Data = bounce.Bytes()
 		}
@@ -843,7 +829,7 @@ func (f *LabFS) scanExec(e *core.Exec, req *core.Request) error {
 		return req.Err
 	}
 	ev := pushdown.NewEval(prog, pushdown.EmitRaw, req.ProgMaxBytes, req.ProgMaxSteps)
-	bs := int64(f.blockSize)
+	bs := int64(device.BlockSize)
 	base := req.Clock
 	var carry []byte
 	var trip error
@@ -858,7 +844,7 @@ func (f *LabFS) scanExec(e *core.Exec, req *core.Request) error {
 			child := req.Child(core.OpBlockRead)
 			child.Clock = base
 			child.Offset = phys * bs
-			child.Size = f.blockSize
+			child.Size = device.BlockSize
 			err := e.Next(child)
 			req.Absorb(child)
 			if err == nil {
@@ -939,7 +925,6 @@ func (f *LabFS) StateUpdate(prev core.Module) error {
 	f.alloc = old.alloc
 	f.log = old.log
 	f.seq = old.seq
-	f.blockSize = old.blockSize
 	f.dataFirst = old.dataFirst
 	f.dataBlocks = old.dataBlocks
 	f.needReplay = false

@@ -85,7 +85,7 @@ func TestIndexOwnsItsKeys(t *testing.T) {
 		t.Fatal("the map's key is not the entry's key")
 	}
 
-	put(viewKey(slab2, "alias/key"), bytes.Repeat([]byte{2}, 3*k.blockSize))
+	put(viewKey(slab2, "alias/key"), bytes.Repeat([]byte{2}, 3*device.BlockSize))
 	ek, mk = storedKey(t, k, "alias/key")
 	if unsafe.StringData(ek) != first || unsafe.StringData(mk) != first {
 		t.Fatalf("an overwrite replaced the stored key (entry %p, map %p, first insert %p)",
@@ -97,7 +97,7 @@ func TestIndexOwnsItsKeys(t *testing.T) {
 	copy(slab2, "YYYYYYYYY")
 	r := core.NewRequest(core.OpGet)
 	r.Key = "alias/key"
-	if err := h.Run(t, s, r); err != nil || len(r.Value) != 3*k.blockSize {
+	if err := h.Run(t, s, r); err != nil || len(r.Value) != 3*device.BlockSize {
 		t.Fatalf("get after the caller's bytes changed: %d bytes, %v", len(r.Value), err)
 	}
 	if k.Keys() != 1 {
@@ -168,9 +168,9 @@ func checkAgainstMapModel(t *testing.T, seed int64, progRef string) {
 		case 0:
 			n = 0
 		case 1, 2:
-			n = 1 + rng.Intn(k.blockSize)
+			n = 1 + rng.Intn(device.BlockSize)
 		default:
-			n = k.blockSize + 1 + rng.Intn(2*k.blockSize)
+			n = device.BlockSize + 1 + rng.Intn(2*device.BlockSize)
 		}
 		v := make([]byte, n)
 		rng.Read(v)

@@ -16,6 +16,7 @@ import (
 
 	"labstor/internal/codec"
 	"labstor/internal/core"
+	"labstor/internal/device"
 	"labstor/internal/mods/pushdown"
 	"labstor/internal/telemetry"
 	"labstor/internal/vtime"
@@ -88,7 +89,6 @@ type kvShard struct {
 type LabKVS struct {
 	core.Base
 
-	blockSize int
 	dataFirst int64 // data region: blocks [dataFirst, dataEnd); the log takes [0, dataFirst)
 	dataEnd   int64
 
@@ -118,9 +118,9 @@ func (k *LabKVS) Info() core.ModuleInfo {
 	return core.ModuleInfo{Type: Type, Version: "1.0", Consumes: core.APIKV, Produces: core.APIBlock}
 }
 
-// Configure reads geometry: device (required), block_kb (default 4),
-// log_mb (default 8), shards (default 64), replay ("true" to rebuild from
-// the device log).
+// Configure reads geometry: device (required), log_mb (default 8), shards
+// (default 64), replay ("true" to rebuild from the device log). Values are
+// stored in the device's blocks (device.BlockSize).
 func (k *LabKVS) Configure(cfg core.Config, env *core.Env) error {
 	if err := k.Base.Configure(cfg, env); err != nil {
 		return err
@@ -133,14 +133,6 @@ func (k *LabKVS) Configure(cfg core.Config, env *core.Env) error {
 	if err != nil {
 		return err
 	}
-	blockKB, err := cfg.Int("block_kb", 4)
-	if err != nil {
-		return err
-	}
-	if blockKB < 1 {
-		blockKB = 4
-	}
-	k.blockSize = blockKB << 10
 	logMB, err := cfg.Int("log_mb", 8)
 	if err != nil {
 		return err
@@ -148,8 +140,8 @@ func (k *LabKVS) Configure(cfg core.Config, env *core.Env) error {
 	if logMB < 1 {
 		logMB = 8
 	}
-	logBlocks := int64(logMB<<20) / int64(k.blockSize)
-	total := dev.Capacity() / int64(k.blockSize)
+	logBlocks := int64(logMB<<20) / device.BlockSize
+	total := dev.Capacity() / device.BlockSize
 	if total <= logBlocks {
 		return fmt.Errorf("labkvs: device %q too small", devName)
 	}
@@ -168,7 +160,7 @@ func (k *LabKVS) Configure(cfg core.Config, env *core.Env) error {
 	}
 	k.free = make([]int64, 0, total-logBlocks)
 	k.rebuildFree(nil)
-	k.log = wal.New(k.blockSize, logBlocks, copyLogStage)
+	k.log = wal.New(device.BlockSize, logBlocks, copyLogStage)
 	k.needReplay = cfg.Attr("replay", "false") == "true"
 
 	if env.Metrics != nil {
@@ -281,7 +273,7 @@ func (k *LabKVS) put(e *core.Exec, req *core.Request) error {
 	sh := k.shard(req.Key)
 	chargeMeta(e, req, sh)
 	data := req.Data
-	nBlocks := (len(data) + k.blockSize - 1) / k.blockSize
+	nBlocks := (len(data) + device.BlockSize - 1) / device.BlockSize
 	if nBlocks == 0 {
 		nBlocks = 1
 	}
@@ -294,10 +286,10 @@ func (k *LabKVS) put(e *core.Exec, req *core.Request) error {
 	for i, phys := range ent.blockList() {
 		child := req.Child(core.OpBlockWrite)
 		child.Clock = base
-		child.Offset = phys * int64(k.blockSize)
-		lo := i * k.blockSize
-		hi := lo + k.blockSize
-		child.Size = k.blockSize
+		child.Offset = phys * device.BlockSize
+		lo := i * device.BlockSize
+		hi := lo + device.BlockSize
+		child.Size = device.BlockSize
 		var staged core.BufHandle
 		if hi <= len(data) {
 			// Full block: pass the payload slice straight down — the
@@ -310,7 +302,7 @@ func (k *LabKVS) put(e *core.Exec, req *core.Request) error {
 			// Tail block: stage into a zero-padded scratch block (the
 			// device writes whole blocks; arena buffers come back dirty).
 			hi = len(data)
-			staged = core.AcquireHandle(k.blockSize)
+			staged = core.AcquireHandle(device.BlockSize)
 			block := staged.Bytes()
 			n := copy(block, data[lo:hi])
 			copyStageTail.Add(n)
@@ -382,24 +374,24 @@ func (k *LabKVS) get(e *core.Exec, req *core.Request) error {
 	for i, phys := range ent.blocks {
 		child := req.Child(core.OpBlockRead)
 		child.Clock = base
-		child.Offset = phys * int64(k.blockSize)
-		child.Size = k.blockSize
-		lo := i * k.blockSize
-		hi := lo + k.blockSize
+		child.Offset = phys * device.BlockSize
+		child.Size = device.BlockSize
+		lo := i * device.BlockSize
+		hi := lo + device.BlockSize
 		switch {
 		case hi <= ent.size:
 			// Full block: read straight into the result view.
 			child.Data = out[lo:hi]
 			child.Buf = req.ValueH.Slice(lo, hi)
-		case lo+k.blockSize <= cap(out):
+		case lo+device.BlockSize <= cap(out):
 			// Tail block, but the result buffer's class capacity has room
 			// for the full device block — still a direct read.
-			child.Data = out[lo : lo+k.blockSize]
+			child.Data = out[lo : lo+device.BlockSize]
 		default:
 			// Tail block with no slack (heap-fallback sizes): bounce
 			// through scratch and copy the live prefix.
 			if !scratch.Valid() {
-				scratch = core.AcquireHandle(k.blockSize)
+				scratch = core.AcquireHandle(device.BlockSize)
 			}
 			child.Data = scratch.Bytes()
 		}
@@ -434,8 +426,8 @@ func (k *LabKVS) get(e *core.Exec, req *core.Request) error {
 // treat it as read-only (DESIGN.md §13).
 func (k *LabKVS) getBlock(e *core.Exec, req *core.Request, block int64, size int) error {
 	child := req.Child(core.OpBlockRead)
-	child.Offset = block * int64(k.blockSize)
-	child.Size = k.blockSize
+	child.Offset = block * device.BlockSize
+	child.Size = device.BlockSize
 	err := e.Next(child)
 	req.Absorb(child)
 	h := child.TakeValue()
@@ -551,8 +543,8 @@ func (k *LabKVS) scanExec(e *core.Exec, req *core.Request) error {
 		handles = handles[:0]
 		for i, phys := range ent.blockList() {
 			child := req.Child(core.OpBlockRead)
-			child.Offset = phys * int64(k.blockSize)
-			child.Size = k.blockSize
+			child.Offset = phys * device.BlockSize
+			child.Size = device.BlockSize
 			err := e.Next(child)
 			req.Absorb(child)
 			if err == nil {
@@ -566,8 +558,8 @@ func (k *LabKVS) scanExec(e *core.Exec, req *core.Request) error {
 				req.Err = err
 				return err
 			}
-			lo := i * k.blockSize
-			hi := lo + k.blockSize
+			lo := i * device.BlockSize
+			hi := lo + device.BlockSize
 			if hi > ent.size {
 				hi = ent.size
 			}
@@ -749,7 +741,6 @@ func (k *LabKVS) StateUpdate(prev core.Module) error {
 	k.shards = old.shards
 	k.free = old.free
 	k.log = old.log
-	k.blockSize = old.blockSize
 	k.dataFirst = old.dataFirst
 	k.dataEnd = old.dataEnd
 	k.needReplay = false

@@ -14,3 +14,11 @@ func (c *Cache) Order() (resident, dirty []int64) {
 	}
 	return resident, dirty
 }
+
+// SetCapacity sets the cache's capacity in pages. Call it before the first
+// request: it does not evict.
+func (c *Cache) SetCapacity(pages int) {
+	c.mu.Lock()
+	c.capacity = pages
+	c.mu.Unlock()
+}

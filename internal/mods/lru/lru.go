@@ -35,6 +35,7 @@ import (
 	"sync"
 
 	"labstor/internal/core"
+	"labstor/internal/device"
 	"labstor/internal/telemetry"
 )
 
@@ -75,8 +76,7 @@ type Cache struct {
 	head     int32           // most recent slot, noSlot when empty
 	tail     int32           // least recent slot, the next victim
 	capacity int             // max pages
-	pageSize int
-	policy   string // "writethrough" | "writeback"
+	policy   string          // "writethrough" | "writeback"
 
 	hits   int64
 	misses int64
@@ -87,8 +87,9 @@ func (c *Cache) Info() core.ModuleInfo {
 	return core.ModuleInfo{Type: Type, Version: "1.0", Consumes: core.APIBlock, Produces: core.APIBlock}
 }
 
-// Configure sets capacity (attr "capacity_mb", default 64), page size
-// (attr "page_kb", default 4) and write policy (attr "policy").
+// Configure sets capacity (attr "capacity_mb", default 64) and write policy
+// (attr "policy"). A page is one device block (device.BlockSize), so a
+// cached page is the block the device stores.
 func (c *Cache) Configure(cfg core.Config, env *core.Env) error {
 	if err := c.Base.Configure(cfg, env); err != nil {
 		return err
@@ -100,18 +101,7 @@ func (c *Cache) Configure(cfg core.Config, env *core.Env) error {
 	if capMB <= 0 {
 		capMB = 64
 	}
-	pageKB, err := cfg.Int("page_kb", 4)
-	if err != nil {
-		return err
-	}
-	if pageKB <= 0 {
-		pageKB = 4
-	}
-	c.pageSize = pageKB << 10
-	c.capacity = (capMB << 20) / c.pageSize
-	if c.capacity < 1 {
-		c.capacity = 1
-	}
+	c.capacity = (capMB << 20) / device.BlockSize
 	c.policy = cfg.Attr("policy", "writethrough")
 	c.slots = nil
 	c.index = make(map[int64]int32)
@@ -139,7 +129,7 @@ func (c *Cache) processRead(e *core.Exec, req *core.Request) error {
 	// Lookup + LRU maintenance; data-movement charges land on the paths
 	// that actually move bytes.
 	req.Charge("cache", e.Model.LRUCacheOp)
-	if req.Size == c.pageSize && req.Offset%int64(c.pageSize) == 0 {
+	if req.Size == device.BlockSize && req.Offset%device.BlockSize == 0 {
 		c.mu.Lock()
 		if i, ok := c.index[req.Offset]; ok {
 			c.touch(i)
@@ -153,7 +143,7 @@ func (c *Cache) processRead(e *core.Exec, req *core.Request) error {
 				c.mu.Unlock()
 				req.Value = req.ValueH.Bytes()
 				req.Data = req.Value
-				req.Result = int64(c.pageSize)
+				req.Result = device.BlockSize
 				return nil
 			}
 			// Copy out under the lock: a replacement or eviction releases
@@ -161,9 +151,9 @@ func (c *Cache) processRead(e *core.Exec, req *core.Request) error {
 			// slot holds it.
 			copy(req.Data, p.h.Bytes())
 			c.mu.Unlock()
-			copyHitOut.Add(c.pageSize)
+			copyHitOut.Add(device.BlockSize)
 			req.Charge("cache", e.Model.Copy(req.Size))
-			req.Result = int64(c.pageSize)
+			req.Result = device.BlockSize
 			return nil
 		}
 		c.misses++
@@ -194,8 +184,8 @@ func (c *Cache) fillByRef(e *core.Exec, req *core.Request) error {
 	err := e.Next(req)
 	h := req.TakeValue()
 	req.Data = dst
-	if err == nil && h.Len() != c.pageSize {
-		err = fmt.Errorf("lru: block read at %d returned no %d-byte result handle", req.Offset, c.pageSize)
+	if err == nil && h.Len() != device.BlockSize {
+		err = fmt.Errorf("lru: block read at %d returned no %d-byte result handle", req.Offset, device.BlockSize)
 	}
 	if err != nil {
 		h.Release()
@@ -217,13 +207,13 @@ func (c *Cache) insertFill(req *core.Request) {
 	if !h.Valid() {
 		h = req.ValueH
 	}
-	if h.Valid() && h.Len() == c.pageSize {
+	if h.Valid() && h.Len() == device.BlockSize {
 		c.insertPage(&page{off: req.Offset, h: h.Retain()})
 	}
 }
 
 func (c *Cache) processWrite(e *core.Exec, req *core.Request) error {
-	aligned := req.Size == c.pageSize && req.Offset%int64(c.pageSize) == 0
+	aligned := req.Size == device.BlockSize && req.Offset%device.BlockSize == 0
 	if aligned && req.DirectIO && !c.resident(req.Offset) {
 		// No page is allocated for a direct write, so nothing is copied. A
 		// resident page is updated below instead, keeping it coherent.
@@ -236,7 +226,7 @@ func (c *Cache) processWrite(e *core.Exec, req *core.Request) error {
 	// reference; a bare Data slice is borrowed, so the cache takes its own
 	// copy (DESIGN.md §13 — a Buf handle may be retained, Data may not).
 	var h core.BufHandle
-	if aligned && req.Buf.Valid() && req.Buf.Len() == c.pageSize {
+	if aligned && req.Buf.Valid() && req.Buf.Len() == device.BlockSize {
 		req.Charge("cache", e.Model.LRUCacheOp)
 		h = req.Buf.Retain()
 	} else {

@@ -334,7 +334,7 @@ func TestConfigureValidation(t *testing.T) {
 	h := modtest.New(t, device.NVMe, 64<<20)
 	// Nonsense capacities fall back to sane defaults rather than zero (or
 	// one page): blocks written through the cache still hit when read back.
-	s := mountCache(t, h, map[string]string{"capacity_mb": "-3", "page_kb": "0"})
+	s := mountCache(t, h, map[string]string{"capacity_mb": "-3"})
 	c := cacheInstance(t, h)
 	const n = 4
 	for i := 0; i < n; i++ {
@@ -398,7 +398,6 @@ type refCache struct {
 	pages    map[int64]*refPage
 	order    *list.List // front = most recent
 	capacity int
-	pageSize int
 	policy   string
 
 	hits   int64
@@ -429,15 +428,7 @@ func (c *refCache) Configure(cfg core.Config, env *core.Env) error {
 	if capMB <= 0 {
 		capMB = 64
 	}
-	pageKB, _ := strconv.Atoi(cfg.Attr("page_kb", "4"))
-	if pageKB <= 0 {
-		pageKB = 4
-	}
-	c.pageSize = pageKB << 10
-	c.capacity = (capMB << 20) / c.pageSize
-	if c.capacity < 1 {
-		c.capacity = 1
-	}
+	c.capacity = (capMB << 20) / device.BlockSize
 	c.policy = cfg.Attr("policy", "writethrough")
 	c.pages = make(map[int64]*refPage)
 	c.order = list.New()
@@ -459,7 +450,7 @@ func (c *refCache) Process(e *core.Exec, req *core.Request) error {
 
 func (c *refCache) processRead(e *core.Exec, req *core.Request) error {
 	req.Charge("cache", e.Model.LRUCacheOp)
-	if req.Size == c.pageSize && req.Offset%int64(c.pageSize) == 0 {
+	if req.Size == device.BlockSize && req.Offset%device.BlockSize == 0 {
 		c.mu.Lock()
 		if p, ok := c.pages[req.Offset]; ok {
 			c.order.MoveToFront(p.elem)
@@ -469,13 +460,13 @@ func (c *refCache) processRead(e *core.Exec, req *core.Request) error {
 				c.mu.Unlock()
 				req.Value = req.ValueH.Bytes()
 				req.Data = req.Value
-				req.Result = int64(c.pageSize)
+				req.Result = device.BlockSize
 				return nil
 			}
 			copy(req.Data, p.h.Bytes())
 			c.mu.Unlock()
 			req.Charge("cache", e.Model.Copy(req.Size))
-			req.Result = int64(c.pageSize)
+			req.Result = device.BlockSize
 			return nil
 		}
 		c.misses++
@@ -495,9 +486,9 @@ func (c *refCache) processRead(e *core.Exec, req *core.Request) error {
 func (c *refCache) insertFill(e *core.Exec, req *core.Request) {
 	var h core.BufHandle
 	switch {
-	case req.Buf.Valid() && req.Buf.Len() == c.pageSize:
+	case req.Buf.Valid() && req.Buf.Len() == device.BlockSize:
 		h = req.Buf.Retain()
-	case req.ValueH.Valid() && req.ValueH.Len() == c.pageSize:
+	case req.ValueH.Valid() && req.ValueH.Len() == device.BlockSize:
 		h = req.ValueH.Retain()
 	}
 	if h.Valid() {
@@ -518,13 +509,13 @@ func (c *refCache) insertFill(e *core.Exec, req *core.Request) {
 }
 
 func (c *refCache) processWrite(e *core.Exec, req *core.Request) error {
-	aligned := req.Size == c.pageSize && req.Offset%int64(c.pageSize) == 0
+	aligned := req.Size == device.BlockSize && req.Offset%device.BlockSize == 0
 	if aligned && req.DirectIO && !c.resident(req.Offset) {
 		req.Charge("cache", e.Model.LRUCacheOp)
 		return e.Next(req)
 	}
 	var h core.BufHandle
-	if aligned && req.Buf.Valid() && req.Buf.Len() == c.pageSize {
+	if aligned && req.Buf.Valid() && req.Buf.Len() == device.BlockSize {
 		req.Charge("cache", e.Model.LRUCacheOp)
 		h = req.Buf.Retain()
 	} else {
@@ -631,10 +622,19 @@ func (c *refCache) Order() (resident, dirty []int64) {
 	return resident, dirty
 }
 
+// SetCapacity sets the model's capacity in pages, as Cache.SetCapacity
+// does the cache's.
+func (c *refCache) SetCapacity(pages int) {
+	c.mu.Lock()
+	c.capacity = pages
+	c.mu.Unlock()
+}
+
 // cacheUnderTest is what the reference-model test reads of either cache.
 type cacheUnderTest interface {
 	Stats() (hits, misses int64, resident int)
 	Order() (resident, dirty []int64)
+	SetCapacity(pages int)
 }
 
 // TestCacheMatchesReferenceModel drives the slot-table cache and refCache,
@@ -651,17 +651,16 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 	for _, policy := range []string{"writethrough", "writeback"} {
 		for _, pages := range []int{1, 2, 7, 64} {
 			t.Run(fmt.Sprintf("%s/%d", policy, pages), func(t *testing.T) {
-				pageKB := 1024 / pages // capacity_mb 1 over pageKB pages
-				checkAgainstModel(t, policy, pageKB, int64(pages))
+				checkAgainstModel(t, policy, pages)
 			})
 		}
 	}
 }
 
-func checkAgainstModel(t *testing.T, policy string, pageKB int, seed int64) {
-	pageSize := pageKB << 10
-	blocks := 3*((1<<20)/pageSize) + 3 // offsets span three capacities and change
-	attrs := map[string]string{"capacity_mb": "1", "page_kb": strconv.Itoa(pageKB), "policy": policy}
+func checkAgainstModel(t *testing.T, policy string, pages int) {
+	const pageSize = device.BlockSize
+	blocks := 3*pages + 3 // offsets span three capacities and change
+	attrs := map[string]string{"policy": policy}
 	mount := func(typ string) (*modtest.Harness, *core.Stack, cacheUnderTest) {
 		h := modtest.New(t, device.NVMe, int64(blocks+1)*int64(pageSize))
 		s := h.Mount(t, "blk::/c",
@@ -672,12 +671,14 @@ func checkAgainstModel(t *testing.T, policy string, pageKB int, seed int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return h, s, m.(cacheUnderTest)
+		c := m.(cacheUnderTest)
+		c.SetCapacity(pages)
+		return h, s, c
 	}
 	hs, ss, cs := mount(lru.Type)
 	hr, sr, cr := mount(refType)
 
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(int64(pages)))
 	var clock vtime.Time
 	ops := 300 + 40*blocks
 	for i := 0; i < ops; i++ {

@@ -103,11 +103,11 @@ func (m *Mod) Configure(cfg core.Config, env *core.Env) error {
 		caps.MaxSteps = int64(st)
 	}
 	m.pol = NewPolicy(Default, allow, caps)
-	for name, src := range cfg.Attrs {
+	for name := range cfg.Attrs {
 		if !strings.HasPrefix(name, "prog.") {
 			continue
 		}
-		if _, err := Default.Register(strings.TrimPrefix(name, "prog."), src); err != nil {
+		if _, err := Default.Register(strings.TrimPrefix(name, "prog."), cfg.Attr(name, "")); err != nil {
 			return fmt.Errorf("pushdown: vertex %q attr %q: %w", cfg.UUID, name, err)
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"sync"
 
 	"labstor/internal/core"
+	"labstor/internal/device"
 	"labstor/internal/telemetry"
 )
 
@@ -25,6 +26,10 @@ func init() {
 	core.RegisterType(Type, func() core.Module { return &Prefetcher{} })
 }
 
+// maxBuffered bounds the prefetch buffer, in blocks: a window that would
+// pass it stops short.
+const maxBuffered = 256
+
 // copyHitOut fires only when a hit must land in a caller-chosen
 // destination; hits with no destination transfer the prefetched buffer
 // by handle ownership — zero copies.
@@ -34,9 +39,8 @@ var copyHitOut = telemetry.CopySite("readahead.hit_copy_out")
 type Prefetcher struct {
 	core.Base
 
-	blockSize int
-	window    int // blocks to prefetch on a detected sequential run
-	trigger   int // consecutive sequential hits required
+	window  int // blocks to prefetch on a detected sequential run
+	trigger int // consecutive sequential hits required
 
 	mu sync.Mutex
 	// streak tracks the current sequential run length per predicted next
@@ -45,8 +49,7 @@ type Prefetcher struct {
 	// buf holds prefetched blocks by device offset. Each entry owns one
 	// handle reference; a hit either moves the handle to the request
 	// (zero-copy) or copies and releases it.
-	buf      map[int64]core.BufHandle
-	capacity int
+	buf map[int64]core.BufHandle
 
 	hits       int64
 	prefetches int64
@@ -57,20 +60,13 @@ func (p *Prefetcher) Info() core.ModuleInfo {
 	return core.ModuleInfo{Type: Type, Version: "1.0", Consumes: core.APIBlock, Produces: core.APIBlock}
 }
 
-// Configure reads block_kb (default 4), window (default 8 blocks),
-// trigger (default 2 sequential accesses) and capacity_blocks (default 256).
+// Configure reads window (default 8 blocks) and trigger (default 2
+// sequential accesses). A block is the device's (device.BlockSize).
 func (p *Prefetcher) Configure(cfg core.Config, env *core.Env) error {
 	if err := p.Base.Configure(cfg, env); err != nil {
 		return err
 	}
-	bk, err := cfg.Int("block_kb", 4)
-	if err != nil {
-		return err
-	}
-	if bk < 1 {
-		bk = 4
-	}
-	p.blockSize = bk << 10
+	var err error
 	if p.window, err = cfg.Int("window", 8); err != nil {
 		return err
 	}
@@ -82,12 +78,6 @@ func (p *Prefetcher) Configure(cfg core.Config, env *core.Env) error {
 	}
 	if p.trigger < 1 {
 		p.trigger = 2
-	}
-	if p.capacity, err = cfg.Int("capacity_blocks", 256); err != nil {
-		return err
-	}
-	if p.capacity < p.window {
-		p.capacity = p.window
 	}
 	p.streak = make(map[int64]int)
 	p.buf = make(map[int64]core.BufHandle)
@@ -102,7 +92,7 @@ func (p *Prefetcher) Process(e *core.Exec, req *core.Request) error {
 	case core.OpBlockWrite, core.OpWrite, core.OpAppend:
 		// Writes invalidate overlapping prefetched blocks.
 		p.mu.Lock()
-		for off := req.Offset - req.Offset%int64(p.blockSize); off < req.Offset+int64(req.Size); off += int64(p.blockSize) {
+		for off := req.Offset - req.Offset%device.BlockSize; off < req.Offset+int64(req.Size); off += device.BlockSize {
 			if h, ok := p.buf[off]; ok {
 				delete(p.buf, off)
 				h.Release()
@@ -114,7 +104,7 @@ func (p *Prefetcher) Process(e *core.Exec, req *core.Request) error {
 		return e.Next(req)
 	}
 
-	aligned := req.Size == p.blockSize && req.Offset%int64(p.blockSize) == 0
+	aligned := req.Size == device.BlockSize && req.Offset%device.BlockSize == 0
 	if !aligned {
 		return e.Next(req)
 	}
@@ -131,19 +121,19 @@ func (p *Prefetcher) Process(e *core.Exec, req *core.Request) error {
 			req.ValueH = h
 			req.Value = h.Bytes()
 			req.Data = req.Value
-			req.Result = int64(p.blockSize)
+			req.Result = device.BlockSize
 			return nil
 		}
 		req.Charge("readahead", e.Model.Copy(req.Size))
 		copyHitOut.Add(copy(req.Data, h.Bytes()))
 		h.Release()
-		req.Result = int64(p.blockSize)
+		req.Result = device.BlockSize
 		return nil
 	}
 	// Pattern detection: did this read extend a run?
 	run := p.streak[req.Offset] + 1
 	delete(p.streak, req.Offset)
-	next := req.Offset + int64(p.blockSize)
+	next := req.Offset + device.BlockSize
 	p.streak[next] = run
 	if len(p.streak) > 1024 {
 		p.streak = map[int64]int{next: run}
@@ -162,10 +152,10 @@ func (p *Prefetcher) Process(e *core.Exec, req *core.Request) error {
 		// request's post-read clock but the parent does not absorb them.
 		base := req.Clock
 		for i := 1; i <= p.window; i++ {
-			off := req.Offset + int64(i)*int64(p.blockSize)
+			off := req.Offset + int64(i)*device.BlockSize
 			p.mu.Lock()
 			_, have := p.buf[off]
-			full := len(p.buf) >= p.capacity
+			full := len(p.buf) >= maxBuffered
 			p.mu.Unlock()
 			if have || full {
 				continue
@@ -173,8 +163,8 @@ func (p *Prefetcher) Process(e *core.Exec, req *core.Request) error {
 			child := req.Child(core.OpBlockRead)
 			child.Clock = base
 			child.Offset = off
-			child.Size = p.blockSize
-			h := core.AcquireHandle(p.blockSize)
+			child.Size = device.BlockSize
+			h := core.AcquireHandle(device.BlockSize)
 			child.Data = h.Bytes()
 			child.Buf = h
 			err := e.Next(child)
@@ -194,7 +184,7 @@ func (p *Prefetcher) Process(e *core.Exec, req *core.Request) error {
 			p.buf[off] = h
 			p.prefetches++
 			// Extend the detected run past the prefetched region.
-			p.streak[off+int64(p.blockSize)] = run + i
+			p.streak[off+device.BlockSize] = run + i
 			p.mu.Unlock()
 		}
 	}

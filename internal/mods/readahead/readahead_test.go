@@ -112,15 +112,19 @@ func TestPrefetchHitSkipsDevice(t *testing.T) {
 	}
 }
 
+// TestCapacityBounded reads every ninth block, so each read misses and
+// prefetches the 8 blocks after it: 64 reads would buffer 512 blocks, and
+// the buffer must stop at 256.
 func TestCapacityBounded(t *testing.T) {
+	const reads, stride = 64, 9
 	h := modtest.New(t, device.NVMe, 64<<20)
-	s := mountRA(t, h, map[string]string{"trigger": "1", "window": "8", "capacity_blocks": "8"})
-	seed(t, h, 128)
-	for i := 0; i < 64; i++ {
-		h.Run(t, s, modtest.BlockReadReq(int64(i)*4096, 4096))
+	s := mountRA(t, h, map[string]string{"trigger": "1", "window": "8"})
+	seed(t, h, reads*stride)
+	for i := 0; i < reads; i++ {
+		h.Run(t, s, modtest.BlockReadReq(int64(i*stride)*4096, 4096))
 	}
-	if got := raInstance(t, h).Buffered(); got > 8 {
-		t.Fatalf("buffer exceeded capacity: %d", got)
+	if got := raInstance(t, h).Buffered(); got != 256 {
+		t.Fatalf("buffered %d blocks, want the bound of 256", got)
 	}
 }
 

@@ -3,10 +3,13 @@ package labstor_test
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"labstor"
+	"labstor/internal/spec"
 )
 
 const testStack = `
@@ -338,50 +341,53 @@ mods:
 	}
 }
 
+// Stack documents for the attribute tests: each has a vertex "m" whose
+// attribute attr is set to %s.
+const attrDrv = "  - uuid: drv\n    type: labstor.kernel_driver\n    attrs:\n      device: nvme0\n"
+
+func attrFSStack(mods string) string {
+	return "mount: fs::/a\nmods:\n" + mods +
+		"  - uuid: fs\n    type: labstor.labfs\n    attrs:\n      device: nvme0\n      log_mb: 4\n"
+}
+
+// blockAttr puts m between LabFS and the driver; attrs are its others.
+func blockAttr(typ, attrs, attr string) string {
+	return attrFSStack("") + "  - uuid: m\n    type: " + typ + "\n    attrs:\n" + attrs + "      " + attr + ": %s\n" + attrDrv
+}
+
+func fsAttr(attr string) string {
+	return "mount: fs::/a\nmods:\n  - uuid: m\n    type: labstor.labfs\n    attrs:\n      device: nvme0\n      log_mb: 4\n      " + attr + ": %s\n" + attrDrv
+}
+
+func kvsAttr(attr string) string {
+	return "mount: kv::/a\nmods:\n  - uuid: m\n    type: labstor.labkvs\n    attrs:\n      device: nvme0\n      log_mb: 4\n      " + attr + ": %s\n" + attrDrv
+}
+
+// anyAttr puts m above LabFS.
+func anyAttr(typ, attr string) string {
+	return attrFSStack("  - uuid: m\n    type: "+typ+"\n    attrs:\n      "+attr+": %s\n") + attrDrv
+}
+
 // TestMountRejectsNonIntegerAttrs mounts, for every integer mod attribute,
 // a stack that sets it to a value that is not an integer: the mount must
 // fail and name the vertex, the attribute and the value. The same stack
 // with an integer there must mount.
 func TestMountRejectsNonIntegerAttrs(t *testing.T) {
-	const drv = "  - uuid: drv\n    type: labstor.kernel_driver\n    attrs:\n      device: nvme0\n"
-	fsStack := func(mods string) string {
-		return "mount: fs::/a\nmods:\n" + mods +
-			"  - uuid: fs\n    type: labstor.labfs\n    attrs:\n      device: nvme0\n      log_mb: 4\n"
-	}
-	blockMod := func(typ, attr string) string {
-		return fsStack("") + "  - uuid: m\n    type: " + typ + "\n    attrs:\n      device: nvme0\n      " + attr + ": %s\n" + drv
-	}
-	fsAttr := func(attr string) string {
-		return "mount: fs::/a\nmods:\n  - uuid: m\n    type: labstor.labfs\n    attrs:\n      device: nvme0\n      log_mb: 4\n      " + attr + ": %s\n" + drv
-	}
-	kvsAttr := func(attr string) string {
-		return "mount: kv::/a\nmods:\n  - uuid: m\n    type: labstor.labkvs\n    attrs:\n      device: nvme0\n      log_mb: 4\n      " + attr + ": %s\n" + drv
-	}
-	anyMod := func(typ, attr string) string {
-		return fsStack("  - uuid: m\n    type: "+typ+"\n    attrs:\n      "+attr+": %s\n") + drv
-	}
 	for _, tc := range []struct {
 		attr, doc string
 	}{
-		{"capacity_mb", blockMod("labstor.lru", "capacity_mb")},
-		{"page_kb", blockMod("labstor.lru", "page_kb")},
-		{"block_kb", fsAttr("block_kb")},
+		{"capacity_mb", blockAttr("labstor.lru", "", "capacity_mb")},
 		{"log_mb", fsAttr("log_mb")},
 		{"shards", fsAttr("shards")},
-		{"pools", fsAttr("pools")},
-		{"block_kb", kvsAttr("block_kb")},
 		{"log_mb", kvsAttr("log_mb")},
 		{"shards", kvsAttr("shards")},
-		{"block_kb", blockMod("labstor.readahead", "block_kb")},
-		{"window", blockMod("labstor.readahead", "window")},
-		{"trigger", blockMod("labstor.readahead", "trigger")},
-		{"capacity_blocks", blockMod("labstor.readahead", "capacity_blocks")},
-		{"steer_max_kb", blockMod("labstor.blkswitch", "steer_max_kb")},
-		{"owner", anyMod("labstor.perm", "owner")},
-		{"group", anyMod("labstor.perm", "group")},
-		{"cost_ns", anyMod("labstor.dummy", "cost_ns")},
-		{"max_scan_mb", anyMod("labstor.pushdown", "max_scan_mb")},
-		{"max_steps", anyMod("labstor.pushdown", "max_steps")},
+		{"window", blockAttr("labstor.readahead", "", "window")},
+		{"trigger", blockAttr("labstor.readahead", "", "trigger")},
+		{"owner", anyAttr("labstor.perm", "owner")},
+		{"group", anyAttr("labstor.perm", "group")},
+		{"cost_ns", anyAttr("labstor.dummy", "cost_ns")},
+		{"max_scan_mb", anyAttr("labstor.pushdown", "max_scan_mb")},
+		{"max_steps", anyAttr("labstor.pushdown", "max_steps")},
 	} {
 		if err := mountOn(fmt.Sprintf(tc.doc, "8")); err != nil {
 			t.Errorf("%s = 8: %v", tc.attr, err)
@@ -390,6 +396,79 @@ func TestMountRejectsNonIntegerAttrs(t *testing.T) {
 		if err := mountOn(fmt.Sprintf(tc.doc, "alice")); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s = alice: err = %v, want it to contain %s", tc.attr, err, want)
 		}
+	}
+}
+
+// TestMountRejectsUnreadAttrs mounts stacks whose vertex "m" sets an
+// attribute its mod does not read: the retired geometry knobs, a misspelt
+// key in a sync-mode stack and an unknown key on pushdown. Each mount must
+// fail naming the vertex and the key. Pushdown's prog.<name> keys are
+// read, so a program still mounts.
+func TestMountRejectsUnreadAttrs(t *testing.T) {
+	const dev = "      device: nvme0\n"
+	syncKVS := "mount: kv::/a\nrules:\n  exec_mode: sync\nmods:\n  - uuid: m\n    type: labstor.labkvs\n    attrs:\n      device: nvme0\n      lgo_mb: %s\n" + attrDrv
+	for _, tc := range []struct {
+		attr, doc string
+	}{
+		{"page_kb", blockAttr("labstor.lru", "", "page_kb")},
+		{"block_kb", fsAttr("block_kb")},
+		{"pools", fsAttr("pools")},
+		{"block_kb", kvsAttr("block_kb")},
+		{"block_kb", blockAttr("labstor.readahead", "", "block_kb")},
+		{"capacity_blocks", blockAttr("labstor.readahead", "", "capacity_blocks")},
+		{"steer_max_kb", blockAttr("labstor.blkswitch", dev, "steer_max_kb")},
+		{"device", blockAttr("labstor.lru", "", "device")},
+		{"lgo_mb", syncKVS},
+		{"max_scan_kb", anyAttr("labstor.pushdown", "max_scan_kb")},
+	} {
+		err := mountOn(fmt.Sprintf(tc.doc, "8"))
+		if err == nil || !strings.Contains(err.Error(), `vertex "m"`) || !strings.Contains(err.Error(), fmt.Sprintf("attribute %q", tc.attr)) {
+			t.Errorf("%s = 8: err = %v, want it to name vertex \"m\" and attribute %q", tc.attr, err, tc.attr)
+		}
+	}
+	if err := mountOn(fmt.Sprintf(anyAttr("labstor.pushdown", "prog.unread-probe"), "count")); err != nil {
+		t.Errorf("pushdown with a program: %v", err)
+	}
+}
+
+// TestShippedStacksMount mounts every stack file in configs/ on a platform
+// that has each device the file names (PMEM, which every driver accepts).
+func TestShippedStacksMount(t *testing.T) {
+	paths, err := filepath.Glob("configs/*.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stacks := 0
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, err := spec.Parse(string(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if root.Get("mount") == nil {
+			continue // a runtime config
+		}
+		ss, err := spec.StackFromNode(root)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		stacks++
+		p := labstor.NewPlatform(labstor.Config{Workers: 1})
+		for _, v := range ss.Vertices {
+			if name := v.Attrs["device"]; name != "" && p.Runtime().Env.Devices[name] == nil {
+				p.AddDevice(name, labstor.PMEM, 256<<20)
+			}
+		}
+		if _, err := p.MountSpec(string(raw)); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+		p.Close()
+	}
+	if stacks == 0 {
+		t.Fatal("no stack file in configs/")
 	}
 }
 

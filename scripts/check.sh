@@ -100,6 +100,10 @@
 #      detector with -tags labstor_debug at -cpu 1,2,8. The tests recycle
 #      completed requests through the pool while the worker is still in
 #      their batch, so a touch after MarkDone is a reported race.
+#  18. examples: go run each program under examples/ (about a second
+#      each); a non-zero exit fails the gate. The examples mount their own
+#      stacks, and a mount fails on an attribute its mod does not read, so
+#      this catches an example left setting a retired or misspelt key.
 # Run from the repository root (or via `make check`).
 set -eu
 cd "$(dirname "$0")/.."
@@ -188,5 +192,10 @@ go test -race -count=3 -cpu 1,2,8 -run 'TestServeCopyContract|TestFSCopyContract
 
 echo "== streamed completions: go test -race -tags labstor_debug -count=3 -cpu 1,2,8 -run 'TestStreamedCompletion|TestServeStreamsCompletions|TestCompleterWritesBatchAtMostTwice|TestParkedWorker|Handshake|Wait' ./internal/runtime ./internal/serve =="
 go test -race -tags labstor_debug -count=3 -cpu 1,2,8 -run 'TestStreamedCompletion|TestServeStreamsCompletions|TestCompleterWritesBatchAtMostTwice|TestParkedWorker|Handshake|Wait' ./internal/runtime ./internal/serve
+
+for ex in examples/*/; do
+	echo "== examples: go run ./$ex =="
+	go run "./$ex" >/dev/null
+done
 
 echo "== check: OK =="
