@@ -116,13 +116,6 @@ func (a *allocator) FreeBlocks() int64 {
 	return n
 }
 
-// Pools returns the number of pools.
-func (a *allocator) Pools() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.pools)
-}
-
 // PoolSizes returns the per-pool free counts (diagnostics/tests).
 func (a *allocator) PoolSizes() []int {
 	a.mu.Lock()

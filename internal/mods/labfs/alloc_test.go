@@ -7,13 +7,13 @@ import (
 
 func TestAllocatorDivision(t *testing.T) {
 	a := newAllocator(4, 100, 1000)
-	if a.Pools() != 4 {
-		t.Fatal("pools")
-	}
 	if a.FreeBlocks() != 1000 {
 		t.Fatalf("free %d", a.FreeBlocks())
 	}
 	sizes := a.PoolSizes()
+	if len(sizes) != 4 {
+		t.Fatalf("%d pools, want 4", len(sizes))
+	}
 	for _, s := range sizes {
 		if s != 250 {
 			t.Fatalf("uneven division %v", sizes)

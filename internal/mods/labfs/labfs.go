@@ -281,9 +281,8 @@ func (f *LabFS) applyEntries(entries []logEntry) {
 	}
 	// Rebuild the allocator: everything in the data region not referenced
 	// by a live extent is free.
-	pools := f.alloc.Pools()
-	fresh := newEmptyAllocator(pools)
-	per := f.dataBlocks/int64(pools) + 1
+	fresh := newEmptyAllocator(allocPools)
+	per := f.dataBlocks/allocPools + 1
 	p := 0
 	count := int64(0)
 	for b := f.dataFirst; b < f.dataFirst+f.dataBlocks; b++ {
@@ -292,7 +291,7 @@ func (f *LabFS) applyEntries(entries []logEntry) {
 		}
 		fresh.pools[p] = append(fresh.pools[p], b)
 		count++
-		if count%per == 0 && p < pools-1 {
+		if count%per == 0 && p < allocPools-1 {
 			p++
 		}
 	}
