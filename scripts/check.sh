@@ -100,7 +100,11 @@
 #      detector with -tags labstor_debug at -cpu 1,2,8. The tests recycle
 #      completed requests through the pool while the worker is still in
 #      their batch, so a touch after MarkDone is a reported race.
-#  18. examples: go run each program under examples/ (about a second
+#  18. golden tables: TestGoldenTables at -cpu 1,2,8. The anatomy,
+#      storageapi and labios tables at their labbench -quick sizes must
+#      match internal/experiments/testdata/*.golden byte for byte at every
+#      GOMAXPROCS, so a change that moves a modeled number fails here.
+#  19. examples: go run each program under examples/ (about a second
 #      each); a non-zero exit fails the gate. The examples mount their own
 #      stacks, and a mount fails on an attribute its mod does not read, so
 #      this catches an example left setting a retired or misspelt key.
@@ -192,6 +196,9 @@ go test -race -count=3 -cpu 1,2,8 -run 'TestServeCopyContract|TestFSCopyContract
 
 echo "== streamed completions: go test -race -tags labstor_debug -count=3 -cpu 1,2,8 -run 'TestStreamedCompletion|TestServeStreamsCompletions|TestCompleterWritesBatchAtMostTwice|TestParkedWorker|Handshake|Wait' ./internal/runtime ./internal/serve =="
 go test -race -tags labstor_debug -count=3 -cpu 1,2,8 -run 'TestStreamedCompletion|TestServeStreamsCompletions|TestCompleterWritesBatchAtMostTwice|TestParkedWorker|Handshake|Wait' ./internal/runtime ./internal/serve
+
+echo "== golden tables: go test -count=1 -cpu 1,2,8 -run TestGoldenTables ./internal/experiments =="
+go test -count=1 -cpu 1,2,8 -run TestGoldenTables ./internal/experiments
 
 for ex in examples/*/; do
 	echo "== examples: go run ./$ex =="
