@@ -665,24 +665,98 @@ func TestExecGate(t *testing.T) {
 	}
 }
 
+// spawnOutcome is what TestExecSpawnNext's parent module saw of its one
+// SpawnNext call.
+type spawnOutcome struct {
+	req      *Request  // the parent, after its walk
+	h        BufHandle // SpawnNext's returned handle
+	err      error     // SpawnNext's error
+	released int64     // pool releases during the call
+}
+
 func TestExecSpawnNext(t *testing.T) {
-	reg := NewRegistry()
-	reg.Register("parent", &fakeMod{name: "parent", process: func(e *Exec, r *Request) error {
-		child := r.Child(OpBlockWrite)
-		return e.SpawnNext(r, child)
-	}})
-	reg.Register("sink", &fakeMod{name: "sink", process: func(e *Exec, r *Request) error {
-		r.Charge("sink", 77)
-		return nil
-	}})
-	st := NewStack("m", Rules{}, chainVertices("parent", "sink"))
-	e := NewExec(reg, nil, nil, 0)
-	req := NewRequest(OpWrite)
-	if err := e.Submit(st, req); err != nil {
-		t.Fatal(err)
+	errSink := errors.New("sink failed")
+	write := func(r *Request) *Request { return r.Child(OpBlockWrite) }
+	bareRead := func(r *Request) *Request {
+		c := r.Child(OpBlockRead)
+		c.Offset, c.Size = 8192, 4096
+		return c
 	}
-	if req.CPUTime < 77 {
-		t.Fatalf("child cost not absorbed: %v", req.CPUTime)
+	cases := []struct {
+		name  string
+		child func(parent *Request) *Request
+		sink  func(r *Request) error
+		check func(t *testing.T, o spawnOutcome)
+	}{
+		{"failing child reaches the parent", write,
+			func(r *Request) error { return errSink },
+			func(t *testing.T, o spawnOutcome) {
+				if !errors.Is(o.err, errSink) || !errors.Is(o.req.Err, errSink) {
+					t.Fatalf("SpawnNext err %v, parent err %v; want %v", o.err, o.req.Err, errSink)
+				}
+				if o.req.CPUTime < 77 || o.req.Clock < 77 {
+					t.Fatalf("child's cost not absorbed on failure: clock %d cpu %d", o.req.Clock, o.req.CPUTime)
+				}
+			}},
+		{"Err with a nil return fails", write,
+			func(r *Request) error { r.Err = errSink; return nil },
+			func(t *testing.T, o spawnOutcome) {
+				if !errors.Is(o.err, errSink) {
+					t.Fatalf("SpawnNext err %v, want %v", o.err, errSink)
+				}
+			}},
+		{"bare read without a handle fails", bareRead,
+			func(r *Request) error { return nil },
+			func(t *testing.T, o spawnOutcome) {
+				if o.err == nil || !strings.Contains(o.err.Error(), "8192") {
+					t.Fatalf("SpawnNext err %v, want one naming offset 8192", o.err)
+				}
+				if o.h.Valid() {
+					t.Fatal("failed SpawnNext returned a handle")
+				}
+			}},
+		{"child goes back to the pool", write,
+			func(r *Request) error { return nil },
+			func(t *testing.T, o spawnOutcome) {
+				if o.err != nil || o.released != 1 {
+					t.Fatalf("err %v, %d pool releases; want nil and 1", o.err, o.released)
+				}
+				if o.h.Valid() {
+					t.Fatal("a write returned a handle")
+				}
+			}},
+		{"returned handle is the caller's", bareRead,
+			func(r *Request) error { r.CompleteValue(r.Size)[0] = 42; return nil },
+			func(t *testing.T, o spawnOutcome) {
+				if o.err != nil || o.h.Len() != 4096 || o.h.Bytes()[0] != 42 {
+					t.Fatalf("err %v, handle of %d bytes; want the sink's 4096", o.err, o.h.Len())
+				}
+				if !o.h.Sole() {
+					t.Fatal("the released child still shares the returned handle")
+				}
+			}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var o spawnOutcome
+			reg := NewRegistry()
+			reg.Register("parent", &fakeMod{name: "parent", process: func(e *Exec, r *Request) error {
+				before := RequestPoolStats().Releases
+				o.h, o.err = e.SpawnNext(r, c.child(r))
+				o.released = RequestPoolStats().Releases - before
+				return o.err
+			}})
+			reg.Register("sink", &fakeMod{name: "sink", process: func(e *Exec, r *Request) error {
+				r.Charge("sink", 77)
+				return c.sink(r)
+			}})
+			st := NewStack("m", Rules{}, chainVertices("parent", "sink"))
+			o.req = NewRequest(OpWrite)
+			e := NewExec(reg, nil, nil, 0)
+			e.Submit(st, o.req)
+			c.check(t, o)
+			o.h.Release()
+		})
 	}
 }
 

@@ -160,15 +160,33 @@ func (e *Exec) forward(k int, req *Request) error {
 	return err
 }
 
-// SpawnNext runs a child request through the remainder of the DAG
-// (downstream of the parent's current vertex) and absorbs its clock and
-// trace back into the parent. This is the "filesystem op spawns block I/O
-// requests" pattern.
-func (e *Exec) SpawnNext(parent, child *Request) error {
-	child.plan = parent.plan
-	child.vertex = parent.vertex
-	child.Clock = parent.Clock
+// SpawnNext runs child, drawn from parent with Child, through the
+// remainder of the DAG (downstream of the parent's current vertex): the
+// "filesystem op spawns block I/O requests" pattern. It is the one way a
+// LabMod issues such a request. It sets no field of the child; a caller
+// that issues blocks in parallel sets child.Clock to their common start.
+//
+// The child's clock, CPU time, trace and error are absorbed into parent,
+// on failure too, and a nil return with child.Err set counts as a failure.
+// A block read with no destination (Data nil) fails unless it came back
+// with a result handle of at least child.Size bytes. SpawnNext releases
+// the child and returns its result handle, which the caller owns: it is
+// zero for writes, flushes and reads into a destination.
+func (e *Exec) SpawnNext(parent, child *Request) (BufHandle, error) {
+	needValue := child.Op == OpBlockRead && child.Data == nil
 	err := e.Next(child)
+	if err == nil {
+		err = child.Err
+	}
 	parent.Absorb(child)
-	return err
+	h := child.TakeValue()
+	if err == nil && needValue && (!h.Valid() || h.Len() < child.Size) {
+		err = fmt.Errorf("core: block read at offset %d returned no %d-byte result handle", child.Offset, child.Size)
+	}
+	child.Release()
+	if err != nil {
+		h.Release()
+		return BufHandle{}, err
+	}
+	return h, nil
 }

@@ -43,15 +43,17 @@ func NewRequest(op Op) *Request {
 
 // Release returns a completed request to the pool and drops its result
 // handle (ValueH). A bare Value without a handle (a mod's own heap slice)
-// is never recycled: it is left to the GC. The payload handle (Buf) is
-// borrowed and deliberately NOT released — its owner (the serve plane or
-// a parent request) does that. The caller must not touch r afterwards.
+// is never recycled: it is left to the GC. The payload (Data, and the
+// handle Buf behind it) is borrowed and deliberately NOT released — its
+// owner (the serve plane or a parent request) does that; Release only
+// forgets both, so a pooled request never pins caller memory. The caller
+// must not touch r afterwards.
 // Never call Release on a request that is still queued, executing, or
 // being waited on.
 func (r *Request) Release() {
 	poolPuts.Add(1)
 	r.ValueH.Release()
-	r.ValueH, r.Value, r.Buf = BufHandle{}, nil, BufHandle{}
+	r.ValueH, r.Value, r.Data, r.Buf = BufHandle{}, nil, nil, BufHandle{}
 	reqPool.Put(r)
 }
 

@@ -38,6 +38,24 @@ func TestAcquireReleaseReset(t *testing.T) {
 	r2.Release()
 }
 
+// TestReleaseForgetsPayload checks that Release drops the payload slice as
+// well as the handle behind it (without releasing it: the payload is
+// borrowed), so a pooled request never pins the caller's memory. It reads
+// the request after Release only to see what the pool holds.
+func TestReleaseForgetsPayload(t *testing.T) {
+	h := AcquireHandle(64)
+	defer h.Release()
+	r := NewRequest(OpBlockWrite)
+	r.SetPayload(h)
+	r.Release()
+	if r.Data != nil || r.Buf.Valid() {
+		t.Fatalf("released request still holds its payload: %d bytes, handle %v", len(r.Data), r.Buf.Valid())
+	}
+	if !h.Sole() {
+		t.Fatal("Release dropped a reference to the borrowed payload")
+	}
+}
+
 // TestPoolStatsAccounting checks the hit/miss arithmetic: gets = hits+misses
 // and the counters move with traffic.
 func TestPoolStatsAccounting(t *testing.T) {

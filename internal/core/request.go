@@ -262,8 +262,8 @@ func (r *Request) Park() bool {
 
 // Child draws a follow-on request (e.g. a block I/O spawned by a
 // filesystem op) from the request pool; it inherits the parent's routing
-// and clock. The spawner Releases it once it has Absorbed it and holds
-// nothing of it.
+// and clock. The spawner runs it with Exec.SpawnNext, which absorbs and
+// releases it.
 func (r *Request) Child(op Op) *Request {
 	c := NewRequest(op)
 	c.StackID = r.StackID

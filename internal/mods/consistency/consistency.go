@@ -84,9 +84,7 @@ func (g *Guard) Process(e *core.Exec, req *core.Request) error {
 		g.mu.Lock()
 		g.flushes++
 		g.mu.Unlock()
-		fl := req.Child(core.OpBlockFlush)
-		err := e.SpawnNext(req, fl)
-		fl.Release()
+		_, err := e.SpawnNext(req, req.Child(core.OpBlockFlush))
 		return err
 	}
 	return nil

@@ -531,13 +531,7 @@ func (f *LabFS) truncateTo(e *core.Exec, req *core.Request, ino *inode, size int
 			rc.Offset = phys * bs
 			rc.Size = device.BlockSize
 			rc.Data = blockBuf
-			err := e.Next(rc)
-			rc.Data = nil
-			if err == nil {
-				req.Absorb(rc)
-			}
-			rc.Release()
-			if err != nil {
+			if _, err := e.SpawnNext(req, rc); err != nil {
 				return err
 			}
 			for i := inBlock; i < bs; i++ {
@@ -547,13 +541,7 @@ func (f *LabFS) truncateTo(e *core.Exec, req *core.Request, ino *inode, size int
 			wc.Offset = phys * bs
 			wc.Size = device.BlockSize
 			wc.Data = blockBuf
-			err = e.Next(wc)
-			wc.Data = nil
-			if err == nil {
-				req.Absorb(wc)
-			}
-			wc.Release()
-			if err != nil {
+			if _, err := e.SpawnNext(req, wc); err != nil {
 				return err
 			}
 		}
@@ -585,9 +573,7 @@ func (f *LabFS) fsync(e *core.Exec, req *core.Request) error {
 	if err := f.log.Flush(e, req); err != nil {
 		return err
 	}
-	child := req.Child(core.OpBlockFlush)
-	err := e.SpawnNext(req, child)
-	child.Release()
+	_, err := e.SpawnNext(req, req.Child(core.OpBlockFlush))
 	return err
 }
 
@@ -660,22 +646,17 @@ func (f *LabFS) write(e *core.Exec, req *core.Request) error {
 			scratch = core.AcquireHandle(device.BlockSize)
 			block := scratch.Bytes()
 			if have {
-				rc := req.Child(core.OpBlockRead)
-				rc.Clock = base
+				// The read is the write's child: the write starts when
+				// the read ends, and both reach req through the write.
+				rc := child.Child(core.OpBlockRead)
 				rc.Offset = phys * bs
 				rc.Size = device.BlockSize
 				rc.Data = block
-				err := e.Next(rc)
-				rc.Data = nil
-				if err != nil {
-					rc.Release()
+				if _, err := e.SpawnNext(child, rc); err != nil {
 					child.Release()
 					scratch.Release()
 					return err
 				}
-				child.Clock = rc.Clock
-				req.Absorb(rc)
-				rc.Release()
 			} else {
 				// Fresh block: the unwritten tail must read as zeros, and
 				// arena buffers come back dirty.
@@ -685,14 +666,8 @@ func (f *LabFS) write(e *core.Exec, req *core.Request) error {
 			child.Size = device.BlockSize
 			child.Data = block
 		}
-		err := e.Next(child)
-		child.Data = nil
-		child.Buf = core.BufHandle{}
+		_, err := e.SpawnNext(req, child)
 		scratch.Release()
-		if err == nil {
-			req.Absorb(child)
-		}
-		child.Release()
 		if err != nil {
 			return err
 		}
@@ -778,14 +753,7 @@ func (f *LabFS) read(e *core.Exec, req *core.Request) error {
 			}
 			child.Data = bounce.Bytes()
 		}
-		err := e.Next(child)
-		child.Data = nil
-		child.Buf = core.BufHandle{}
-		if err == nil {
-			req.Absorb(child)
-		}
-		child.Release()
-		if err != nil {
+		if _, err := e.SpawnNext(req, child); err != nil {
 			bounce.Release()
 			return err
 		}
@@ -844,24 +812,12 @@ func (f *LabFS) scanExec(e *core.Exec, req *core.Request) error {
 			child.Clock = base
 			child.Offset = phys * bs
 			child.Size = device.BlockSize
-			err := e.Next(child)
-			req.Absorb(child)
-			if err == nil {
-				err = child.Err
-			}
-			if err != nil {
-				child.Release()
+			var err error
+			if h, err = e.SpawnNext(req, child); err != nil {
 				req.Err = err
 				return err
 			}
-			view = child.Value
-			if view == nil {
-				view = child.Data
-			}
-			view = view[:n]
-			// The view outlives the child: keep its handle.
-			h = child.TakeValue()
-			child.Release()
+			view = h.Bytes()[:n]
 		} else {
 			view = make([]byte, n) // hole: zeros
 		}

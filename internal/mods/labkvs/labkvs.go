@@ -309,14 +309,8 @@ func (k *LabKVS) put(e *core.Exec, req *core.Request) error {
 			clear(block[n:])
 			child.Data = block
 		}
-		err := e.Next(child)
-		child.Data = nil
-		child.Buf = core.BufHandle{}
+		_, err := e.SpawnNext(req, child)
 		staged.Release()
-		if err == nil {
-			req.Absorb(child)
-		}
-		child.Release()
 		if err != nil {
 			return err
 		}
@@ -395,14 +389,7 @@ func (k *LabKVS) get(e *core.Exec, req *core.Request) error {
 			}
 			child.Data = scratch.Bytes()
 		}
-		err := e.Next(child)
-		child.Data = nil
-		child.Buf = core.BufHandle{}
-		if err == nil {
-			req.Absorb(child)
-		}
-		child.Release()
-		if err != nil {
+		if _, err := e.SpawnNext(req, child); err != nil {
 			scratch.Release()
 			return err
 		}
@@ -428,18 +415,8 @@ func (k *LabKVS) getBlock(e *core.Exec, req *core.Request, block int64, size int
 	child := req.Child(core.OpBlockRead)
 	child.Offset = block * device.BlockSize
 	child.Size = device.BlockSize
-	err := e.Next(child)
-	req.Absorb(child)
-	h := child.TakeValue()
-	if err == nil {
-		err = child.Err
-	}
-	child.Release()
-	if err == nil && (!h.Valid() || h.Len() < size) {
-		err = fmt.Errorf("labkvs: block read for %q returned no %d-byte result handle", req.Key, size)
-	}
+	h, err := e.SpawnNext(req, child)
 	if err != nil {
-		h.Release()
 		return err
 	}
 	req.ValueH = h.Narrow(0, size)
@@ -545,13 +522,8 @@ func (k *LabKVS) scanExec(e *core.Exec, req *core.Request) error {
 			child := req.Child(core.OpBlockRead)
 			child.Offset = phys * device.BlockSize
 			child.Size = device.BlockSize
-			err := e.Next(child)
-			req.Absorb(child)
-			if err == nil {
-				err = child.Err
-			}
+			h, err := e.SpawnNext(req, child)
 			if err != nil {
-				child.Release()
 				for _, h := range handles {
 					h.Release()
 				}
@@ -563,16 +535,9 @@ func (k *LabKVS) scanExec(e *core.Exec, req *core.Request) error {
 			if hi > ent.size {
 				hi = ent.size
 			}
-			view := child.Value
-			if view == nil {
-				view = child.Data
-			}
-			chunks = append(chunks, view[:hi-lo])
+			chunks = append(chunks, h.Bytes()[:hi-lo])
 			// The chunk outlives the child: keep its handle.
-			if h := child.TakeValue(); h.Valid() {
-				handles = append(handles, h)
-			}
-			child.Release()
+			handles = append(handles, h)
 		}
 		_, err := ev.Record(ent.key, chunks...)
 		for _, h := range handles {

@@ -280,9 +280,7 @@ func (c *Cache) processFlush(e *core.Exec, req *core.Request) error {
 		child.Offset = fp.off
 		child.Size = fp.h.Len()
 		child.Data, child.Buf = fp.h.Bytes(), fp.h // the device may keep the page by reference
-		err := e.SpawnNext(req, child)
-		child.Data, child.Buf = nil, core.BufHandle{}
-		child.Release()
+		_, err := e.SpawnNext(req, child)
 		fp.h.Release()
 		if err != nil {
 			return err

@@ -554,8 +554,7 @@ func (c *refCache) processFlush(e *core.Exec, req *core.Request) error {
 		child.Offset = fp.off
 		child.Size = fp.h.Len()
 		child.Data = fp.h.Bytes()
-		err := e.SpawnNext(req, child)
-		child.Data = nil
+		_, err := e.SpawnNext(req, child)
 		fp.h.Release()
 		if err != nil {
 			return err

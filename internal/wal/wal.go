@@ -198,9 +198,7 @@ func (l *Log) writeVersioned(e *core.Exec, parent *core.Request, blockNo int64, 
 	child.Size = l.blockSize
 	child.Data, child.Buf = img.Bytes(), img
 	child.DirectIO = true
-	err := e.SpawnNext(parent, child)
-	child.Data, child.Buf = nil, core.BufHandle{} // drop the aliases of img
-	child.Release()
+	_, err := e.SpawnNext(parent, child)
 	if err == nil {
 		l.written[blockNo] = ver
 	}
@@ -226,10 +224,7 @@ func (l *Log) Replay(e *core.Exec, parent *core.Request, apply func(rec []byte) 
 		child.Offset = b * int64(l.blockSize)
 		child.Size = l.blockSize
 		child.Data = blk
-		err = e.SpawnNext(parent, child)
-		child.Data = nil
-		child.Release()
-		if err != nil {
+		if _, err = e.SpawnNext(parent, child); err != nil {
 			break
 		}
 		if b == 0 {
