@@ -130,7 +130,7 @@ func loadStack(cmd string, args []string) *spec.StackSpec {
 }
 
 func show(ss *spec.StackSpec) {
-	fmt.Printf("mount: %s\nexec: %s  priority: %d\n", ss.Mount, ss.Rules.ExecMode, ss.Rules.Priority)
+	fmt.Printf("mount: %s\nexec: %s\n", ss.Mount, ss.Rules.ExecMode)
 	for i, v := range ss.Vertices {
 		arrow := "└─"
 		if i == 0 {

@@ -43,13 +43,10 @@ type Vertex struct {
 	Outputs []string
 }
 
-// Rules are a stack's governing rules.
+// Rules are a stack's governing rules: the only keys a stack file's
+// "rules" mapping may set.
 type Rules struct {
 	ExecMode ExecMode
-	// Priority is a scheduling hint (higher = more latency sensitive).
-	Priority int
-	// Owners are UIDs allowed to modify the stack (empty = creator only).
-	Owners []int
 	// MaxDepth bounds DAG length at validation time (0 = platform default).
 	MaxDepth int
 }

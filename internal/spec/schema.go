@@ -15,9 +15,7 @@ import (
 //	mount: fs::/b
 //	rules:
 //	  exec_mode: async      # async | sync
-//	  priority: 1
 //	  max_depth: 16
-//	  owners: [1000]
 //	mods:
 //	  - uuid: genfs1
 //	    type: labstor.genericfs
@@ -66,9 +64,7 @@ func StackFromNode(root *Node) (*StackSpec, error) {
 		default:
 			return nil, fmt.Errorf("spec: unknown exec_mode %q", rules.Str("exec_mode", ""))
 		}
-		s.Rules.Priority = rules.Int("priority", 0)
 		s.Rules.MaxDepth = rules.Int("max_depth", 0)
-		s.Rules.Owners = rules.Ints("owners")
 	}
 	mods := root.Get("mods")
 	if mods == nil || !mods.IsList() {

@@ -173,9 +173,7 @@ const sampleStack = `
 mount: fs::/data
 rules:
   exec_mode: sync
-  priority: 3
   max_depth: 8
-  owners: [1000, 1001]
 mods:
   - uuid: genfs
     type: labstor.genericfs
@@ -199,11 +197,8 @@ func TestParseStack(t *testing.T) {
 	if ss.Mount != "fs::/data" {
 		t.Fatal("mount")
 	}
-	if ss.Rules.ExecMode != core.ExecSync || ss.Rules.Priority != 3 || ss.Rules.MaxDepth != 8 {
+	if ss.Rules.ExecMode != core.ExecSync || ss.Rules.MaxDepth != 8 {
 		t.Fatalf("rules %+v", ss.Rules)
-	}
-	if len(ss.Rules.Owners) != 2 || ss.Rules.Owners[1] != 1001 {
-		t.Fatalf("owners %v", ss.Rules.Owners)
 	}
 	if len(ss.Vertices) != 3 {
 		t.Fatal("vertices")
@@ -330,8 +325,7 @@ func TestParseRuntimeConfigRejectsUnreadKeys(t *testing.T) {
 // the default worker count. One row per typed accessor; each document
 // parses with the value written well.
 func TestParseRejectsUnparsedValues(t *testing.T) {
-	const stack = "mount: kv::/a\nrules:\n  priority: %s\nmods:\n  - uuid: a\n    type: t\n"
-	const owners = "mount: kv::/a\nrules:\n  owners: %s\nmods:\n  - uuid: a\n    type: t\n"
+	const stack = "mount: kv::/a\nrules:\n  max_depth: %s\nmods:\n  - uuid: a\n    type: t\n"
 	for _, tc := range []struct {
 		doc, good, bad string
 		parse          func(string) error
@@ -347,14 +341,8 @@ func TestParseRejectsUnparsedValues(t *testing.T) {
 			`spec: runtime config key "serve.tenants[0].rate_per_sec": "fast" is not a number`},
 		{"observe:\n  pprof: %s\n", "false", "maybe", runtimeErr,
 			`spec: runtime config key "observe.pprof": "maybe" is not a boolean`},
-		{stack, "3", "high", stackErr,
-			`spec: stack key "rules.priority": "high" is not an integer`},
-		{owners, "[7, 1000]", "[alice]", stackErr,
-			`spec: stack key "rules.owners[0]": "alice" is not an integer`},
-		{owners, "[7, 1000]", "[7x]", stackErr,
-			`spec: stack key "rules.owners[0]": "7x" is not an integer`},
-		{owners, "7", "[7, alice]", stackErr,
-			`spec: stack key "rules.owners[1]": "alice" is not an integer`},
+		{stack, "16", "deep", stackErr,
+			`spec: stack key "rules.max_depth": "deep" is not an integer`},
 	} {
 		if err := tc.parse(fmt.Sprintf(tc.doc, tc.good)); err != nil {
 			t.Fatalf("%s: good value: %v", tc.want, err)

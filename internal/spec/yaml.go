@@ -96,8 +96,8 @@ func (n *Node) invalid(what string) error {
 }
 
 // first returns the first value below n, in document order, that f picks,
-// and the path of its key or list item ("", nil if there is none). The
-// values of keys and the items of lists f passes over are searched too.
+// and the path of its key ("", nil if there is none). The values of keys f
+// passes over and the items of lists are searched too.
 func (n *Node) first(f func(*Node) bool) (string, *Node) {
 	for _, k := range n.keys {
 		c := n.kids[k]
@@ -109,9 +109,6 @@ func (n *Node) first(f func(*Node) bool) (string, *Node) {
 		}
 	}
 	for i, it := range n.list {
-		if f(it) {
-			return fmt.Sprintf("[%d]", i), it
-		}
 		if p, v := it.first(f); v != nil {
 			return fmt.Sprintf("[%d]%s", i, p), v
 		}
@@ -209,33 +206,6 @@ func (n *Node) Strings(key string) []string {
 	return out
 }
 
-// Ints returns the sequence of integers at key, read as Strings reads it.
-// An item that is not an integer is left out and marked for invalid to
-// report.
-func (n *Node) Ints(key string) []int {
-	c := n.Get(key)
-	if c == nil {
-		return nil
-	}
-	items := c.list
-	if c.isScalar && c.scalar != "" {
-		items = []*Node{c}
-	}
-	var out []int
-	for _, it := range items {
-		if !it.isScalar {
-			continue
-		}
-		v, err := strconv.Atoi(strings.TrimSpace(it.scalar))
-		if err != nil {
-			it.want = "an integer"
-			continue
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
 // StringMap flattens a mapping of scalars at key into a map.
 func (n *Node) StringMap(key string) map[string]string {
 	c := n.Get(key)
@@ -255,13 +225,6 @@ func (n *Node) StringMap(key string) map[string]string {
 func scalarNode(s string) *Node { return &Node{scalar: s, isScalar: true} }
 
 func mapNode() *Node { return &Node{kids: make(map[string]*Node)} }
-
-// item appends v to the sequence n. An item has no key for a lookup to
-// read, so it is born read: unread names keys, not items.
-func (n *Node) item(v *Node) {
-	v.read = true
-	n.list = append(n.list, v)
-}
 
 func (n *Node) put(key string, v *Node) {
 	if _, exists := n.kids[key]; !exists {
@@ -378,14 +341,14 @@ func (p *parser) parseList(indent int) (*Node, error) {
 			p.pos++
 			nl, ok2 := p.peek()
 			if !ok2 || nl.indent <= indent {
-				n.item(scalarNode(""))
+				n.list = append(n.list, scalarNode(""))
 				continue
 			}
 			item, err := p.parseBlock(nl.indent)
 			if err != nil {
 				return nil, err
 			}
-			n.item(item)
+			n.list = append(n.list, item)
 			continue
 		}
 		// Rewrite "- content" as "content" at itemIndent and reparse.
@@ -395,13 +358,13 @@ func (p *parser) parseList(indent int) (*Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			n.item(item)
+			n.list = append(n.list, item)
 		} else {
 			v, err := parseFlowScalar(rest, l.num)
 			if err != nil {
 				return nil, err
 			}
-			n.item(v)
+			n.list = append(n.list, v)
 			p.pos++
 		}
 	}
@@ -510,7 +473,7 @@ func parseFlowScalar(s string, lineNum int) (*Node, error) {
 			return n, nil
 		}
 		for _, part := range splitFlow(inner) {
-			n.item(scalarNode(unquote(strings.TrimSpace(part))))
+			n.list = append(n.list, scalarNode(unquote(strings.TrimSpace(part))))
 		}
 		return n, nil
 	}
