@@ -67,15 +67,12 @@ const (
 
 // queueStats is the orchestrator's view of one queue's demand.
 type queueStats struct {
-	cpuNS   float64    // cumulative observed CPU time
-	count   int64      // cumulative requests
-	firstVT vtime.Time // first observed completion
-	lastVT  vtime.Time // latest observed completion
-	estNS   float64    // EWMA per-request processing time
+	cpuNS float64 // cumulative observed CPU time
+	count int64   // cumulative requests
+	estNS float64 // EWMA per-request processing time
 	// Window snapshot taken at each rebalance, so demand is measured over
 	// the most recent epoch rather than the whole run.
 	prevCPU float64
-	prevVT  vtime.Time
 	// rate is the demand estimate carried between windows: an epoch with no
 	// completions keeps the previous estimate while work is still queued
 	// (long requests span epochs) and decays it when the queue is idle.
@@ -132,24 +129,21 @@ func (o *Orchestrator) Queues() []*QP {
 }
 
 // ObserveBatch feeds the classifier: a worker reports each drain's request
-// count, summed CPU cost and latest completion virtual time, folded into
-// the per-queue demand stats under a single mutex acquisition. The EWMA
-// cost estimate is advanced once per request using the batch's mean cost.
-func (o *Orchestrator) ObserveBatch(qpID int, n int, cpu vtime.Duration, completion vtime.Time) {
+// count and summed CPU cost, folded into the per-queue demand stats under a
+// single mutex acquisition. The EWMA cost estimate is advanced once per
+// request using the batch's mean cost.
+func (o *Orchestrator) ObserveBatch(qpID int, n int, cpu vtime.Duration) {
 	if n <= 0 {
 		return
 	}
 	o.mu.Lock()
 	qs, ok := o.perQueue[qpID]
 	if !ok {
-		qs = &queueStats{firstVT: completion}
+		qs = &queueStats{}
 		o.perQueue[qpID] = qs
 	}
 	qs.cpuNS += float64(cpu)
 	qs.count += int64(n)
-	if completion > qs.lastVT {
-		qs.lastVT = completion
-	}
 	const alpha = 0.3
 	mean := float64(cpu) / float64(n)
 	for i := 0; i < n; i++ {
@@ -296,7 +290,6 @@ func (o *Orchestrator) rebalanceDynamic(queues []*QP) {
 				}
 				qs.rate = rate
 				qs.prevCPU = qs.cpuNS
-				qs.prevVT = qs.lastVT
 			}
 		}
 		loads[q.ID] = rate

@@ -301,21 +301,17 @@ func (w *Worker) pollOnce() bool {
 func (w *Worker) processBatch(qp *QP, reqs []*Request) {
 	base := w.processed.Load()
 	var totalCPU vtime.Duration
-	var lastClock vtime.Time
 	last := len(reqs) - 1
 	for i, req := range reqs {
 		cpuUsed, sampled := w.executeOne(qp, req, base+int64(i))
 		totalCPU += cpuUsed
-		if req.Clock > lastClock {
-			lastClock = req.Clock
-		}
 		if sampled {
 			req.Trace = false
 		}
 		if i == last {
 			w.busy.Add(int64(totalCPU))
 			w.processed.Add(int64(len(reqs)))
-			w.rt.orch.ObserveBatch(qp.ID, len(reqs), totalCPU, lastClock)
+			w.rt.orch.ObserveBatch(qp.ID, len(reqs), totalCPU)
 			w.rt.hBatch.Observe(float64(len(reqs)))
 		}
 		// MarkDone is the last touch (DESIGN.md §9 rule 1): the waiter may
