@@ -409,6 +409,76 @@ func TestServeCloseWithBatchesInFlight(t *testing.T) {
 	lc.done()
 }
 
+// TestServeCloseDuringAccept closes the server while clients keep dialing
+// and sending Hello, so that some connection is accepted while Close runs.
+// That connection must be closed too: Close returns within a second, and
+// every client reads the end of its connection. The window is narrow, so
+// each of the rounds only may hit it.
+func TestServeCloseDuringAccept(t *testing.T) {
+	for round := 0; round < 10; round++ {
+		closeDuringAccept(t)
+	}
+}
+
+func closeDuringAccept(t *testing.T) {
+	_, s, addr := newTestServer(t, Config{})
+	hello := AppendHello(nil, &HelloFrame{Version: ProtoVersion, Tenant: "t1"})
+	var mu sync.Mutex
+	var conns []net.Conn
+	stop := make(chan struct{})
+	var dialers sync.WaitGroup
+	stopDialers := sync.OnceFunc(func() {
+		close(stop)
+		dialers.Wait()
+	})
+	// Closing the clients also ends a handler Close would wait on forever.
+	defer func() {
+		stopDialers()
+		for _, nc := range conns {
+			nc.Close()
+		}
+	}()
+	for d := 0; d < 4; d++ {
+		dialers.Add(1)
+		go func() {
+			defer dialers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				nc, err := net.Dial("tcp", addr)
+				if err != nil {
+					continue // refused once the listener is closed
+				}
+				nc.Write(hello)
+				mu.Lock()
+				conns = append(conns, nc)
+				mu.Unlock()
+			}
+		}()
+	}
+	for {
+		mu.Lock()
+		n := len(conns)
+		mu.Unlock()
+		if n >= 8 {
+			break
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	closeWithin(t, s, time.Second)
+	stopDialers()
+	for i, nc := range conns {
+		nc.SetReadDeadline(time.Now().Add(2 * time.Second))
+		_, err := io.ReadAll(nc)
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatalf("client %d of %d: connection still open after Close", i, len(conns))
+		}
+	}
+}
+
 // gatedListener wraps accepted connections so that a test can hold the
 // server inside a socket write.
 type gatedListener struct {

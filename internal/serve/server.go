@@ -85,6 +85,10 @@ type Server struct {
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
+	// closed is set under mu by Close before it closes conns, so a
+	// connection accepted while Close runs is closed by acceptLoop instead
+	// of joining conns after the sweep.
+	closed bool
 
 	// batches recycles *submittedBatch between a connection's completer and
 	// its reader, so the per-batch slices are allocated once.
@@ -162,6 +166,7 @@ func (s *Server) Close() error {
 			err = s.ln.Close()
 		}
 		s.mu.Lock()
+		s.closed = true
 		for c := range s.conns {
 			c.Close()
 		}
@@ -186,12 +191,17 @@ func (s *Server) acceptLoop() {
 			}
 			continue
 		}
-		s.mAccepted.Inc()
 		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return
+		}
 		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.gConns.Add(1)
 		s.wg.Add(1)
+		s.mu.Unlock()
+		s.mAccepted.Inc()
+		s.gConns.Add(1)
 		go s.handleConn(conn)
 	}
 }
