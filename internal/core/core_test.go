@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"labstor/internal/vtime"
 )
 
 // --- Request ---------------------------------------------------------------------
@@ -672,6 +674,9 @@ type spawnOutcome struct {
 	h        BufHandle // SpawnNext's returned handle
 	err      error     // SpawnNext's error
 	released int64     // pool releases during the call
+	// The child's clock and CPU time as the sink left them.
+	childClock vtime.Time
+	childCPU   vtime.Duration
 }
 
 func TestExecSpawnNext(t *testing.T) {
@@ -694,8 +699,9 @@ func TestExecSpawnNext(t *testing.T) {
 				if !errors.Is(o.err, errSink) || !errors.Is(o.req.Err, errSink) {
 					t.Fatalf("SpawnNext err %v, parent err %v; want %v", o.err, o.req.Err, errSink)
 				}
-				if o.req.CPUTime < 77 || o.req.Clock < 77 {
-					t.Fatalf("child's cost not absorbed on failure: clock %d cpu %d", o.req.Clock, o.req.CPUTime)
+				if o.req.Clock < o.childClock || o.req.CPUTime < o.childCPU {
+					t.Fatalf("child's clock %d and cpu %d not absorbed on failure: parent's read %d and %d",
+						o.childClock, o.childCPU, o.req.Clock, o.req.CPUTime)
 				}
 			}},
 		{"Err with a nil return fails", write,
@@ -748,6 +754,7 @@ func TestExecSpawnNext(t *testing.T) {
 			}})
 			reg.Register("sink", &fakeMod{name: "sink", process: func(e *Exec, r *Request) error {
 				r.Charge("sink", 77)
+				o.childClock, o.childCPU = r.Clock, r.CPUTime
 				return c.sink(r)
 			}})
 			st := NewStack("m", Rules{}, chainVertices("parent", "sink"))

@@ -168,25 +168,26 @@ func (e *Exec) forward(k int, req *Request) error {
 //
 // The child's clock, CPU time, trace and error are absorbed into parent,
 // on failure too, and a nil return with child.Err set counts as a failure.
-// A block read with no destination (Data nil) fails unless it came back
-// with a result handle of at least child.Size bytes. SpawnNext releases
-// the child and returns its result handle, which the caller owns: it is
-// zero for writes, flushes and reads into a destination.
+// SpawnNext then releases the child. A block read with no destination
+// (Data nil) must come back with a result handle of at least child.Size
+// bytes, or it fails naming the offset; SpawnNext returns that handle,
+// which the caller owns. For writes, flushes and reads into a destination
+// the handle is zero.
 func (e *Exec) SpawnNext(parent, child *Request) (BufHandle, error) {
-	needValue := child.Op == OpBlockRead && child.Data == nil
+	bare := child.Op == OpBlockRead && child.Data == nil
 	err := e.Next(child)
 	if err == nil {
 		err = child.Err
 	}
 	parent.Absorb(child)
-	h := child.TakeValue()
-	if err == nil && needValue && (!h.Valid() || h.Len() < child.Size) {
-		err = fmt.Errorf("core: block read at offset %d returned no %d-byte result handle", child.Offset, child.Size)
+	var h BufHandle
+	if bare && err == nil {
+		if h = child.TakeValue(); !h.Valid() || h.Len() < child.Size {
+			h.Release()
+			h = BufHandle{}
+			err = fmt.Errorf("core: block read at offset %d returned no %d-byte result handle", child.Offset, child.Size)
+		}
 	}
 	child.Release()
-	if err != nil {
-		h.Release()
-		return BufHandle{}, err
-	}
-	return h, nil
+	return h, err
 }
