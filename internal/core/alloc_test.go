@@ -26,10 +26,10 @@ func TestRequestAllocContracts(t *testing.T) {
 	parent := NewRequest(OpRead)
 	if n := testing.AllocsPerRun(200, func() {
 		c := parent.Child(OpBlockRead)
-		parent.Absorb(c)
+		parent.absorb(c)
 		c.Release()
 	}); n != 0 {
-		t.Errorf("Request.Child+Absorb+Release allocates %v objects in steady state, want 0", n)
+		t.Errorf("Request.Child+absorb+Release allocates %v objects in steady state, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		r := NewRequest(OpMessage)

@@ -55,7 +55,7 @@ func TestRequestChildAbsorb(t *testing.T) {
 	}
 	c.Charge("io_sub", 25)
 	c.ChargeIO("io", 400)
-	p.Absorb(c)
+	p.absorb(c)
 	if p.Clock != 400 {
 		t.Fatalf("absorb clock %d", p.Clock)
 	}
@@ -68,7 +68,7 @@ func TestRequestChildAbsorb(t *testing.T) {
 	// Errors propagate.
 	c2 := p.Child(OpBlockWrite)
 	c2.Err = errors.New("boom")
-	p.Absorb(c2)
+	p.absorb(c2)
 	if p.Err == nil {
 		t.Fatal("child error not absorbed")
 	}

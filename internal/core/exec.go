@@ -179,7 +179,7 @@ func (e *Exec) SpawnNext(parent, child *Request) (BufHandle, error) {
 	if err == nil {
 		err = child.Err
 	}
-	parent.Absorb(child)
+	parent.absorb(child)
 	var h BufHandle
 	if bare && err == nil {
 		if h = child.TakeValue(); !h.Valid() || h.Len() < child.Size {

@@ -278,9 +278,9 @@ func (r *Request) Child(op Op) *Request {
 	return c
 }
 
-// Absorb merges a completed child's clock, CPU time and trace back into the
-// parent.
-func (r *Request) Absorb(c *Request) {
+// absorb merges a completed child's clock, CPU time, trace and first error
+// back into the parent (Exec.SpawnNext).
+func (r *Request) absorb(c *Request) {
 	if c.Clock > r.Clock {
 		r.Clock = c.Clock
 	}
