@@ -163,8 +163,8 @@ func (e *Exec) forward(k int, req *Request) error {
 // SpawnNext runs child, drawn from parent with Child, through the
 // remainder of the DAG (downstream of the parent's current vertex): the
 // "filesystem op spawns block I/O requests" pattern. It is the one way a
-// LabMod issues such a request. It sets no field of the child; a caller
-// that issues blocks in parallel sets child.Clock to their common start.
+// LabMod runs such a request. It sets no field of the child; a caller
+// that starts blocks in parallel sets child.Clock to their common start.
 //
 // The child's clock, CPU time, trace and error are absorbed into parent,
 // on failure too, and a nil return with child.Err set counts as a failure.
