@@ -466,3 +466,27 @@ func TestMountRefusesRedefinedVertex(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedMountLeavesNothingBehind: a mount that fails part way through
+// registers none of its vertices, so a corrected retry may set the
+// attributes the failed one did.
+func TestFailedMountLeavesNothingBehind(t *testing.T) {
+	rt := runtime.New(runtime.Options{MaxWorkers: 1})
+	rt.AddDevice(device.New("nvme0", device.NVMe, 32<<20))
+	spec := func(capacity, drvAttrs string) string {
+		return "mount: blk::/a\nmods:\n  - uuid: m\n    type: labstor.lru\n    attrs:\n      capacity_mb: " + capacity +
+			"\n  - uuid: drv\n    type: labstor.kernel_driver\n    attrs:\n      device: nvme0\n" + drvAttrs
+	}
+	_, err := rt.MountSpec(spec("8", "      bogus: 1\n"))
+	if err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+		t.Fatalf("mount with an unread attribute: err = %v, want one naming bogus", err)
+	}
+	for _, uuid := range []string{"m", "drv"} {
+		if _, err := rt.Registry.Get(uuid); err == nil {
+			t.Errorf("vertex %q is registered after its mount failed", uuid)
+		}
+	}
+	if _, err := rt.MountSpec(spec("16", "")); err != nil {
+		t.Fatalf("corrected retry: %v", err)
+	}
+}
