@@ -786,7 +786,7 @@ func TestEnvDevices(t *testing.T) {
 	if _, err := env.Device("missing"); err == nil {
 		t.Fatal("missing device found")
 	}
-	if env.Model == nil || env.Segments == nil {
+	if env.Model == nil || env.Metrics == nil {
 		t.Fatal("env defaults")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"labstor/internal/device"
-	"labstor/internal/ipc"
 	"labstor/internal/telemetry"
 	"labstor/internal/vtime"
 )
@@ -88,14 +87,12 @@ func (c Config) Int(key string, def int) (int, error) {
 }
 
 // Env is the environment the Runtime hands to module instances: simulated
-// devices, shared-memory segments, the cost model for virtual-time
-// charges, and the runtime metrics registry LabMods publish op counters
-// into.
+// devices, the cost model for virtual-time charges, and the runtime metrics
+// registry LabMods publish op counters into.
 type Env struct {
-	Devices  map[string]*device.Device
-	Segments *ipc.SegmentManager
-	Model    *vtime.CostModel
-	Metrics  *telemetry.Registry
+	Devices map[string]*device.Device
+	Model   *vtime.CostModel
+	Metrics *telemetry.Registry
 }
 
 // NewEnv returns an Env with the given cost model (Default if nil).
@@ -104,10 +101,9 @@ func NewEnv(model *vtime.CostModel) *Env {
 		model = vtime.Default()
 	}
 	return &Env{
-		Devices:  make(map[string]*device.Device),
-		Segments: ipc.NewSegmentManager(),
-		Model:    model,
-		Metrics:  telemetry.NewRegistry(),
+		Devices: make(map[string]*device.Device),
+		Model:   model,
+		Metrics: telemetry.NewRegistry(),
 	}
 }
 

@@ -70,56 +70,3 @@ func TestQueueKindString(t *testing.T) {
 		t.Fatal("kind strings")
 	}
 }
-
-func TestSegmentACL(t *testing.T) {
-	m := NewSegmentManager()
-	creator := Credentials{PID: 100, UID: 1, GID: 1}
-	seg := m.Allocate("qp-1", 4096, creator)
-	if seg.Size() != 4096 {
-		t.Fatalf("size %d", seg.Size())
-	}
-	if !seg.Granted(100) {
-		t.Fatal("creator must be granted")
-	}
-	// Another process of the SAME user is still denied until granted —
-	// the paper's "even among processes launched by the same user".
-	if _, err := seg.Map(101); err == nil {
-		t.Fatal("ungranted pid mapped segment")
-	}
-	seg.Grant(101)
-	if _, err := seg.Map(101); err != nil {
-		t.Fatalf("granted pid denied: %v", err)
-	}
-	seg.Revoke(101)
-	if _, err := seg.Map(101); err == nil {
-		t.Fatal("revoked pid mapped segment")
-	}
-}
-
-func TestSegmentManagerLifecycle(t *testing.T) {
-	m := NewSegmentManager()
-	cred := Credentials{PID: 1}
-	m.Allocate("a", 16, cred)
-	m.Allocate("b", 16, cred)
-	// Re-allocating an existing name returns it and grants the caller.
-	seg := m.Allocate("a", 999, Credentials{PID: 2})
-	if seg.Size() != 16 {
-		t.Fatal("re-allocate must not resize")
-	}
-	if !seg.Granted(2) {
-		t.Fatal("re-allocate must grant")
-	}
-	if len(m.Names()) != 2 {
-		t.Fatalf("names: %v", m.Names())
-	}
-	if _, err := m.Lookup("a"); err != nil {
-		t.Fatal(err)
-	}
-	m.Free("a")
-	if _, err := m.Lookup("a"); err == nil {
-		t.Fatal("freed segment still found")
-	}
-	if cred.String() == "" {
-		t.Fatal("credentials string")
-	}
-}

@@ -2,6 +2,17 @@ package ipc
 
 import "sync/atomic"
 
+// Credentials are the process credentials a client presents when it
+// connects to the Runtime (paper §III-C, over a UNIX domain socket). The
+// Runtime keeps them with the client: every request carries its UID and
+// GID for permission checks, and a cloned client keeps them under its own
+// PID.
+type Credentials struct {
+	PID int
+	UID int
+	GID int
+}
+
 // QueueKind distinguishes where a queue sits on the request path.
 type QueueKind uint8
 
@@ -29,7 +40,7 @@ func (k QueueKind) String() string {
 // rings are MPMC so either discipline is safe; ordering is a scheduling
 // contract enforced by the orchestrator, not by the data structure.
 type QueuePair[T any] struct {
-	// ID uniquely identifies the pair within its segment.
+	// ID uniquely identifies the pair within its runtime.
 	ID int
 	// Kind records whether this is a primary or intermediate queue.
 	Kind QueueKind

@@ -1,11 +1,13 @@
 // Package ipc implements LabStor's inter-process communication substrate:
-// bounded lock-free rings, submission/completion queue pairs, and a
-// shared-segment manager that stands in for the paper's ShMemMod
-// (vmalloc + remap_pfn_range shared memory with per-process grants).
+// bounded lock-free rings, submission/completion queue pairs and the
+// credentials a client connects with.
 //
 // In the paper, clients and the Runtime live in separate address spaces and
-// exchange cacheline-sized requests over shared-memory queues. Here the
-// "address spaces" are goroutines inside one process; the queue protocol
+// exchange cacheline-sized requests over shared-memory queues, which the
+// IPC Manager's ShMemMod maps into both (vmalloc + remap_pfn_range with
+// per-process grants). Here the "address spaces" are goroutines inside one
+// process, which share the Runtime's memory already, so the ShMemMod is not
+// modelled: a queue pair is an ordinary Go value. The queue protocol
 // (polling, ordered/unordered, primary/intermediate) is reproduced
 // faithfully, and the cross-core cacheline-transfer cost is charged in
 // virtual time by the runtime. Live upgrades do not pause queues: the

@@ -80,7 +80,9 @@ type Client struct {
 const waitPollBudget = 24
 
 // Connect registers a new client with the Runtime and allocates its primary
-// queue pair.
+// queue pair. The client keeps cred: its requests carry the UID and GID.
+// Client and Runtime share one address space, so nothing is mapped for
+// the queue pair (the paper's ShMemMod is not modelled).
 func (rt *Runtime) Connect(cred ipc.Credentials) *Client {
 	rt.mu.Lock()
 	rt.nextCli++
@@ -115,17 +117,14 @@ func (rt *Runtime) Connect(cred ipc.Credentials) *Client {
 	rt.clients[id] = c
 	rt.mu.Unlock()
 
-	// Grant the client its shared segment and hand the queue to the
-	// orchestrator for assignment.
-	seg := rt.Env.Segments.Allocate(fmt.Sprintf("qp-%d", qp.ID), 1<<16, cred)
-	_ = seg.Grant(cred.PID)
+	// Hand the queue to the orchestrator for assignment.
 	rt.orch.AddQueue(qp)
 	return c
 }
 
 // Clone implements the fork/clone support path (paper §III-F): the child
-// process gets its own connection — fresh credentials PID, a fresh
-// shared-memory queue pair and segment grant — while open file descriptors
+// process gets its own connection — its own PID in the parent's
+// credentials and a fresh queue pair — while open file descriptors
 // remain visible because GenericFS manages fd state common to the I/O
 // systems of its type. The child's virtual clock starts at the parent's
 // (a forked process inherits its parent's position on the timeline).

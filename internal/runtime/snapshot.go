@@ -80,12 +80,6 @@ func (rt *Runtime) Snapshot() *Snapshot {
 	rt.metrics.Gauge("bufarena.releases").Set(as.Releases)
 	rt.metrics.Gauge("bufarena.bytes").Set(as.Bytes)
 
-	// Registered-segment gauges (shared-memory footprint and grant count).
-	ss := rt.Env.Segments.Stats()
-	rt.metrics.Gauge("segments.count").Set(ss.Count)
-	rt.metrics.Gauge("segments.bytes").Set(ss.Bytes)
-	rt.metrics.Gauge("segments.grants").Set(ss.Grants)
-
 	snap := &Snapshot{
 		Workers: rt.Stats(),
 		Stages:  rt.PerfCounters(),
