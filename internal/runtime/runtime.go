@@ -532,7 +532,9 @@ func (rt *Runtime) MountSpec(src string) (*core.Stack, error) {
 
 // Mount instantiates the stack's LabMods in the Module Registry (a LabMod
 // is only instantiated if its UUID is new), validates the composition and
-// inducts the stack into the Namespace.
+// inducts the stack into the Namespace. A mount that fails removes the
+// instances it created, so a corrected retry may declare them afresh. It
+// holds ctl, so no other mount or edit adopts an instance meanwhile.
 func (rt *Runtime) Mount(s *core.Stack) (*core.Stack, error) {
 	// Untrusted LabMods (from untrusted repos) may not execute inside the
 	// Runtime's address space: they are confined to client-side (sync)
@@ -544,15 +546,27 @@ func (rt *Runtime) Mount(s *core.Stack) (*core.Stack, error) {
 			}
 		}
 	}
-	for _, v := range s.Vertices() {
-		if _, err := rt.Registry.Instantiate(v.UUID, v.Type, core.Config{Attrs: v.Attrs}, rt.Env); err != nil {
-			return nil, err
+	rt.ctl.Lock()
+	defer rt.ctl.Unlock()
+	var created []string
+	err := func() error {
+		for _, v := range s.Vertices() {
+			if _, err := rt.Registry.Get(v.UUID); err != nil {
+				created = append(created, v.UUID)
+			}
+			if _, err := rt.Registry.Instantiate(v.UUID, v.Type, core.Config{Attrs: v.Attrs}, rt.Env); err != nil {
+				return err
+			}
 		}
-	}
-	if err := s.Validate(rt.Registry); err != nil {
-		return nil, err
-	}
-	if err := rt.Namespace.Mount(s); err != nil {
+		if err := s.Validate(rt.Registry); err != nil {
+			return err
+		}
+		return rt.Namespace.Mount(s)
+	}()
+	if err != nil {
+		for _, uuid := range created {
+			rt.Registry.Remove(uuid)
+		}
 		return nil, err
 	}
 	return s, nil
