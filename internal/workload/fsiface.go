@@ -1,10 +1,12 @@
 // Package workload implements the workload generators used by the paper's
-// evaluation — FIO-style synthetic I/O, FxMark-style metadata stress,
-// Filebench personalities (varmail, webserver, webproxy, fileserver), the
-// VPIC particle-dump / BD-CATS read pair, and the LABIOS label-store op
+// evaluation — FxMark-style metadata stress, Filebench personalities
+// (varmail, webserver, webproxy, fileserver) and the LABIOS label-store op
 // stream — plus the adapters that let one workload drive either a
 // simulated kernel filesystem or a LabStor stack through the client
-// library.
+// library. The paper's FIO and VPIC/BD-CATS runs have no driver here:
+// experiments.StorageAPI (Fig. 6) issues its FIO-style direct I/O through
+// kernel.Engine, and experiments.PFS (Fig. 9(a)) runs the VPIC write and
+// BD-CATS read phases as its own rank loop over pfs.Client.
 package workload
 
 import (

@@ -50,51 +50,6 @@ mods:
 	return &workload.LabStorFS{FSName: "labfs", RT: rt, Mount: "fs::/w"}, rt.Shutdown
 }
 
-func TestFioOnKernelFS(t *testing.T) {
-	res, err := workload.RunFio(kernelFS(t, "ext4"), workload.FioJob{
-		Name: "t", Threads: 2, BlockSize: 4096, TotalBytes: 256 << 10, Random: true, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantOps := int64(2 * (256 << 10) / 4096)
-	if res.Ops != wantOps {
-		t.Fatalf("ops %d want %d", res.Ops, wantOps)
-	}
-	if res.IOPS <= 0 || res.ElapsedV <= 0 {
-		t.Fatal("no throughput computed")
-	}
-	if res.Latency.Count() != int(wantOps) {
-		t.Fatal("latency samples")
-	}
-}
-
-func TestFioReadWriteMix(t *testing.T) {
-	res, err := workload.RunFio(kernelFS(t, "xfs"), workload.FioJob{
-		Name: "mix", Threads: 1, BlockSize: 8192, TotalBytes: 128 << 10, ReadRatio: 0.5, Seed: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Bandwidth <= 0 {
-		t.Fatal("bandwidth")
-	}
-}
-
-func TestFioOnLabStor(t *testing.T) {
-	fs, closefn := labFS(t)
-	defer closefn()
-	res, err := workload.RunFio(fs, workload.FioJob{
-		Name: "lab", Threads: 2, BlockSize: 4096, TotalBytes: 128 << 10, Random: true, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ops != 64 {
-		t.Fatalf("ops %d", res.Ops)
-	}
-}
-
 func TestFxMarkSharedVsPrivate(t *testing.T) {
 	shared, err := workload.RunFxMark(kernelFS(t, "ext4"), workload.FxMarkJob{Threads: 4, FilesPerThread: 50, SharedDir: true})
 	if err != nil {
@@ -170,25 +125,6 @@ func TestFilebenchPersonalities(t *testing.T) {
 	}
 	if _, err := workload.RunFilebench(kernelFS(t, "ext4"), workload.FilebenchJob{Personality: "nope"}); err == nil {
 		t.Fatal("unknown personality accepted")
-	}
-}
-
-func TestVPICAndBDCATS(t *testing.T) {
-	fs := kernelFS(t, "ext4")
-	vres, err := workload.RunVPIC(fs, workload.VPICJob{Ranks: 2, Particles: 1000, Steps: 2, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBytes := int64(2 * 2 * 1000 * 32)
-	if vres.Bytes != wantBytes {
-		t.Fatalf("vpic bytes %d want %d", vres.Bytes, wantBytes)
-	}
-	rres, err := workload.RunBDCATS(fs, workload.BDCATSJob{Ranks: 2, Particles: 1000, Steps: 2, ReadBlock: 16 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rres.Bytes != wantBytes {
-		t.Fatalf("bdcats bytes %d want %d", rres.Bytes, wantBytes)
 	}
 }
 
