@@ -227,8 +227,8 @@ func TestRegistryInstantiateOnce(t *testing.T) {
 	if _, err := reg.Get("u2"); err == nil {
 		t.Fatal("Get of an unregistered UUID")
 	}
-	if len(reg.UUIDs()) != 1 {
-		t.Fatal("UUIDs")
+	if len(reg.mods()) != 1 {
+		t.Fatalf("%d instances registered, want 1", len(reg.mods()))
 	}
 }
 

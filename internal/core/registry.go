@@ -165,15 +165,6 @@ func (r *Registry) Remove(uuid string) {
 	r.mu.Unlock()
 }
 
-// UUIDs returns the registered instance names (unordered).
-func (r *Registry) UUIDs() []string {
-	out := make([]string, 0, len(r.mods()))
-	for u := range r.mods() {
-		out = append(out, u)
-	}
-	return out
-}
-
 // RepairAll invokes StateRepair on every instance (crash-recovery path).
 // It returns the first error encountered but repairs all instances.
 func (r *Registry) RepairAll() error {

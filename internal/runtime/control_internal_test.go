@@ -257,7 +257,7 @@ func TestConnectDuringUpgradeWaitsForSwap(t *testing.T) {
 		Build: func() core.Module { return next },
 	})
 	within(t, 5*time.Second, "upgrade start", func() {
-		for rt.ModManager().PendingUpgrades() > 0 {
+		for rt.ModManager().Stats().Pending > 0 {
 			time.Sleep(100 * time.Microsecond)
 		}
 	})

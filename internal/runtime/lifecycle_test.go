@@ -84,7 +84,7 @@ func TestCentralizedUpgradeUnderLoad(t *testing.T) {
 	if got := m.(*dummy.Dummy).Messages(); got != int64(sent) {
 		t.Fatalf("counter %d, sent %d", got, sent)
 	}
-	if rt.ModManager().TotalUpgradeTime() <= 0 {
+	if rt.ModManager().Stats().TotalVT <= 0 {
 		t.Fatal("upgrade time not modeled")
 	}
 }

@@ -114,25 +114,11 @@ func (mm *ModManager) Upgrade(req *UpgradeRequest) error {
 	return <-ch
 }
 
-// PendingUpgrades returns the queue length.
-func (mm *ModManager) PendingUpgrades() int {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	return len(mm.pending)
-}
-
 // UpgradesDone returns how many upgrades have been applied.
 func (mm *ModManager) UpgradesDone() int {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
 	return mm.upgradesDone
-}
-
-// TotalUpgradeTime returns the cumulative modeled upgrade time.
-func (mm *ModManager) TotalUpgradeTime() vtime.Duration {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	return mm.totalUpgradeVT
 }
 
 // ProcessUpgrades drains the upgrade queue, executing the centralized

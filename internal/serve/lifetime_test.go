@@ -409,6 +409,46 @@ func TestServeCloseWithBatchesInFlight(t *testing.T) {
 	lc.done()
 }
 
+// TestServeConnectionLedger opens 50 connections and closes them again. A
+// served connection is one runtime client with one queue pair, which the
+// runtime's Snapshot lists: 50 while they are open, and none left, and no
+// goroutine or arena buffer, once they are closed.
+func TestServeConnectionLedger(t *testing.T) {
+	const n = 50
+	rt, _, addr := newTestServer(t, Config{})
+	lc := startLeakCheck(t)
+	queues0 := len(rt.Snapshot().Queues)
+	conns := make([]*Conn, n)
+	for i := range conns {
+		c, err := Dial(addr, "t1")
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		// The server connects its runtime client before it reads a frame,
+		// so a pong means the client exists.
+		if err := c.Ping(); err != nil {
+			t.Fatalf("ping: %v", err)
+		}
+		conns[i] = c
+	}
+	if q := len(rt.Snapshot().Queues); q != queues0+n {
+		t.Fatalf("%d connections open: %d queues, want %d", n, q, queues0+n)
+	}
+	for _, c := range conns {
+		c.Close()
+	}
+	q := 0
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if q = len(rt.Snapshot().Queues); q == queues0 {
+			break
+		}
+	}
+	if q != queues0 {
+		t.Fatalf("%d connections closed: %d queues, want %d", n, q, queues0)
+	}
+	lc.done()
+}
+
 // TestServeCloseDuringAccept closes the server while clients keep dialing
 // and sending Hello, so that some connection is accepted while Close runs.
 // That connection must be closed too: Close returns within a second, and
@@ -416,12 +456,21 @@ func TestServeCloseWithBatchesInFlight(t *testing.T) {
 // each of the rounds only may hit it.
 func TestServeCloseDuringAccept(t *testing.T) {
 	for round := 0; round < 10; round++ {
-		closeDuringAccept(t)
+		_, s, addr := newTestServer(t, Config{})
+		closeDuringAccept(t, s, addr)
 	}
 }
 
-func closeDuringAccept(t *testing.T) {
-	_, s, addr := newTestServer(t, Config{})
+// TestRouterCloseDuringAccept is TestServeCloseDuringAccept against a
+// router. Its clients send no request, so it dials no shard.
+func TestRouterCloseDuringAccept(t *testing.T) {
+	for round := 0; round < 10; round++ {
+		r, addr := newTestRouter(t, "127.0.0.1:1")
+		closeDuringAccept(t, r, addr)
+	}
+}
+
+func closeDuringAccept(t *testing.T, s io.Closer, addr string) {
 	hello := AppendHello(nil, &HelloFrame{Version: ProtoVersion, Tenant: "t1"})
 	var mu sync.Mutex
 	var conns []net.Conn
@@ -534,9 +583,7 @@ func TestServeResultPinnedUntilWritten(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(rt, Config{})
-	s.ln = gatedListener{Listener: ln, gate: gate}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s.start(gatedListener{Listener: ln, gate: gate}, s.handleConn)
 	defer s.Close()
 
 	local := rt.Connect(ipc.Credentials{})

@@ -33,19 +33,21 @@ func busyServer(t *testing.T, rejections int, retryNs int64) (addr string, attem
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
-				br := bufio.NewReader(conn)
-				typ, _, buf, err := ReadFrame(br, nil, DefaultMaxPayload)
-				if err != nil || typ != FrameHello {
+				fr := newFrameReader(bufio.NewReader(conn), DefaultMaxPayload)
+				if _, err := fr.hello(); err != nil {
 					return
 				}
 				conn.Write(AppendHello(nil, &HelloFrame{Version: ProtoVersion}))
 				var rf ReqFrame
 				for {
-					typ, payload, nbuf, err := ReadFrame(br, buf, DefaultMaxPayload)
+					typ, _, err := fr.next()
 					if err != nil {
 						return
 					}
-					buf = nbuf
+					payload, err := fr.payload()
+					if err != nil {
+						return
+					}
 					if typ != FrameReq {
 						continue
 					}

@@ -98,25 +98,19 @@ func (r *Ring) Lookup(key string) string {
 // client connections with request-id rewriting, so N clients cost
 // O(backends) upstream sockets, not O(N x backends).
 type Router struct {
+	// connSet's mu also guards upstreams, and its closed flag, set before
+	// Close sweeps them, means no upstream is dialed after the sweep, so
+	// none is left for wg.Wait to wait on.
+	connSet
 	ring    *Ring
 	tenant  string // tenant the router's upstream Hellos present
 	metrics *telemetry.Registry
 
-	ln        net.Listener
-	wg        sync.WaitGroup
-	closeOnce sync.Once
-
-	mu sync.Mutex
-	// closed is set by Close before its sweep: no connection is accepted and
-	// no upstream dialed after it, so none is left for wg.Wait to wait on.
-	closed    bool
-	conns     map[net.Conn]struct{}
 	upstreams map[string]*upstream
 	nextGID   atomic.Uint64
 
 	mForwarded *telemetry.Counter
 	mUpErrors  *telemetry.Counter
-	gConns     *telemetry.Gauge
 }
 
 // errRouterClosed is why a closing router dials no upstream.
@@ -130,14 +124,13 @@ func NewRouter(backends []string, replicas int, reg *telemetry.Registry) *Router
 		reg = telemetry.NewRegistry()
 	}
 	return &Router{
+		connSet:    connSet{conns: make(map[net.Conn]struct{}), gConns: reg.Gauge("router.connections")},
 		ring:       NewRing(backends, replicas),
 		tenant:     "router",
 		metrics:    reg,
-		conns:      make(map[net.Conn]struct{}),
 		upstreams:  make(map[string]*upstream),
 		mForwarded: reg.Counter("router.frames_forwarded"),
 		mUpErrors:  reg.Counter("router.upstream_errors"),
-		gConns:     reg.Gauge("router.connections"),
 	}
 }
 
@@ -153,24 +146,14 @@ func (r *Router) ListenAndServe(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.ln = ln
-	r.wg.Add(1)
-	go r.acceptLoop()
+	r.start(ln, r.handleConn)
 	return ln.Addr(), nil
 }
 
 // Close stops the router and closes every client and upstream connection.
 func (r *Router) Close() error {
-	var err error
-	r.closeOnce.Do(func() {
-		if r.ln != nil {
-			err = r.ln.Close()
-		}
+	return r.shut(func() {
 		r.mu.Lock()
-		r.closed = true
-		for c := range r.conns {
-			c.Close()
-		}
 		ups := make([]*upstream, 0, len(r.upstreams))
 		for _, u := range r.upstreams {
 			ups = append(ups, u)
@@ -179,33 +162,7 @@ func (r *Router) Close() error {
 		for _, u := range ups {
 			u.close()
 		}
-		r.wg.Wait()
 	})
-	return err
-}
-
-func (r *Router) acceptLoop() {
-	defer r.wg.Done()
-	for {
-		conn, err := r.ln.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			continue
-		}
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			conn.Close()
-			return
-		}
-		r.conns[conn] = struct{}{}
-		r.wg.Add(1)
-		r.mu.Unlock()
-		r.gConns.Add(1)
-		go r.handleConn(conn)
-	}
 }
 
 // clientWriteTimeout bounds every write to a client. The upstream readers,
@@ -286,19 +243,9 @@ func (h *routeHead) appendHead(dst []byte, id uint64, def []byte, n int) []byte 
 	return codec.AppendUvarint(dst, uint64(n))
 }
 
+// handleConn proxies one accepted client connection until it ends; the
+// connSet closes it.
 func (r *Router) handleConn(conn net.Conn) {
-	defer r.wg.Done()
-	defer func() {
-		r.mu.Lock()
-		delete(r.conns, conn)
-		r.mu.Unlock()
-		r.gConns.Add(-1)
-		conn.Close()
-	}()
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
-
 	br := bufio.NewReaderSize(conn, 64<<10)
 	fr := newFrameReader(br, DefaultMaxPayload)
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))

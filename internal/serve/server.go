@@ -75,20 +75,11 @@ const (
 // that does not read blocks the completer in its write, and the completer
 // channel bounds how many submitted-but-unwritten batches exist.
 type Server struct {
-	rt        *runtime.Runtime
-	cfg       Config
-	adm       *Admission
-	ln        net.Listener
-	wg        sync.WaitGroup
-	quit      chan struct{}
-	closeOnce sync.Once
-
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
-	// closed is set under mu by Close before it closes conns, so a
-	// connection accepted while Close runs is closed by acceptLoop instead
-	// of joining conns after the sweep.
-	closed bool
+	connSet
+	rt   *runtime.Runtime
+	cfg  Config
+	adm  *Admission
+	quit chan struct{}
 
 	// batches recycles *submittedBatch between a connection's completer and
 	// its reader, so the per-batch slices are allocated once.
@@ -103,7 +94,6 @@ type Server struct {
 	mReqErrs   *telemetry.Counter
 	mProtoErrs *telemetry.Counter
 	mPdDenied  *telemetry.Counter
-	gConns     *telemetry.Gauge
 	hBatch     func(float64)
 }
 
@@ -118,11 +108,11 @@ func New(rt *runtime.Runtime, cfg Config) *Server {
 	}
 	reg := rt.Metrics()
 	s := &Server{
+		connSet:    connSet{conns: make(map[net.Conn]struct{}), gConns: reg.Gauge("serve.connections")},
 		rt:         rt,
 		cfg:        cfg,
 		adm:        NewAdmission(cfg.Default, cfg.Tenants, reg),
 		quit:       make(chan struct{}),
-		conns:      make(map[net.Conn]struct{}),
 		mAccepted:  reg.Counter("serve.accepted"),
 		mFramesIn:  reg.Counter("serve.frames_in"),
 		mFramesOut: reg.Counter("serve.frames_out"),
@@ -132,7 +122,6 @@ func New(rt *runtime.Runtime, cfg Config) *Server {
 		mReqErrs:   reg.Counter("serve.req_errors"),
 		mProtoErrs: reg.Counter("serve.proto_errors"),
 		mPdDenied:  reg.Counter("serve.pushdown_denied"),
-		gConns:     reg.Gauge("serve.connections"),
 	}
 	h := reg.Histogram("serve.batch_size")
 	s.hBatch = func(v float64) { h.Observe(v) }
@@ -149,9 +138,8 @@ func (s *Server) ListenAndServe() (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.ln = ln
-	s.wg.Add(2)
-	go s.acceptLoop()
+	s.start(ln, s.handleConn)
+	s.wg.Add(1)
 	go s.demandLoop()
 	return ln.Addr(), nil
 }
@@ -159,51 +147,7 @@ func (s *Server) ListenAndServe() (net.Addr, error) {
 // Close stops accepting, closes every live connection and waits for the
 // per-connection pipelines to drain.
 func (s *Server) Close() error {
-	var err error
-	s.closeOnce.Do(func() {
-		close(s.quit)
-		if s.ln != nil {
-			err = s.ln.Close()
-		}
-		s.mu.Lock()
-		s.closed = true
-		for c := range s.conns {
-			c.Close()
-		}
-		s.mu.Unlock()
-		s.wg.Wait()
-	})
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			select {
-			case <-s.quit:
-				return
-			default:
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			continue
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		s.mAccepted.Inc()
-		s.gConns.Add(1)
-		go s.handleConn(conn)
-	}
+	return s.shut(func() { close(s.quit) })
 }
 
 // demandLoop folds the orchestrator's per-queue demand estimates into the
@@ -301,19 +245,10 @@ func (cw *connWriter) frame(b []byte) {
 	cw.mu.Unlock()
 }
 
+// handleConn serves one accepted connection until it ends; the connSet
+// closes it.
 func (s *Server) handleConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		s.gConns.Add(-1)
-		conn.Close()
-	}()
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
-
+	s.mAccepted.Inc()
 	br := bufio.NewReaderSize(conn, 64<<10)
 	fr := newFrameReader(br, s.cfg.MaxPayload)
 

@@ -501,20 +501,6 @@ func (fr *frameReader) bulk(dst []byte) error {
 	return nil
 }
 
-// ReadFrame reads one whole frame from r into buf (growing it as needed)
-// and returns the type, the payload (aliasing buf) and the possibly-grown
-// buffer. Streaming counterpart of DecodeFrame.
-func ReadFrame(r *bufio.Reader, buf []byte, maxPayload int) (typ byte, payload, nbuf []byte, err error) {
-	fr := frameReader{br: r, max: maxPayload, buf: buf}
-	if typ, _, err = fr.next(); err != nil {
-		return 0, nil, buf, err
-	}
-	if payload, err = fr.payload(); err != nil {
-		return 0, nil, fr.buf, err
-	}
-	return typ, payload, fr.buf, nil
-}
-
 // DecodeHello decodes a Hello payload.
 func DecodeHello(payload []byte) (HelloFrame, error) {
 	var h HelloFrame

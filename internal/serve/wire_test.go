@@ -138,20 +138,22 @@ func TestReadFrameStream(t *testing.T) {
 	for _, id := range want {
 		wire = AppendReq(wire, &ReqFrame{ID: id, Mount: "fs::/x", Op: core.OpRead, Size: 64})
 	}
-	br := bufio.NewReaderSize(bytes.NewReader(wire), 16) // tiny buffer forces refills
-	var buf []byte
+	fr := newFrameReader(bufio.NewReaderSize(bytes.NewReader(wire), 16), 0) // tiny buffer forces refills
 	for _, id := range want {
-		typ, payload, nbuf, err := ReadFrame(br, buf, 0)
+		typ, _, err := fr.next()
 		if err != nil || typ != FrameReq {
-			t.Fatalf("ReadFrame: typ=%d err=%v", typ, err)
+			t.Fatalf("next: typ=%d err=%v", typ, err)
 		}
-		buf = nbuf
+		payload, err := fr.payload()
+		if err != nil {
+			t.Fatalf("payload: %v", err)
+		}
 		var r ReqFrame
 		if err := DecodeReq(payload, &r); err != nil || r.ID != id {
 			t.Fatalf("id=%d want %d err=%v", r.ID, id, err)
 		}
 	}
-	if _, _, _, err := ReadFrame(br, buf, 0); err != io.EOF {
+	if _, _, err := fr.next(); err != io.EOF {
 		t.Fatalf("want EOF, got %v", err)
 	}
 }
@@ -159,7 +161,11 @@ func TestReadFrameStream(t *testing.T) {
 func TestReadFrameCorrupt(t *testing.T) {
 	wire := AppendReq(nil, &ReqFrame{ID: 1, Mount: "m", Payload: []byte("abcdef")})
 	wire[len(wire)-1] ^= 0xFF
-	if _, _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(wire)), nil, 0); !errors.Is(err, ErrTornFrame) {
+	fr := newFrameReader(bufio.NewReader(bytes.NewReader(wire)), 0)
+	if _, _, err := fr.next(); err != nil {
+		t.Fatalf("next: %v", err)
+	}
+	if _, err := fr.payload(); !errors.Is(err, ErrTornFrame) {
 		t.Fatalf("want ErrTornFrame, got %v", err)
 	}
 }

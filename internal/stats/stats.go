@@ -70,9 +70,6 @@ func (s *Summary) Variance() float64 {
 	return s.m2 / float64(s.n-1)
 }
 
-// Stddev returns the sample standard deviation.
-func (s *Summary) Stddev() float64 { return math.Sqrt(s.Variance()) }
-
 // Sample retains every observation for exact percentile computation.
 // Suitable for the experiment scales used here (≤ a few million points).
 type Sample struct {

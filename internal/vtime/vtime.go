@@ -102,20 +102,6 @@ func (c *Clock) AdvanceTo(t Time) Time {
 	}
 }
 
-// StartService models FCFS service at a single server: given a request that
-// arrived at arrival, service begins at max(arrival, clock) and the clock is
-// advanced to begin+busy. It returns the service start time.
-func (c *Clock) StartService(arrival Time, busy Duration) Time {
-	for {
-		cur := Time(c.now.Load())
-		begin := MaxTime(arrival, cur)
-		end := begin.Add(busy)
-		if c.now.CompareAndSwap(int64(cur), int64(end)) {
-			return begin
-		}
-	}
-}
-
 // Lock is a virtual-time mutex: a contended resource whose hold times
 // serialize in virtual time. It reproduces the behaviour of in-kernel locks
 // (directory mutexes, journal locks) that the paper identifies as the
@@ -233,16 +219,6 @@ func (l *Lock) Horizon() Time {
 		return 0
 	}
 	return l.periods[len(l.periods)-1].end
-}
-
-// Backlog reports the serial work remaining at virtual time now.
-func (l *Lock) Backlog(now Time) Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if i := l.find(now); i < len(l.periods) && l.periods[i].start <= now {
-		return l.periods[i].end.Sub(now)
-	}
-	return 0
 }
 
 // Server models a station with n parallel FCFS channels (e.g. an NVMe

@@ -2,6 +2,7 @@ package vtime
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -68,22 +69,6 @@ func TestClockMonotonic(t *testing.T) {
 	}
 }
 
-func TestClockStartServiceFCFS(t *testing.T) {
-	var c Clock
-	// First request at t=10 for 5: starts at 10.
-	if begin := c.StartService(10, 5); begin != 10 {
-		t.Fatalf("begin = %d, want 10", begin)
-	}
-	// Second arrives at t=12 (while busy until 15): starts at 15.
-	if begin := c.StartService(12, 5); begin != 15 {
-		t.Fatalf("begin = %d, want 15", begin)
-	}
-	// Third arrives after drain: starts at its arrival.
-	if begin := c.StartService(100, 5); begin != 100 {
-		t.Fatalf("begin = %d, want 100", begin)
-	}
-}
-
 func TestClockConcurrentAdvance(t *testing.T) {
 	var c Clock
 	var wg sync.WaitGroup
@@ -127,8 +112,8 @@ func TestLockContendedSerializes(t *testing.T) {
 	if r := l.Acquire(0, 10); r != 30 {
 		t.Fatalf("r = %d", r)
 	}
-	if b := l.Backlog(5); b != 25 {
-		t.Fatalf("Backlog(5) = %d", b)
+	if h := l.Horizon(); h != 30 {
+		t.Fatalf("Horizon = %d", h)
 	}
 }
 
@@ -226,8 +211,8 @@ func TestLockQuickReleaseInvariants(t *testing.T) {
 	}
 }
 
-// refLock is the reference model for Lock: Acquire and Backlog as first
-// written, with a linear scan for the arrival's busy period and a shift of
+// refLock is the reference model for Lock: Acquire as first written,
+// with a linear scan for the arrival's busy period and a shift of
 // the whole slice to merge the two oldest periods. Lock must give the same
 // answers for every input.
 type refLock struct{ periods []busyPeriod }
@@ -263,21 +248,12 @@ func (l *refLock) Acquire(now Time, hold Duration) Time {
 	return release
 }
 
-func (l *refLock) Backlog(now Time) Duration {
-	for _, p := range l.periods {
-		if p.start <= now && now < p.end {
-			return p.end.Sub(now)
-		}
-	}
-	return 0
-}
-
 // TestLockMatchesReferenceModel drives Lock and the reference model with
 // the same seeded stream of calls from eight actors, each on its own
 // clock: arrivals at the actor's clock or behind it, advances of nothing,
 // a little or a lot (so the lock fills past maxLockPeriods and merges),
-// and holds that are often zero. Every release, backlog and horizon must
-// agree.
+// and holds that are often zero. Every release, the busy periods after
+// every call, and the horizon must agree.
 func TestLockMatchesReferenceModel(t *testing.T) {
 	seeds, calls := 300, 20000
 	if testing.Short() || raceEnabled {
@@ -311,9 +287,8 @@ func TestLockMatchesReferenceModel(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				clocks[a] = g
 			}
-			probe := now.Add(Duration(rng.Intn(1000) - 500))
-			if g, w := got.Backlog(probe), want.Backlog(probe); g != w {
-				t.Fatalf("seed %d call %d: Backlog(%d) = %d, reference %d", seed, c, probe, g, w)
+			if !slices.Equal(got.periods, want.periods) {
+				t.Fatalf("seed %d call %d: busy periods %v, reference %v", seed, c, got.periods, want.periods)
 			}
 		}
 		if h, w := got.Horizon(), want.periods[len(want.periods)-1].end; h != w {
