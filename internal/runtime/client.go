@@ -18,9 +18,10 @@ var ErrWaitTimeout = errors.New("runtime: timed out waiting for runtime restart"
 
 // Client is the LabStor client library endpoint for one application
 // process/thread. Connecting performs the paper's handshake: the client
-// presents process credentials over a UNIX-domain-socket-equivalent, the
-// Runtime authenticates them, allocates a shared-memory queue pair, and
-// grants the client access to the segment.
+// presents process credentials over a UNIX-domain-socket-equivalent and the
+// Runtime allocates its queue pair. The paper maps that pair into shared
+// memory and grants the client access to the segment; here client and
+// Runtime share one address space, so there is no segment.
 type Client struct {
 	rt   *Runtime
 	id   int

@@ -4,7 +4,8 @@
 // It reproduces the paper's architecture (§III-C):
 //
 //   - IPC Manager — clients connect with process credentials and obtain
-//     shared-memory queue pairs (internal/ipc) over which requests flow;
+//     queue pairs (internal/ipc) over which requests flow; they share the
+//     Runtime's address space, so no shared memory is mapped;
 //   - Workers — polling threads that drain request queues and walk LabStack
 //     DAGs via core.Exec;
 //   - Work Orchestrator — assigns queues to workers under a pluggable
@@ -195,9 +196,9 @@ type Runtime struct {
 	nextQP  int
 
 	// ctl is the control plane's lock: every rebalance (and the queue-list
-	// change that triggers it), upgrade batch, stack edit and crash repair
-	// holds it from start to finish, so control decisions apply one at a
-	// time. The data path never takes it.
+	// change that triggers it), upgrade batch, mount, stack edit and crash
+	// repair holds it from start to finish, so control decisions apply one
+	// at a time. The data path never takes it.
 	ctl sync.Mutex
 
 	state atomic.Int32
@@ -549,25 +550,25 @@ func (rt *Runtime) Mount(s *core.Stack) (*core.Stack, error) {
 	rt.ctl.Lock()
 	defer rt.ctl.Unlock()
 	var created []string
-	err := func() error {
-		for _, v := range s.Vertices() {
-			if _, err := rt.Registry.Get(v.UUID); err != nil {
-				created = append(created, v.UUID)
-			}
-			if _, err := rt.Registry.Instantiate(v.UUID, v.Type, core.Config{Attrs: v.Attrs}, rt.Env); err != nil {
-				return err
-			}
-		}
-		if err := s.Validate(rt.Registry); err != nil {
-			return err
-		}
-		return rt.Namespace.Mount(s)
-	}()
-	if err != nil {
+	fail := func(err error) (*core.Stack, error) {
 		for _, uuid := range created {
 			rt.Registry.Remove(uuid)
 		}
 		return nil, err
+	}
+	for _, v := range s.Vertices() {
+		if _, err := rt.Registry.Get(v.UUID); err != nil {
+			created = append(created, v.UUID)
+		}
+		if _, err := rt.Registry.Instantiate(v.UUID, v.Type, core.Config{Attrs: v.Attrs}, rt.Env); err != nil {
+			return fail(err)
+		}
+	}
+	if err := s.Validate(rt.Registry); err != nil {
+		return fail(err)
+	}
+	if err := rt.Namespace.Mount(s); err != nil {
+		return fail(err)
 	}
 	return s, nil
 }

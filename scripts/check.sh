@@ -29,7 +29,11 @@
 #      from swapping a module an async or sync request is inside, and
 #      Restart from repairing under one, while edits and upgrades of other
 #      stacks go on; a sync walk waits out a crash; and a decentralized
-#      upgrade swaps the one instance under a walking sync client.
+#      upgrade swaps the one instance under a walking sync client. With
+#      them the connection ledger (connect/disconnect pairs leave the
+#      client table and the queue list where they started) and the failed
+#      mount (a mount that fails part way leaves no instance behind, so a
+#      corrected retry mounts).
 #   7. chaos: TestChaosMixedLoadWithUpgradesAndCrash 200 times (concurrent
 #      LabFS writers, through an async and a sync-mode stack, across
 #      centralized and decentralized live upgrades, a stack insert/remove
@@ -92,6 +96,11 @@
 #      them the device store's adoption, view and stress tests, the
 #      drivers' DMA-by-reference test and the file copy contract: the
 #      store retains pages and payloads while readers hold views of them.
+#      The serve lifetime tests include the connection ledger (50 served
+#      connections opened and closed leave the runtime's queue list,
+#      goroutines and arena where they started) and close-during-accept
+#      against the server and the router, which share one connection
+#      lifetime: a connection accepted while Close runs is closed too.
 #  17. streamed completions: the worker's per-request publish test (a batch
 #      of four whose last request is held at a gate: the three before it
 #      read done meanwhile), the serve completer's tests (the first answer
@@ -134,8 +143,8 @@ go test -race -count=3 -cpu 1,2,8 -run 'Ring|QueuePair|Handshake|Wait|Spin|Park|
 echo "== control plane: go test -count=3 -cpu 1,2,4 -run TestConcurrentConnectAssignsEveryQueue ./internal/runtime =="
 go test -count=3 -cpu 1,2,4 -run TestConcurrentConnectAssignsEveryQueue ./internal/runtime
 
-echo "== control plane: go test -race -count=3 -cpu 1,2,8 -run 'TestControlPlane|TestWalkersPinTheirPlan|TestUpgradeNeverSwaps|TestModifyStackUnderSync|TestRestartWaits|TestSyncWalk|TestDecentralizedUpgrade|TestConnectDuringUpgrade' ./internal/runtime =="
-go test -race -count=3 -cpu 1,2,8 -run 'TestControlPlane|TestWalkersPinTheirPlan|TestUpgradeNeverSwaps|TestModifyStackUnderSync|TestRestartWaits|TestSyncWalk|TestDecentralizedUpgrade|TestConnectDuringUpgrade' ./internal/runtime
+echo "== control plane: go test -race -count=3 -cpu 1,2,8 -run 'TestControlPlane|TestWalkersPinTheirPlan|TestUpgradeNeverSwaps|TestModifyStackUnderSync|TestRestartWaits|TestSyncWalk|TestDecentralizedUpgrade|TestConnectDuringUpgrade|TestConnectionLedger|TestFailedMountLeavesNothingBehind' ./internal/runtime =="
+go test -race -count=3 -cpu 1,2,8 -run 'TestControlPlane|TestWalkersPinTheirPlan|TestUpgradeNeverSwaps|TestModifyStackUnderSync|TestRestartWaits|TestSyncWalk|TestDecentralizedUpgrade|TestConnectDuringUpgrade|TestConnectionLedger|TestFailedMountLeavesNothingBehind' ./internal/runtime
 
 echo "== chaos: go test -count=200 -run TestChaosMixedLoadWithUpgradesAndCrash ./internal/runtime =="
 go test -count=200 -run TestChaosMixedLoadWithUpgradesAndCrash ./internal/runtime
@@ -192,8 +201,8 @@ go test -race -count=3 -cpu 1,2,8 -run Router ./internal/serve
 echo "== keys: go test -race -count=3 -cpu 1,2,8 -run 'TestServeRemount|TestKeySlab|TestIndex' ./internal/serve ./internal/mods/labkvs =="
 go test -race -count=3 -cpu 1,2,8 -run 'TestServeRemount|TestKeySlab|TestIndex' ./internal/serve ./internal/mods/labkvs
 
-echo "== payload retention: go test -race -count=3 -cpu 1,2,8 -run 'TestServeCopyContract|TestFSCopyContract|TestRetain|TestServeClientNeverReads|TestServeMidFrameDisconnect|TestServeCloseWithBatchesInFlight|TestServeResultPinnedUntilWritten|TestGatherBatchDoesNotAllocate|TestPipelineWindowAllocations|TestSparseStore|TestDevice|TestDriver' ./internal/experiments ./internal/mods/lru ./internal/serve ./internal/device ./internal/mods/driver =="
-go test -race -count=3 -cpu 1,2,8 -run 'TestServeCopyContract|TestFSCopyContract|TestRetain|TestServeClientNeverReads|TestServeMidFrameDisconnect|TestServeCloseWithBatchesInFlight|TestServeResultPinnedUntilWritten|TestGatherBatchDoesNotAllocate|TestPipelineWindowAllocations|TestSparseStore|TestDevice|TestDriver' ./internal/experiments ./internal/mods/lru ./internal/serve ./internal/device ./internal/mods/driver
+echo "== payload retention: go test -race -count=3 -cpu 1,2,8 -run 'TestServeCopyContract|TestFSCopyContract|TestRetain|TestServeClientNeverReads|TestServeMidFrameDisconnect|TestServeCloseWithBatchesInFlight|TestServeResultPinnedUntilWritten|TestServeConnectionLedger|CloseDuringAccept|TestGatherBatchDoesNotAllocate|TestPipelineWindowAllocations|TestSparseStore|TestDevice|TestDriver' ./internal/experiments ./internal/mods/lru ./internal/serve ./internal/device ./internal/mods/driver =="
+go test -race -count=3 -cpu 1,2,8 -run 'TestServeCopyContract|TestFSCopyContract|TestRetain|TestServeClientNeverReads|TestServeMidFrameDisconnect|TestServeCloseWithBatchesInFlight|TestServeResultPinnedUntilWritten|TestServeConnectionLedger|CloseDuringAccept|TestGatherBatchDoesNotAllocate|TestPipelineWindowAllocations|TestSparseStore|TestDevice|TestDriver' ./internal/experiments ./internal/mods/lru ./internal/serve ./internal/device ./internal/mods/driver
 
 echo "== streamed completions: go test -race -tags labstor_debug -count=3 -cpu 1,2,8 -run 'TestStreamedCompletion|TestServeStreamsCompletions|TestCompleterWritesBatchAtMostTwice|TestParkedWorker|Handshake|Wait' ./internal/runtime ./internal/serve =="
 go test -race -tags labstor_debug -count=3 -cpu 1,2,8 -run 'TestStreamedCompletion|TestServeStreamsCompletions|TestCompleterWritesBatchAtMostTwice|TestParkedWorker|Handshake|Wait' ./internal/runtime ./internal/serve
