@@ -136,3 +136,48 @@ func TestInodeRenameConcurrentDistinct(t *testing.T) {
 		}
 	}
 }
+
+func TestInodeTableShardingAndList(t *testing.T) {
+	tab := newInodeTable(8)
+	for _, p := range []string{"a/x", "a/y", "a/sub/z", "b/q"} {
+		tab.Put(&inode{Path: p, Blocks: map[int64]int64{}})
+	}
+	if tab.Count() != 4 {
+		t.Fatal("count")
+	}
+	ls := tab.List("a")
+	if len(ls) != 3 || ls[0] != "sub" || ls[1] != "x" {
+		t.Fatalf("list %v", ls)
+	}
+	if _, created := tab.Create(&inode{Path: "a/x"}); created {
+		t.Fatal("duplicate create")
+	}
+	if err := tab.Rename("a/x", "b/x"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := tab.Get("a/x"); ok {
+		t.Fatal("rename left source")
+	}
+	if _, ok := tab.Get("b/x"); !ok {
+		t.Fatal("rename lost target")
+	}
+	if err := tab.Rename("ghost", "z"); err == nil {
+		t.Fatal("rename of missing succeeded")
+	}
+	tab.Clear()
+	if tab.Count() != 0 {
+		t.Fatal("clear")
+	}
+}
+
+func TestInodeTableForEach(t *testing.T) {
+	tab := newInodeTable(4)
+	for i := 0; i < 10; i++ {
+		tab.Put(&inode{Path: string(rune('a' + i))})
+	}
+	n := 0
+	tab.ForEach(func(*inode) { n++ })
+	if n != 10 {
+		t.Fatalf("foreach %d", n)
+	}
+}

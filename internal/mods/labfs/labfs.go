@@ -1,8 +1,9 @@
 // Package labfs implements LabFS, the paper's example POSIX filesystem
 // LabMod (§III-E): a log-structured, crash-consistent filesystem with
 //
-//   - a scalable per-worker block allocator (device blocks divided among
-//     worker pools, with stealing);
+//   - a per-worker block allocator (internal/blockalloc: the data blocks
+//     divided among allocPools pools, with stealing). One lock guards all
+//     pools; the pools set where a worker's blocks lie, not who waits;
 //   - a per-worker-style metadata log as the only on-device metadata —
 //     inodes are reconstructed in memory by traversing the log;
 //   - a sharded in-memory inode hashmap supporting insert, rename and
@@ -20,6 +21,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"labstor/internal/blockalloc"
 	"labstor/internal/core"
 	"labstor/internal/device"
 	"labstor/internal/mods/pushdown"
@@ -29,6 +31,10 @@ import (
 
 // Type is the registered module type name.
 const Type = "labstor.labfs"
+
+// allocPools is the number of pools LabFS divides its data blocks among,
+// one per expected worker.
+const allocPools = 16
 
 // Remaining data-path copy sites (telemetry copies/op audit): aligned
 // full-block reads and writes move zero bytes inside LabFS; only partial
@@ -63,7 +69,7 @@ type LabFS struct {
 	dataBlocks int64
 
 	table *inodeTable
-	alloc *allocator
+	alloc *blockalloc.Allocator
 	log   *wal.Log
 	seq   *atomic.Uint64 // last log sequence number handed out; shared across upgrades like log
 
@@ -128,7 +134,7 @@ func (f *LabFS) Configure(cfg core.Config, env *core.Env) error {
 		return err
 	}
 	f.table = newInodeTable(shards)
-	f.alloc = newAllocator(allocPools, f.dataFirst, f.dataBlocks)
+	f.alloc = blockalloc.New(allocPools, f.dataFirst, f.dataBlocks, nil)
 	f.log = wal.New(device.BlockSize, logBlocks, copyLogPad)
 	f.seq = new(atomic.Uint64)
 	f.needReplay = cfg.Attr("replay", "false") == "true"
@@ -231,7 +237,7 @@ func (f *LabFS) maybeReplay(e *core.Exec, req *core.Request) error {
 	return nil
 }
 
-// applyEntries rebuilds the inode table and allocator free lists from a
+// applyEntries rebuilds the inode table and the allocator from a
 // decoded log. A file whose size or extents differ from its state before
 // the replay had writes that never reached the log: it is marked lost.
 // Callers hold replayMu.
@@ -279,23 +285,9 @@ func (f *LabFS) applyEntries(entries []logEntry) {
 			}
 		}
 	}
-	// Rebuild the allocator: everything in the data region not referenced
-	// by a live extent is free.
-	fresh := newEmptyAllocator(allocPools)
-	per := f.dataBlocks/allocPools + 1
-	p := 0
-	count := int64(0)
-	for b := f.dataFirst; b < f.dataFirst+f.dataBlocks; b++ {
-		if used[b] {
-			continue
-		}
-		fresh.pools[p] = append(fresh.pools[p], b)
-		count++
-		if count%per == 0 && p < allocPools-1 {
-			p++
-		}
-	}
-	f.alloc = fresh
+	// Everything in the data region not referenced by a live extent is free,
+	// divided among the pools as on a fresh mount.
+	f.alloc = blockalloc.New(allocPools, f.dataFirst, f.dataBlocks, used)
 
 	for path, old := range before {
 		if ino, ok := f.table.Get(path); ok && !sameExtents(old, ino) {
@@ -618,12 +610,12 @@ func (f *LabFS) write(e *core.Exec, req *core.Request) error {
 		}
 		phys, have := ino.Blocks[idx]
 		if !have {
-			var err error
-			phys, err = f.alloc.Alloc(e.WorkerID)
-			if err != nil {
+			var blk [1]int64
+			if err := f.alloc.Alloc(e.WorkerID, blk[:]); err != nil {
 				req.Err = err
 				return err
 			}
+			phys = blk[0]
 			ino.Blocks[idx] = phys
 			if err := f.logAppend(e, req, logEntry{Op: logExtent, Path: ino.Path, BlockIdx: idx, Phys: phys}); err != nil {
 				return err

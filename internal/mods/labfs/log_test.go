@@ -171,3 +171,39 @@ func TestReplayStopsAtPreviousLap(t *testing.T) {
 		t.Fatalf("g after replay: %d bytes", r.Result)
 	}
 }
+
+// TestReplayAllocatesLikeAFreshMount: a replay of a log with no extents
+// rebuilds the allocator a fresh mount builds, so the same writes land on
+// the same physical blocks.
+func TestReplayAllocatesLikeAFreshMount(t *testing.T) {
+	placement := func(repair bool) map[string]map[int64]int64 {
+		h, s, f := mountLog(t, "4")
+		for i := 0; i < 3; i++ {
+			if err := run(t, h, s, core.OpCreate, fmt.Sprintf("f%d", i), ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := run(t, h, s, core.OpFsync, "", ""); err != nil {
+			t.Fatal(err)
+		}
+		if repair {
+			f.StateRepair()
+		}
+		out := make(map[string]map[int64]int64)
+		for i := 0; i < 3; i++ {
+			path := fmt.Sprintf("f%d", i)
+			if err := h.Run(t, s, modtest.WriteReq(path, 0, bytes.Repeat([]byte{byte(i)}, (i+1)*5000))); err != nil {
+				t.Fatal(err)
+			}
+			ino, _ := f.table.Get(path)
+			out[path] = ino.Blocks
+		}
+		return out
+	}
+	fresh, replayed := placement(false), placement(true)
+	for path, want := range fresh {
+		if got := replayed[path]; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: blocks %v after a replay, %v on a fresh mount", path, got, want)
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -105,6 +106,67 @@ func TestIndexOwnsItsKeys(t *testing.T) {
 	}
 }
 
+// failWriteType is a pass-through block module that fails every block
+// write while failWrites is set.
+const failWriteType = "test.labkvs_fail_write"
+
+var failWrites atomic.Bool
+
+type failWriteMod struct{ core.Base }
+
+func init() { core.RegisterType(failWriteType, func() core.Module { return &failWriteMod{} }) }
+
+func (m *failWriteMod) Info() core.ModuleInfo {
+	return core.ModuleInfo{Type: failWriteType, Version: "1.0", Consumes: core.APIBlock, Produces: core.APIBlock}
+}
+
+func (m *failWriteMod) Process(e *core.Exec, req *core.Request) error {
+	if req.Op == core.OpBlockWrite && failWrites.Load() {
+		return errors.New("test: block write failed")
+	}
+	return e.Next(req)
+}
+
+// TestFailedPutFreesItsBlocks: a put whose block write fails returns the
+// blocks it took to the allocator, and the key keeps its old value.
+func TestFailedPutFreesItsBlocks(t *testing.T) {
+	h := modtest.New(t, device.NVMe, 16<<20)
+	s := h.Mount(t, "kv::/k",
+		modtest.ChainVertex{UUID: "kvs", Type: Type, Attrs: map[string]string{"device": "dev0", "log_mb": "1"}},
+		modtest.ChainVertex{UUID: "fail", Type: failWriteType},
+		modtest.ChainVertex{UUID: "drv", Type: driver.KernelDriverType, Attrs: map[string]string{"device": "dev0"}},
+	)
+	m, _ := h.Registry.Get("kvs")
+	k := m.(*LabKVS)
+	put := func(val []byte) error {
+		r := core.NewRequest(core.OpPut)
+		r.Key, r.Data, r.Size = "key", val, len(val)
+		h.Exec.Submit(s, r)
+		return r.Err
+	}
+	old := bytes.Repeat([]byte{1}, 2*device.BlockSize+10)
+	if err := put(old); err != nil {
+		t.Fatal(err)
+	}
+	free := k.alloc.FreeBlocks()
+	failWrites.Store(true)
+	err := put(bytes.Repeat([]byte{2}, 3*device.BlockSize))
+	failWrites.Store(false)
+	if err == nil {
+		t.Fatal("a put whose block writes fail succeeded")
+	}
+	if got := k.alloc.FreeBlocks(); got != free {
+		t.Fatalf("%d free blocks after the failed put, %d before", got, free)
+	}
+	r := core.NewRequest(core.OpGet)
+	r.Key = "key"
+	if err := h.Run(t, s, r); err != nil || !bytes.Equal(r.Value, old) {
+		t.Fatalf("get after the failed put: %d bytes, %v; want the old %d", len(r.Value), err, len(old))
+	}
+	r.Release()
+	checkBlocks(t, k, 0)
+}
+
 // checkBlocks holds the allocator's invariant: the free blocks and the live
 // entries' blocks are together exactly the data region, each block once.
 func checkBlocks(t *testing.T, k *LabKVS, step int) {
@@ -119,11 +181,16 @@ func checkBlocks(t *testing.T, k *LabKVS, step int) {
 		}
 		held[b-k.dataFirst] = true
 	}
-	k.allocMu.Lock()
-	for _, b := range k.free {
-		hold(b, "the free list")
+	// Take every free block, which leaves the allocator as it was once they
+	// are freed back.
+	free := make([]int64, k.alloc.FreeBlocks())
+	if err := k.alloc.Alloc(0, free); err != nil {
+		t.Fatalf("op %d: allocating the %d free blocks: %v", step, len(free), err)
 	}
-	k.allocMu.Unlock()
+	for _, b := range free {
+		hold(b, "the allocator")
+	}
+	k.alloc.Free(0, free...)
 	for _, ent := range k.records("") {
 		for _, b := range ent.blockList() {
 			hold(b, ent.key)
@@ -139,7 +206,7 @@ func checkBlocks(t *testing.T, k *LabKVS, step int) {
 // pushdown scans and log replays, and checks every answer against a map.
 // Keys reach the module as views of one reused buffer, scribbled over after
 // every op, as a server's slab-backed keys would be if the index kept them.
-// After every op the free list and the live blocks partition the data region.
+// After every op the free blocks and the live blocks partition the data region.
 func TestIndexMatchesMapModel(t *testing.T) {
 	prog, err := pushdown.Default.Register("labkvs-model-first-byte-1", "filter where u8@0 == 1")
 	if err != nil {
@@ -266,7 +333,7 @@ func checkAgainstMapModel(t *testing.T, seed int64, progRef string) {
 			r.Release()
 		default:
 			// Everything so far reaches the log; the replay that the next op
-			// runs rebuilds the index and the free list from it alone.
+			// runs rebuilds the index and the allocator from it alone.
 			if err := h.Run(t, s, run(core.OpFsync, "")); err != nil {
 				t.Fatal(err)
 			}

@@ -1,9 +1,14 @@
 // Package labkvs implements LabKVS, the paper's example key-value store
-// LabMod (§III-E). LabKVS is designed like LabFS — per-worker block
-// allocation, a metadata log, an in-memory sharded index — but exposes a
-// put/get/remove API that creates keys and stores data in a *single*
-// operation, as opposed to the open-modify-close sequence POSIX requires.
-// That single-hop data path is the source of the Fig. 9(b) gains.
+// LabMod (§III-E). LabKVS is designed like LabFS — LabFS's block allocator,
+// a metadata log, an in-memory sharded index — but exposes a put/get/remove
+// API that creates keys and stores data in a *single* operation, as opposed
+// to the open-modify-close sequence POSIX requires. That single-hop data
+// path is the source of the Fig. 9(b) gains.
+//
+// The allocator has one pool, not one per worker: an overwrite then takes
+// back the blocks the key's previous value just freed, whichever worker
+// ran either put, so a hot key keeps its blocks (and their cache pages)
+// instead of spreading over one block per worker pool.
 package labkvs
 
 import (
@@ -14,6 +19,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"labstor/internal/blockalloc"
 	"labstor/internal/codec"
 	"labstor/internal/core"
 	"labstor/internal/device"
@@ -93,11 +99,8 @@ type LabKVS struct {
 	dataEnd   int64
 
 	shards []kvShard
-
-	allocMu sync.Mutex
-	free    []int64
-
-	log *wal.Log
+	alloc  *blockalloc.Allocator
+	log    *wal.Log
 
 	needReplay bool
 	replayMu   sync.Mutex
@@ -158,8 +161,7 @@ func (k *LabKVS) Configure(cfg core.Config, env *core.Env) error {
 	for i := range k.shards {
 		k.shards[i].recs = make(map[string]entry)
 	}
-	k.free = make([]int64, 0, total-logBlocks)
-	k.rebuildFree(nil)
+	k.alloc = blockalloc.New(1, k.dataFirst, k.dataEnd-k.dataFirst, nil)
 	k.log = wal.New(device.BlockSize, logBlocks, copyLogStage)
 	k.needReplay = cfg.Attr("replay", "false") == "true"
 
@@ -193,42 +195,6 @@ func fnv32a(s string) uint32 {
 		h = (h ^ uint32(s[i])) * 16777619
 	}
 	return h
-}
-
-// allocBlocks takes n blocks off the free list into ent: inline when n is
-// 1, else into a new slice.
-func (k *LabKVS) allocBlocks(ent *entry, n int) error {
-	k.allocMu.Lock()
-	defer k.allocMu.Unlock()
-	if len(k.free) < n {
-		return fmt.Errorf("labkvs: device full")
-	}
-	out := k.free[len(k.free)-n:]
-	if ent.inline = n == 1; ent.inline {
-		ent.block[0] = out[0]
-	} else {
-		ent.blocks = append([]int64(nil), out...)
-	}
-	k.free = k.free[:len(k.free)-n]
-	return nil
-}
-
-// rebuildFree makes every data block not in used free.
-func (k *LabKVS) rebuildFree(used map[int64]bool) {
-	k.allocMu.Lock()
-	defer k.allocMu.Unlock()
-	k.free = k.free[:0]
-	for b := k.dataEnd - 1; b >= k.dataFirst; b-- {
-		if !used[b] {
-			k.free = append(k.free, b)
-		}
-	}
-}
-
-func (k *LabKVS) freeBlocks(bs []int64) {
-	k.allocMu.Lock()
-	k.free = append(k.free, bs...)
-	k.allocMu.Unlock()
 }
 
 // Process dispatches a key-value request.
@@ -277,8 +243,12 @@ func (k *LabKVS) put(e *core.Exec, req *core.Request) error {
 	if nBlocks == 0 {
 		nBlocks = 1
 	}
-	ent := entry{size: len(data), owner: req.Cred.UID}
-	if err := k.allocBlocks(&ent, nBlocks); err != nil {
+	// A one-block value's block is inline; others get a slice of their own.
+	ent := entry{size: len(data), owner: req.Cred.UID, inline: nBlocks == 1}
+	if !ent.inline {
+		ent.blocks = make([]int64, nBlocks)
+	}
+	if err := k.alloc.Alloc(e.WorkerID, ent.blockList()); err != nil {
 		req.Err = err
 		return err
 	}
@@ -312,6 +282,7 @@ func (k *LabKVS) put(e *core.Exec, req *core.Request) error {
 		_, err := e.SpawnNext(req, child)
 		staged.Release()
 		if err != nil {
+			k.alloc.Free(e.WorkerID, ent.blockList()...)
 			return err
 		}
 	}
@@ -329,7 +300,7 @@ func (k *LabKVS) put(e *core.Exec, req *core.Request) error {
 	sh.recs[ent.key] = ent
 	sh.mu.Unlock()
 	if had {
-		k.freeBlocks(old.blockList())
+		k.alloc.Free(e.WorkerID, old.blockList()...)
 	}
 	rec := ent.logRecord()
 	if err := k.logAppend(e, req, &rec); err != nil {
@@ -437,7 +408,7 @@ func (k *LabKVS) del(e *core.Exec, req *core.Request) error {
 		req.Err = fmt.Errorf("%w: %q", ErrNoKey, req.Key)
 		return req.Err
 	}
-	k.freeBlocks(ent.blockList())
+	k.alloc.Free(e.WorkerID, ent.blockList()...)
 	k.dels.Add(1)
 	return k.logAppend(e, req, &record{Key: req.Key, Dead: true})
 }
@@ -633,10 +604,10 @@ func replayEntry(rec *record) entry {
 	return ent
 }
 
-// maybeReplay rebuilds the index and the free list from the device log.
+// maybeReplay rebuilds the index and the allocator from the device log.
 // The log is the whole truth: the index is rebuilt from empty, so a put
 // that never reached the log is lost rather than left pointing at blocks
-// the rebuilt free list hands out again.
+// the rebuilt allocator hands out again.
 func (k *LabKVS) maybeReplay(e *core.Exec, req *core.Request) error {
 	k.replayMu.Lock()
 	defer k.replayMu.Unlock()
@@ -674,7 +645,7 @@ func (k *LabKVS) maybeReplay(e *core.Exec, req *core.Request) error {
 			used[b] = true
 		}
 	}
-	k.rebuildFree(used)
+	k.alloc = blockalloc.New(1, k.dataFirst, k.dataEnd-k.dataFirst, used)
 	return nil
 }
 
@@ -697,14 +668,14 @@ func (k *LabKVS) Stats() (puts, gets, dels int64) {
 	return k.puts.Load(), k.gets.Load(), k.dels.Load()
 }
 
-// StateUpdate adopts the previous instance's index, free list and log.
+// StateUpdate adopts the previous instance's index, allocator and log.
 func (k *LabKVS) StateUpdate(prev core.Module) error {
 	old, ok := prev.(*LabKVS)
 	if !ok {
 		return nil
 	}
 	k.shards = old.shards
-	k.free = old.free
+	k.alloc = old.alloc
 	k.log = old.log
 	k.dataFirst = old.dataFirst
 	k.dataEnd = old.dataEnd

@@ -188,7 +188,7 @@ func TestReplayRebuildsIndex(t *testing.T) {
 
 // TestReplayDropsUnloggedPut: a crash replay rebuilds the index from the log
 // alone. A put that never reached the log is lost, not left in the index
-// pointing at a block the rebuilt free list hands to the next put.
+// pointing at a block the rebuilt allocator hands to the next put.
 func TestReplayDropsUnloggedPut(t *testing.T) {
 	h := modtest.New(t, device.NVMe, 64<<20)
 	s := mountKVS(t, h)

@@ -137,7 +137,7 @@ func controlPlaneStress(t *testing.T, policy string) {
 		t.Fatal(err)
 	}
 	if got, want := m.(*dummy.Dummy).Messages(), sent.Load(); got != want {
-		t.Fatalf("module counted %d requests across %d upgrades, %d were sent", got, rt.ModManager().UpgradesDone(), want)
+		t.Fatalf("module counted %d requests across %d upgrades, %d were sent", got, rt.ModManager().Stats().Done, want)
 	}
 }
 

@@ -73,8 +73,8 @@ func TestCentralizedUpgradeUnderLoad(t *testing.T) {
 	}
 	sent++
 
-	if rt.ModManager().UpgradesDone() != 3 {
-		t.Fatalf("upgrades done %d", rt.ModManager().UpgradesDone())
+	if done := rt.ModManager().Stats().Done; done != 3 {
+		t.Fatalf("upgrades done %d", done)
 	}
 	if rt.Registry.Generation("dum") != 3 {
 		t.Fatalf("generation %d", rt.Registry.Generation("dum"))

@@ -114,13 +114,6 @@ func (mm *ModManager) Upgrade(req *UpgradeRequest) error {
 	return <-ch
 }
 
-// UpgradesDone returns how many upgrades have been applied.
-func (mm *ModManager) UpgradesDone() int {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	return mm.upgradesDone
-}
-
 // ProcessUpgrades drains the upgrade queue, executing the centralized
 // protocol (and its decentralized extension) for the whole batch under
 // quiesce: the stacks that reach the batch's modules are gated, the walks

@@ -4,9 +4,36 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"time"
 
 	"labstor/internal/telemetry"
 )
+
+// handshakeTimeout bounds the Hello exchange. A client sends Hello in its
+// first write, so only a peer that never speaks the protocol waits this
+// long, and it holds one goroutine and one socket while it does. A
+// constant, not an option: no caller needs another value.
+const handshakeTimeout = 5 * time.Second
+
+// handshake runs the Hello exchange that opens every connection Server and
+// Router accept: the first frame, read within handshakeTimeout, must be a
+// Hello of ProtoVersion, and is acked with a Hello naming its tenant. On
+// false the caller closes conn unanswered. A peer at fault (silence,
+// another frame, another version) is counted in protoErrs, if not nil; a
+// failed ack write is not.
+func handshake(conn net.Conn, fr *frameReader, protoErrs *telemetry.Counter) (HelloFrame, bool) {
+	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
+	hello, err := fr.hello()
+	if err != nil || hello.Version != ProtoVersion {
+		if protoErrs != nil {
+			protoErrs.Inc()
+		}
+		return hello, false
+	}
+	conn.SetReadDeadline(time.Time{})
+	_, err = conn.Write(AppendHello(nil, &HelloFrame{Version: ProtoVersion, Tenant: hello.Tenant}))
+	return hello, err == nil
+}
 
 // connSet is the connection lifetime Server and Router share: a listener,
 // its accept loop, the set of live connections and the closed flag. Both

@@ -248,13 +248,8 @@ func (h *routeHead) appendHead(dst []byte, id uint64, def []byte, n int) []byte 
 func (r *Router) handleConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	fr := newFrameReader(br, DefaultMaxPayload)
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	hello, err := fr.hello()
-	if err != nil || hello.Version != ProtoVersion {
-		return
-	}
-	conn.SetReadDeadline(time.Time{})
-	if _, err := conn.Write(AppendHello(nil, &HelloFrame{Version: ProtoVersion, Tenant: hello.Tenant})); err != nil {
+	hello, ok := handshake(conn, fr, nil)
+	if !ok {
 		return
 	}
 	cc := &clientConn{conn: conn}

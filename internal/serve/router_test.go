@@ -242,6 +242,41 @@ func newTestRouter(t *testing.T, backends ...string) (*Router, string) {
 	return r, addr.String()
 }
 
+// TestHandshakeRejects: the server and the router each close a connection
+// whose first frame is a Hello of another version, or no Hello at all,
+// without sending an ack. The server counts each in serve.proto_errors.
+func TestHandshakeRejects(t *testing.T) {
+	rt, _, saddr := newTestServer(t, Config{})
+	_, raddr := newTestRouter(t, saddr)
+	firsts := map[string][]byte{
+		"wrong version": AppendHello(nil, &HelloFrame{Version: ProtoVersion + 1, Tenant: "t"}),
+		"not a hello":   AppendReq(nil, &ReqFrame{ID: 1, Op: core.OpMessage, Mount: "msg::/hot"}),
+	}
+	for _, front := range []struct{ name, addr string }{{"server", saddr}, {"router", raddr}} {
+		for name, first := range firsts {
+			t.Run(front.name+"/"+name, func(t *testing.T) {
+				protoErrs := rt.Metrics().Snapshot().Counters["serve.proto_errors"]
+				nc, err := net.Dial("tcp", front.addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer nc.Close()
+				if _, err := nc.Write(first); err != nil {
+					t.Fatal(err)
+				}
+				nc.SetReadDeadline(time.Now().Add(2 * time.Second))
+				got, err := io.ReadAll(nc)
+				if len(got) > 0 || errors.Is(err, os.ErrDeadlineExceeded) {
+					t.Fatalf("read %d bytes before the close (%v), want none and a close", len(got), err)
+				}
+				if n := rt.Metrics().Snapshot().Counters["serve.proto_errors"] - protoErrs; front.name == "server" && n != 1 {
+					t.Fatalf("serve.proto_errors rose by %d, want 1", n)
+				}
+			})
+		}
+	}
+}
+
 func TestRouterStuckClientDoesNotStallOthers(t *testing.T) {
 	// A client sends 4096 gets for a 16 KiB value through the router, 64 MiB
 	// of answers, far past the socket buffers, and never reads one. Once its

@@ -37,21 +37,13 @@ type Config struct {
 	Pushdown *pushdown.Policy
 }
 
-// Two timings of the server. Constants, not options: no caller needs
-// another value.
-const (
-	// handshakeTimeout bounds the Hello exchange. A client sends Hello in
-	// its first write, so only a peer that never speaks the protocol waits
-	// this long, and it holds one goroutine and one socket while it does.
-	handshakeTimeout = 5 * time.Second
-	// demandPoll is how often the server folds the orchestrator's per-queue
-	// demand estimates into the admission pressure signal. The estimates
-	// change at most once per rebalance epoch (10 ms in the shipped
-	// configs); folding every 50 ms costs one orchestrator lock per tick
-	// and still shrinks the inflight budgets within a fraction of a second
-	// of an overload.
-	demandPoll = 50 * time.Millisecond
-)
+// demandPoll is how often the server folds the orchestrator's per-queue
+// demand estimates into the admission pressure signal. The estimates change
+// at most once per rebalance epoch (10 ms in the shipped configs); folding
+// every 50 ms costs one orchestrator lock per tick and still shrinks the
+// inflight budgets within a fraction of a second of an overload. A
+// constant, not an option: no caller needs another value.
+const demandPoll = 50 * time.Millisecond
 
 // Server is the TCP serving front end: it multiplexes many client
 // connections onto the Runtime's queue-pair fast path. Each connection gets
@@ -251,17 +243,8 @@ func (s *Server) handleConn(conn net.Conn) {
 	s.mAccepted.Inc()
 	br := bufio.NewReaderSize(conn, 64<<10)
 	fr := newFrameReader(br, s.cfg.MaxPayload)
-
-	// Handshake: Hello in, Hello (ack) out, bounded by a deadline.
-	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	hello, err := fr.hello()
-	if err != nil || hello.Version != ProtoVersion {
-		s.mProtoErrs.Inc()
-		return
-	}
-	conn.SetReadDeadline(time.Time{})
-	ack := AppendHello(nil, &HelloFrame{Version: ProtoVersion, Tenant: hello.Tenant})
-	if _, err := conn.Write(ack); err != nil {
+	hello, ok := handshake(conn, fr, s.mProtoErrs)
+	if !ok {
 		return
 	}
 

@@ -11,17 +11,15 @@ import (
 	"sync"
 )
 
-// Summary accumulates count/sum/min/max/mean/variance in a single pass
-// (Welford's algorithm). The zero value is ready to use.
+// Summary accumulates count/sum/min/max/mean in a single pass. The zero
+// value is ready to use.
 type Summary struct {
-	mu    sync.Mutex
-	n     int64
-	mean  float64
-	m2    float64
-	min   float64
-	max   float64
-	sum   float64
-	empty bool // tracks "never observed" via n==0 instead
+	mu   sync.Mutex
+	n    int64
+	mean float64
+	min  float64
+	max  float64
+	sum  float64
 }
 
 // Observe adds one observation.
@@ -39,9 +37,7 @@ func (s *Summary) Observe(x float64) {
 	}
 	s.n++
 	s.sum += x
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
+	s.mean += (x - s.mean) / float64(s.n)
 	s.mu.Unlock()
 }
 
@@ -59,16 +55,6 @@ func (s *Summary) Min() float64 { s.mu.Lock(); defer s.mu.Unlock(); return s.min
 
 // Max returns the largest observation (0 if empty).
 func (s *Summary) Max() float64 { s.mu.Lock(); defer s.mu.Unlock(); return s.max }
-
-// Variance returns the sample variance (0 for n<2).
-func (s *Summary) Variance() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
 
 // Sample retains every observation for exact percentile computation.
 // Suitable for the experiment scales used here (≤ a few million points).

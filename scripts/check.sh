@@ -6,8 +6,8 @@
 #      internal/experiments alone needs ~12.5 min under the race detector,
 #      past Go's default 10 min)
 #   4. hot-path soak: the lock-free ring and worker/client hot path, the
-#      write-ahead log with LabFS and LabKVS on top of it, and the LRU's
-#      slot table, twice under the race detector with shuffled test order,
+#      write-ahead log with LabFS and LabKVS on top of it, the block
+#      allocator they share, and the LRU's slot table, twice under the race detector with shuffled test order,
 #      to surface ordering-dependent races the single straight-line pass
 #      can miss.
 #   5. handshake: the vectored ring and queue pair (the only ring there is),
@@ -76,14 +76,18 @@
 #      telemetry.Profile and publish on idle scans and before parking, and
 #      bundle captures reserve their slot under a lock; these legs vary
 #      the interleavings those depend on.
-#  14. router: the router tests three times under the race detector at
-#      -cpu 1,2,8. Upstream readers write responses to client sockets
-#      themselves, so two of them may write to one client at once, under
-#      that client's lock, while its own reader writes pongs and errors.
+#  14. router: the router tests and the handshake table (the server and the
+#      router close a connection whose first frame is a Hello of another
+#      version, or no Hello, without an ack) three times under the race
+#      detector at -cpu 1,2,8. Upstream readers write responses to client
+#      sockets themselves, so two of them may write to one client at once,
+#      under that client's lock, while its own reader writes pongs and
+#      errors.
 #  15. keys: the remount test (a live connection reaches a stack mounted
 #      again at its path), the key slab tests (a slab string reads the same
-#      after rollovers) and the LabKVS index tests (keys owned by the index,
-#      and op by op against a map model with the free-list invariant) three
+#      after rollovers), the LabKVS index tests (keys owned by the index,
+#      and op by op against a map model with the free-block invariant) and
+#      the failed put (a put whose block write fails frees its blocks) three
 #      times under the race detector at -cpu 1,2,8. Slab strings cross from
 #      the reader to workers while the reader appends to the same slab, and
 #      LabKVS reads entries copied out under its shard locks.
@@ -134,8 +138,8 @@ go vet ./...
 echo "== go test -race -timeout 1800s ./... =="
 go test -race -timeout 1800s ./...
 
-echo "== go test -race -count=2 -shuffle=on ./internal/ipc/... ./internal/runtime/... ./internal/device/... ./internal/telemetry/... ./internal/obs/... ./internal/serve/... ./internal/mods/pushdown/... ./internal/wal/... ./internal/mods/labfs/... ./internal/mods/labkvs/... ./internal/mods/lru/... =="
-go test -race -count=2 -shuffle=on ./internal/ipc/... ./internal/runtime/... ./internal/device/... ./internal/telemetry/... ./internal/obs/... ./internal/serve/... ./internal/mods/pushdown/... ./internal/wal/... ./internal/mods/labfs/... ./internal/mods/labkvs/... ./internal/mods/lru/...
+echo "== go test -race -count=2 -shuffle=on ./internal/ipc/... ./internal/runtime/... ./internal/device/... ./internal/telemetry/... ./internal/obs/... ./internal/serve/... ./internal/mods/pushdown/... ./internal/wal/... ./internal/blockalloc/... ./internal/mods/labfs/... ./internal/mods/labkvs/... ./internal/mods/lru/... =="
+go test -race -count=2 -shuffle=on ./internal/ipc/... ./internal/runtime/... ./internal/device/... ./internal/telemetry/... ./internal/obs/... ./internal/serve/... ./internal/mods/pushdown/... ./internal/wal/... ./internal/blockalloc/... ./internal/mods/labfs/... ./internal/mods/labkvs/... ./internal/mods/lru/...
 
 echo "== handshake: go test -race -count=3 -cpu 1,2,8 -run 'Ring|QueuePair|Handshake|Wait|Spin|Park|Idle' ./internal/ipc/... ./internal/core/... ./internal/runtime/... =="
 go test -race -count=3 -cpu 1,2,8 -run 'Ring|QueuePair|Handshake|Wait|Spin|Park|Idle' ./internal/ipc/... ./internal/core/... ./internal/runtime/...
@@ -195,11 +199,11 @@ sh scripts/serve_smoke.sh
 echo "== completion record: go test -race -count=3 -cpu 1,2,8 -run 'Attribution|SLO|Trace|Tail|Flight|Bundle|Ring|Views' ./internal/telemetry/... ./internal/runtime/... ./internal/obs/... =="
 go test -race -count=3 -cpu 1,2,8 -run 'Attribution|SLO|Trace|Tail|Flight|Bundle|Ring|Views' ./internal/telemetry/... ./internal/runtime/... ./internal/obs/...
 
-echo "== router: go test -race -count=3 -cpu 1,2,8 -run Router ./internal/serve =="
-go test -race -count=3 -cpu 1,2,8 -run Router ./internal/serve
+echo "== router: go test -race -count=3 -cpu 1,2,8 -run 'Router|TestHandshakeRejects' ./internal/serve =="
+go test -race -count=3 -cpu 1,2,8 -run 'Router|TestHandshakeRejects' ./internal/serve
 
-echo "== keys: go test -race -count=3 -cpu 1,2,8 -run 'TestServeRemount|TestKeySlab|TestIndex' ./internal/serve ./internal/mods/labkvs =="
-go test -race -count=3 -cpu 1,2,8 -run 'TestServeRemount|TestKeySlab|TestIndex' ./internal/serve ./internal/mods/labkvs
+echo "== keys: go test -race -count=3 -cpu 1,2,8 -run 'TestServeRemount|TestKeySlab|TestIndex|TestFailedPutFreesItsBlocks' ./internal/serve ./internal/mods/labkvs =="
+go test -race -count=3 -cpu 1,2,8 -run 'TestServeRemount|TestKeySlab|TestIndex|TestFailedPutFreesItsBlocks' ./internal/serve ./internal/mods/labkvs
 
 echo "== payload retention: go test -race -count=3 -cpu 1,2,8 -run 'TestServeCopyContract|TestFSCopyContract|TestRetain|TestServeClientNeverReads|TestServeMidFrameDisconnect|TestServeCloseWithBatchesInFlight|TestServeResultPinnedUntilWritten|TestServeConnectionLedger|CloseDuringAccept|TestGatherBatchDoesNotAllocate|TestPipelineWindowAllocations|TestSparseStore|TestDevice|TestDriver' ./internal/experiments ./internal/mods/lru ./internal/serve ./internal/device ./internal/mods/driver =="
 go test -race -count=3 -cpu 1,2,8 -run 'TestServeCopyContract|TestFSCopyContract|TestRetain|TestServeClientNeverReads|TestServeMidFrameDisconnect|TestServeCloseWithBatchesInFlight|TestServeResultPinnedUntilWritten|TestServeConnectionLedger|CloseDuringAccept|TestGatherBatchDoesNotAllocate|TestPipelineWindowAllocations|TestSparseStore|TestDevice|TestDriver' ./internal/experiments ./internal/mods/lru ./internal/serve ./internal/device ./internal/mods/driver
