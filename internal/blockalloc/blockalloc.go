@@ -9,6 +9,7 @@ package blockalloc
 
 import (
 	"errors"
+	"slices"
 	"sync"
 )
 
@@ -24,8 +25,9 @@ type Allocator struct {
 
 // New divides blocks [first, first+count) among pools pools: pool i gets
 // the i-th count/pools blocks of the region, the last pool also the
-// remainder, each minus the blocks in used (which may be nil).
-func New(pools int, first, count int64, used map[int64]bool) *Allocator {
+// remainder, each minus the blocks in used (which may be nil). A pool
+// grants its highest block first, or its lowest if lowFirst.
+func New(pools int, first, count int64, used map[int64]bool, lowFirst bool) *Allocator {
 	a := &Allocator{pools: make([][]int64, pools)}
 	per := count / int64(pools)
 	b := first
@@ -39,6 +41,9 @@ func New(pools int, first, count int64, used map[int64]bool) *Allocator {
 			if !used[b] {
 				pool = append(pool, b)
 			}
+		}
+		if lowFirst {
+			slices.Reverse(pool)
 		}
 		a.pools[i] = pool
 	}

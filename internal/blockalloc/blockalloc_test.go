@@ -33,7 +33,7 @@ func TestAllocator(t *testing.T) {
 		run  func(t *testing.T)
 	}{
 		{"division", func(t *testing.T) {
-			a := New(4, 100, 1002, nil)
+			a := New(4, 100, 1002, nil, false)
 			if a.FreeBlocks() != 1002 {
 				t.Fatalf("free %d", a.FreeBlocks())
 			}
@@ -45,8 +45,15 @@ func TestAllocator(t *testing.T) {
 				t.Fatalf("worker 1 got block %d, want %d", b, 100+2*250-1)
 			}
 		}},
+		{"low first", func(t *testing.T) {
+			a := New(1, 100, 10, map[int64]bool{101: true}, true)
+			run := make([]int64, 3)
+			if err := a.Alloc(0, run); err != nil || !slices.Equal(run, []int64{103, 102, 100}) {
+				t.Fatalf("first run %v (%v), want the lowest free blocks [103 102 100]", run, err)
+			}
+		}},
 		{"no double allocation", func(t *testing.T) {
-			a := New(3, 0, 300, map[int64]bool{5: true})
+			a := New(3, 0, 300, map[int64]bool{5: true}, false)
 			seen := make(map[int64]bool)
 			for i := 0; i < 299; i++ {
 				b := take(t, a, i%3)
@@ -61,7 +68,7 @@ func TestAllocator(t *testing.T) {
 			}
 		}},
 		{"stealing", func(t *testing.T) {
-			a := New(2, 0, 100, nil)
+			a := New(2, 0, 100, nil, false)
 			for i := 0; i < 50; i++ {
 				take(t, a, 0)
 			}
@@ -71,7 +78,7 @@ func TestAllocator(t *testing.T) {
 			}
 		}},
 		{"free", func(t *testing.T) {
-			a := New(2, 0, 10, nil)
+			a := New(2, 0, 10, nil, false)
 			b := take(t, a, 0)
 			a.Free(1, b)
 			if a.FreeBlocks() != 10 {
@@ -82,7 +89,7 @@ func TestAllocator(t *testing.T) {
 			}
 		}},
 		{"a run larger than its pool steals until it fits", func(t *testing.T) {
-			a := New(4, 0, 40, nil)
+			a := New(4, 0, 40, nil, false)
 			run := make([]int64, 25)
 			if err := a.Alloc(2, run); err != nil {
 				t.Fatal(err)
@@ -109,7 +116,7 @@ func TestAllocator(t *testing.T) {
 			}
 		}},
 		{"an empty used set is nil", func(t *testing.T) {
-			a, b := New(16, 64, 1000, nil), New(16, 64, 1000, map[int64]bool{})
+			a, b := New(16, 64, 1000, nil, false), New(16, 64, 1000, map[int64]bool{}, false)
 			for i := 0; i < 1000; i++ {
 				if x, y := take(t, a, i%5), take(t, b, i%5); x != y {
 					t.Fatalf("grant %d: %d from New(nil), %d from New(map{})", i, x, y)
@@ -125,7 +132,7 @@ func TestAllocator(t *testing.T) {
 // blocks across workers never lose or duplicate a block.
 func TestAllocatorQuickConservation(t *testing.T) {
 	f := func(ops []uint8) bool {
-		a := New(3, 0, 60, nil)
+		a := New(3, 0, 60, nil, false)
 		var held []int64
 		owned := make(map[int64]bool)
 		for _, op := range ops {

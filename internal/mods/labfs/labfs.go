@@ -134,7 +134,7 @@ func (f *LabFS) Configure(cfg core.Config, env *core.Env) error {
 		return err
 	}
 	f.table = newInodeTable(shards)
-	f.alloc = blockalloc.New(allocPools, f.dataFirst, f.dataBlocks, nil)
+	f.alloc = blockalloc.New(allocPools, f.dataFirst, f.dataBlocks, nil, false)
 	f.log = wal.New(device.BlockSize, logBlocks, copyLogPad)
 	f.seq = new(atomic.Uint64)
 	f.needReplay = cfg.Attr("replay", "false") == "true"
@@ -287,7 +287,7 @@ func (f *LabFS) applyEntries(entries []logEntry) {
 	}
 	// Everything in the data region not referenced by a live extent is free,
 	// divided among the pools as on a fresh mount.
-	f.alloc = blockalloc.New(allocPools, f.dataFirst, f.dataBlocks, used)
+	f.alloc = blockalloc.New(allocPools, f.dataFirst, f.dataBlocks, used, false)
 
 	for path, old := range before {
 		if ino, ok := f.table.Get(path); ok && !sameExtents(old, ino) {

@@ -8,7 +8,9 @@
 // The allocator has one pool, not one per worker: an overwrite then takes
 // back the blocks the key's previous value just freed, whichever worker
 // ran either put, so a hot key keeps its blocks (and their cache pages)
-// instead of spreading over one block per worker pool.
+// instead of spreading over one block per worker pool. It grants its
+// lowest blocks first: a log record stores block numbers as varints, and
+// on a large device the top of the region takes a byte more per block.
 package labkvs
 
 import (
@@ -161,7 +163,7 @@ func (k *LabKVS) Configure(cfg core.Config, env *core.Env) error {
 	for i := range k.shards {
 		k.shards[i].recs = make(map[string]entry)
 	}
-	k.alloc = blockalloc.New(1, k.dataFirst, k.dataEnd-k.dataFirst, nil)
+	k.alloc = blockalloc.New(1, k.dataFirst, k.dataEnd-k.dataFirst, nil, true)
 	k.log = wal.New(device.BlockSize, logBlocks, copyLogStage)
 	k.needReplay = cfg.Attr("replay", "false") == "true"
 
@@ -645,7 +647,7 @@ func (k *LabKVS) maybeReplay(e *core.Exec, req *core.Request) error {
 			used[b] = true
 		}
 	}
-	k.alloc = blockalloc.New(1, k.dataFirst, k.dataEnd-k.dataFirst, used)
+	k.alloc = blockalloc.New(1, k.dataFirst, k.dataEnd-k.dataFirst, used, true)
 	return nil
 }
 
