@@ -179,23 +179,9 @@ func renderTop(snap *runtime.Snapshot, addr string, processed int64, rate float6
 
 	if n := len(snap.Events); n > 0 {
 		const show = 6
-		fmt.Printf("\nEVENTS (last %d of %d retained)\n", minInt(show, n), n)
-		for _, e := range snap.Events[maxInt(0, n-show):] {
+		fmt.Printf("\nEVENTS (last %d of %d retained)\n", min(show, n), n)
+		for _, e := range snap.Events[max(0, n-show):] {
 			fmt.Println("  " + e.String())
 		}
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

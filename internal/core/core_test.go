@@ -441,8 +441,33 @@ func TestNamespaceMountResolve(t *testing.T) {
 	if !ok || s != a || rem != "other.txt" {
 		t.Fatalf("resolve parent: %v %q %v", s, rem, ok)
 	}
+	// An exact mount resolves to its stack with nothing left over.
+	s, rem, ok = ns.Resolve("fs::/a/b")
+	if !ok || s != ab || rem != "" {
+		t.Fatalf("resolve exact: %v %q %v", s, rem, ok)
+	}
 	if _, _, ok := ns.Resolve("kv::/elsewhere"); ok {
 		t.Fatal("resolved unmounted path")
+	}
+	// A root mount serves scheme-less paths, itself included, and no
+	// scheme'd path it does not prefix.
+	root := NewStack("/", Rules{}, chainVertices("r"))
+	if err := ns.Mount(root); err != nil {
+		t.Fatal(err)
+	}
+	s, rem, ok = ns.Resolve("/")
+	if !ok || s != root || rem != "" {
+		t.Fatalf("resolve root: %v %q %v", s, rem, ok)
+	}
+	s, rem, ok = ns.Resolve("/etc/x")
+	if !ok || s != root || rem != "etc/x" {
+		t.Fatalf("resolve under root: %v %q %v", s, rem, ok)
+	}
+	if _, _, ok := ns.Resolve("kv::/elsewhere"); ok {
+		t.Fatal("root mount resolved a path of another scheme")
+	}
+	if err := ns.Unmount("/"); err != nil {
+		t.Fatal(err)
 	}
 	// Exact lookup and by-ID.
 	if got, ok := ns.Lookup("fs::/a/b"); !ok || got != ab {

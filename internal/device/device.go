@@ -349,6 +349,20 @@ func (d *Device) QueueHorizon(hctx int) vtime.Time {
 	return d.hctx[hctx].Horizon()
 }
 
+// SoonestQueue is blk-switch's steering rule: the hardware queue that drains
+// soonest (QueueHorizon). own, the caller's core-keyed queue, wins ties, so
+// an uncontended caller keeps its locality; of the queues strictly earlier
+// than own, the lowest-numbered earliest one wins.
+func (d *Device) SoonestQueue(own int) int {
+	best, bestT := own, d.QueueHorizon(own)
+	for q := range d.hctx {
+		if h := d.QueueHorizon(q); h < bestT {
+			best, bestT = q, h
+		}
+	}
+	return best
+}
+
 // ReadAt / WriteAt provide plain functional access without virtual-time
 // accounting, for tools and recovery paths.
 func (d *Device) ReadAt(p []byte, off int64) (int, error)  { return d.store.ReadAt(p, off) }

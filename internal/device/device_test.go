@@ -213,6 +213,25 @@ func TestDeviceHctxFIFO(t *testing.T) {
 	}
 }
 
+func TestDeviceSoonestQueue(t *testing.T) {
+	d := New("nvme", NVMe, 1<<30)
+	buf := make([]byte, 4096)
+	// Every queue idle: a tie keeps the caller's own queue.
+	if got := d.SoonestQueue(3); got != 3 {
+		t.Fatalf("tie: SoonestQueue(3) = %d, want 3", got)
+	}
+	// Own queue and queue 0 loaded: queue 1 is the lowest strictly earlier.
+	d.SubmitToQueue(0, Write, 0, buf, 0)
+	d.SubmitToQueue(3, Write, 8192, buf, 0)
+	if got := d.SoonestQueue(3); got != 1 {
+		t.Fatalf("loaded own: SoonestQueue(3) = %d, want 1", got)
+	}
+	// An idle own queue ties with the other idle ones and is kept.
+	if got := d.SoonestQueue(2); got != 2 {
+		t.Fatalf("idle own: SoonestQueue(2) = %d, want 2", got)
+	}
+}
+
 func TestDeviceHctxModuloMapping(t *testing.T) {
 	d := New("ssd", SATASSD, 1<<30) // single hardware queue
 	buf := make([]byte, 512)

@@ -189,24 +189,11 @@ func (e *Engine) RunQueue(t *Thread, ops []IOOp, iodepth int, buf []byte) ([]vti
 	return lat, nil
 }
 
-// BlkSwitchSteer returns a queue steer that picks the least-loaded hardware
-// queue, modeling the in-kernel blk-switch scheduler (with its extra
-// in-kernel steering cost folded into the submit path by the caller).
-// The thread's own core-keyed queue wins ties, so uncontended threads keep
-// cache-friendly locality instead of piling onto queue 0.
+// BlkSwitchSteer returns a queue steer modeling the in-kernel blk-switch
+// scheduler: device.SoonestQueue from the thread's core-keyed queue, so
+// uncontended threads keep cache-friendly locality instead of piling onto
+// queue 0 (the extra in-kernel steering cost is folded into the submit path
+// by the caller).
 func BlkSwitchSteer(dev *device.Device) func(t *Thread) int {
-	return func(t *Thread) int {
-		own := t.Core % dev.HardwareQueues()
-		ownH := dev.QueueHorizon(own)
-		best, bestT := own, ownH
-		for q := 0; q < dev.HardwareQueues(); q++ {
-			if h := dev.QueueHorizon(q); h < bestT {
-				best, bestT = q, h
-			}
-		}
-		if ownH <= bestT {
-			return own
-		}
-		return best
-	}
+	return func(t *Thread) int { return dev.SoonestQueue(t.Core % dev.HardwareQueues()) }
 }

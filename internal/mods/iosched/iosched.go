@@ -116,17 +116,7 @@ func (s *BlkSwitch) Process(e *core.Exec, req *core.Request) error {
 		req.Hctx = own
 		return e.Next(req)
 	}
-	ownH := s.dev.QueueHorizon(own)
-	best, bestT := own, ownH
-	for q := 0; q < s.dev.HardwareQueues(); q++ {
-		if h := s.dev.QueueHorizon(q); h < bestT {
-			best, bestT = q, h
-		}
-	}
-	if ownH <= bestT {
-		best = own
-	}
-	req.Hctx = best
+	req.Hctx = s.dev.SoonestQueue(own)
 	return e.Next(req)
 }
 

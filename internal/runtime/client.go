@@ -59,17 +59,10 @@ type Client struct {
 	// here so a lone request costs no allocation.
 	one [1]*core.Request
 
-	// wake is the doorbell every request this client submits carries
-	// (core.Request.SetWaker): a completer signals it only when the waiter
-	// has parked on the request's completion word. One token is enough — a
-	// wake means "re-check the word", never "this request is done" — so the
-	// completer's send never blocks.
-	wake chan struct{}
-	// backstop bounds a park (parkBackstop, as the worker's does) so a
-	// crashed or stopped Runtime is noticed. It is stopped and drained
-	// whenever Wait is not blocked on it (go.mod's go 1.22 timers: Reset is
-	// only safe on such a timer).
-	backstop *time.Timer
+	// p is where Wait parks. Every request this client submits carries its
+	// bell (core.Request.SetWaker): a completer rings it only when the
+	// waiter has parked on the request's completion word.
+	p parker
 }
 
 // waitPollBudget is how many times Wait yields and re-checks the completion
@@ -99,19 +92,11 @@ func (rt *Runtime) Connect(cred ipc.Credentials) *Client {
 		qp:              qp,
 		RestartPatience: 5 * time.Second,
 		OriginCore:      id,
-		wake:            make(chan struct{}, 1),
-		backstop:        time.NewTimer(parkBackstop),
-	}
-	if !c.backstop.Stop() {
-		<-c.backstop.C
+		p:               newParker(),
 	}
 	c.syncExec = core.NewExec(rt.Registry, rt.Namespace, rt.opts.Model, -1)
 	c.syncExec.Admit = rt.admit
-	cqBuf := rt.opts.QueueDepth
-	if cqBuf > 256 {
-		cqBuf = 256
-	}
-	c.cqBuf = make([]*core.Request, cqBuf)
+	c.cqBuf = make([]*core.Request, min(rt.opts.QueueDepth, 256))
 	c.mSubmitted = rt.metrics.Counter("client.submitted")
 	c.mSyncRuns = rt.metrics.Counter("client.sync_executed")
 	c.mRingFull = rt.metrics.Counter("client.sq_full_retries")
@@ -168,16 +153,12 @@ func (c *Client) Resolve(path string) (*core.Stack, string, bool) {
 // Submit returns once the request is finished (async submissions wait via
 // Wait, which detects Runtime crashes and blocks for restart).
 func (c *Client) Submit(mount string, req *core.Request) error {
-	s, ok := c.rt.Namespace.Lookup(mount)
+	s, rem, ok := c.rt.Namespace.Resolve(mount)
 	if !ok {
-		var rem string
-		s, rem, ok = c.rt.Namespace.Resolve(mount)
-		if !ok {
-			return fmt.Errorf("runtime: no stack serving %q", mount)
-		}
-		if req.Path == "" {
-			req.Path = rem
-		}
+		return fmt.Errorf("runtime: no stack serving %q", mount)
+	}
+	if req.Path == "" {
+		req.Path = rem
 	}
 	return c.SubmitStack(s, req)
 }
@@ -254,7 +235,7 @@ func (c *Client) enqueue(s *core.Stack, reqs []*core.Request) error {
 	queueOp := c.rt.opts.Model.QueueOp
 	for _, req := range reqs {
 		c.stamp(s, req, now)
-		req.SetWaker(c.wake)
+		req.SetWaker(c.p.bell)
 		req.Charge("queue", queueOp)
 	}
 	for sent := 0; sent < len(reqs); {
@@ -317,7 +298,7 @@ func (c *Client) Call(mount string, op core.Op, build func(*core.Request)) (*cor
 //
 // The wait is poll-then-park, like the worker's: reap the CQ, check the
 // completion word, yield-poll it for waitPollBudget rounds, and only then
-// park on the client's wake channel. Nothing is allocated on any path.
+// park on c.p, which Shutdown rings. Nothing is allocated on any path.
 func (c *Client) Wait(req *core.Request) error {
 	c.reapCQ()
 	if req.Done() {
@@ -333,26 +314,18 @@ func (c *Client) Wait(req *core.Request) error {
 	}
 	deadline := time.Now().Add(c.RestartPatience)
 	// Park reports false once the word reads done; a completer that finds
-	// the word parked signals c.wake.
+	// the word parked rings c.p. A ring may be a stale token, left by a
+	// completion that raced an earlier backstop: the loop re-checks.
 	for req.Park() {
-		c.backstop.Reset(parkBackstop)
-		select {
-		case <-c.wake:
-			// Possibly a stale token, left by a completion that raced an
-			// earlier backstop wake-up: the loop re-checks the word.
-			if !c.backstop.Stop() {
-				<-c.backstop.C
-			}
-		case <-c.backstop.C:
-			// Periodic wake-up to detect a crashed/stopped Runtime. Once a
-			// crashed one is back (Restart repaired module state), keep
-			// waiting: the frozen queues are intact, so workers resume
-			// draining the request.
+		switch c.p.park(c.rt.stop) {
+		case stopped:
+			return ErrStopped
+		case backstopped:
+			// Periodic wake-up to detect a crashed Runtime. Once it is back
+			// (Restart repaired module state), keep waiting: the frozen
+			// queues are intact, so workers resume draining the request.
 			if err := c.rt.awaitRestart(deadline); err != nil {
 				return err
-			}
-			if c.rt.state.Load() == stateStopped {
-				return ErrStopped
 			}
 		}
 		c.reapCQ()

@@ -12,7 +12,7 @@ import (
 )
 
 // The submit → complete → reap handshake (DESIGN.md §9): the completion
-// word in core.Request, the client's wake channel and backstop timer, and
+// word in core.Request, the client's parker (its bell and backstop), and
 // Wait's poll-then-park loop. check.sh runs these under -race at
 // -cpu 1,2,8; the -cpu 1 leg fails if the poll loop forgets to yield.
 
@@ -211,7 +211,7 @@ func TestHandshakeStress(t *testing.T) {
 }
 
 // TestHandshakeStaleWakeToken: a request that outlives the backstop can
-// leave a token in the client's wake channel (the backstop wakes the
+// leave a token in the client's bell (the backstop wakes the
 // waiter, the request completes, Wait returns on the word and the
 // completer's signal lands afterwards). The next Wait must treat that token
 // as "re-check the word", not as "done".
@@ -247,10 +247,7 @@ func TestHandshakeStaleWakeToken(t *testing.T) {
 	}
 	// Whether the race above left its token depends on timing; a stale token
 	// is a state the protocol allows, so make sure one is there.
-	select {
-	case cli.wake <- struct{}{}:
-	default:
-	}
+	cli.p.ring()
 
 	// Second request: its mod has not run and will not until released.
 	second := submitGated(2)
@@ -274,8 +271,7 @@ func TestHandshakeStaleWakeToken(t *testing.T) {
 }
 
 // TestWaitOnCompletedRequest: reaping a request that is already complete
-// returns at once, any number of times, without touching the wake channel
-// or the backstop.
+// returns at once, any number of times, without touching the parker.
 func TestWaitOnCompletedRequest(t *testing.T) {
 	rt, stack, _, _ := handshakeRig(t, 1, core.ExecAsync)
 	cli := rt.Connect(ipc.Credentials{PID: 1})
@@ -297,7 +293,7 @@ func TestWaitOnCompletedRequest(t *testing.T) {
 	if req.Result != gateAnswer(5) {
 		t.Fatalf("result %d", req.Result)
 	}
-	if len(cli.wake) != 0 {
+	if len(cli.p.bell) != 0 {
 		t.Fatal("a request that was never parked on left a wake token")
 	}
 }

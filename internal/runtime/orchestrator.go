@@ -285,9 +285,7 @@ func (o *Orchestrator) rebalanceDynamic(queues []*QP) {
 					// Idle queue: decay toward zero.
 					rate *= 0.5
 				}
-				if rate > 1 {
-					rate = 1 // a single queue cannot use more than one core
-				}
+				rate = min(rate, 1) // a single queue cannot use more than one core
 				qs.rate = rate
 				qs.prevCPU = qs.cpuNS
 			}
@@ -326,11 +324,7 @@ func (o *Orchestrator) rebalanceDynamic(queues []*QP) {
 		for _, q := range qs {
 			total += loads[q.ID]
 		}
-		n := int(total*headroom) + 1
-		if n < 1 {
-			n = 1
-		}
-		return n
+		return max(int(total*headroom)+1, 1)
 	}
 
 	nLQ := 0

@@ -99,9 +99,7 @@ func (o *Options) fill() {
 	if o.Batch <= 0 {
 		o.Batch = 1
 	}
-	if o.Batch > o.QueueDepth {
-		o.Batch = o.QueueDepth
-	}
+	o.Batch = min(o.Batch, o.QueueDepth)
 	if o.Policy == "" {
 		o.Policy = "round_robin"
 	}
@@ -254,16 +252,13 @@ func (rt *Runtime) Start() {
 	go rt.controlLoop()
 }
 
-// Shutdown stops the Runtime cleanly.
+// Shutdown stops the Runtime cleanly. Closing rt.stop, then ringing, ends
+// every park, the workers' and the waiting clients'.
 func (rt *Runtime) Shutdown() {
-	if !rt.state.CompareAndSwap(stateRunning, stateStopped) {
-		rt.state.Store(stateStopped)
-	}
+	rt.state.Store(stateStopped)
 	rt.events.Recordf(telemetry.EvRuntime, rt.vnow(), "runtime shutdown")
 	close(rt.stop)
-	for _, w := range rt.workers {
-		w.stop()
-	}
+	rt.ringAll()
 	rt.wg.Wait()
 }
 
@@ -275,9 +270,10 @@ func (rt *Runtime) Crash() {
 }
 
 // Restart repairs and resumes a crashed Runtime: module state is repaired
-// via StateRepair and workers resume draining the frozen queues. Walks in
-// progress when the crash hit finish first, and no walk starts while the
-// runtime is crashed (admit), so repair never races a mutation.
+// via StateRepair and every parker is rung, so workers that parked during
+// the crash drain the frozen queues at once. Walks in progress when the crash
+// hit finish first, and no walk starts while the runtime is crashed
+// (admit), so repair never races a mutation.
 func (rt *Runtime) Restart() error {
 	rt.ctl.Lock()
 	defer rt.ctl.Unlock()
@@ -292,8 +288,21 @@ func (rt *Runtime) Restart() error {
 		return err
 	}
 	rt.state.Store(stateRunning)
+	rt.ringAll()
 	rt.events.Recordf(telemetry.EvRuntime, rt.vnow(), "runtime restarted after crash")
 	return nil
+}
+
+// ringAll rings every worker's and every connected client's parker.
+func (rt *Runtime) ringAll() {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	for _, w := range rt.workers {
+		w.p.ring()
+	}
+	for _, c := range rt.clients {
+		c.p.ring()
+	}
 }
 
 // errCrashed is admit's answer while the runtime is crashed.
@@ -657,9 +666,7 @@ func ticker(d time.Duration) (<-chan time.Time, func()) {
 func (rt *Runtime) vnow() vtime.Time {
 	frontier := vtime.Time(0)
 	for _, w := range rt.workers {
-		if c := w.clock.Now(); c > frontier {
-			frontier = c
-		}
+		frontier = max(frontier, w.clock.Now())
 	}
 	return frontier
 }
@@ -792,14 +799,11 @@ func (rt *Runtime) Stats() []WorkerStats {
 	return out
 }
 
-// pokeWorkers nudges parked workers after a submission (non-blocking).
+// pokeWorkers rings the active workers after a submission (non-blocking).
 func (rt *Runtime) pokeWorkers() {
 	for _, w := range rt.workers {
 		if w.isActive() {
-			select {
-			case w.wake <- struct{}{}:
-			default:
-			}
+			w.p.ring()
 		}
 	}
 }

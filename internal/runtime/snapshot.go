@@ -269,10 +269,3 @@ func (s *Snapshot) String() string {
 	}
 	return b.String()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -37,8 +37,8 @@ type Worker struct {
 	spin atomic.Int64
 
 	active atomic.Bool
-	quit   chan struct{}
-	wake   chan struct{}
+	// p parks the idle worker; submit, activation, assignment and Restart ring it.
+	p parker
 
 	begin vtime.Time // service start of the request in execution (serve)
 
@@ -69,8 +69,7 @@ func newWorker(rt *Runtime, id int) *Worker {
 	w := &Worker{
 		rt:       rt,
 		id:       id,
-		quit:     make(chan struct{}),
-		wake:     make(chan struct{}, 1),
+		p:        newParker(),
 		batchBuf: make([]*Request, rt.opts.Batch),
 		folder:   rt.profile.NewFolder(func(op uint8) string { return core.Op(op).String() }),
 		tails:    make(map[int]*telemetry.TailEstimator),
@@ -108,35 +107,17 @@ func (w *Worker) setActive(a bool) {
 		w.rt.events.Recordf(telemetry.EvWorker, w.clock.Now(), "worker %d %s", w.id, verb)
 	}
 	if a {
-		select {
-		case w.wake <- struct{}{}:
-		default:
-		}
+		w.p.ring()
 	}
 }
 
 func (w *Worker) isActive() bool { return w.active.Load() }
 
-func (w *Worker) stop() {
-	select {
-	case <-w.quit:
-	default:
-		close(w.quit)
-	}
-	select {
-	case w.wake <- struct{}{}:
-	default:
-	}
-}
-
 func (w *Worker) assign(qs []*QP) {
 	cp := make([]*QP, len(qs))
 	copy(cp, qs)
 	w.queues.Store(&cp)
-	select {
-	case w.wake <- struct{}{}:
-	default:
-	}
+	w.p.ring()
 }
 
 func (w *Worker) assigned() []*QP { return *w.queues.Load() }
@@ -144,15 +125,12 @@ func (w *Worker) assigned() []*QP { return *w.queues.Load() }
 // run is the worker's polling loop. Workers busy-poll their queues (the
 // paper's polling workers), yielding the processor between empty scans, but
 // only while the wall time since the worker went idle is inside its spin
-// window (nextSpin); past it the worker parks on its wake channel (the
-// paper's parking) and is poked by clients on submit or by the orchestrator
-// on assignment. Once parked, a wake that finds no work parks again at
-// once: an idle runtime does not spin after every backstop.
-//
-// Host timers on this platform have ~1ms granularity, so the hot path never
-// touches a timer: parking uses the wake channel, with a coarse timer only
-// as a lost-wakeup backstop. The worker re-arms one timer for that; a
-// time.After per park allocated a timer and its channel every time.
+// window (nextSpin); past it the worker parks (the paper's parking) and is
+// rung by clients on submit or by the orchestrator on assignment. Once
+// parked, a wake that finds no work parks again at once: an idle runtime
+// does not spin after every backstop. The worker returns from a park that
+// Shutdown's rt.stop ends: a stopped runtime is not Running, so its workers
+// park.
 func (w *Worker) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	// Publish any attribution deltas still pending when the worker exits
@@ -160,24 +138,14 @@ func (w *Worker) run(wg *sync.WaitGroup) {
 	// idle scan).
 	defer w.folder.Flush()
 	defer w.rt.flightOnPanic(fmt.Sprintf("worker %d", w.id))
-	backstop := time.NewTimer(parkBackstop)
-	defer backstop.Stop()
-	if !backstop.Stop() {
-		<-backstop.C
-	}
 	var idleSince time.Time // zero while the last scan found work
 	parked := false         // the current idle period has parked
 	for {
-		select {
-		case <-w.quit:
-			return
-		default:
-		}
 		if !w.isActive() || !w.rt.Running() {
-			// Parked, decommissioned, or Runtime crashed: publish what the
-			// folder holds, then block until woken or stopped.
+			// Parked, decommissioned, Runtime crashed or stopped: publish
+			// what the folder holds, then block until woken or stopped.
 			w.folder.Flush()
-			if !w.park(backstop) {
+			if w.p.park(w.rt.stop) == stopped {
 				return
 			}
 			continue
@@ -202,7 +170,7 @@ func (w *Worker) run(wg *sync.WaitGroup) {
 		}
 		w.parks.Add(1)
 		parked = true
-		if !w.park(backstop) {
+		if w.p.park(w.rt.stop) == stopped {
 			return
 		}
 	}
@@ -239,27 +207,6 @@ func nextSpin(win, idle time.Duration, parked bool) time.Duration {
 	default:
 		return min(2*win, spinMax)
 	}
-}
-
-// parkBackstop bounds a park: a wake-up lost to a race costs at most this.
-const parkBackstop = 2 * time.Millisecond
-
-// park blocks until the worker is woken, the backstop fires or the worker
-// is stopped, and reports whether the worker keeps running. t is stopped and
-// drained on entry and whenever park returns true (go.mod's go 1.22 timers:
-// Reset is only safe on such a timer).
-func (w *Worker) park(t *time.Timer) bool {
-	t.Reset(parkBackstop)
-	select {
-	case <-w.quit:
-		return false
-	case <-w.wake:
-		if !t.Stop() {
-			<-t.C
-		}
-	case <-t.C:
-	}
-	return true
 }
 
 // pollOnce scans assigned queues once, draining up to Options.Batch

@@ -381,13 +381,10 @@ func (s *Server) readLoop(fr *frameReader, br *bufio.Reader, cli *runtime.Client
 		// Resolve the stack, exact mount else namespace prefix walk, on every
 		// frame: the namespace is copy-on-write, so a lookup takes no lock,
 		// and a stack mounted again at the same path is found at once.
-		st, found := s.rt.Namespace.Lookup(rf.Mount)
-		var rem string
+		st, rem, found := s.rt.Namespace.Resolve(rf.Mount)
 		if !found {
-			if st, rem, found = s.rt.Namespace.Resolve(rf.Mount); !found {
-				reject(ts, ph, rf.ID, fmt.Sprintf("no stack serving %q", rf.Mount))
-				continue
-			}
+			reject(ts, ph, rf.ID, fmt.Sprintf("no stack serving %q", rf.Mount))
+			continue
 		}
 
 		// Pushdown gate: a Prog-carrying frame runs a registered program

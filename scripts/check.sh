@@ -12,10 +12,11 @@
 #      can miss.
 #   5. handshake: the vectored ring and queue pair (the only ring there is),
 #      the submit → complete → reap handshake tests (completion word,
-#      wake channel, poll-then-park Wait) and the worker's idle spin tests
-#      (window rule, park on sparse arrivals, no re-spin after a backstop
-#      wake) three times under the race detector at -cpu 1,2,8; the -cpu 1
-#      leg is the guard against a spin or poll loop that forgets to yield.
+#      the parker's bell, backstop and stop, poll-then-park Wait) and the
+#      worker's idle spin tests (window rule, park on sparse arrivals, no
+#      re-spin after a backstop wake) three times under the race detector at
+#      -cpu 1,2,8; the -cpu 1 leg is the guard against a spin or poll loop
+#      that forgets to yield.
 #   6. control plane: TestConcurrentConnectAssignsEveryQueue (16 clients
 #      connecting at once, 300 runtimes over, must leave every queue with
 #      exactly one worker) three times at -cpu 1,2,4; then three times
@@ -33,7 +34,7 @@
 #      them the connection ledger (connect/disconnect pairs leave the
 #      client table and the queue list where they started) and the failed
 #      mount (a mount that fails part way leaves no instance behind, so a
-#      corrected retry mounts).
+#      corrected retry mounts), and Restart ringing every worker's parker.
 #   7. chaos: TestChaosMixedLoadWithUpgradesAndCrash 200 times (concurrent
 #      LabFS writers, through an async and a sync-mode stack, across
 #      centralized and decentralized live upgrades, a stack insert/remove
@@ -147,8 +148,8 @@ go test -race -count=3 -cpu 1,2,8 -run 'Ring|QueuePair|Handshake|Wait|Spin|Park|
 echo "== control plane: go test -count=3 -cpu 1,2,4 -run TestConcurrentConnectAssignsEveryQueue ./internal/runtime =="
 go test -count=3 -cpu 1,2,4 -run TestConcurrentConnectAssignsEveryQueue ./internal/runtime
 
-echo "== control plane: go test -race -count=3 -cpu 1,2,8 -run 'TestControlPlane|TestWalkersPinTheirPlan|TestUpgradeNeverSwaps|TestModifyStackUnderSync|TestRestartWaits|TestSyncWalk|TestDecentralizedUpgrade|TestConnectDuringUpgrade|TestConnectionLedger|TestFailedMountLeavesNothingBehind' ./internal/runtime =="
-go test -race -count=3 -cpu 1,2,8 -run 'TestControlPlane|TestWalkersPinTheirPlan|TestUpgradeNeverSwaps|TestModifyStackUnderSync|TestRestartWaits|TestSyncWalk|TestDecentralizedUpgrade|TestConnectDuringUpgrade|TestConnectionLedger|TestFailedMountLeavesNothingBehind' ./internal/runtime
+echo "== control plane: go test -race -count=3 -cpu 1,2,8 -run 'TestControlPlane|TestWalkersPinTheirPlan|TestUpgradeNeverSwaps|TestModifyStackUnderSync|TestRestartWaits|TestSyncWalk|TestDecentralizedUpgrade|TestConnectDuringUpgrade|TestConnectionLedger|TestFailedMountLeavesNothingBehind|TestRestartRingsEveryWorker' ./internal/runtime =="
+go test -race -count=3 -cpu 1,2,8 -run 'TestControlPlane|TestWalkersPinTheirPlan|TestUpgradeNeverSwaps|TestModifyStackUnderSync|TestRestartWaits|TestSyncWalk|TestDecentralizedUpgrade|TestConnectDuringUpgrade|TestConnectionLedger|TestFailedMountLeavesNothingBehind|TestRestartRingsEveryWorker' ./internal/runtime
 
 echo "== chaos: go test -count=200 -run TestChaosMixedLoadWithUpgradesAndCrash ./internal/runtime =="
 go test -count=200 -run TestChaosMixedLoadWithUpgradesAndCrash ./internal/runtime
