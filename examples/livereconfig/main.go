@@ -89,7 +89,7 @@ func main() {
 
 	// Phase 3: hot-swap the I/O scheduler via the live-upgrade protocol.
 	gen := rt.Registry.Generation("sched")
-	if err := rt.ModManager().Upgrade(&runtime.UpgradeRequest{
+	if err := rt.Upgrade(&runtime.UpgradeRequest{
 		UUID:  "sched",
 		Build: func() core.Module { return &iosched.BlkSwitch{} },
 		Mode:  runtime.Centralized,

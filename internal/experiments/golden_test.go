@@ -9,11 +9,8 @@ import (
 // TestGoldenTables renders the tables that are deterministic at any
 // GOMAXPROCS and host load at their `labbench -quick` sizes and compares
 // them byte for byte with testdata/<name>.golden. A change that moves a
-// modeled number fails here. The upgrade table is left out: its runtime's
-// control loop takes queued upgrades on a 1 ms wall-clock tick, so on a
-// loaded host the messages may all be sent before any upgrade applies.
-// The goldens are labbench's own output without its wall-time line;
-// regenerate one with
+// modeled number fails here. The goldens are labbench's own output without
+// its wall-time line; regenerate one with
 //
 //	go run ./cmd/labbench -exp NAME -quick | head -n -2 > internal/experiments/testdata/NAME.golden
 func TestGoldenTables(t *testing.T) {
@@ -24,6 +21,7 @@ func TestGoldenTables(t *testing.T) {
 		{"anatomy", Anatomy},
 		{"storageapi", func() (*Result, error) { return StorageAPI(100) }},
 		{"labios", func() (*Result, error) { return Labios(100) }},
+		{"upgrade", func() (*Result, error) { return LiveUpgrade(10000, []int{0, 256, 512, 1024}) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -12,9 +12,9 @@ import (
 
 // LiveUpgrade reproduces Table I, "Live upgrade overhead": an application
 // sends messages to a dummy LabMod through the Runtime while the module is
-// live-upgraded; the experiment varies how many upgrade requests are queued
-// (0 / 256 / 512 / 1024) and reports the application's total running time
-// for both upgrade protocols.
+// live-upgraded; the experiment varies how many upgrade requests one batch
+// holds (0 / 256 / 512 / 1024) and reports the application's total running
+// time for both upgrade protocols.
 //
 // Paper result: a single upgrade costs ~5 ms (dominated by loading the
 // 1 MiB module binary from NVMe); runtime grows only when thousands of
@@ -66,28 +66,26 @@ func runUpgradeTrial(messages, upgrades int, mode runtime.UpgradeMode) (float64,
 
 	cli := rt.Connect(ipc.Credentials{PID: 1, UID: 0, GID: 0})
 
-	// Queue the upgrades roughly 20% into the message stream (the paper
-	// triggers the upgrade ~20 s into the run).
+	// Apply the upgrades as one batch roughly 20% into the message stream
+	// (the paper triggers the upgrade ~20 s into the run). The batch's
+	// modeled time advances the worker clock, so the messages after it
+	// wait out the upgrade window.
 	trigger := messages / 5
 	for i := 0; i < messages; i++ {
 		if i == trigger && upgrades > 0 {
-			var chans []<-chan error
-			for u := 0; u < upgrades; u++ {
-				chans = append(chans, rt.ModManager().RequestUpgrade(&runtime.UpgradeRequest{
+			batch := make([]*runtime.UpgradeRequest, upgrades)
+			for u := range batch {
+				batch[u] = &runtime.UpgradeRequest{
 					UUID:       "dummy0",
 					Build:      func() core.Module { return &dummy.Dummy{} },
 					Mode:       mode,
 					CodeSize:   1 << 20,
 					CodeDevice: "dev0",
-				}))
-			}
-			// Upgrades are applied by the admin loop; completions arrive
-			// while the app keeps sending.
-			go func() {
-				for _, ch := range chans {
-					<-ch
 				}
-			}()
+			}
+			if err := rt.Upgrade(batch...); err != nil {
+				return 0, err
+			}
 		}
 		req := core.NewRequest(core.OpMessage)
 		if err := cli.Submit("msg::/dummy", req); err != nil {

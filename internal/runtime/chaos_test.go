@@ -126,7 +126,7 @@ mods:
 		time.Sleep(time.Millisecond)
 		// Live-upgrade the scheduler twice, in both protocols.
 		for _, mode := range []runtime.UpgradeMode{runtime.Centralized, runtime.Decentralized} {
-			if err := rt.ModManager().Upgrade(&runtime.UpgradeRequest{
+			if err := rt.Upgrade(&runtime.UpgradeRequest{
 				UUID:  "sched",
 				Build: func() core.Module { return &iosched.NoOp{} },
 				Mode:  mode,

@@ -124,7 +124,7 @@ func TestModifyStackUnderSyncRequestInRemovedVertex(t *testing.T) {
 // TestUpgradeNeverSwapsUnderBusyWorker holds a request, async or sync,
 // inside the module being upgraded for longer than the upgrade's quiesce
 // deadline. The upgrade must not swap the module while the old instance
-// still holds the request: it aborts, stays queued, and applies once the
+// still holds the request: it aborts, retries, and applies once the
 // request is done.
 func TestUpgradeNeverSwapsUnderBusyWorker(t *testing.T) {
 	for _, mode := range execModes {
@@ -136,7 +136,7 @@ func TestUpgradeNeverSwapsUnderBusyWorker(t *testing.T) {
 			finish := holdIn(t, rt, stack, old, req)
 
 			next := newGateMod(false)
-			upgraded := rt.ModManager().RequestUpgrade(&UpgradeRequest{
+			upgraded := startUpgrade(t, rt, &UpgradeRequest{
 				UUID:  "gate",
 				Build: func() core.Module { return next },
 			})
@@ -168,6 +168,54 @@ func TestUpgradeNeverSwapsUnderBusyWorker(t *testing.T) {
 	}
 }
 
+// startUpgrade runs Upgrade(up) on its own goroutine and returns once a
+// control operation, the upgrade, holds ctl, with the channel that yields
+// the upgrade's result.
+func startUpgrade(t *testing.T, rt *Runtime, up *UpgradeRequest) <-chan error {
+	t.Helper()
+	upgraded := make(chan error, 1)
+	go func() { upgraded <- rt.Upgrade(up) }()
+	within(t, 5*time.Second, "upgrade start", func() {
+		for rt.ctl.TryLock() {
+			rt.ctl.Unlock()
+			time.Sleep(100 * time.Microsecond)
+		}
+	})
+	return upgraded
+}
+
+// TestUpgradeNeverOutlivesTheRuntime stops the runtime under an upgrade.
+// An upgrade issued after Shutdown, and one waiting for a request held
+// inside its module when Shutdown comes, must each return ErrStopped at
+// once and leave the old instance in place.
+func TestUpgradeNeverOutlivesTheRuntime(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		held bool
+	}{{"after shutdown", false}, {"held by a walker", true}} {
+		t.Run(c.name, func(t *testing.T) {
+			rt, stack, old, stop := handshakeRig(t, 1, core.ExecSync)
+			up := &UpgradeRequest{UUID: "gate", Build: func() core.Module { return newGateMod(false) }}
+			upgrade := func() error { return rt.Upgrade(up) }
+			if c.held {
+				t.Cleanup(func() { old.release <- struct{}{} }) // never strand the walker
+				holdIn(t, rt, stack, old, core.NewRequest(core.OpMessage))
+				upgraded := startUpgrade(t, rt, up)
+				upgrade = func() error { return <-upgraded }
+			}
+			stop()
+			within(t, time.Second, "Upgrade once the runtime stopped", func() {
+				if err := upgrade(); err != ErrStopped {
+					t.Errorf("Upgrade: %v, want ErrStopped", err)
+				}
+			})
+			if now, _ := rt.Registry.Get("gate"); now != core.Module(old) {
+				t.Fatal("an upgrade swapped the module after Shutdown")
+			}
+		})
+	}
+}
+
 // TestControlPlaneSkipsUnrelatedStack holds a request in msg::/gate. An
 // edit of msg::/other must return at once, and an upgrade of a module only
 // msg::/other uses must complete while the request is still held: the
@@ -189,7 +237,7 @@ func TestControlPlaneSkipsUnrelatedStack(t *testing.T) {
 		t.Fatalf("edit of the other stack took %v while a request was held elsewhere", d)
 	}
 	within(t, 2*time.Second, "upgrade of the other stack's module", func() {
-		if err := rt.ModManager().Upgrade(&UpgradeRequest{UUID: "odum", Build: func() core.Module { return &dummy.Dummy{} }}); err != nil {
+		if err := rt.Upgrade(&UpgradeRequest{UUID: "odum", Build: func() core.Module { return &dummy.Dummy{} }}); err != nil {
 			t.Errorf("Upgrade: %v", err)
 		}
 	})
@@ -252,14 +300,9 @@ func TestConnectDuringUpgradeWaitsForSwap(t *testing.T) {
 	<-old.entered
 
 	next := newGateMod(false)
-	upgraded := rt.ModManager().RequestUpgrade(&UpgradeRequest{
+	upgraded := startUpgrade(t, rt, &UpgradeRequest{
 		UUID:  "gate",
 		Build: func() core.Module { return next },
-	})
-	within(t, 5*time.Second, "upgrade start", func() {
-		for rt.ModManager().Stats().Pending > 0 {
-			time.Sleep(100 * time.Microsecond)
-		}
 	})
 	late := make(chan *core.Request, 1)
 	go func() {

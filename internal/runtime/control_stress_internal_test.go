@@ -114,7 +114,7 @@ func controlPlaneStress(t *testing.T, policy string) {
 	go control("Upgrade", func() error {
 		upgrades++
 		mode := []UpgradeMode{Centralized, Decentralized}[upgrades%2]
-		return rt.ModManager().Upgrade(&UpgradeRequest{UUID: "dum", Build: func() core.Module { return &dummy.Dummy{} }, Mode: mode})
+		return rt.Upgrade(&UpgradeRequest{UUID: "dum", Build: func() core.Module { return &dummy.Dummy{} }, Mode: mode})
 	})
 	go control("Rebalance", func() error { rt.Orchestrator().Rebalance(); return nil })
 	go control("ModifyStack", func() error {
@@ -137,7 +137,7 @@ func controlPlaneStress(t *testing.T, policy string) {
 		t.Fatal(err)
 	}
 	if got, want := m.(*dummy.Dummy).Messages(), sent.Load(); got != want {
-		t.Fatalf("module counted %d requests across %d upgrades, %d were sent", got, rt.ModManager().Stats().Done, want)
+		t.Fatalf("module counted %d requests across %d upgrades, %d were sent", got, rt.UpgradeStats().Done, want)
 	}
 }
 
@@ -187,7 +187,7 @@ func TestWalkersPinTheirPlan(t *testing.T) {
 	defer rt.Shutdown()
 
 	done := make(chan struct{})
-	var walkers sync.WaitGroup
+	var walkers, connected sync.WaitGroup
 	walked := map[string]*atomic.Int64{"a": {}, "s": {}}
 	pid := 0
 	for name, st := range stacks {
@@ -201,10 +201,12 @@ func TestWalkersPinTheirPlan(t *testing.T) {
 		for w := 0; w < walkersPerStack; w++ {
 			pid++
 			walkers.Add(1)
+			connected.Add(1)
 			go func(name string, st *core.Stack, valid map[string]bool, pid int) {
 				defer walkers.Done()
 				cli := rt.Connect(ipc.Credentials{PID: pid})
 				defer cli.Disconnect()
+				connected.Done()
 				for {
 					select {
 					case <-done:
@@ -226,6 +228,10 @@ func TestWalkersPinTheirPlan(t *testing.T) {
 		}
 	}
 
+	// Connect takes ctl, which the edits hold one after another: the edits
+	// start once every walker is connected, so the walkers walk while
+	// they run.
+	connected.Wait()
 	var control sync.WaitGroup
 	for name := range stacks {
 		control.Add(1)
@@ -247,7 +253,7 @@ func TestWalkersPinTheirPlan(t *testing.T) {
 					}
 				}
 				if i%10 == 0 {
-					if err := rt.ModManager().Upgrade(&UpgradeRequest{
+					if err := rt.Upgrade(&UpgradeRequest{
 						UUID: name + ".tail", Build: func() core.Module { return &tagMod{} },
 					}); err != nil {
 						t.Errorf("Upgrade %s.tail: %v", name, err)

@@ -455,5 +455,6 @@ func BenchmarkClientCallNop(b *testing.B) {
 		if err != nil || req.Result != gateAnswer(0) {
 			b.Fatalf("Call: %v, result %d", err, req.Result)
 		}
+		req.Release()
 	}
 }

@@ -54,7 +54,7 @@ func TestCentralizedUpgradeUnderLoad(t *testing.T) {
 
 	time.Sleep(2 * time.Millisecond)
 	for i := 0; i < 3; i++ {
-		if err := rt.ModManager().Upgrade(&runtime.UpgradeRequest{
+		if err := rt.Upgrade(&runtime.UpgradeRequest{
 			UUID:       "dum",
 			Build:      func() core.Module { return &dummy.Dummy{} },
 			Mode:       runtime.Centralized,
@@ -73,7 +73,7 @@ func TestCentralizedUpgradeUnderLoad(t *testing.T) {
 	}
 	sent++
 
-	if done := rt.ModManager().Stats().Done; done != 3 {
+	if done := rt.UpgradeStats().Done; done != 3 {
 		t.Fatalf("upgrades done %d", done)
 	}
 	if rt.Registry.Generation("dum") != 3 {
@@ -84,7 +84,7 @@ func TestCentralizedUpgradeUnderLoad(t *testing.T) {
 	if got := m.(*dummy.Dummy).Messages(); got != int64(sent) {
 		t.Fatalf("counter %d, sent %d", got, sent)
 	}
-	if rt.ModManager().Stats().TotalVT <= 0 {
+	if rt.UpgradeStats().TotalVT <= 0 {
 		t.Fatal("upgrade time not modeled")
 	}
 }
@@ -115,7 +115,7 @@ func TestDecentralizedUpgradeUpdatesClients(t *testing.T) {
 		return req, cli.SubmitStack(stacks[mode], req)
 	}
 	upgrade := func() error {
-		return rt.ModManager().Upgrade(&runtime.UpgradeRequest{
+		return rt.Upgrade(&runtime.UpgradeRequest{
 			UUID:  "dum",
 			Build: func() core.Module { return &dummy.Dummy{} },
 			Mode:  runtime.Decentralized,
@@ -182,14 +182,26 @@ func TestDecentralizedUpgradeUpdatesClients(t *testing.T) {
 
 func TestUpgradeErrors(t *testing.T) {
 	rt, _ := newDummyRig(t, 1)
-	if err := rt.ModManager().Upgrade(&runtime.UpgradeRequest{UUID: "dum"}); err == nil {
+	if err := rt.Upgrade(&runtime.UpgradeRequest{UUID: "dum"}); err == nil {
 		t.Fatal("upgrade without builder succeeded")
 	}
-	if err := rt.ModManager().Upgrade(&runtime.UpgradeRequest{
+	if err := rt.Upgrade(&runtime.UpgradeRequest{
 		UUID:  "ghost",
 		Build: func() core.Module { return &dummy.Dummy{} },
 	}); err == nil {
 		t.Fatal("upgrade of unknown UUID succeeded")
+	}
+	err := rt.Upgrade(&runtime.UpgradeRequest{
+		UUID:       "dum",
+		Build:      func() core.Module { return &dummy.Dummy{} },
+		CodeSize:   1 << 20,
+		CodeDevice: "dev9",
+	})
+	if err == nil || !strings.Contains(err.Error(), `"dev9"`) {
+		t.Fatalf("upgrade loading its code from an unknown device: %v, want an error naming it", err)
+	}
+	if rt.Registry.Generation("dum") != 0 {
+		t.Fatal("an upgrade from an unknown code device swapped the module")
 	}
 }
 
@@ -198,7 +210,7 @@ func TestUpgradeModelsServiceInterruption(t *testing.T) {
 	req := core.NewRequest(core.OpMessage)
 	cli.Submit("msg::/d", req)
 	before := rt.Stats()[0].Clock
-	if err := rt.ModManager().Upgrade(&runtime.UpgradeRequest{
+	if err := rt.Upgrade(&runtime.UpgradeRequest{
 		UUID:       "dum",
 		Build:      func() core.Module { return &dummy.Dummy{} },
 		CodeSize:   1 << 20,

@@ -11,9 +11,10 @@
 //   - Work Orchestrator — assigns queues to workers under a pluggable
 //     policy (round-robin or the paper's dynamic latency/compute
 //     partitioning) and scales the worker pool;
-//   - Module Manager — holds the Module Registry and executes the
-//     centralized and decentralized live-upgrade protocols, gating only
-//     the stacks that reach the upgraded module (quiesce);
+//   - Module Manager — the Module Registry and Runtime.Upgrade, which runs
+//     the centralized and decentralized live-upgrade protocols on its
+//     caller, gating only the stacks that reach the upgraded module
+//     (quiesce);
 //   - LabStack Namespace — mount/modify/unmount of stacks;
 //   - Crash recovery — the Runtime can crash and be restarted while
 //     clients block in Wait; Restart waits for the walks in progress to
@@ -147,7 +148,6 @@ type Runtime struct {
 	Registry  *core.Registry
 	Namespace *core.Namespace
 
-	modMgr  *ModManager
 	orch    *Orchestrator
 	repoMgr *core.RepoManager
 
@@ -194,10 +194,14 @@ type Runtime struct {
 	nextQP  int
 
 	// ctl is the control plane's lock: every rebalance (and the queue-list
-	// change that triggers it), upgrade batch, mount, stack edit and crash
-	// repair holds it from start to finish, so control decisions apply one
-	// at a time. The data path never takes it.
+	// change that triggers it), upgrade attempt, mount, stack edit and
+	// crash repair holds it from start to finish, so control decisions
+	// apply one at a time. The data path never takes it.
 	ctl sync.Mutex
+
+	// upgrades is what Upgrade has applied; Upgrade writes it under ctl.
+	upgradeMu sync.Mutex
+	upgrades  UpgradeStats
 
 	state atomic.Int32
 	stop  chan struct{}
@@ -229,7 +233,6 @@ func New(opts Options) *Runtime {
 	rt.hWaitUS = rt.metrics.Histogram("request.queue_wait_us")
 	rt.hCPUUS = rt.metrics.Histogram("request.cpu_us")
 	rt.hBatch = rt.metrics.Histogram("worker.batch_size")
-	rt.modMgr = newModManager(rt)
 	rt.orch = newOrchestrator(rt)
 	rt.repoMgr = core.NewRepoManager(opts.MaxReposPerUser, 0)
 	for i := 0; i < opts.MaxWorkers; i++ {
@@ -429,9 +432,6 @@ func (rt *Runtime) Options() Options { return rt.opts }
 // AddDevice registers a simulated device with the module environment.
 func (rt *Runtime) AddDevice(d *device.Device) { rt.Env.AddDevice(d) }
 
-// ModManager exposes the Module Manager (upgrade API).
-func (rt *Runtime) ModManager() *ModManager { return rt.modMgr }
-
 // Orchestrator exposes the Work Orchestrator.
 func (rt *Runtime) Orchestrator() *Orchestrator { return rt.orch }
 
@@ -606,22 +606,13 @@ func (rt *Runtime) ModifyStack(mount string, insertAfter string, v *core.Vertex,
 
 // --- control loop -------------------------------------------------------------
 
-// upgradePoll is how often the control loop takes the queued upgrades. A
-// constant, not an option: a tick with an empty queue costs one mutex
-// round trip, and a queued upgrade waits at most 1 ms before its quiesce,
-// which may itself take up to 500 ms, so no caller gains from another
-// value.
-const upgradePoll = time.Millisecond
-
-// controlLoop is the Runtime's one control goroutine: it polls the upgrade
-// queue every upgradePoll, rebalances every RebalanceEvery and evaluates
-// the SLO targets every SLOCheckEvery, while the Runtime is running. A
-// disabled ticker is a nil channel, which select never picks.
+// controlLoop is the Runtime's one control goroutine: it rebalances every
+// RebalanceEvery and evaluates the SLO targets every SLOCheckEvery, while
+// the Runtime is running. A disabled ticker is a nil channel, which select
+// never picks.
 func (rt *Runtime) controlLoop() {
 	defer rt.wg.Done()
 	defer rt.flightOnPanic("control loop")
-	upgrades, stopUpgrades := ticker(upgradePoll)
-	defer stopUpgrades()
 	rebalances, stopRebalances := ticker(rt.opts.RebalanceEvery)
 	defer stopRebalances()
 	sloEvery := rt.opts.SLOCheckEvery
@@ -635,8 +626,6 @@ func (rt *Runtime) controlLoop() {
 		select {
 		case <-rt.stop:
 			return
-		case <-upgrades:
-			step = rt.modMgr.ProcessUpgrades
 		case <-rebalances:
 			step = rt.orch.Rebalance
 		case <-slos:

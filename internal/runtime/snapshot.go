@@ -89,7 +89,7 @@ func (rt *Runtime) Snapshot() *Snapshot {
 			ActiveWorkers: rt.ActiveWorkers(),
 			LastDecision:  rt.orch.LastDecision(),
 		},
-		Upgrades:    rt.modMgr.Stats(),
+		Upgrades:    rt.UpgradeStats(),
 		Metrics:     rt.metrics.Snapshot(),
 		Traces:      rt.tracer.Recent(),
 		ErrorTraces: rt.tracer.RecentErrors(),
@@ -173,8 +173,8 @@ func (s *Snapshot) String() string {
 	}
 
 	b.WriteString("\n== upgrades ==\n")
-	fmt.Fprintf(&b, "done=%d pending=%d last_vt=%s total_vt=%s quiesce=%s apply=%s\n",
-		s.Upgrades.Done, s.Upgrades.Pending, s.Upgrades.LastVT, s.Upgrades.TotalVT,
+	fmt.Fprintf(&b, "done=%d last_vt=%s total_vt=%s quiesce=%s apply=%s\n",
+		s.Upgrades.Done, s.Upgrades.LastVT, s.Upgrades.TotalVT,
 		s.Upgrades.LastQuiesceWall, s.Upgrades.LastApplyWall)
 
 	b.WriteString("\n== counters ==\n")

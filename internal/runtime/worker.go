@@ -346,7 +346,7 @@ func (w *Worker) serve(req *Request) {
 
 // admit is the worker's Exec.Admit. It serves req when the walk would start,
 // so a request held at an upgrade's gate starts after the upgrade window
-// that ProcessUpgrades adds to every worker clock.
+// that Upgrade adds to every worker clock.
 func (w *Worker) admit(req *Request) error {
 	w.serve(req)
 	return w.rt.admit(req)

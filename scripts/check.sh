@@ -30,8 +30,10 @@
 #      from swapping a module an async or sync request is inside, and
 #      Restart from repairing under one, while edits and upgrades of other
 #      stacks go on; a sync walk waits out a crash; and a decentralized
-#      upgrade swaps the one instance under a walking sync client. With
-#      them the connection ledger (connect/disconnect pairs leave the
+#      upgrade swaps the one instance under a walking sync client; an
+#      upgrade, which runs on its caller, returns ErrStopped once the
+#      runtime stops, whether called after Shutdown or waiting for a
+#      walker when Shutdown comes. With them the connection ledger (connect/disconnect pairs leave the
 #      client table and the queue list where they started) and the failed
 #      mount (a mount that fails part way leaves no instance behind, so a
 #      corrected retry mounts), and Restart ringing every worker's parker.
@@ -116,9 +118,11 @@
 #      completed requests through the pool while the worker is still in
 #      their batch, so a touch after MarkDone is a reported race.
 #  18. golden tables: TestGoldenTables at -cpu 1,2,8. The anatomy,
-#      storageapi and labios tables at their labbench -quick sizes must
-#      match internal/experiments/testdata/*.golden byte for byte at every
-#      GOMAXPROCS, so a change that moves a modeled number fails here.
+#      storageapi, labios and upgrade tables at their labbench -quick sizes
+#      must match internal/experiments/testdata/*.golden byte for byte at
+#      every GOMAXPROCS, so a change that moves a modeled number fails
+#      here. The upgrade table applies its batch with one synchronous
+#      Upgrade call, so no wall-clock tick decides when it lands.
 #  19. examples: go run each program under examples/ (about a second
 #      each); a non-zero exit fails the gate. The examples mount their own
 #      stacks, and a mount fails on an attribute its mod does not read, so
@@ -148,8 +152,8 @@ go test -race -count=3 -cpu 1,2,8 -run 'Ring|QueuePair|Handshake|Wait|Spin|Park|
 echo "== control plane: go test -count=3 -cpu 1,2,4 -run TestConcurrentConnectAssignsEveryQueue ./internal/runtime =="
 go test -count=3 -cpu 1,2,4 -run TestConcurrentConnectAssignsEveryQueue ./internal/runtime
 
-echo "== control plane: go test -race -count=3 -cpu 1,2,8 -run 'TestControlPlane|TestWalkersPinTheirPlan|TestUpgradeNeverSwaps|TestModifyStackUnderSync|TestRestartWaits|TestSyncWalk|TestDecentralizedUpgrade|TestConnectDuringUpgrade|TestConnectionLedger|TestFailedMountLeavesNothingBehind|TestRestartRingsEveryWorker' ./internal/runtime =="
-go test -race -count=3 -cpu 1,2,8 -run 'TestControlPlane|TestWalkersPinTheirPlan|TestUpgradeNeverSwaps|TestModifyStackUnderSync|TestRestartWaits|TestSyncWalk|TestDecentralizedUpgrade|TestConnectDuringUpgrade|TestConnectionLedger|TestFailedMountLeavesNothingBehind|TestRestartRingsEveryWorker' ./internal/runtime
+echo "== control plane: go test -race -count=3 -cpu 1,2,8 -run 'TestControlPlane|TestWalkersPinTheirPlan|TestUpgradeNeverSwaps|TestUpgradeNeverOutlives|TestModifyStackUnderSync|TestRestartWaits|TestSyncWalk|TestDecentralizedUpgrade|TestConnectDuringUpgrade|TestConnectionLedger|TestFailedMountLeavesNothingBehind|TestRestartRingsEveryWorker' ./internal/runtime =="
+go test -race -count=3 -cpu 1,2,8 -run 'TestControlPlane|TestWalkersPinTheirPlan|TestUpgradeNeverSwaps|TestUpgradeNeverOutlives|TestModifyStackUnderSync|TestRestartWaits|TestSyncWalk|TestDecentralizedUpgrade|TestConnectDuringUpgrade|TestConnectionLedger|TestFailedMountLeavesNothingBehind|TestRestartRingsEveryWorker' ./internal/runtime
 
 echo "== chaos: go test -count=200 -run TestChaosMixedLoadWithUpgradesAndCrash ./internal/runtime =="
 go test -count=200 -run TestChaosMixedLoadWithUpgradesAndCrash ./internal/runtime
